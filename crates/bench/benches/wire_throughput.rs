@@ -9,7 +9,8 @@
 //!
 //! Both modes go through the same shard queues and micro-batchers, so the
 //! difference is the wire layer itself: framing, socket hops, and the
-//! acceptor poll loop. The acceptance bar is wire throughput within 2× of
+//! acceptors' event loop (blocked in `poll(2)`, woken per ready socket and
+//! per finished batch). The acceptance bar is wire throughput within 2× of
 //! the in-process path; pipelining typically makes it comparable or better,
 //! because a full slice of requests is available for batching at once
 //! instead of one call per client at a time.

@@ -310,7 +310,12 @@ pub(crate) fn execute_supervised(
 /// buffers intact) back to their connection's outbox pool so the next
 /// decode on that connection reuses the allocations; everything else is
 /// dropped. This is what keeps the steady-state wire path allocation-free.
-pub(crate) fn recycle_batch(batch: &mut Vec<RoutedRequest>) {
+///
+/// It is also where the listener threads behind those connections are told
+/// to look: every completion of the batch is in its outbox by now, so each
+/// thread is woken once per batch (if it is blocked at all — see
+/// [`crate::wire::readiness`]) and finds all of its replies on one pump.
+pub(crate) fn recycle_batch(batch: &mut Vec<RoutedRequest>, metrics: &ServeMetrics) {
     for mut request in batch.drain(..) {
         // Detach the reply first: a pooled request must not keep a cyclic
         // strong reference to the outbox that owns the pool.
@@ -318,6 +323,9 @@ pub(crate) fn recycle_batch(batch: &mut Vec<RoutedRequest>) {
         match reply {
             ReplyTo::Wire { outbox, .. } | ReplyTo::WireAnswered(outbox) => {
                 outbox.recycle(request);
+                if outbox.waker().is_some_and(|waker| waker.wake()) {
+                    metrics.record_wire_wake_signal();
+                }
             }
             _ => {}
         }
@@ -370,7 +378,7 @@ pub(crate) fn run_shard_worker(
                 let tables = directory.read().expect("directory poisoned");
                 execute_supervised(&mut worker, &tables, now, &metrics, &tier, &mut outcomes);
                 drop(tables);
-                recycle_batch(&mut worker.batch);
+                recycle_batch(&mut worker.batch, &metrics);
             }
             Popped::Idle => {
                 // Own queue empty for a whole park: steal one batch from the
@@ -397,7 +405,7 @@ pub(crate) fn run_shard_worker(
                             &mut outcomes,
                         );
                         drop(tables);
-                        recycle_batch(&mut worker.batch);
+                        recycle_batch(&mut worker.batch, &metrics);
                     }
                 }
             }
@@ -765,7 +773,7 @@ mod tests {
         assert!(shard.try_pop_batch(64, &mut worker.batch));
         execute_supervised(&mut worker, &tables, Duration::ZERO, &metrics, &tier, &mut outcomes);
         std::panic::set_hook(prev);
-        recycle_batch(&mut worker.batch);
+        recycle_batch(&mut worker.batch, &metrics);
         for rx in &replies {
             assert_eq!(rx.recv().unwrap(), Err(ShedReason::WorkerPanicked));
         }
@@ -779,7 +787,7 @@ mod tests {
         }
         assert!(shard.try_pop_batch(64, &mut worker.batch));
         execute_supervised(&mut worker, &tables, Duration::ZERO, &metrics, &tier, &mut outcomes);
-        recycle_batch(&mut worker.batch);
+        recycle_batch(&mut worker.batch, &metrics);
         let got: Vec<f64> = replies.iter().map(|r| r.recv().unwrap().unwrap()).collect();
         assert_eq!(got, expected, "post-respawn answers must stay bit-identical");
 

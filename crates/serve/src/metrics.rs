@@ -50,6 +50,12 @@ pub struct ServeMetrics {
     frames_out: AtomicU64,
     /// Connections torn down because their byte stream failed to decode.
     wire_decode_errors: AtomicU64,
+    /// `accept` calls that failed with anything but `WouldBlock`.
+    wire_accept_errors: AtomicU64,
+    /// Returns of a listener thread from its readiness wait.
+    wire_acceptor_wakeups: AtomicU64,
+    /// Wake-up bytes shard workers wrote to blocked listener threads.
+    wire_wake_signals: AtomicU64,
     /// Histogram of per-connection in-flight request counts, sampled at
     /// each admission (same bucket bounds as the batch histogram).
     pipeline_hist: [AtomicU64; BATCH_BUCKETS.len() + 1],
@@ -101,6 +107,9 @@ impl ServeMetrics {
             frames_in: AtomicU64::new(0),
             frames_out: AtomicU64::new(0),
             wire_decode_errors: AtomicU64::new(0),
+            wire_accept_errors: AtomicU64::new(0),
+            wire_acceptor_wakeups: AtomicU64::new(0),
+            wire_wake_signals: AtomicU64::new(0),
             pipeline_hist: Default::default(),
             ingested_rows: AtomicU64::new(0),
             drift_detections: AtomicU64::new(0),
@@ -187,6 +196,25 @@ impl ServeMetrics {
     /// Record one connection torn down by a protocol decode error.
     pub fn record_wire_decode_error(&self) {
         self.wire_decode_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one failed `accept` on a wire listener (anything but
+    /// `WouldBlock`: descriptor exhaustion, a connection aborted in the
+    /// backlog).
+    pub fn record_wire_accept_error(&self) {
+        self.wire_accept_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one return of a wire listener thread from its readiness wait
+    /// — a thread that is idle records none.
+    pub fn record_wire_acceptor_wakeup(&self) {
+        self.wire_acceptor_wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one wake-up byte written by a shard worker to a blocked wire
+    /// listener thread (at most one per retired batch and listener thread).
+    pub fn record_wire_wake_signal(&self) {
+        self.wire_wake_signals.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a connection's in-flight request count observed at admission
@@ -319,6 +347,9 @@ impl ServeMetrics {
             frames_in: self.frames_in.load(Ordering::Relaxed),
             frames_out: self.frames_out.load(Ordering::Relaxed),
             wire_decode_errors: self.wire_decode_errors.load(Ordering::Relaxed),
+            wire_accept_errors: self.wire_accept_errors.load(Ordering::Relaxed),
+            wire_acceptor_wakeups: self.wire_acceptor_wakeups.load(Ordering::Relaxed),
+            wire_wake_signals: self.wire_wake_signals.load(Ordering::Relaxed),
             pipeline_depth_histogram: pipeline_histogram,
             ingested_rows: self.ingested_rows.load(Ordering::Relaxed),
             drift_detections: self.drift_detections.load(Ordering::Relaxed),
@@ -401,6 +432,17 @@ pub struct MetricsSnapshot {
     pub frames_out: u64,
     /// Wire connections torn down by protocol decode errors.
     pub wire_decode_errors: u64,
+    /// Failed `accept` calls on wire listeners (anything but `WouldBlock`).
+    pub wire_accept_errors: u64,
+    /// Returns of wire listener threads from their readiness wait. The
+    /// threads block until a socket, a finished batch or a stop request
+    /// needs them, so this stands still while the front door is idle and
+    /// grows by about two per request served one at a time.
+    pub wire_acceptor_wakeups: u64,
+    /// Wake-up bytes shard workers wrote to blocked wire listener threads:
+    /// at most one per retired batch and thread, none when the thread was
+    /// already awake.
+    pub wire_wake_signals: u64,
     /// `(bucket upper bound, samples)` histogram of per-connection in-flight
     /// request counts at admission; the `usize::MAX` bucket is open-ended.
     pub pipeline_depth_histogram: Vec<(usize, u64)>,
@@ -446,7 +488,8 @@ impl std::fmt::Display for MetricsSnapshot {
             "requests={} qps={:.0} p50={:.1}us p99={:.1}us batches={} mean_batch={:.2} \
              shed_overload={} shed_deadline={} shed_stale={} steals={} evictions={} reloads={} \
              queue_depth={} cache_hit_rate={:.1}% \
-             conns={} frames_in={} frames_out={} decode_errors={} \
+             conns={} frames_in={} frames_out={} decode_errors={} accept_errors={} \
+             acceptor_wakeups={} wake_signals={} \
              ingested={} drifts={} retrains={} swaps={} feedback_rejected={} \
              panics_caught={} shard_restarts={} reload_failures={} shed_internal={} \
              spill_failures={}",
@@ -468,6 +511,9 @@ impl std::fmt::Display for MetricsSnapshot {
             self.frames_in,
             self.frames_out,
             self.wire_decode_errors,
+            self.wire_accept_errors,
+            self.wire_acceptor_wakeups,
+            self.wire_wake_signals,
             self.ingested_rows,
             self.drift_detections,
             self.retrains,
@@ -567,6 +613,10 @@ mod tests {
         m.record_frame_in();
         m.record_frame_out();
         m.record_wire_decode_error();
+        m.record_wire_accept_error();
+        m.record_wire_acceptor_wakeup();
+        m.record_wire_acceptor_wakeup();
+        m.record_wire_wake_signal();
         m.record_steal();
         m.record_pipeline_depth(1);
         m.record_pipeline_depth(3);
@@ -576,6 +626,7 @@ mod tests {
         assert_eq!(s.open_conns, 1);
         assert_eq!((s.frames_in, s.frames_out), (2, 1));
         assert_eq!(s.wire_decode_errors, 1);
+        assert_eq!((s.wire_accept_errors, s.wire_acceptor_wakeups, s.wire_wake_signals), (1, 2, 1));
         assert_eq!(s.steals, 1);
         let count_of =
             |ub: usize| s.pipeline_depth_histogram.iter().find(|&&(b, _)| b == ub).map(|&(_, c)| c);
@@ -586,6 +637,7 @@ mod tests {
         assert!(line.contains("steals=1"));
         assert!(line.contains("conns=1"));
         assert!(line.contains("frames_in=2"));
+        assert!(line.contains("accept_errors=1 acceptor_wakeups=2 wake_signals=1"));
     }
 
     #[test]

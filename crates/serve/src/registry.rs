@@ -131,6 +131,11 @@ pub struct ModelSlot {
     uid: u64,
     /// Models evicted from this slot so far.
     evictions: AtomicU64,
+    /// Spill files written by this slot so far, successful eviction or not.
+    /// Part of the file name, so two workers evicting the slot at once
+    /// never share a path: the loser of that race discards *its* file, not
+    /// the one the winner's store points at.
+    spills: AtomicU64,
     /// Evicted models rebuilt from their checkpoint so far.
     reloads: AtomicU64,
     /// Reload attempts that failed (unreadable spill file, corrupt or
@@ -151,6 +156,7 @@ impl ModelSlot {
             }),
             uid: NEXT_SLOT_UID.fetch_add(1, Ordering::Relaxed),
             evictions: AtomicU64::new(0),
+            spills: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
             reload_failures: AtomicU64::new(0),
         }
@@ -298,7 +304,9 @@ impl ModelSlot {
         let store = match spill_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
-                let path = dir.join(format!("slot-{}-gen-{generation}.duetckpt", self.uid));
+                let spill = self.spills.fetch_add(1, Ordering::Relaxed);
+                let name = format!("slot-{}-gen-{generation}-spill-{spill}.duetckpt", self.uid);
+                let path = dir.join(&name);
                 // Crash-safe spill: write to a temporary sibling and rename
                 // into place, so a crash or full disk mid-write can never
                 // leave a half-written file under the final name. Then read
@@ -306,7 +314,7 @@ impl ModelSlot {
                 // BEFORE dropping the resident model — the checkpoint is
                 // about to become the only copy of these weights, so a torn
                 // or bit-flipped write must keep the model resident instead.
-                let tmp = dir.join(format!("slot-{}-gen-{generation}.duetckpt.tmp", self.uid));
+                let tmp = dir.join(format!("{name}.tmp"));
                 std::fs::write(&tmp, &checkpoint)?;
                 std::fs::rename(&tmp, &path)?;
                 let written = std::fs::read(&path)?;

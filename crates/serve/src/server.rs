@@ -205,10 +205,10 @@ pub struct DuetServer {
     /// so [`DuetServer::shutdown`] can halt training promptly without owning
     /// the handles (callers keep those and join on drop).
     trainer_stops: Mutex<Vec<Arc<std::sync::atomic::AtomicBool>>>,
-    /// Stop flags of every wire listener opened through this server; flipped
-    /// by [`DuetServer::shutdown`] so listeners stop accepting and start
-    /// their graceful drain.
-    wire_stops: Mutex<Vec<Arc<std::sync::atomic::AtomicBool>>>,
+    /// Stop signals of every wire listener opened through this server;
+    /// raised by [`DuetServer::shutdown`] so listeners stop accepting and
+    /// start their graceful drain.
+    wire_stops: Mutex<Vec<Arc<crate::wire::readiness::StopSignal>>>,
 }
 
 impl DuetServer {
@@ -649,9 +649,9 @@ impl DuetServer {
                 metrics: self.metrics.clone(),
             },
         )?;
-        // Remember the stop flag so a server-wide shutdown closes the front
+        // Remember the stop signal so a server-wide shutdown closes the front
         // door without owning the handle (the caller keeps it for joins).
-        self.wire_stops.lock().expect("server poisoned").push(handle.stop_flag());
+        self.wire_stops.lock().expect("server poisoned").push(handle.stop_signal());
         Ok(handle)
     }
 
@@ -665,9 +665,9 @@ impl DuetServer {
     ///    atomic — it either publishes a fully trained model or nothing — so
     ///    flipping the stop flag can never publish half-trained weights.
     /// 2. **Close the wire front door**: listeners opened through
-    ///    [`DuetServer::serve_wire`] stop accepting and begin their graceful
-    ///    drain (flush queued responses for work already admitted, within
-    ///    [`crate::wire::WireConfig::drain`]).
+    ///    [`DuetServer::serve_wire`] are woken, stop accepting and begin
+    ///    their graceful drain (flush queued responses for work already
+    ///    admitted, within [`crate::wire::WireConfig::drain`]).
     /// 3. **Close the router**: shard workers keep executing until their
     ///    queues are empty, then exit — every admitted request still gets
     ///    its terminal reply.
@@ -684,7 +684,8 @@ impl DuetServer {
             stop.store(true, Ordering::Relaxed);
         }
         for stop in self.wire_stops.lock().expect("server poisoned").drain(..) {
-            stop.store(true, Ordering::Relaxed);
+            // Sets the flag and wakes the acceptors blocked in `poll`.
+            stop.request();
         }
         self.router.close();
         let mut workers = self.workers.lock().expect("server poisoned");

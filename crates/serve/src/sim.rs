@@ -406,7 +406,7 @@ impl RouterHarness {
                 // to their connection's pool, keeping the simulated wire hot
                 // loop allocation-free (ticket/discard requests just drop,
                 // exactly as `clear` did).
-                crate::batcher::recycle_batch(&mut worker.batch);
+                crate::batcher::recycle_batch(&mut worker.batch, &self.metrics);
             }
         }
         processed

@@ -146,6 +146,14 @@ impl WireClient {
         Ok(())
     }
 
+    /// Bound how long [`WireClient::recv`] (and [`WireClient::resolve`]) wait
+    /// for bytes: past `timeout` they fail with `WouldBlock`/`TimedOut`
+    /// instead of blocking forever on a reply that never comes. `None`
+    /// (the default) waits indefinitely.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.stream.set_read_timeout(timeout)
+    }
+
     /// Ask the server for `table`'s id and column domains. Blocks; flushes
     /// any buffered requests first. Returns `None` if the server does not
     /// know the table.

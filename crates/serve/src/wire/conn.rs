@@ -7,7 +7,8 @@
 //! decoded work is admitted and completed responses are encoded during
 //! [`WireConn::pump`], and produced bytes come back out through
 //! [`WireConn::output`]/[`WireConn::consume_output`]. The production
-//! listener drives it from nonblocking sockets under the [`SystemClock`];
+//! listener drives it from nonblocking sockets, as they become ready, under
+//! the [`SystemClock`];
 //! the deterministic harness ([`crate::sim`]) drives the *identical* code
 //! from in-memory byte chunks under a [`VirtualClock`] — which is what makes
 //! the socket boundary replay-testable.
@@ -44,6 +45,7 @@ use crate::router::{Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableReso
 use crate::wire::frame::{
     self, DecodeError, FrameView, Status, DEFAULT_MAX_FRAME_LEN, PREAMBLE_LEN,
 };
+use crate::wire::readiness::Waker;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -114,15 +116,29 @@ impl ByteQueue {
 /// requests are `recycle`d here with their predicate/interval buffers
 /// intact, so the connection's next decode reuses them — the
 /// allocation-free steady state.
+///
+/// A connection owned by a listener thread also carries that thread's
+/// waker: completions only become response frames on the connection's
+/// next pump, and the thread that pumps it is blocked in `poll` until
+/// something tells it to look.
 #[derive(Debug, Default)]
 pub struct Outbox {
     completions: Mutex<Vec<(u64, Result<f64, ShedReason>)>>,
     pool: Mutex<Vec<RoutedRequest>>,
+    /// `None` where whoever pumps the connection needs no waking (the sim,
+    /// tests driving a `WireConn` by hand).
+    waker: Option<Arc<Waker>>,
 }
 
 impl Outbox {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// The waker of the thread that pumps this outbox's connection.
+    pub(crate) fn waker(&self) -> Option<&Arc<Waker>> {
+        self.waker.as_ref()
+    }
+
+    /// Whether completions are waiting for the connection's next pump.
+    pub(crate) fn has_completions(&self) -> bool {
+        !self.completions.lock().unwrap_or_else(|e| e.into_inner()).is_empty()
     }
 
     // Both locks tolerate poisoning (`into_inner` on the error) instead of
@@ -220,12 +236,18 @@ pub struct WireConn {
 impl WireConn {
     /// A fresh connection awaiting its preamble.
     pub fn new(config: ConnConfig) -> Self {
+        Self::with_waker(config, None)
+    }
+
+    /// A fresh connection whose completions wake `waker`'s thread (see
+    /// [`Outbox`]).
+    pub(crate) fn with_waker(config: ConnConfig, waker: Option<Arc<Waker>>) -> Self {
         Self {
             phase: Phase::Handshake,
             config,
             inbound: ByteQueue::new(),
             outbound: ByteQueue::new(),
-            outbox: Arc::new(Outbox::new()),
+            outbox: Arc::new(Outbox { waker, ..Outbox::default() }),
             inflight: Vec::new(),
             completions: Vec::new(),
             ndv_scratch: Vec::new(),
@@ -260,12 +282,18 @@ impl WireConn {
         !self.outbound.is_empty()
     }
 
+    /// Whether finished requests are waiting for the next [`WireConn::pump`]
+    /// to turn them into response frames.
+    pub(crate) fn has_completions(&self) -> bool {
+        !self.inflight.is_empty() && self.outbox.has_completions()
+    }
+
     /// Run the connection forward: finish the handshake if pending, decode
     /// and admit every complete inbound frame, then drain completed
     /// requests into response frames.
     ///
     /// Returns whether any progress was made (a frame decoded or a response
-    /// encoded) — the listener's idle heuristic. A [`DecodeError`] means
+    /// encoded). A [`DecodeError`] means
     /// the byte stream is unrecoverable and the connection must be closed;
     /// in-flight requests still complete harmlessly into the outbox (their
     /// `Arc` keeps it alive) and are dropped with it.

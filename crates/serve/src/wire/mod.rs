@@ -18,7 +18,12 @@
 //!   byte slices, so the deterministic simulator drives the exact code the
 //!   TCP listener runs.
 //! * `listener` (via [`crate::DuetServer::serve_wire`]) — the only part
-//!   that touches `std::net`: nonblocking accept + read/write sweeps.
+//!   that touches `std::net`: one event loop per acceptor thread, blocked
+//!   in `poll(2)` until a socket, a finished batch or a stop request needs
+//!   it.
+//! * `readiness` — what that loop blocks on and how other threads end the
+//!   block: the `poll` call and the per-thread waker (the layer's one
+//!   `unsafe` block and its only platform-specific code).
 //! * [`client`] — a minimal blocking client for tests, benches, and
 //!   examples.
 
@@ -26,6 +31,7 @@ pub mod client;
 pub(crate) mod conn;
 pub mod frame;
 pub(crate) mod listener;
+pub(crate) mod readiness;
 
 pub use client::{RetryConfig, TableSpec, WireClient};
 pub use conn::{ConnConfig, Outbox, WireConn};
