@@ -15,7 +15,9 @@
 
 use duet_data::Table;
 use duet_nn::loss::mse;
-use duet_nn::{seeded_rng, Adam, GradClip, Layer, Matrix, Mlp};
+use duet_nn::{
+    seeded_rng, Adam, ForwardWorkspace, GradClip, InferLayer, Matrix, Mlp, Params, TrainWorkspace,
+};
 use duet_query::{CardinalityEstimator, PredOp, Query};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -68,6 +70,8 @@ pub struct MscnEstimator {
     num_rows: usize,
     min_log: f64,
     max_log: f64,
+    /// Forward scratch reused by every estimate.
+    ws: ForwardWorkspace,
     name: String,
 }
 
@@ -102,6 +106,7 @@ impl MscnEstimator {
         let targets: Vec<f32> =
             logs.iter().map(|&l| ((l - min_log) / (max_log - min_log)) as f32).collect();
 
+        let mut tws = TrainWorkspace::new();
         let mut order: Vec<usize> = (0..queries.len()).collect();
         let mut shuffle_rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
         for _ in 0..config.epochs {
@@ -117,9 +122,8 @@ impl MscnEstimator {
                     y.set(r, 0, targets[idx]);
                 }
                 mlp.zero_grad();
-                let pred = mlp.forward(&x);
-                let (_, grad) = mse(&pred, &y);
-                let _ = mlp.backward(&grad);
+                let (_, grad) = mse(mlp.forward_train(&x, &mut tws), &y);
+                mlp.backward_scratch(&grad, &mut tws, false);
                 adam.step(&mut mlp);
             }
         }
@@ -131,6 +135,7 @@ impl MscnEstimator {
             num_rows: table.num_rows(),
             min_log,
             max_log,
+            ws: ForwardWorkspace::new(),
             name: "mscn".into(),
         }
     }
@@ -195,7 +200,7 @@ impl CardinalityEstimator for MscnEstimator {
     fn estimate(&mut self, query: &Query) -> f64 {
         let features = featurize(&self.schema, &self.sample, query);
         let x = Matrix::from_vec(1, features.len(), features);
-        let pred = self.mlp.forward_inference(&x).get(0, 0) as f64;
+        let pred = self.mlp.infer_into(&x, &mut self.ws).get(0, 0) as f64;
         let log_card = pred.clamp(0.0, 1.0) * (self.max_log - self.min_log) + self.min_log;
         log_card.exp().clamp(0.0, self.num_rows as f64)
     }

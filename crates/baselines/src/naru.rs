@@ -9,8 +9,8 @@
 
 use duet_data::Table;
 use duet_nn::{
-    grouped_cross_entropy, seeded_rng, softmax_into, Adam, GradClip, Layer, Made, MadeConfig,
-    Matrix,
+    grouped_cross_entropy, seeded_rng, softmax_into, Adam, ForwardWorkspace, GradClip, InferLayer,
+    Made, MadeConfig, Matrix, Params, TrainWorkspace,
 };
 use duet_query::{CardinalityEstimator, Query};
 use rand::rngs::SmallRng;
@@ -165,6 +165,10 @@ pub struct NaruEstimator {
     pub(crate) schema: Table,
     pub(crate) num_rows: usize,
     pub(crate) num_samples: usize,
+    /// Forward scratch kept across the O(columns) passes of every estimate:
+    /// activation buffers stay warm and `W ⊙ M` is materialized once per
+    /// model, not once per pass.
+    ws: ForwardWorkspace,
     rng: SmallRng,
     name: String,
 }
@@ -218,15 +222,7 @@ impl NaruEstimator {
             on_epoch(stats, &mut snapshot);
         };
         let (made, encoder) = train_value_model(table, config, seed, &mut hook);
-        Self {
-            made,
-            encoder,
-            schema: table.schema_only(),
-            num_rows: table.num_rows(),
-            num_samples: config.num_samples,
-            rng: SmallRng::seed_from_u64(seed ^ 0xdead_beef),
-            name: "naru".into(),
-        }
+        Self::from_parts(made, encoder, table, config.num_samples, seed, "naru")
     }
 
     /// Wrap an already-trained model (used by the UAE baseline).
@@ -244,6 +240,7 @@ impl NaruEstimator {
             schema: table.schema_only(),
             num_rows: table.num_rows(),
             num_samples,
+            ws: ForwardWorkspace::new(),
             rng: SmallRng::seed_from_u64(seed ^ 0xdead_beef),
             name: name.into(),
         }
@@ -285,7 +282,7 @@ impl NaruEstimator {
 
         for &col in &constrained {
             let t0 = Instant::now();
-            let logits = self.made.forward_inference(&input);
+            let logits = self.made.infer_into(&input, &mut self.ws);
             forward_time += t0.elapsed();
             forwards += 1;
 
@@ -371,6 +368,7 @@ pub(crate) fn train_value_model(
     let mut made = Made::new(made_config, &mut rng);
     let mut adam = Adam::new(config.learning_rate).with_clip(GradClip::Value(8.0));
     let blocks = encoder.output_sizes();
+    let mut tws = TrainWorkspace::new();
 
     let mut order: Vec<usize> = (0..table.num_rows()).collect();
     for epoch in 0..config.epochs {
@@ -400,9 +398,9 @@ pub(crate) fn train_value_model(
                 labels.push(row_labels);
             }
             made.zero_grad();
-            let logits = made.forward(&input);
-            let (loss, grad) = grouped_cross_entropy(&logits, &blocks, &labels);
-            let _ = made.backward(&grad);
+            let logits = made.forward_train(&input, None, &mut tws);
+            let (loss, grad) = grouped_cross_entropy(logits, &blocks, &labels);
+            made.backward_scratch(&grad, None, &mut tws, false);
             adam.step(&mut made);
             loss_sum += loss as f64;
             batches += 1;

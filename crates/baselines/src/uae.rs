@@ -17,7 +17,10 @@
 
 use crate::naru::{train_value_model, NaruConfig, NaruEpochStats, NaruEstimator, ValueEncoder};
 use duet_data::Table;
-use duet_nn::{softmax_into, Adam, GradClip, Layer, Made, Matrix};
+use duet_nn::{
+    softmax_into, Adam, ForwardWorkspace, GradClip, InferLayer, Made, Matrix, Params,
+    TrainWorkspace,
+};
 use duet_query::{CardinalityEstimator, Query};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -109,6 +112,9 @@ impl UaeEstimator {
             .map(|(q, &card)| (q.column_intervals(table), q.constrained_columns(), card as f64))
             .collect();
         let num_rows = table.num_rows() as f64;
+        // One pair of workspaces for the whole refinement: the sampled prefix
+        // passes and the tracked final pass of every query reuse them.
+        let mut workspaces = (ForwardWorkspace::new(), TrainWorkspace::new());
 
         for (epoch, data) in data_stats.iter().enumerate() {
             let started = Instant::now();
@@ -131,6 +137,7 @@ impl UaeEstimator {
                     config.query_weight,
                     &mut adam,
                     &mut rng,
+                    &mut workspaces,
                 );
                 batches += 1;
             }
@@ -185,6 +192,7 @@ fn supervised_step(
     query_weight: f64,
     adam: &mut Adam,
     rng: &mut SmallRng,
+    (fws, tws): &mut (ForwardWorkspace, TrainWorkspace),
 ) -> f64 {
     made.zero_grad();
     let mut loss_sum = 0.0f64;
@@ -211,7 +219,7 @@ fn supervised_step(
         let mut weights = vec![1.0f64; s];
         let (&last_col, prefix) = constrained.split_last().expect("non-empty");
         for &col in prefix {
-            let logits = made.forward_inference(&input);
+            let logits = made.infer_into(&input, fws);
             let (lo, hi) = intervals[col];
             let out_off: usize = sizes[..col].iter().sum();
             let size = sizes[col];
@@ -247,7 +255,7 @@ fn supervised_step(
 
         // Final column: tracked forward pass; the supervised gradient flows
         // through its logits.
-        let logits = made.forward(&input);
+        let logits = made.forward_train(&input, None, tws);
         let (lo, hi) = intervals[last_col];
         let out_off: usize = sizes[..last_col].iter().sum();
         let size = sizes[last_col];
@@ -288,7 +296,7 @@ fn supervised_step(
                 grow[out_off + k] = (p as f64 * (in_range - mass) * dl_dmass) as f32;
             }
         }
-        let _ = made.backward(&grad_logits);
+        made.backward_scratch(&grad_logits, None, tws, false);
     }
 
     adam.step(made);

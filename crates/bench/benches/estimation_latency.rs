@@ -1,9 +1,8 @@
 //! Criterion micro-benchmark: single-query estimation latency of Duet vs the
 //! sampling-based and traditional estimators (the latency claim behind
 //! Figure 7 and the O(1)-vs-O(n) analysis of §IV-E), plus the batched
-//! inference path with and without a reused [`DuetWorkspace`] — the
-//! before/after comparison for the zero-allocation refactor (a summary line
-//! with the measured speedup is printed at the end).
+//! inference path through a reused [`DuetWorkspace`] at batch 32 and 64 and
+//! under both softmax modes.
 
 use criterion::{criterion_group, criterion_main, BenchMeta, Criterion};
 use duet_baselines::{IndependenceEstimator, MHist, NaruConfig, NaruEstimator};
@@ -11,7 +10,6 @@ use duet_core::{query_to_id_predicates, DuetConfig, DuetEstimator, DuetWorkspace
 use duet_data::datasets::census_like;
 use duet_query::{CardinalityEstimator, WorkloadSpec};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Batch size of the batched-inference comparison (a typical micro-batch the
 /// serving layer forms under load).
@@ -60,17 +58,12 @@ fn bench_estimation(c: &mut Criterion) {
     });
 
     // Batched inference: the pre-encoded hot path the serving layer runs,
-    // once through the allocating API and once through a reused workspace.
+    // through a reused workspace.
     let batch_queries = &queries[..BATCH];
     let rows: Vec<_> =
         batch_queries.iter().map(|q| query_to_id_predicates(duet.schema(), q)).collect();
     let intervals: Vec<_> =
         batch_queries.iter().map(|q| q.column_intervals(duet.schema())).collect();
-    group.bench_function_meta(
-        "duet_batch32_alloc",
-        BenchMeta { batch_size: Some(BATCH), mode: Some("fast") },
-        |b| b.iter(|| black_box(duet.estimate_encoded_batch(&rows, &intervals))),
-    );
     let mut ws = DuetWorkspace::new();
     let mut out = Vec::new();
     group.bench_function_meta(
@@ -115,25 +108,6 @@ fn bench_estimation(c: &mut Criterion) {
         },
     );
     group.finish();
-
-    // Direct before/after numbers for the zero-allocation refactor.
-    const ROUNDS: usize = 400;
-    let started = Instant::now();
-    for _ in 0..ROUNDS {
-        black_box(duet.estimate_encoded_batch(&rows, &intervals));
-    }
-    let alloc_per_batch = started.elapsed() / ROUNDS as u32;
-    let started = Instant::now();
-    for _ in 0..ROUNDS {
-        duet.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut out);
-        black_box(out.last().copied());
-    }
-    let ws_per_batch = started.elapsed() / ROUNDS as u32;
-    println!(
-        "\nbatched inference (batch={BATCH}): allocating {alloc_per_batch:?}/batch, \
-         workspace {ws_per_batch:?}/batch, speedup {:.2}x",
-        alloc_per_batch.as_secs_f64() / ws_per_batch.as_secs_f64()
-    );
 }
 
 criterion_group! {

@@ -3,7 +3,8 @@
 //! on a 100-column table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use duet_core::{build_mpsns, MergedMlpMpsn, MpsnKind};
+use duet_core::{build_mpsns, MergedMlpMpsn, MpsnKind, MpsnScratch};
+use duet_nn::{ForwardWorkspace, Matrix};
 use std::hint::black_box;
 
 fn bench_mpsn(c: &mut Criterion) {
@@ -22,18 +23,30 @@ fn bench_mpsn(c: &mut Criterion) {
         })
         .collect();
 
+    // The per-column form stacks each predicate list one row per predicate,
+    // as `DuetModel::fill_input` stages it.
+    let stacked: Vec<Matrix> = preds_per_col
+        .iter()
+        .map(|preds| Matrix::from_vec(preds.len(), 11, preds.concat()))
+        .collect();
+    let mut out = vec![0.0f32; 100 * 11];
+
     let mut group = c.benchmark_group("mpsn_forward_100_columns");
+    let mut scratch = MpsnScratch::new();
     group.bench_function("per_column_mpsns", |b| {
         b.iter(|| {
-            let mut out = Vec::with_capacity(100 * 11);
-            for (m, preds) in mpsns.iter().zip(&preds_per_col) {
-                out.extend(m.embed(preds));
+            for ((m, encs), slot) in mpsns.iter().zip(&stacked).zip(out.chunks_exact_mut(11)) {
+                m.embed_into(encs, &mut scratch, slot);
             }
-            black_box(out)
+            black_box(out.last().copied())
         })
     });
+    let mut ws = ForwardWorkspace::new();
     group.bench_function("merged_block_diagonal", |b| {
-        b.iter(|| black_box(merged.embed_all(&preds_per_col)))
+        b.iter(|| {
+            merged.embed_all_into(&preds_per_col, &mut ws, &mut out);
+            black_box(out.last().copied())
+        })
     });
     group.finish();
 }

@@ -1,22 +1,19 @@
 //! Criterion micro-benchmarks for the training path: one epoch of Duet's
 //! data-driven training vs Naru's (Table III context), plus **step-level**
-//! benches isolating the training forward — the old allocating
-//! `Layer::forward` + allocating grouped cross-entropy pipeline against the
-//! scratch-based `data_forward`/`query_forward` passes (activation
-//! checkpointing, in-place masked-weight memo, flat gradient/probability
-//! staging) — and, since PR 7, the **full training step**
-//! (forward + backward + Adam): the old allocating `Layer::backward` chain
-//! against the gradient-ping-pong scratch backward with the fused sparse
-//! first layer.
+//! benches: the `data_forward` / `query_forward` passes on their own
+//! (activation checkpointing, in-place masked-weight memo, flat
+//! gradient/probability staging) and the **full training step** (forward +
+//! gradient-ping-pong scratch backward with the fused sparse first layer +
+//! Adam), data-driven and hybrid.
 
 use criterion::{criterion_group, criterion_main, BenchMeta, Criterion};
 use duet_baselines::{NaruConfig, NaruEstimator};
 use duet_core::{
     data_forward, query_forward, sample_virtual_batch, train_model, train_step, DuetConfig,
-    DuetModel, ModelParams, PreparedQuery, SamplerConfig, TrainStepScratch, VirtualTuple,
+    DuetModel, PreparedQuery, SamplerConfig, TrainStepScratch, VirtualTuple,
 };
 use duet_data::datasets::census_like;
-use duet_nn::{grouped_cross_entropy, seeded_rng, Adam, Layer};
+use duet_nn::{seeded_rng, Adam};
 use duet_query::{exact_cardinality, WorkloadSpec};
 use std::hint::black_box;
 
@@ -65,29 +62,6 @@ fn bench_train_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_step");
     group.sample_size(40);
 
-    // The pre-PR-5 shape of the data forward: per-batch row/label
-    // re-gathering, the allocating `Layer::forward` (fresh effective
-    // weights and activations per stage), and the allocating grouped
-    // cross-entropy.
-    let mut ws = duet_core::DuetWorkspace::new();
-    group.bench_function_meta(
-        "data_forward_alloc",
-        BenchMeta { batch_size: Some(tuples), mode: Some("alloc") },
-        |b| {
-            b.iter(|| {
-                model.zero_grad();
-                let rows: Vec<&Vec<Vec<duet_core::IdPredicate>>> =
-                    batch.iter().map(|vt| &vt.predicates).collect();
-                model.fill_input(&rows, &mut ws);
-                let labels: Vec<Vec<usize>> = batch.iter().map(|vt| vt.labels.clone()).collect();
-                let blocks = model.output_sizes();
-                let logits = model.made_mut().forward(ws.input());
-                let (loss, grad) = grouped_cross_entropy(&logits, &blocks, &labels);
-                black_box((loss, grad.rows()))
-            })
-        },
-    );
-
     let mut scratch = TrainStepScratch::new();
     group.bench_function_meta(
         "data_forward_scratch",
@@ -112,31 +86,7 @@ fn bench_train_step(c: &mut Criterion) {
         },
     );
 
-    // Full data-driven step, pre-PR-7 shape: the allocating forward above
-    // followed by the allocating `Layer::backward` chain (a fresh gradient
-    // matrix per stage) and the Adam update.
-    let mut adam_alloc = Adam::new(1e-4);
-    group.bench_function_meta(
-        "full_step_alloc",
-        BenchMeta { batch_size: Some(tuples), mode: Some("alloc") },
-        |b| {
-            b.iter(|| {
-                model.zero_grad();
-                let rows: Vec<&Vec<Vec<duet_core::IdPredicate>>> =
-                    batch.iter().map(|vt| &vt.predicates).collect();
-                model.fill_input(&rows, &mut ws);
-                let labels: Vec<Vec<usize>> = batch.iter().map(|vt| vt.labels.clone()).collect();
-                let blocks = model.output_sizes();
-                let logits = model.made_mut().forward(ws.input());
-                let (loss, grad) = grouped_cross_entropy(&logits, &blocks, &labels);
-                let grad_in = model.made_mut().backward(&grad);
-                adam_alloc.step(&mut ModelParams(&mut model));
-                black_box((loss, grad_in.rows()))
-            })
-        },
-    );
-
-    // Same full step through `train_step`: fused sparse first layer,
+    // The full data-driven step through `train_step`: fused sparse first layer,
     // gradient ping-pong through scratch, zero allocations after warm-up.
     let mut adam_scratch = Adam::new(1e-4);
     group.bench_function_meta(

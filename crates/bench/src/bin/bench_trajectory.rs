@@ -1,7 +1,10 @@
 //! Merge the committed `BENCH_PR*.json` artifacts (one per PR, written by
 //! the criterion shim via `DUET_BENCH_JSON`) into a single machine-readable
 //! trajectory table: one row per bench name, one column per PR, so a
-//! regression across PRs is a one-line diff instead of an N-file hunt.
+//! regression across PRs is a one-line diff instead of an N-file hunt. A
+//! bench need not appear in every artifact: a row starts at the first PR
+//! that measured it and ends at the last (the `*_alloc` rows end where their
+//! code path was deleted); the table prints `-` for the gaps.
 //!
 //! Run from the workspace root with
 //! `cargo run -p duet-bench --release --bin bench_trajectory`; pass a

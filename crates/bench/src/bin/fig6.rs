@@ -7,7 +7,7 @@
 
 use duet_baselines::{NaruEstimator, UaeConfig, UaeEstimator};
 use duet_bench::{build_workloads, BenchOptions, Dataset, RAND_SEED};
-use duet_core::DuetEstimator;
+use duet_core::{DuetEstimator, DuetWorkspace};
 use duet_query::WorkloadSpec;
 
 fn main() {
@@ -34,6 +34,9 @@ fn main() {
         3,
     );
 
+    // Duet's forward scratch lives across queries like Naru's and UAE's own
+    // (held inside those estimators), so all three columns read steady state.
+    let mut duet_ws = DuetWorkspace::new();
     let mut csv = Vec::new();
     println!("{:>8} {:>16} {:>16} {:>16}", "columns", "duet (ms)", "naru (ms)", "uae (ms)");
     for &ncols in &[2usize, 4, 8, 16, 32, 64, 100] {
@@ -44,7 +47,7 @@ fn main() {
         let mut duet_encode = 0.0;
         let mut duet_infer = 0.0;
         for q in &queries {
-            let b = duet.estimate_with_breakdown(q);
+            let b = duet.estimate_with_breakdown(q, &mut duet_ws);
             duet_encode += b.encode_time.as_secs_f64() * 1e3;
             duet_infer += b.inference_time.as_secs_f64() * 1e3;
         }

@@ -18,6 +18,7 @@
 //!   one operator bit set, so the all-zero pattern is unambiguous.
 
 use duet_data::Table;
+use duet_nn::Matrix;
 use duet_query::PredOp;
 use serde::{Deserialize, Serialize};
 
@@ -104,16 +105,14 @@ impl Encoder {
         }
     }
 
-    /// Encode one predicate, allocating the output.
-    pub fn encode_predicate(&self, col: usize, pred: &IdPredicate) -> Vec<f32> {
-        let mut out = vec![0.0; self.block_width(col)];
-        self.encode_predicate_into(col, pred, &mut out);
-        out
-    }
-
-    /// The wildcard (no predicate) encoding of a column: all zeros.
-    pub fn wildcard(&self, col: usize) -> Vec<f32> {
-        vec![0.0; self.block_width(col)]
+    /// Stack the encodings of column `col`'s predicate list into `out`, one
+    /// row per predicate (reshaped, buffer reused) — the form the column's
+    /// MPSN consumes, for embedding and for back-propagation alike.
+    pub fn stack_predicates_into(&self, col: usize, preds: &[IdPredicate], out: &mut Matrix) {
+        out.reset(preds.len(), self.block_width(col));
+        for (k, pred) in preds.iter().enumerate() {
+            self.encode_predicate_into(col, pred, out.row_mut(k));
+        }
     }
 
     /// Offset of column `col`'s block within the concatenated input vector.
@@ -168,7 +167,9 @@ mod tests {
         let t = census_like(200, 2);
         let enc = Encoder::new(&t);
         let pred = IdPredicate { op: PredOp::Ge, value_id: 5 };
-        let v = enc.encode_predicate(0, &pred);
+        // Overwrites whatever the slot held before.
+        let mut v = vec![9.0; enc.block_width(0)];
+        enc.encode_predicate_into(0, &pred, &mut v);
         let bits = enc.value_bits(0);
         // 5 = 0b101.
         assert_eq!(v[0], 1.0);
@@ -184,22 +185,12 @@ mod tests {
     fn wildcard_is_all_zero_and_distinct_from_any_predicate() {
         let t = census_like(200, 3);
         let enc = Encoder::new(&t);
-        let w = enc.wildcard(4);
-        assert!(w.iter().all(|&x| x == 0.0));
+        // The wildcard is the all-zero block `fill_input` leaves untouched.
+        let w = vec![0.0; enc.block_width(4)];
+        let mut p = w.clone();
         for op in PredOp::ALL {
-            let p = enc.encode_predicate(4, &IdPredicate { op, value_id: 0 });
+            enc.encode_predicate_into(4, &IdPredicate { op, value_id: 0 }, &mut p);
             assert_ne!(p, w, "a real predicate must never collide with the wildcard");
         }
-    }
-
-    #[test]
-    fn encode_into_matches_alloc_version() {
-        let t = census_like(100, 4);
-        let enc = Encoder::new(&t);
-        let pred = IdPredicate { op: PredOp::Lt, value_id: 3 };
-        let a = enc.encode_predicate(2, &pred);
-        let mut b = vec![9.0; enc.block_width(2)];
-        enc.encode_predicate_into(2, &pred, &mut b);
-        assert_eq!(a, b);
     }
 }

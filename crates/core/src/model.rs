@@ -7,8 +7,8 @@ use crate::encoding::{Encoder, IdPredicate};
 use crate::mpsn::{build_mpsns, ColumnMpsn, MergedMlpMpsn, MpsnScratch};
 use duet_data::Table;
 use duet_nn::{
-    seeded_rng, softmax_restricted_mass, ForwardWorkspace, InferLayer, Layer, Made, MadeConfig,
-    Matrix, Param, SoftmaxMode, SparseRows, WeightMode,
+    seeded_rng, softmax_restricted_mass, ForwardWorkspace, InferLayer, Made, MadeConfig, Matrix,
+    Param, Params, SoftmaxMode, SparseRows, WeightMode,
 };
 use duet_query::{PredOp, Query};
 
@@ -174,11 +174,6 @@ impl DuetModel {
         &self.mpsns
     }
 
-    /// Mutable access to the per-column MPSNs.
-    pub fn mpsns_mut(&mut self) -> &mut [ColumnMpsn] {
-        &mut self.mpsns
-    }
-
     /// Build the merged block-diagonal MPSN for accelerated inference
     /// (only valid for the MLP variant).
     pub fn merged_mpsn(&self) -> Option<MergedMlpMpsn> {
@@ -189,46 +184,19 @@ impl DuetModel {
         }
     }
 
-    /// Encode one virtual tuple / query row into the network's input vector.
-    ///
-    /// `preds[c]` is the list of predicates on column `c` (empty = wildcard).
-    /// Without an MPSN only the first predicate of a column is encoded (the
-    /// zero-out mask used at estimation time still honors all of them).
-    pub fn row_input(&self, preds: &[Vec<IdPredicate>]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.encoder.total_width());
-        for (col, col_preds) in preds.iter().enumerate() {
-            if self.mpsns.is_empty() {
-                match col_preds.first() {
-                    Some(p) => out.extend(self.encoder.encode_predicate(col, p)),
-                    None => out.extend(self.encoder.wildcard(col)),
-                }
-            } else {
-                let encodings: Vec<Vec<f32>> =
-                    col_preds.iter().map(|p| self.encoder.encode_predicate(col, p)).collect();
-                out.extend(self.mpsns[col].embed(&encodings));
-            }
-        }
-        out
-    }
-
-    /// Encode a batch of rows into an input matrix.
-    ///
-    /// Allocating convenience wrapper over [`DuetModel::fill_input`].
-    pub fn input_matrix(&self, rows: &[Vec<Vec<IdPredicate>>]) -> Matrix {
-        let mut ws = DuetWorkspace::new();
-        self.fill_input(rows, &mut ws);
-        ws.input
-    }
-
     /// Encode a batch of rows directly into the workspace's input matrix,
     /// with no per-row or per-predicate intermediates: predicate encodings
     /// are written in place (non-MPSN path) or staged in the workspace's
-    /// scratch buffers (MPSN path). Bit-identical to
-    /// [`DuetModel::input_matrix`], allocation-free once the workspace is
-    /// warm.
+    /// scratch buffers (MPSN path). Allocation-free once the workspace is
+    /// warm. This is the only row encoder: estimation and both training
+    /// passes go through it.
     ///
-    /// `rows` may hold the per-column predicate lists by value or by
-    /// reference (anything that derefs to `[Vec<IdPredicate>]`).
+    /// `rows[r][c]` is the list of predicates row `r` places on column `c`
+    /// (empty = wildcard, encoded as the all-zero block). Without an MPSN
+    /// only the first predicate of a column is encoded (the zero-out mask
+    /// used at estimation time still honors all of them). `rows` may hold the
+    /// per-column predicate lists by value or by reference (anything that
+    /// derefs to `[Vec<IdPredicate>]`).
     pub fn fill_input<R: AsRef<[Vec<IdPredicate>]>>(&self, rows: &[R], ws: &mut DuetWorkspace) {
         let DuetWorkspace { input, stacked, mpsn, .. } = ws;
         input.reset(rows.len(), self.encoder.total_width());
@@ -239,16 +207,11 @@ impl DuetModel {
                 let width = self.encoder.block_width(col);
                 let slot = &mut out_row[off..off + width];
                 if self.mpsns.is_empty() {
-                    // First predicate only; wildcards stay all-zero (the
-                    // encoder's wildcard encoding).
                     if let Some(p) = col_preds.first() {
                         self.encoder.encode_predicate_into(col, p, slot);
                     }
                 } else if !col_preds.is_empty() {
-                    stacked.reset(col_preds.len(), width);
-                    for (k, p) in col_preds.iter().enumerate() {
-                        self.encoder.encode_predicate_into(col, p, stacked.row_mut(k));
-                    }
+                    self.encoder.stack_predicates_into(col, col_preds, stacked);
                     self.mpsns[col].embed_into(stacked, mpsn, slot);
                 }
                 off += width;
@@ -270,17 +233,33 @@ impl DuetModel {
         ws.sparse.capture_from(&ws.input);
     }
 
-    /// Inference-only forward pass through the backbone.
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        self.made.forward_inference(input)
+    /// Back-propagate `grad_input` — the gradient w.r.t. the encoded input
+    /// [`DuetModel::fill_input`] produced for the same `rows` — into the
+    /// per-column MPSNs, re-staging each predicate list through the
+    /// workspace exactly as `fill_input` did. Allocation-free once warm.
+    pub(crate) fn backprop_mpsn<R: AsRef<[Vec<IdPredicate>]>>(
+        &mut self,
+        rows: &[R],
+        grad_input: &Matrix,
+        ws: &mut DuetWorkspace,
+    ) {
+        let DuetWorkspace { stacked, mpsn, .. } = ws;
+        let mut off = 0usize;
+        for (col, column_mpsn) in self.mpsns.iter_mut().enumerate() {
+            let width = self.encoder.block_width(col);
+            for (r, row) in rows.iter().enumerate() {
+                let col_preds = &row.as_ref()[col];
+                if !col_preds.is_empty() {
+                    self.encoder.stack_predicates_into(col, col_preds, stacked);
+                    let grad_block = &grad_input.row(r)[off..off + width];
+                    column_mpsn.accumulate_grad(stacked, grad_block, mpsn);
+                }
+            }
+            off += width;
+        }
     }
 
     /// The per-column output sizes (`d_i`).
-    pub fn output_sizes(&self) -> Vec<usize> {
-        self.encoder.output_sizes()
-    }
-
-    /// The per-column output sizes as a borrowed slice (no allocation).
     pub fn output_sizes_ref(&self) -> &[usize] {
         self.encoder.output_sizes_ref()
     }
@@ -292,33 +271,14 @@ impl DuetModel {
     /// Unconstrained columns (full interval) contribute a factor of exactly 1,
     /// matching the paper's formulation where only constrained columns appear
     /// in the product.
-    pub fn selectivity_from_logits(&self, logits_row: &[f32], intervals: &[(u32, u32)]) -> f64 {
-        self.selectivity_from_logits_with(logits_row, intervals, &mut Vec::new())
-    }
-
-    /// [`DuetModel::selectivity_from_logits`] with a caller-provided softmax
-    /// staging buffer (grows to the largest per-column domain, then is
-    /// reused allocation-free). Uses the inference-default
-    /// [`SoftmaxMode::Fast`].
-    pub fn selectivity_from_logits_with(
-        &self,
-        logits_row: &[f32],
-        intervals: &[(u32, u32)],
-        probs: &mut Vec<f32>,
-    ) -> f64 {
-        self.selectivity_from_logits_mode(logits_row, intervals, probs, SoftmaxMode::Fast)
-    }
-
-    /// [`DuetModel::selectivity_from_logits_with`] with an explicit
-    /// [`SoftmaxMode`].
     ///
     /// Per constrained column this computes the restricted probability mass
     /// through `duet_nn::softmax_restricted_mass` — the exponentials are
-    /// staged unnormalized in `probs` and the mass is taken as an `f64`
-    /// ratio, skipping the per-element normalization pass the old kernel
-    /// paid. Estimates are identical across batch sizes and serving paths
-    /// for a fixed mode, which is the bit-identity the serving layer relies
-    /// on.
+    /// staged unnormalized in `probs` (which grows to the largest per-column
+    /// domain, then is reused allocation-free) and the mass is taken as an
+    /// `f64` ratio. Estimates are identical across batch sizes and serving
+    /// paths for a fixed `mode`, which is the bit-identity the serving layer
+    /// relies on.
     pub fn selectivity_from_logits_mode(
         &self,
         logits_row: &[f32],
@@ -328,6 +288,7 @@ impl DuetModel {
     ) -> f64 {
         let sizes = self.encoder.output_sizes_ref();
         debug_assert_eq!(intervals.len(), sizes.len());
+        debug_assert_eq!(logits_row.len(), sizes.iter().sum::<usize>());
         let mut selectivity = 1.0f64;
         let mut offset = 0usize;
         for (col, &size) in sizes.iter().enumerate() {
@@ -352,41 +313,18 @@ impl DuetModel {
         selectivity.clamp(0.0, 1.0)
     }
 
-    /// Estimate the selectivity of one query row with a single forward pass
-    /// (the paper's O(1) inference).
-    pub fn estimate_selectivity(
-        &self,
-        preds: &[Vec<IdPredicate>],
-        intervals: &[(u32, u32)],
-    ) -> f64 {
-        let input = Matrix::from_vec(1, self.encoder.total_width(), self.row_input(preds));
-        let logits = self.forward_inference(&input);
-        self.selectivity_from_logits(logits.row(0), intervals)
-    }
-
     /// Estimate the selectivities of `N` query rows with **one** `N×W`
-    /// forward pass through the backbone.
+    /// forward pass through the backbone (the paper's O(1) inference),
+    /// staging every intermediate (encoded input, layer activations,
+    /// per-column softmax) in a caller-provided workspace and writing the
+    /// selectivities into `out` (cleared first). Zero heap allocation once the
+    /// workspace and `out` have warmed up to the batch shape.
     ///
     /// The forward pass is row-independent (every matmul accumulates along
-    /// the shared dimension in a fixed order, per output row), so each result
-    /// is bit-identical to what [`DuetModel::estimate_selectivity`] returns
-    /// for the same row — batching is purely a throughput optimization, which
-    /// the serving layer (`duet-serve`) relies on for determinism.
-    pub fn estimate_selectivity_batch(
-        &self,
-        rows: &[Vec<Vec<IdPredicate>>],
-        intervals: &[Vec<(u32, u32)>],
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.estimate_selectivity_batch_with(rows, intervals, &mut DuetWorkspace::new(), &mut out);
-        out
-    }
-
-    /// [`DuetModel::estimate_selectivity_batch`] staging every intermediate
-    /// (encoded input, layer activations, per-column softmax) in a
-    /// caller-provided workspace and writing the selectivities into `out`
-    /// (cleared first). Zero heap allocation once the workspace and `out`
-    /// have warmed up to the batch shape.
+    /// the shared dimension in a fixed order, per output row), so a row's
+    /// result does not depend on what it is batched with — batching is purely
+    /// a throughput optimization, which the serving layer (`duet-serve`)
+    /// relies on for determinism.
     ///
     /// `rows` and `intervals` are generic over anything that derefs to the
     /// per-row slices, so a serving queue can run its own request structs
@@ -501,23 +439,33 @@ mod tests {
         (table, model)
     }
 
+    fn selectivity_of(model: &DuetModel, table: &Table, q: &Query) -> f64 {
+        let (preds, intervals) = (query_to_id_predicates(table, q), q.column_intervals(table));
+        let mut out = Vec::new();
+        model.estimate_selectivity_batch_with(
+            &[preds],
+            &[intervals],
+            &mut DuetWorkspace::new(),
+            &mut out,
+        );
+        out[0]
+    }
+
     #[test]
-    fn row_input_width_matches_encoder() {
+    fn fill_input_width_matches_encoder() {
         let (table, model) = model(MpsnKind::None);
         let q = Query::all().and(0, PredOp::Le, Value::Int(30));
         let preds = query_to_id_predicates(&table, &q);
-        let input = model.row_input(&preds);
-        assert_eq!(input.len(), model.encoder().total_width());
+        let mut ws = DuetWorkspace::new();
+        model.fill_input(std::slice::from_ref(&preds), &mut ws);
+        assert_eq!(ws.input().shape(), (1, model.encoder().total_width()));
         assert_eq!(constrained_column_count(&preds), 1);
     }
 
     #[test]
     fn unconstrained_query_has_selectivity_one() {
         let (table, model) = model(MpsnKind::None);
-        let q = Query::all();
-        let preds = query_to_id_predicates(&table, &q);
-        let intervals = q.column_intervals(&table);
-        let sel = model.estimate_selectivity(&preds, &intervals);
+        let sel = selectivity_of(&model, &table, &Query::all());
         assert!((sel - 1.0).abs() < 1e-9);
     }
 
@@ -525,9 +473,7 @@ mod tests {
     fn contradictory_query_has_zero_selectivity() {
         let (table, model) = model(MpsnKind::None);
         let q = Query::all().and(0, PredOp::Lt, Value::Int(1)).and(0, PredOp::Gt, Value::Int(50));
-        let preds = query_to_id_predicates(&table, &q);
-        let intervals = q.column_intervals(&table);
-        assert_eq!(model.estimate_selectivity(&preds, &intervals), 0.0);
+        assert_eq!(selectivity_of(&model, &table, &q), 0.0);
     }
 
     #[test]
@@ -538,9 +484,7 @@ mod tests {
                 let q = Query::all()
                     .and((seed as usize) % 14, PredOp::Ge, Value::Int(seed as i64))
                     .and(((seed + 3) as usize) % 14, PredOp::Le, Value::Int(40));
-                let preds = query_to_id_predicates(&table, &q);
-                let intervals = q.column_intervals(&table);
-                let sel = model.estimate_selectivity(&preds, &intervals);
+                let sel = selectivity_of(&model, &table, &q);
                 assert!((0.0..=1.0).contains(&sel), "sel {sel} out of range ({kind:?})");
             }
         }
@@ -550,10 +494,8 @@ mod tests {
     fn estimation_is_deterministic() {
         let (table, model) = model(MpsnKind::None);
         let q = Query::all().and(2, PredOp::Le, Value::Int(60)).and(5, PredOp::Ge, Value::Int(2));
-        let preds = query_to_id_predicates(&table, &q);
-        let intervals = q.column_intervals(&table);
-        let a = model.estimate_selectivity(&preds, &intervals);
-        let b = model.estimate_selectivity(&preds, &intervals);
+        let a = selectivity_of(&model, &table, &q);
+        let b = selectivity_of(&model, &table, &q);
         assert_eq!(a, b, "Duet must be deterministic for a fixed query");
     }
 

@@ -21,32 +21,40 @@
 
 use crate::config::MpsnKind;
 use duet_nn::{
-    rowvec_matmul_into, seeded_rng, Activation, ForwardWorkspace, InferLayer, Init, Layer, Linear,
-    Matrix, Mlp, Param,
+    rowvec_matmul_into, seeded_rng, Activation, ForwardWorkspace, InferLayer, Init, Linear, Matrix,
+    Mlp, Param, Params, TrainWorkspace,
 };
 use rand::rngs::SmallRng;
 
-/// Reusable scratch buffers for allocation-free MPSN embedding.
+/// Reusable scratch buffers for allocation-free MPSN embedding and
+/// back-propagation.
 ///
 /// Owned by the caller (typically inside a
 /// [`DuetWorkspace`](crate::model::DuetWorkspace)); every buffer reshapes on
-/// the fly reusing its heap capacity, so embedding is allocation-free once
-/// the buffers have warmed up to the widest column.
+/// the fly reusing its heap capacity, so both directions are allocation-free
+/// once the buffers have warmed up to the widest column. The training-only
+/// buffers stay empty in a workspace that only ever serves.
 #[derive(Debug, Clone, Default)]
 pub struct MpsnScratch {
     /// Workspace for the per-column MLP / recursive cell forward passes.
     nn: ForwardWorkspace,
     /// One-row input staging matrix for the recursive cell.
     row_in: Matrix,
-    /// Recurrent hidden state.
-    h: Vec<f32>,
-    /// Recurrent pre-activation.
-    a: Vec<f32>,
-    /// Recurrent `h @ Wh` staging (kept separate from `a` so the summation
-    /// order matches the allocating path bit for bit).
+    /// The state sequence of the recurrent / recursive variants: row 0 is the
+    /// zero initial state, row `t + 1` the state after predicate `t`.
+    states: Matrix,
+    /// Recurrent `h @ Wh` staging (kept separate from the `x @ Wx` term so
+    /// the two products are each summed before they are added).
     t: Vec<f32>,
-    /// Recursive previous output.
-    prev: Vec<f32>,
+    /// Activation checkpoints + gradient buffers of the MLP / recursive cell
+    /// training pair.
+    train: TrainWorkspace,
+    /// Staged gradient w.r.t. the MLP / recursive cell output.
+    grad: Matrix,
+    /// Recurrent gradient w.r.t. the hidden state.
+    dh: Vec<f32>,
+    /// Recurrent gradient w.r.t. the pre-activation.
+    da: Vec<f32>,
 }
 
 impl MpsnScratch {
@@ -85,23 +93,9 @@ impl ColumnMpsn {
         }
     }
 
-    /// Embed a (possibly empty) list of predicate encodings into the column's
-    /// input block. An empty list (wildcard column) embeds to all zeros.
-    ///
-    /// Allocating convenience wrapper over [`ColumnMpsn::embed_into`].
-    pub fn embed(&self, preds: &[Vec<f32>]) -> Vec<f32> {
-        let mut out = vec![0.0; self.dim()];
-        if !preds.is_empty() {
-            let encs = stack(preds);
-            let mut ws = MpsnScratch::new();
-            self.embed_into(&encs, &mut ws, &mut out);
-        }
-        out
-    }
-
     /// Embed the stacked predicate encodings `encs` (one row per predicate,
     /// `dim` columns) into `out`, using only the scratch buffers in `ws` —
-    /// allocation-free once warm and bit-identical to [`ColumnMpsn::embed`].
+    /// allocation-free once warm.
     ///
     /// An empty `encs` (wildcard column) writes all zeros.
     pub fn embed_into(&self, encs: &Matrix, ws: &mut MpsnScratch, out: &mut [f32]) {
@@ -117,17 +111,18 @@ impl ColumnMpsn {
         }
     }
 
-    /// Accumulate parameter gradients for one embedding call: `grad_out` is
-    /// the gradient of the loss w.r.t. the embedding returned by
-    /// [`Self::embed`] for the same `preds`.
-    pub fn accumulate_grad(&mut self, preds: &[Vec<f32>], grad_out: &[f32]) {
-        if preds.is_empty() {
+    /// Accumulate parameter gradients for one embedding: `grad_out` is the
+    /// gradient of the loss w.r.t. what [`Self::embed_into`] writes for the
+    /// same `encs`. Allocation-free once `ws` is warm.
+    pub fn accumulate_grad(&mut self, encs: &Matrix, grad_out: &[f32], ws: &mut MpsnScratch) {
+        debug_assert_eq!(grad_out.len(), self.dim());
+        if encs.rows() == 0 {
             return; // wildcard embeddings are constant zeros
         }
         match self {
-            ColumnMpsn::Mlp(m) => m.accumulate_grad(preds, grad_out),
-            ColumnMpsn::Recurrent(m) => m.accumulate_grad(preds, grad_out),
-            ColumnMpsn::Recursive(m) => m.accumulate_grad(preds, grad_out),
+            ColumnMpsn::Mlp(m) => m.accumulate_grad(encs, grad_out, ws),
+            ColumnMpsn::Recurrent(m) => m.accumulate_grad(encs, grad_out, ws),
+            ColumnMpsn::Recursive(m) => m.accumulate_grad(encs, grad_out, ws),
         }
     }
 
@@ -175,15 +170,14 @@ impl MlpMpsn {
         }
     }
 
-    fn accumulate_grad(&mut self, preds: &[Vec<f32>], grad_out: &[f32]) {
-        let batch = stack(preds);
-        let _ = self.mlp.forward(&batch);
+    fn accumulate_grad(&mut self, encs: &Matrix, grad_out: &[f32], ws: &mut MpsnScratch) {
+        self.mlp.forward_train(encs, &mut ws.train);
         // The sum over predicates broadcasts the same gradient to every row.
-        let mut grad = Matrix::zeros(preds.len(), self.dim);
-        for r in 0..preds.len() {
-            grad.row_mut(r).copy_from_slice(grad_out);
+        ws.grad.reset(encs.rows(), self.dim);
+        for r in 0..encs.rows() {
+            ws.grad.row_mut(r).copy_from_slice(grad_out);
         }
-        let _ = self.mlp.backward(&grad);
+        self.mlp.backward_scratch(&ws.grad, &mut ws.train, false);
     }
 
     /// Access to the underlying MLP (used by [`MergedMlpMpsn`]).
@@ -218,78 +212,61 @@ impl RecurrentMpsn {
         }
     }
 
-    /// Run the RNN, returning every hidden state (index 0 is the initial zero
-    /// state).
-    fn run(&self, preds: &[Vec<f32>]) -> Vec<Matrix> {
-        let mut states = vec![Matrix::zeros(1, self.hidden)];
-        for pred in preds {
-            let x = Matrix::from_vec(1, self.dim, pred.clone());
-            let mut a = x.matmul(&self.wx.data);
-            a.add_assign(&states.last().expect("non-empty").matmul(&self.wh.data));
-            a.add_row_vector(self.b.data.as_slice());
-            a.as_mut_slice().iter_mut().for_each(|v| *v = v.tanh());
-            states.push(a);
-        }
-        states
-    }
-
-    /// Run the tanh RNN over the stacked encodings and read out the final
-    /// hidden state, keeping the state in flat scratch slices.
+    /// Run the tanh RNN over the stacked encodings, leaving every hidden
+    /// state in `ws.states` (row 0 is the initial zero state).
     ///
     /// `x @ Wx` and `h @ Wh` are computed into separate buffers and then
-    /// added (instead of accumulating into one), so the floating-point
-    /// summation order matches [`RecurrentMpsn::run`] exactly.
-    fn embed_into(&self, encs: &Matrix, ws: &mut MpsnScratch, out: &mut [f32]) {
-        ws.h.clear();
-        ws.h.resize(self.hidden, 0.0);
-        ws.a.clear();
-        ws.a.resize(self.hidden, 0.0);
+    /// added (instead of accumulating into one), so each product is summed
+    /// on its own before the two meet.
+    fn run_into(&self, encs: &Matrix, ws: &mut MpsnScratch) {
+        let hidden = self.hidden;
+        ws.states.reset(encs.rows() + 1, hidden);
         ws.t.clear();
-        ws.t.resize(self.hidden, 0.0);
+        ws.t.resize(hidden, 0.0);
         for r in 0..encs.rows() {
-            rowvec_matmul_into(encs.row(r), &self.wx.data, &mut ws.a);
-            rowvec_matmul_into(&ws.h, &self.wh.data, &mut ws.t);
-            for (a, &t) in ws.a.iter_mut().zip(ws.t.iter()) {
+            let (done, rest) = ws.states.as_mut_slice().split_at_mut((r + 1) * hidden);
+            let (h, a) = (&done[r * hidden..], &mut rest[..hidden]);
+            rowvec_matmul_into(encs.row(r), &self.wx.data, a);
+            rowvec_matmul_into(h, &self.wh.data, &mut ws.t);
+            for (a, &t) in a.iter_mut().zip(ws.t.iter()) {
                 *a += t;
             }
-            for (a, &b) in ws.a.iter_mut().zip(self.b.data.as_slice().iter()) {
+            for (a, &b) in a.iter_mut().zip(self.b.data.as_slice().iter()) {
                 *a += b;
             }
-            ws.a.iter_mut().for_each(|v| *v = v.tanh());
-            std::mem::swap(&mut ws.h, &mut ws.a);
+            a.iter_mut().for_each(|v| *v = v.tanh());
         }
-        rowvec_matmul_into(&ws.h, &self.wo.data, out);
+    }
+
+    /// Linear readout of the final hidden state.
+    fn embed_into(&self, encs: &Matrix, ws: &mut MpsnScratch, out: &mut [f32]) {
+        self.run_into(encs, ws);
+        rowvec_matmul_into(ws.states.row(encs.rows()), &self.wo.data, out);
         for (o, &b) in out.iter_mut().zip(self.bo.data.as_slice().iter()) {
             *o += b;
         }
     }
 
-    fn accumulate_grad(&mut self, preds: &[Vec<f32>], grad_out: &[f32]) {
-        let states = self.run(preds);
-        let last = states.last().expect("non-empty");
-        let g = Matrix::from_vec(1, self.dim, grad_out.to_vec());
+    fn accumulate_grad(&mut self, encs: &Matrix, grad_out: &[f32], ws: &mut MpsnScratch) {
+        self.run_into(encs, ws);
+        let n = encs.rows();
         // Readout layer.
-        self.wo.grad.add_assign(&last.matmul_tn(&g));
-        for (b, &d) in self.bo.grad.as_mut_slice().iter_mut().zip(g.as_slice()) {
+        outer_add(&mut self.wo.grad, ws.states.row(n), grad_out);
+        for (b, &d) in self.bo.grad.as_mut_slice().iter_mut().zip(grad_out) {
             *b += d;
         }
-        let mut dh = g.matmul_nt(&self.wo.data);
+        rowvec_matmul_nt_into(grad_out, &self.wo.data, &mut ws.dh);
         // Back-propagation through time.
-        for t in (0..preds.len()).rev() {
-            let h_t = &states[t + 1];
-            let h_prev = &states[t];
+        for t in (0..n).rev() {
             // da = dh * (1 - h_t^2)
-            let mut da = dh.clone();
-            for (d, &h) in da.as_mut_slice().iter_mut().zip(h_t.as_slice()) {
-                *d *= 1.0 - h * h;
-            }
-            let x = Matrix::from_vec(1, self.dim, preds[t].clone());
-            self.wx.grad.add_assign(&x.matmul_tn(&da));
-            self.wh.grad.add_assign(&h_prev.matmul_tn(&da));
-            for (b, &d) in self.b.grad.as_mut_slice().iter_mut().zip(da.as_slice()) {
+            ws.da.clear();
+            ws.da.extend(ws.dh.iter().zip(ws.states.row(t + 1)).map(|(&d, &h)| d * (1.0 - h * h)));
+            outer_add(&mut self.wx.grad, encs.row(t), &ws.da);
+            outer_add(&mut self.wh.grad, ws.states.row(t), &ws.da);
+            for (b, &d) in self.b.grad.as_mut_slice().iter_mut().zip(ws.da.iter()) {
                 *b += d;
             }
-            dh = da.matmul_nt(&self.wh.data);
+            rowvec_matmul_nt_into(&ws.da, &self.wh.data, &mut ws.dh);
         }
     }
 
@@ -314,51 +291,68 @@ impl RecursiveMpsn {
         Self { cell: Mlp::new(&[2 * dim, hidden, hidden, dim], rng), dim }
     }
 
-    fn run(&self, preds: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut outs = vec![vec![0.0; self.dim]];
-        for pred in preds {
-            let prev = outs.last().expect("non-empty");
-            let mut input = Vec::with_capacity(2 * self.dim);
-            input.extend_from_slice(pred);
-            input.extend_from_slice(prev);
-            let out = self.cell.forward_inference(&Matrix::from_vec(1, 2 * self.dim, input));
-            outs.push(out.into_vec());
-        }
-        outs
-    }
-
     /// Fold the recursive cell over the stacked encodings:
-    /// `out_t = MLP([enc_t ; out_{t-1}])`, staging each cell input in the
-    /// scratch's one-row matrix.
-    fn embed_into(&self, encs: &Matrix, ws: &mut MpsnScratch, out: &mut [f32]) {
-        let dim = self.dim;
-        ws.prev.clear();
-        ws.prev.resize(dim, 0.0);
+    /// `out_t = MLP([enc_t ; out_{t-1}])`, leaving every output in
+    /// `ws.states` (row 0 is the initial zero output).
+    fn run_into(&self, encs: &Matrix, ws: &mut MpsnScratch) {
+        ws.states.reset(encs.rows() + 1, self.dim);
         for r in 0..encs.rows() {
-            ws.row_in.reset(1, 2 * dim);
-            let row = ws.row_in.row_mut(0);
-            row[..dim].copy_from_slice(encs.row(r));
-            row[dim..].copy_from_slice(&ws.prev);
+            self.stage_cell_input(encs, r, ws);
             let y = self.cell.infer_into(&ws.row_in, &mut ws.nn);
-            ws.prev.copy_from_slice(y.row(0));
+            ws.states.row_mut(r + 1).copy_from_slice(y.row(0));
         }
-        out.copy_from_slice(&ws.prev);
     }
 
-    fn accumulate_grad(&mut self, preds: &[Vec<f32>], grad_out: &[f32]) {
-        let outs = self.run(preds);
-        let mut grad = grad_out.to_vec();
-        for t in (0..preds.len()).rev() {
-            let prev = &outs[t];
-            let mut input = Vec::with_capacity(2 * self.dim);
-            input.extend_from_slice(&preds[t]);
-            input.extend_from_slice(prev);
-            let _ = self.cell.forward(&Matrix::from_vec(1, 2 * self.dim, input));
-            let gin = self.cell.backward(&Matrix::from_vec(1, self.dim, grad.clone()));
+    /// Stage step `r`'s cell input `[enc_r ; out_{r-1}]` in `ws.row_in`.
+    fn stage_cell_input(&self, encs: &Matrix, r: usize, ws: &mut MpsnScratch) {
+        ws.row_in.reset(1, 2 * self.dim);
+        let row = ws.row_in.row_mut(0);
+        row[..self.dim].copy_from_slice(encs.row(r));
+        row[self.dim..].copy_from_slice(ws.states.row(r));
+    }
+
+    fn embed_into(&self, encs: &Matrix, ws: &mut MpsnScratch, out: &mut [f32]) {
+        self.run_into(encs, ws);
+        out.copy_from_slice(ws.states.row(encs.rows()));
+    }
+
+    fn accumulate_grad(&mut self, encs: &Matrix, grad_out: &[f32], ws: &mut MpsnScratch) {
+        self.run_into(encs, ws);
+        ws.grad.reset(1, self.dim);
+        ws.grad.row_mut(0).copy_from_slice(grad_out);
+        for t in (0..encs.rows()).rev() {
+            self.stage_cell_input(encs, t, ws);
+            self.cell.forward_train(&ws.row_in, &mut ws.train);
+            self.cell.backward_scratch(&ws.grad, &mut ws.train, true);
             // The second half of the input gradient flows to out_{t-1}.
-            grad = gin.as_slice()[self.dim..].to_vec();
+            ws.grad.row_mut(0).copy_from_slice(&ws.train.input_grad().row(0)[self.dim..]);
         }
     }
+}
+
+/// `grad += col^T @ row`: the rank-one weight gradient of a single example.
+fn outer_add(grad: &mut Matrix, col: &[f32], row: &[f32]) {
+    debug_assert_eq!(grad.shape(), (col.len(), row.len()));
+    for (i, &c) in col.iter().enumerate() {
+        for (g, &r) in grad.row_mut(i).iter_mut().zip(row) {
+            *g += c * r;
+        }
+    }
+}
+
+/// `out = x @ w^T` for a single row vector `x` of length `w.cols()` (the
+/// input gradient of a single example; the backward sibling of
+/// [`rowvec_matmul_into`]).
+fn rowvec_matmul_nt_into(x: &[f32], w: &Matrix, out: &mut Vec<f32>) {
+    debug_assert_eq!(x.len(), w.cols());
+    out.clear();
+    out.extend(w.rows_iter().map(|wrow| {
+        let mut acc = 0.0f32;
+        for (a, b) in x.iter().zip(wrow) {
+            acc += a * b;
+        }
+        acc
+    }));
 }
 
 /// Build one MPSN per column.
@@ -445,20 +439,10 @@ impl MergedMlpMpsn {
     /// Embed every column's predicate lists in one fused pass.
     ///
     /// `preds_per_col[c]` holds the encodings of column `c`'s predicates; the
-    /// result is the concatenation of every column's embedding (identical to
-    /// calling each [`ColumnMpsn::embed`] separately and concatenating).
-    ///
-    /// Allocating convenience wrapper over [`MergedMlpMpsn::embed_all_into`].
-    pub fn embed_all(&self, preds_per_col: &[Vec<Vec<f32>>]) -> Vec<f32> {
-        let mut result = vec![0.0f32; self.dims.iter().sum()];
-        let mut ws = ForwardWorkspace::new();
-        self.embed_all_into(preds_per_col, &mut ws, &mut result);
-        result
-    }
-
-    /// [`MergedMlpMpsn::embed_all`] into a caller-provided output slice,
-    /// staging every intermediate in the workspace — allocation-free once the
-    /// workspace has warmed up to this network's widths.
+    /// result written to `out` is the concatenation of every column's
+    /// embedding (what each [`ColumnMpsn::embed_into`] would write for its
+    /// block). Every intermediate is staged in the workspace —
+    /// allocation-free once it has warmed up to this network's widths.
     pub fn embed_all_into(
         &self,
         preds_per_col: &[Vec<Vec<f32>>],
@@ -513,15 +497,6 @@ impl MergedMlpMpsn {
     }
 }
 
-fn stack(rows: &[Vec<f32>]) -> Matrix {
-    let cols = rows.first().map(|r| r.len()).unwrap_or(0);
-    let mut m = Matrix::zeros(rows.len(), cols);
-    for (i, r) in rows.iter().enumerate() {
-        m.row_mut(i).copy_from_slice(r);
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,12 +505,30 @@ mod tests {
         (0..dim).map(|i| ((i as f32 + 1.0) * seed).sin()).collect()
     }
 
+    fn stack(rows: &[Vec<f32>], cols: usize) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), cols);
+        for (i, r) in rows.iter().enumerate() {
+            m.row_mut(i).copy_from_slice(r);
+        }
+        m
+    }
+
+    fn embed_vec(m: &ColumnMpsn, preds: &[Vec<f32>]) -> Vec<f32> {
+        let mut out = vec![9.0; m.dim()];
+        m.embed_into(&stack(preds, m.dim()), &mut MpsnScratch::new(), &mut out);
+        out
+    }
+
+    fn accumulate_grad(m: &mut ColumnMpsn, preds: &[Vec<f32>], grad: &[f32]) {
+        m.accumulate_grad(&stack(preds, m.dim()), grad, &mut MpsnScratch::new());
+    }
+
     #[test]
     fn wildcard_embeds_to_zero_for_all_variants() {
         let mut rng = seeded_rng(1);
         for kind in [MpsnKind::Mlp, MpsnKind::Recurrent, MpsnKind::Recursive] {
             let m = ColumnMpsn::new(kind, 8, 16, &mut rng);
-            assert_eq!(m.embed(&[]), vec![0.0; 8], "{kind:?}");
+            assert_eq!(embed_vec(&m, &[]), vec![0.0; 8], "{kind:?}");
         }
     }
 
@@ -545,14 +538,14 @@ mod tests {
         let a = pred_vec(8, 0.3);
         let b = pred_vec(8, 1.7);
         let mlp = ColumnMpsn::new(MpsnKind::Mlp, 8, 16, &mut rng);
-        let e1 = mlp.embed(&[a.clone(), b.clone()]);
-        let e2 = mlp.embed(&[b.clone(), a.clone()]);
+        let e1 = embed_vec(&mlp, &[a.clone(), b.clone()]);
+        let e2 = embed_vec(&mlp, &[b.clone(), a.clone()]);
         for (x, y) in e1.iter().zip(e2.iter()) {
             assert!((x - y).abs() < 1e-5, "MLP MPSN must be order-invariant");
         }
         let rec = ColumnMpsn::new(MpsnKind::Recurrent, 8, 16, &mut rng);
-        let r1 = rec.embed(&[a.clone(), b.clone()]);
-        let r2 = rec.embed(&[b, a]);
+        let r1 = embed_vec(&rec, &[a.clone(), b.clone()]);
+        let r2 = embed_vec(&rec, &[b, a]);
         let diff: f32 = r1.iter().zip(r2.iter()).map(|(x, y)| (x - y).abs()).sum();
         assert!(diff > 1e-4, "recurrent MPSN is expected to be order-sensitive");
     }
@@ -564,61 +557,57 @@ mod tests {
             let mut m = ColumnMpsn::new(kind, 6, 12, &mut rng);
             let preds = vec![pred_vec(6, 0.5), pred_vec(6, 0.9)];
             let grad = vec![0.1f32; 6];
-            m.accumulate_grad(&preds, &grad);
+            accumulate_grad(&mut m, &preds, &grad);
             let mut total = 0.0f32;
             m.visit_params(&mut |p| total += p.grad.max_abs());
             assert!(total > 0.0, "{kind:?} accumulated no gradient");
             // Wildcards never contribute gradient.
             let mut m2 = ColumnMpsn::new(kind, 6, 12, &mut rng);
-            m2.accumulate_grad(&[], &grad);
+            accumulate_grad(&mut m2, &[], &grad);
             let mut total2 = 0.0f32;
             m2.visit_params(&mut |p| total2 += p.grad.max_abs());
             assert_eq!(total2, 0.0);
         }
     }
 
+    /// Every variant's analytic gradient (first four scalars of every
+    /// parameter) against central finite differences of `embed_into`, for the
+    /// loss `dot(embed_vec(preds), w)`.
     #[test]
-    #[allow(clippy::needless_range_loop)] // `idx` addresses the perturbed weight and `analytic` in lockstep
     fn mlp_gradient_matches_finite_differences() {
         let mut rng = seeded_rng(4);
-        let mut m = ColumnMpsn::new(MpsnKind::Mlp, 4, 8, &mut rng);
-        let preds = vec![pred_vec(4, 0.4), pred_vec(4, 1.1)];
-        // Loss = dot(embed(preds), w) for a fixed w.
-        let w: Vec<f32> = vec![0.3, -0.2, 0.5, 0.1];
-        m.accumulate_grad(&preds, &w);
-        let mut analytic = Vec::new();
-        m.visit_params(&mut |p| {
-            if analytic.is_empty() {
-                analytic = p.grad.as_slice()[..4].to_vec();
-            }
-        });
-        let eps = 1e-3f32;
-        for idx in 0..4 {
-            let mut loss = [0.0f32; 2];
-            for (s, sign) in [1.0f32, -1.0].iter().enumerate() {
-                let mut first = true;
-                m.visit_params(&mut |p| {
-                    if first {
-                        p.data.as_mut_slice()[idx] += sign * eps;
-                        first = false;
+        for kind in [MpsnKind::Mlp, MpsnKind::Recurrent, MpsnKind::Recursive] {
+            let mut m = ColumnMpsn::new(kind, 4, 8, &mut rng);
+            let preds = vec![pred_vec(4, 0.4), pred_vec(4, 1.1)];
+            let w: Vec<f32> = vec![0.3, -0.2, 0.5, 0.1];
+            accumulate_grad(&mut m, &preds, &w);
+            let mut analytic: Vec<Vec<f32>> = Vec::new();
+            m.visit_params(&mut |p| analytic.push(p.grad.as_slice()[..4].to_vec()));
+            let eps = 1e-3f32;
+            for (param, grads) in analytic.iter().enumerate() {
+                for (idx, &ga) in grads.iter().enumerate() {
+                    let mut loss = [0.0f32; 2];
+                    for (s, sign) in [1.0f32, -1.0].into_iter().enumerate() {
+                        let nudge = |m: &mut ColumnMpsn, by: f32| {
+                            let mut at = 0;
+                            m.visit_params(&mut |p| {
+                                if at == param {
+                                    p.data.as_mut_slice()[idx] += by;
+                                }
+                                at += 1;
+                            });
+                        };
+                        nudge(&mut m, sign * eps);
+                        loss[s] = embed_vec(&m, &preds).iter().zip(&w).map(|(a, b)| a * b).sum();
+                        nudge(&mut m, -sign * eps);
                     }
-                });
-                let e = m.embed(&preds);
-                loss[s] = e.iter().zip(&w).map(|(a, b)| a * b).sum();
-                let mut first = true;
-                m.visit_params(&mut |p| {
-                    if first {
-                        p.data.as_mut_slice()[idx] -= sign * eps;
-                        first = false;
-                    }
-                });
+                    let numeric = (loss[0] - loss[1]) / (2.0 * eps);
+                    assert!(
+                        (numeric - ga).abs() < 2e-2 * (1.0 + ga.abs()),
+                        "{kind:?} param {param} idx {idx}: analytic {ga}, numeric {numeric}"
+                    );
+                }
             }
-            let numeric = (loss[0] - loss[1]) / (2.0 * eps);
-            assert!(
-                (numeric - analytic[idx]).abs() < 2e-2 * (1.0 + analytic[idx].abs()),
-                "idx {idx}: analytic {}, numeric {numeric}",
-                analytic[idx]
-            );
         }
     }
 
@@ -629,10 +618,11 @@ mod tests {
         let merged = MergedMlpMpsn::from_columns(&mpsns);
         let preds_per_col =
             vec![vec![pred_vec(7, 0.2), pred_vec(7, 0.8)], vec![], vec![pred_vec(9, 1.5)]];
-        let fused = merged.embed_all(&preds_per_col);
+        let mut fused = vec![9.0; widths.iter().sum()];
+        merged.embed_all_into(&preds_per_col, &mut ForwardWorkspace::new(), &mut fused);
         let mut expected = Vec::new();
         for (m, preds) in mpsns.iter().zip(&preds_per_col) {
-            expected.extend(m.embed(preds));
+            expected.extend(embed_vec(m, preds));
         }
         assert_eq!(fused.len(), expected.len());
         for (a, b) in fused.iter().zip(expected.iter()) {

@@ -2,14 +2,20 @@
 //! cross-entropy) and hybrid training with the differentiable Q-Error loss
 //! (Algorithm 2, `L = L_data + λ·log2(QError + 1)`).
 //!
+//! Both losses go through the **same** network and the same code: one row
+//! encoder (`DuetModel::fill_input`), one checkpointing training forward and
+//! one scratch backward on the backbone (`Made::forward_train` /
+//! `Made::backward_scratch`), and for models with MPSNs the same pair on the
+//! per-column embedders (`DuetModel::backprop_mpsn`).
+//!
 //! The whole step — input encoding, the backbone forward (with a fused
 //! sparse first layer over the mostly-zero predicate encoding), the
 //! per-column softmaxes, the gradient staging of both losses, the scratch
-//! backward pass, and the Adam update — runs through a [`TrainStepScratch`],
-//! so a steady-state [`train_step`] performs **zero heap allocation**
-//! (asserted by the training phases of `tests/zero_alloc.rs`). The one
-//! exception is MPSN back-propagation (absent in the default
-//! configuration), which still heap-stages its per-predicate encodings.
+//! backward pass, MPSN back-propagation (all three kinds, back-propagation
+//! through time included), and the Adam update — runs through a
+//! [`TrainStepScratch`], so a steady-state [`train_step`] performs **zero
+//! heap allocation** (asserted by the training phases of
+//! `tests/zero_alloc.rs`, with and without MPSNs).
 
 use crate::config::DuetConfig;
 use crate::encoding::IdPredicate;
@@ -17,8 +23,8 @@ use crate::model::{query_to_id_predicates, DuetModel, DuetWorkspace};
 use crate::virtual_table::{sample_virtual_batch, SamplerConfig, VirtualTuple};
 use duet_data::Table;
 use duet_nn::{
-    grouped_cross_entropy_with, seeded_rng, softmax_block_into, Adam, GradClip, Layer, Matrix,
-    Param, SoftmaxMode, TrainWorkspace,
+    grouped_cross_entropy_with, seeded_rng, softmax_block_into, Adam, GradClip, Matrix, Param,
+    Params, SoftmaxMode, TrainWorkspace,
 };
 use duet_query::Query;
 use rand::seq::SliceRandom;
@@ -144,8 +150,7 @@ struct ConstrainedCol {
 /// memo re-materializes in place after each optimizer step), and both losses
 /// stage `dL/dlogits` in one reused gradient matrix. The query pass
 /// additionally stages its per-column probabilities in a **flat buffer plus
-/// an offset table** — replacing the per-row `Vec<(col, offset, Vec<f32>,
-/// mass)>` the old implementation heap-built for every example.
+/// an offset table**, not per-row heap containers.
 #[derive(Debug, Clone, Default)]
 pub struct TrainStepScratch {
     /// Input-encoding workspace (shared with the inference path's layout).
@@ -172,27 +177,15 @@ impl TrainStepScratch {
     pub fn grad_logits(&self) -> &Matrix {
         &self.grad_logits
     }
-
-    /// The gradient w.r.t. the encoded input left by the most recent
-    /// backward pass that was asked for it (the MPSN chain consumes this).
-    pub fn input_grad(&self) -> &Matrix {
-        self.nn.input_grad()
-    }
 }
 
-/// Adapter exposing a [`DuetModel`]'s parameters to the optimizer and the
-/// checkpoint codec through the [`Layer`] trait (its forward/backward are never
-/// used). Public so external drivers — benches, the zero-allocation harness —
-/// can run their own `adam.step(&mut ModelParams(&mut model))`.
+/// Adapter exposing a [`DuetModel`]'s parameters (backbone + MPSNs) to the
+/// optimizer and the checkpoint codec through the [`Params`] trait. Public so
+/// external drivers — benches, the zero-allocation harness — can run their
+/// own `adam.step(&mut ModelParams(&mut model))`.
 pub struct ModelParams<'a>(pub &'a mut DuetModel);
 
-impl Layer for ModelParams<'_> {
-    fn forward(&mut self, _input: &Matrix) -> Matrix {
-        unreachable!("ModelParams is only used for parameter visitation")
-    }
-    fn backward(&mut self, _grad_out: &Matrix) -> Matrix {
-        unreachable!("ModelParams is only used for parameter visitation")
-    }
+impl Params for ModelParams<'_> {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.0.visit_params(f);
     }
@@ -332,46 +325,24 @@ pub fn data_forward(
 ) -> f32 {
     let TrainStepScratch { ws, nn, grad_logits, .. } = scratch;
     model.fill_input_with_sparse(batch, ws);
-    let logits = model.made_mut().forward_train_sparse(ws.input(), Some(&ws.sparse), nn);
+    let logits = model.made_mut().forward_train(ws.input(), Some(&ws.sparse), nn);
     grouped_cross_entropy_with(logits, model.output_sizes_ref(), batch, grad_logits)
 }
 
-/// Forward/backward for one virtual-tuple batch, gradient-buffer backward
-/// included. When an MPSN is present the gradient w.r.t. the network input
-/// is additionally produced (readable via [`TrainStepScratch::input_grad`]).
-fn data_pass(model: &mut DuetModel, batch: &[VirtualTuple], scratch: &mut TrainStepScratch) -> f32 {
-    let loss = data_forward(model, batch, scratch);
-    let need_input_grad = !model.mpsns().is_empty();
-    let TrainStepScratch { ws, nn, grad_logits, .. } = scratch;
-    model.made_mut().backward_scratch(grad_logits, Some(&ws.sparse), nn, need_input_grad);
-    loss
-}
-
-/// Back-propagate input gradients into the per-column MPSNs for a batch of
-/// predicate rows (virtual tuples or prepared queries).
-fn backprop_mpsn<R: AsRef<[Vec<IdPredicate>]>>(
+/// The backward half shared by both losses: back-propagate the `dL/dlogits`
+/// the preceding forward staged through the backbone and — when the model has
+/// MPSNs — on through the input gradient into the per-column embedders,
+/// re-staging `rows` (the batch that forward encoded) as `fill_input` did.
+fn backward<R: AsRef<[Vec<IdPredicate>]>>(
     model: &mut DuetModel,
     rows: &[R],
-    grad_input: &Matrix,
+    scratch: &mut TrainStepScratch,
 ) {
-    if model.mpsns().is_empty() {
-        return;
-    }
-    let encoder = model.encoder().clone();
-    let ncols = encoder.num_columns();
-    for col in 0..ncols {
-        let offset = encoder.block_offset(col);
-        let width = encoder.block_width(col);
-        for (r, row_preds) in rows.iter().enumerate() {
-            let preds = &row_preds.as_ref()[col];
-            if preds.is_empty() {
-                continue;
-            }
-            let encodings: Vec<Vec<f32>> =
-                preds.iter().map(|p| encoder.encode_predicate(col, p)).collect();
-            let grad_block = &grad_input.row(r)[offset..offset + width];
-            model.mpsns_mut()[col].accumulate_grad(&encodings, grad_block);
-        }
+    let has_mpsn = !model.mpsns().is_empty();
+    let TrainStepScratch { ws, nn, grad_logits, .. } = scratch;
+    model.made_mut().backward_scratch(grad_logits, Some(&ws.sparse), nn, has_mpsn);
+    if has_mpsn {
+        model.backprop_mpsn(rows, nn.input_grad(), ws);
     }
 }
 
@@ -417,7 +388,7 @@ where
     }
     let TrainStepScratch { ws, nn, grad_logits, probs, cols } = scratch;
     model.fill_input_with_sparse(batch, ws);
-    let logits = model.made_mut().forward_train_sparse(ws.input(), Some(&ws.sparse), nn);
+    let logits = model.made_mut().forward_train(ws.input(), Some(&ws.sparse), nn);
     let sizes = model.output_sizes_ref();
 
     grad_logits.reset(logits.rows(), logits.cols());
@@ -508,31 +479,6 @@ where
     (loss_sum / total_weight, q_sum / total_weight)
 }
 
-/// Forward/backward for a supervised query batch, gradient-buffer backward
-/// included. Returns `(mean log2(QError+1), mean QError)`; the gradients
-/// already include the λ scaling. When an MPSN is present the input
-/// gradient is additionally produced (readable via
-/// [`TrainStepScratch::input_grad`]).
-fn query_pass<Q>(
-    model: &mut DuetModel,
-    batch: &[Q],
-    num_rows: f64,
-    lambda: f64,
-    scratch: &mut TrainStepScratch,
-) -> (f64, f64)
-where
-    Q: Borrow<PreparedQuery> + AsRef<[Vec<IdPredicate>]>,
-{
-    if batch.is_empty() {
-        return (0.0, 1.0);
-    }
-    let (mean_loss, mean_q) = query_forward(model, batch, num_rows, lambda, scratch);
-    let need_input_grad = !model.mpsns().is_empty();
-    let TrainStepScratch { ws, nn, grad_logits, .. } = scratch;
-    model.made_mut().backward_scratch(grad_logits, Some(&ws.sparse), nn, need_input_grad);
-    (mean_loss, mean_q)
-}
-
 /// One complete optimizer step — the paper's hybrid update (Algorithm 2):
 /// zero the gradients, run the data-driven pass (forward + scratch
 /// backward), the supervised query pass when `query_batch` is non-empty,
@@ -540,9 +486,9 @@ where
 ///
 /// Gradients ping-pong through `scratch`'s reusable buffers and the
 /// backbone's first layer consumes the sparse capture of the encoded input,
-/// so the steady-state step performs **zero heap allocation** (asserted by
-/// phase 7 of `tests/zero_alloc.rs`); MPSN back-propagation — absent in the
-/// default configuration — is the one remaining allocating stage.
+/// so the steady-state step performs **zero heap allocation**, MPSN
+/// back-propagation included (asserted by the full-step and MPSN-step phases
+/// of `tests/zero_alloc.rs`).
 ///
 /// Returns `(data_loss, query_loss, mean_q_error)`, the query terms being
 /// the fold-neutral `(0.0, 1.0)` for an empty query batch.
@@ -559,18 +505,14 @@ where
     Q: Borrow<PreparedQuery> + AsRef<[Vec<IdPredicate>]>,
 {
     model.zero_grad();
-    let data_loss = data_pass(model, batch, scratch);
-    if !model.mpsns().is_empty() {
-        backprop_mpsn(model, batch, scratch.input_grad());
-    }
+    let data_loss = data_forward(model, batch, scratch);
+    backward(model, batch, scratch);
     let (query_loss, mean_q) = if query_batch.is_empty() {
         (0.0, 1.0)
     } else {
-        let (loss_q, mean_q) = query_pass(model, query_batch, num_rows, lambda, scratch);
-        if !model.mpsns().is_empty() {
-            backprop_mpsn(model, query_batch, scratch.input_grad());
-        }
-        (loss_q, mean_q)
+        let losses = query_forward(model, query_batch, num_rows, lambda, scratch);
+        backward(model, query_batch, scratch);
+        losses
     };
     adam.step(&mut ModelParams(model));
     (data_loss, query_loss, mean_q)
@@ -682,10 +624,10 @@ mod tests {
     }
 
     #[test]
-    fn scratch_forward_matches_layer_forward() {
-        // The checkpointing training forward must produce the same loss and
-        // logits gradient as the plain `Layer::forward` + allocating
-        // grouped cross-entropy it replaced.
+    fn data_forward_matches_inference_logits_across_scratch_reuse() {
+        // The checkpointing, sparse-first-layer training forward must stage
+        // the loss and logits gradient of the logits inference serves for the
+        // same encoded batch, however often the scratch is reused.
         let table = census_like(300, 25);
         let cfg = DuetConfig::small();
         let mut model = DuetModel::new(&table, &cfg, 17);
@@ -695,15 +637,12 @@ mod tests {
         let rows: Vec<usize> = (0..24).collect();
         let batch = sample_virtual_batch(&table, &rows, &sampler, &mut rng);
 
-        // Reference: the old-style allocating path.
         let mut ws = DuetWorkspace::new();
-        let reference_rows: Vec<&Vec<Vec<IdPredicate>>> =
-            batch.iter().map(|vt| &vt.predicates).collect();
-        model.fill_input(&reference_rows, &mut ws);
-        let labels: Vec<Vec<usize>> = batch.iter().map(|vt| vt.labels.clone()).collect();
-        let blocks = model.output_sizes();
-        let logits = model.made_mut().forward(ws.input());
-        let (want_loss, want_grad) = duet_nn::grouped_cross_entropy(&logits, &blocks, &labels);
+        model.fill_input(&batch, &mut ws);
+        let logits = model.made().forward_inference(ws.input());
+        let mut want_grad = Matrix::default();
+        let want_loss =
+            grouped_cross_entropy_with(&logits, model.output_sizes_ref(), &batch, &mut want_grad);
 
         let mut scratch = TrainStepScratch::new();
         for round in 0..2 {

@@ -1,11 +1,10 @@
-//! Element-wise activation layers.
-
-use crate::param::{Layer, Param};
-use crate::tensor::Matrix;
+//! Element-wise activations: the forward clamp and its backward gate, each
+//! written once.
 
 /// Element-wise activation applied by the fused
 /// [`Matrix::addmm_bias_act_into`](crate::tensor::Matrix::addmm_bias_act_into)
-/// kernel on the inference path.
+/// kernel on the inference path, and in place on the checkpointed
+/// pre-activation by the training forwards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// No activation (final layers).
@@ -31,67 +30,26 @@ impl Activation {
             Activation::Relu => xs.iter_mut().for_each(|x| *x = x.max(0.0)),
         }
     }
-}
 
-/// Rectified linear unit: `y = max(0, x)`.
-#[derive(Debug, Clone, Default)]
-pub struct ReLU {
-    cached_mask: Option<Matrix>,
-}
-
-impl ReLU {
-    /// Create a new ReLU layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Gate a gradient in place against the mask cached by the last
-    /// [`Layer::forward`]: the allocation-free equivalent of
-    /// [`Layer::backward`] (which clones before the same multiply),
-    /// bit-identical to it.
-    ///
-    /// # Panics
-    /// Panics if called before a training forward cached the mask.
-    pub fn gate_inplace(&self, grad: &mut Matrix) {
-        let mask = self.cached_mask.as_ref().expect("ReLU::backward called before forward");
-        grad.mul_assign(mask);
-    }
-
-    /// Apply ReLU without caching (inference-only path).
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        let mut out = input.clone();
-        out.as_mut_slice().iter_mut().for_each(|x| {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        });
-        out
-    }
-}
-
-impl Layer for ReLU {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = input.clone();
-        let mut mask = Matrix::zeros(input.rows(), input.cols());
-        for (o, m) in out.as_mut_slice().iter_mut().zip(mask.as_mut_slice().iter_mut()) {
-            if *o > 0.0 {
-                *m = 1.0;
-            } else {
-                *o = 0.0;
+    /// Back-propagate through the activation in place: zero `grad` wherever
+    /// the forward clamped. `at` is either the pre-activation or the
+    /// activation itself — for ReLU the two gate identically
+    /// (`relu(x) > 0 ⇔ x > 0`), so a network may gate against whichever it
+    /// already checkpointed.
+    #[inline]
+    pub fn gate(self, grad: &mut [f32], at: &[f32]) {
+        debug_assert_eq!(grad.len(), at.len());
+        match self {
+            Activation::Identity => {}
+            Activation::Relu => {
+                for (g, &a) in grad.iter_mut().zip(at) {
+                    if a <= 0.0 {
+                        *g = 0.0;
+                    }
+                }
             }
         }
-        self.cached_mask = Some(mask);
-        out
     }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mask = self.cached_mask.as_ref().expect("ReLU::backward called before forward");
-        let mut grad = grad_out.clone();
-        grad.mul_assign(mask);
-        grad
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 }
 
 /// Numerically stable sigmoid, used by the LSTM-style recurrent MPSN.
@@ -114,29 +72,43 @@ pub fn tanh(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Matrix;
 
     #[test]
     fn relu_clamps_negatives() {
-        let mut relu = ReLU::new();
-        let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 0.5, 2.0]);
-        let y = relu.forward(&x);
-        assert_eq!(y.as_slice(), &[0.0, 0.0, 0.5, 2.0]);
+        let mut x = [-1.0, 0.0, 0.5, 2.0];
+        Activation::Relu.apply(&mut x);
+        assert_eq!(x, [0.0, 0.0, 0.5, 2.0]);
+        let mut y = [-1.0, 3.0];
+        Activation::Identity.apply(&mut y);
+        assert_eq!(y, [-1.0, 3.0]);
     }
 
     #[test]
     fn relu_backward_masks_gradient() {
-        let mut relu = ReLU::new();
-        let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 0.5, 2.0]);
-        let _ = relu.forward(&x);
-        let g = relu.backward(&Matrix::full(1, 4, 1.0));
-        assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 1.0]);
+        let pre = [-1.0, 0.0, 0.5, 2.0];
+        let mut act = pre;
+        Activation::Relu.apply(&mut act);
+        // Gating against the pre-activation and against the activation agree.
+        for at in [pre, act] {
+            let mut g = [1.0f32; 4];
+            Activation::Relu.gate(&mut g, &at);
+            assert_eq!(g, [0.0, 0.0, 1.0, 1.0]);
+        }
     }
 
     #[test]
     fn relu_inference_matches_training_path() {
-        let mut relu = ReLU::new();
+        // Inference fuses the clamp into the matmul epilogue; training
+        // checkpoints the pre-activation and clamps a copy in place.
         let x = Matrix::from_vec(2, 2, vec![-3.0, 1.0, 0.25, -0.25]);
-        assert_eq!(relu.forward(&x).as_slice(), relu.forward_inference(&x).as_slice());
+        let w = Matrix::from_vec(2, 2, vec![0.5, -1.0, 2.0, 0.75]);
+        let bias = [0.1f32, -0.2];
+        let (mut fused, mut staged) = (Matrix::default(), Matrix::default());
+        x.addmm_bias_act_into(&w, Some(&bias), Activation::Relu, &mut fused);
+        x.addmm_bias_act_into(&w, Some(&bias), Activation::Identity, &mut staged);
+        Activation::Relu.apply(staged.as_mut_slice());
+        assert_eq!(fused.as_slice(), staged.as_slice());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * a plain MLP used by MSCN and the MPSN predicate embedder ([`mlp`]),
 //! * softmax / cross-entropy / Q-Error losses ([`loss`]) over vectorized
 //!   transcendental kernels with exact/fast dispatch ([`math`]),
-//! * Adam and SGD optimizers ([`optim`]),
+//! * the Adam optimizer ([`optim`]),
 //! * a small binary checkpoint codec ([`serialize`]).
 //!
 //! Everything is deterministic given a seed, which the experiment harness
@@ -38,7 +38,7 @@ pub mod serialize;
 pub mod tensor;
 pub mod workspace;
 
-pub use activation::{Activation, ReLU};
+pub use activation::Activation;
 pub use init::{seeded_rng, Init};
 pub use kernels::{f16_to_f32, f32_to_f16, native_tile, with_tile, SparseRows, Tile};
 pub use linear::{Linear, MaskedLinear};
@@ -52,8 +52,8 @@ pub use math::{
     SoftmaxMode,
 };
 pub use mlp::Mlp;
-pub use optim::{Adam, GradClip, Sgd};
-pub use param::{InferLayer, Layer, Param, WeightKey};
+pub use optim::{Adam, GradClip};
+pub use param::{InferLayer, Param, Params, WeightKey};
 pub use pool::{with_pool, ComputePool};
 pub use serialize::{load_params, save_params, CheckpointError};
 pub use tensor::{rowvec_matmul_into, Matrix};

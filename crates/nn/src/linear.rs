@@ -1,17 +1,18 @@
 //! Fully connected layers: plain [`Linear`] and [`MaskedLinear`] (the building
 //! block of MADE, where a binary mask enforces the autoregressive property).
 //!
-//! Both layers implement the training [`Layer`] trait (which caches the input
-//! for `backward`) and the allocation-free [`InferLayer`] trait; the
-//! `infer_raw` methods are the borrow-friendly building blocks composite
-//! networks (`Mlp`, `Made`) use to chain layers through one workspace.
+//! Neither layer runs on its own: the composite networks
+//! ([`Mlp`](crate::mlp::Mlp), [`Made`](crate::made::Made)) chain them through
+//! a workspace. Each has one inference forward into a caller buffer
+//! (caching nothing), one training forward that additionally caches its input,
+//! and one scratch backward that consumes that cache.
 
 use crate::activation::Activation;
 use crate::init::Init;
-use crate::kernels::SparseRows;
-use crate::param::{cache_input, InferLayer, Layer, Param, WeightKey};
+use crate::kernels::{self, SparseRows};
+use crate::param::{cache_input, Param, Params, WeightKey};
 use crate::tensor::Matrix;
-use crate::workspace::ForwardWorkspace;
+use crate::workspace::{MaskedEntry, WeightMode};
 use rand::rngs::SmallRng;
 
 /// `y = x @ W + b`, with `W` of shape `(in_features, out_features)`.
@@ -62,13 +63,6 @@ impl Linear {
         &mut self.bias.data
     }
 
-    /// Forward pass that does not cache activations (inference-only path).
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.infer_raw(input, Activation::Identity, &mut out);
-        out
-    }
-
     /// Allocation-free fused forward: `out = act(input @ W + b)` written into
     /// a caller buffer (reshaped, heap reused). The building block the
     /// composite networks chain through their workspace.
@@ -76,12 +70,19 @@ impl Linear {
         input.addmm_bias_act_into(&self.weight.data, Some(self.bias.data.as_slice()), act, out);
     }
 
-    /// Scratch-buffer backward: the allocation-free replacement for
-    /// [`Layer::backward`]. Stages `dW = input^T @ grad_out` in `dw` and the
-    /// bias column sums in `db` before accumulating both into the parameter
-    /// gradients (the staging keeps the accumulation order — and therefore
-    /// the bits — identical to the allocating path), and writes the input
-    /// gradient `grad_out @ W^T` into `grad_in` when the caller needs one.
+    /// Training forward: caches `input` for [`Linear::backward_scratch`]
+    /// (reusing the previous cache's allocation), then computes
+    /// `out = input @ W + b` — no activation, the caller applies it.
+    pub fn train_forward(&mut self, input: &Matrix, out: &mut Matrix) {
+        cache_input(&mut self.cached_input, input);
+        self.infer_raw(input, Activation::Identity, out);
+    }
+
+    /// Scratch-buffer backward. Stages `dW = input^T @ grad_out` in `dw` and
+    /// the bias column sums in `db` before accumulating both into the
+    /// parameter gradients (so a parameter gradient is always `grad + dW`,
+    /// one rounding per step), and writes the input gradient
+    /// `grad_out @ W^T` into `grad_in` when the caller needs one.
     ///
     /// # Panics
     /// Panics if called before a training forward cached the input.
@@ -105,40 +106,7 @@ impl Linear {
     }
 }
 
-impl InferLayer for Linear {
-    fn infer_into<'w>(&self, input: &Matrix, ws: &'w mut ForwardWorkspace) -> &'w Matrix {
-        ws.rewind();
-        {
-            let (_cur, next, _aux) = ws.split();
-            self.infer_raw(input, Activation::Identity, next);
-        }
-        ws.flip();
-        ws.output()
-    }
-}
-
-impl Layer for Linear {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = input.matmul(&self.weight.data);
-        out.add_row_vector(self.bias.data.as_slice());
-        cache_input(&mut self.cached_input, input);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let input = self.cached_input.as_ref().expect("Linear::backward called before forward");
-        // dW = input^T @ grad_out
-        let dw = input.matmul_tn(grad_out);
-        self.weight.grad.add_assign(&dw);
-        // db = column sums of grad_out
-        let db = grad_out.column_sums();
-        for (g, d) in self.bias.grad.as_mut_slice().iter_mut().zip(db.iter()) {
-            *g += *d;
-        }
-        // dX = grad_out @ W^T
-        grad_out.matmul_nt(&self.weight.data)
-    }
-
+impl Params for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
@@ -213,46 +181,19 @@ impl MaskedLinear {
 
     /// Materialize the masked effective weight `W ⊙ M` into `out` (reshaped,
     /// buffer reused). This is the fill callback for
-    /// [`MaskedWeightCache::get_or_fill`](crate::workspace::MaskedWeightCache::get_or_fill).
+    /// [`MaskedWeightCache::entry`](crate::workspace::MaskedWeightCache::entry).
     pub fn fill_masked(&self, out: &mut Matrix) {
         self.weight.data.masked_into(&self.mask, out);
     }
 
-    /// Fused forward against an already-materialized effective weight:
-    /// `out = act(input @ w + b)`. `w` must be this layer's masked effective
-    /// weight (typically a [`MaskedWeightCache`] hit); results are
-    /// bit-identical to [`MaskedLinear::infer_raw`], which materializes the
-    /// same matrix before running the same fused kernel.
+    /// The inference forward: `out = act(input @ (W ⊙ M) + b)` against a
+    /// cached entry for this layer's effective weight, picking the fastest
+    /// kernel for the batch: dense batches run the mask-aware **packed**
+    /// kernel (all-zero weight strips skipped, no per-call packing), sparse
+    /// or small batches run the naive kernel against the cached dense weight
+    /// (whose zero-*input* skipping wins there). All paths are bit-identical
+    /// for finite inputs.
     ///
-    /// [`MaskedWeightCache`]: crate::workspace::MaskedWeightCache
-    pub fn infer_with_weight(&self, input: &Matrix, act: Activation, w: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(w.shape(), self.weight.data.shape());
-        input.addmm_bias_act_into(w, Some(self.bias.data.as_slice()), act, out);
-    }
-
-    /// Fused forward against a cached entry for this layer's effective
-    /// weight, picking the fastest kernel for the batch: dense batches run
-    /// the mask-aware **packed** kernel (all-zero weight strips skipped, no
-    /// per-call packing), sparse or small batches run the naive kernel
-    /// against the cached dense weight (whose zero-*input* skipping wins
-    /// there). All paths are bit-identical for finite inputs.
-    ///
-    /// `entry` must come from [`MaskedWeightCache::entry`] keyed by this
-    /// layer's [`MaskedLinear::weight_key`].
-    ///
-    /// [`MaskedWeightCache::entry`]: crate::workspace::MaskedWeightCache::entry
-    pub fn infer_with_entry(
-        &self,
-        input: &Matrix,
-        act: Activation,
-        entry: &mut crate::workspace::MaskedEntry,
-        out: &mut Matrix,
-    ) {
-        self.infer_with_entry_mode(input, act, crate::workspace::WeightMode::Full, entry, out);
-    }
-
-    /// [`MaskedLinear::infer_with_entry`] with an explicit weight storage
-    /// tier. [`WeightMode::Full`] is the exact path described there;
     /// [`WeightMode::Half`] routes the batched dense case through the
     /// f16-storage pack (`entry.packed_half()`) instead — bounded per-weight
     /// rounding error, half the weight memory traffic. Paths the half tier
@@ -260,163 +201,113 @@ impl MaskedLinear {
     /// the exact f32 kernels in either mode: the tier is a storage choice
     /// for the batched hot loop, not a change to the dispatch shape.
     ///
-    /// [`WeightMode::Full`]: crate::workspace::WeightMode::Full
-    /// [`WeightMode::Half`]: crate::workspace::WeightMode::Half
-    pub fn infer_with_entry_mode(
+    /// `entry` must come from [`MaskedWeightCache::entry`] keyed by this
+    /// layer's [`MaskedLinear::weight_key`].
+    ///
+    /// [`MaskedWeightCache::entry`]: crate::workspace::MaskedWeightCache::entry
+    pub fn infer_entry(
         &self,
         input: &Matrix,
         act: Activation,
-        mode: crate::workspace::WeightMode,
-        entry: &mut crate::workspace::MaskedEntry,
+        mode: WeightMode,
+        entry: &mut MaskedEntry,
         out: &mut Matrix,
     ) {
         let (m, k) = input.shape();
-        let n = self.out_features();
-        if crate::kernels::use_packed(m, k, n) {
-            // One density scan decides both this dispatch and (via the
-            // hint) the dense kernel's own blocked-vs-naive choice.
-            if crate::kernels::mostly_dense(input.as_slice()) {
-                match mode {
-                    crate::workspace::WeightMode::Full => input.addmm_packed_bias_act_into(
-                        entry.packed(),
-                        Some(self.bias.data.as_slice()),
-                        act,
-                        out,
-                    ),
-                    crate::workspace::WeightMode::Half => input.addmm_packed_half_bias_act_into(
-                        entry.packed_half(),
-                        Some(self.bias.data.as_slice()),
-                        act,
-                        out,
-                    ),
-                }
-            } else {
-                input.addmm_dispatch(
-                    entry.weight(),
-                    Some(self.bias.data.as_slice()),
-                    act,
-                    Some(false),
-                    out,
-                );
-            }
-        } else {
+        let bias = Some(self.bias.data.as_slice());
+        if !kernels::use_packed(m, k, self.out_features()) {
             // Shape-ineligible: the inner dispatch short-circuits before
             // any scan (same shape predicate).
-            self.infer_with_weight(input, act, entry.weight(), out);
+            input.addmm_bias_act_into(entry.weight(), bias, act, out);
+        } else if !kernels::mostly_dense(input.as_slice()) {
+            // One density scan decides both this dispatch and (via the
+            // hint) the dense kernel's own blocked-vs-naive choice.
+            input.addmm_dispatch(entry.weight(), bias, act, Some(false), out);
+        } else {
+            match mode {
+                WeightMode::Full => {
+                    input.addmm_packed_bias_act_into(entry.packed(), bias, act, out)
+                }
+                WeightMode::Half => {
+                    input.addmm_packed_half_bias_act_into(entry.packed_half(), bias, act, out)
+                }
+            }
         }
     }
 
-    /// Training forward through a cached masked-weight entry: caches the
-    /// input for [`Layer::backward`], then computes
-    /// `out = input @ (W ⊙ M) + b` (no activation — the caller applies it so
-    /// the pre-activation stays available for its ReLU gate) into a reused
-    /// caller buffer.
+    /// The training forward: `out = input @ (W ⊙ M) + b` into a reused caller
+    /// buffer (no activation — the caller applies it), against the effective
+    /// weight in `entry` (re-materialized in place only when the
+    /// [`WeightKey`] moved, i.e. once per optimizer step).
     ///
-    /// This is the allocation-free replacement for the training
-    /// [`Layer::forward`], which materialized a fresh effective weight and a
-    /// fresh output every call: the effective weight comes from `entry`
-    /// (re-materialized in place only when the [`WeightKey`] moved, i.e.
-    /// once per optimizer step), the output buffer is the caller's, and the
-    /// input cache reuses its previous allocation. Bit-identical to
-    /// [`Layer::forward`] for finite inputs (fused/packed kernel contract,
-    /// see `duet_nn::kernels`), and `backward` works exactly as after a
-    /// `forward` call.
-    pub fn train_forward_entry(
+    /// Without `sparse` the input is cached for the backward (reusing the
+    /// previous cache's allocation) and the product runs through the same
+    /// kernel dispatch as [`MaskedLinear::infer_entry`]. With `sparse` — a
+    /// row capture of `input` — the product touches only the nonzero
+    /// entries, bit-identical for finite inputs (the sparse kernel
+    /// accumulates in the same column-index order the dense zero-skip path
+    /// does; see `duet_nn::kernels`), and the dense input is **not** cached:
+    /// the capture replaces it, so the matching
+    /// [`backward_scratch`](Self::backward_scratch) must be handed the same
+    /// capture and panics without it rather than silently using a stale
+    /// input.
+    pub fn train_forward(
         &mut self,
         input: &Matrix,
-        entry: &mut crate::workspace::MaskedEntry,
+        sparse: Option<&SparseRows>,
+        entry: &mut MaskedEntry,
         out: &mut Matrix,
     ) {
-        cache_input(&mut self.cached_input, input);
-        self.infer_with_entry(input, Activation::Identity, entry, out);
+        match sparse {
+            Some(sparse) => {
+                debug_assert_eq!((sparse.rows(), sparse.cols()), input.shape());
+                self.cached_input = None;
+                let bias = Some(self.bias.data.as_slice());
+                sparse.addmm_bias_act_into(entry.weight(), bias, Activation::Identity, out);
+            }
+            None => {
+                cache_input(&mut self.cached_input, input);
+                self.infer_entry(input, Activation::Identity, WeightMode::Full, entry, out);
+            }
+        }
     }
 
-    /// Training forward consuming a sparse row capture of the input instead
-    /// of the dense matrix: `out = input @ (W ⊙ M) + b`, touching only the
-    /// nonzero input entries. Bit-identical to [`train_forward_entry`] for
-    /// finite inputs (the sparse kernel accumulates in the same column-index
-    /// order the dense zero-skip path does; see `duet_nn::kernels`).
+    /// The input cached by the most recent dense training forward.
     ///
-    /// The dense input is **not** cached — the sparse capture replaces it, so
-    /// the matching backward is [`backward_scratch_sparse`] with the same
-    /// capture. A subsequent [`Layer::backward`] (or dense
-    /// [`backward_scratch`](Self::backward_scratch)) panics rather than
-    /// silently using a stale input.
-    ///
-    /// [`train_forward_entry`]: Self::train_forward_entry
-    /// [`backward_scratch_sparse`]: Self::backward_scratch_sparse
-    pub fn train_forward_sparse(
-        &mut self,
-        input: &SparseRows,
-        entry: &mut crate::workspace::MaskedEntry,
-        out: &mut Matrix,
-    ) {
-        debug_assert_eq!(input.cols(), self.in_features());
-        self.cached_input = None;
-        input.addmm_bias_act_into(
-            entry.weight(),
-            Some(self.bias.data.as_slice()),
-            Activation::Identity,
-            out,
-        );
+    /// # Panics
+    /// Panics if no dense training forward cached one.
+    pub(crate) fn cached_input(&self) -> &Matrix {
+        self.cached_input.as_ref().expect("MaskedLinear::backward called before forward")
     }
 
     /// Scratch-buffer backward against an already-materialized effective
     /// weight `w` (a [`MaskedWeightCache`](crate::workspace::MaskedWeightCache)
     /// hit — backward runs before the optimizer bumps the
-    /// [`WeightKey`], so the cached entry is exactly `W ⊙ M`). Stages the
+    /// [`WeightKey`], so the cached entry is exactly `W ⊙ M`). The weight
+    /// gradient `input^T @ grad_out` is taken from `sparse` when the forward
+    /// consumed a capture, from the cached dense input otherwise. Stages the
     /// masked `dW` in `dw` and the bias column sums in `db` before
-    /// accumulating into the parameter gradients, preserving the allocating
-    /// path's accumulation order bit for bit; writes `grad_out @ w^T` into
-    /// `grad_in` when the caller needs the input gradient.
+    /// accumulating into the parameter gradients (so a parameter gradient is
+    /// always `grad + dW`, one rounding per step); writes `grad_out @ w^T`
+    /// into `grad_in` when the caller needs the input gradient.
     ///
     /// # Panics
-    /// Panics if called before a dense training forward cached the input.
+    /// Panics if `sparse` is `None` and no dense training forward cached the
+    /// input.
     pub fn backward_scratch(
         &mut self,
         grad_out: &Matrix,
-        w: &Matrix,
-        dw: &mut Matrix,
-        db: &mut Vec<f32>,
-        grad_in: Option<&mut Matrix>,
-    ) {
-        let input =
-            self.cached_input.as_ref().expect("MaskedLinear::backward called before forward");
-        input.matmul_tn_into(grad_out, dw);
-        self.finish_backward_scratch(grad_out, w, dw, db, grad_in);
-    }
-
-    /// Sparse-input variant of [`backward_scratch`](Self::backward_scratch):
-    /// `dW` is computed from the sparse row capture the matching
-    /// [`train_forward_sparse`](Self::train_forward_sparse) consumed,
-    /// touching only nonzero input entries. Bit-identical to the dense
-    /// variant for finite inputs.
-    pub fn backward_scratch_sparse(
-        &mut self,
-        grad_out: &Matrix,
-        input: &SparseRows,
-        w: &Matrix,
-        dw: &mut Matrix,
-        db: &mut Vec<f32>,
-        grad_in: Option<&mut Matrix>,
-    ) {
-        debug_assert_eq!(input.cols(), self.in_features());
-        input.matmul_tn_into(grad_out, dw);
-        self.finish_backward_scratch(grad_out, w, dw, db, grad_in);
-    }
-
-    /// Shared tail of the scratch backwards: mask `dW`, accumulate both
-    /// parameter gradients (via staging, keeping the rounding order of the
-    /// allocating path), and optionally produce the input gradient.
-    fn finish_backward_scratch(
-        &mut self,
-        grad_out: &Matrix,
+        sparse: Option<&SparseRows>,
         w: &Matrix,
         dw: &mut Matrix,
         db: &mut Vec<f32>,
         grad_in: Option<&mut Matrix>,
     ) {
         debug_assert_eq!(w.shape(), self.weight.data.shape());
+        match sparse {
+            Some(sparse) => sparse.matmul_tn_into(grad_out, dw),
+            None => self.cached_input().matmul_tn_into(grad_out, dw),
+        }
         dw.mul_assign(&self.mask);
         self.weight.grad.add_assign(dw);
         grad_out.column_sums_into(db);
@@ -449,73 +340,9 @@ impl MaskedLinear {
     pub fn out_features(&self) -> usize {
         self.weight.data.cols()
     }
-
-    /// The effective (masked) weight matrix actually used by the forward pass.
-    pub fn effective_weight(&self) -> Matrix {
-        let mut w = self.weight.data.clone();
-        w.mul_assign(&self.mask);
-        w
-    }
-
-    /// Forward pass without caching (inference-only path).
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        let mut wscratch = Matrix::zeros(0, 0);
-        let mut out = Matrix::zeros(0, 0);
-        self.infer_raw(input, Activation::Identity, &mut wscratch, &mut out);
-        out
-    }
-
-    /// Allocation-free fused forward: the masked effective weight is
-    /// materialized into `wscratch` (no allocation once warm) and
-    /// `out = act(input @ (W ⊙ M) + b)` is computed in one fused pass.
-    pub fn infer_raw(
-        &self,
-        input: &Matrix,
-        act: Activation,
-        wscratch: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        self.weight.data.masked_into(&self.mask, wscratch);
-        input.addmm_bias_act_into(wscratch, Some(self.bias.data.as_slice()), act, out);
-    }
 }
 
-impl InferLayer for MaskedLinear {
-    fn infer_into<'w>(&self, input: &Matrix, ws: &'w mut ForwardWorkspace) -> &'w Matrix {
-        ws.rewind();
-        {
-            let (_cur, next, _aux, masked) = ws.split_masked();
-            let entry = masked.entry(0, self.key, |out| self.fill_masked(out));
-            self.infer_with_entry(input, Activation::Identity, entry, next);
-        }
-        ws.flip();
-        ws.output()
-    }
-}
-
-impl Layer for MaskedLinear {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let w = self.effective_weight();
-        let mut out = input.matmul(&w);
-        out.add_row_vector(self.bias.data.as_slice());
-        cache_input(&mut self.cached_input, input);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let input =
-            self.cached_input.as_ref().expect("MaskedLinear::backward called before forward");
-        let mut dw = input.matmul_tn(grad_out);
-        dw.mul_assign(&self.mask);
-        self.weight.grad.add_assign(&dw);
-        let db = grad_out.column_sums();
-        for (g, d) in self.bias.grad.as_mut_slice().iter_mut().zip(db.iter()) {
-            *g += *d;
-        }
-        let w = self.effective_weight();
-        grad_out.matmul_nt(&w)
-    }
-
+impl Params for MaskedLinear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         // Handing out `&mut Param` may mutate the weights (optimizer step,
         // checkpoint load): conservatively invalidate derived caches.
@@ -529,6 +356,26 @@ impl Layer for MaskedLinear {
 mod tests {
     use super::*;
     use crate::init::seeded_rng;
+    use crate::workspace::MaskedWeightCache;
+
+    /// `layer`'s training forward + scratch backward with throw-away scratch;
+    /// returns `(output, input gradient)`.
+    fn masked_pair(layer: &mut MaskedLinear, x: &Matrix, grad_out: &Matrix) -> (Matrix, Matrix) {
+        let mut cache = MaskedWeightCache::default();
+        let entry = cache.entry(0, layer.weight_key(), |w| layer.fill_masked(w));
+        let (mut out, mut grad_in) = (Matrix::default(), Matrix::default());
+        layer.train_forward(x, None, entry, &mut out);
+        let (mut dw, mut db) = (Matrix::default(), Vec::new());
+        layer.backward_scratch(
+            grad_out,
+            None,
+            entry.weight(),
+            &mut dw,
+            &mut db,
+            Some(&mut grad_in),
+        );
+        (out, grad_in)
+    }
 
     #[test]
     fn linear_forward_shape_and_bias() {
@@ -536,7 +383,8 @@ mod tests {
         let mut layer = Linear::new(3, 2, Init::Zeros, &mut rng);
         layer.bias_mut().as_mut_slice().copy_from_slice(&[1.0, -1.0]);
         let x = Matrix::full(4, 3, 2.0);
-        let y = layer.forward(&x);
+        let mut y = Matrix::default();
+        layer.train_forward(&x, &mut y);
         assert_eq!(y.shape(), (4, 2));
         // Zero weights => output equals bias.
         assert_eq!(y.row(0), &[1.0, -1.0]);
@@ -547,9 +395,10 @@ mod tests {
         let mut rng = seeded_rng(2);
         let mut layer = Linear::new(2, 2, Init::KaimingUniform, &mut rng);
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let _ = layer.forward(&x);
+        layer.train_forward(&x, &mut Matrix::default());
         let g = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let gin = layer.backward(&g);
+        let mut gin = Matrix::default();
+        layer.backward_scratch(&g, &mut Matrix::default(), &mut Vec::new(), Some(&mut gin));
         assert_eq!(gin.shape(), (1, 2));
         let mut count = 0;
         layer.visit_params(&mut |p| {
@@ -565,8 +414,9 @@ mod tests {
         // Mask that blocks input 0 from reaching output 0.
         let mask = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 1.0]);
         let mut layer = MaskedLinear::new(2, 2, mask, Init::KaimingUniform, &mut rng);
-        let base = layer.forward(&Matrix::from_vec(1, 2, vec![0.0, 1.0]));
-        let moved = layer.forward(&Matrix::from_vec(1, 2, vec![100.0, 1.0]));
+        let g = Matrix::zeros(1, 2);
+        let (base, _) = masked_pair(&mut layer, &Matrix::from_vec(1, 2, vec![0.0, 1.0]), &g);
+        let (moved, _) = masked_pair(&mut layer, &Matrix::from_vec(1, 2, vec![100.0, 1.0]), &g);
         // Output 0 must be unchanged when only input 0 changes.
         assert!((base.get(0, 0) - moved.get(0, 0)).abs() < 1e-6);
         // Output 1 is allowed to change (with overwhelming probability).
@@ -579,8 +429,7 @@ mod tests {
         let mask = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
         let mut layer = MaskedLinear::new(2, 2, mask.clone(), Init::KaimingUniform, &mut rng);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let _ = layer.forward(&x);
-        let _ = layer.backward(&Matrix::full(1, 2, 1.0));
+        let _ = masked_pair(&mut layer, &x, &Matrix::full(1, 2, 1.0));
         layer.visit_params(&mut |p| {
             if p.data.shape() == (2, 2) {
                 // Weight gradient must be zero wherever the mask is zero.
@@ -600,6 +449,6 @@ mod tests {
     fn backward_before_forward_panics() {
         let mut rng = seeded_rng(5);
         let mut layer = Linear::new(2, 2, Init::KaimingUniform, &mut rng);
-        let _ = layer.backward(&Matrix::zeros(1, 2));
+        layer.backward_scratch(&Matrix::zeros(1, 2), &mut Matrix::default(), &mut Vec::new(), None);
     }
 }

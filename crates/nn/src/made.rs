@@ -11,9 +11,11 @@ use crate::activation::Activation;
 use crate::init::Init;
 use crate::kernels::SparseRows;
 use crate::linear::MaskedLinear;
-use crate::param::{InferLayer, Layer, Param};
+use crate::param::{InferLayer, Param, Params};
 use crate::tensor::Matrix;
-use crate::workspace::{ForwardWorkspace, MaskedWeightCache, TrainWorkspace, WeightMode};
+use crate::workspace::{
+    pick2, pick3, ForwardWorkspace, MaskedWeightCache, TrainWorkspace, WeightMode,
+};
 use rand::rngs::SmallRng;
 
 /// Architecture description for a [`Made`] network.
@@ -108,7 +110,6 @@ fn output_mask(prev: &[usize], out: &[usize]) -> Matrix {
 struct ResBlock {
     fc1: MaskedLinear,
     fc2: MaskedLinear,
-    cached_pre: Option<Matrix>, // relu input
 }
 
 impl ResBlock {
@@ -117,16 +118,14 @@ impl ResBlock {
         Self {
             fc1: MaskedLinear::new(degrees.len(), degrees.len(), mask.clone(), init, rng),
             fc2: MaskedLinear::new(degrees.len(), degrees.len(), mask, init, rng),
-            cached_pre: None,
         }
     }
 
-    /// Training forward `out = x + fc2(relu(fc1(x)))` that checkpoints
-    /// everything `backward` needs (pre-activation, per-linear inputs) into
-    /// reused buffers: `cached_pre` holds `fc1(x)`, `aux` the rectified
-    /// hidden state, and the masked effective weights come from the
-    /// train-workspace cache. Allocation-free once warm; `backward` works
-    /// exactly as after a [`Layer::forward`] call.
+    /// Training forward `out = x + fc2(relu(fc1(x)))`. Everything
+    /// `backward_scratch` needs is what the two linears cache as their
+    /// inputs: `x`, and the rectified hidden state staged in `aux` (which
+    /// doubles as the ReLU gate). The masked effective weights come from the
+    /// train-workspace cache. Allocation-free once warm.
     fn train_forward(
         &mut self,
         x: &Matrix,
@@ -136,19 +135,16 @@ impl ResBlock {
         slot: usize,
     ) {
         let e1 = masked.entry(slot, self.fc1.weight_key(), |w| self.fc1.fill_masked(w));
-        let pre = self.cached_pre.get_or_insert_with(Matrix::default);
-        self.fc1.train_forward_entry(x, e1, pre);
-        aux.copy_from(pre);
+        self.fc1.train_forward(x, None, e1, aux);
         Activation::Relu.apply(aux.as_mut_slice());
         let e2 = masked.entry(slot + 1, self.fc2.weight_key(), |w| self.fc2.fill_masked(w));
-        self.fc2.train_forward_entry(aux, e2, out);
+        self.fc2.train_forward(aux, None, e2, out);
         out.add_assign(x);
     }
 
-    /// Scratch-buffer backward mirroring [`Layer::backward`] bit for bit:
-    /// fc2's input gradient lands in `grad_act`, is ReLU-gated in place
-    /// against the checkpointed pre-activation, feeds fc1, and the identity
-    /// skip adds `grad_out` into `grad_in`. The masked effective weights come
+    /// Scratch-buffer backward: fc2's input gradient lands in `grad_act`, is
+    /// ReLU-gated in place against the rectified hidden state fc2 cached,
+    /// feeds fc1, and the identity skip adds `grad_out` into `grad_in`. The masked effective weights come
     /// from the train-workspace cache (slots `slot` / `slot + 1` — guaranteed
     /// hits, since backward runs before the optimizer bumps any
     /// [`WeightKey`](crate::param::WeightKey)). Allocation-free once warm.
@@ -163,17 +159,11 @@ impl ResBlock {
         masked: &mut MaskedWeightCache,
         slot: usize,
     ) {
-        let pre = self.cached_pre.as_ref().expect("ResBlock::backward called before forward");
         let e2 = masked.entry(slot + 1, self.fc2.weight_key(), |w| self.fc2.fill_masked(w));
-        self.fc2.backward_scratch(grad_out, e2.weight(), dw, db, Some(grad_act));
-        // ReLU gate.
-        for (g, p) in grad_act.as_mut_slice().iter_mut().zip(pre.as_slice().iter()) {
-            if *p <= 0.0 {
-                *g = 0.0;
-            }
-        }
+        self.fc2.backward_scratch(grad_out, None, e2.weight(), dw, db, Some(grad_act));
+        Activation::Relu.gate(grad_act.as_mut_slice(), self.fc2.cached_input().as_slice());
         let e1 = masked.entry(slot, self.fc1.weight_key(), |w| self.fc1.fill_masked(w));
-        self.fc1.backward_scratch(grad_act, e1.weight(), dw, db, Some(grad_in));
+        self.fc1.backward_scratch(grad_act, None, e1.weight(), dw, db, Some(grad_in));
         grad_in.add_assign(grad_out); // identity skip
     }
 
@@ -191,42 +181,14 @@ impl ResBlock {
         mode: WeightMode,
     ) {
         let e1 = masked.entry(slot, self.fc1.weight_key(), |w| self.fc1.fill_masked(w));
-        self.fc1.infer_with_entry_mode(x, Activation::Relu, mode, e1, h);
+        self.fc1.infer_entry(x, Activation::Relu, mode, e1, h);
         let e2 = masked.entry(slot + 1, self.fc2.weight_key(), |w| self.fc2.fill_masked(w));
-        self.fc2.infer_with_entry_mode(h, Activation::Identity, mode, e2, out);
+        self.fc2.infer_entry(h, Activation::Identity, mode, e2, out);
         out.add_assign(x);
     }
 }
 
-impl Layer for ResBlock {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let pre = self.fc1.forward(input);
-        let mut act = pre.clone();
-        act.as_mut_slice().iter_mut().for_each(|v| {
-            if *v < 0.0 {
-                *v = 0.0
-            }
-        });
-        self.cached_pre = Some(pre);
-        let mut out = self.fc2.forward(&act);
-        out.add_assign(input);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let pre = self.cached_pre.as_ref().expect("ResBlock::backward called before forward");
-        let mut grad_act = self.fc2.backward(grad_out);
-        // ReLU gate.
-        for (g, p) in grad_act.as_mut_slice().iter_mut().zip(pre.as_slice().iter()) {
-            if *p <= 0.0 {
-                *g = 0.0;
-            }
-        }
-        let mut grad_in = self.fc1.backward(&grad_act);
-        grad_in.add_assign(grad_out); // identity skip
-        grad_in
-    }
-
+impl Params for ResBlock {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.fc1.visit_params(f);
         self.fc2.visit_params(f);
@@ -239,7 +201,7 @@ impl Layer for ResBlock {
 #[derive(Debug, Clone)]
 enum Stage {
     /// Masked linear followed by ReLU.
-    MaskedRelu { linear: MaskedLinear, cached_pre: Option<Matrix> },
+    MaskedRelu(MaskedLinear),
     /// Residual block (ResMADE).
     Residual(ResBlock),
     /// Final masked linear producing the logits (no activation).
@@ -287,34 +249,22 @@ impl Made {
 
         let mut stages = Vec::new();
         let mut prev_deg = in_deg;
-        if config.residual {
-            let hidden = config.hidden_sizes[0];
+        for (i, &hidden) in config.hidden_sizes.iter().enumerate() {
+            if config.residual && i > 0 {
+                // Uniform widths: the block keeps the first hidden layer's degrees.
+                stages.push(Stage::Residual(ResBlock::new(&prev_deg, Init::KaimingUniform, rng)));
+                continue;
+            }
             let h_deg = hidden_degrees(hidden, n);
             let mask = hidden_mask(&prev_deg, &h_deg);
-            stages.push(Stage::MaskedRelu {
-                linear: MaskedLinear::new(prev_deg.len(), hidden, mask, Init::KaimingUniform, rng),
-                cached_pre: None,
-            });
+            stages.push(Stage::MaskedRelu(MaskedLinear::new(
+                prev_deg.len(),
+                hidden,
+                mask,
+                Init::KaimingUniform,
+                rng,
+            )));
             prev_deg = h_deg;
-            for _ in 1..config.hidden_sizes.len() {
-                stages.push(Stage::Residual(ResBlock::new(&prev_deg, Init::KaimingUniform, rng)));
-            }
-        } else {
-            for &hidden in &config.hidden_sizes {
-                let h_deg = hidden_degrees(hidden, n);
-                let mask = hidden_mask(&prev_deg, &h_deg);
-                stages.push(Stage::MaskedRelu {
-                    linear: MaskedLinear::new(
-                        prev_deg.len(),
-                        hidden,
-                        mask,
-                        Init::KaimingUniform,
-                        rng,
-                    ),
-                    cached_pre: None,
-                });
-                prev_deg = h_deg;
-            }
         }
         let mask = output_mask(&prev_deg, &out_deg);
         stages.push(Stage::Output(MaskedLinear::new(
@@ -363,30 +313,23 @@ impl Made {
     /// The training forward through a [`TrainWorkspace`]: every stage's
     /// activation is checkpointed into a persistent workspace buffer, the
     /// masked effective weights come from the workspace's
-    /// [`MaskedWeightCache`], and each layer's backward cache (input /
-    /// pre-activation) is refilled in place — so the steady-state training
+    /// [`MaskedWeightCache`], and each layer's backward cache (its input) is
+    /// refilled in place — so the steady-state training
     /// forward performs **zero heap allocation** (asserted by the training
-    /// phase of `tests/zero_alloc.rs`).
+    /// phase of `tests/zero_alloc.rs`). The logits are bit-identical to
+    /// [`InferLayer::infer_into`]'s for finite inputs (every kernel follows
+    /// the numerical contract in `duet_nn::kernels`); the returned reference
+    /// lives in `tws` until the next pass overwrites it, and the matching
+    /// backward is [`Made::backward_scratch`].
     ///
-    /// Semantics match [`Layer::forward`] exactly: the same logits come out
-    /// (fused/packed kernels are bit-identical to the unfused pipeline for
-    /// finite inputs, see `duet_nn::kernels`), and a subsequent
-    /// [`Layer::backward`] call consumes the caches this pass refilled. The
-    /// returned reference lives in `tws` until the next pass overwrites it.
-    pub fn forward_train<'w>(&mut self, input: &Matrix, tws: &'w mut TrainWorkspace) -> &'w Matrix {
-        self.forward_train_sparse(input, None, tws)
-    }
-
-    /// [`forward_train`](Self::forward_train) with an optional sparse row
-    /// capture of `input`. When `sparse` is provided and sparse *enough*
-    /// (see [`SparseRows::is_sparse_enough`] — the exact complement of the
-    /// dense kernels' `mostly_dense` dispatch, so the kernel class never
-    /// changes), the first masked layer runs the fused sparse-input kernel,
-    /// skipping the zero multiplies the one-hot predicate encoding is mostly
-    /// made of. Bit-identical to the dense pass for finite inputs; the
-    /// matching backward is [`Made::backward_scratch`] handed the same
-    /// capture.
-    pub fn forward_train_sparse<'w>(
+    /// `sparse` is an optional sparse row capture of `input`. When it is
+    /// provided and sparse *enough* (see [`SparseRows::is_sparse_enough`] —
+    /// the exact complement of the dense kernels' `mostly_dense` dispatch, so
+    /// the kernel class never changes), the first masked layer runs the fused
+    /// sparse-input kernel, skipping the zero multiplies the one-hot
+    /// predicate encoding is mostly made of; the backward must then be handed
+    /// the same capture.
+    pub fn forward_train<'w>(
         &mut self,
         input: &Matrix,
         sparse: Option<&SparseRows>,
@@ -407,22 +350,11 @@ impl Made {
             let x: &Matrix = if i == 0 { input } else { &prev[i - 1] };
             let out = &mut rest[0];
             match &mut self.stages[i] {
-                Stage::MaskedRelu { linear, cached_pre } => {
+                Stage::MaskedRelu(linear) => {
                     let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                    let pre = cached_pre.get_or_insert_with(Matrix::default);
-                    match sparse {
-                        Some(s) if i == 0 && s.is_sparse_enough() => {
-                            debug_assert_eq!(
-                                (s.rows(), s.cols()),
-                                input.shape(),
-                                "sparse capture must describe the dense input"
-                            );
-                            linear.train_forward_sparse(s, entry, pre);
-                            first_sparse = true;
-                        }
-                        _ => linear.train_forward_entry(x, entry, pre),
-                    }
-                    out.copy_from(pre);
+                    let capture = sparse.filter(|s| i == 0 && s.is_sparse_enough());
+                    linear.train_forward(x, capture, entry, out);
+                    first_sparse |= capture.is_some();
                     Activation::Relu.apply(out.as_mut_slice());
                     slot += 1;
                 }
@@ -432,7 +364,7 @@ impl Made {
                 }
                 Stage::Output(linear) => {
                     let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                    linear.train_forward_entry(x, entry, out);
+                    linear.train_forward(x, None, entry, out);
                     slot += 1;
                 }
             }
@@ -441,20 +373,18 @@ impl Made {
         &acts[num - 1]
     }
 
-    /// Scratch-buffer backward: the allocation-free replacement for
-    /// [`Layer::backward`], bit-identical to it for finite inputs. The
-    /// gradient ping-pongs through the [`TrainWorkspace`]'s three reusable
-    /// buffers (three, not two: a residual block keeps its incoming gradient
-    /// alive across both inner backwards for the identity skip), `dW`/`db`
-    /// are staged in workspace scratch before accumulating into the
-    /// parameter gradients (preserving the allocating path's rounding
-    /// order), and every masked effective weight is a guaranteed
-    /// [`MaskedWeightCache`] hit because backward runs before the optimizer
-    /// bumps any [`WeightKey`](crate::param::WeightKey).
+    /// Scratch-buffer backward. The gradient ping-pongs through the
+    /// [`TrainWorkspace`]'s three reusable buffers (three, not two: a
+    /// residual block keeps its incoming gradient alive across both inner
+    /// backwards for the identity skip), `dW`/`db` are staged in workspace
+    /// scratch before accumulating into the parameter gradients, and every
+    /// masked effective weight is a guaranteed [`MaskedWeightCache`] hit
+    /// because backward runs before the optimizer bumps any
+    /// [`WeightKey`](crate::param::WeightKey).
     ///
     /// `sparse` must be the same capture the preceding
-    /// [`forward_train_sparse`](Self::forward_train_sparse) consumed (pass
-    /// `None` after a dense forward). With `need_input_grad` the gradient
+    /// [`forward_train`](Self::forward_train) consumed (pass `None` after a
+    /// dense forward). With `need_input_grad` the gradient
     /// w.r.t. the network input is left in the workspace and readable via
     /// [`TrainWorkspace::input_grad`] (the MPSN chain needs it; plain tables
     /// skip that final matmul).
@@ -472,7 +402,7 @@ impl Made {
         let first_sparse = self.first_stage_sparse;
         let total_slots: usize =
             self.stages.iter().map(|s| if matches!(s, Stage::Residual(_)) { 2 } else { 1 }).sum();
-        let (grads, dw, db, masked) = tws.backward_parts();
+        let (acts, grads, dw, db, masked) = tws.backward_parts();
         let mut slot = total_slots;
         // Index of the grads buffer holding the live incoming gradient.
         let mut cur = 0usize;
@@ -482,13 +412,8 @@ impl Made {
                 Stage::Output(linear) => {
                     slot -= 1;
                     let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                    linear.backward_scratch(
-                        grad_logits,
-                        entry.weight(),
-                        dw,
-                        db,
-                        Some(&mut grads[0]),
-                    );
+                    let grad_in = Some(&mut grads[0]);
+                    linear.backward_scratch(grad_logits, None, entry.weight(), dw, db, grad_in);
                     cur = 0;
                 }
                 Stage::Residual(block) => {
@@ -497,28 +422,20 @@ impl Made {
                     block.backward_scratch(g_out, g_act, g_in, dw, db, masked, slot);
                     cur = (cur + 2) % 3;
                 }
-                Stage::MaskedRelu { linear, cached_pre } => {
+                Stage::MaskedRelu(linear) => {
                     slot -= 1;
-                    let pre = cached_pre.as_ref().expect("Made::backward called before forward");
-                    // ReLU gate, in place on the live gradient.
-                    for (gv, pv) in grads[cur].as_mut_slice().iter_mut().zip(pre.as_slice().iter())
-                    {
-                        if *pv <= 0.0 {
-                            *gv = 0.0;
-                        }
-                    }
+                    // Gate against the stage's own checkpointed (rectified) output.
+                    Activation::Relu.gate(grads[cur].as_mut_slice(), acts[i].as_slice());
                     let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
                     let want_grad_in = !is_input_stage || need_input_grad;
                     let (g_out, g_in_buf) = pick2(grads, cur);
                     let grad_in = if want_grad_in { Some(g_in_buf) } else { None };
-                    if is_input_stage && first_sparse {
-                        let s = sparse.expect(
+                    let capture = (is_input_stage && first_sparse).then(|| {
+                        sparse.expect(
                             "forward used the sparse first-layer path; pass the same sparse input to backward",
-                        );
-                        linear.backward_scratch_sparse(g_out, s, entry.weight(), dw, db, grad_in);
-                    } else {
-                        linear.backward_scratch(g_out, entry.weight(), dw, db, grad_in);
-                    }
+                        )
+                    });
+                    linear.backward_scratch(g_out, capture, entry.weight(), dw, db, grad_in);
                     if want_grad_in {
                         cur = (cur + 1) % 3;
                     }
@@ -536,7 +453,7 @@ impl Made {
         self.stages
             .iter()
             .map(|stage| match stage {
-                Stage::MaskedRelu { linear, .. } => linear.num_parameters(),
+                Stage::MaskedRelu(linear) => linear.num_parameters(),
                 Stage::Residual(block) => block.fc1.num_parameters() + block.fc2.num_parameters(),
                 Stage::Output(linear) => linear.num_parameters(),
             })
@@ -555,8 +472,8 @@ impl InferLayer for Made {
     /// from the workspace's [`MaskedWeightCache`] — materialized once per
     /// (workspace, weights) pair instead of once per batch, and re-validated
     /// by [`crate::param::WeightKey`] so optimizer steps and hot-swaps can
-    /// never serve stale weights. Bit-identical to the training
-    /// [`Layer::forward`] in the default [`WeightMode::Full`]; under
+    /// never serve stale weights. Bit-identical to
+    /// [`Made::forward_train`] in the default [`WeightMode::Full`]; under
     /// [`WeightMode::Half`] (see [`ForwardWorkspace::set_weight_mode`]) the
     /// batched stages read the compressed f16 weight tier instead, trading
     /// bit-identity for bounded per-weight rounding error at half the weight
@@ -576,10 +493,10 @@ impl InferLayer for Made {
                 let (cur, next, aux, masked) = ws.split_masked();
                 let x: &Matrix = if i == 0 { input } else { cur };
                 match stage {
-                    Stage::MaskedRelu { linear, .. } => {
+                    Stage::MaskedRelu(linear) => {
                         let entry =
                             masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                        linear.infer_with_entry_mode(x, Activation::Relu, mode, entry, next);
+                        linear.infer_entry(x, Activation::Relu, mode, entry, next);
                         slot += 1;
                     }
                     Stage::Residual(block) => {
@@ -589,7 +506,7 @@ impl InferLayer for Made {
                     Stage::Output(linear) => {
                         let entry =
                             masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                        linear.infer_with_entry_mode(x, Activation::Identity, mode, entry, next);
+                        linear.infer_entry(x, Activation::Identity, mode, entry, next);
                         slot += 1;
                     }
                 }
@@ -597,29 +514,6 @@ impl InferLayer for Made {
             ws.flip();
         }
         ws.output()
-    }
-}
-
-/// Borrow the live gradient buffer (`cur`) plus the next free one from the
-/// ping-pong triple, disjointly.
-fn pick2(bufs: &mut [Matrix; 3], cur: usize) -> (&Matrix, &mut Matrix) {
-    let [a, b, c] = bufs;
-    match cur {
-        0 => (&*a, b),
-        1 => (&*b, c),
-        _ => (&*c, a),
-    }
-}
-
-/// Borrow the live gradient buffer (`cur`) plus both free ones — a residual
-/// block needs all three at once (incoming gradient stays alive for the
-/// identity skip while the two inner backwards write the other two).
-fn pick3(bufs: &mut [Matrix; 3], cur: usize) -> (&Matrix, &mut Matrix, &mut Matrix) {
-    let [a, b, c] = bufs;
-    match cur {
-        0 => (&*a, b, c),
-        1 => (&*b, c, a),
-        _ => (&*c, a, b),
     }
 }
 
@@ -633,68 +527,11 @@ fn prefix_sums(sizes: &[usize]) -> Vec<usize> {
     out
 }
 
-impl Layer for Made {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        assert_eq!(
-            input.cols(),
-            self.config.input_width(),
-            "input width mismatch: expected {}",
-            self.config.input_width()
-        );
-        let mut x = input.clone();
-        for stage in &mut self.stages {
-            x = match stage {
-                Stage::MaskedRelu { linear, cached_pre } => {
-                    let pre = linear.forward(&x);
-                    let mut act = pre.clone();
-                    act.as_mut_slice().iter_mut().for_each(|v| {
-                        if *v < 0.0 {
-                            *v = 0.0
-                        }
-                    });
-                    *cached_pre = Some(pre);
-                    act
-                }
-                Stage::Residual(block) => block.forward(&x),
-                Stage::Output(linear) => linear.forward(&x),
-            };
-        }
-        x
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // The last stage consumes `grad_out` by reference — no upfront clone.
-        let mut stages = self.stages.iter_mut().rev();
-        let mut grad = match stages.next().expect("MADE has at least an output stage") {
-            Stage::Output(linear) => linear.backward(grad_out),
-            Stage::Residual(block) => block.backward(grad_out),
-            Stage::MaskedRelu { .. } => {
-                unreachable!("MADE's final stage is always the output linear")
-            }
-        };
-        for stage in stages {
-            grad = match stage {
-                Stage::MaskedRelu { linear, cached_pre } => {
-                    let pre = cached_pre.as_ref().expect("Made::backward called before forward");
-                    let mut g = grad;
-                    for (gv, pv) in g.as_mut_slice().iter_mut().zip(pre.as_slice().iter()) {
-                        if *pv <= 0.0 {
-                            *gv = 0.0;
-                        }
-                    }
-                    linear.backward(&g)
-                }
-                Stage::Residual(block) => block.backward(&grad),
-                Stage::Output(linear) => linear.backward(&grad),
-            };
-        }
-        grad
-    }
-
+impl Params for Made {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for stage in &mut self.stages {
             match stage {
-                Stage::MaskedRelu { linear, .. } => linear.visit_params(f),
+                Stage::MaskedRelu(linear) => linear.visit_params(f),
                 Stage::Residual(block) => block.visit_params(f),
                 Stage::Output(linear) => linear.visit_params(f),
             }
@@ -722,9 +559,9 @@ mod tests {
     fn forward_shapes() {
         for residual in [false, true] {
             let mut rng = seeded_rng(10);
-            let mut made = Made::new(small_config(residual), &mut rng);
+            let made = Made::new(small_config(residual), &mut rng);
             let x = Matrix::zeros(3, 12);
-            let y = made.forward(&x);
+            let y = made.forward_inference(&x);
             assert_eq!(y.shape(), (3, 12));
             assert_eq!(made.output_block(2), (8, 4));
         }
@@ -736,12 +573,12 @@ mod tests {
         // any column i <= j.
         for residual in [false, true] {
             let mut rng = seeded_rng(11);
-            let mut made = Made::new(small_config(residual), &mut rng);
+            let made = Made::new(small_config(residual), &mut rng);
             let mut base_in = vec![0.3f32; 12];
             for (i, v) in base_in.iter_mut().enumerate() {
                 *v += i as f32 * 0.01;
             }
-            let base = made.forward(&Matrix::from_vec(1, 12, base_in.clone()));
+            let base = made.forward_inference(&Matrix::from_vec(1, 12, base_in.clone()));
             for perturb_col in 0..3usize {
                 let off = made.input_offset(perturb_col);
                 let width = made.config().input_block_sizes[perturb_col];
@@ -749,7 +586,7 @@ mod tests {
                 for v in &mut moved_in[off..off + width] {
                     *v += 17.0;
                 }
-                let moved = made.forward(&Matrix::from_vec(1, 12, moved_in));
+                let moved = made.forward_inference(&Matrix::from_vec(1, 12, moved_in));
                 for out_col in 0..=perturb_col {
                     let (o, len) = made.output_block(out_col);
                     for k in 0..len {
@@ -766,18 +603,20 @@ mod tests {
     #[test]
     fn first_column_output_ignores_all_inputs() {
         let mut rng = seeded_rng(12);
-        let mut made = Made::new(small_config(false), &mut rng);
-        let a = made.forward(&Matrix::full(1, 12, 0.0));
-        let b = made.forward(&Matrix::full(1, 12, 5.0));
+        let made = Made::new(small_config(false), &mut rng);
+        let a = made.forward_inference(&Matrix::full(1, 12, 0.0));
+        let b = made.forward_inference(&Matrix::full(1, 12, 5.0));
         let (o, len) = made.output_block(0);
         for k in 0..len {
             assert!((a.get(0, o + k) - b.get(0, o + k)).abs() < 1e-6);
         }
     }
 
-    #[test]
-    fn gradient_matches_finite_differences() {
-        let mut rng = seeded_rng(13);
+    /// Analytic gradient of the first six weights (training forward + scratch
+    /// backward, through the sparse first layer when `sparse_input`) against
+    /// central finite differences of the inference forward.
+    fn check_finite_differences(seed: u64, sparse_input: bool) {
+        let mut rng = seeded_rng(seed);
         let config = MadeConfig {
             input_block_sizes: vec![2, 3],
             output_block_sizes: vec![3, 2],
@@ -787,132 +626,10 @@ mod tests {
         let mut made = Made::new(config.clone(), &mut rng);
         let batch = 4;
         let mut input = Matrix::zeros(batch, config.input_width());
+        // Mostly-zero input (one-hot-like, as `fill_input` produces) takes the
+        // sparse first-layer path; a fully dense one must not.
         for v in input.as_mut_slice() {
-            *v = rng.gen_range(-1.0..1.0);
-        }
-        let labels: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 0], vec![1, 1], vec![2, 0]];
-        let blocks = config.output_block_sizes.clone();
-
-        // Analytic gradient of the first weight parameter.
-        made.zero_grad();
-        let logits = made.forward(&input);
-        let (loss, grad_logits) = grouped_cross_entropy(&logits, &blocks, &labels);
-        let _ = made.backward(&grad_logits);
-        let mut analytic = Vec::new();
-        made.visit_params(&mut |p| {
-            if analytic.is_empty() {
-                analytic = p.grad.as_slice()[..6].to_vec();
-            }
-        });
-        assert!(loss.is_finite());
-
-        // Finite differences on the same entries.
-        let eps = 1e-3f32;
-        for (idx, &ga) in analytic.iter().enumerate() {
-            let mut loss_plus = 0.0;
-            let mut loss_minus = 0.0;
-            for sign in [1.0f32, -1.0] {
-                let mut visited = false;
-                made.visit_params(&mut |p| {
-                    if !visited {
-                        p.data.as_mut_slice()[idx] += sign * eps;
-                        visited = true;
-                    }
-                });
-                let logits = made.forward_inference(&input);
-                let (l, _) = grouped_cross_entropy(&logits, &blocks, &labels);
-                if sign > 0.0 {
-                    loss_plus = l;
-                } else {
-                    loss_minus = l;
-                }
-                let mut visited = false;
-                made.visit_params(&mut |p| {
-                    if !visited {
-                        p.data.as_mut_slice()[idx] -= sign * eps;
-                        visited = true;
-                    }
-                });
-            }
-            let numeric = (loss_plus - loss_minus) / (2.0 * eps);
-            assert!(
-                (numeric - ga).abs() < 2e-2 * (1.0 + ga.abs()),
-                "finite-diff mismatch at {idx}: analytic {ga}, numeric {numeric}"
-            );
-        }
-    }
-
-    /// Collect a flat snapshot of every parameter gradient.
-    fn grad_snapshot(made: &mut Made) -> Vec<f32> {
-        let mut out = Vec::new();
-        made.visit_params(&mut |p| out.extend_from_slice(p.grad.as_slice()));
-        out
-    }
-
-    #[test]
-    fn backward_scratch_matches_allocating_backward_bitwise() {
-        // Both architectures × both input densities (the sparse capture only
-        // engages the fused first layer when the input is sparse enough; the
-        // dense fallback must be covered too).
-        for residual in [false, true] {
-            for nnz_prob in [0.25f32, 0.95] {
-                let mut rng = seeded_rng(16);
-                let config = small_config(residual);
-                let mut reference = Made::new(config.clone(), &mut rng);
-                let mut scratch = reference.clone();
-                let mut input = Matrix::zeros(5, config.input_width());
-                let mut vals = seeded_rng(17);
-                for v in input.as_mut_slice() {
-                    if vals.gen_range(0.0..1.0f32) < nnz_prob {
-                        *v = vals.gen_range(-1.0..1.0);
-                    }
-                }
-                let labels: Vec<Vec<usize>> = (0..5).map(|i| vec![i % 6, i % 2, i % 4]).collect();
-                let blocks = config.output_block_sizes.clone();
-
-                reference.zero_grad();
-                let logits_ref = reference.forward(&input);
-                let (_, grad_logits) = grouped_cross_entropy(&logits_ref, &blocks, &labels);
-                let input_grad_ref = reference.backward(&grad_logits);
-
-                scratch.zero_grad();
-                let mut tws = TrainWorkspace::new();
-                let mut sparse = SparseRows::new();
-                sparse.capture_from(&input);
-                let logits = scratch.forward_train_sparse(&input, Some(&sparse), &mut tws);
-                assert_eq!(logits.as_slice(), logits_ref.as_slice(), "forward diverged");
-                scratch.backward_scratch(&grad_logits, Some(&sparse), &mut tws, true);
-
-                assert_eq!(
-                    tws.input_grad().as_slice(),
-                    input_grad_ref.as_slice(),
-                    "input gradient diverged (residual={residual}, nnz={nnz_prob})"
-                );
-                assert_eq!(
-                    grad_snapshot(&mut scratch),
-                    grad_snapshot(&mut reference),
-                    "parameter gradients diverged (residual={residual}, nnz={nnz_prob})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_gradient_matches_finite_differences() {
-        let mut rng = seeded_rng(23);
-        let config = MadeConfig {
-            input_block_sizes: vec![2, 3],
-            output_block_sizes: vec![3, 2],
-            hidden_sizes: vec![8],
-            residual: false,
-        };
-        let mut made = Made::new(config.clone(), &mut rng);
-        let batch = 4;
-        let mut input = Matrix::zeros(batch, config.input_width());
-        // Mostly-zero input so the sparse first-layer path is the one under
-        // test (one-hot-like, as fill_input produces).
-        for v in input.as_mut_slice() {
-            if rng.gen_range(0.0..1.0f32) < 0.3 {
+            if !sparse_input || rng.gen_range(0.0..1.0f32) < 0.3 {
                 *v = rng.gen_range(-1.0..1.0);
             }
         }
@@ -923,8 +640,8 @@ mod tests {
         let mut tws = TrainWorkspace::new();
         let mut sparse = SparseRows::new();
         sparse.capture_from(&input);
-        assert!(sparse.is_sparse_enough(), "test input must exercise the sparse path");
-        let logits = made.forward_train_sparse(&input, Some(&sparse), &mut tws).clone();
+        assert_eq!(sparse.is_sparse_enough(), sparse_input, "input must pick the path under test");
+        let logits = made.forward_train(&input, Some(&sparse), &mut tws).clone();
         let (loss, grad_logits) = grouped_cross_entropy(&logits, &blocks, &labels);
         made.backward_scratch(&grad_logits, Some(&sparse), &mut tws, false);
         assert!(loss.is_finite());
@@ -971,11 +688,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backward called before forward")]
-    fn old_backward_after_sparse_forward_panics() {
+    fn gradient_matches_finite_differences() {
+        check_finite_differences(13, false);
+    }
+
+    #[test]
+    fn scratch_gradient_matches_finite_differences() {
+        check_finite_differences(23, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "forward used the sparse first-layer path")]
+    fn dense_backward_after_sparse_forward_panics() {
         // The sparse training forward deliberately drops the dense input
-        // cache: a stale old-API backward must fail loudly, not silently use
-        // the previous batch's input.
+        // cache: a backward without the capture must fail loudly, not
+        // silently use the previous batch's input.
         let mut rng = seeded_rng(24);
         let config = small_config(false);
         let mut made = Made::new(config.clone(), &mut rng);
@@ -983,8 +710,8 @@ mod tests {
         let mut tws = TrainWorkspace::new();
         let mut sparse = SparseRows::new();
         sparse.capture_from(&input);
-        let _ = made.forward_train_sparse(&input, Some(&sparse), &mut tws);
-        let _ = made.backward(&Matrix::zeros(2, config.output_width()));
+        let _ = made.forward_train(&input, Some(&sparse), &mut tws);
+        made.backward_scratch(&Matrix::zeros(2, config.output_width()), None, &mut tws, false);
     }
 
     #[test]
@@ -1010,9 +737,9 @@ mod tests {
             hidden_sizes: vec![8],
             residual: false,
         };
-        let mut made = Made::new(config, &mut rng);
-        let a = made.forward(&Matrix::full(1, 5, 0.0));
-        let b = made.forward(&Matrix::full(1, 5, 3.0));
+        let made = Made::new(config, &mut rng);
+        let a = made.forward_inference(&Matrix::full(1, 5, 0.0));
+        let b = made.forward_inference(&Matrix::full(1, 5, 3.0));
         // With one column the output is unconditional: inputs must not matter.
         for k in 0..7 {
             assert!((a.get(0, k) - b.get(0, k)).abs() < 1e-6);

@@ -1,12 +1,12 @@
 //! A plain multi-layer perceptron (`Linear` + ReLU stack) used by the MSCN
 //! baseline and by Duet's MLP-based MPSN predicate embedder.
 
-use crate::activation::{Activation, ReLU};
+use crate::activation::Activation;
 use crate::init::Init;
 use crate::linear::Linear;
-use crate::param::{InferLayer, Layer, Param};
+use crate::param::{InferLayer, Param, Params};
 use crate::tensor::Matrix;
-use crate::workspace::ForwardWorkspace;
+use crate::workspace::{pick2, ForwardWorkspace, TrainWorkspace};
 use rand::rngs::SmallRng;
 
 /// A feed-forward network: `Linear -> ReLU -> ... -> Linear` (no activation on
@@ -14,7 +14,6 @@ use rand::rngs::SmallRng;
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    relus: Vec<ReLU>,
     sizes: Vec<usize>,
 }
 
@@ -25,15 +24,9 @@ impl Mlp {
     /// Panics if fewer than two sizes are given.
     pub fn new(sizes: &[usize], rng: &mut SmallRng) -> Self {
         assert!(sizes.len() >= 2, "an MLP needs at least input and output sizes");
-        let mut layers = Vec::with_capacity(sizes.len() - 1);
-        let mut relus = Vec::new();
-        for w in sizes.windows(2) {
-            layers.push(Linear::new(w[0], w[1], Init::KaimingUniform, rng));
-        }
-        for _ in 0..layers.len().saturating_sub(1) {
-            relus.push(ReLU::new());
-        }
-        Self { layers, relus, sizes: sizes.to_vec() }
+        let layers =
+            sizes.windows(2).map(|w| Linear::new(w[0], w[1], Init::KaimingUniform, rng)).collect();
+        Self { layers, sizes: sizes.to_vec() }
     }
 
     /// The layer sizes this MLP was built with.
@@ -56,43 +49,72 @@ impl Mlp {
         &self.layers
     }
 
-    /// Forward pass without caching activations (inference-only).
+    /// Forward pass without caching; convenience for one-off calls.
+    ///
+    /// Allocates a throwaway workspace per call; hot paths should hold a
+    /// persistent [`ForwardWorkspace`] and use [`InferLayer::infer_into`]
+    /// instead.
     pub fn forward_inference(&self, input: &Matrix) -> Matrix {
         let mut ws = ForwardWorkspace::new();
         self.infer_into(input, &mut ws).clone()
     }
 
-    /// Scratch-buffer backward: the allocation-free replacement for
-    /// [`Layer::backward`], bit-identical to it. The gradient ping-pongs
-    /// between the two caller buffers `ga`/`gb` (an MLP has no residual
-    /// skips, so two suffice), ReLU gates run in place, and `dW`/`db` are
-    /// staged in `dw`/`db` before accumulating into the parameter gradients
-    /// (preserving the allocating path's rounding order). Returns the
-    /// gradient w.r.t. the input (a reference into `ga` or `gb`) when
-    /// `need_input_grad` is set.
-    pub fn backward_scratch<'a>(
-        &mut self,
-        grad_out: &Matrix,
-        ga: &'a mut Matrix,
-        gb: &'a mut Matrix,
-        dw: &mut Matrix,
-        db: &mut Vec<f32>,
-        need_input_grad: bool,
-    ) -> Option<&'a Matrix> {
-        let last = self.layers.len() - 1;
-        self.layers[last].backward_scratch(grad_out, dw, db, Some(&mut *ga));
-        // Which buffer holds the live gradient: `ga` when false, `gb` when true.
-        let mut flip = false;
-        for i in (0..last).rev() {
-            let (cur, next) = if flip { (&mut *gb, &mut *ga) } else { (&mut *ga, &mut *gb) };
-            self.relus[i].gate_inplace(cur);
-            let want = i > 0 || need_input_grad;
-            self.layers[i].backward_scratch(cur, dw, db, if want { Some(next) } else { None });
-            if want {
-                flip = !flip;
+    /// The training forward through a [`TrainWorkspace`]: layer `i`'s output
+    /// (rectified, for every layer but the last) is checkpointed into the
+    /// workspace's `i`-th activation buffer and cached as layer `i + 1`'s
+    /// input, so the steady-state pass allocates nothing. The result is
+    /// bit-identical to [`InferLayer::infer_into`]'s and lives in `tws` until
+    /// the next pass overwrites it; the matching backward is
+    /// [`Mlp::backward_scratch`].
+    pub fn forward_train<'w>(&mut self, input: &Matrix, tws: &'w mut TrainWorkspace) -> &'w Matrix {
+        let num = self.layers.len();
+        let (acts, _aux, _masked) = tws.parts(num);
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let (prev, rest) = acts.split_at_mut(i);
+            let x = if i == 0 { input } else { &prev[i - 1] };
+            layer.train_forward(x, &mut rest[0]);
+            if i + 1 < num {
+                Activation::Relu.apply(rest[0].as_mut_slice());
             }
         }
-        need_input_grad.then_some(if flip { &*gb } else { &*ga })
+        &acts[num - 1]
+    }
+
+    /// Scratch-buffer backward for the most recent [`Mlp::forward_train`].
+    /// The gradient ping-pongs through the workspace's gradient buffers, each
+    /// ReLU is gated in place against the rectified activation the forward
+    /// checkpointed, and `dW`/`db` are staged in workspace scratch
+    /// before accumulating into the parameter gradients. With
+    /// `need_input_grad` the gradient w.r.t. the network input is left
+    /// readable via [`TrainWorkspace::input_grad`]; without it the first
+    /// layer skips that matmul.
+    ///
+    /// # Panics
+    /// Panics if called before a training forward.
+    pub fn backward_scratch(
+        &mut self,
+        grad_out: &Matrix,
+        tws: &mut TrainWorkspace,
+        need_input_grad: bool,
+    ) {
+        let (acts, grads, dw, db, _masked) = tws.backward_parts();
+        let last = self.layers.len() - 1;
+        // Index of the grads buffer the *next* stage reads from.
+        let mut cur = 0usize;
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let want = i > 0 || need_input_grad;
+            if i == last {
+                layer.backward_scratch(grad_out, dw, db, want.then_some(&mut grads[0]));
+                continue;
+            }
+            Activation::Relu.gate(grads[cur].as_mut_slice(), acts[i].as_slice());
+            let (g_out, g_in) = pick2(grads, cur);
+            layer.backward_scratch(g_out, dw, db, want.then_some(g_in));
+            if want {
+                cur = (cur + 1) % 3;
+            }
+        }
+        tws.set_input_grad_slot(cur);
     }
 }
 
@@ -111,30 +133,7 @@ impl InferLayer for Mlp {
     }
 }
 
-impl Layer for Mlp {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        let last = self.layers.len() - 1;
-        for i in 0..self.layers.len() {
-            x = self.layers[i].forward(&x);
-            if i < last {
-                x = self.relus[i].forward(&x);
-            }
-        }
-        x
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // The last layer consumes `grad_out` by reference — no upfront clone.
-        let last = self.layers.len() - 1;
-        let mut grad = self.layers[last].backward(grad_out);
-        for i in (0..last).rev() {
-            grad = self.relus[i].backward(&grad);
-            grad = self.layers[i].backward(&grad);
-        }
-        grad
-    }
-
+impl Params for Mlp {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
@@ -152,8 +151,8 @@ mod tests {
     #[test]
     fn shapes_are_correct() {
         let mut rng = seeded_rng(20);
-        let mut mlp = Mlp::new(&[4, 8, 3], &mut rng);
-        let y = mlp.forward(&Matrix::zeros(5, 4));
+        let mlp = Mlp::new(&[4, 8, 3], &mut rng);
+        let y = mlp.forward_inference(&Matrix::zeros(5, 4));
         assert_eq!(y.shape(), (5, 3));
         assert_eq!(mlp.in_features(), 4);
         assert_eq!(mlp.out_features(), 3);
@@ -164,11 +163,9 @@ mod tests {
         let mut rng = seeded_rng(21);
         let mut mlp = Mlp::new(&[3, 6, 2], &mut rng);
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.4, 0.9, 1.2, 0.0, -0.7]);
-        let a = mlp.forward(&x);
-        let b = mlp.forward_inference(&x);
-        for (u, v) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((u - v).abs() < 1e-6);
-        }
+        let mut tws = TrainWorkspace::new();
+        let trained = mlp.forward_train(&x, &mut tws).clone();
+        assert_eq!(trained.as_slice(), mlp.forward_inference(&x).as_slice());
     }
 
     #[test]
@@ -178,45 +175,16 @@ mod tests {
         let xs = Matrix::from_vec(4, 2, vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
         let ys = Matrix::from_vec(4, 1, vec![0.0, 1.0, 1.0, 0.0]);
         let mut adam = Adam::new(0.02);
+        let mut tws = TrainWorkspace::new();
         let mut final_loss = f32::MAX;
         for _ in 0..2000 {
             mlp.zero_grad();
-            let pred = mlp.forward(&xs);
-            let (loss, grad) = mse(&pred, &ys);
-            let _ = mlp.backward(&grad);
+            let (loss, grad) = mse(mlp.forward_train(&xs, &mut tws), &ys);
+            mlp.backward_scratch(&grad, &mut tws, false);
             adam.step(&mut mlp);
             final_loss = loss;
         }
         assert!(final_loss < 0.03, "MLP failed to learn XOR, loss = {final_loss}");
-    }
-
-    #[test]
-    fn backward_scratch_matches_allocating_backward_bitwise() {
-        let mut rng = seeded_rng(24);
-        let mut reference = Mlp::new(&[3, 8, 8, 2], &mut rng);
-        let mut scratch = reference.clone();
-        let x = Matrix::from_vec(2, 3, vec![0.1, -0.4, 0.9, 1.2, 0.0, -0.7]);
-        let target = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-
-        reference.zero_grad();
-        let pred = reference.forward(&x);
-        let (_, grad) = mse(&pred, &target);
-        let input_grad_ref = reference.backward(&grad);
-
-        scratch.zero_grad();
-        let pred2 = scratch.forward(&x);
-        assert_eq!(pred2.as_slice(), pred.as_slice());
-        let (mut ga, mut gb) = (Matrix::default(), Matrix::default());
-        let (mut dw, mut db) = (Matrix::default(), Vec::new());
-        let input_grad =
-            scratch.backward_scratch(&grad, &mut ga, &mut gb, &mut dw, &mut db, true).unwrap();
-        assert_eq!(input_grad.as_slice(), input_grad_ref.as_slice());
-
-        let mut want = Vec::new();
-        reference.visit_params(&mut |p| want.extend_from_slice(p.grad.as_slice()));
-        let mut got = Vec::new();
-        scratch.visit_params(&mut |p| got.extend_from_slice(p.grad.as_slice()));
-        assert_eq!(got, want);
     }
 
     #[test]

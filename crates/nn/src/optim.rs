@@ -1,10 +1,10 @@
-//! First-order optimizers operating on any [`Layer`]'s parameters.
+//! The Adam optimizer, operating on anything that implements [`Params`].
 //!
 //! The optimizer keeps its per-parameter state (Adam moments) in the order the
-//! layer visits its parameters, so the same layer instance must be used for
+//! model visits its parameters, so the same model instance must be used for
 //! every step.
 
-use crate::param::Layer;
+use crate::param::Params;
 
 /// Gradient clipping configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,10 +75,10 @@ impl Adam {
         self.step
     }
 
-    /// Apply one update using the gradients currently stored in the layer's
+    /// Apply one update using the gradients currently stored in the model's
     /// parameters, then leave the gradients untouched (call
-    /// [`Layer::zero_grad`] before the next backward pass).
-    pub fn step(&mut self, layer: &mut dyn Layer) {
+    /// [`Params::zero_grad`] before the next backward pass).
+    pub fn step(&mut self, layer: &mut dyn Params) {
         self.step += 1;
         let t = self.step as f32;
         let bias1 = 1.0 - self.beta1.powf(t);
@@ -124,74 +124,35 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent, mostly used in tests as a sanity check.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Create SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    /// Apply `data -= lr * grad` to every parameter.
-    pub fn step(&mut self, layer: &mut dyn Layer) {
-        let lr = self.lr;
-        layer.visit_params(&mut |p| {
-            let data = p.data.as_mut_slice();
-            let grad = p.grad.as_slice();
-            for i in 0..data.len() {
-                let g = grad[i];
-                if g.is_finite() {
-                    data[i] -= lr * g;
-                }
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::init::{seeded_rng, Init};
     use crate::linear::Linear;
     use crate::loss::mse;
-    use crate::param::Layer;
+    use crate::param::Params;
     use crate::tensor::Matrix;
 
-    fn train_regression(optimizer: &mut dyn FnMut(&mut Linear), steps: usize) -> f32 {
+    #[test]
+    fn adam_converges_on_linear_regression() {
         let mut rng = seeded_rng(99);
         let mut layer = Linear::new(1, 1, Init::KaimingUniform, &mut rng);
         // Learn y = 3x + 1.
         let xs = Matrix::from_vec(8, 1, (0..8).map(|i| i as f32 / 8.0).collect());
         let ys = Matrix::from_vec(8, 1, (0..8).map(|i| 3.0 * i as f32 / 8.0 + 1.0).collect());
-        let mut last = f32::MAX;
-        for _ in 0..steps {
-            layer.zero_grad();
-            let pred = layer.forward(&xs);
-            let (loss, grad) = mse(&pred, &ys);
-            let _ = layer.backward(&grad);
-            optimizer(&mut layer);
-            last = loss;
-        }
-        last
-    }
-
-    #[test]
-    fn adam_converges_on_linear_regression() {
         let mut adam = Adam::new(0.05);
-        let loss = train_regression(&mut |l| adam.step(l), 500);
+        let (mut pred, mut dw, mut db) = (Matrix::default(), Matrix::default(), Vec::new());
+        let mut loss = f32::MAX;
+        for _ in 0..500 {
+            layer.zero_grad();
+            layer.train_forward(&xs, &mut pred);
+            let (l, grad) = mse(&pred, &ys);
+            layer.backward_scratch(&grad, &mut dw, &mut db, None);
+            adam.step(&mut layer);
+            loss = l;
+        }
         assert!(loss < 1e-3, "Adam failed to converge, loss = {loss}");
         assert_eq!(adam.steps(), 500);
-    }
-
-    #[test]
-    fn sgd_converges_on_linear_regression() {
-        let mut sgd = Sgd::new(0.2);
-        let loss = train_regression(&mut |l| sgd.step(l), 800);
-        assert!(loss < 1e-2, "SGD failed to converge, loss = {loss}");
     }
 
     #[test]

@@ -1,17 +1,21 @@
-//! Trainable parameters and the layer abstractions shared by all networks.
+//! Trainable parameters and the two traits shared by all networks.
 //!
-//! Two traits split the forward path by purpose:
+//! * [`Params`] is **parameter visiting** only: the optimizer, the
+//!   checkpoint codec and gradient zeroing reach a network's weights through
+//!   it and nothing else, so anything that owns parameters can implement it
+//!   without pretending to be a forward pass;
+//! * [`InferLayer`] is the **inference** forward: `infer_into` runs through a
+//!   caller-provided [`ForwardWorkspace`], caching nothing and allocating
+//!   nothing once the workspace is warm. It takes `&self`, so a model behind
+//!   an `Arc` can serve concurrent readers.
 //!
-//! * [`Layer`] is the **training** abstraction: `forward` caches whatever the
-//!   matching `backward` needs (inputs, pre-activations), so it takes `&mut
-//!   self` and costs memory per call;
-//! * [`InferLayer`] is the **inference** abstraction: `infer_into` runs the
-//!   same computation through a caller-provided
-//!   [`ForwardWorkspace`], caching
-//!   nothing and allocating nothing once the workspace is warm. It takes
-//!   `&self`, so a model behind an `Arc` can serve concurrent readers.
-//!
-//! Both paths are bit-identical for the same weights and input.
+//! Training has no trait: each network has one inherent checkpointing forward
+//! and one scratch backward over a
+//! [`TrainWorkspace`](crate::workspace::TrainWorkspace) (`forward_train` /
+//! `backward_scratch` on [`Made`](crate::made::Made) and
+//! [`Mlp`](crate::mlp::Mlp)). Inference and training forwards are
+//! bit-identical for the same weights and input; both are checked against a
+//! naive triple-loop reference in `crates/nn/tests/reference.rs`.
 
 use crate::tensor::Matrix;
 use crate::workspace::ForwardWorkspace;
@@ -86,20 +90,13 @@ impl Param {
     }
 }
 
-/// A differentiable module with cached activations.
+/// Anything that owns trainable parameters.
 ///
-/// The contract is the usual one for define-by-hand backprop:
-/// `forward` must be called before `backward`, and `backward` must be given
-/// the gradient of the loss w.r.t. the output of the *most recent* forward.
-pub trait Layer {
-    /// Compute the output for `input` (a batch: one row per example), caching
-    /// whatever is needed for the backward pass.
-    fn forward(&mut self, input: &Matrix) -> Matrix;
-
-    /// Propagate `grad_out` (dL/d output) back, accumulating parameter
-    /// gradients and returning dL/d input.
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix;
-
+/// The visiting order is the identity of a parameter: the optimizer keys its
+/// moments by it and a checkpoint is the parameters in this order, so an
+/// implementation must visit the same parameters in the same order on every
+/// call.
+pub trait Params {
     /// Visit every trainable parameter (for optimizers / serialization).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 
@@ -125,8 +122,8 @@ pub trait Layer {
 pub trait InferLayer {
     /// Run the forward computation for `input` (a batch: one row per
     /// example) and return a reference to the output, which lives in `ws`
-    /// until the next pass overwrites it. Bit-identical to the training
-    /// [`Layer::forward`] for the same weights.
+    /// until the next pass overwrites it. Bit-identical to the network's
+    /// training forward for the same weights.
     fn infer_into<'w>(&self, input: &Matrix, ws: &'w mut ForwardWorkspace) -> &'w Matrix;
 }
 

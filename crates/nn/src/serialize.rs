@@ -8,7 +8,7 @@
 //! architecture itself is reconstructed from the estimator's own config (which
 //! is serialized separately with `serde` where needed).
 
-use crate::param::Layer;
+use crate::param::Params;
 use crate::tensor::Matrix;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -78,7 +78,7 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// Serialize every parameter of `layer` into a checkpoint buffer.
-pub fn save_params(layer: &mut dyn Layer) -> Bytes {
+pub fn save_params(layer: &mut dyn Params) -> Bytes {
     let mut shapes: Vec<(usize, usize)> = Vec::new();
     let mut payload_len = 0usize;
     layer.visit_params(&mut |p| {
@@ -102,7 +102,7 @@ pub fn save_params(layer: &mut dyn Layer) -> Bytes {
 ///
 /// The layer must have been constructed with the same architecture (same
 /// parameter order and shapes).
-pub fn load_params(layer: &mut dyn Layer, bytes: &[u8]) -> Result<(), CheckpointError> {
+pub fn load_params(layer: &mut dyn Params, bytes: &[u8]) -> Result<(), CheckpointError> {
     let mut buf = bytes;
     if buf.remaining() < MAGIC.len() + 8 {
         return Err(CheckpointError::Truncated);

@@ -168,17 +168,6 @@ impl MaskedWeightCache {
         entry
     }
 
-    /// The cached dense masked weight for `slot` (see
-    /// [`MaskedWeightCache::entry`]).
-    pub fn get_or_fill(
-        &mut self,
-        slot: usize,
-        key: WeightKey,
-        fill: impl FnOnce(&mut Matrix),
-    ) -> &Matrix {
-        &self.entry(slot, key, fill).weight
-    }
-
     /// Number of slots materialized so far.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -301,8 +290,10 @@ impl ForwardWorkspace {
 /// shapes on the first batch and are reused allocation-free afterwards, and
 /// the weight memo re-validates per layer by [`WeightKey`] — an optimizer
 /// step (which bumps every key through `visit_params`) re-materializes the
-/// masked weights **in place**, costing the same arithmetic as the old
-/// per-forward materialization but none of its allocations.
+/// masked weights **in place**, once per step. One workspace serves either
+/// network kind: [`Made`](crate::made::Made) uses all of it,
+/// [`Mlp`](crate::mlp::Mlp) (no masks, no residual skips) leaves the weight
+/// memo, `aux` and the third gradient buffer empty.
 #[derive(Debug, Clone, Default)]
 pub struct TrainWorkspace {
     /// One checkpointed activation per stage: stage `i` reads `acts[i-1]`
@@ -347,7 +338,8 @@ impl TrainWorkspace {
         (&mut acts[..stages], aux, masked)
     }
 
-    /// Disjoint borrows for one scratch backward pass: the gradient
+    /// Disjoint borrows for one scratch backward pass: the activations the
+    /// forward checkpointed (the ReLU gates read them), the gradient
     /// ping-pong buffers, the weight-gradient staging matrix, the
     /// bias-gradient staging vector, and the masked weight cache (whose
     /// entries, still keyed from the forward pass, provide the effective
@@ -355,9 +347,9 @@ impl TrainWorkspace {
     #[allow(clippy::type_complexity)]
     pub(crate) fn backward_parts(
         &mut self,
-    ) -> (&mut [Matrix; 3], &mut Matrix, &mut Vec<f32>, &mut MaskedWeightCache) {
-        let Self { masked, grads, dw, db, .. } = self;
-        (grads, dw, db, masked)
+    ) -> (&[Matrix], &mut [Matrix; 3], &mut Matrix, &mut Vec<f32>, &mut MaskedWeightCache) {
+        let Self { acts, masked, grads, dw, db, .. } = self;
+        (acts, grads, dw, db, masked)
     }
 
     /// Record which gradient buffer ended the backward pass holding the
@@ -377,6 +369,29 @@ impl TrainWorkspace {
     /// The masked weight cache (inspection / explicit invalidation).
     pub fn masked_cache_mut(&mut self) -> &mut MaskedWeightCache {
         &mut self.masked
+    }
+}
+
+/// Borrow the live gradient buffer (`cur`) plus the next free one from the
+/// ping-pong triple, disjointly.
+pub(crate) fn pick2(bufs: &mut [Matrix; 3], cur: usize) -> (&Matrix, &mut Matrix) {
+    let [a, b, c] = bufs;
+    match cur {
+        0 => (&*a, b),
+        1 => (&*b, c),
+        _ => (&*c, a),
+    }
+}
+
+/// Borrow the live gradient buffer (`cur`) plus both free ones — a residual
+/// block needs all three at once (incoming gradient stays alive for the
+/// identity skip while the two inner backwards write the other two).
+pub(crate) fn pick3(bufs: &mut [Matrix; 3], cur: usize) -> (&Matrix, &mut Matrix, &mut Matrix) {
+    let [a, b, c] = bufs;
+    match cur {
+        0 => (&*a, b, c),
+        1 => (&*b, c, a),
+        _ => (&*c, a, b),
     }
 }
 
@@ -431,25 +446,25 @@ mod tests {
         let key = WeightKey::fresh();
         let mut fills = 0;
         for _ in 0..3 {
-            let w = cache.get_or_fill(0, key, |out| {
+            let entry = cache.entry(0, key, |out| {
                 fills += 1;
                 out.reset(2, 2);
                 out.fill(1.5);
             });
-            assert_eq!(w.get(1, 1), 1.5);
+            assert_eq!(entry.weight().get(1, 1), 1.5);
         }
         assert_eq!(fills, 1, "a matching key must not re-materialize");
 
         let mut other_key = key;
         other_key.bump();
-        cache.get_or_fill(0, other_key, |out| {
+        cache.entry(0, other_key, |out| {
             fills += 1;
             out.fill(2.5);
         });
         assert_eq!(fills, 2, "a bumped version must re-materialize");
 
         cache.invalidate();
-        cache.get_or_fill(0, other_key, |_| fills += 1);
+        cache.entry(0, other_key, |_| fills += 1);
         assert_eq!(fills, 3, "explicit invalidation must re-materialize");
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());

@@ -1,0 +1,185 @@
+//! Bit-identity of the production networks against the naive reference in
+//! `naive/mod.rs`: every forward (`InferLayer::infer_into`, `forward_train`)
+//! and every backward (`backward_scratch`: input gradient and every parameter
+//! gradient) must reproduce the reference's `f32` bits exactly, for MADE and
+//! ResMADE, dense and sparse-enough inputs, batches on both sides of the
+//! blocked-kernel threshold, under both register tiles — and for `Mlp`'s
+//! pair. This is the oracle behind the "estimates and checkpoints are
+//! bit-identical whatever path produced them" guarantee; the kernels alone
+//! are held to the same standard in `kernels.rs`.
+
+mod naive;
+
+use duet_nn::{
+    seeded_rng, with_tile, ForwardWorkspace, InferLayer, Made, MadeConfig, Matrix, Mlp, Params,
+    SparseRows, Tile, TrainWorkspace,
+};
+use naive::{Net, Rows};
+use rand::rngs::SmallRng;
+use rand::Rng;
+
+const TILES: [Tile; 2] = [Tile::Sse4x8, Tile::Avx6x16];
+
+fn rows_of(m: &Matrix) -> Rows {
+    m.rows_iter().map(<[f32]>::to_vec).collect()
+}
+
+fn bits<'a>(values: impl IntoIterator<Item = &'a f32>) -> Vec<u32> {
+    values.into_iter().map(|v| v.to_bits()).collect()
+}
+
+/// A matrix whose entries are nonzero with probability `nnz_prob`.
+fn random_matrix(rows: usize, cols: usize, nnz_prob: f32, rng: &mut SmallRng) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| {
+        if rng.gen_range(0.0..1.0f32) < nnz_prob {
+            rng.gen_range(-1.0f32..1.0)
+        } else {
+            0.0
+        }
+    })
+}
+
+/// Randomize the biases (they initialize to zero, which would leave the bias
+/// add untested) and rebuild `model` as a reference network from its
+/// parameters in visiting order (weight, bias, weight, bias, ...), one
+/// optional mask per linear.
+fn reference_of(
+    model: &mut dyn Params,
+    masks: Vec<Option<Rows>>,
+    residual: bool,
+    rng: &mut SmallRng,
+) -> Net {
+    let mut params = Vec::new();
+    model.visit_params(&mut |p| {
+        if p.data.rows() == 1 {
+            p.data.as_mut_slice().iter_mut().for_each(|b| *b = rng.gen_range(-0.5f32..0.5));
+        }
+        params.push(rows_of(&p.data));
+    });
+    assert_eq!(params.len(), 2 * masks.len(), "one (weight, bias) pair per linear");
+    let layers = params
+        .chunks(2)
+        .zip(masks)
+        .map(|(wb, mask)| naive::Linear::new(wb[0].clone(), mask, wb[1].concat()))
+        .collect();
+    Net::new(layers, residual)
+}
+
+fn assert_grads_match(model: &mut dyn Params, reference: &Net, what: &str) {
+    let want = reference.grads();
+    let mut index = 0;
+    model.visit_params(&mut |p| {
+        assert_eq!(bits(p.grad.as_slice()), bits(&want[index]), "{what}: parameter {index}");
+        index += 1;
+    });
+    assert_eq!(index, want.len(), "{what}: parameter count");
+}
+
+/// Two accumulating forward/backward passes (as one hybrid step runs) of
+/// `pass(input, grad_out) -> (inference logits, training logits, input grad)`
+/// against the reference.
+fn check_two_passes(
+    reference: &mut Net,
+    inputs: [&Matrix; 2],
+    out_width: usize,
+    rng: &mut SmallRng,
+    what: &str,
+    mut pass: impl FnMut(&Matrix, &Matrix) -> (Matrix, Matrix, Matrix),
+) {
+    for (n, x) in inputs.into_iter().enumerate() {
+        let grad_out = random_matrix(x.rows(), out_width, 0.9, rng);
+        let (inferred, trained, grad_in) = pass(x, &grad_out);
+        let tape = reference.forward(&rows_of(x));
+        let want_grad_in = reference.backward(&tape, &rows_of(&grad_out));
+        let want = bits(tape.output.iter().flatten());
+        assert_eq!(bits(inferred.as_slice()), want, "{what}: infer_into, pass {n}");
+        assert_eq!(bits(trained.as_slice()), want, "{what}: forward_train, pass {n}");
+        assert_eq!(
+            bits(grad_in.as_slice()),
+            bits(want_grad_in.iter().flatten()),
+            "{what}: input gradient, pass {n}"
+        );
+    }
+}
+
+#[test]
+fn made_pair_matches_the_naive_reference_bitwise() {
+    for tile in TILES {
+        for residual in [false, true] {
+            // 0.25 takes the fused sparse first layer, 0.95 the dense kernels.
+            for nnz_prob in [0.25f32, 0.95] {
+                // 19 rows run the blocked/packed kernels, 3 the naive ones.
+                for rows in [19usize, 3] {
+                    let what = format!("{tile:?} residual={residual} nnz={nnz_prob} rows={rows}");
+                    with_tile(tile, || check_made(residual, nnz_prob, rows, &what));
+                }
+            }
+        }
+    }
+}
+
+fn check_made(residual: bool, nnz_prob: f32, rows: usize, what: &str) {
+    let config = MadeConfig {
+        input_block_sizes: vec![4, 3, 5, 6],
+        output_block_sizes: vec![6, 2, 9, 4],
+        hidden_sizes: vec![24, 24, 24],
+        residual,
+    };
+    let mut rng = seeded_rng(41);
+    let mut made = Made::new(config.clone(), &mut rng);
+    let masks = naive::made_masks(
+        &config.input_block_sizes,
+        &config.output_block_sizes,
+        &config.hidden_sizes,
+        residual,
+    );
+    let masks = masks.into_iter().map(Some).collect();
+    let mut reference = reference_of(&mut made, masks, residual, &mut rng);
+    let inputs = [
+        random_matrix(rows, config.input_width(), nnz_prob, &mut rng),
+        random_matrix(rows, config.input_width(), nnz_prob, &mut rng),
+    ];
+
+    made.zero_grad();
+    let (mut ws, mut tws) = (ForwardWorkspace::new(), TrainWorkspace::new());
+    let mut sparse = SparseRows::new();
+    let pass = |x: &Matrix, grad_out: &Matrix| {
+        sparse.capture_from(x);
+        assert_eq!(sparse.is_sparse_enough(), nnz_prob < 0.4, "{what}: input picks the path");
+        let inferred = made.infer_into(x, &mut ws).clone();
+        let trained = made.forward_train(x, Some(&sparse), &mut tws).clone();
+        made.backward_scratch(grad_out, Some(&sparse), &mut tws, true);
+        (inferred, trained, tws.input_grad().clone())
+    };
+    let [a, b] = &inputs;
+    check_two_passes(&mut reference, [a, b], config.output_width(), &mut rng, what, pass);
+    assert_grads_match(&mut made, &reference, what);
+}
+
+#[test]
+fn mlp_pair_matches_the_naive_reference_bitwise() {
+    for tile in TILES {
+        for rows in [11usize, 2] {
+            let what = format!("{tile:?} rows={rows}");
+            with_tile(tile, || {
+                let mut rng = seeded_rng(43);
+                let mut mlp = Mlp::new(&[5, 16, 16, 9], &mut rng);
+                let mut reference = reference_of(&mut mlp, vec![None; 3], false, &mut rng);
+                let inputs =
+                    [random_matrix(rows, 5, 0.9, &mut rng), random_matrix(rows, 5, 0.4, &mut rng)];
+
+                mlp.zero_grad();
+                let (mut ws, mut tws) = (ForwardWorkspace::new(), TrainWorkspace::new());
+                let pass = |x: &Matrix, grad_out: &Matrix| {
+                    let inferred = mlp.infer_into(x, &mut ws).clone();
+                    let trained = mlp.forward_train(x, &mut tws).clone();
+                    mlp.backward_scratch(grad_out, &mut tws, true);
+                    (inferred, trained, tws.input_grad().clone())
+                };
+                let [a, b] = &inputs;
+                check_two_passes(&mut reference, [a, b], 9, &mut rng, &what, pass);
+                assert_grads_match(&mut mlp, &reference, &what);
+            });
+        }
+    }
+}

@@ -4,7 +4,7 @@
 //! the in-workload tail, and O(1) latency scaling.
 
 use duet::baselines::IndependenceEstimator;
-use duet::core::{DuetConfig, DuetEstimator};
+use duet::core::{DuetConfig, DuetEstimator, DuetWorkspace};
 use duet::data::datasets::{census_like, kddcup98_like};
 use duet::query::{
     exact_cardinality, label_workload, CardinalityEstimator, QErrorSummary, Query, WorkloadSpec,
@@ -84,10 +84,11 @@ fn estimation_latency_is_flat_in_the_number_of_constrained_columns() {
 
     let narrow = WorkloadSpec::random(&table, 30, 5).with_max_columns(2).generate(&table);
     let wide = WorkloadSpec::random(&table, 30, 6).with_max_columns(60).generate(&table);
-    let time = |queries: &[Query]| {
+    let mut ws = DuetWorkspace::new();
+    let mut time = |queries: &[Query]| {
         let start = std::time::Instant::now();
         for q in queries {
-            let _ = duet.estimate_with_breakdown(q);
+            let _ = duet.estimate_with_breakdown(q, &mut ws);
         }
         start.elapsed().as_secs_f64() / queries.len() as f64
     };

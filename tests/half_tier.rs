@@ -81,8 +81,8 @@ fn half_mode_is_deterministic_and_rebatching_stays_in_the_envelope() {
 
     // Re-batching: Full is bit-invariant (the kernel contract). Half is a
     // *storage* tier for the batched hot loop — small chunks legitimately
-    // fall back to the exact f32 kernels (see `MaskedLinear::
-    // infer_with_entry_mode`), so chunked results may flip between the half
+    // fall back to the exact f32 kernels (see `MaskedLinear::infer_entry`),
+    // so chunked results may flip between the half
     // and exact paths. Every path stays inside the compression envelope, so
     // the chunked run must stay within it too.
     let mut ws = DuetWorkspace::new();

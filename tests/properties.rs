@@ -3,7 +3,9 @@
 //! autoregressive masking of the Duet model, and the serving cache's
 //! epoch-tagged insert protocol around hot-swaps.
 
-use duet::core::{query_to_id_predicates, sample_predicate, DuetConfig, DuetEstimator, DuetModel};
+use duet::core::{
+    query_to_id_predicates, sample_predicate, DuetConfig, DuetEstimator, DuetModel, DuetWorkspace,
+};
 use duet::data::datasets::census_like;
 use duet::data::{Column, Table, Value};
 use duet::nn::seeded_rng;
@@ -123,9 +125,19 @@ proptest! {
             .and(col_b, op_from_index(op_b), Value::Int(lit_b));
         let preds = query_to_id_predicates(&table, &query);
         let intervals = query.column_intervals(&table);
-        let sel = model.estimate_selectivity(&preds, &intervals);
+        let mut sels = Vec::new();
+        let mut estimate = || {
+            model.estimate_selectivity_batch_with(
+                std::slice::from_ref(&preds),
+                std::slice::from_ref(&intervals),
+                &mut DuetWorkspace::new(),
+                &mut sels,
+            );
+            sels[0]
+        };
+        let sel = estimate();
         prop_assert!((0.0..=1.0).contains(&sel));
-        prop_assert_eq!(sel, model.estimate_selectivity(&preds, &intervals));
+        prop_assert_eq!(sel, estimate());
     }
 
     /// A trained estimator never exceeds the table size and treats an
@@ -150,7 +162,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use duet::nn::{
-    rowvec_matmul_into, Activation, ForwardWorkspace, InferLayer, Layer, Made, MadeConfig, Matrix,
+    rowvec_matmul_into, Activation, ForwardWorkspace, InferLayer, Made, MadeConfig, Matrix,
+    TrainWorkspace,
 };
 
 /// Deterministic pseudo-random matrix (LCG, no `rand` dependency).
@@ -226,8 +239,8 @@ proptest! {
     }
 
     /// A workspace-threaded MADE inference pass is bit-identical to the
-    /// caching training forward, including across reuses of one workspace
-    /// for different batch sizes (both plain MADE and ResMADE).
+    /// checkpointing training forward, including across reuses of both
+    /// workspaces for different batch sizes (both plain MADE and ResMADE).
     #[test]
     fn made_infer_into_matches_training_forward(
         batch in 1usize..8,
@@ -243,11 +256,11 @@ proptest! {
         };
         let mut rng = seeded_rng(seed);
         let mut made = Made::new(config, &mut rng);
-        let mut ws = ForwardWorkspace::new();
+        let (mut ws, mut tws) = (ForwardWorkspace::new(), TrainWorkspace::new());
         for round in 0..3u64 {
             let rows = 1 + (batch + round as usize) % 8;
             let x = lcg_matrix(rows, 9, seed ^ round);
-            let trained = made.forward(&x);
+            let trained = made.forward_train(&x, None, &mut tws);
             let inferred = made.infer_into(&x, &mut ws);
             prop_assert_eq!(inferred.as_slice(), trained.as_slice());
         }

@@ -3,7 +3,7 @@
 //! measured after warm-up — the steady-state serving hot loop must perform
 //! **zero** heap allocations (and zero frees).
 //!
-//! Nine phases: the raw batched estimation path (full and shrinking
+//! Eleven phases: the raw batched estimation path (full and shrinking
 //! batches), the **routed multi-table hot loop** — admission into a
 //! bounded shard queue, same-table batch formation at dequeue, deadline
 //! triage, and per-table-workspace batch execution across two
@@ -39,15 +39,19 @@
 //! that the fault-domain machinery (the unwind guard plus the hook's
 //! disarmed atomic check) is free on the happy path; the one injected
 //! panic, the typed batch failure, and the worker respawn all happen
-//! during warm-up.
+//! during warm-up — and the **MPSN training step**: the full hybrid
+//! `train_step` again on models whose columns carry an MPSN (all three
+//! kinds), so the input gradient, the re-staged predicate encodings and the
+//! embedders' own forward/backward pairs (back-propagation through time for
+//! the recurrent and recursive kinds) are inside the window too.
 //!
-//! Ten phases in all. This lives in its own integration-test binary so the
+//! This lives in its own integration-test binary so the
 //! global allocator and the single-threaded measurement cannot interfere
 //! with other tests.
 
 use duet::core::{
     data_forward, query_forward, query_to_id_predicates, sample_virtual_batch, train_step,
-    DuetConfig, DuetEstimator, DuetModel, DuetWorkspace, PreparedQuery, SamplerConfig,
+    DuetConfig, DuetEstimator, DuetModel, DuetWorkspace, MpsnKind, PreparedQuery, SamplerConfig,
     TrainStepScratch,
 };
 use duet::data::datasets::census_like;
@@ -100,6 +104,7 @@ fn steady_state_batched_inference_is_allocation_free() {
     budgeted_tier_phase();
     trainer_tick_phase();
     supervised_fault_phase();
+    mpsn_train_step_phase();
 }
 
 fn full_batch_phase() {
@@ -332,6 +337,70 @@ fn full_train_step_phase() {
             "steady-state full train step must not allocate (residual={residual})"
         );
         assert_eq!(frees, 0, "steady-state full train step must not free (residual={residual})");
+    }
+}
+
+fn mpsn_train_step_phase() {
+    // The eleventh phase: `full_train_step_phase` again, on models with an
+    // MPSN per column and up to three predicates per column. On top of the
+    // plain step this runs the backbone's input-gradient matmul, re-stages
+    // every multi-predicate column's encodings through the workspace, and
+    // drives each embedder's training pair — for the recurrent and
+    // recursive kinds, back-propagation through time over the staged state
+    // sequence. All of it must be allocation-free once warm.
+    //
+    // With MPSNs the backbone's input is a dense embedding, and training
+    // moves the hidden activations' density across the kernels' 0.4 dispatch
+    // boundary within a few steps; the first dense batch a layer sees builds
+    // that layer's packed weight — a one-time event of the backbone that
+    // would land inside the window at an arbitrary step. So the learning
+    // rate drops to zero after two real steps: every measured step still
+    // runs in full (moments update, every weight key bumps, masked weights
+    // re-materialize in place), but the weights — and with them every
+    // dispatch decision — stay where the last warm-up step left them.
+    let table = census_like(400, 9);
+    for kind in [MpsnKind::Mlp, MpsnKind::Recurrent, MpsnKind::Recursive] {
+        let cfg = DuetConfig::small().with_mpsn(kind, 3);
+        let mut model = DuetModel::new(&table, &cfg, 13);
+        let mut rng = seeded_rng(31);
+        let sampler = SamplerConfig {
+            expand_mu: cfg.expand_mu,
+            wildcard_prob: cfg.wildcard_prob,
+            max_predicates_per_column: cfg.max_predicates_per_column,
+        };
+        let anchor_rows: Vec<usize> = (0..32).collect();
+        let batch = sample_virtual_batch(&table, &anchor_rows, &sampler, &mut rng);
+        assert!(
+            batch.iter().any(|vt| vt.predicates.iter().any(|p| p.len() > 1)),
+            "the batch must carry multi-predicate columns ({kind:?})"
+        );
+        let queries = WorkloadSpec::random(&table, 16, 21).generate(&table);
+        let prepared: Vec<PreparedQuery> = queries
+            .iter()
+            .map(|q| PreparedQuery::prepare(&table, q, exact_cardinality(&table, q)))
+            .collect();
+        let num_rows = table.num_rows() as f64;
+
+        let mut scratch = TrainStepScratch::new();
+        let mut adam = Adam::new(1e-3);
+        for _ in 0..2 {
+            train_step(&mut model, &mut adam, &batch, &prepared, num_rows, 0.1, &mut scratch);
+        }
+        adam.set_learning_rate(0.0);
+        train_step(&mut model, &mut adam, &batch, &prepared, num_rows, 0.1, &mut scratch);
+
+        let (allocs_before, frees_before) =
+            (ALLOCS.load(Ordering::Relaxed), FREES.load(Ordering::Relaxed));
+        for _ in 0..10 {
+            let (data_loss, query_loss, mean_q) =
+                train_step(&mut model, &mut adam, &batch, &prepared, num_rows, 0.1, &mut scratch);
+            assert!(data_loss.is_finite() && query_loss.is_finite(), "loss diverged ({kind:?})");
+            assert!(mean_q.is_finite() && mean_q >= 1.0, "mean Q-Error out of range ({kind:?})");
+        }
+        let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+        let frees = FREES.load(Ordering::Relaxed) - frees_before;
+        assert_eq!(allocs, 0, "steady-state MPSN train step must not allocate ({kind:?})");
+        assert_eq!(frees, 0, "steady-state MPSN train step must not free ({kind:?})");
     }
 }
 
