@@ -188,18 +188,13 @@ impl ShardWorker {
         // reload fails (spill I/O, corrupt checkpoint) the batch is shed on
         // the retryable overload path rather than crashing the worker.
         let epoch = resources.cache.epoch();
-        let was_resident = resources.slot.is_resident();
-        let Ok((generation, estimator)) = resources.slot.try_current_versioned() else {
-            metrics.record_reload_failure();
+        let Ok((generation, estimator)) = resources.slot.resolve(metrics) else {
             for request in &mut self.batch[..live] {
                 metrics.record_shed_overload();
                 deliver(&mut request.reply, Err(ShedReason::QueueFull), outcomes);
             }
             return;
         };
-        if !was_resident {
-            metrics.record_model_reload();
-        }
         if let Some(fault) = &self.fault {
             fault();
         }

@@ -38,14 +38,16 @@
 //! * [`server`] — [`DuetServer`], the blocking, `Sync` front door tying the
 //!   pieces together;
 //! * [`sim`] — a **deterministic serving test harness**: a virtual-clock,
-//!   seeded-RNG multi-client driver that replays scripted arrival patterns
-//!   through the real router/worker code, making the concurrency layer
-//!   regression-testable instead of timing-dependent;
+//!   seeded-RNG driver that replays a script (arrivals, ingest, feedback,
+//!   trainer ticks, faults) through the real router/worker code over either
+//!   transport, making the concurrency layer regression-testable instead of
+//!   timing-dependent;
 //! * [`wire`] — **duet-wire**, the TCP front door: a compact binary
 //!   protocol with pipelined connections, served by nonblocking acceptor
 //!   threads ([`DuetServer::serve_wire`]) and driven byte-for-byte by the
-//!   simulator ([`sim::run_wire_scenario`]) so framing, backpressure, and
-//!   out-of-order completion are replay-testable without sockets.
+//!   simulator ([`sim::replay`] under [`sim::Transport::Wire`]) so framing,
+//!   backpressure, and out-of-order completion are replay-testable without
+//!   sockets.
 //!
 //! The crate is organized into **fault domains**: every shard worker runs
 //! its batches under `catch_unwind` supervision (a panicking batch answers
@@ -55,7 +57,7 @@
 //! seeded jittered backoff ([`wire::RetryConfig`]) and can redial a dead
 //! server, and [`DuetServer::shutdown`] drains queued work before stopping.
 //! All of it is replayable under seeded fault injection
-//! ([`sim::FaultPlan`], [`sim::run_fault_scenario`]).
+//! ([`sim::FaultPlan`] merged into a script, [`sim::replay`]).
 //!
 //! ```no_run
 //! use duet_core::{DuetConfig, DuetEstimator};

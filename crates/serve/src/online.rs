@@ -35,8 +35,8 @@
 //! Everything is deterministic given the config seed: the trainer owns a
 //! seeded [`SmallRng`], ticks run on the caller's cadence (the sim drives
 //! them from the virtual clock), and no wall-clock time is read — which is
-//! what lets `sim::run_drift_scenario` replay the whole
-//! drift → retrain → hot-swap sequence bit-identically.
+//! what lets the sim's drift script (`sim::DriftScenarioConfig::generate`)
+//! replay the whole drift → retrain → hot-swap sequence bit-identically.
 
 use crate::cache::{HotSet, ShardedCache};
 use crate::metrics::ServeMetrics;

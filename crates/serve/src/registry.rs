@@ -25,6 +25,7 @@
 //! estimates the evicted instance would have. Evict/reload therefore does
 //! **not** bump the generation: cached results stay valid.
 
+use crate::metrics::ServeMetrics;
 use duet_core::{load_weights, CheckpointError, DuetConfig, DuetEstimator};
 use duet_data::Table;
 use duet_query::CardinalityEstimator;
@@ -233,6 +234,26 @@ impl ModelSlot {
     /// estimates exactly, under the same generation. On a resident slot this
     /// is a read-lock `Arc` clone, same as before eviction.
     pub fn try_current_versioned(&self) -> Result<(u64, Arc<DuetEstimator>), ReloadError> {
+        self.resolve_counting(None)
+    }
+
+    /// [`ModelSlot::try_current_versioned`] for the serving paths, with the
+    /// lazy reload accounted on `metrics`: `model_reloads` when *this call*
+    /// rebuilt the model, `reload_failures` when the rebuild failed. Both are
+    /// recorded under the slot's write lock, beside the slot's own counters,
+    /// so callers racing on one evicted slot record exactly the reloads
+    /// [`ModelSlot::reloads`] counts.
+    pub(crate) fn resolve(
+        &self,
+        metrics: &ServeMetrics,
+    ) -> Result<(u64, Arc<DuetEstimator>), ReloadError> {
+        self.resolve_counting(Some(metrics))
+    }
+
+    fn resolve_counting(
+        &self,
+        metrics: Option<&ServeMetrics>,
+    ) -> Result<(u64, Arc<DuetEstimator>), ReloadError> {
         {
             let inner = self.inner.read().expect("model slot poisoned");
             if let Residency::Resident(estimator) = &inner.state {
@@ -264,6 +285,9 @@ impl ModelSlot {
                         // without a restart. Never a panic, never garbage
                         // weights (the checksum frame rejects those).
                         self.reload_failures.fetch_add(1, Ordering::Relaxed);
+                        if let Some(metrics) = metrics {
+                            metrics.record_reload_failure();
+                        }
                         return Err(e);
                     }
                 };
@@ -271,6 +295,9 @@ impl ModelSlot {
                 let estimator = Arc::new(estimator);
                 inner.state = Residency::Resident(estimator.clone());
                 self.reloads.fetch_add(1, Ordering::Relaxed);
+                if let Some(metrics) = metrics {
+                    metrics.record_model_reload();
+                }
                 Ok((inner.generation, estimator))
             }
         }
@@ -696,6 +723,27 @@ mod tests {
         assert!(slot.is_resident());
         assert_eq!((slot.evictions(), slot.reloads()), (1, 1));
         assert_eq!(slot.generation(), 0);
+    }
+
+    #[test]
+    fn racing_resolves_of_one_evicted_slot_record_one_reload() {
+        let (_, est) = trained(9);
+        let slot = ModelSlot::new(est);
+        slot.evict(None).unwrap();
+        let metrics = ServeMetrics::new();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    slot.resolve(&metrics).expect("the in-memory checkpoint reloads");
+                });
+            }
+        });
+        // Exactly one of the two calls rebuilt the model, and only that one
+        // is counted — the metric agrees with the slot's own counter.
+        assert_eq!(slot.reloads(), 1);
+        assert_eq!(metrics.snapshot(0, 0, 0).model_reloads, 1);
     }
 
     #[test]

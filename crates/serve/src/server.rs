@@ -394,14 +394,10 @@ impl DuetServer {
         let handle = self.handle(table)?;
         // Resolving may lazily reload a model the tier evicted (the front
         // door needs its schema to encode the query).
-        let was_resident = handle.slot.is_resident();
-        let (generation, estimator) = handle.slot.try_current_versioned().map_err(|_| {
-            self.metrics.record_reload_failure();
-            ServeError::ModelUnavailable(table.to_string())
-        })?;
-        if !was_resident {
-            self.metrics.record_model_reload();
-        }
+        let (generation, estimator) = handle
+            .slot
+            .resolve(&self.metrics)
+            .map_err(|_| ServeError::ModelUnavailable(table.to_string()))?;
         let value = match self.submit(table, &handle, generation, &estimator, query)? {
             Submitted::Cached(value) => value,
             Submitted::Pending(reply_rx) => Self::resolve_reply(table, reply_rx.recv())?,
@@ -419,14 +415,10 @@ impl DuetServer {
     /// shutting down.
     pub fn estimate_many(&self, table: &str, queries: &[Query]) -> Result<Vec<f64>, ServeError> {
         let handle = self.handle(table)?;
-        let was_resident = handle.slot.is_resident();
-        let (generation, estimator) = handle.slot.try_current_versioned().map_err(|_| {
-            self.metrics.record_reload_failure();
-            ServeError::ModelUnavailable(table.to_string())
-        })?;
-        if !was_resident {
-            self.metrics.record_model_reload();
-        }
+        let (generation, estimator) = handle
+            .slot
+            .resolve(&self.metrics)
+            .map_err(|_| ServeError::ModelUnavailable(table.to_string()))?;
         let mut results = vec![0.0f64; queries.len()];
         let mut pending = Vec::new();
         for (i, query) in queries.iter().enumerate() {

@@ -7,20 +7,25 @@
 //! the equation while changing *nothing else*:
 //!
 //! * the same shard queues, the same admission check, the same
-//!   deadline triage, and the same shard-worker batch execution as the
-//!   production [`crate::DuetServer`] — just driven single-threaded;
+//!   deadline triage, the same shard-worker batch execution and the same
+//!   wire connection state machine as the production [`crate::DuetServer`] —
+//!   just driven single-threaded;
 //! * a [`VirtualClock`] that only moves when the driver says so, making
 //!   deadline expiry a pure function of the script;
-//! * scripted arrival patterns (uniform, bursty, hot-table-skewed)
-//!   generated from a seeded RNG, so a scenario replays **bit-identically**:
-//!   the same seed always produces the same shed/served counts, the same
-//!   batches, and the same estimates.
+//! * scripts generated from a seeded RNG, so a scenario replays
+//!   **bit-identically**: the same seed always produces the same
+//!   shed/served counts, the same batches, and the same estimates.
 //!
-//! Two layers are exposed: [`RouterHarness`], a low-level single-step driver
-//! (also used by `tests/zero_alloc.rs` to prove the routed hot loop is
-//! allocation-free), and [`run_scenario`], which replays a full scripted
-//! multi-client workload and folds the outcomes into a [`ScenarioReport`]
-//! whose equality across runs *is* the determinism assertion.
+//! Two layers are exposed: the single-step [`RouterHarness`] and
+//! [`WireSim`] (also used by `tests/zero_alloc.rs` to prove the hot loops
+//! allocation-free), and one scripted layer on top — a [`Setup`] says what
+//! exists before time starts, a [`Script`] what happens when, and
+//! [`replay`] runs the script over either [`Transport`], folding every
+//! outcome into a [`ScenarioReport`] whose equality across runs *is* the
+//! determinism assertion. The suites differ only in how they generate a
+//! script: [`ScenarioConfig::generate`] (seeded arrivals),
+//! [`DriftScenarioConfig::generate`] (train-while-serving),
+//! [`FaultPlan::inject`] (faults merged into either).
 
 use crate::batcher::{execute_supervised, BatchConfig, ShardWorker};
 use crate::cache::{canonical_key_from_parts, HotSet, ShardedCache};
@@ -33,8 +38,8 @@ use crate::router::{
 };
 use crate::tier::ModelTier;
 use crate::wire::conn::{ConnConfig, WireConn};
-use crate::wire::frame::{self, DecodeError, FrameView, Status};
-use duet_core::{query_to_id_predicates, DuetEstimator};
+use crate::wire::frame::{self, DecodeError, FrameView, ResponseFrame, Status};
+use duet_core::{query_to_id_predicates, DuetEstimator, IdPredicate};
 use duet_data::Table;
 use duet_query::{exact_cardinality, CardinalityEstimator, Query};
 use rand::rngs::SmallRng;
@@ -75,8 +80,8 @@ impl Default for HarnessConfig {
 }
 
 /// An encoded request ready for admission, produced by
-/// [`RouterHarness::prepare`]. Opaque; re-submittable after
-/// [`RouterHarness::turn_recycling`] hands it back.
+/// [`RouterHarness::prepare`]. Opaque; re-submittable after a recycling
+/// [`RouterHarness::turn`] hands it back.
 pub struct PreparedRequest(pub(crate) RoutedRequest);
 
 impl PreparedRequest {
@@ -197,19 +202,16 @@ impl RouterHarness {
         self.online.enable(table, OnlineTable::new(data, cfg, hooks))
     }
 
-    /// The online-learning directory (shared with simulated wire
-    /// connections).
-    pub fn online(&self) -> &Arc<OnlineDirectory> {
-        &self.online
-    }
-
     /// Run one trainer tick on `table`'s online state.
     ///
     /// Panics if online learning was not enabled for `table`.
     pub fn online_tick(&self, table: usize) -> OnlineTickReport {
-        let state = self.online.get(table).expect("online learning not enabled for table");
-        let report = state.lock().expect("online table poisoned").tick();
+        let report = self.online_state(table).lock().expect("online table poisoned").tick();
         report
+    }
+
+    fn online_state(&self, table: usize) -> Arc<Mutex<OnlineTable>> {
+        self.online.get(table).expect("online learning not enabled for table")
     }
 
     /// The model-memory tier enforcing
@@ -258,21 +260,6 @@ impl RouterHarness {
         self.router.num_shards()
     }
 
-    /// Number of registered tables.
-    pub fn num_tables(&self) -> usize {
-        self.directory.len()
-    }
-
-    /// The shard table `table` routes to.
-    pub fn shard_of_table(&self, table: usize) -> usize {
-        self.table_shard[table]
-    }
-
-    /// The name table `table` was registered under.
-    pub fn table_name(&self, table: usize) -> &str {
-        &self.directory[table].name
-    }
-
     /// The estimator currently serving `table`.
     pub fn estimator(&self, table: usize) -> Arc<DuetEstimator> {
         self.directory[table].slot.current()
@@ -303,15 +290,8 @@ impl RouterHarness {
     ) -> Result<PreparedRequest, crate::registry::ReloadError> {
         let resources = &self.directory[table];
         // Resolving may lazily reload a model the tier evicted (encoding
-        // needs its schema) — mirror the production front door's counting.
-        let was_resident = resources.slot.is_resident();
-        let (generation, estimator) = resources
-            .slot
-            .try_current_versioned()
-            .inspect_err(|_| self.metrics.record_reload_failure())?;
-        if !was_resident {
-            self.metrics.record_model_reload();
-        }
+        // needs its schema), counted as the production front door counts it.
+        let (generation, estimator) = resources.slot.resolve(&self.metrics)?;
         let schema = estimator.schema();
         let preds = query_to_id_predicates(schema, query);
         let intervals = query.column_intervals(schema);
@@ -382,7 +362,11 @@ impl RouterHarness {
     /// same-table batch at the current virtual time. Returns the number of
     /// requests processed (served + deadline-shed). Allocation-free once
     /// warm.
-    pub fn turn(&mut self) -> usize {
+    ///
+    /// With `recycled: Some(sink)` the processed requests are handed back
+    /// (their encodings intact) instead of dropped, so an allocation probe
+    /// can recycle one fixed request set through the hot loop indefinitely.
+    pub fn turn(&mut self, mut recycled: Option<&mut Vec<PreparedRequest>>) -> usize {
         let now = self.clock.now();
         let max_batch = self.config.batch.max_batch_size;
         let mut processed = 0;
@@ -402,37 +386,17 @@ impl RouterHarness {
                     &self.tier,
                     &mut self.outcomes,
                 );
-                // Recycle rather than drop: wire-originated requests go back
-                // to their connection's pool, keeping the simulated wire hot
-                // loop allocation-free (ticket/discard requests just drop,
-                // exactly as `clear` did).
-                crate::batcher::recycle_batch(&mut worker.batch, &self.metrics);
-            }
-        }
-        processed
-    }
-
-    /// [`RouterHarness::turn`], but hand the processed requests back (their
-    /// encodings intact) instead of dropping them, so an allocation probe
-    /// can recycle one fixed request set through the hot loop indefinitely.
-    pub fn turn_recycling(&mut self, recycled: &mut Vec<PreparedRequest>) -> usize {
-        let now = self.clock.now();
-        let max_batch = self.config.batch.max_batch_size;
-        let mut processed = 0;
-        for shard_index in 0..self.workers.len() {
-            let worker = &mut self.workers[shard_index];
-            if self.router.shard(shard_index).try_pop_batch(max_batch, &mut worker.batch) {
-                processed += worker.batch.len();
-                execute_supervised(
-                    worker,
-                    &self.directory,
-                    now,
-                    &self.metrics,
-                    &self.tier,
-                    &mut self.outcomes,
-                );
-                for request in worker.batch.drain(..) {
-                    recycled.push(PreparedRequest(request));
+                match recycled.as_deref_mut() {
+                    Some(sink) => {
+                        for request in worker.batch.drain(..) {
+                            sink.push(PreparedRequest(request));
+                        }
+                    }
+                    // Recycle rather than drop: wire-originated requests go
+                    // back to their connection's pool, keeping the simulated
+                    // wire hot loop allocation-free (ticket/discard requests
+                    // just drop, exactly as `clear` did).
+                    None => crate::batcher::recycle_batch(&mut worker.batch, &self.metrics),
                 }
             }
         }
@@ -444,7 +408,7 @@ impl RouterHarness {
     pub fn drain(&mut self) -> usize {
         let mut total = 0;
         while self.router.queue_depth() > 0 {
-            total += self.turn();
+            total += self.turn(None);
         }
         total
     }
@@ -464,9 +428,9 @@ impl RouterHarness {
         self.router.queue_depth()
     }
 
-    /// Per-shard queue depths.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.router.queue_depths()
+    /// Depth of the deepest shard queue.
+    fn deepest_shard(&self) -> usize {
+        (0..self.router.num_shards()).map(|s| self.router.shard(s).depth()).max().unwrap_or(0)
     }
 
     /// Snapshot of the harness metrics (batches, sheds, queue depth).
@@ -510,25 +474,6 @@ pub enum ArrivalPattern {
     },
 }
 
-/// A scripted multi-client replay.
-#[derive(Debug, Clone)]
-pub struct ScenarioConfig {
-    /// Seed for the arrival script (same seed ⇒ identical replay).
-    pub seed: u64,
-    /// Number of scripted clients.
-    pub clients: usize,
-    /// Requests each client submits.
-    pub requests_per_client: usize,
-    /// Mean virtual inter-arrival gap per client.
-    pub mean_gap: Duration,
-    /// Virtual cadence of worker turns (each shard pops one batch per turn).
-    pub service_every: Duration,
-    /// Arrival pattern under test.
-    pub pattern: ArrivalPattern,
-    /// Harness (router/batch/cache) configuration.
-    pub harness: HarnessConfig,
-}
-
 /// Deterministic summary of one scenario replay: integer counters only, so
 /// two replays with the same seed can be compared with `==` — that equality
 /// *is* the determinism assertion.
@@ -538,7 +483,9 @@ pub struct ScenarioReport {
     pub submitted: u64,
     /// Requests answered with an estimate.
     pub served: u64,
-    /// Requests rejected at admission (shard queue full).
+    /// Requests answered "retry": rejected at admission (shard queue or
+    /// connection pipeline full), or failed at dequeue because the model
+    /// could not be reloaded or the table had been re-registered.
     pub shed_overload: u64,
     /// Requests dropped at dequeue (deadline expired).
     pub shed_deadline: u64,
@@ -550,11 +497,11 @@ pub struct ScenarioReport {
     pub per_table_submitted: Vec<u64>,
     /// Per-table served counts.
     pub per_table_served: Vec<u64>,
-    /// Per-table shed counts (admission + deadline).
+    /// Per-table shed counts (every shed reason).
     pub per_table_shed: Vec<u64>,
     /// Forward batches executed.
     pub batches: u64,
-    /// Highest single-shard queue depth observed at any admission.
+    /// Highest single-shard queue depth observed after any arrival.
     pub max_shard_depth: usize,
     /// Served results whose bits differed from the unbatched per-query
     /// reference (must be 0: routing/batching never changes an answer).
@@ -575,7 +522,8 @@ pub struct ScenarioReport {
     pub swaps_published: u64,
     /// Feedback entries rejected (stale slot uid or invalid cardinality).
     pub feedback_rejected: u64,
-    /// Requests served after the first online publish.
+    /// Requests served that were submitted after their table's first online
+    /// publish.
     pub post_swap_served: u64,
     /// Hot-set entries replayed into the cache by online publishes.
     pub hot_replayed: u64,
@@ -600,6 +548,37 @@ impl ScenarioReport {
         self.served + self.shed_overload + self.shed_deadline + self.shed_internal
     }
 
+    /// File the one terminal outcome of the query behind `ticket` — the only
+    /// outcome fold, whichever transport delivered it. `expected` holds the
+    /// table's reference values per model generation; any generation from
+    /// the one current at submission onwards may have answered (a request
+    /// admitted before a publish can execute after it).
+    fn record(&mut self, ticket: Ticket, expected: &[Vec<f64>], outcome: Result<f64, ShedReason>) {
+        match outcome {
+            Ok(value) => {
+                self.served += 1;
+                self.per_table_served[ticket.table] += 1;
+                self.post_swap_served += u64::from(ticket.generation > 0);
+                let matched = expected[ticket.generation..]
+                    .iter()
+                    .any(|values| values[ticket.query].to_bits() == value.to_bits());
+                self.mismatches += u64::from(!matched);
+            }
+            Err(reason) => {
+                self.per_table_shed[ticket.table] += 1;
+                match reason {
+                    // Neither is about time: the client is told to retry
+                    // (after re-resolving the table, if it was re-registered).
+                    ShedReason::QueueFull | ShedReason::StaleRegistration => {
+                        self.shed_overload += 1;
+                    }
+                    ShedReason::DeadlineExpired => self.shed_deadline += 1,
+                    ShedReason::WorkerPanicked => self.shed_internal += 1,
+                }
+            }
+        }
+    }
+
     /// Copy the harness-metric counters into the report.
     fn fold_metrics(&mut self, snapshot: &MetricsSnapshot) {
         self.batches = snapshot.batches;
@@ -617,171 +596,9 @@ impl ScenarioReport {
     }
 }
 
-/// One scripted arrival.
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    at_ns: u64,
-    /// Scripted client (wire scenarios map this to a connection).
-    client: usize,
-    table: usize,
-    query: usize,
-}
-
-fn pick_table(rng: &mut SmallRng, pattern: ArrivalPattern, num_tables: usize) -> usize {
-    match pattern {
-        ArrivalPattern::HotTable { hot_table, hot_permille } => {
-            let hot = hot_table.min(num_tables - 1);
-            if rng.gen_range(0u32..1000) < u32::from(hot_permille) || num_tables == 1 {
-                hot
-            } else {
-                // Uniform over the other tables.
-                let mut t = rng.gen_range(0..num_tables - 1);
-                if t >= hot {
-                    t += 1;
-                }
-                t
-            }
-        }
-        _ => rng.gen_range(0..num_tables),
-    }
-}
-
-/// Generate the deterministic arrival script for a scenario.
-fn script(cfg: &ScenarioConfig, workloads: &[Vec<Query>]) -> Vec<Event> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let gap_ns = cfg.mean_gap.as_nanos().max(1) as u64;
-    let mut events = Vec::with_capacity(cfg.clients * cfg.requests_per_client);
-    for client in 0..cfg.clients {
-        // Stagger client start times across one mean gap.
-        let mut at_ns = gap_ns * client as u64 / cfg.clients.max(1) as u64;
-        for k in 0..cfg.requests_per_client {
-            let table = pick_table(&mut rng, cfg.pattern, workloads.len());
-            let query = rng.gen_range(0..workloads[table].len());
-            events.push(Event { at_ns, client, table, query });
-            at_ns += match cfg.pattern {
-                ArrivalPattern::Bursty { burst_size } => {
-                    let burst = burst_size.max(1);
-                    if (k + 1) % burst == 0 {
-                        gap_ns * burst as u64
-                    } else {
-                        0
-                    }
-                }
-                // 50%..150% jitter around the mean gap.
-                _ => gap_ns * rng.gen_range(50u64..=150) / 100,
-            };
-        }
-    }
-    // Stable sort: simultaneous arrivals keep client order, so the replay
-    // order is a pure function of the script.
-    events.sort_by_key(|e| e.at_ns);
-    events
-}
-
-/// Replay a scripted multi-client scenario against the real routing code
-/// and fold the outcomes into a [`ScenarioReport`].
-///
-/// `tables[i]` pairs a table name (which determines its shard) with its
-/// trained estimator; `workloads[i]` is the query pool scripted clients
-/// draw from for that table. Served results are compared bit-for-bit
-/// against the unbatched per-query reference path.
-pub fn run_scenario(
-    tables: &[(String, DuetEstimator)],
-    workloads: &[Vec<Query>],
-    cfg: &ScenarioConfig,
-) -> ScenarioReport {
-    assert_eq!(tables.len(), workloads.len(), "one workload per table");
-    assert!(!tables.is_empty(), "need at least one table");
-
-    // Unbatched per-query reference values (the bit-identity baseline).
-    let expected: Vec<Vec<f64>> = tables
-        .iter()
-        .zip(workloads)
-        .map(|((_, estimator), queries)| {
-            let mut reference = estimator.clone();
-            queries.iter().map(|q| reference.estimate(q)).collect()
-        })
-        .collect();
-
-    let mut harness = RouterHarness::new(tables.to_vec(), cfg.harness);
-    let events = script(cfg, workloads);
-    let service_ns = cfg.service_every.as_nanos().max(1) as u64;
-    let mut next_service = service_ns;
-
-    let mut report = ScenarioReport {
-        per_table_submitted: vec![0; tables.len()],
-        per_table_served: vec![0; tables.len()],
-        per_table_shed: vec![0; tables.len()],
-        ..ScenarioReport::default()
-    };
-    // ticket -> (table, query); rejected tickets are folded immediately.
-    let mut ticket_source = Vec::with_capacity(events.len());
-
-    for event in &events {
-        // Run the worker cadence up to this arrival.
-        while next_service <= event.at_ns {
-            harness.clock().set(Duration::from_nanos(next_service));
-            harness.turn();
-            next_service += service_ns;
-        }
-        harness.clock().set(Duration::from_nanos(event.at_ns));
-
-        let ticket = ticket_source.len() as u64;
-        ticket_source.push((event.table, event.query));
-        report.submitted += 1;
-        report.per_table_submitted[event.table] += 1;
-        match harness.submit_query(event.table, &workloads[event.table][event.query], ticket) {
-            SubmitResult::Cached(value) => {
-                report.served += 1;
-                report.per_table_served[event.table] += 1;
-                if value.to_bits() != expected[event.table][event.query].to_bits() {
-                    report.mismatches += 1;
-                }
-            }
-            SubmitResult::Queued { depth } => {
-                report.max_shard_depth = report.max_shard_depth.max(depth);
-            }
-            SubmitResult::Shed { .. } => {
-                report.shed_overload += 1;
-                report.per_table_shed[event.table] += 1;
-            }
-        }
-    }
-
-    // Drain the backlog on the same cadence (so deadlines keep expiring in
-    // virtual time, not all at once).
-    while harness.queue_depth() > 0 {
-        harness.clock().advance(cfg.service_every);
-        harness.turn();
-    }
-
-    for (ticket, outcome) in harness.outcomes() {
-        let (table, query) = ticket_source[*ticket as usize];
-        match outcome {
-            Ok(value) => {
-                report.served += 1;
-                report.per_table_served[table] += 1;
-                if value.to_bits() != expected[table][query].to_bits() {
-                    report.mismatches += 1;
-                }
-            }
-            Err(ShedReason::WorkerPanicked) => {
-                report.shed_internal += 1;
-                report.per_table_shed[table] += 1;
-            }
-            Err(_) => {
-                report.shed_deadline += 1;
-                report.per_table_shed[table] += 1;
-            }
-        }
-    }
-    report.fold_metrics(&harness.metrics_snapshot());
-    report
-}
-
 // ---------------------------------------------------------------------------
-// Wire simulation: seeded byte-level clients over the real frame codec and
-// connection state machine.
+// Wire simulation: the real frame codec and connection state machine over
+// in-memory byte buffers.
 // ---------------------------------------------------------------------------
 
 /// How a simulated client's written bytes are delivered to its connection.
@@ -812,8 +629,8 @@ pub enum ChunkMode {
 /// admission + response encode) and [`WireSim::turn`] (one worker batch per
 /// shard), and read response bytes back with [`WireSim::output`]. Nothing
 /// here touches a socket or a thread, so `tests/zero_alloc.rs` can hold an
-/// allocation counter over the whole loop. [`run_wire_scenario`] builds the
-/// scripted multi-client replay on top.
+/// allocation counter over the whole loop. [`replay`] drives it from a
+/// [`Script`] under [`Transport::Wire`].
 pub struct WireSim {
     harness: RouterHarness,
     conns: Vec<WireConn>,
@@ -866,11 +683,6 @@ impl WireSim {
         self.harness.clock()
     }
 
-    /// Number of simulated connections.
-    pub fn num_connections(&self) -> usize {
-        self.conns.len()
-    }
-
     /// Deliver raw client bytes to connection `conn` (the simulated
     /// counterpart of a socket read).
     pub fn feed(&mut self, conn: usize, bytes: &[u8]) {
@@ -896,7 +708,7 @@ impl WireSim {
     /// [`RouterHarness::turn`]); wire-originated requests are recycled back
     /// to their connections' pools.
     pub fn turn(&mut self) -> usize {
-        self.harness.turn()
+        self.harness.turn(None)
     }
 
     /// Response bytes waiting to be "read" by connection `conn`'s client.
@@ -926,273 +738,207 @@ impl std::fmt::Debug for WireSim {
     }
 }
 
-/// A scripted multi-client wire replay: [`ScenarioConfig`] plus the
-/// transport knobs.
+// ---------------------------------------------------------------------------
+// Scripts: a setup, time-ordered steps, and the transport that carries them.
+// ---------------------------------------------------------------------------
+
+/// What exists before virtual time starts. Built by the generators below;
+/// [`replay`] only reads it.
 #[derive(Debug, Clone)]
-pub struct WireScenarioConfig {
-    /// The arrival script and harness configuration; `scenario.clients` is
-    /// the number of wire connections.
-    pub scenario: ScenarioConfig,
-    /// How client bytes reach the server (split/coalesced delivery).
-    pub chunk: ChunkMode,
-    /// Per-connection in-flight cap before the server answers `Overloaded`
-    /// from the wire layer itself.
-    pub max_pipeline: usize,
+pub struct Setup {
+    /// Table name (which determines its shard) and trained estimator; the
+    /// index is the table id.
+    tables: Vec<(String, DuetEstimator)>,
+    /// `workloads[t]` is the query pool steps against table `t` index into.
+    workloads: Vec<Vec<Query>>,
+    harness: HarnessConfig,
+    /// Tables running the online loop: `(table, the rows its model was
+    /// trained on, hot-set capacity, tuning)`.
+    online: Vec<(usize, Table, usize, OnlineConfig)>,
+    /// Where evictions spill (`None`: checkpoints stay in memory).
+    spill_dir: Option<PathBuf>,
 }
 
-/// One simulated client endpoint: bytes written but not yet delivered, and
-/// bytes received but not yet decoded.
-#[derive(Default)]
-struct SimClient {
-    /// Written, undelivered bytes ("in flight" on the simulated wire).
-    pending: Vec<u8>,
-    /// Received, undecoded response bytes.
-    recv: Vec<u8>,
+/// What happens when. A script says nothing about how its client steps
+/// reach the server: [`replay`] runs it over either [`Transport`].
+#[derive(Debug, Clone)]
+pub struct Script {
+    /// The generator's seed; the wire transport derives its chunking stream
+    /// from it.
+    seed: u64,
+    /// Scripted clients (one wire connection each).
+    clients: usize,
+    /// Virtual cadence of worker turns (each shard pops one batch per turn).
+    service_every: Duration,
+    /// `(virtual ns, step)` in time order; ties run in list order.
+    steps: Vec<(u64, Step)>,
+    /// See [`RouterHarness::arm_panic_batches`].
+    panic_batches: Vec<u64>,
 }
 
-/// Replay a scripted workload through the **wire path**: every request is
-/// encoded to protocol bytes by a scripted client, delivered (possibly
-/// split/coalesced per [`ChunkMode`]), decoded and admitted by the real
-/// [`WireConn`] state machine, batched by the real workers, and read back as
-/// response frames — all under the virtual clock.
-///
-/// The resulting [`ScenarioReport`] has the same shape and invariants as
-/// [`run_scenario`]'s (`accounted() == submitted`, `mismatches == 0`), and
-/// replaying the same config twice must produce an identical report — that
-/// equality is the wire layer's determinism assertion.
-pub fn run_wire_scenario(
-    tables: &[(String, DuetEstimator)],
-    workloads: &[Vec<Query>],
-    cfg: &WireScenarioConfig,
-) -> ScenarioReport {
-    assert_eq!(tables.len(), workloads.len(), "one workload per table");
-    assert!(!tables.is_empty(), "need at least one table");
-    assert!(cfg.scenario.clients > 0, "need at least one wire client");
+#[derive(Debug, Clone)]
+enum Step {
+    /// `client` asks for `workloads[table][query]`.
+    Query {
+        client: usize,
+        table: usize,
+        query: usize,
+    },
+    /// `client` appends dictionary-encoded rows to `table`.
+    Ingest {
+        client: usize,
+        table: usize,
+        rows: Vec<Vec<u32>>,
+    },
+    /// `client` reports the true cardinality of `workloads[table][query]`,
+    /// counted on `table`'s live rows at this instant.
+    Feedback {
+        client: usize,
+        table: usize,
+        query: usize,
+    },
+    /// One trainer tick on `table`'s online state.
+    Tick {
+        table: usize,
+    },
+    // The checkpoint/spill faults of a [`FaultPlan`].
+    DamageCheckpoint {
+        table: usize,
+        damage: Damage,
+    },
+    RestoreCheckpoint,
+    BreakSpillDir,
+    FixSpillDir,
+}
 
-    // Unbatched per-query reference values (the bit-identity baseline).
-    let expected: Vec<Vec<f64>> = tables
-        .iter()
-        .zip(workloads)
-        .map(|((_, estimator), queries)| {
-            let mut reference = estimator.clone();
-            queries.iter().map(|q| reference.estimate(q)).collect()
-        })
-        .collect();
+/// How [`Step::DamageCheckpoint`] mangles a spilled checkpoint file.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// Flip the final byte (checksum-covered payload corruption).
+    FlipByte,
+    /// Cut the file to half its length (a torn write).
+    Truncate,
+}
 
-    let conn_config = ConnConfig { max_pipeline: cfg.max_pipeline.max(1), ..ConnConfig::default() };
-    let mut sim =
-        WireSim::new(tables.to_vec(), cfg.scenario.harness, conn_config, cfg.scenario.clients);
-    let events = script(&cfg.scenario, workloads);
-    let service_ns = cfg.scenario.service_every.as_nanos().max(1) as u64;
-    let mut next_service = service_ns;
-    // Transport chunking gets its own seeded stream so arrival scripting and
-    // delivery fragmentation are independent dimensions of the same seed.
-    let mut chunk_rng = SmallRng::seed_from_u64(cfg.scenario.seed ^ 0x57_49_52_45); // "WIRE"
-
-    let mut clients: Vec<SimClient> =
-        (0..cfg.scenario.clients).map(|_| SimClient::default()).collect();
-    // Every connection starts by writing the protocol preamble.
-    for client in &mut clients {
-        frame::encode_preamble(&mut client.pending);
-    }
-
-    let mut report = ScenarioReport {
-        per_table_submitted: vec![0; tables.len()],
-        per_table_served: vec![0; tables.len()],
-        per_table_shed: vec![0; tables.len()],
-        ..ScenarioReport::default()
-    };
-    // request id -> (table, query); ids are global across connections.
-    let mut ticket_source: Vec<(usize, usize)> = Vec::with_capacity(events.len());
-    let mut responses_seen: u64 = 0;
-
-    /// Move up to the whole pending buffer from `client` into the server
-    /// connection, split/held-back per `chunk`.
-    fn deliver(
-        sim: &mut WireSim,
-        conn: usize,
-        client: &mut SimClient,
+/// How a script's client steps reach the server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    /// Queries are tickets through [`RouterHarness::submit_query`]; ingest
+    /// and feedback call the table's online state directly.
+    InProcess,
+    /// Every client step is encoded to protocol bytes, delivered (possibly
+    /// split/coalesced), decoded and admitted by the real [`WireConn`]
+    /// state machine, and read back as a response frame.
+    Wire {
+        /// How client bytes reach the server.
         chunk: ChunkMode,
-        rng: &mut SmallRng,
-        everything: bool,
-    ) {
-        while !client.pending.is_empty() {
-            let take = match chunk {
-                ChunkMode::Exact => client.pending.len(),
-                ChunkMode::Random { max } => {
-                    if !everything && rng.gen_range(0u32..4) == 0 {
-                        // Hold the tail back: it will coalesce with the
-                        // client's next write.
-                        break;
-                    }
-                    rng.gen_range(1..=max.max(1)).min(client.pending.len())
-                }
-            };
-            sim.feed(conn, &client.pending[..take]);
-            client.pending.drain(..take);
-            sim.pump(conn).expect("simulated clients speak the protocol");
-        }
-    }
+        /// Per-connection in-flight cap before the server answers
+        /// `Overloaded` from the wire layer itself.
+        max_pipeline: usize,
+    },
+}
 
-    /// Decode every complete response frame the server has produced for
-    /// `conn` and fold it into the report.
-    #[allow(clippy::too_many_arguments)]
-    fn collect(
-        sim: &mut WireSim,
-        conn: usize,
-        client: &mut SimClient,
-        ticket_source: &[(usize, usize)],
-        expected: &[Vec<f64>],
-        report: &mut ScenarioReport,
-        responses_seen: &mut u64,
-    ) {
-        let produced = sim.output(conn).len();
-        if produced > 0 {
-            client.recv.extend_from_slice(sim.output(conn));
-            sim.consume_output(conn, produced);
+/// Seeded multi-client arrivals (see [`ScenarioConfig::generate`]).
+#[derive(Debug, Clone)]
+pub struct ScenarioConfig {
+    /// Seed for the arrival script (same seed ⇒ identical replay).
+    pub seed: u64,
+    /// Number of scripted clients.
+    pub clients: usize,
+    /// Requests each client submits.
+    pub requests_per_client: usize,
+    /// Mean virtual inter-arrival gap per client.
+    pub mean_gap: Duration,
+    /// Virtual cadence of worker turns (each shard pops one batch per turn).
+    pub service_every: Duration,
+    /// Arrival pattern under test.
+    pub pattern: ArrivalPattern,
+    /// Harness (router/batch/cache) configuration.
+    pub harness: HarnessConfig,
+}
+
+fn pick_table(rng: &mut SmallRng, pattern: ArrivalPattern, num_tables: usize) -> usize {
+    match pattern {
+        ArrivalPattern::HotTable { hot_table, hot_permille } => {
+            let hot = hot_table.min(num_tables - 1);
+            if rng.gen_range(0u32..1000) < u32::from(hot_permille) || num_tables == 1 {
+                hot
+            } else {
+                // Uniform over the other tables.
+                let mut t = rng.gen_range(0..num_tables - 1);
+                if t >= hot {
+                    t += 1;
+                }
+                t
+            }
         }
-        let mut pos = 0;
-        while let Some((view, consumed)) =
-            frame::next_frame(&client.recv[pos..], frame::DEFAULT_MAX_FRAME_LEN)
-                .expect("server frames are well-formed")
-        {
-            if let FrameView::Response(response) = view {
-                *responses_seen += 1;
-                let (table, query) = ticket_source[response.request_id as usize];
-                match response.status {
-                    Status::Ok => {
-                        report.served += 1;
-                        report.per_table_served[table] += 1;
-                        if response.value.to_bits() != expected[table][query].to_bits() {
-                            report.mismatches += 1;
+        _ => rng.gen_range(0..num_tables),
+    }
+}
+
+impl ScenarioConfig {
+    /// The setup and the deterministic arrival script of this scenario.
+    ///
+    /// `tables[i]` pairs a table name with its trained estimator;
+    /// `workloads[i]` is the query pool scripted clients draw from for that
+    /// table.
+    pub fn generate(
+        &self,
+        tables: &[(String, DuetEstimator)],
+        workloads: &[Vec<Query>],
+    ) -> (Setup, Script) {
+        assert_eq!(tables.len(), workloads.len(), "one workload per table");
+        assert!(!tables.is_empty(), "need at least one table");
+        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let gap_ns = self.mean_gap.as_nanos().max(1) as u64;
+        let mut steps = Vec::with_capacity(self.clients * self.requests_per_client);
+        for client in 0..self.clients {
+            // Stagger client start times across one mean gap.
+            let mut at_ns = gap_ns * client as u64 / self.clients.max(1) as u64;
+            for k in 0..self.requests_per_client {
+                let table = pick_table(&mut rng, self.pattern, workloads.len());
+                let query = rng.gen_range(0..workloads[table].len());
+                steps.push((at_ns, Step::Query { client, table, query }));
+                at_ns += match self.pattern {
+                    ArrivalPattern::Bursty { burst_size } => {
+                        let burst = burst_size.max(1);
+                        if (k + 1) % burst == 0 {
+                            gap_ns * burst as u64
+                        } else {
+                            0
                         }
                     }
-                    Status::Overloaded => {
-                        report.shed_overload += 1;
-                        report.per_table_shed[table] += 1;
-                    }
-                    Status::DeadlineExceeded => {
-                        report.shed_deadline += 1;
-                        report.per_table_shed[table] += 1;
-                    }
-                    Status::Internal => {
-                        report.shed_internal += 1;
-                        report.per_table_shed[table] += 1;
-                    }
-                    Status::UnknownTable => {
-                        unreachable!("scripted clients only address registered tables")
-                    }
-                    Status::Rejected => {
-                        unreachable!("scripted clients send no ingest or feedback frames")
-                    }
-                }
+                    // 50%..150% jitter around the mean gap.
+                    _ => gap_ns * rng.gen_range(50u64..=150) / 100,
+                };
             }
-            pos += consumed;
         }
-        client.recv.drain(..pos);
+        // Stable sort: simultaneous arrivals keep client order, so the replay
+        // order is a pure function of the script.
+        steps.sort_by_key(|&(at_ns, _)| at_ns);
+        let setup = Setup {
+            tables: tables.to_vec(),
+            workloads: workloads.to_vec(),
+            harness: self.harness,
+            online: Vec::new(),
+            spill_dir: None,
+        };
+        let script = Script {
+            seed: self.seed,
+            clients: self.clients,
+            service_every: self.service_every,
+            steps,
+            panic_batches: Vec::new(),
+        };
+        (setup, script)
     }
-
-    for event in &events {
-        // Run the worker cadence up to this arrival, draining responses as
-        // they are produced.
-        while next_service <= event.at_ns {
-            sim.clock().set(Duration::from_nanos(next_service));
-            sim.turn();
-            for (conn, client) in clients.iter_mut().enumerate() {
-                sim.pump(conn).expect("pump after turn cannot hit new input");
-                collect(
-                    &mut sim,
-                    conn,
-                    client,
-                    &ticket_source,
-                    &expected,
-                    &mut report,
-                    &mut responses_seen,
-                );
-            }
-            next_service += service_ns;
-        }
-        sim.clock().set(Duration::from_nanos(event.at_ns));
-
-        // The scripted client encodes its request and writes it to the wire.
-        let ticket = ticket_source.len() as u64;
-        ticket_source.push((event.table, event.query));
-        report.submitted += 1;
-        report.per_table_submitted[event.table] += 1;
-        {
-            let estimator = sim.harness().estimator(event.table);
-            let schema = estimator.schema();
-            let query = &workloads[event.table][event.query];
-            let preds = duet_core::query_to_id_predicates(schema, query);
-            let intervals = query.column_intervals(schema);
-            frame::encode_request(
-                &mut clients[event.client].pending,
-                ticket,
-                event.table as u32,
-                0, // defer to the router's configured deadline budget
-                &preds,
-                &intervals,
-            );
-        }
-        deliver(
-            &mut sim,
-            event.client,
-            &mut clients[event.client],
-            cfg.chunk,
-            &mut chunk_rng,
-            false,
-        );
-        collect(
-            &mut sim,
-            event.client,
-            &mut clients[event.client],
-            &ticket_source,
-            &expected,
-            &mut report,
-            &mut responses_seen,
-        );
-        report.max_shard_depth =
-            report.max_shard_depth.max(sim.harness().queue_depths().into_iter().max().unwrap_or(0));
-    }
-
-    // All arrivals are in: flush every held-back byte, then keep the worker
-    // cadence going until each request has produced exactly one response.
-    for (conn, client) in clients.iter_mut().enumerate() {
-        deliver(&mut sim, conn, client, cfg.chunk, &mut chunk_rng, true);
-    }
-    let mut idle_turns = 0u32;
-    while responses_seen < report.submitted {
-        sim.clock().advance(cfg.scenario.service_every);
-        let processed = sim.turn();
-        for (conn, client) in clients.iter_mut().enumerate() {
-            sim.pump(conn).expect("pump after turn cannot hit new input");
-            collect(
-                &mut sim,
-                conn,
-                client,
-                &ticket_source,
-                &expected,
-                &mut report,
-                &mut responses_seen,
-            );
-        }
-        idle_turns = if processed == 0 { idle_turns + 1 } else { 0 };
-        assert!(idle_turns < 1000, "wire drain stalled: a request produced no response");
-    }
-
-    report.fold_metrics(&sim.harness().metrics_snapshot());
-    report
 }
 
-// ---------------------------------------------------------------------------
-// Drift scenario: train-while-serving under the virtual clock.
-// ---------------------------------------------------------------------------
-
-/// A seeded train-while-serving replay: warm traffic over one table, a
+/// A seeded train-while-serving scenario: warm traffic over one table, a
 /// mid-run distribution shift injected through the online ingest path,
 /// trainer ticks and query feedback on fixed cadences, then post-shift
-/// traffic — the whole drift → retrain → hot-swap sequence as one scripted
-/// scenario.
+/// traffic — the whole drift → retrain → hot-swap sequence (see
+/// [`DriftScenarioConfig::generate`]).
 #[derive(Debug, Clone)]
 pub struct DriftScenarioConfig {
     /// Seed of the scenario script (query picks + skewed-row generation).
@@ -1239,139 +985,79 @@ impl Default for DriftScenarioConfig {
     }
 }
 
-/// Replay a seeded drift scenario: serve `workload` over a model trained on
-/// `table`, inject a skewed ingest burst mid-run, and let the online
-/// trainer detect the drift, retrain, and publish through the hot-swap +
-/// hot-set-replay path — all under the virtual clock, so replaying the same
-/// inputs twice produces an identical [`ScenarioReport`] (generation bumps,
-/// retrain counts, and post-swap serving included). That equality is the
-/// online loop's determinism assertion.
-pub fn run_drift_scenario(
-    table: &Table,
-    estimator: &DuetEstimator,
-    workload: &[Query],
-    cfg: &DriftScenarioConfig,
-) -> ScenarioReport {
-    assert!(!workload.is_empty(), "need a workload to replay");
-    let mut harness =
-        RouterHarness::new(vec![("drift".to_string(), estimator.clone())], cfg.harness);
-    harness.enable_hot_set(0, cfg.hot_keys);
-    let online = harness.enable_online(0, table.clone(), cfg.online);
-
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x44_52_49_46); // "DRIF"
-    let mut report = ScenarioReport {
-        per_table_submitted: vec![0; 1],
-        per_table_served: vec![0; 1],
-        per_table_shed: vec![0; 1],
-        ..ScenarioReport::default()
-    };
-    // ticket -> whether it was submitted after the first publish.
-    let mut post_swap_ticket: Vec<bool> = Vec::new();
-    let mut swapped = false;
-
-    let total = cfg.warm_queries + cfg.post_queries;
-    for i in 0..total {
-        if i == cfg.warm_queries {
-            // The shift: a burst of rows skewed onto the top of every
-            // column's dictionary, appended through the validated ingest
-            // path (so the live histograms move incrementally, exactly as
-            // production ingest would move them).
-            let mut guard = online.lock().expect("online table poisoned");
-            let ndvs: Vec<usize> =
-                (0..guard.table().num_columns()).map(|c| guard.table().column(c).ndv()).collect();
-            let mut row = Vec::with_capacity(ndvs.len());
-            for _ in 0..cfg.shift_rows {
-                row.clear();
-                for &ndv in &ndvs {
-                    let band = (ndv / 8).max(1).min(ndv);
-                    row.push((ndv - 1 - rng.gen_range(0..band)) as u32);
+impl DriftScenarioConfig {
+    /// The setup and script of this scenario: one client replays `workload`
+    /// against `estimator`, which was trained on `table`. Report equality
+    /// across replays (generation bumps, retrain counts and post-swap
+    /// serving included) is the online loop's determinism assertion.
+    pub fn generate(
+        &self,
+        table: &Table,
+        estimator: &DuetEstimator,
+        workload: &[Query],
+    ) -> (Setup, Script) {
+        assert!(!workload.is_empty(), "need a workload to replay");
+        // One query per period, and the workers turn on the same period: the
+        // turn at `at_ns + PERIOD_NS` runs before the steps scripted for that
+        // instant, so the order is always serve query `i` → its feedback →
+        // the tick → query `i + 1`.
+        const PERIOD_NS: u64 = 100_000;
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x44_52_49_46); // "DRIF"
+        let ndvs: Vec<usize> = (0..table.num_columns()).map(|c| table.column(c).ndv()).collect();
+        let mut steps = Vec::new();
+        for i in 0..self.warm_queries + self.post_queries {
+            let at_ns = PERIOD_NS * (i as u64 + 1);
+            if i == self.warm_queries {
+                // The shift: a burst of rows skewed onto the top of every
+                // column's dictionary, appended through the validated ingest
+                // path (so the live histograms move incrementally, exactly as
+                // production ingest would move them).
+                let mut rows = Vec::with_capacity(self.shift_rows);
+                for _ in 0..self.shift_rows {
+                    let skewed = ndvs.iter().map(|&ndv| {
+                        let band = (ndv / 8).max(1).min(ndv);
+                        (ndv - 1 - rng.gen_range(0..band)) as u32
+                    });
+                    rows.push(skewed.collect());
                 }
-                guard.ingest_row(&row).expect("skewed rows stay inside the dictionary");
+                steps.push((at_ns, Step::Ingest { client: 0, table: 0, rows }));
             }
-        }
-
-        let q = rng.gen_range(0..workload.len());
-        harness.clock().advance(Duration::from_micros(100));
-        let ticket = post_swap_ticket.len() as u64;
-        post_swap_ticket.push(swapped);
-        report.submitted += 1;
-        report.per_table_submitted[0] += 1;
-        match harness.submit_query(0, &workload[q], ticket) {
-            SubmitResult::Cached(_) => {
-                report.served += 1;
-                report.per_table_served[0] += 1;
-                if swapped {
-                    report.post_swap_served += 1;
+            let query = rng.gen_range(0..workload.len());
+            steps.push((at_ns, Step::Query { client: 0, table: 0, query }));
+            if let Some(k) = i.checked_sub(self.warm_queries) {
+                let served_ns = at_ns + PERIOD_NS;
+                if self.feedback_every > 0 && k.is_multiple_of(self.feedback_every) {
+                    steps.push((served_ns, Step::Feedback { client: 0, table: 0, query }));
+                }
+                if self.tick_every > 0 && (k + 1).is_multiple_of(self.tick_every) {
+                    steps.push((served_ns, Step::Tick { table: 0 }));
                 }
             }
-            SubmitResult::Queued { depth } => {
-                report.max_shard_depth = report.max_shard_depth.max(depth);
-            }
-            SubmitResult::Shed { .. } => {
-                report.shed_overload += 1;
-                report.per_table_shed[0] += 1;
-            }
         }
-        harness.drain();
-
-        if i >= cfg.warm_queries {
-            let k = i - cfg.warm_queries;
-            if cfg.feedback_every > 0 && k.is_multiple_of(cfg.feedback_every) {
-                // Feed back the true cardinality of the query just served,
-                // stamped with the currently registered slot's uid (the
-                // same stamp the wire front door applies).
-                let uid = harness.directory[0].slot.uid();
-                let serving = harness.estimator(0);
-                let schema = serving.schema();
-                let query = &workload[q];
-                let preds = query_to_id_predicates(schema, query);
-                let intervals = query.column_intervals(schema);
-                let mut guard = online.lock().expect("online table poisoned");
-                let actual = exact_cardinality(guard.table(), query) as f64;
-                guard
-                    .push_feedback(uid, preds, intervals, actual)
-                    .expect("in-run feedback is never stale");
-            }
-            if cfg.tick_every > 0 && (k + 1).is_multiple_of(cfg.tick_every) {
-                let tick = online.lock().expect("online table poisoned").tick();
-                report.hot_replayed += tick.replayed as u64;
-                swapped |= tick.swapped;
-            }
-        }
+        let setup = Setup {
+            tables: vec![("drift".to_string(), estimator.clone())],
+            workloads: vec![workload.to_vec()],
+            harness: self.harness,
+            online: vec![(0, table.clone(), self.hot_keys, self.online)],
+            spill_dir: None,
+        };
+        let script = Script {
+            seed: self.seed,
+            clients: 1,
+            service_every: Duration::from_nanos(PERIOD_NS),
+            steps,
+            panic_batches: Vec::new(),
+        };
+        (setup, script)
     }
-
-    for (ticket, outcome) in harness.outcomes() {
-        match outcome {
-            Ok(_) => {
-                report.served += 1;
-                report.per_table_served[0] += 1;
-                if post_swap_ticket[*ticket as usize] {
-                    report.post_swap_served += 1;
-                }
-            }
-            Err(ShedReason::WorkerPanicked) => {
-                report.shed_internal += 1;
-                report.per_table_shed[0] += 1;
-            }
-            Err(_) => {
-                report.shed_deadline += 1;
-                report.per_table_shed[0] += 1;
-            }
-        }
-    }
-    report.fold_metrics(&harness.metrics_snapshot());
-    report
 }
 
-// ---------------------------------------------------------------------------
-// Fault injection: seeded faults layered over the scripted replay.
-// ---------------------------------------------------------------------------
-
-/// A seeded fault-injection plan for [`run_fault_scenario`]. Faults are
-/// addressed in deterministic script coordinates — global batch-execution
-/// ordinals and arrival-event indices — so replaying the same plan over the
-/// same [`ScenarioConfig`] injects the identical faults at the identical
-/// points, and the two [`ScenarioReport`]s compare equal.
+/// A seeded fault-injection plan, merged into a generated scenario by
+/// [`FaultPlan::inject`]. Faults are addressed in deterministic script
+/// coordinates — global batch-execution ordinals and arrival indices — so
+/// replaying the same plan over the same scenario injects the identical
+/// faults at the identical points, and the two [`ScenarioReport`]s compare
+/// equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Batch executions (0-based global ordinals, in execution order) that
@@ -1401,6 +1087,383 @@ pub struct FaultPlan {
     pub spill_dir: Option<PathBuf>,
 }
 
+impl FaultPlan {
+    /// Merge this plan into a generated scenario: the spill directory goes
+    /// into the setup, the panic ordinals and one step per scheduled fault
+    /// into the script.
+    ///
+    /// An event index counts the script's queries. A fault at index `n`
+    /// fires just before query `n` — after everything up to the previous
+    /// step, before the worker turns that lead up to the query — so it takes
+    /// the previous step's timestamp.
+    pub fn inject(&self, setup: &mut Setup, script: &mut Script) {
+        setup.spill_dir = self.spill_dir.clone();
+        script.panic_batches = self.panic_batches.clone();
+        let damage = |at: Option<(u64, usize)>, damage| {
+            at.map(|(index, table)| (index, Step::DamageCheckpoint { table, damage }))
+        };
+        let faults: Vec<(u64, Step)> = [
+            damage(self.corrupt_checkpoint_at, Damage::FlipByte),
+            damage(self.truncate_checkpoint_at, Damage::Truncate),
+            self.restore_checkpoint_at.map(|index| (index, Step::RestoreCheckpoint)),
+            self.break_spill_dir_at.map(|index| (index, Step::BreakSpillDir)),
+            self.fix_spill_dir_at.map(|index| (index, Step::FixSpillDir)),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+
+        let mut merged: Vec<(u64, Step)> = Vec::with_capacity(script.steps.len() + faults.len());
+        let mut queries = 0u64;
+        for (at_ns, step) in script.steps.drain(..) {
+            if matches!(step, Step::Query { .. }) {
+                let fault_ns = merged.last().map_or(0, |&(previous_ns, _)| previous_ns);
+                for (_, fault) in faults.iter().filter(|&&(index, _)| index == queries) {
+                    merged.push((fault_ns, fault.clone()));
+                }
+                queries += 1;
+            }
+            merged.push((at_ns, step));
+        }
+        script.steps = merged;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Replay: the one driver.
+// ---------------------------------------------------------------------------
+
+/// Replay `script` over `setup`, with every client step carried by
+/// `transport`, and fold the outcomes into a [`ScenarioReport`].
+///
+/// The workers turn every `service_every` of virtual time and the script's
+/// steps run at their own timestamps in between; after the last step the
+/// cadence continues until every request has its one terminal outcome. The
+/// contract, faults or not, on either transport: `accounted() == submitted`
+/// (a panicking batch answers [`ShedReason::WorkerPanicked`], an
+/// unreloadable model sheds), `mismatches == 0` (whatever *is* served is
+/// bit-identical to the unbatched per-query reference of a model that could
+/// have served it), and replaying the same inputs yields an `==` report,
+/// every counter included.
+pub fn replay(setup: &Setup, script: &Script, transport: Transport) -> ScenarioReport {
+    let mut run = Replay::new(setup, script, transport);
+    let service_ns = script.service_every.as_nanos().max(1) as u64;
+    let mut next_service = service_ns;
+    for (at_ns, step) in &script.steps {
+        // Run the worker cadence up to this step.
+        while next_service <= *at_ns {
+            run.sim.clock().set(Duration::from_nanos(next_service));
+            run.service();
+            next_service += service_ns;
+        }
+        run.sim.clock().set(Duration::from_nanos(*at_ns));
+        run.apply(step);
+    }
+
+    // Every step is in: flush the bytes clients still hold back, then keep
+    // the cadence going (so deadlines keep expiring in virtual time, not all
+    // at once) until each request id has had its one response.
+    for conn in 0..run.pending.len() {
+        run.deliver(conn, true);
+    }
+    let mut idle_turns = 0u32;
+    while run.answered < run.tickets.len() {
+        run.sim.clock().advance(script.service_every);
+        let processed = run.service();
+        idle_turns = if processed == 0 { idle_turns + 1 } else { 0 };
+        assert!(idle_turns < 1000, "drain stalled: a request produced no response");
+    }
+
+    run.report.fold_metrics(&run.sim.harness.metrics_snapshot());
+    run.report
+}
+
+/// Unbatched per-query estimates of `queries`: the bit-identity baseline.
+fn reference_values(estimator: &DuetEstimator, queries: &[Query]) -> Vec<f64> {
+    let mut reference = estimator.clone();
+    queries.iter().map(|q| reference.estimate(q)).collect()
+}
+
+/// What a replay remembers about one submitted query, by request id.
+#[derive(Debug, Clone, Copy)]
+struct Ticket {
+    table: usize,
+    query: usize,
+    /// Online publishes `table` had seen at submission (an index into the
+    /// table's reference values).
+    generation: usize,
+}
+
+/// The state of one [`replay`]: the server under test, the simulated
+/// clients, and the report being folded.
+struct Replay<'a> {
+    setup: &'a Setup,
+    transport: Transport,
+    /// The server; it has no connections under [`Transport::InProcess`].
+    sim: WireSim,
+    /// Per wire client, the bytes written but not yet delivered.
+    pending: Vec<Vec<u8>>,
+    /// Transport chunking gets its own seeded stream so arrival scripting
+    /// and delivery fragmentation are independent dimensions of one seed.
+    chunk_rng: SmallRng,
+    /// By request id (global across clients). `None` is an ingest or
+    /// feedback frame, which expects an `Ok` acknowledgement and nothing
+    /// else; in-process those steps are plain calls and take no id.
+    tickets: Vec<Option<Ticket>>,
+    /// Request ids that have had their response.
+    answered: usize,
+    /// `expected[table][generation][query]`: reference values under every
+    /// model `table` has served, the registered one first.
+    expected: Vec<Vec<Vec<f64>>>,
+    /// Original bytes of the damaged checkpoint, for the restore step.
+    damaged: Option<(PathBuf, Vec<u8>)>,
+    report: ScenarioReport,
+}
+
+impl<'a> Replay<'a> {
+    fn new(setup: &'a Setup, script: &Script, transport: Transport) -> Self {
+        let (connections, conn_config) = match transport {
+            Transport::InProcess => (0, ConnConfig::default()),
+            Transport::Wire { max_pipeline, .. } => (
+                script.clients,
+                ConnConfig { max_pipeline: max_pipeline.max(1), ..ConnConfig::default() },
+            ),
+        };
+        let mut sim = WireSim::new(setup.tables.clone(), setup.harness, conn_config, connections);
+        sim.harness.tier().set_spill_dir(setup.spill_dir.clone());
+        sim.harness.arm_panic_batches(&script.panic_batches);
+        for (table, data, hot_keys, config) in &setup.online {
+            sim.harness.enable_hot_set(*table, *hot_keys);
+            sim.harness.enable_online(*table, data.clone(), *config);
+        }
+        // Every connection starts by writing the protocol preamble.
+        let mut preamble = Vec::new();
+        frame::encode_preamble(&mut preamble);
+        let models = setup.tables.iter().zip(&setup.workloads);
+        Self {
+            setup,
+            transport,
+            sim,
+            pending: vec![preamble; connections],
+            chunk_rng: SmallRng::seed_from_u64(script.seed ^ 0x57_49_52_45), // "WIRE"
+            tickets: Vec::new(),
+            answered: 0,
+            expected: models
+                .map(|((_, model), pool)| vec![reference_values(model, pool)])
+                .collect(),
+            damaged: None,
+            report: ScenarioReport {
+                per_table_submitted: vec![0; setup.tables.len()],
+                per_table_served: vec![0; setup.tables.len()],
+                per_table_shed: vec![0; setup.tables.len()],
+                ..ScenarioReport::default()
+            },
+        }
+    }
+
+    /// One worker turn at the current virtual time, then pick up whatever it
+    /// answered: ticket outcomes from the harness log, response frames from
+    /// every connection. Returns the number of requests processed.
+    fn service(&mut self) -> usize {
+        let processed = self.sim.turn();
+        for (id, outcome) in std::mem::take(&mut self.sim.harness.outcomes) {
+            self.record(id, outcome);
+        }
+        for conn in 0..self.pending.len() {
+            self.sim.pump(conn).expect("pump after turn cannot hit new input");
+            self.collect(conn);
+        }
+        processed
+    }
+
+    /// Run one scripted step at the current virtual time.
+    fn apply(&mut self, step: &Step) {
+        let setup = self.setup;
+        let wire = matches!(self.transport, Transport::Wire { .. });
+        match *step {
+            Step::Query { client, table, query } => {
+                let generation = self.expected[table].len() - 1;
+                let id = self.issue(Some(Ticket { table, query, generation }));
+                self.report.submitted += 1;
+                self.report.per_table_submitted[table] += 1;
+                let query = &setup.workloads[table][query];
+                if wire {
+                    let (preds, intervals) = encode(setup, table, query);
+                    // Deadline 0: defer to the router's configured budget.
+                    let buf = &mut self.pending[client];
+                    frame::encode_request(buf, id, table as u32, 0, &preds, &intervals);
+                    self.exchange(client);
+                } else {
+                    match self.sim.harness.submit_query(table, query, id) {
+                        SubmitResult::Cached(value) => self.record(id, Ok(value)),
+                        SubmitResult::Queued { .. } => {}
+                        SubmitResult::Shed { .. } => self.record(id, Err(ShedReason::QueueFull)),
+                    }
+                }
+                self.report.max_shard_depth =
+                    self.report.max_shard_depth.max(self.sim.harness.deepest_shard());
+            }
+            Step::Ingest { client, table, ref rows } => {
+                if wire {
+                    for row in rows {
+                        let id = self.issue(None);
+                        frame::encode_ingest(&mut self.pending[client], id, table as u32, row);
+                    }
+                    self.exchange(client);
+                } else {
+                    let online = self.sim.harness.online_state(table);
+                    let mut online = online.lock().expect("online table poisoned");
+                    for row in rows {
+                        online.ingest_row(row).expect("scripted rows stay inside the dictionary");
+                    }
+                }
+            }
+            Step::Feedback { client, table, query } => {
+                let query = &setup.workloads[table][query];
+                let (preds, intervals) = encode(setup, table, query);
+                let online = self.sim.harness.online_state(table);
+                let live = online.lock().expect("online table poisoned");
+                let actual = exact_cardinality(live.table(), query) as f64;
+                // Released here: the connection's feedback handler takes the
+                // same lock.
+                drop(live);
+                if wire {
+                    let id = self.issue(None);
+                    let buf = &mut self.pending[client];
+                    frame::encode_feedback(buf, id, table as u32, actual, &preds, &intervals);
+                    self.exchange(client);
+                } else {
+                    // Stamped with the currently registered slot's uid, the
+                    // stamp the wire front door applies.
+                    let uid = self.sim.harness.directory[table].slot.uid();
+                    online
+                        .lock()
+                        .expect("online table poisoned")
+                        .push_feedback(uid, preds, intervals, actual)
+                        .expect("in-run feedback is never stale");
+                }
+            }
+            Step::Tick { table } => {
+                let tick = self.sim.harness.online_tick(table);
+                self.report.hot_replayed += tick.replayed as u64;
+                if tick.swapped {
+                    // Replies from here on are checked against the model just
+                    // published.
+                    let published = self.sim.harness.estimator(table);
+                    self.expected[table]
+                        .push(reference_values(&published, &setup.workloads[table]));
+                }
+            }
+            Step::DamageCheckpoint { table, damage } => {
+                let dir = setup.spill_dir.as_ref().expect("checkpoint faults need a spill dir");
+                self.damaged = Some(damage_checkpoint(&self.sim.harness, dir, table, damage));
+            }
+            Step::RestoreCheckpoint => {
+                let (path, original) =
+                    self.damaged.take().expect("restore scripted before any checkpoint damage");
+                std::fs::write(&path, original).expect("restoring the checkpoint file");
+            }
+            Step::BreakSpillDir => {
+                let dir = setup.spill_dir.as_ref().expect("spill-dir faults need a spill dir");
+                // A plain file where the spill directory should be: every
+                // subsequent spill fails `create_dir_all` with a real IO error.
+                let blocker = dir.join("spill-blocker");
+                std::fs::write(&blocker, b"x").expect("writing the spill-dir blocker");
+                self.sim.harness.tier().set_spill_dir(Some(blocker));
+            }
+            Step::FixSpillDir => self.sim.harness.tier().set_spill_dir(setup.spill_dir.clone()),
+        }
+    }
+
+    /// Allot the next request id.
+    fn issue(&mut self, ticket: Option<Ticket>) -> u64 {
+        self.tickets.push(ticket);
+        self.tickets.len() as u64 - 1
+    }
+
+    /// `client` was active: deliver what the chunking lets through, then
+    /// read back what the server has to say.
+    fn exchange(&mut self, client: usize) {
+        self.deliver(client, false);
+        self.collect(client);
+    }
+
+    /// Move up to the whole pending buffer of client `conn` into its server
+    /// connection, split/held-back per the transport's [`ChunkMode`].
+    fn deliver(&mut self, conn: usize, everything: bool) {
+        let Transport::Wire { chunk, .. } = self.transport else { return };
+        let pending = &mut self.pending[conn];
+        while !pending.is_empty() {
+            let take = match chunk {
+                ChunkMode::Exact => pending.len(),
+                ChunkMode::Random { max } => {
+                    if !everything && self.chunk_rng.gen_range(0u32..4) == 0 {
+                        // Hold the tail back: it will coalesce with the
+                        // client's next write.
+                        break;
+                    }
+                    self.chunk_rng.gen_range(1..=max.max(1)).min(pending.len())
+                }
+            };
+            self.sim.feed(conn, &pending[..take]);
+            pending.drain(..take);
+            self.sim.pump(conn).expect("simulated clients speak the protocol");
+        }
+    }
+
+    /// Read every response frame the server has produced for `conn`: query
+    /// answers are folded into the report, ingest and feedback
+    /// acknowledgements must be `Ok`.
+    fn collect(&mut self, conn: usize) {
+        let mut read = 0;
+        while let Some((view, consumed)) =
+            frame::next_frame(&self.sim.output(conn)[read..], frame::DEFAULT_MAX_FRAME_LEN)
+                .expect("server frames are well-formed")
+        {
+            read += consumed;
+            let FrameView::Response(response) = view else { continue };
+            match self.tickets[response.request_id as usize] {
+                Some(_) => self.record(response.request_id, wire_outcome(&response)),
+                None => {
+                    assert_eq!(response.status, Status::Ok, "scripted ingest/feedback is valid");
+                    self.answered += 1;
+                }
+            }
+        }
+        self.sim.consume_output(conn, read);
+    }
+
+    /// Fold the terminal outcome of query `id` into the report.
+    fn record(&mut self, id: u64, outcome: Result<f64, ShedReason>) {
+        let ticket = self.tickets[id as usize].expect("only queries have outcomes");
+        self.answered += 1;
+        self.report.record(ticket, &self.expected[ticket.table], outcome);
+    }
+}
+
+/// `query` in the canonical per-column id layout, encoded with the schema
+/// the client was set up with (publishes keep the id space, so it never goes
+/// stale, and encoding never touches the server's model).
+fn encode(setup: &Setup, table: usize, query: &Query) -> (Vec<Vec<IdPredicate>>, Vec<(u32, u32)>) {
+    let schema = setup.tables[table].1.schema();
+    (query_to_id_predicates(schema, query), query.column_intervals(schema))
+}
+
+/// The outcome a query's response frame reports — the inverse of the
+/// connection's outcome → status mapping, so both transports feed one fold.
+fn wire_outcome(response: &ResponseFrame) -> Result<f64, ShedReason> {
+    match response.status {
+        Status::Ok => Ok(response.value),
+        Status::Overloaded => Err(ShedReason::QueueFull),
+        Status::DeadlineExceeded => Err(ShedReason::DeadlineExpired),
+        Status::Internal => Err(ShedReason::WorkerPanicked),
+        // Scripts only address registered table ids, which leaves the stale
+        // registration as the one way a query is answered `UnknownTable`.
+        Status::UnknownTable => Err(ShedReason::StaleRegistration),
+        Status::Rejected => unreachable!("only ingest and feedback frames are answered Rejected"),
+    }
+}
+
 /// Find the spilled checkpoint file of the slot with `uid` under `dir`.
 fn spilled_checkpoint(dir: &Path, uid: u64) -> Option<PathBuf> {
     let prefix = format!("slot-{uid}-");
@@ -1411,29 +1474,19 @@ fn spilled_checkpoint(dir: &Path, uid: u64) -> Option<PathBuf> {
     })
 }
 
-/// How [`damage_checkpoint`] mangles a spilled checkpoint file.
-#[derive(Clone, Copy)]
-enum Damage {
-    /// Flip the final byte (checksum-covered payload corruption).
-    FlipByte,
-    /// Cut the file to half its length (a torn write).
-    Truncate,
-}
-
-/// Damage `table`'s spilled checkpoint on disk; returns the path and the
-/// original bytes so the plan can restore them later.
+/// Damage `table`'s spilled checkpoint under `dir`; returns the path and the
+/// original bytes so a later step can restore them.
 ///
 /// The fault being modeled is "the on-disk checkpoint went bad", so if the
 /// model is still resident it is first evicted to the spill directory —
 /// guaranteeing there is a file to damage regardless of where the tier's
-/// own eviction schedule happens to be at this event.
+/// own eviction schedule happens to be at this step.
 fn damage_checkpoint(
     harness: &RouterHarness,
-    plan: &FaultPlan,
+    dir: &Path,
     table: usize,
     damage: Damage,
 ) -> (PathBuf, Vec<u8>) {
-    let dir = plan.spill_dir.as_ref().expect("checkpoint faults require FaultPlan::spill_dir");
     let slot = &harness.directory[table].slot;
     if slot.is_resident() {
         slot.evict(Some(dir)).expect("spilling the checkpoint about to be damaged");
@@ -1452,150 +1505,4 @@ fn damage_checkpoint(
     }
     std::fs::write(&path, &bytes).expect("writing the damaged checkpoint");
     (path, original)
-}
-
-/// Replay a scripted scenario with seeded faults injected per `plan` and
-/// fold the outcomes — faults included — into a [`ScenarioReport`].
-///
-/// The contract under fault is the no-fault contract plus typed failure:
-/// `accounted() == submitted` (every request still gets exactly one
-/// terminal outcome — panicking batches answer
-/// [`ShedReason::WorkerPanicked`], unreloadable models shed at admission),
-/// `mismatches == 0` (a request that *is* served is still bit-identical to
-/// the unbatched reference), and replaying the same plan over the same
-/// config yields an `==` report, fault counters included.
-pub fn run_fault_scenario(
-    tables: &[(String, DuetEstimator)],
-    workloads: &[Vec<Query>],
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-) -> ScenarioReport {
-    assert_eq!(tables.len(), workloads.len(), "one workload per table");
-    assert!(!tables.is_empty(), "need at least one table");
-    let needs_spill_dir = plan.corrupt_checkpoint_at.is_some()
-        || plan.truncate_checkpoint_at.is_some()
-        || plan.break_spill_dir_at.is_some();
-    assert!(
-        !needs_spill_dir || plan.spill_dir.is_some(),
-        "checkpoint/spill faults require FaultPlan::spill_dir"
-    );
-
-    // Unbatched per-query reference values (the bit-identity baseline for
-    // everything that is served despite the faults).
-    let expected: Vec<Vec<f64>> = tables
-        .iter()
-        .zip(workloads)
-        .map(|((_, estimator), queries)| {
-            let mut reference = estimator.clone();
-            queries.iter().map(|q| reference.estimate(q)).collect()
-        })
-        .collect();
-
-    let mut harness = RouterHarness::new(tables.to_vec(), cfg.harness);
-    harness.tier().set_spill_dir(plan.spill_dir.clone());
-    harness.arm_panic_batches(&plan.panic_batches);
-    let events = script(cfg, workloads);
-    let service_ns = cfg.service_every.as_nanos().max(1) as u64;
-    let mut next_service = service_ns;
-
-    let mut report = ScenarioReport {
-        per_table_submitted: vec![0; tables.len()],
-        per_table_served: vec![0; tables.len()],
-        per_table_shed: vec![0; tables.len()],
-        ..ScenarioReport::default()
-    };
-    let mut ticket_source = Vec::with_capacity(events.len());
-    // Original bytes of the damaged checkpoint, for `restore_checkpoint_at`.
-    let mut damaged: Option<(PathBuf, Vec<u8>)> = None;
-
-    for (index, event) in events.iter().enumerate() {
-        let index = index as u64;
-
-        // Scripted checkpoint/spill faults fire just before this arrival.
-        if let Some((at, table)) = plan.corrupt_checkpoint_at {
-            if at == index {
-                damaged = Some(damage_checkpoint(&harness, plan, table, Damage::FlipByte));
-            }
-        }
-        if let Some((at, table)) = plan.truncate_checkpoint_at {
-            if at == index {
-                damaged = Some(damage_checkpoint(&harness, plan, table, Damage::Truncate));
-            }
-        }
-        if plan.restore_checkpoint_at == Some(index) {
-            let (path, original) =
-                damaged.take().expect("restore scripted before any checkpoint damage");
-            std::fs::write(&path, original).expect("restoring the checkpoint file");
-        }
-        if plan.break_spill_dir_at == Some(index) {
-            let dir =
-                plan.spill_dir.as_ref().expect("spill-dir faults require FaultPlan::spill_dir");
-            // A plain file where the spill directory should be: every
-            // subsequent spill fails `create_dir_all` with a real IO error.
-            let blocker = dir.join("spill-blocker");
-            std::fs::write(&blocker, b"x").expect("writing the spill-dir blocker");
-            harness.tier().set_spill_dir(Some(blocker));
-        }
-        if plan.fix_spill_dir_at == Some(index) {
-            harness.tier().set_spill_dir(plan.spill_dir.clone());
-        }
-
-        // Run the worker cadence up to this arrival.
-        while next_service <= event.at_ns {
-            harness.clock().set(Duration::from_nanos(next_service));
-            harness.turn();
-            next_service += service_ns;
-        }
-        harness.clock().set(Duration::from_nanos(event.at_ns));
-
-        let ticket = ticket_source.len() as u64;
-        ticket_source.push((event.table, event.query));
-        report.submitted += 1;
-        report.per_table_submitted[event.table] += 1;
-        match harness.submit_query(event.table, &workloads[event.table][event.query], ticket) {
-            SubmitResult::Cached(value) => {
-                report.served += 1;
-                report.per_table_served[event.table] += 1;
-                if value.to_bits() != expected[event.table][event.query].to_bits() {
-                    report.mismatches += 1;
-                }
-            }
-            SubmitResult::Queued { depth } => {
-                report.max_shard_depth = report.max_shard_depth.max(depth);
-            }
-            SubmitResult::Shed { .. } => {
-                report.shed_overload += 1;
-                report.per_table_shed[event.table] += 1;
-            }
-        }
-    }
-
-    // Drain the backlog on the same cadence.
-    while harness.queue_depth() > 0 {
-        harness.clock().advance(cfg.service_every);
-        harness.turn();
-    }
-
-    for (ticket, outcome) in harness.outcomes() {
-        let (table, query) = ticket_source[*ticket as usize];
-        match outcome {
-            Ok(value) => {
-                report.served += 1;
-                report.per_table_served[table] += 1;
-                if value.to_bits() != expected[table][query].to_bits() {
-                    report.mismatches += 1;
-                }
-            }
-            Err(ShedReason::WorkerPanicked) => {
-                report.shed_internal += 1;
-                report.per_table_shed[table] += 1;
-            }
-            Err(_) => {
-                report.shed_deadline += 1;
-                report.per_table_shed[table] += 1;
-            }
-        }
-    }
-    report.fold_metrics(&harness.metrics_snapshot());
-    report
 }

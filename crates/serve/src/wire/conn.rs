@@ -495,8 +495,7 @@ fn resolve_table(
             // Resolution may lazily reload an evicted model (the reply
             // carries per-column NDVs from its schema); a failed reload
             // answers UnknownTable so the client can retry resolution.
-            let was_resident = tables[table_id].slot.is_resident();
-            let Ok(estimator) = tables[table_id].slot.try_current() else {
+            let Ok((_, estimator)) = tables[table_id].slot.resolve(metrics) else {
                 frame::encode_table_info(
                     outbound.tail_mut(),
                     query.request_id,
@@ -507,9 +506,6 @@ fn resolve_table(
                 metrics.record_frame_out();
                 return;
             };
-            if !was_resident {
-                metrics.record_model_reload();
-            }
             let schema = estimator.schema();
             ndv_scratch.clear();
             for column in schema.columns() {
@@ -602,4 +598,61 @@ fn handle_feedback(
     };
     frame::encode_response(outbound.tail_mut(), request_id, status, 0.0);
     metrics.record_frame_out();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::{HotSet, ShardedCache};
+    use crate::online::{OnlineConfig, OnlineHooks, OnlineTable};
+    use crate::registry::ModelSlot;
+    use crate::router::{RouterConfig, VirtualClock};
+    use crate::tier::ModelTier;
+    use duet_core::{DuetConfig, DuetEstimator};
+    use duet_data::datasets::census_like;
+
+    #[test]
+    fn feedback_stamped_against_a_reregistered_table_is_answered_rejected() {
+        let table = census_like(200, 17);
+        let estimator =
+            DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 17);
+        let clock = Arc::new(VirtualClock::new());
+        let metrics = Arc::new(ServeMetrics::new());
+        let router = Router::new(RouterConfig::default(), clock.clone(), metrics.clone());
+        // The online state is bound to the registration it was enabled
+        // under; the directory now holds a fresh slot for the same table id.
+        let tables = [TableResources {
+            name: Arc::from("census"),
+            slot: Arc::new(ModelSlot::new(estimator.clone())),
+            cache: Arc::new(ShardedCache::new(0, 1)),
+        }];
+        let hooks = OnlineHooks {
+            slot: Arc::new(ModelSlot::new(estimator)),
+            cache: tables[0].cache.clone(),
+            hot: Arc::new(HotSet::new(0)),
+            tier: Arc::new(ModelTier::new(0)),
+            metrics: metrics.clone(),
+            table_id: 0,
+        };
+        let columns = table.num_columns();
+        let online = OnlineDirectory::new();
+        online.enable(0, OnlineTable::new(table, OnlineConfig::default(), hooks));
+
+        let mut bytes = Vec::new();
+        frame::encode_preamble(&mut bytes);
+        let (preds, intervals) = (vec![Vec::new(); columns], vec![(0, 0); columns]);
+        frame::encode_feedback(&mut bytes, 9, 0, 12.0, &preds, &intervals);
+        let mut conn = WireConn::new(ConnConfig::default());
+        conn.feed(&bytes);
+        conn.pump(&router, &tables, &online, clock.as_ref(), &metrics).expect("valid bytes");
+
+        let (view, _) = frame::next_frame(conn.output(), DEFAULT_MAX_FRAME_LEN).unwrap().unwrap();
+        match view {
+            FrameView::Response(response) => {
+                assert_eq!((response.request_id, response.status), (9, Status::Rejected));
+            }
+            other => panic!("expected a response frame, got {other:?}"),
+        }
+        assert_eq!(metrics.snapshot(0, 0, 0).feedback_rejected, 1);
+    }
 }

@@ -8,10 +8,10 @@ use duet_core::{DuetConfig, DuetEstimator, IdPredicate};
 use duet_data::datasets::census_like;
 use duet_query::{PredOp, Query, WorkloadSpec};
 use duet_serve::sim::{
-    run_wire_scenario, ArrivalPattern, ChunkMode, HarnessConfig, ScenarioConfig, WireScenarioConfig,
+    replay, ArrivalPattern, ChunkMode, HarnessConfig, ScenarioConfig, Transport, WireSim,
 };
 use duet_serve::wire::frame::{self, DecodeError, FrameView, Status};
-use duet_serve::wire::{RetryConfig, WireClient};
+use duet_serve::wire::{ConnConfig, RetryConfig, WireClient};
 use duet_serve::RouterConfig;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -235,68 +235,64 @@ fn trained_tables(n: usize) -> (Vec<(String, DuetEstimator)>, Vec<Vec<Query>>) {
 #[test]
 fn split_and_coalesced_reads_replay_bit_identically() {
     let (tables, workloads) = trained_tables(2);
-    let cfg = WireScenarioConfig {
-        scenario: ScenarioConfig {
-            seed: 42,
-            clients: 3,
-            requests_per_client: 25,
-            mean_gap: Duration::from_micros(100),
-            service_every: Duration::from_micros(300),
-            pattern: ArrivalPattern::Uniform,
-            harness: HarnessConfig::default(),
-        },
-        // Frames arrive shredded into ≤7-byte reads, with tails held back to
-        // coalesce with later frames — the adversarial TCP delivery shapes.
-        chunk: ChunkMode::Random { max: 7 },
-        max_pipeline: 64,
+    let cfg = ScenarioConfig {
+        seed: 42,
+        clients: 3,
+        requests_per_client: 25,
+        mean_gap: Duration::from_micros(100),
+        service_every: Duration::from_micros(300),
+        pattern: ArrivalPattern::Uniform,
+        harness: HarnessConfig::default(),
     };
-    let report = run_wire_scenario(&tables, &workloads, &cfg);
+    // Frames arrive shredded into ≤7-byte reads, with tails held back to
+    // coalesce with later frames — the adversarial TCP delivery shapes.
+    let shredded = Transport::Wire { chunk: ChunkMode::Random { max: 7 }, max_pipeline: 64 };
+    let (setup, script) = cfg.generate(&tables, &workloads);
+    let report = replay(&setup, &script, shredded);
     assert_eq!(report.submitted, 3 * 25);
     assert_eq!(report.served, report.submitted, "ample queues serve everything: {report:?}");
     assert_eq!(report.mismatches, 0, "wire transport must not change any answer");
     assert_eq!(report.accounted(), report.submitted);
     assert!(report.batches > 0);
     // Replay equality under byte shredding is the wire determinism claim.
-    assert_eq!(report, run_wire_scenario(&tables, &workloads, &cfg));
+    assert_eq!(report, replay(&setup, &script, shredded));
 
     // Whole-write delivery serves the same accounting (timing differs, so
     // batches may differ; outcomes may not).
-    let exact = WireScenarioConfig { chunk: ChunkMode::Exact, ..cfg.clone() };
-    let exact_report = run_wire_scenario(&tables, &workloads, &exact);
+    let exact = Transport::Wire { chunk: ChunkMode::Exact, max_pipeline: 64 };
+    let exact_report = replay(&setup, &script, exact);
     assert_eq!(exact_report.served, report.served);
     assert_eq!(exact_report.mismatches, 0);
-    assert_eq!(exact_report, run_wire_scenario(&tables, &workloads, &exact));
+    assert_eq!(exact_report, replay(&setup, &script, exact));
 }
 
 #[test]
 fn overload_and_deadline_sheds_become_status_frames() {
     let (tables, workloads) = trained_tables(2);
-    let cfg = WireScenarioConfig {
-        scenario: ScenarioConfig {
-            seed: 7,
-            clients: 4,
-            requests_per_client: 32,
-            mean_gap: Duration::from_micros(50),
-            // Both tables share one shard, so each turn batches only the
-            // head table and the other table waits a second service
-            // interval. With a deadline between one and two intervals, the
-            // head batch is served while stragglers expire — and the tiny
-            // queue sheds the bursts at admission. All three outcomes fire.
-            service_every: Duration::from_millis(5),
-            pattern: ArrivalPattern::Bursty { burst_size: 16 },
-            harness: HarnessConfig {
-                router: RouterConfig {
-                    num_shards: 1,
-                    queue_capacity: 8,
-                    default_deadline: Some(Duration::from_millis(7)),
-                },
-                ..HarnessConfig::default()
+    let cfg = ScenarioConfig {
+        seed: 7,
+        clients: 4,
+        requests_per_client: 32,
+        mean_gap: Duration::from_micros(50),
+        // Both tables share one shard, so each turn batches only the
+        // head table and the other table waits a second service
+        // interval. With a deadline between one and two intervals, the
+        // head batch is served while stragglers expire — and the tiny
+        // queue sheds the bursts at admission. All three outcomes fire.
+        service_every: Duration::from_millis(5),
+        pattern: ArrivalPattern::Bursty { burst_size: 16 },
+        harness: HarnessConfig {
+            router: RouterConfig {
+                num_shards: 1,
+                queue_capacity: 8,
+                default_deadline: Some(Duration::from_millis(7)),
             },
+            ..HarnessConfig::default()
         },
-        chunk: ChunkMode::Random { max: 9 },
-        max_pipeline: 64,
     };
-    let report = run_wire_scenario(&tables, &workloads, &cfg);
+    let wire = Transport::Wire { chunk: ChunkMode::Random { max: 9 }, max_pipeline: 64 };
+    let (setup, script) = cfg.generate(&tables, &workloads);
+    let report = replay(&setup, &script, wire);
     assert!(report.shed_overload > 0, "full queues must answer Overloaded: {report:?}");
     assert!(report.shed_deadline > 0, "expired waits must answer DeadlineExceeded: {report:?}");
     assert!(report.served > 0, "admitted in-budget requests must still be served: {report:?}");
@@ -304,7 +300,7 @@ fn overload_and_deadline_sheds_become_status_frames() {
     assert_eq!(report.mismatches, 0, "overload must not corrupt served answers");
     assert!(report.max_shard_depth <= 8, "admission bound holds on the wire path");
     // Shed counts replay exactly — status frames are deterministic too.
-    assert_eq!(report, run_wire_scenario(&tables, &workloads, &cfg));
+    assert_eq!(report, replay(&setup, &script, wire));
 }
 
 // ---------------------------------------------------------------------------
@@ -464,22 +460,20 @@ fn a_reconnecting_client_replays_its_unanswered_request() {
 #[test]
 fn pipeline_cap_sheds_at_the_connection_before_the_queues() {
     let (tables, workloads) = trained_tables(1);
-    let cfg = WireScenarioConfig {
-        scenario: ScenarioConfig {
-            seed: 11,
-            clients: 2,
-            requests_per_client: 30,
-            mean_gap: Duration::from_micros(10),
-            // Workers only run long after all arrivals: the connection's
-            // in-flight cap is the only backpressure in play.
-            service_every: Duration::from_millis(100),
-            pattern: ArrivalPattern::Uniform,
-            harness: HarnessConfig::default(),
-        },
-        chunk: ChunkMode::Exact,
-        max_pipeline: 4,
+    let cfg = ScenarioConfig {
+        seed: 11,
+        clients: 2,
+        requests_per_client: 30,
+        mean_gap: Duration::from_micros(10),
+        // Workers only run long after all arrivals: the connection's
+        // in-flight cap is the only backpressure in play.
+        service_every: Duration::from_millis(100),
+        pattern: ArrivalPattern::Uniform,
+        harness: HarnessConfig::default(),
     };
-    let report = run_wire_scenario(&tables, &workloads, &cfg);
+    let capped = Transport::Wire { chunk: ChunkMode::Exact, max_pipeline: 4 };
+    let (setup, script) = cfg.generate(&tables, &workloads);
+    let report = replay(&setup, &script, capped);
     assert_eq!(report.submitted, 60);
     assert!(
         report.shed_overload >= 52,
@@ -489,5 +483,58 @@ fn pipeline_cap_sheds_at_the_connection_before_the_queues() {
     assert!(report.served >= 8, "capped pipelines still serve their admitted window: {report:?}");
     assert_eq!(report.accounted(), report.submitted);
     assert_eq!(report.mismatches, 0);
-    assert_eq!(report, run_wire_scenario(&tables, &workloads, &cfg));
+    assert_eq!(report, replay(&setup, &script, capped));
+}
+
+#[test]
+fn resolving_a_table_whose_spilled_checkpoint_went_bad_counts_a_reload_failure() {
+    let (tables, workloads) = trained_tables(2);
+    // A budget nothing fits in: executing a batch for table 1 evicts table 0
+    // to the spill directory.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("wire-resolve-corrupt-spill");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = HarnessConfig { model_budget_bytes: 1, ..HarnessConfig::default() };
+    let mut sim = WireSim::new(tables, config, ConnConfig::default(), 1);
+    sim.harness().tier().set_spill_dir(Some(dir.clone()));
+
+    let schema = sim.harness().estimator(1).schema().clone();
+    let preds = duet_core::query_to_id_predicates(&schema, &workloads[1][0]);
+    let intervals = workloads[1][0].column_intervals(&schema);
+    let mut bytes = Vec::new();
+    frame::encode_preamble(&mut bytes);
+    frame::encode_request(&mut bytes, 1, 1, 0, &preds, &intervals);
+    sim.feed(0, &bytes);
+    sim.pump(0).expect("valid protocol bytes");
+    sim.turn();
+    sim.pump(0).expect("pump after turn");
+    sim.consume_output(0, sim.output(0).len());
+
+    // Flip a byte of every spilled checkpoint, then resolve table 0: the
+    // reply carries per-column NDVs from the model's schema, so it needs the
+    // lazy reload that can no longer succeed.
+    let spilled: Vec<_> =
+        std::fs::read_dir(&dir).unwrap().map(|entry| entry.unwrap().path()).collect();
+    assert!(!spilled.is_empty(), "the budget must have spilled the cold table");
+    for file in &spilled {
+        let mut bytes = std::fs::read(file).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xFF;
+        std::fs::write(file, &bytes).unwrap();
+    }
+    let before = sim.harness().metrics_snapshot().reload_failures;
+    let mut query = Vec::new();
+    frame::encode_table_query(&mut query, 2, "table-0");
+    sim.feed(0, &query);
+    sim.pump(0).expect("valid protocol bytes");
+    let (view, _) = frame::next_frame(sim.output(0), frame::DEFAULT_MAX_FRAME_LEN)
+        .expect("well-formed reply")
+        .expect("a complete table-info frame");
+    match view {
+        FrameView::TableInfo(info) => assert_eq!(info.status, Status::UnknownTable),
+        other => panic!("expected a table-info frame, got {other:?}"),
+    }
+    assert_eq!(
+        sim.harness().metrics_snapshot().reload_failures,
+        before + 1,
+        "the failed lazy reload must be visible to the operator"
+    );
 }

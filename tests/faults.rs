@@ -13,13 +13,14 @@ use duet::core::{DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
 use duet::query::{CardinalityEstimator, Query, WorkloadSpec};
 use duet::serve::sim::{
-    run_fault_scenario, ArrivalPattern, FaultPlan, HarnessConfig, RouterHarness, ScenarioConfig,
-    SubmitResult, WireSim,
+    replay, ArrivalPattern, ChunkMode, FaultPlan, HarnessConfig, RouterHarness, ScenarioConfig,
+    Script, Setup, SubmitResult, Transport, WireSim,
 };
 use duet::serve::wire::frame::{self, FrameView, Status};
 use duet::serve::wire::ConnConfig;
 use duet::serve::{DuetServer, ModelSlot, RouterConfig, ServeConfig, ServeError, ShedReason};
-use std::sync::Arc;
+use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Silence the default panic-hook output for injected faults (they are
@@ -45,9 +46,12 @@ fn quiet_injected_panics() {
     });
 }
 
+/// Named, trained tables and one query pool per table.
+type Trained = (Vec<(String, DuetEstimator)>, Vec<Vec<Query>>);
+
 /// Train `n` small tables (distinct shapes and seeds) plus a query pool per
 /// table.
-fn trained_tables(n: usize) -> (Vec<(String, DuetEstimator)>, Vec<Vec<Query>>) {
+fn trained_tables(n: usize) -> Trained {
     let cfg = DuetConfig::small().with_epochs(1);
     let mut tables = Vec::new();
     let mut workloads = Vec::new();
@@ -70,11 +74,13 @@ fn spill_dir(test: &str) -> std::path::PathBuf {
     dir
 }
 
-#[test]
-fn a_seeded_fault_scenario_replays_identically_and_accounts_every_request() {
-    quiet_injected_panics();
-    let (tables, workloads) = trained_tables(3);
-    let dir = spill_dir("fault-scenario-replay");
+/// The combined-fault scenario: uniform arrivals over three tables, a
+/// handful of panicking batches, and a corrupt-then-restored checkpoint.
+fn combined_fault_scenario(
+    tables: &[(String, DuetEstimator)],
+    workloads: &[Vec<Query>],
+    spill: &str,
+) -> (Setup, Script) {
     let cfg = ScenarioConfig {
         seed: 4242,
         clients: 6,
@@ -91,12 +97,21 @@ fn a_seeded_fault_scenario_replays_identically_and_accounts_every_request() {
         // it two thirds of the way in.
         corrupt_checkpoint_at: Some((80, 1)),
         restore_checkpoint_at: Some(160),
-        spill_dir: Some(dir),
+        spill_dir: Some(spill_dir(spill)),
         ..FaultPlan::default()
     };
+    let (mut setup, mut script) = cfg.generate(tables, workloads);
+    plan.inject(&mut setup, &mut script);
+    (setup, script)
+}
 
-    let first = run_fault_scenario(&tables, &workloads, &cfg, &plan);
-    let second = run_fault_scenario(&tables, &workloads, &cfg, &plan);
+#[test]
+fn a_seeded_fault_scenario_replays_identically_and_accounts_every_request() {
+    quiet_injected_panics();
+    let (tables, workloads) = trained_tables(3);
+    let (setup, script) = combined_fault_scenario(&tables, &workloads, "fault-scenario-replay");
+    let first = replay(&setup, &script, Transport::InProcess);
+    let second = replay(&setup, &script, Transport::InProcess);
     assert_eq!(first, second, "a seeded fault scenario must replay identically");
 
     assert_eq!(
@@ -115,11 +130,97 @@ fn a_seeded_fault_scenario_replays_identically_and_accounts_every_request() {
         first.reload_failures > 0,
         "the corrupt checkpoint window must produce typed reload failures: {first:?}"
     );
+    // A failed reload is an overload shed, never a deadline shed: no deadline
+    // is configured.
+    assert_eq!(first.shed_deadline, 0);
     // The table healed: requests after the restore are served again.
     assert!(
         first.per_table_served[1] > 0,
         "the damaged table serves again after its checkpoint is restored: {first:?}"
     );
+}
+
+#[test]
+fn the_combined_fault_scenario_replays_over_the_wire() {
+    quiet_injected_panics();
+    let (tables, workloads) = trained_tables(3);
+    let (setup, script) = combined_fault_scenario(&tables, &workloads, "fault-scenario-wire");
+    // The same panics and the same corrupt-checkpoint window, with every
+    // request split across reads and coalesced with its neighbours on its
+    // way to the real connection state machine. Chunks are large enough that
+    // delivery keeps up with the arrivals (≤7-byte reads would hold nearly
+    // every request back until the final flush, after the restore).
+    let wire = Transport::Wire { chunk: ChunkMode::Random { max: 256 }, max_pipeline: 64 };
+    let report = replay(&setup, &script, wire);
+    assert_eq!(report, replay(&setup, &script, wire), "faults replay identically over the wire");
+    assert_eq!(report.accounted(), report.submitted, "one response per request: {report:?}");
+    assert_eq!(report.mismatches, 0);
+    assert!(report.shed_internal > 0, "panicked batches answer Internal frames: {report:?}");
+    assert!(report.reload_failures > 0, "the corrupt window sheds on the wire too: {report:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Whatever the script — any arrival pattern, up to three panicking
+    /// batches, an optional damage/restore pair — and whichever transport
+    /// carries it: every request is accounted once, everything served is
+    /// bit-identical to the reference, and the replay repeats exactly.
+    #[test]
+    fn generated_scripts_hold_the_replay_invariants_on_both_transports(
+        seed in 0u64..1_000_000,
+        pattern in 0usize..3,
+        clients in 1usize..4,
+        requests_per_client in 4usize..13,
+        queue_capacity in 2usize..9,
+        panic_batches in prop::collection::vec(0u64..10, 0..4),
+        damage_at in 0u64..24,
+        chunk_max in 0usize..12,
+    ) {
+        quiet_injected_panics();
+        static TABLES: OnceLock<Trained> = OnceLock::new();
+        let (tables, workloads) = TABLES.get_or_init(|| trained_tables(2));
+        let cfg = ScenarioConfig {
+            seed,
+            clients,
+            requests_per_client,
+            mean_gap: Duration::from_micros(40),
+            service_every: Duration::from_micros(110),
+            pattern: [
+                ArrivalPattern::Uniform,
+                ArrivalPattern::Bursty { burst_size: 5 },
+                ArrivalPattern::HotTable { hot_table: 1, hot_permille: 800 },
+            ][pattern],
+            harness: HarnessConfig {
+                router: RouterConfig { queue_capacity, ..RouterConfig::default() },
+                ..HarnessConfig::default()
+            },
+        };
+        // Half the cases damage table 0's checkpoint (alternating the two
+        // damage shapes) and restore it six arrivals later.
+        let damage = (damage_at % 2 == 0).then_some((damage_at, 0));
+        let plan = FaultPlan {
+            panic_batches,
+            corrupt_checkpoint_at: damage.filter(|_| damage_at % 4 == 0),
+            truncate_checkpoint_at: damage.filter(|_| damage_at % 4 != 0),
+            restore_checkpoint_at: damage.map(|(at, _)| at + 6),
+            spill_dir: Some(spill_dir("fault-scenario-generated")),
+            ..FaultPlan::default()
+        };
+        let (mut setup, mut script) = cfg.generate(tables, workloads);
+        plan.inject(&mut setup, &mut script);
+
+        let chunk = match chunk_max {
+            0 => ChunkMode::Exact,
+            max => ChunkMode::Random { max },
+        };
+        for transport in [Transport::InProcess, Transport::Wire { chunk, max_pipeline: 8 }] {
+            let report = replay(&setup, &script, transport);
+            prop_assert_eq!(report.accounted(), report.submitted, "{:?}: {:?}", transport, report);
+            prop_assert_eq!(report.mismatches, 0, "{:?}: {:?}", transport, report);
+            prop_assert_eq!(&report, &replay(&setup, &script, transport), "{:?}", transport);
+        }
+    }
 }
 
 #[test]
@@ -142,10 +243,13 @@ fn a_truncated_checkpoint_sheds_typed_and_heals_on_restore() {
         spill_dir: Some(dir),
         ..FaultPlan::default()
     };
-    let report = run_fault_scenario(&tables, &workloads, &cfg, &plan);
-    assert_eq!(report, run_fault_scenario(&tables, &workloads, &cfg, &plan));
+    let (mut setup, mut script) = cfg.generate(&tables, &workloads);
+    plan.inject(&mut setup, &mut script);
+    let report = replay(&setup, &script, Transport::InProcess);
+    assert_eq!(report, replay(&setup, &script, Transport::InProcess));
     assert_eq!(report.accounted(), report.submitted);
     assert_eq!(report.mismatches, 0);
+    assert_eq!(report.shed_deadline, 0, "no deadline is configured: {report:?}");
     assert!(report.reload_failures > 0, "truncation is caught by frame validation: {report:?}");
     assert!(report.per_table_served[0] > 0, "the table heals after restore");
 }
@@ -177,8 +281,10 @@ fn spill_io_errors_keep_models_resident_and_serving() {
         spill_dir: Some(dir),
         ..FaultPlan::default()
     };
-    let report = run_fault_scenario(&tables, &workloads, &cfg, &plan);
-    assert_eq!(report, run_fault_scenario(&tables, &workloads, &cfg, &plan));
+    let (mut setup, mut script) = cfg.generate(&tables, &workloads);
+    plan.inject(&mut setup, &mut script);
+    let report = replay(&setup, &script, Transport::InProcess);
+    assert_eq!(report, replay(&setup, &script, Transport::InProcess));
     assert_eq!(
         report.accounted(),
         report.submitted,
@@ -275,7 +381,7 @@ fn every_shed_path_delivers_exactly_one_terminal_reply() {
             // triages to a deadline shed at the next turn.
             harness.clock().advance(Duration::from_millis(1));
         }
-        harness.turn();
+        harness.turn(None);
     }
     harness.drain();
 
@@ -481,9 +587,11 @@ fn the_virtual_clock_fault_replay_is_independent_of_wall_time() {
         },
     };
     let plan = FaultPlan { panic_batches: vec![1, 4], ..FaultPlan::default() };
-    let first = run_fault_scenario(&tables, &workloads, &cfg, &plan);
+    let (mut setup, mut script) = cfg.generate(&tables, &workloads);
+    plan.inject(&mut setup, &mut script);
+    let first = replay(&setup, &script, Transport::InProcess);
     std::thread::sleep(Duration::from_millis(30));
-    let second = run_fault_scenario(&tables, &workloads, &cfg, &plan);
+    let second = replay(&setup, &script, Transport::InProcess);
     assert_eq!(first, second);
     assert!(first.panics_caught >= 2);
     assert_eq!(first.accounted(), first.submitted);

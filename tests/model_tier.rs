@@ -13,7 +13,7 @@
 use duet::core::{DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
 use duet::query::{Query, WorkloadSpec};
-use duet::serve::sim::{run_scenario, ArrivalPattern, HarnessConfig, ScenarioConfig};
+use duet::serve::sim::{replay, ArrivalPattern, HarnessConfig, ScenarioConfig, Transport};
 use duet::serve::{DuetServer, ModelSlot, ServeConfig};
 use std::time::Duration;
 
@@ -89,7 +89,8 @@ fn budget_pressure_scenario_serves_everything_and_replays_identically() {
         harness: HarnessConfig { model_budget_bytes: resident_total - 1, ..Default::default() },
     };
 
-    let report = run_scenario(&tables, &workloads, &cfg);
+    let (setup, script) = cfg.generate(&tables, &workloads);
+    let report = replay(&setup, &script, Transport::InProcess);
     assert_eq!(report.submitted, 4 * 40);
     assert_eq!(report.served, report.submitted, "a tight budget must not drop requests");
     assert_eq!(report.accounted(), report.submitted);
@@ -100,7 +101,7 @@ fn budget_pressure_scenario_serves_everything_and_replays_identically() {
     // Replay equality: the tier's heat/victim policy is a pure function of
     // the executed batch sequence, so the same seed reproduces the same
     // eviction/reload counts (and everything else) exactly.
-    let replay = run_scenario(&tables, &workloads, &cfg);
+    let replay = replay(&setup, &script, Transport::InProcess);
     assert_eq!(replay, report, "same seed must replay identical eviction behavior");
 }
 
@@ -122,11 +123,12 @@ fn budget_pressure_with_a_different_seed_still_conserves_requests() {
             ..Default::default()
         },
     };
-    let report = run_scenario(&tables, &workloads, &cfg);
+    let (setup, script) = cfg.generate(&tables, &workloads);
+    let report = replay(&setup, &script, Transport::InProcess);
     assert_eq!(report.served, report.submitted);
     assert_eq!(report.mismatches, 0);
     assert!(report.model_evictions > 0);
-    assert_eq!(run_scenario(&tables, &workloads, &cfg), report);
+    assert_eq!(replay(&setup, &script, Transport::InProcess), report);
 }
 
 #[test]

@@ -4,10 +4,11 @@
 //!
 //! Four angles:
 //!
-//! * **Determinism** — `sim::run_drift_scenario` replays a seeded
+//! * **Determinism** — `DriftScenarioConfig::generate` scripts a seeded
 //!   distribution shift (warm traffic → skewed ingest burst → trainer ticks
-//!   → post traffic) twice per seed and the two `ScenarioReport`s must be
-//!   identical, generation bumps and retrain counters included;
+//!   → post traffic), `sim::replay` runs it twice per seed and the two
+//!   `ScenarioReport`s must be identical, generation bumps and retrain
+//!   counters included;
 //! * **Quality** — after a seeded drift and retrain, the published model's
 //!   mean q-error on a workload over the drifted table must beat the stale
 //!   pre-drift model's;
@@ -23,7 +24,7 @@ use duet::data::datasets::census_like;
 use duet::data::Table;
 use duet::query::{exact_cardinality, q_error, CardinalityEstimator, WorkloadSpec};
 use duet::serve::sim::{
-    run_drift_scenario, DriftScenarioConfig, HarnessConfig, RouterHarness, SubmitResult,
+    replay, ChunkMode, DriftScenarioConfig, HarnessConfig, RouterHarness, SubmitResult, Transport,
 };
 use duet::serve::{DuetServer, OnlineConfig, ServeConfig, ServeError};
 use std::sync::Arc;
@@ -58,8 +59,9 @@ fn drift_scenario_replays_bit_identically() {
             },
             harness: HarnessConfig { cache_capacity: 128, ..HarnessConfig::default() },
         };
-        let first = run_drift_scenario(&table, &estimator, &workload, &cfg);
-        let second = run_drift_scenario(&table, &estimator, &workload, &cfg);
+        let (setup, script) = cfg.generate(&table, &estimator, &workload);
+        let first = replay(&setup, &script, Transport::InProcess);
+        let second = replay(&setup, &script, Transport::InProcess);
         assert_eq!(first, second, "seed {seed}: the drift scenario must replay bit-identically");
 
         assert_eq!(first.accounted(), first.submitted, "every request accounted exactly once");
@@ -70,6 +72,29 @@ fn drift_scenario_replays_bit_identically() {
         assert!(first.post_swap_served > 0, "serving must continue across the swap");
         assert_eq!(first.feedback_rejected, 0, "in-run feedback is never stale");
     }
+}
+
+#[test]
+fn the_default_drift_script_closes_the_loop_over_ingest_and_feedback_frames() {
+    let table = census_like(400, 53);
+    let estimator = DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 53);
+    let workload = WorkloadSpec::random(&table, 32, 54).generate(&table);
+    let cfg = DriftScenarioConfig::default();
+    let (setup, script) = cfg.generate(&table, &estimator, &workload);
+
+    // Every row of the shift and every feedback observation travels as a
+    // protocol frame through the connection's ingest/feedback handlers (the
+    // replay itself insists each one is acknowledged `Ok`), shredded like
+    // any other client bytes.
+    let wire = Transport::Wire { chunk: ChunkMode::Random { max: 256 }, max_pipeline: 64 };
+    let report = replay(&setup, &script, wire);
+    assert_eq!(report, replay(&setup, &script, wire), "the wire drift loop must replay exactly");
+
+    assert_eq!(report.accounted(), report.submitted);
+    assert_eq!(report.mismatches, 0, "post-swap replies match the published model: {report:?}");
+    assert_eq!(report.ingested_rows, cfg.shift_rows as u64, "every ingest frame must land");
+    assert_eq!(report.feedback_rejected, 0, "in-run feedback frames are never stale");
+    assert!(report.retrains >= 1 && report.swaps_published >= 1, "drift must publish: {report:?}");
 }
 
 #[test]

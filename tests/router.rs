@@ -18,7 +18,7 @@ use duet::core::{DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
 use duet::query::{CardinalityEstimator, Query, WorkloadSpec};
 use duet::serve::sim::{
-    run_scenario, ArrivalPattern, HarnessConfig, RouterHarness, ScenarioConfig, SubmitResult,
+    replay, ArrivalPattern, HarnessConfig, RouterHarness, ScenarioConfig, SubmitResult, Transport,
 };
 use duet::serve::{shard_for, DuetServer, RouterConfig, ServeConfig, ServeError, ShedReason};
 use std::sync::Arc;
@@ -53,7 +53,8 @@ fn uniform_arrivals_serve_everything_bit_identically() {
         pattern: ArrivalPattern::Uniform,
         harness: HarnessConfig::default(),
     };
-    let report = run_scenario(&tables, &workloads, &cfg);
+    let (setup, script) = cfg.generate(&tables, &workloads);
+    let report = replay(&setup, &script, Transport::InProcess);
     assert_eq!(report.submitted, 4 * 30);
     assert_eq!(report.served, report.submitted, "ample queues must serve everything");
     assert_eq!(report.shed_overload, 0);
@@ -62,9 +63,10 @@ fn uniform_arrivals_serve_everything_bit_identically() {
     assert_eq!(report.accounted(), report.submitted);
     assert!(report.batches > 0 && report.batches <= report.submitted);
     // Replay equality: the same seed reproduces the report exactly.
-    assert_eq!(report, run_scenario(&tables, &workloads, &cfg));
+    assert_eq!(report, replay(&setup, &script, Transport::InProcess));
     // A different seed still conserves and serves everything.
-    let other = run_scenario(&tables, &workloads, &ScenarioConfig { seed: 43, ..cfg.clone() });
+    let (setup, script) = ScenarioConfig { seed: 43, ..cfg.clone() }.generate(&tables, &workloads);
+    let other = replay(&setup, &script, Transport::InProcess);
     assert_eq!(other.served, other.submitted);
     assert_eq!(other.mismatches, 0);
 }
@@ -87,7 +89,8 @@ fn bursty_overload_sheds_instead_of_queueing_unboundedly() {
             ..HarnessConfig::default()
         },
     };
-    let report = run_scenario(&tables, &workloads, &cfg);
+    let (setup, script) = cfg.generate(&tables, &workloads);
+    let report = replay(&setup, &script, Transport::InProcess);
     assert!(report.shed_overload > 0, "bursts over a tiny queue must shed: {report:?}");
     assert!(report.served > 0, "admitted requests must still be served: {report:?}");
     assert!(
@@ -98,7 +101,7 @@ fn bursty_overload_sheds_instead_of_queueing_unboundedly() {
     assert_eq!(report.accounted(), report.submitted, "every request served or shed exactly once");
     assert_eq!(report.mismatches, 0, "overload must not change any served answer");
     // Identical shed/served counts on replay — the acceptance criterion.
-    assert_eq!(report, run_scenario(&tables, &workloads, &cfg));
+    assert_eq!(report, replay(&setup, &script, Transport::InProcess));
 }
 
 #[test]
@@ -128,7 +131,8 @@ fn hot_table_skew_cannot_starve_tables_on_other_shards() {
             ..HarnessConfig::default()
         },
     };
-    let report = run_scenario(&tables, &workloads, &cfg);
+    let (setup, script) = cfg.generate(&tables, &workloads);
+    let report = replay(&setup, &script, Transport::InProcess);
     assert!(
         report.per_table_submitted[0] > report.submitted / 2,
         "skew precondition: the hot table should dominate traffic: {report:?}"
@@ -147,7 +151,7 @@ fn hot_table_skew_cannot_starve_tables_on_other_shards() {
     assert_eq!(report.mismatches, 0);
     assert_eq!(report.accounted(), report.submitted);
     // Identical shed/served counts on replay — the acceptance criterion.
-    assert_eq!(report, run_scenario(&tables, &workloads, &cfg));
+    assert_eq!(report, replay(&setup, &script, Transport::InProcess));
 }
 
 #[test]
@@ -171,12 +175,13 @@ fn deadline_budgets_expire_at_dequeue_deterministically() {
             ..HarnessConfig::default()
         },
     };
-    let report = run_scenario(&tables, &workloads, &cfg);
+    let (setup, script) = cfg.generate(&tables, &workloads);
+    let report = replay(&setup, &script, Transport::InProcess);
     assert!(report.shed_deadline > 0, "stale requests must be dropped at dequeue: {report:?}");
     assert_eq!(report.shed_overload, 0, "queues are ample; only deadlines shed here");
     assert_eq!(report.accounted(), report.submitted);
     assert_eq!(report.mismatches, 0, "every served answer must still be bit-identical");
-    assert_eq!(report, run_scenario(&tables, &workloads, &cfg));
+    assert_eq!(report, replay(&setup, &script, Transport::InProcess));
 }
 
 #[test]
@@ -204,7 +209,7 @@ fn harness_single_steps_admission_deadline_and_metrics() {
     // Let both queued budgets lapse, then run the worker: both are dropped
     // at dequeue without a forward pass.
     harness.clock().advance(Duration::from_millis(2));
-    harness.turn();
+    harness.turn(None);
     assert_eq!(harness.outcomes().len(), 2);
     assert!(harness
         .outcomes()
@@ -219,7 +224,7 @@ fn harness_single_steps_admission_deadline_and_metrics() {
     // A fresh request inside its budget is served normally.
     harness.clear_outcomes();
     assert_eq!(harness.submit_query(0, query, 3), SubmitResult::Queued { depth: 1 });
-    harness.turn();
+    harness.turn(None);
     let mut reference = (*harness.estimator(0)).clone();
     assert_eq!(harness.outcomes(), &[(3u64, Ok(reference.estimate(query)))]);
 }
@@ -343,9 +348,10 @@ fn scenario_with_result_cache_still_conserves_and_matches() {
         pattern: ArrivalPattern::Uniform,
         harness: HarnessConfig { cache_capacity: 256, cache_shards: 2, ..HarnessConfig::default() },
     };
-    let report = run_scenario(&tables, &workloads, &cfg);
+    let (setup, script) = cfg.generate(&tables, &workloads);
+    let report = replay(&setup, &script, Transport::InProcess);
     assert_eq!(report.served, report.submitted);
     assert_eq!(report.mismatches, 0);
     assert!(report.batches < report.submitted, "cache hits must spare forward batches: {report:?}");
-    assert_eq!(report, run_scenario(&tables, &workloads, &cfg));
+    assert_eq!(report, replay(&setup, &script, Transport::InProcess));
 }

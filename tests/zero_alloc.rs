@@ -200,7 +200,7 @@ fn routed_multi_table_phase() {
             harness.submit_prepared(request).unwrap_or_else(|_| panic!("queue overflow"));
         }
         while harness.queue_depth() > 0 {
-            harness.turn_recycling(returned);
+            harness.turn(Some(returned));
         }
         std::mem::swap(stash, returned);
     };
@@ -511,7 +511,7 @@ fn budgeted_tier_phase() {
             harness.submit_prepared(request).unwrap_or_else(|_| panic!("queue overflow"));
         }
         while harness.queue_depth() > 0 {
-            harness.turn_recycling(returned);
+            harness.turn(Some(returned));
         }
         std::mem::swap(stash, returned);
     };
@@ -592,7 +592,7 @@ fn trainer_tick_phase() {
             harness.submit_prepared(request).unwrap_or_else(|_| panic!("queue overflow"));
         }
         while harness.queue_depth() > 0 {
-            harness.turn_recycling(returned);
+            harness.turn(Some(returned));
         }
         std::mem::swap(stash, returned);
         // Trainer half: one tick. The stats have not moved (serving does
@@ -663,7 +663,7 @@ fn supervised_fault_phase() {
             harness.submit_prepared(request).unwrap_or_else(|_| panic!("queue overflow"));
         }
         while harness.queue_depth() > 0 {
-            harness.turn_recycling(returned);
+            harness.turn(Some(returned));
         }
         std::mem::swap(stash, returned);
     };
