@@ -159,7 +159,7 @@ impl MlpMpsn {
 
     /// `out = Σ_rows MLP(encs)`: run the stacked encodings through the MLP in
     /// one workspace-backed pass and sum the output rows (the vector-sum of
-    /// the paper, replicated in `column_sums` order for bit-identity).
+    /// the paper, replicated in `column_sums_into` order for bit-identity).
     fn embed_into(&self, encs: &Matrix, ws: &mut MpsnScratch, out: &mut [f32]) {
         let y = self.mlp.infer_into(encs, &mut ws.nn);
         out.fill(0.0);

@@ -1236,9 +1236,9 @@ pub fn addmm_packed(
 }
 
 /// Blocked `out = a @ bt^T` for `a: m x k`, `bt: n x k` (row-major; the
-/// right operand is supplied transposed, as in [`Matrix::matmul_nt`]).
+/// right operand is supplied transposed, as in [`Matrix::matmul_nt_into`]).
 ///
-/// [`Matrix::matmul_nt`]: crate::tensor::Matrix::matmul_nt
+/// [`Matrix::matmul_nt_into`]: crate::tensor::Matrix::matmul_nt_into
 pub fn matmul_nt_blocked(a: &[f32], m: usize, k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), m * k);
     assert_eq!(bt.len(), n * k);
@@ -1255,9 +1255,9 @@ pub fn matmul_nt_blocked(a: &[f32], m: usize, k: usize, bt: &[f32], n: usize, ou
 }
 
 /// Blocked `out = a^T @ b` for `a: k x m`, `b: k x n` (row-major; the left
-/// operand is supplied transposed, as in [`Matrix::matmul_tn`]).
+/// operand is supplied transposed, as in [`Matrix::matmul_tn_into`]).
 ///
-/// [`Matrix::matmul_tn`]: crate::tensor::Matrix::matmul_tn
+/// [`Matrix::matmul_tn_into`]: crate::tensor::Matrix::matmul_tn_into
 pub fn matmul_tn_blocked(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), k * m);
     assert_eq!(b.len(), k * n);

@@ -10,18 +10,17 @@
 //! [`crate::pool::ComputePool`] (no per-call thread spawning, no
 //! allocation).
 //!
-//! Every kernel exists in two forms: an `*_into` variant that writes into a
-//! caller-provided output matrix ([`Matrix::matmul_into`],
-//! [`Matrix::matmul_nt_into`], [`Matrix::matmul_tn_into`], and the fused
+//! Every kernel writes into a caller-provided output matrix
+//! ([`Matrix::matmul_into`], [`Matrix::matmul_nt_into`],
+//! [`Matrix::matmul_tn_into`], and the fused
 //! [`Matrix::addmm_bias_act_into`] used by the allocation-free inference
-//! path), and a thin allocating wrapper ([`Matrix::matmul`] etc.) for code
-//! that does not manage buffers. The `*_into` variants reuse the output's
-//! heap buffer whenever its capacity suffices, which is what makes
-//! steady-state inference allocation-free; their results are bit-identical
-//! to the allocating wrappers — and identical across the naive and blocked
-//! paths for finite inputs, because every path accumulates each output
-//! element in the same strictly ascending order along the shared dimension
-//! (see the numerical contract in [`crate::kernels`]).
+//! path); there is no allocating form. The output's heap buffer is reused
+//! whenever its capacity suffices, which is what makes steady-state
+//! inference allocation-free; the result does not depend on what the buffer
+//! held before — and is identical across the naive and blocked paths for
+//! finite inputs, because every path accumulates each output element in the
+//! same strictly ascending order along the shared dimension (see the
+//! numerical contract in [`crate::kernels`]).
 
 use crate::activation::Activation;
 use crate::kernels;
@@ -240,38 +239,12 @@ impl Matrix {
         self.data.iter_mut().for_each(|x| *x *= alpha);
     }
 
-    /// Add a row vector (`bias`) to every row.
-    ///
-    /// # Panics
-    /// Panics if `bias.len() != self.cols()`.
-    pub fn add_row_vector(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "bias length mismatch");
-        for row in self.data.chunks_exact_mut(self.cols) {
-            for (x, b) in row.iter_mut().zip(bias.iter()) {
-                *x += *b;
-            }
-        }
-    }
-
-    /// Sum of every column across rows, producing a vector of length `cols`.
-    pub fn column_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
-        self.column_sums_slice(&mut out);
-        out
-    }
-
-    /// [`Matrix::column_sums`] into a caller-provided buffer (cleared and
-    /// resized to `cols`, reusing its capacity — no allocation once warm).
-    /// Same row-ascending accumulation order as the allocating variant, so
-    /// the results are bit-identical.
+    /// Sum of every column across rows (accumulated in ascending row
+    /// order) into a caller-provided buffer, cleared and resized to `cols`
+    /// reusing its capacity — no allocation once warm.
     pub fn column_sums_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.resize(self.cols, 0.0);
-        self.column_sums_slice(out);
-    }
-
-    /// Shared accumulation loop of the `column_sums` variants.
-    fn column_sums_slice(&self, out: &mut [f32]) {
         for row in self.data.chunks_exact(self.cols) {
             for (o, x) in out.iter_mut().zip(row.iter()) {
                 *o += *x;
@@ -292,18 +265,12 @@ impl Matrix {
         self.data.iter().fold(0.0f32, |m, x| m.max(x.abs()))
     }
 
-    /// `self @ other` — standard matrix product `(m x k) @ (k x n) -> (m x n)`.
+    /// `self @ other` — standard matrix product `(m x k) @ (k x n) -> (m x n)`
+    /// — into a caller-provided output, which is reshaped to `(m x n)`
+    /// reusing its buffer.
     ///
     /// # Panics
     /// Panics if the inner dimensions do not match.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul`] into a caller-provided output, which is reshaped to
-    /// `(m x n)` reusing its buffer. Bit-identical to the allocating variant.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         self.addmm_bias_act_into(other, None, Activation::Identity, out);
     }
@@ -314,7 +281,7 @@ impl Matrix {
     ///
     /// The per-element operation sequence (accumulate along `k` in order,
     /// then add the bias, then the activation) is exactly the sequence the
-    /// unfused `matmul` + `add_row_vector` + activation pipeline performs, so
+    /// unfused matmul, bias-row add, activation pipeline performs, so
     /// the result is bit-identical to that pipeline.
     ///
     /// # Panics
@@ -443,17 +410,10 @@ impl Matrix {
         kernels::addmm_packed_half(&self.data, m, packed, bias, act, &mut out.data);
     }
 
-    /// `self @ other^T` — `(m x k) @ (n x k)^T -> (m x n)`.
+    /// `self @ other^T` — `(m x k) @ (n x k)^T -> (m x n)` — into a
+    /// caller-provided output, which is reshaped reusing its buffer.
     ///
     /// Used by back-propagation to avoid materializing transposes.
-    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_nt_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_nt`] into a caller-provided output, which is reshaped
-    /// reusing its buffer. Bit-identical to the allocating variant.
     pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.cols,
@@ -487,17 +447,10 @@ impl Matrix {
         parallel_rows(m, k * n, &mut out.data, n, run_rows);
     }
 
-    /// `self^T @ other` — `(k x m)^T @ (k x n) -> (m x n)`.
+    /// `self^T @ other` — `(k x m)^T @ (k x n) -> (m x n)` — into a
+    /// caller-provided output, which is reshaped reusing its buffer.
     ///
     /// Used to compute weight gradients (`input^T @ grad_output`).
-    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_tn_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_tn`] into a caller-provided output, which is reshaped
-    /// reusing its buffer. Bit-identical to the allocating variant.
     pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
@@ -698,7 +651,8 @@ mod tests {
     fn matmul_matches_naive() {
         let a = random_matrix(7, 5, 1);
         let b = random_matrix(5, 9, 2);
-        let got = a.matmul(&b);
+        let mut got = Matrix::default();
+        a.matmul_into(&b, &mut got);
         let want = naive_matmul(&a, &b);
         assert!(approx_eq(&got, &want, 1e-5));
     }
@@ -707,7 +661,8 @@ mod tests {
     fn matmul_large_parallel_matches_naive() {
         let a = random_matrix(130, 70, 3);
         let b = random_matrix(70, 260, 4);
-        let got = a.matmul(&b);
+        let mut got = Matrix::default();
+        a.matmul_into(&b, &mut got);
         let want = naive_matmul(&a, &b);
         assert!(approx_eq(&got, &want, 1e-4));
     }
@@ -716,7 +671,8 @@ mod tests {
     fn matmul_nt_matches_transpose() {
         let a = random_matrix(6, 8, 5);
         let b = random_matrix(10, 8, 6);
-        let got = a.matmul_nt(&b);
+        let mut got = Matrix::default();
+        a.matmul_nt_into(&b, &mut got);
         let want = naive_matmul(&a, &b.transpose());
         assert!(approx_eq(&got, &want, 1e-5));
     }
@@ -725,15 +681,22 @@ mod tests {
     fn matmul_tn_matches_transpose() {
         let a = random_matrix(8, 6, 7);
         let b = random_matrix(8, 10, 8);
-        let got = a.matmul_tn(&b);
+        let mut got = Matrix::default();
+        a.matmul_tn_into(&b, &mut got);
         let want = naive_matmul(&a.transpose(), &b);
         assert!(approx_eq(&got, &want, 1e-5));
     }
 
     #[test]
     fn add_row_vector_adds_bias() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_row_vector(&[1.0, 2.0, 3.0]);
+        // The bias row is added by the fused kernel: `0 @ 0 + bias`.
+        let mut m = Matrix::default();
+        Matrix::zeros(2, 1).addmm_bias_act_into(
+            &Matrix::zeros(1, 3),
+            Some(&[1.0, 2.0, 3.0]),
+            Activation::Identity,
+            &mut m,
+        );
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
     }
@@ -741,7 +704,9 @@ mod tests {
     #[test]
     fn column_sums_sums_rows() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(m.column_sums(), vec![5.0, 7.0, 9.0]);
+        let mut sums = vec![9.0; 5]; // dirty and mis-sized
+        m.column_sums_into(&mut sums);
+        assert_eq!(sums, vec![5.0, 7.0, 9.0]);
     }
 
     #[test]

@@ -316,9 +316,14 @@ fn pooled_kernels_match_serial_bitwise() {
     let (m, k, n) = (210, 150, 150);
     let a = matrix_with_zeros(m, k, &mut rng);
     let b = matrix_with_zeros(k, n, &mut rng);
-    let serial = a.matmul(&b);
+    let matmul = || {
+        let mut out = Matrix::default();
+        a.matmul_into(&b, &mut out);
+        out
+    };
+    let serial = matmul();
     let before = pool.dispatched_jobs();
-    let pooled = duet_nn::with_pool(&pool, || a.matmul(&b));
+    let pooled = duet_nn::with_pool(&pool, matmul);
     assert!(pool.dispatched_jobs() > before, "the pooled path must actually dispatch");
     assert_bit_identical(&pooled, &serial, "pooled matmul");
 

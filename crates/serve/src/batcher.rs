@@ -25,7 +25,7 @@
 //! concurrent clients always observe the same estimates a serial client
 //! would.
 
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Counter, ServeMetrics};
 use crate::router::{Popped, ReplyTo, RoutedRequest, Shard, ShedReason, TableResources};
 use crate::tier::ModelTier;
 use duet_core::WorkspacePool;
@@ -159,10 +159,10 @@ impl ShardWorker {
             let stale = self.batch[i].slot_uid != slot_uid;
             let expired = self.batch[i].deadline.is_some_and(|deadline| now > deadline);
             if stale {
-                metrics.record_shed_stale();
+                metrics.incr(Counter::ShedStale);
                 deliver(&mut self.batch[i].reply, Err(ShedReason::StaleRegistration), outcomes);
             } else if expired {
-                metrics.record_shed_deadline();
+                metrics.incr(Counter::ShedDeadline);
                 deliver(&mut self.batch[i].reply, Err(ShedReason::DeadlineExpired), outcomes);
             } else {
                 self.batch.swap(live, i);
@@ -190,7 +190,7 @@ impl ShardWorker {
         let epoch = resources.cache.epoch();
         let Ok((generation, estimator)) = resources.slot.resolve(metrics) else {
             for request in &mut self.batch[..live] {
-                metrics.record_shed_overload();
+                metrics.incr(Counter::ShedOverload);
                 deliver(&mut request.reply, Err(ShedReason::QueueFull), outcomes);
             }
             return;
@@ -264,7 +264,7 @@ pub(crate) fn fail_batch(
     for request in batch.iter_mut() {
         if matches!(request.reply, ReplyTo::Channel(_) | ReplyTo::Wire { .. } | ReplyTo::Ticket(_))
         {
-            metrics.record_shed_internal();
+            metrics.incr(Counter::ShedInternal);
             deliver(&mut request.reply, Err(ShedReason::WorkerPanicked), outcomes);
         }
     }
@@ -294,10 +294,10 @@ pub(crate) fn execute_supervised(
         worker.execute(tables, now, metrics, tier, outcomes);
     }));
     if caught.is_err() {
-        metrics.record_panic_caught();
+        metrics.incr(Counter::PanicsCaught);
         fail_batch(&mut worker.batch, metrics, outcomes);
         worker.respawn();
-        metrics.record_shard_restart();
+        metrics.incr(Counter::ShardRestarts);
     }
 }
 
@@ -319,7 +319,7 @@ pub(crate) fn recycle_batch(batch: &mut Vec<RoutedRequest>, metrics: &ServeMetri
             ReplyTo::Wire { outbox, .. } | ReplyTo::WireAnswered(outbox) => {
                 outbox.recycle(request);
                 if outbox.waker().is_some_and(|waker| waker.wake()) {
-                    metrics.record_wire_wake_signal();
+                    metrics.incr(Counter::WireWakeSignals);
                 }
             }
             _ => {}
@@ -388,7 +388,7 @@ pub(crate) fn run_shard_worker(
                     if depth >= config.steal_threshold
                         && victim.try_pop_batch(config.max_batch_size, &mut worker.batch)
                     {
-                        metrics.record_steal();
+                        metrics.incr(Counter::Steals);
                         let now = clock.now();
                         let tables = directory.read().expect("directory poisoned");
                         execute_supervised(

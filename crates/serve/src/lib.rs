@@ -22,9 +22,12 @@
 //! * [`cache`] — a **sharded LRU result cache** keyed on canonicalized
 //!   predicate intervals (and the model generation, which makes hot-swaps
 //!   invalidate stale entries implicitly), with hit/miss accounting;
-//! * [`metrics`] — QPS, p50/p99 latency, batch-size histogram, shed/queue
-//!   counters and cache hit rate, computed with the same percentile helper
-//!   as the offline experiment harness;
+//! * [`metrics`] — **one declarative table of counters** ([`Counter`]: one
+//!   entry per metric generates its storage slot, its [`MetricsSnapshot`]
+//!   field, its [`CounterTable`] cell — the value the [`sim`] report carries
+//!   — and its `name=value` in the text export), two bucketed histograms,
+//!   and a latency ring whose p50/p99 use the same percentile helper as the
+//!   offline experiment harness;
 //! * [`tier`] — **fleet-scale model tiering**: a registry-wide weight-memory
 //!   budget with LFU-aged eviction of cold models to checkpoint bytes (in
 //!   memory or spilled to disk) and transparent, bit-identical lazy reload
@@ -106,7 +109,7 @@ pub use batcher::{BatchConfig, StragglerMode};
 pub use cache::{
     canonical_key, canonical_key_from_parts, CacheKey, HotQuery, HotSet, ShardedCache,
 };
-pub use metrics::{MetricsSnapshot, ServeMetrics};
+pub use metrics::{Counter, CounterTable, MetricsSnapshot, ServeMetrics};
 pub use online::{
     DriftMonitor, FeedbackError, IngestError, OnlineConfig, OnlineDirectory, OnlineHooks,
     OnlineTable, OnlineTickReport, OnlineTrainerHandle,

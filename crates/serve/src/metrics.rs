@@ -1,5 +1,12 @@
-//! Serving metrics: request counters, latency percentiles, batch-size
-//! histogram, and cache hit rate.
+//! Serving metrics: one declarative table of scalar counters, two bucketed
+//! histograms, a latency ring, and the cache hit rate.
+//!
+//! Every scalar counter is **one entry** in the `counters!` table below —
+//! doc comment, [`Counter`] variant, snake_case name. From that entry come
+//! the enum variant, its slot in [`ServeMetrics`]'s atomic array, the named
+//! `pub` field of [`MetricsSnapshot`] (same doc), the load that fills it,
+//! its place in [`CounterTable`] (what the replay sim's report carries) and
+//! its `name=value` in the text export. Adding a metric is a one-line diff.
 //!
 //! Everything on the record path is lock-free atomics — including the
 //! latency ring, a fixed-size buffer of the most recent [`LATENCY_WINDOW`]
@@ -17,70 +24,229 @@ use std::time::{Duration, Instant};
 /// Number of most-recent request latencies kept for percentile estimates.
 pub const LATENCY_WINDOW: usize = 8192;
 
-/// Batch-size histogram bucket upper bounds (inclusive); the last bucket is
-/// open-ended.
+/// Histogram bucket upper bounds (inclusive); the last bucket is open-ended.
 pub const BATCH_BUCKETS: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
+
+/// The counter table: `/// doc` + `Variant => field_name,` per counter.
+/// Expands to [`Counter`], [`MetricsSnapshot`] (whose derived, non-counter
+/// fields are written here, once) and the two conversions between a
+/// snapshot's named fields and a [`CounterTable`].
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident => $field:ident,)*) => {
+        /// One scalar serving counter: the index [`ServeMetrics::incr`]
+        /// bumps and [`CounterTable`] is read by.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Counter {
+            /// Every counter, in table (= storage, = export) order.
+            pub const ALL: &'static [Counter] = &[$(Counter::$variant,)*];
+
+            /// The counter's snake_case name: its [`MetricsSnapshot`] field
+            /// and its key in the text export.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => stringify!($field),)*
+                }
+            }
+        }
+
+        /// A point-in-time view of a server's metrics.
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct MetricsSnapshot {
+            /// Time since the server (metrics) was created.
+            pub elapsed: Duration,
+            /// Requests per second since startup.
+            pub qps: f64,
+            /// Median end-to-end request latency over the recent window, in µs.
+            pub p50_latency_us: f64,
+            /// 99th-percentile end-to-end request latency over the recent window, µs.
+            pub p99_latency_us: f64,
+            /// Mean queries per forward batch.
+            pub mean_batch_size: f64,
+            /// `(bucket upper bound, batches)` pairs; the `usize::MAX` bucket is
+            /// open-ended.
+            pub batch_size_histogram: Vec<(usize, u64)>,
+            /// `(bucket upper bound, samples)` histogram of per-connection in-flight
+            /// request counts at admission; the `usize::MAX` bucket is open-ended.
+            pub pipeline_depth_histogram: Vec<(usize, u64)>,
+            /// Wire connections currently open (accepted minus closed).
+            pub open_conns: u64,
+            /// Requests queued across all shards at snapshot time.
+            pub queue_depth: usize,
+            /// Result-cache hits across all tables.
+            pub cache_hits: u64,
+            /// Result-cache misses across all tables.
+            pub cache_misses: u64,
+            /// `hits / (hits + misses)`, or 0 before the first lookup.
+            pub cache_hit_rate: f64,
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl MetricsSnapshot {
+            /// The snapshot's scalar counters as one table — iterate it for
+            /// `(name, value)` pairs, index it by [`Counter`].
+            pub fn counters(&self) -> CounterTable {
+                CounterTable([$(self.$field,)*])
+            }
+
+            /// A snapshot holding `table`'s counters and zeroed derived fields.
+            fn of_counters(table: &CounterTable) -> Self {
+                Self { $($field: table[Counter::$variant],)* ..Self::default() }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Completed requests: answered with an estimate (cache hits included).
+    /// Shed requests are not completions on either front door, and their
+    /// queue wait is not filed into the latency ring.
+    Requests => requests,
+    /// Forward batches executed.
+    Batches => batches,
+    /// Queries executed across all forward batches.
+    BatchedQueries => batched_queries,
+    /// Requests rejected at admission because their shard queue (or their
+    /// connection's pipeline window) was full.
+    ShedOverload => shed_overload,
+    /// Requests dropped at dequeue because their deadline had expired.
+    ShedDeadline => shed_deadline,
+    /// Requests dropped at dequeue because their table was re-registered
+    /// (different slot) after the request was encoded and queued.
+    ShedStale => shed_stale,
+    /// Batches an idle worker stole from another shard's queue.
+    Steals => steals,
+    /// Models evicted from the resident tier to checkpoint bytes (memory
+    /// budget pressure; see [`crate::ModelTier`]).
+    ModelEvictions => model_evictions,
+    /// Evicted models rebuilt from their checkpoint by a request.
+    ModelReloads => model_reloads,
+    /// Wire connections accepted since startup.
+    ConnsOpened => conns_opened,
+    /// Wire connections closed (EOF, shutdown, or decode error); accepted
+    /// minus closed is the `open_conns` gauge, two counters so the totals
+    /// survive disconnects.
+    ConnsClosed => conns_closed,
+    /// Complete frames decoded from wire connections.
+    FramesIn => frames_in,
+    /// Frames encoded onto wire connections.
+    FramesOut => frames_out,
+    /// Wire connections torn down by protocol decode errors.
+    WireDecodeErrors => wire_decode_errors,
+    /// Failed `accept` calls on wire listeners (anything but `WouldBlock`:
+    /// descriptor exhaustion, a connection aborted in the backlog).
+    WireAcceptErrors => wire_accept_errors,
+    /// Returns of wire listener threads from their readiness wait. The
+    /// threads block until a socket, a finished batch or a stop request
+    /// needs them, so this stands still while the front door is idle and
+    /// grows by about two per request served one at a time.
+    WireAcceptorWakeups => wire_acceptor_wakeups,
+    /// Wake-up bytes shard workers wrote to blocked wire listener threads:
+    /// at most one per retired batch and thread, none when the thread was
+    /// already awake.
+    WireWakeSignals => wire_wake_signals,
+    /// Rows appended through the online ingest path.
+    IngestedRows => ingested_rows,
+    /// Trainer ticks on which drift was confirmed (threshold + hysteresis;
+    /// see [`crate::online::DriftMonitor`]).
+    DriftDetections => drift_detections,
+    /// Online retrains started (drift- or feedback-triggered).
+    Retrains => retrains,
+    /// Retrained models published through the hot-swap path.
+    SwapsPublished => swaps_published,
+    /// Feedback observations rejected (stale slot uid or invalid
+    /// cardinality).
+    FeedbackRejected => feedback_rejected,
+    /// Batch-execution panics caught by shard supervision (every request in
+    /// the poisoned batch still received a terminal internal-error reply).
+    PanicsCaught => panics_caught,
+    /// Shard workers respawned with a fresh workspace pool after a panic.
+    ShardRestarts => shard_restarts,
+    /// Evicted-model reload attempts that failed with a typed error
+    /// (unreadable spill file, corrupt or truncated checkpoint).
+    ReloadFailures => reload_failures,
+    /// Requests terminated with an internal fault (poisoned batch, failed
+    /// reload) rather than a scheduling shed.
+    ShedInternal => shed_internal,
+    /// Evictions abandoned because the checkpoint spill failed (IO error or
+    /// read-back verification); the model stayed resident.
+    SpillFailures => spill_failures,
+}
+
+/// Every [`Counter`]'s value at one instant, indexable by [`Counter`]. It is
+/// what [`MetricsSnapshot::counters`] returns and what the replay sim's
+/// report carries: integers only, so two replays compare with `==`, and
+/// `{:?}` prints `name=value` pairs so a failing comparison reads as a
+/// report.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct CounterTable([u64; Counter::ALL.len()]);
+
+impl CounterTable {
+    /// `(name, value)` of every counter, in table order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Counter::ALL.iter().map(|&counter| (counter.name(), self[counter]))
+    }
+}
+
+impl Default for CounterTable {
+    fn default() -> Self {
+        Self([0; Counter::ALL.len()])
+    }
+}
+
+impl std::ops::Index<Counter> for CounterTable {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.0[counter as usize]
+    }
+}
+
+impl std::fmt::Debug for CounterTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (name, value)) in self.iter().enumerate() {
+            write!(f, "{}{name}={value}", if i == 0 { "" } else { " " })?;
+        }
+        Ok(())
+    }
+}
+
+/// A lock-free histogram over the [`BATCH_BUCKETS`] bounds plus one
+/// open-ended bucket.
+#[derive(Default)]
+struct Histogram([AtomicU64; BATCH_BUCKETS.len() + 1]);
+
+impl Histogram {
+    fn record(&self, value: usize) {
+        let bucket =
+            BATCH_BUCKETS.iter().position(|&ub| value <= ub).unwrap_or(BATCH_BUCKETS.len());
+        self.0[bucket].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(bucket upper bound, samples)` pairs; the open-ended bucket's bound
+    /// is `usize::MAX`.
+    fn buckets(&self) -> Vec<(usize, u64)> {
+        BATCH_BUCKETS
+            .iter()
+            .copied()
+            .chain(std::iter::once(usize::MAX))
+            .zip(self.0.iter().map(|c| c.load(Ordering::Relaxed)))
+            .collect()
+    }
+}
 
 /// Live metrics shared by every worker and client of a [`crate::DuetServer`].
 pub struct ServeMetrics {
     started: Instant,
-    requests: AtomicU64,
-    batches: AtomicU64,
-    batched_queries: AtomicU64,
-    batch_hist: [AtomicU64; BATCH_BUCKETS.len() + 1],
-    /// Requests rejected at admission because their shard queue was full.
-    shed_overload: AtomicU64,
-    /// Requests dropped at dequeue because their deadline had expired.
-    shed_deadline: AtomicU64,
-    /// Requests dropped at dequeue because the table was re-registered
-    /// (different slot) after the request was encoded and queued.
-    shed_stale: AtomicU64,
-    /// Batches an idle worker stole from another shard's queue.
-    steals: AtomicU64,
-    /// Models evicted from the resident tier to checkpoint bytes.
-    model_evictions: AtomicU64,
-    /// Evicted models rebuilt from their checkpoint on demand.
-    model_reloads: AtomicU64,
-    /// Wire connections accepted / closed (their difference is the open
-    /// gauge; two counters so the totals survive disconnects).
-    conns_opened: AtomicU64,
-    conns_closed: AtomicU64,
-    /// Complete frames decoded from / encoded to wire connections.
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    /// Connections torn down because their byte stream failed to decode.
-    wire_decode_errors: AtomicU64,
-    /// `accept` calls that failed with anything but `WouldBlock`.
-    wire_accept_errors: AtomicU64,
-    /// Returns of a listener thread from its readiness wait.
-    wire_acceptor_wakeups: AtomicU64,
-    /// Wake-up bytes shard workers wrote to blocked listener threads.
-    wire_wake_signals: AtomicU64,
-    /// Histogram of per-connection in-flight request counts, sampled at
-    /// each admission (same bucket bounds as the batch histogram).
-    pipeline_hist: [AtomicU64; BATCH_BUCKETS.len() + 1],
-    /// Rows appended through the online ingest path.
-    ingested_rows: AtomicU64,
-    /// Trainer ticks on which drift was confirmed (threshold + hysteresis).
-    drift_detections: AtomicU64,
-    /// Online retrains started (drift- or feedback-triggered).
-    retrains: AtomicU64,
-    /// Retrained models published through the hot-swap path.
-    swaps_published: AtomicU64,
-    /// Feedback observations rejected (stale slot uid or invalid value).
-    feedback_rejected: AtomicU64,
-    /// Batch-execution panics caught by shard supervision.
-    panics_caught: AtomicU64,
-    /// Shard workers respawned with a fresh workspace pool after a panic.
-    shard_restarts: AtomicU64,
-    /// Evicted-model reload attempts that failed with a typed error.
-    reload_failures: AtomicU64,
-    /// Requests terminated with an internal fault (poisoned batch, failed
-    /// reload) rather than a scheduling shed.
-    shed_internal: AtomicU64,
-    /// Evictions abandoned because the checkpoint spill failed (IO error or
-    /// read-back verification); the model stays resident.
-    spill_failures: AtomicU64,
+    /// One flat slot per [`Counter`], indexed by its discriminant.
+    counters: [AtomicU64; Counter::ALL.len()],
+    /// Sizes of executed forward batches.
+    batch_sizes: Histogram,
+    /// Per-connection in-flight request counts, sampled at each admission.
+    pipeline_depths: Histogram,
     /// Ring of recent latencies in nanoseconds; `latency_cursor` counts
     /// total records and indexes the ring modulo [`LATENCY_WINDOW`].
     latencies_ns: Vec<AtomicU64>,
@@ -92,43 +258,33 @@ impl ServeMetrics {
     pub fn new() -> Self {
         Self {
             started: Instant::now(),
-            requests: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_queries: AtomicU64::new(0),
-            batch_hist: Default::default(),
-            shed_overload: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            shed_stale: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            model_evictions: AtomicU64::new(0),
-            model_reloads: AtomicU64::new(0),
-            conns_opened: AtomicU64::new(0),
-            conns_closed: AtomicU64::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            wire_decode_errors: AtomicU64::new(0),
-            wire_accept_errors: AtomicU64::new(0),
-            wire_acceptor_wakeups: AtomicU64::new(0),
-            wire_wake_signals: AtomicU64::new(0),
-            pipeline_hist: Default::default(),
-            ingested_rows: AtomicU64::new(0),
-            drift_detections: AtomicU64::new(0),
-            retrains: AtomicU64::new(0),
-            swaps_published: AtomicU64::new(0),
-            feedback_rejected: AtomicU64::new(0),
-            panics_caught: AtomicU64::new(0),
-            shard_restarts: AtomicU64::new(0),
-            reload_failures: AtomicU64::new(0),
-            shed_internal: AtomicU64::new(0),
-            spill_failures: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            batch_sizes: Histogram::default(),
+            pipeline_depths: Histogram::default(),
             latencies_ns: (0..LATENCY_WINDOW).map(|_| AtomicU64::new(0)).collect(),
-            latency_cursor: AtomicU64::new(0),
+            latency_cursor: AtomicU64::default(),
         }
+    }
+
+    /// Bump `counter` by one (a relaxed `fetch_add` on a fixed slot).
+    #[inline]
+    pub fn incr(&self, counter: Counter) {
+        self.add(counter, 1);
+    }
+
+    #[inline]
+    fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// `counter`'s current value.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
     /// Record one completed request and its end-to-end latency (lock-free).
     pub fn record_request(&self, latency: Duration) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.incr(Counter::Requests);
         let ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
         let at = self.latency_cursor.fetch_add(1, Ordering::Relaxed) % LATENCY_WINDOW as u64;
         self.latencies_ns[at as usize].store(ns, Ordering::Relaxed);
@@ -136,156 +292,15 @@ impl ServeMetrics {
 
     /// Record one executed forward batch of `size` queries.
     pub fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_queries.fetch_add(size as u64, Ordering::Relaxed);
-        let bucket = BATCH_BUCKETS.iter().position(|&ub| size <= ub).unwrap_or(BATCH_BUCKETS.len());
-        self.batch_hist[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one request rejected at admission (shard queue full).
-    pub fn record_shed_overload(&self) {
-        self.shed_overload.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one request dropped at dequeue (deadline expired).
-    pub fn record_shed_deadline(&self) {
-        self.shed_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one request dropped at dequeue because its table was
-    /// re-registered (new slot) after the request was encoded.
-    pub fn record_shed_stale(&self) {
-        self.shed_stale.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one batch stolen by an idle worker from another shard.
-    pub fn record_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one model evicted from the resident tier to checkpoint bytes.
-    pub fn record_model_eviction(&self) {
-        self.model_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one evicted model rebuilt from its checkpoint on demand.
-    pub fn record_model_reload(&self) {
-        self.model_reloads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one accepted wire connection.
-    pub fn record_conn_opened(&self) {
-        self.conns_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one closed wire connection (EOF, shutdown, or decode error).
-    pub fn record_conn_closed(&self) {
-        self.conns_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one complete frame decoded from a wire connection.
-    pub fn record_frame_in(&self) {
-        self.frames_in.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one frame encoded onto a wire connection.
-    pub fn record_frame_out(&self) {
-        self.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one connection torn down by a protocol decode error.
-    pub fn record_wire_decode_error(&self) {
-        self.wire_decode_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one failed `accept` on a wire listener (anything but
-    /// `WouldBlock`: descriptor exhaustion, a connection aborted in the
-    /// backlog).
-    pub fn record_wire_accept_error(&self) {
-        self.wire_accept_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one return of a wire listener thread from its readiness wait
-    /// — a thread that is idle records none.
-    pub fn record_wire_acceptor_wakeup(&self) {
-        self.wire_acceptor_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one wake-up byte written by a shard worker to a blocked wire
-    /// listener thread (at most one per retired batch and listener thread).
-    pub fn record_wire_wake_signal(&self) {
-        self.wire_wake_signals.fetch_add(1, Ordering::Relaxed);
+        self.incr(Counter::Batches);
+        self.add(Counter::BatchedQueries, size as u64);
+        self.batch_sizes.record(size);
     }
 
     /// Record a connection's in-flight request count observed at admission
     /// (the pipelining-depth histogram).
     pub fn record_pipeline_depth(&self, depth: usize) {
-        let bucket =
-            BATCH_BUCKETS.iter().position(|&ub| depth <= ub).unwrap_or(BATCH_BUCKETS.len());
-        self.pipeline_hist[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one row appended through the online ingest path.
-    pub fn record_ingested_row(&self) {
-        self.ingested_rows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one trainer tick on which drift was confirmed.
-    pub fn record_drift_detection(&self) {
-        self.drift_detections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one online retrain (drift- or feedback-triggered).
-    pub fn record_retrain(&self) {
-        self.retrains.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one retrained model published through the hot-swap path.
-    pub fn record_swap_published(&self) {
-        self.swaps_published.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one rejected feedback observation (stale slot uid or invalid
-    /// cardinality).
-    pub fn record_feedback_rejected(&self) {
-        self.feedback_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one batch-execution panic caught by shard supervision.
-    pub fn record_panic_caught(&self) {
-        self.panics_caught.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one shard worker respawned after a caught panic.
-    pub fn record_shard_restart(&self) {
-        self.shard_restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one evicted-model reload attempt that failed with a typed
-    /// error (unreadable spill file, corrupt or truncated checkpoint).
-    pub fn record_reload_failure(&self) {
-        self.reload_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one request terminated by an internal fault (poisoned batch or
-    /// failed reload) — the fault-domain counterpart of the scheduling sheds.
-    pub fn record_shed_internal(&self) {
-        self.shed_internal.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one eviction abandoned because the checkpoint spill failed.
-    pub fn record_spill_failure(&self) {
-        self.spill_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests rejected at admission so far.
-    pub fn shed_overload(&self) -> u64 {
-        self.shed_overload.load(Ordering::Relaxed)
-    }
-
-    /// Requests dropped at dequeue so far.
-    pub fn shed_deadline(&self) -> u64 {
-        self.shed_deadline.load(Ordering::Relaxed)
+        self.pipeline_depths.record(depth);
     }
 
     /// Snapshot every metric, combining the given cache counters (summed by
@@ -298,10 +313,6 @@ impl ServeMetrics {
         queue_depth: usize,
     ) -> MetricsSnapshot {
         let elapsed = self.started.elapsed();
-        let requests = self.requests.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched_queries = self.batched_queries.load(Ordering::Relaxed);
-
         let filled = (self.latency_cursor.load(Ordering::Relaxed) as usize).min(LATENCY_WINDOW);
         let mut sorted: Vec<f64> = self.latencies_ns[..filled]
             .iter()
@@ -309,66 +320,25 @@ impl ServeMetrics {
             .collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
 
-        let bucketize = |hist: &[AtomicU64]| {
-            BATCH_BUCKETS
-                .iter()
-                .copied()
-                .chain(std::iter::once(usize::MAX))
-                .zip(hist.iter().map(|c| c.load(Ordering::Relaxed)))
-                .collect()
-        };
-        let histogram = bucketize(&self.batch_hist);
-        let pipeline_histogram = bucketize(&self.pipeline_hist);
-        let conns_opened = self.conns_opened.load(Ordering::Relaxed);
-        let conns_closed = self.conns_closed.load(Ordering::Relaxed);
-
-        let cache_total = cache_hits + cache_misses;
+        // Counters are loaded last, after the sort, so they are as fresh as
+        // the snapshot's return.
+        let table = CounterTable(std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)));
+        let ratio =
+            |part: u64, whole: u64| if whole == 0 { 0.0 } else { part as f64 / whole as f64 };
         MetricsSnapshot {
             elapsed,
-            requests,
-            qps: requests as f64 / elapsed.as_secs_f64().max(1e-9),
+            qps: table[Counter::Requests] as f64 / elapsed.as_secs_f64().max(1e-9),
             p50_latency_us: percentile_sorted(&sorted, 50.0),
             p99_latency_us: percentile_sorted(&sorted, 99.0),
-            batches,
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                batched_queries as f64 / batches as f64
-            },
-            batch_size_histogram: histogram,
-            shed_overload: self.shed_overload.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
-            shed_stale: self.shed_stale.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            model_evictions: self.model_evictions.load(Ordering::Relaxed),
-            model_reloads: self.model_reloads.load(Ordering::Relaxed),
-            conns_opened,
-            open_conns: conns_opened.saturating_sub(conns_closed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            wire_decode_errors: self.wire_decode_errors.load(Ordering::Relaxed),
-            wire_accept_errors: self.wire_accept_errors.load(Ordering::Relaxed),
-            wire_acceptor_wakeups: self.wire_acceptor_wakeups.load(Ordering::Relaxed),
-            wire_wake_signals: self.wire_wake_signals.load(Ordering::Relaxed),
-            pipeline_depth_histogram: pipeline_histogram,
-            ingested_rows: self.ingested_rows.load(Ordering::Relaxed),
-            drift_detections: self.drift_detections.load(Ordering::Relaxed),
-            retrains: self.retrains.load(Ordering::Relaxed),
-            swaps_published: self.swaps_published.load(Ordering::Relaxed),
-            feedback_rejected: self.feedback_rejected.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            shard_restarts: self.shard_restarts.load(Ordering::Relaxed),
-            reload_failures: self.reload_failures.load(Ordering::Relaxed),
-            shed_internal: self.shed_internal.load(Ordering::Relaxed),
-            spill_failures: self.spill_failures.load(Ordering::Relaxed),
+            mean_batch_size: ratio(table[Counter::BatchedQueries], table[Counter::Batches]),
+            batch_size_histogram: self.batch_sizes.buckets(),
+            pipeline_depth_histogram: self.pipeline_depths.buckets(),
+            open_conns: table[Counter::ConnsOpened].saturating_sub(table[Counter::ConnsClosed]),
             queue_depth,
             cache_hits,
             cache_misses,
-            cache_hit_rate: if cache_total == 0 {
-                0.0
-            } else {
-                cache_hits as f64 / cache_total as f64
-            },
+            cache_hit_rate: ratio(cache_hits, cache_hits + cache_misses),
+            ..MetricsSnapshot::of_counters(&table)
         }
     }
 }
@@ -382,148 +352,29 @@ impl Default for ServeMetrics {
 impl std::fmt::Debug for ServeMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeMetrics")
-            .field("requests", &self.requests.load(Ordering::Relaxed))
-            .field("batches", &self.batches.load(Ordering::Relaxed))
+            .field("requests", &self.get(Counter::Requests))
+            .field("batches", &self.get(Counter::Batches))
             .finish()
     }
 }
 
-/// A point-in-time view of a server's metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Time since the server (metrics) was created.
-    pub elapsed: Duration,
-    /// Completed requests (cache hits included).
-    pub requests: u64,
-    /// Requests per second since startup.
-    pub qps: f64,
-    /// Median end-to-end request latency over the recent window, in µs.
-    pub p50_latency_us: f64,
-    /// 99th-percentile end-to-end request latency over the recent window, µs.
-    pub p99_latency_us: f64,
-    /// Forward batches executed.
-    pub batches: u64,
-    /// Mean queries per forward batch.
-    pub mean_batch_size: f64,
-    /// `(bucket upper bound, batches)` pairs; the `usize::MAX` bucket is
-    /// open-ended.
-    pub batch_size_histogram: Vec<(usize, u64)>,
-    /// Requests rejected at admission because their shard queue was full.
-    pub shed_overload: u64,
-    /// Requests dropped at dequeue because their deadline had expired.
-    pub shed_deadline: u64,
-    /// Requests dropped at dequeue because their table was re-registered
-    /// (different slot) while they were queued.
-    pub shed_stale: u64,
-    /// Batches an idle worker stole from another shard's queue.
-    pub steals: u64,
-    /// Models evicted from the resident tier to checkpoint bytes (memory
-    /// budget pressure; see [`crate::ModelTier`]).
-    pub model_evictions: u64,
-    /// Evicted models rebuilt from their checkpoint by a request.
-    pub model_reloads: u64,
-    /// Wire connections accepted since startup.
-    pub conns_opened: u64,
-    /// Wire connections currently open (accepted minus closed).
-    pub open_conns: u64,
-    /// Complete frames decoded from wire connections.
-    pub frames_in: u64,
-    /// Frames encoded onto wire connections.
-    pub frames_out: u64,
-    /// Wire connections torn down by protocol decode errors.
-    pub wire_decode_errors: u64,
-    /// Failed `accept` calls on wire listeners (anything but `WouldBlock`).
-    pub wire_accept_errors: u64,
-    /// Returns of wire listener threads from their readiness wait. The
-    /// threads block until a socket, a finished batch or a stop request
-    /// needs them, so this stands still while the front door is idle and
-    /// grows by about two per request served one at a time.
-    pub wire_acceptor_wakeups: u64,
-    /// Wake-up bytes shard workers wrote to blocked wire listener threads:
-    /// at most one per retired batch and thread, none when the thread was
-    /// already awake.
-    pub wire_wake_signals: u64,
-    /// `(bucket upper bound, samples)` histogram of per-connection in-flight
-    /// request counts at admission; the `usize::MAX` bucket is open-ended.
-    pub pipeline_depth_histogram: Vec<(usize, u64)>,
-    /// Rows appended through the online ingest path.
-    pub ingested_rows: u64,
-    /// Trainer ticks on which drift was confirmed (threshold + hysteresis;
-    /// see [`crate::online::DriftMonitor`]).
-    pub drift_detections: u64,
-    /// Online retrains started (drift- or feedback-triggered).
-    pub retrains: u64,
-    /// Retrained models published through the hot-swap path.
-    pub swaps_published: u64,
-    /// Feedback observations rejected (stale slot uid or invalid
-    /// cardinality).
-    pub feedback_rejected: u64,
-    /// Batch-execution panics caught by shard supervision (every request in
-    /// the poisoned batch still received a terminal internal-error reply).
-    pub panics_caught: u64,
-    /// Shard workers respawned with a fresh workspace pool after a panic.
-    pub shard_restarts: u64,
-    /// Evicted-model reload attempts that failed with a typed error.
-    pub reload_failures: u64,
-    /// Requests terminated with an internal fault (poisoned batch, failed
-    /// reload) rather than a scheduling shed.
-    pub shed_internal: u64,
-    /// Evictions abandoned because the checkpoint spill failed; the model
-    /// stayed resident.
-    pub spill_failures: u64,
-    /// Requests queued across all shards at snapshot time.
-    pub queue_depth: usize,
-    /// Result-cache hits across all tables.
-    pub cache_hits: u64,
-    /// Result-cache misses across all tables.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)`, or 0 before the first lookup.
-    pub cache_hit_rate: f64,
-}
-
+/// The text export: the derived gauges (`conns` is `open_conns`), then
+/// `name=value` for every counter in table order, keyed by field name
+/// (`requests` leads the table).
 impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "requests={} qps={:.0} p50={:.1}us p99={:.1}us batches={} mean_batch={:.2} \
-             shed_overload={} shed_deadline={} shed_stale={} steals={} evictions={} reloads={} \
-             queue_depth={} cache_hit_rate={:.1}% \
-             conns={} frames_in={} frames_out={} decode_errors={} accept_errors={} \
-             acceptor_wakeups={} wake_signals={} \
-             ingested={} drifts={} retrains={} swaps={} feedback_rejected={} \
-             panics_caught={} shard_restarts={} reload_failures={} shed_internal={} \
-             spill_failures={}",
-            self.requests,
+            "qps={:.0} p50={:.1}us p99={:.1}us mean_batch={:.2} queue_depth={} \
+             cache_hit_rate={:.1}% conns={} {:?}",
             self.qps,
             self.p50_latency_us,
             self.p99_latency_us,
-            self.batches,
             self.mean_batch_size,
-            self.shed_overload,
-            self.shed_deadline,
-            self.shed_stale,
-            self.steals,
-            self.model_evictions,
-            self.model_reloads,
             self.queue_depth,
             self.cache_hit_rate * 100.0,
             self.open_conns,
-            self.frames_in,
-            self.frames_out,
-            self.wire_decode_errors,
-            self.wire_accept_errors,
-            self.wire_acceptor_wakeups,
-            self.wire_wake_signals,
-            self.ingested_rows,
-            self.drift_detections,
-            self.retrains,
-            self.swaps_published,
-            self.feedback_rejected,
-            self.panics_caught,
-            self.shard_restarts,
-            self.reload_failures,
-            self.shed_internal,
-            self.spill_failures
+            self.counters()
         )
     }
 }
@@ -555,6 +406,7 @@ mod tests {
         m.record_batch(300);
         let s = m.snapshot(0, 0, 0);
         assert_eq!(s.batches, 4);
+        assert_eq!(s.batched_queries, 308);
         assert!((s.mean_batch_size - 77.0).abs() < 1e-9);
         let count_of =
             |ub: usize| s.batch_size_histogram.iter().find(|&&(b, _)| b == ub).map(|&(_, c)| c);
@@ -585,84 +437,60 @@ mod tests {
         assert!((s.p50_latency_us - 7.0).abs() < 1e-9);
     }
 
+    /// Bump counter *i* exactly *i + 1* times; the live value, the
+    /// snapshot's named field (which is what `counters()` reads), the
+    /// by-name iteration and the text export must all report *i + 1* under
+    /// the same name. A new table entry is covered without writing a test.
     #[test]
-    fn shed_counters_and_queue_depth_are_reported() {
+    fn every_counter_is_reported_once_under_its_name() {
         let m = ServeMetrics::new();
-        m.record_shed_overload();
-        m.record_shed_overload();
-        m.record_shed_deadline();
-        assert_eq!(m.shed_overload(), 2);
-        assert_eq!(m.shed_deadline(), 1);
-        let s = m.snapshot(0, 0, 7);
-        assert_eq!(s.shed_overload, 2);
-        assert_eq!(s.shed_deadline, 1);
-        assert_eq!(s.queue_depth, 7);
+        for (i, &counter) in Counter::ALL.iter().enumerate() {
+            assert_eq!(counter as usize, i, "ALL is in discriminant order");
+            (0..=i).for_each(|_| m.incr(counter));
+        }
+        let s = m.snapshot(0, 0, 0);
         let line = s.to_string();
-        assert!(line.contains("shed_overload=2"));
-        assert!(line.contains("shed_deadline=1"));
-        assert!(line.contains("queue_depth=7"));
+        let by_name: Vec<(&str, u64)> = s.counters().iter().collect();
+        assert_eq!(by_name.len(), Counter::ALL.len());
+        for (i, &counter) in Counter::ALL.iter().enumerate() {
+            let want = i as u64 + 1;
+            assert_eq!(m.get(counter), want, "{counter:?}");
+            assert_eq!(s.counters()[counter], want, "{counter:?}");
+            assert_eq!(by_name[i], (counter.name(), want));
+            let key = format!("{}={want}", counter.name());
+            assert_eq!(
+                line.split(' ').filter(|pair| **pair == key).count(),
+                1,
+                "`{key}` must appear exactly once in `{line}`"
+            );
+        }
+        // The named fields spelled out, for a few entries across the table.
+        assert_eq!(s.requests, 1);
+        assert_eq!(s.shed_stale, m.get(Counter::ShedStale));
+        assert_eq!(s.swaps_published, m.get(Counter::SwapsPublished));
+        assert_eq!(s.spill_failures, m.get(Counter::SpillFailures));
     }
 
     #[test]
-    fn wire_counters_and_pipeline_histogram_are_reported() {
+    fn pipeline_histogram_and_gauges_are_reported() {
         let m = ServeMetrics::new();
-        m.record_conn_opened();
-        m.record_conn_opened();
-        m.record_conn_closed();
-        m.record_frame_in();
-        m.record_frame_in();
-        m.record_frame_out();
-        m.record_wire_decode_error();
-        m.record_wire_accept_error();
-        m.record_wire_acceptor_wakeup();
-        m.record_wire_acceptor_wakeup();
-        m.record_wire_wake_signal();
-        m.record_steal();
+        m.incr(Counter::ConnsOpened);
+        m.incr(Counter::ConnsOpened);
+        m.incr(Counter::ConnsClosed);
         m.record_pipeline_depth(1);
         m.record_pipeline_depth(3);
         m.record_pipeline_depth(500);
-        let s = m.snapshot(0, 0, 0);
-        assert_eq!(s.conns_opened, 2);
-        assert_eq!(s.open_conns, 1);
-        assert_eq!((s.frames_in, s.frames_out), (2, 1));
-        assert_eq!(s.wire_decode_errors, 1);
-        assert_eq!((s.wire_accept_errors, s.wire_acceptor_wakeups, s.wire_wake_signals), (1, 2, 1));
-        assert_eq!(s.steals, 1);
+        let s = m.snapshot(0, 0, 7);
+        assert_eq!((s.conns_opened, s.conns_closed, s.open_conns), (2, 1, 1));
+        assert_eq!(s.queue_depth, 7);
         let count_of =
             |ub: usize| s.pipeline_depth_histogram.iter().find(|&&(b, _)| b == ub).map(|&(_, c)| c);
         assert_eq!(count_of(1), Some(1));
         assert_eq!(count_of(4), Some(1)); // depth 3 lands in the <=4 bucket
         assert_eq!(count_of(usize::MAX), Some(1));
         let line = s.to_string();
-        assert!(line.contains("steals=1"));
-        assert!(line.contains("conns=1"));
-        assert!(line.contains("frames_in=2"));
-        assert!(line.contains("accept_errors=1 acceptor_wakeups=2 wake_signals=1"));
-    }
-
-    #[test]
-    fn fault_counters_are_reported() {
-        let m = ServeMetrics::new();
-        m.record_panic_caught();
-        m.record_shard_restart();
-        m.record_reload_failure();
-        m.record_reload_failure();
-        m.record_shed_internal();
-        m.record_shed_internal();
-        m.record_shed_internal();
-        m.record_spill_failure();
-        let s = m.snapshot(0, 0, 0);
-        assert_eq!(s.panics_caught, 1);
-        assert_eq!(s.shard_restarts, 1);
-        assert_eq!(s.reload_failures, 2);
-        assert_eq!(s.shed_internal, 3);
-        assert_eq!(s.spill_failures, 1);
-        let line = s.to_string();
-        assert!(line.contains("panics_caught=1"));
-        assert!(line.contains("shard_restarts=1"));
-        assert!(line.contains("reload_failures=2"));
-        assert!(line.contains("shed_internal=3"));
-        assert!(line.contains("spill_failures=1"));
+        assert!(line.contains("queue_depth=7"));
+        assert!(line.contains(" conns=1 "));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! replay the whole drift → retrain → hot-swap sequence bit-identically.
 
 use crate::cache::{HotSet, ShardedCache};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Counter, ServeMetrics};
 use crate::registry::{ModelSlot, SwapError};
 use crate::tier::ModelTier;
 use duet_core::{
@@ -399,7 +399,7 @@ impl OnlineTable {
             self.live[column].observe(id);
         }
         self.ingested += 1;
-        self.hooks.metrics.record_ingested_row();
+        self.hooks.metrics.incr(Counter::IngestedRows);
         Ok(self.table.num_rows() as u64)
     }
 
@@ -417,11 +417,11 @@ impl OnlineTable {
         actual: f64,
     ) -> Result<(), FeedbackError> {
         if slot_uid != self.bound_uid {
-            self.hooks.metrics.record_feedback_rejected();
+            self.hooks.metrics.incr(Counter::FeedbackRejected);
             return Err(FeedbackError::StaleSlot { bound: self.bound_uid, got: slot_uid });
         }
         if !actual.is_finite() || actual < 0.0 {
-            self.hooks.metrics.record_feedback_rejected();
+            self.hooks.metrics.incr(Counter::FeedbackRejected);
             return Err(FeedbackError::InvalidCardinality);
         }
         let entry = FeedbackEntry { preds, intervals, actual };
@@ -451,7 +451,7 @@ impl OnlineTable {
         };
         report.drift = self.monitor.check(&self.live);
         if report.drift {
-            self.hooks.metrics.record_drift_detection();
+            self.hooks.metrics.incr(Counter::DriftDetections);
         }
         let feedback_due =
             self.cfg.feedback_trigger > 0 && self.feedback.len() >= self.cfg.feedback_trigger;
@@ -465,12 +465,12 @@ impl OnlineTable {
         // pin is guaranteed held, which is what makes the mid-retrain
         // no-eviction regression test race-free.
         self.hooks.tier.pin(self.hooks.table_id);
-        self.hooks.metrics.record_retrain();
+        self.hooks.metrics.incr(Counter::Retrains);
         match self.retrain_and_publish() {
             Ok(replayed) => {
                 report.swapped = true;
                 report.replayed = replayed;
-                self.hooks.metrics.record_swap_published();
+                self.hooks.metrics.incr(Counter::SwapsPublished);
                 // Drift is now measured against what the new model saw, and
                 // consumed feedback does not re-trigger.
                 self.monitor.rebaseline(&self.live);

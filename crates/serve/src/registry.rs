@@ -25,7 +25,7 @@
 //! estimates the evicted instance would have. Evict/reload therefore does
 //! **not** bump the generation: cached results stay valid.
 
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Counter, ServeMetrics};
 use duet_core::{load_weights, CheckpointError, DuetConfig, DuetEstimator};
 use duet_data::Table;
 use duet_query::CardinalityEstimator;
@@ -286,7 +286,7 @@ impl ModelSlot {
                         // weights (the checksum frame rejects those).
                         self.reload_failures.fetch_add(1, Ordering::Relaxed);
                         if let Some(metrics) = metrics {
-                            metrics.record_reload_failure();
+                            metrics.incr(Counter::ReloadFailures);
                         }
                         return Err(e);
                     }
@@ -296,7 +296,7 @@ impl ModelSlot {
                 inner.state = Residency::Resident(estimator.clone());
                 self.reloads.fetch_add(1, Ordering::Relaxed);
                 if let Some(metrics) = metrics {
-                    metrics.record_model_reload();
+                    metrics.incr(Counter::ModelReloads);
                 }
                 Ok((inner.generation, estimator))
             }

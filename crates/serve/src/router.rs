@@ -27,7 +27,7 @@
 //! counts exactly reproducible under a fixed seed.
 
 use crate::cache::{CacheKey, ShardedCache};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Counter, ServeMetrics};
 use crate::registry::ModelSlot;
 use duet_core::IdPredicate;
 use std::collections::VecDeque;
@@ -586,7 +586,7 @@ impl Router {
         match self.shards[index].try_push(request) {
             Ok(depth) => Ok(depth),
             Err(rejected) => {
-                self.metrics.record_shed_overload();
+                self.metrics.incr(Counter::ShedOverload);
                 drop(rejected);
                 Err(self.shards[index].depth())
             }

@@ -29,7 +29,7 @@
 
 use crate::batcher::{execute_supervised, BatchConfig, ShardWorker};
 use crate::cache::{canonical_key_from_parts, HotSet, ShardedCache};
-use crate::metrics::{MetricsSnapshot, ServeMetrics};
+use crate::metrics::{Counter, CounterTable, MetricsSnapshot, ServeMetrics};
 use crate::online::{OnlineConfig, OnlineDirectory, OnlineHooks, OnlineTable, OnlineTickReport};
 use crate::registry::ModelSlot;
 use crate::router::{
@@ -322,7 +322,7 @@ impl RouterHarness {
         match self.router.shard(shard).try_push(request.0) {
             Ok(depth) => Ok(depth),
             Err(rejected) => {
-                self.metrics.record_shed_overload();
+                self.metrics.incr(Counter::ShedOverload);
                 Err(PreparedRequest(rejected))
             }
         }
@@ -499,45 +499,22 @@ pub struct ScenarioReport {
     pub per_table_served: Vec<u64>,
     /// Per-table shed counts (every shed reason).
     pub per_table_shed: Vec<u64>,
-    /// Forward batches executed.
-    pub batches: u64,
     /// Highest single-shard queue depth observed after any arrival.
     pub max_shard_depth: usize,
     /// Served results whose bits differed from the unbatched per-query
     /// reference (must be 0: routing/batching never changes an answer).
     pub mismatches: u64,
-    /// Models evicted to checkpoint bytes by the memory tier (0 without a
-    /// [`HarnessConfig::model_budget_bytes`] budget).
-    pub model_evictions: u64,
-    /// Evicted models lazily reloaded on a later request.
-    pub model_reloads: u64,
-    /// Rows ingested through the online path (0 without online learning).
-    pub ingested_rows: u64,
-    /// Drift confirmations (threshold + hysteresis) across all trainer
-    /// ticks.
-    pub drift_detections: u64,
-    /// Online retrains that ran.
-    pub retrains: u64,
-    /// Retrained models published through the hot-swap path.
-    pub swaps_published: u64,
-    /// Feedback entries rejected (stale slot uid or invalid cardinality).
-    pub feedback_rejected: u64,
     /// Requests served that were submitted after their table's first online
     /// publish.
     pub post_swap_served: u64,
     /// Hot-set entries replayed into the cache by online publishes.
     pub hot_replayed: u64,
-    /// Worker panics caught by shard supervision (0 without injected
-    /// faults).
-    pub panics_caught: u64,
-    /// Shard workers respawned (fresh workspace pool) after a caught panic.
-    pub shard_restarts: u64,
-    /// Lazy reloads of evicted models that failed (corrupt, truncated, or
-    /// unreadable spilled checkpoint); the affected requests shed instead.
-    pub reload_failures: u64,
-    /// Evictions abandoned because spilling the checkpoint failed (the
-    /// model stayed resident, over budget).
-    pub spill_failures: u64,
+    /// What the *server* counted: every [`Counter`] of the harness's
+    /// [`ServeMetrics`] at the end of the replay (`counters[Counter::Batches]`,
+    /// `counters[Counter::ModelReloads]`, …). The fields above are what the
+    /// client saw; this is the server's own table, not a copy of it, so the
+    /// two can be checked against each other.
+    pub counters: CounterTable,
 }
 
 impl ScenarioReport {
@@ -577,22 +554,6 @@ impl ScenarioReport {
                 }
             }
         }
-    }
-
-    /// Copy the harness-metric counters into the report.
-    fn fold_metrics(&mut self, snapshot: &MetricsSnapshot) {
-        self.batches = snapshot.batches;
-        self.model_evictions = snapshot.model_evictions;
-        self.model_reloads = snapshot.model_reloads;
-        self.ingested_rows = snapshot.ingested_rows;
-        self.drift_detections = snapshot.drift_detections;
-        self.retrains = snapshot.retrains;
-        self.swaps_published = snapshot.swaps_published;
-        self.feedback_rejected = snapshot.feedback_rejected;
-        self.panics_caught = snapshot.panics_caught;
-        self.shard_restarts = snapshot.shard_restarts;
-        self.reload_failures = snapshot.reload_failures;
-        self.spill_failures = snapshot.spill_failures;
     }
 }
 
@@ -1174,7 +1135,7 @@ pub fn replay(setup: &Setup, script: &Script, transport: Transport) -> ScenarioR
         assert!(idle_turns < 1000, "drain stalled: a request produced no response");
     }
 
-    run.report.fold_metrics(&run.sim.harness.metrics_snapshot());
+    run.report.counters = run.sim.harness.metrics_snapshot().counters();
     run.report
 }
 

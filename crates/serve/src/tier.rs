@@ -29,7 +29,7 @@
 //! batch sequence, so under the deterministic harness ([`crate::sim`]) a
 //! seeded scenario replays with identical eviction/reload counts.
 
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Counter, ServeMetrics};
 use crate::router::TableResources;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -170,7 +170,7 @@ impl ModelTier {
             match slot.evict(spill.as_deref()) {
                 Ok(0) => return, // raced with a concurrent evict; don't spin
                 Ok(_freed) => {
-                    metrics.record_model_eviction();
+                    metrics.incr(Counter::ModelEvictions);
                     let mut heat = self.heat.lock().unwrap_or_else(|e| e.into_inner());
                     for h in heat.iter_mut() {
                         *h /= 2;
@@ -181,7 +181,7 @@ impl ModelTier {
                     // keep the model resident — over budget beats losing the
                     // only copy of its weights — and make the failure
                     // visible instead of silently retrying every batch.
-                    metrics.record_spill_failure();
+                    metrics.incr(Counter::SpillFailures);
                     return;
                 }
             }

@@ -39,7 +39,7 @@
 //! admission → batch execution → response encode and asserts zero heap
 //! traffic.
 
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Counter, ServeMetrics};
 use crate::online::OnlineDirectory;
 use crate::router::{Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources};
 use crate::wire::frame::{
@@ -327,7 +327,7 @@ impl WireConn {
                 match frame::next_frame(self.inbound.bytes(), self.config.max_frame_len)? {
                     None => break,
                     Some((view, consumed)) => {
-                        metrics.record_frame_in();
+                        metrics.incr(Counter::FramesIn);
                         match view {
                             FrameView::Request(request) => admit(
                                 request,
@@ -390,9 +390,15 @@ impl WireConn {
         }
         let now_ns = clock.now().as_nanos().min(u128::from(u64::MAX)) as u64;
         for (request_id, outcome) in self.completions.drain(..) {
+            // Every outcome retires its in-flight entry; only an estimate is
+            // a completed request (as on the in-process front door), so a
+            // shed's queue wait stays out of `requests` and the latency ring.
             if let Some(at) = self.inflight.iter().position(|&(id, _)| id == request_id) {
                 let (_, admitted_ns) = self.inflight.swap_remove(at);
-                metrics.record_request(Duration::from_nanos(now_ns.saturating_sub(admitted_ns)));
+                if outcome.is_ok() {
+                    metrics
+                        .record_request(Duration::from_nanos(now_ns.saturating_sub(admitted_ns)));
+                }
             }
             let (status, value) = match outcome {
                 Ok(value) => (Status::Ok, value),
@@ -407,7 +413,7 @@ impl WireConn {
                 Err(ShedReason::WorkerPanicked) => (Status::Internal, 0.0),
             };
             frame::encode_response(self.outbound.tail_mut(), request_id, status, value);
-            metrics.record_frame_out();
+            metrics.incr(Counter::FramesOut);
         }
         true
     }
@@ -431,14 +437,14 @@ fn admit(
     let request_id = request.request_id;
     let Some(resources) = tables.get(request.table_id as usize) else {
         frame::encode_response(outbound.tail_mut(), request_id, Status::UnknownTable, 0.0);
-        metrics.record_frame_out();
+        metrics.incr(Counter::FramesOut);
         return;
     };
     if inflight.len() >= config.max_pipeline {
         // Per-connection flow control: the pipeline window is full.
-        metrics.record_shed_overload();
+        metrics.incr(Counter::ShedOverload);
         frame::encode_response(outbound.tail_mut(), request_id, Status::Overloaded, 0.0);
-        metrics.record_frame_out();
+        metrics.incr(Counter::FramesOut);
         return;
     }
 
@@ -471,11 +477,11 @@ fn admit(
         Err(mut rejected) => {
             // Shard queue full: recycle the holder (reply detached so the
             // pool holds no self-reference) and shed on the wire.
-            metrics.record_shed_overload();
+            metrics.incr(Counter::ShedOverload);
             rejected.reply = ReplyTo::Discard;
             outbox.recycle(rejected);
             frame::encode_response(outbound.tail_mut(), request_id, Status::Overloaded, 0.0);
-            metrics.record_frame_out();
+            metrics.incr(Counter::FramesOut);
         }
     }
 }
@@ -503,7 +509,7 @@ fn resolve_table(
                     0,
                     &[],
                 );
-                metrics.record_frame_out();
+                metrics.incr(Counter::FramesOut);
                 return;
             };
             let schema = estimator.schema();
@@ -529,7 +535,7 @@ fn resolve_table(
             );
         }
     }
-    metrics.record_frame_out();
+    metrics.incr(Counter::FramesOut);
 }
 
 /// Apply one ingest frame to the table's online state and acknowledge it:
@@ -559,7 +565,7 @@ fn handle_ingest(
         }
     };
     frame::encode_response(outbound.tail_mut(), request_id, status, value);
-    metrics.record_frame_out();
+    metrics.incr(Counter::FramesOut);
 }
 
 /// Queue one feedback frame on the table's online state and acknowledge it.
@@ -597,7 +603,7 @@ fn handle_feedback(
         },
     };
     frame::encode_response(outbound.tail_mut(), request_id, status, 0.0);
-    metrics.record_frame_out();
+    metrics.incr(Counter::FramesOut);
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@
 //! set, connections are closed as they become quiescent, and the wait's
 //! timeout is what is left of [`WireConfig::drain`].
 
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Counter, ServeMetrics};
 use crate::online::OnlineDirectory;
 use crate::router::{Clock, Router, TableResources};
 use crate::wire::conn::{ConnConfig, WireConn};
@@ -186,7 +186,7 @@ struct Connection {
 
 impl Connection {
     fn open(stream: TcpStream, conn: WireConn, metrics: &Arc<ServeMetrics>) -> Self {
-        metrics.record_conn_opened();
+        metrics.incr(Counter::ConnsOpened);
         Self { stream, conn, metrics: metrics.clone() }
     }
 
@@ -229,7 +229,7 @@ impl Connection {
                 &shared.metrics,
             );
             if pumped.is_err() {
-                shared.metrics.record_wire_decode_error();
+                shared.metrics.incr(Counter::WireDecodeErrors);
                 return Err(());
             }
         }
@@ -258,7 +258,7 @@ impl Connection {
 
 impl Drop for Connection {
     fn drop(&mut self) {
-        self.metrics.record_conn_closed();
+        self.metrics.incr(Counter::ConnsClosed);
     }
 }
 
@@ -345,7 +345,7 @@ impl Acceptor {
             };
             let ready = readiness::wait(&mut self.fds, timeout);
             self.wake_rx.unpark();
-            self.shared.metrics.record_wire_acceptor_wakeup();
+            self.shared.metrics.incr(Counter::WireAcceptorWakeups);
             // Only a bug here (a bad pointer or count) or a kernel out of
             // memory makes `poll` fail; retrying would spin.
             ready.expect("poll(2) failed on the acceptor's descriptor set");
@@ -392,7 +392,7 @@ impl Acceptor {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => {
-                    self.shared.metrics.record_wire_accept_error();
+                    self.shared.metrics.incr(Counter::WireAcceptErrors);
                     // That connection died in the backlog and is gone; the
                     // next one may be fine.
                     if e.kind() != ErrorKind::ConnectionAborted {

@@ -12,7 +12,7 @@ use duet_serve::sim::{
 };
 use duet_serve::wire::frame::{self, DecodeError, FrameView, Status};
 use duet_serve::wire::{ConnConfig, RetryConfig, WireClient};
-use duet_serve::RouterConfig;
+use duet_serve::{Counter, RouterConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -253,7 +253,7 @@ fn split_and_coalesced_reads_replay_bit_identically() {
     assert_eq!(report.served, report.submitted, "ample queues serve everything: {report:?}");
     assert_eq!(report.mismatches, 0, "wire transport must not change any answer");
     assert_eq!(report.accounted(), report.submitted);
-    assert!(report.batches > 0);
+    assert!(report.counters[Counter::Batches] > 0);
     // Replay equality under byte shredding is the wire determinism claim.
     assert_eq!(report, replay(&setup, &script, shredded));
 
@@ -299,6 +299,13 @@ fn overload_and_deadline_sheds_become_status_frames() {
     assert_eq!(report.accounted(), report.submitted, "one response per request: {report:?}");
     assert_eq!(report.mismatches, 0, "overload must not corrupt served answers");
     assert!(report.max_shard_depth <= 8, "admission bound holds on the wire path");
+    // What the server counted is what the client was told: a completed
+    // request is an `Ok` frame (a shed is not, however long it queued), and
+    // every shed status frame has its server-side counter.
+    assert_eq!(report.counters[Counter::Requests], report.served, "{report:?}");
+    assert_eq!(report.counters[Counter::ShedOverload], report.shed_overload, "{report:?}");
+    assert_eq!(report.counters[Counter::ShedDeadline], report.shed_deadline, "{report:?}");
+    assert_eq!(report.counters[Counter::ShedInternal], report.shed_internal, "{report:?}");
     // Shed counts replay exactly — status frames are deterministic too.
     assert_eq!(report, replay(&setup, &script, wire));
 }

@@ -18,7 +18,9 @@ use duet::serve::sim::{
 };
 use duet::serve::wire::frame::{self, FrameView, Status};
 use duet::serve::wire::ConnConfig;
-use duet::serve::{DuetServer, ModelSlot, RouterConfig, ServeConfig, ServeError, ShedReason};
+use duet::serve::{
+    Counter, DuetServer, ModelSlot, RouterConfig, ServeConfig, ServeError, ShedReason,
+};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -120,14 +122,18 @@ fn a_seeded_fault_scenario_replays_identically_and_accounts_every_request() {
         "every request gets exactly one terminal outcome, faults included"
     );
     assert_eq!(first.mismatches, 0, "everything served despite faults stays bit-identical");
-    assert!(first.panics_caught >= 3, "each scripted panic batch is caught: {first:?}");
+    assert!(
+        first.counters[Counter::PanicsCaught] >= 3,
+        "each scripted panic batch is caught: {first:?}"
+    );
     assert_eq!(
-        first.panics_caught, first.shard_restarts,
+        first.counters[Counter::PanicsCaught],
+        first.counters[Counter::ShardRestarts],
         "every caught panic respawns its worker exactly once"
     );
     assert!(first.shed_internal > 0, "panicked batches answer typed internal sheds");
     assert!(
-        first.reload_failures > 0,
+        first.counters[Counter::ReloadFailures] > 0,
         "the corrupt checkpoint window must produce typed reload failures: {first:?}"
     );
     // A failed reload is an overload shed, never a deadline shed: no deadline
@@ -156,7 +162,10 @@ fn the_combined_fault_scenario_replays_over_the_wire() {
     assert_eq!(report.accounted(), report.submitted, "one response per request: {report:?}");
     assert_eq!(report.mismatches, 0);
     assert!(report.shed_internal > 0, "panicked batches answer Internal frames: {report:?}");
-    assert!(report.reload_failures > 0, "the corrupt window sheds on the wire too: {report:?}");
+    assert!(
+        report.counters[Counter::ReloadFailures] > 0,
+        "the corrupt window sheds on the wire too: {report:?}"
+    );
 }
 
 proptest! {
@@ -218,6 +227,19 @@ proptest! {
             let report = replay(&setup, &script, transport);
             prop_assert_eq!(report.accounted(), report.submitted, "{:?}: {:?}", transport, report);
             prop_assert_eq!(report.mismatches, 0, "{:?}: {:?}", transport, report);
+            // Server-vs-client conservation: each deadline / internal shed
+            // the client was told about is one the server counted.
+            let counted = &report.counters;
+            prop_assert_eq!(counted[Counter::ShedDeadline], report.shed_deadline, "{:?}", report);
+            prop_assert_eq!(counted[Counter::ShedInternal], report.shed_internal, "{:?}", report);
+            // On the wire every answer is a frame the server produced, so
+            // completions and overload sheds balance too. In-process they
+            // need not: a reload that fails at admission is a "retry" to the
+            // client but never reached a queue, so the server shed nothing.
+            if matches!(transport, Transport::Wire { .. }) {
+                prop_assert_eq!(counted[Counter::Requests], report.served, "{:?}", report);
+                prop_assert_eq!(counted[Counter::ShedOverload], report.shed_overload, "{:?}", report);
+            }
             prop_assert_eq!(&report, &replay(&setup, &script, transport), "{:?}", transport);
         }
     }
@@ -250,7 +272,10 @@ fn a_truncated_checkpoint_sheds_typed_and_heals_on_restore() {
     assert_eq!(report.accounted(), report.submitted);
     assert_eq!(report.mismatches, 0);
     assert_eq!(report.shed_deadline, 0, "no deadline is configured: {report:?}");
-    assert!(report.reload_failures > 0, "truncation is caught by frame validation: {report:?}");
+    assert!(
+        report.counters[Counter::ReloadFailures] > 0,
+        "truncation is caught by frame validation: {report:?}"
+    );
     assert!(report.per_table_served[0] > 0, "the table heals after restore");
 }
 
@@ -291,8 +316,14 @@ fn spill_io_errors_keep_models_resident_and_serving() {
         "spill failures never cost a request: the victim stays resident"
     );
     assert_eq!(report.mismatches, 0);
-    assert!(report.spill_failures > 0, "blocked spill dir must surface IO errors: {report:?}");
-    assert!(report.model_evictions > 0, "evictions resume after the spill dir is repaired");
+    assert!(
+        report.counters[Counter::SpillFailures] > 0,
+        "blocked spill dir must surface IO errors: {report:?}"
+    );
+    assert!(
+        report.counters[Counter::ModelEvictions] > 0,
+        "evictions resume after the spill dir is repaired"
+    );
 }
 
 #[test]
@@ -593,6 +624,6 @@ fn the_virtual_clock_fault_replay_is_independent_of_wall_time() {
     std::thread::sleep(Duration::from_millis(30));
     let second = replay(&setup, &script, Transport::InProcess);
     assert_eq!(first, second);
-    assert!(first.panics_caught >= 2);
+    assert!(first.counters[Counter::PanicsCaught] >= 2);
     assert_eq!(first.accounted(), first.submitted);
 }

@@ -14,7 +14,7 @@ use duet::core::{DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
 use duet::query::{Query, WorkloadSpec};
 use duet::serve::sim::{replay, ArrivalPattern, HarnessConfig, ScenarioConfig, Transport};
-use duet::serve::{DuetServer, ModelSlot, ServeConfig};
+use duet::serve::{Counter, DuetServer, ModelSlot, ServeConfig};
 use std::time::Duration;
 
 /// Train `n` small tables (distinct shapes and seeds) plus a query pool per
@@ -95,8 +95,14 @@ fn budget_pressure_scenario_serves_everything_and_replays_identically() {
     assert_eq!(report.served, report.submitted, "a tight budget must not drop requests");
     assert_eq!(report.accounted(), report.submitted);
     assert_eq!(report.mismatches, 0, "evict/reload cycles must never change an answer");
-    assert!(report.model_evictions > 0, "the budget must actually force evictions");
-    assert!(report.model_reloads > 0, "cold tables must reload when traffic returns");
+    assert!(
+        report.counters[Counter::ModelEvictions] > 0,
+        "the budget must actually force evictions"
+    );
+    assert!(
+        report.counters[Counter::ModelReloads] > 0,
+        "cold tables must reload when traffic returns"
+    );
 
     // Replay equality: the tier's heat/victim policy is a pure function of
     // the executed batch sequence, so the same seed reproduces the same
@@ -127,7 +133,7 @@ fn budget_pressure_with_a_different_seed_still_conserves_requests() {
     let report = replay(&setup, &script, Transport::InProcess);
     assert_eq!(report.served, report.submitted);
     assert_eq!(report.mismatches, 0);
-    assert!(report.model_evictions > 0);
+    assert!(report.counters[Counter::ModelEvictions] > 0);
     assert_eq!(replay(&setup, &script, Transport::InProcess), report);
 }
 

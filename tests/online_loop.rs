@@ -26,7 +26,7 @@ use duet::query::{exact_cardinality, q_error, CardinalityEstimator, WorkloadSpec
 use duet::serve::sim::{
     replay, ChunkMode, DriftScenarioConfig, HarnessConfig, RouterHarness, SubmitResult, Transport,
 };
-use duet::serve::{DuetServer, OnlineConfig, ServeConfig, ServeError};
+use duet::serve::{Counter, DuetServer, OnlineConfig, ServeConfig, ServeError};
 use std::sync::Arc;
 
 /// A row taking every column's last dictionary id — the most extreme
@@ -66,11 +66,21 @@ fn drift_scenario_replays_bit_identically() {
 
         assert_eq!(first.accounted(), first.submitted, "every request accounted exactly once");
         assert_eq!(first.mismatches, 0);
-        assert_eq!(first.ingested_rows, 400, "the whole shift burst must be ingested");
-        assert!(first.drift_detections >= 1, "the skewed burst must be detected as drift");
-        assert!(first.retrains >= 1 && first.swaps_published >= 1, "drift must publish a retrain");
+        assert_eq!(
+            first.counters[Counter::IngestedRows],
+            400,
+            "the whole shift burst must be ingested"
+        );
+        assert!(
+            first.counters[Counter::DriftDetections] >= 1,
+            "the skewed burst must be detected as drift"
+        );
+        assert!(
+            first.counters[Counter::Retrains] >= 1 && first.counters[Counter::SwapsPublished] >= 1,
+            "drift must publish a retrain"
+        );
         assert!(first.post_swap_served > 0, "serving must continue across the swap");
-        assert_eq!(first.feedback_rejected, 0, "in-run feedback is never stale");
+        assert_eq!(first.counters[Counter::FeedbackRejected], 0, "in-run feedback is never stale");
     }
 }
 
@@ -92,9 +102,20 @@ fn the_default_drift_script_closes_the_loop_over_ingest_and_feedback_frames() {
 
     assert_eq!(report.accounted(), report.submitted);
     assert_eq!(report.mismatches, 0, "post-swap replies match the published model: {report:?}");
-    assert_eq!(report.ingested_rows, cfg.shift_rows as u64, "every ingest frame must land");
-    assert_eq!(report.feedback_rejected, 0, "in-run feedback frames are never stale");
-    assert!(report.retrains >= 1 && report.swaps_published >= 1, "drift must publish: {report:?}");
+    assert_eq!(
+        report.counters[Counter::IngestedRows],
+        cfg.shift_rows as u64,
+        "every ingest frame must land"
+    );
+    assert_eq!(
+        report.counters[Counter::FeedbackRejected],
+        0,
+        "in-run feedback frames are never stale"
+    );
+    assert!(
+        report.counters[Counter::Retrains] >= 1 && report.counters[Counter::SwapsPublished] >= 1,
+        "drift must publish: {report:?}"
+    );
 }
 
 #[test]
@@ -275,13 +296,17 @@ fn mid_retrain_table_is_never_evicted_by_the_tier() {
         for query in &queries_b {
             server.estimate("b", query).unwrap();
         }
+        // Read the pin *before* the counters: the unpin follows the
+        // `swaps_published` bump, so a snapshot that still shows no publish
+        // proves the earlier pin reading was taken mid-retrain.
+        let pinned = server.model_tier().is_pinned(0);
         let snap = server.metrics();
         if snap.swaps_published == 0 {
             assert_eq!(
                 snap.model_evictions, 0,
                 "the tier must never evict the table mid-retrain (pin violated)"
             );
-            assert!(server.model_tier().is_pinned(0), "table a must be pinned mid-retrain");
+            assert!(pinned, "table a must be pinned mid-retrain");
             windows_checked += 1;
         }
     }

@@ -20,7 +20,9 @@ use duet::query::{CardinalityEstimator, Query, WorkloadSpec};
 use duet::serve::sim::{
     replay, ArrivalPattern, HarnessConfig, RouterHarness, ScenarioConfig, SubmitResult, Transport,
 };
-use duet::serve::{shard_for, DuetServer, RouterConfig, ServeConfig, ServeError, ShedReason};
+use duet::serve::{
+    shard_for, Counter, DuetServer, RouterConfig, ServeConfig, ServeError, ShedReason,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,7 +63,10 @@ fn uniform_arrivals_serve_everything_bit_identically() {
     assert_eq!(report.shed_deadline, 0);
     assert_eq!(report.mismatches, 0, "routed answers must be bit-identical to unbatched");
     assert_eq!(report.accounted(), report.submitted);
-    assert!(report.batches > 0 && report.batches <= report.submitted);
+    assert!(
+        report.counters[Counter::Batches] > 0
+            && report.counters[Counter::Batches] <= report.submitted
+    );
     // Replay equality: the same seed reproduces the report exactly.
     assert_eq!(report, replay(&setup, &script, Transport::InProcess));
     // A different seed still conserves and serves everything.
@@ -352,6 +357,9 @@ fn scenario_with_result_cache_still_conserves_and_matches() {
     let report = replay(&setup, &script, Transport::InProcess);
     assert_eq!(report.served, report.submitted);
     assert_eq!(report.mismatches, 0);
-    assert!(report.batches < report.submitted, "cache hits must spare forward batches: {report:?}");
+    assert!(
+        report.counters[Counter::Batches] < report.submitted,
+        "cache hits must spare forward batches: {report:?}"
+    );
     assert_eq!(report, replay(&setup, &script, Transport::InProcess));
 }
