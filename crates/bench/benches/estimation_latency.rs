@@ -1,12 +1,11 @@
 //! Criterion micro-benchmark: single-query estimation latency of Duet vs the
 //! sampling-based and traditional estimators (the latency claim behind
 //! Figure 7 and the O(1)-vs-O(n) analysis of §IV-E), plus the batched
-//! inference path through a reused [`DuetWorkspace`] at batch 32 and 64 and
-//! under both softmax modes.
+//! inference path through a reused [`DuetWorkspace`] at batch 32 and 64.
 
 use criterion::{criterion_group, criterion_main, BenchMeta, Criterion};
 use duet_baselines::{IndependenceEstimator, MHist, NaruConfig, NaruEstimator};
-use duet_core::{query_to_id_predicates, DuetConfig, DuetEstimator, DuetWorkspace, SoftmaxMode};
+use duet_core::{query_to_id_predicates, DuetConfig, DuetEstimator, DuetWorkspace};
 use duet_data::datasets::census_like;
 use duet_query::{CardinalityEstimator, WorkloadSpec};
 use std::hint::black_box;
@@ -76,21 +75,6 @@ fn bench_estimation(c: &mut Criterion) {
             })
         },
     );
-    // The same batch through the exact (libm) softmax: the before/after of
-    // the fast transcendental layer, isolated from everything else.
-    let mut ws_exact = DuetWorkspace::new();
-    ws_exact.softmax_mode = SoftmaxMode::Exact;
-    group.bench_function_meta(
-        "duet_batch32_workspace_exact",
-        BenchMeta { batch_size: Some(BATCH), mode: Some("exact") },
-        |b| {
-            b.iter(|| {
-                duet.estimate_encoded_batch_with(&rows, &intervals, &mut ws_exact, &mut out);
-                black_box(out.last().copied())
-            })
-        },
-    );
-
     // Large batch: deep enough into the blocked/packed kernels that
     // per-batch fixed costs vanish; per-query throughput headroom of the
     // batched path (see docs/PERFORMANCE.md).

@@ -1,10 +1,8 @@
 //! Configuration of the Duet estimator and its training loop.
 
-use serde::{Deserialize, Serialize};
-
 /// Which network embeds multiple predicates on a single column into the fixed
 /// per-column input block (paper §IV-F).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MpsnKind {
     /// No MPSN: at most one predicate per column is supported and its encoding
     /// is fed to the autoregressive network directly.
@@ -19,7 +17,7 @@ pub enum MpsnKind {
 }
 
 /// Hyper-parameters of the Duet estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DuetConfig {
     /// Hidden layer widths of the autoregressive backbone.
     pub hidden_sizes: Vec<usize>,

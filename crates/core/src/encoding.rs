@@ -20,14 +20,13 @@
 use duet_data::Table;
 use duet_nn::Matrix;
 use duet_query::PredOp;
-use serde::{Deserialize, Serialize};
 
 /// Number of predicate operators (width of the one-hot operator encoding).
 pub const NUM_OPS: usize = 5;
 
 /// A single encoded predicate in id space: the operator and the literal's
 /// dictionary id on some column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdPredicate {
     /// Predicate operator.
     pub op: PredOp,
@@ -36,7 +35,7 @@ pub struct IdPredicate {
 }
 
 /// Per-column encoder derived from a table's dictionaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Encoder {
     value_bits: Vec<usize>,
     ndvs: Vec<usize>,

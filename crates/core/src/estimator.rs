@@ -7,7 +7,7 @@ use crate::encoding::IdPredicate;
 use crate::model::{query_to_id_predicates, DuetModel, DuetWorkspace};
 use crate::trainer::{train_model, EpochStats, TrainingWorkload};
 use duet_data::Table;
-use duet_nn::InferLayer;
+use duet_nn::{InferLayer, SoftmaxMode};
 use duet_query::{CardinalityEstimator, Query};
 use std::time::{Duration, Instant};
 
@@ -150,13 +150,12 @@ impl DuetEstimator {
         let encode_time = encode_started.elapsed();
 
         let infer_started = Instant::now();
-        ws.nn.set_weight_mode(ws.weight_mode);
         let logits = self.model.made().infer_into(&ws.input, &mut ws.nn);
         let selectivity = self.model.selectivity_from_logits_mode(
             logits.row(0),
             &intervals,
             &mut ws.probs,
-            ws.softmax_mode,
+            SoftmaxMode::Fast,
         );
         let inference_time = infer_started.elapsed();
 

@@ -46,7 +46,7 @@ pub mod trainer;
 pub mod virtual_table;
 
 pub use config::{DuetConfig, MpsnKind};
-pub use duet_nn::{SoftmaxMode, WeightMode};
+pub use duet_nn::SoftmaxMode;
 pub use encoding::{Encoder, IdPredicate};
 pub use estimator::{DuetEstimator, EstimateBreakdown};
 pub use model::{query_to_id_predicates, DuetModel, DuetWorkspace, WorkspacePool};

@@ -8,7 +8,7 @@ use crate::mpsn::{build_mpsns, ColumnMpsn, MergedMlpMpsn, MpsnScratch};
 use duet_data::Table;
 use duet_nn::{
     seeded_rng, softmax_restricted_mass, ForwardWorkspace, InferLayer, Made, MadeConfig, Matrix,
-    Param, Params, SoftmaxMode, SparseRows, WeightMode,
+    Param, Params, SoftmaxMode, SparseRows,
 };
 use duet_query::{PredOp, Query};
 
@@ -41,18 +41,6 @@ pub struct DuetWorkspace {
     /// Filled by [`DuetModel::fill_input_with_sparse`]; the inference path
     /// never pays for the capture.
     pub(crate) sparse: SparseRows,
-    /// Which exponential the probability-masking softmax uses for batches
-    /// run through this workspace. Defaults to [`SoftmaxMode::Fast`] (the
-    /// inference default, relative error ≤ 1e-6 — see `duet_nn::math`); set
-    /// to [`SoftmaxMode::Exact`] to reproduce the libm softmax bit-for-bit.
-    pub softmax_mode: SoftmaxMode,
-    /// Which weight storage tier batched backbone passes read (see
-    /// [`duet_nn::WeightMode`]). Defaults to [`WeightMode::Full`]
-    /// (bit-exact); [`WeightMode::Half`] serves from the compressed f16
-    /// warm tier — half the weight memory traffic, bounded per-weight
-    /// rounding error. Per-workspace, so one shared model can serve both
-    /// tiers concurrently.
-    pub weight_mode: WeightMode,
 }
 
 impl DuetWorkspace {
@@ -347,14 +335,13 @@ impl DuetModel {
         }
         out.reserve(rows.len());
         self.fill_input(rows, ws);
-        ws.nn.set_weight_mode(ws.weight_mode);
         let logits = self.made.infer_into(&ws.input, &mut ws.nn);
         for (r, row_intervals) in intervals.iter().enumerate() {
             out.push(self.selectivity_from_logits_mode(
                 logits.row(r),
                 row_intervals.as_ref(),
                 &mut ws.probs,
-                ws.softmax_mode,
+                SoftmaxMode::Fast,
             ));
         }
     }

@@ -1,7 +1,6 @@
 //! Dictionary-encoded columns.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A single dictionary-encoded column.
@@ -9,7 +8,7 @@ use std::collections::BTreeMap;
 /// * `dictionary` holds the distinct values in ascending [`Value`] order, so
 ///   the value id (index into the dictionary) is order-preserving.
 /// * `data` holds one value id per row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Column {
     name: String,
     dictionary: Vec<Value>,

@@ -2,11 +2,10 @@
 
 use crate::column::Column;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A relation `T = {C_1, ..., C_N}` stored column-wise with dictionary
 /// encoding (see [`Column`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     columns: Vec<Column>,

@@ -6,7 +6,6 @@
 //! become contiguous id ranges, which is exactly the representation Naru, UAE
 //! and Duet all work with (they "discretize" columns the same way).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -15,7 +14,7 @@ use std::fmt;
 /// Ordering is total: `Null < Int(_) < Text(_)`, integers by numeric value,
 /// text lexicographically. This matches the order used when building column
 /// dictionaries, so value-id order always agrees with `Value` order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// SQL NULL / missing value.
     Null,

@@ -353,10 +353,10 @@ fn pack_a_transposed(a: &[f32], k: usize, m: usize, out: &mut Vec<f32>) {
 /// The buffers are reused across refills (a hot-swap repacks in place), so
 /// steady-state serving never allocates for packing.
 ///
-/// Invariant (relied on by unsafe code in the kernels): every entry of
-/// `rows` is `< k`, and panel `jp`'s strip range `strips[jp]..strips[jp+1]`
-/// indexes `rows` and (scaled by `tile.nr()`) `data` in bounds. Only
-/// [`PackedWeight::fill_from`] writes these fields.
+/// Invariant (relied on by unsafe code, debug-asserted in [`addmm_packed`]):
+/// every entry of `rows` is `< k`, and panel `jp`'s strips
+/// `strips[jp]..strips[jp+1]` index `rows` and (scaled by `tile.nr()`)
+/// `data` in bounds. Only [`PackedWeight::fill_from`] writes these fields.
 #[derive(Debug, Clone)]
 pub struct PackedWeight {
     k: usize,
@@ -439,423 +439,6 @@ impl PackedWeight {
             self.strips.push(self.rows.len());
         }
     }
-}
-
-/// Convert an `f32` to IEEE 754 binary16 bits with round-to-nearest-even —
-/// the storage format of the compressed weight tier ([`PackedWeightHalf`]).
-/// Hand-rolled (no external crates): normals round the 23-bit mantissa to 10
-/// bits with the carry propagating into the exponent (which also yields the
-/// correct round-to-infinity at the top of the range), values below the
-/// half subnormal range flush to signed zero, and Inf/NaN preserve their
-/// class.
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        // Inf / NaN: keep the class, truncating the NaN payload (quieted).
-        let payload = if man != 0 { 0x0200 | ((man >> 13) as u16 & 0x03ff) } else { 0 };
-        return sign | 0x7c00 | payload;
-    }
-    let unbiased = exp - 127;
-    if unbiased >= 16 {
-        return sign | 0x7c00; // overflow -> infinity
-    }
-    if unbiased >= -14 {
-        // Normal halves: round the mantissa from 23 to 10 bits (RNE).
-        let mut half = (((unbiased + 15) as u32) << 10) | (man >> 13);
-        let rem = man & 0x1fff;
-        if rem > 0x1000 || (rem == 0x1000 && (half & 1) == 1) {
-            half += 1;
-        }
-        return sign | half as u16;
-    }
-    if unbiased >= -25 {
-        // Subnormal halves: the value in units of 2^-24, rounded RNE; a
-        // carry out of the 10-bit field lands exactly on the smallest
-        // normal encoding.
-        let mant = man | 0x0080_0000;
-        let shift = (-unbiased - 1) as u32; // 14..=24
-        let mut half = mant >> shift;
-        let halfway = 1u32 << (shift - 1);
-        let rem = mant & ((1u32 << shift) - 1);
-        if rem > halfway || (rem == halfway && (half & 1) == 1) {
-            half += 1;
-        }
-        return sign | half as u16;
-    }
-    sign // underflow -> signed zero
-}
-
-/// Convert IEEE 754 binary16 bits to `f32`. **Exact** for every finite input
-/// and for infinities (every binary16 value is representable in binary32),
-/// which is what makes the half-tier kernels deterministic: the only error
-/// in the compressed path is the one-time weight rounding in
-/// [`f32_to_f16`], never the per-call decode. Matches the hardware `F16C`
-/// conversion bit for bit on those inputs (NaNs differ in payload only, and
-/// packs built from finite weights never store one).
-pub fn f16_to_f32(bits: u16) -> f32 {
-    let sign = ((bits as u32) & 0x8000) << 16;
-    let exp = ((bits >> 10) & 0x1f) as u32;
-    let man = (bits & 0x03ff) as u32;
-    let magnitude = if exp == 0 {
-        // Zero / subnormal: man * 2^-24, exact in f32.
-        man as f32 * f32::from_bits(0x3380_0000)
-    } else if exp == 0x1f {
-        if man == 0 {
-            f32::INFINITY
-        } else {
-            f32::NAN
-        }
-    } else {
-        f32::from_bits(((exp + 112) << 23) | (man << 13))
-    };
-    f32::from_bits(magnitude.to_bits() | sign)
-}
-
-/// A masked weight packed like [`PackedWeight`] but stored as **f16 bits**
-/// with f32 accumulation in the micro-kernel — the compressed warm tier.
-///
-/// Layout and strip-dropping are identical to [`PackedWeight`] (same panel
-/// order, same kept-strip row indices, the drop test applied to the
-/// *converted* values so the pack computes exactly what a dense half-weight
-/// matmul would); only the element storage differs, halving the resident
-/// bytes and the per-strip memory traffic. Each strip is widened to f32
-/// **once per strip** (shared by all `MR` rows of the register block) and
-/// then accumulated in the same strictly ascending-`k` f32 order as every
-/// other kernel, so for a given pack the results are deterministic and
-/// identical across tiles and across the scalar / `F16C` decode paths
-/// (f16→f32 widening is exact — see [`f16_to_f32`]). Relative to the f32
-/// tier the only divergence is the one-time [`f32_to_f16`] rounding of each
-/// weight (≤ 2⁻¹¹ relative per element), which the bounded-error tests in
-/// `tests/compressed_tier.rs` gate end to end.
-///
-/// Invariant (relied on by unsafe code in the kernels): every entry of
-/// `rows` is `< k`, and panel `jp`'s strip range `strips[jp]..strips[jp+1]`
-/// indexes `rows` and (scaled by `tile.nr()`) `data` in bounds. Only
-/// [`PackedWeightHalf::fill_from`] writes these fields.
-#[derive(Debug, Clone)]
-pub struct PackedWeightHalf {
-    k: usize,
-    n: usize,
-    /// Tile variant the pack was built for (defines the strip width).
-    tile: Tile,
-    /// Concatenated kept strips, `tile.nr()` f16 bit patterns each
-    /// (panel-major).
-    data: Vec<u16>,
-    /// Original row (shared-dimension) index of each kept strip.
-    rows: Vec<u32>,
-    /// Panel `jp` owns strips `strips[jp]..strips[jp + 1]`.
-    strips: Vec<usize>,
-}
-
-impl Default for PackedWeightHalf {
-    fn default() -> Self {
-        Self {
-            k: 0,
-            n: 0,
-            tile: Tile::Sse4x8,
-            data: Vec::new(),
-            rows: Vec::new(),
-            strips: Vec::new(),
-        }
-    }
-}
-
-impl PackedWeightHalf {
-    /// An empty pack; [`PackedWeightHalf::fill_from`] populates it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `(k, n)` of the packed operand.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.k, self.n)
-    }
-
-    /// The tile variant this pack was built for.
-    pub fn tile(&self) -> Tile {
-        self.tile
-    }
-
-    /// Resident bytes of the packed strip data (the compression headline:
-    /// half of the equivalent f32 pack's).
-    pub fn data_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<u16>()
-    }
-
-    /// Re-pack from `w` (`k x n`, row-major f32) under the current thread's
-    /// tile, converting to f16 storage and reusing the existing buffers.
-    pub fn fill_from(&mut self, w: &[f32], k: usize, n: usize) {
-        assert_eq!(w.len(), k * n, "packed weight shape mismatch");
-        let tile = current_tile();
-        let nr = tile.nr();
-        self.k = k;
-        self.n = n;
-        self.tile = tile;
-        self.data.clear();
-        self.rows.clear();
-        self.strips.clear();
-        let panels = n.div_ceil(nr);
-        self.strips.push(0);
-        for jp in 0..panels {
-            let col0 = jp * nr;
-            let vis = nr.min(n - col0);
-            for p in 0..k {
-                let src = &w[p * n + col0..p * n + col0 + vis];
-                // Drop strips whose *converted* values are all zero: tiny
-                // weights that flush to f16 zero contribute nothing, exactly
-                // as in a dense half-weight product.
-                let halves = src.iter().map(|&v| f32_to_f16(v));
-                if halves.clone().any(|h| h & 0x7fff != 0) {
-                    let start = self.data.len();
-                    self.data.resize(start + nr, 0);
-                    for (d, h) in self.data[start..start + vis].iter_mut().zip(halves) {
-                        *d = h;
-                    }
-                    self.rows.push(p as u32);
-                }
-            }
-            self.strips.push(self.rows.len());
-        }
-    }
-}
-
-/// Widen one f16 strip to f32 (scalar decode; exact, see [`f16_to_f32`]).
-#[inline(always)]
-fn widen_strip<const TNR: usize>(strip: &[u16]) -> [f32; TNR] {
-    let mut out = [0.0f32; TNR];
-    for l in 0..TNR {
-        out[l] = f16_to_f32(strip[l]);
-    }
-    out
-}
-
-/// Run the half-storage packed micro-kernel over `rows` of the output,
-/// bias/act epilogue included. Identical loop structure to
-/// [`run_rows_packed_t`]; each kept strip is widened to f32 once and shared
-/// by all `TMR` rows of the register block, and accumulation is plain f32 in
-/// ascending-`k` order.
-#[inline(always)]
-fn run_rows_packed_half_t<const TMR: usize, const TNR: usize>(
-    a: &[f32],
-    k: usize,
-    packed: &PackedWeightHalf,
-    n: usize,
-    bias: Option<&[f32]>,
-    act: Activation,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-) {
-    debug_assert_eq!(packed.tile.nr(), TNR);
-    let out_base = rows.start;
-    let panels = n.div_ceil(TNR);
-    let mut i = rows.start;
-    while i + TMR <= rows.end {
-        // SAFETY precondition for the unchecked loads below: each slice has
-        // length exactly `k`, and every strip row index stored in a
-        // `PackedWeightHalf` is `< k` (struct invariant).
-        let ar: [&[f32]; TMR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-        for jp in 0..panels {
-            let col0 = jp * TNR;
-            let vis = TNR.min(n - col0);
-            let sr = packed.strips[jp]..packed.strips[jp + 1];
-            let sdata = &packed.data[sr.start * TNR..sr.end * TNR];
-            let srows = &packed.rows[sr];
-            let mut acc = [[0.0f32; TNR]; TMR];
-            for (strip, &p) in sdata.chunks_exact(TNR).zip(srows.iter()) {
-                let ws = widen_strip::<TNR>(strip);
-                let p = p as usize;
-                for r in 0..TMR {
-                    // SAFETY: `p < k == ar[r].len()` (struct invariant).
-                    let av = unsafe { *ar[r].get_unchecked(p) };
-                    for l in 0..TNR {
-                        acc[r][l] += av * ws[l];
-                    }
-                }
-            }
-            for r in 0..TMR {
-                let dst = (i + r - out_base) * n + col0;
-                out_rows[dst..dst + vis].copy_from_slice(&acc[r][..vis]);
-            }
-        }
-        i += TMR;
-    }
-    while i < rows.end {
-        let arow = &a[i * k..(i + 1) * k];
-        for jp in 0..panels {
-            let col0 = jp * TNR;
-            let vis = TNR.min(n - col0);
-            let sr = packed.strips[jp]..packed.strips[jp + 1];
-            let sdata = &packed.data[sr.start * TNR..sr.end * TNR];
-            let srows = &packed.rows[sr];
-            let mut acc = [0.0f32; TNR];
-            for (strip, &p) in sdata.chunks_exact(TNR).zip(srows.iter()) {
-                let ws = widen_strip::<TNR>(strip);
-                // SAFETY: `p < k == arow.len()` (struct invariant).
-                let av = unsafe { *arow.get_unchecked(p as usize) };
-                for l in 0..TNR {
-                    acc[l] += av * ws[l];
-                }
-            }
-            let dst = (i - out_base) * n + col0;
-            out_rows[dst..dst + vis].copy_from_slice(&acc[..vis]);
-        }
-        i += 1;
-    }
-    epilogue(out_rows, n, bias, act);
-}
-
-/// `F16C` + AVX2 instantiation of the half-storage 6×16 micro-kernel: the
-/// strip decode runs through the hardware `vcvtph2ps` (bit-identical to the
-/// scalar [`f16_to_f32`] for everything a pack can store — widening is
-/// exact), the accumulation is the same ascending-`k` f32 order with 256-bit
-/// codegen. Results are therefore bit-identical to the baseline
-/// instantiation.
-///
-/// # Safety
-/// The caller must have verified `is_x86_feature_detected!("avx2")` and
-/// `is_x86_feature_detected!("f16c")`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,f16c")]
-unsafe fn run_rows_packed_half_f16c(
-    a: &[f32],
-    k: usize,
-    packed: &PackedWeightHalf,
-    n: usize,
-    bias: Option<&[f32]>,
-    act: Activation,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-) {
-    use std::arch::x86_64::{_mm256_cvtph_ps, _mm256_storeu_ps, _mm_loadu_si128};
-    const TMR: usize = 6;
-    const TNR: usize = 16;
-    debug_assert_eq!(packed.tile.nr(), TNR);
-    // Hardware strip decode: 16 halves -> 16 singles via two vcvtph2ps.
-    #[inline(always)]
-    unsafe fn widen16(strip: &[u16]) -> [f32; TNR] {
-        debug_assert_eq!(strip.len(), TNR);
-        let mut out = [0.0f32; TNR];
-        let ptr = strip.as_ptr();
-        // SAFETY (caller-checked): `strip` holds 16 u16s; loadu/storeu are
-        // unaligned; f16c is enabled on this fn's target features.
-        unsafe {
-            let lo = _mm256_cvtph_ps(_mm_loadu_si128(ptr as *const _));
-            let hi = _mm256_cvtph_ps(_mm_loadu_si128(ptr.add(8) as *const _));
-            _mm256_storeu_ps(out.as_mut_ptr(), lo);
-            _mm256_storeu_ps(out.as_mut_ptr().add(8), hi);
-        }
-        out
-    }
-    let out_base = rows.start;
-    let panels = n.div_ceil(TNR);
-    let mut i = rows.start;
-    while i + TMR <= rows.end {
-        // SAFETY preconditions as in `run_rows_packed_half_t`.
-        let ar: [&[f32]; TMR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-        for jp in 0..panels {
-            let col0 = jp * TNR;
-            let vis = TNR.min(n - col0);
-            let sr = packed.strips[jp]..packed.strips[jp + 1];
-            let sdata = &packed.data[sr.start * TNR..sr.end * TNR];
-            let srows = &packed.rows[sr];
-            let mut acc = [[0.0f32; TNR]; TMR];
-            for (strip, &p) in sdata.chunks_exact(TNR).zip(srows.iter()) {
-                // SAFETY: strip is exactly TNR wide (chunks_exact).
-                let ws = unsafe { widen16(strip) };
-                let p = p as usize;
-                for r in 0..TMR {
-                    // SAFETY: `p < k == ar[r].len()` (struct invariant).
-                    let av = unsafe { *ar[r].get_unchecked(p) };
-                    for l in 0..TNR {
-                        acc[r][l] += av * ws[l];
-                    }
-                }
-            }
-            for r in 0..TMR {
-                let dst = (i + r - out_base) * n + col0;
-                out_rows[dst..dst + vis].copy_from_slice(&acc[r][..vis]);
-            }
-        }
-        i += TMR;
-    }
-    while i < rows.end {
-        let arow = &a[i * k..(i + 1) * k];
-        for jp in 0..panels {
-            let col0 = jp * TNR;
-            let vis = TNR.min(n - col0);
-            let sr = packed.strips[jp]..packed.strips[jp + 1];
-            let sdata = &packed.data[sr.start * TNR..sr.end * TNR];
-            let srows = &packed.rows[sr];
-            let mut acc = [0.0f32; TNR];
-            for (strip, &p) in sdata.chunks_exact(TNR).zip(srows.iter()) {
-                // SAFETY: strip is exactly TNR wide (chunks_exact).
-                let ws = unsafe { widen16(strip) };
-                // SAFETY: `p < k == arow.len()` (struct invariant).
-                let av = unsafe { *arow.get_unchecked(p as usize) };
-                for l in 0..TNR {
-                    acc[l] += av * ws[l];
-                }
-            }
-            let dst = (i - out_base) * n + col0;
-            out_rows[dst..dst + vis].copy_from_slice(&acc[..vis]);
-        }
-        i += 1;
-    }
-    epilogue(out_rows, n, bias, act);
-}
-
-/// Tile-dispatched half-storage packed kernel (the tile comes from the pack
-/// itself), preferring the `F16C` hardware decode when the CPU has it.
-fn run_rows_packed_half(
-    a: &[f32],
-    k: usize,
-    packed: &PackedWeightHalf,
-    n: usize,
-    bias: Option<&[f32]>,
-    act: Activation,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-) {
-    match packed.tile {
-        Tile::Sse4x8 => run_rows_packed_half_t::<4, 8>(a, k, packed, n, bias, act, rows, out_rows),
-        Tile::Avx6x16 => {
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("f16c")
-            {
-                // SAFETY: feature presence just checked.
-                return unsafe {
-                    run_rows_packed_half_f16c(a, k, packed, n, bias, act, rows, out_rows)
-                };
-            }
-            run_rows_packed_half_t::<6, 16>(a, k, packed, n, bias, act, rows, out_rows)
-        }
-    }
-}
-
-/// Fused `out = act(a @ w + bias)` against a pre-packed **f16-storage**
-/// right operand (see [`PackedWeightHalf`]): the compressed-tier sibling of
-/// [`addmm_packed`], dispatched the same way and fanned out over the same
-/// compute pool. Deterministic for a given pack; differs from the f32 tier
-/// only by the one-time weight rounding recorded in the pack.
-pub fn addmm_packed_half(
-    a: &[f32],
-    m: usize,
-    packed: &PackedWeightHalf,
-    bias: Option<&[f32]>,
-    act: Activation,
-    out: &mut [f32],
-) {
-    let (k, n) = packed.shape();
-    assert_eq!(a.len(), m * k);
-    assert_eq!(out.len(), m * n);
-    let total_work = m.saturating_mul(packed.rows.len()).saturating_mul(packed.tile.nr());
-    fan_out_rows(m, n, total_work, out, |rows, out_rows| {
-        run_rows_packed_half(a, k, packed, n, bias, act, rows, out_rows)
-    });
 }
 
 /// Hint the CPU to pull `data[index..]` toward L1 ahead of the accumulation
@@ -988,7 +571,7 @@ fn run_rows_packed_t<const TMR: usize, const TNR: usize>(
     while i + TMR <= rows.end {
         // SAFETY precondition for the unchecked loads below: each slice has
         // length exactly `k`, and every strip row index stored in a
-        // `PackedWeight` is `< k` (struct invariant).
+        // `PackedWeight` is `< k` (struct invariant; `addmm_packed` debug-asserts it).
         let ar: [&[f32]; TMR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
         for jp in 0..panels {
             let col0 = jp * TNR;
@@ -1140,7 +723,10 @@ fn run_rows_packed(
 /// row ranges, so concurrent access never aliases.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut f32);
+// SAFETY: the pointee outlives the pool job (`ComputePool::run` blocks until
+// every chunk finishes) and chunks write disjoint ranges of it.
 unsafe impl Send for SendPtr {}
+// SAFETY: `&SendPtr` only yields copies of the pointer; same argument.
 unsafe impl Sync for SendPtr {}
 
 impl SendPtr {
@@ -1229,6 +815,12 @@ pub fn addmm_packed(
     let (k, n) = packed.shape();
     assert_eq!(a.len(), m * k);
     assert_eq!(out.len(), m * n);
+    debug_assert!(
+        packed.rows.iter().all(|&p| (p as usize) < k)
+            && packed.strips.windows(2).all(|w| w[0] <= w[1])
+            && packed.strips.last() == Some(&packed.rows.len()),
+        "PackedWeight invariant (relied on by the unchecked loads) violated"
+    );
     let total_work = m.saturating_mul(packed.rows.len()).saturating_mul(packed.tile.nr());
     fan_out_rows(m, n, total_work, out, |rows, out_rows| {
         run_rows_packed(a, k, packed, n, bias, act, rows, out_rows)

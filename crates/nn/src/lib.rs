@@ -40,7 +40,7 @@ pub mod workspace;
 
 pub use activation::Activation;
 pub use init::{seeded_rng, Init};
-pub use kernels::{f16_to_f32, f32_to_f16, native_tile, with_tile, SparseRows, Tile};
+pub use kernels::{native_tile, with_tile, SparseRows, Tile};
 pub use linear::{Linear, MaskedLinear};
 pub use loss::{
     grouped_cross_entropy, grouped_cross_entropy_with, mse, mse_with, q_error, softmax,
@@ -57,4 +57,4 @@ pub use param::{InferLayer, Param, Params, WeightKey};
 pub use pool::{with_pool, ComputePool};
 pub use serialize::{load_params, save_params, CheckpointError};
 pub use tensor::{rowvec_matmul_into, Matrix};
-pub use workspace::{ForwardWorkspace, MaskedWeightCache, TrainWorkspace, WeightMode};
+pub use workspace::{ForwardWorkspace, MaskedWeightCache, TrainWorkspace};

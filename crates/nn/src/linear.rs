@@ -5,14 +5,17 @@
 //! ([`Mlp`](crate::mlp::Mlp), [`Made`](crate::made::Made)) chain them through
 //! a workspace. Each has one inference forward into a caller buffer
 //! (caching nothing), one training forward that additionally caches its input,
-//! and one scratch backward that consumes that cache.
+//! and one scratch backward that consumes that cache. The masked inference
+//! forward picks one of three kernels by batch shape and input density —
+//! the cached pack, the dense dispatch, or the naive zero-skipping loop —
+//! and all three give the same bits for finite inputs.
 
 use crate::activation::Activation;
 use crate::init::Init;
 use crate::kernels::{self, SparseRows};
 use crate::param::{cache_input, Param, Params, WeightKey};
 use crate::tensor::Matrix;
-use crate::workspace::{MaskedEntry, WeightMode};
+use crate::workspace::MaskedEntry;
 use rand::rngs::SmallRng;
 
 /// `y = x @ W + b`, with `W` of shape `(in_features, out_features)`.
@@ -194,13 +197,6 @@ impl MaskedLinear {
     /// (whose zero-*input* skipping wins there). All paths are bit-identical
     /// for finite inputs.
     ///
-    /// [`WeightMode::Half`] routes the batched dense case through the
-    /// f16-storage pack (`entry.packed_half()`) instead — bounded per-weight
-    /// rounding error, half the weight memory traffic. Paths the half tier
-    /// does not cover (sparse inputs, shape-ineligible batches) fall back to
-    /// the exact f32 kernels in either mode: the tier is a storage choice
-    /// for the batched hot loop, not a change to the dispatch shape.
-    ///
     /// `entry` must come from [`MaskedWeightCache::entry`] keyed by this
     /// layer's [`MaskedLinear::weight_key`].
     ///
@@ -209,7 +205,6 @@ impl MaskedLinear {
         &self,
         input: &Matrix,
         act: Activation,
-        mode: WeightMode,
         entry: &mut MaskedEntry,
         out: &mut Matrix,
     ) {
@@ -224,14 +219,7 @@ impl MaskedLinear {
             // hint) the dense kernel's own blocked-vs-naive choice.
             input.addmm_dispatch(entry.weight(), bias, act, Some(false), out);
         } else {
-            match mode {
-                WeightMode::Full => {
-                    input.addmm_packed_bias_act_into(entry.packed(), bias, act, out)
-                }
-                WeightMode::Half => {
-                    input.addmm_packed_half_bias_act_into(entry.packed_half(), bias, act, out)
-                }
-            }
+            input.addmm_packed_bias_act_into(entry.packed(), bias, act, out);
         }
     }
 
@@ -267,7 +255,7 @@ impl MaskedLinear {
             }
             None => {
                 cache_input(&mut self.cached_input, input);
-                self.infer_entry(input, Activation::Identity, WeightMode::Full, entry, out);
+                self.infer_entry(input, Activation::Identity, entry, out);
             }
         }
     }

@@ -6,6 +6,11 @@
 //! Duet's input blocks encode predicates `(op, value)` while Naru's encode
 //! tuple values, but the masking logic is identical, so it lives here in the
 //! substrate crate.
+//!
+//! A [`Made`] has one serving forward ([`InferLayer::infer_into`], masked
+//! weights memoized in the caller's workspace) and one training forward
+//! ([`Made::forward_train`], activations checkpointed for the backward); the
+//! two produce bit-identical logits.
 
 use crate::activation::Activation;
 use crate::init::Init;
@@ -13,9 +18,7 @@ use crate::kernels::SparseRows;
 use crate::linear::MaskedLinear;
 use crate::param::{InferLayer, Param, Params};
 use crate::tensor::Matrix;
-use crate::workspace::{
-    pick2, pick3, ForwardWorkspace, MaskedWeightCache, TrainWorkspace, WeightMode,
-};
+use crate::workspace::{pick2, pick3, ForwardWorkspace, MaskedWeightCache, TrainWorkspace};
 use rand::rngs::SmallRng;
 
 /// Architecture description for a [`Made`] network.
@@ -178,12 +181,11 @@ impl ResBlock {
         out: &mut Matrix,
         masked: &mut MaskedWeightCache,
         slot: usize,
-        mode: WeightMode,
     ) {
         let e1 = masked.entry(slot, self.fc1.weight_key(), |w| self.fc1.fill_masked(w));
-        self.fc1.infer_entry(x, Activation::Relu, mode, e1, h);
+        self.fc1.infer_entry(x, Activation::Relu, e1, h);
         let e2 = masked.entry(slot + 1, self.fc2.weight_key(), |w| self.fc2.fill_masked(w));
-        self.fc2.infer_entry(h, Activation::Identity, mode, e2, out);
+        self.fc2.infer_entry(h, Activation::Identity, e2, out);
         out.add_assign(x);
     }
 }
@@ -472,12 +474,7 @@ impl InferLayer for Made {
     /// from the workspace's [`MaskedWeightCache`] — materialized once per
     /// (workspace, weights) pair instead of once per batch, and re-validated
     /// by [`crate::param::WeightKey`] so optimizer steps and hot-swaps can
-    /// never serve stale weights. Bit-identical to
-    /// [`Made::forward_train`] in the default [`WeightMode::Full`]; under
-    /// [`WeightMode::Half`] (see [`ForwardWorkspace::set_weight_mode`]) the
-    /// batched stages read the compressed f16 weight tier instead, trading
-    /// bit-identity for bounded per-weight rounding error at half the weight
-    /// memory traffic.
+    /// never serve stale weights. Bit-identical to [`Made::forward_train`].
     fn infer_into<'w>(&self, input: &Matrix, ws: &'w mut ForwardWorkspace) -> &'w Matrix {
         assert_eq!(
             input.cols(),
@@ -486,7 +483,6 @@ impl InferLayer for Made {
             self.config.input_width()
         );
         ws.rewind();
-        let mode = ws.weight_mode();
         let mut slot = 0usize;
         for (i, stage) in self.stages.iter().enumerate() {
             {
@@ -496,17 +492,17 @@ impl InferLayer for Made {
                     Stage::MaskedRelu(linear) => {
                         let entry =
                             masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                        linear.infer_entry(x, Activation::Relu, mode, entry, next);
+                        linear.infer_entry(x, Activation::Relu, entry, next);
                         slot += 1;
                     }
                     Stage::Residual(block) => {
-                        block.infer_cached(x, aux, next, masked, slot, mode);
+                        block.infer_cached(x, aux, next, masked, slot);
                         slot += 2;
                     }
                     Stage::Output(linear) => {
                         let entry =
                             masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                        linear.infer_entry(x, Activation::Identity, mode, entry, next);
+                        linear.infer_entry(x, Activation::Identity, entry, next);
                         slot += 1;
                     }
                 }

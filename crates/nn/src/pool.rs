@@ -59,10 +59,18 @@ struct JobDesc {
     num_chunks: usize,
 }
 
-// SAFETY: the closure behind `data` is `Sync` (enforced by `run`'s bound)
-// and outlives the job (enforced by `run` blocking until completion).
+// SAFETY: `call` is a plain fn pointer and `num_chunks` plain data; the
+// closure behind `data` is `Sync` (enforced by `run`'s bound), so calling it
+// from another thread is sound, and it outlives the job (enforced by `run`
+// blocking until completion).
 unsafe impl Send for JobDesc {}
 
+/// Downcast `data` back to the submitter's closure and run `chunk` of it.
+///
+/// # Safety
+/// `data` must be a `&F` cast to a pointer whose referent is still alive;
+/// [`ComputePool::run`], the only place a [`JobDesc`] is built, guarantees
+/// it by blocking until every chunk has finished.
 unsafe fn call_shim<F: Fn(usize) + Sync>(data: *const (), chunk: usize) {
     // SAFETY: `data` was produced from `&F` in `run` and is still alive.
     unsafe { (*(data as *const F))(chunk) };

@@ -5,8 +5,8 @@
 //! `(rows, cols, f32 data)` records into a [`bytes`] buffer framed by a magic
 //! header and a parameter count. Loading visits the parameters of a freshly
 //! constructed model in the same order and overwrites their values, so the
-//! architecture itself is reconstructed from the estimator's own config (which
-//! is serialized separately with `serde` where needed).
+//! architecture itself is reconstructed from the estimator's own config, which
+//! the loader supplies and the checkpoint does not store.
 
 use crate::param::Params;
 use crate::tensor::Matrix;

@@ -380,36 +380,6 @@ impl Matrix {
         kernels::addmm_packed(&self.data, m, packed, bias, act, &mut out.data);
     }
 
-    /// Fused `out = act(self @ w + bias)` against a pre-packed **f16
-    /// storage** right operand (see [`crate::kernels::PackedWeightHalf`]):
-    /// the compressed warm tier. Accumulation stays f32; relative to the
-    /// full-precision pack the only divergence is the one-time rounding of
-    /// each weight to binary16, so results carry a bounded per-weight error
-    /// (≤ 2⁻¹¹ relative) rather than bit-identity.
-    ///
-    /// # Panics
-    /// Panics if `self.cols()` does not match the packed operand's `k`.
-    pub fn addmm_packed_half_bias_act_into(
-        &self,
-        packed: &kernels::PackedWeightHalf,
-        bias: Option<&[f32]>,
-        act: Activation,
-        out: &mut Matrix,
-    ) {
-        let (k, n) = packed.shape();
-        assert_eq!(
-            self.cols, k,
-            "packed-half matmul shape mismatch: {}x{} @ {}x{}",
-            self.rows, self.cols, k, n
-        );
-        if let Some(bias) = bias {
-            assert_eq!(bias.len(), n, "bias length mismatch");
-        }
-        let m = self.rows;
-        out.resize_for_overwrite(m, n);
-        kernels::addmm_packed_half(&self.data, m, packed, bias, act, &mut out.data);
-    }
-
     /// `self @ other^T` — `(m x k) @ (n x k)^T -> (m x n)` — into a
     /// caller-provided output, which is reshaped reusing its buffer.
     ///

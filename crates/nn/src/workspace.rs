@@ -22,6 +22,10 @@
 //! * the output reference returned by `infer_into` borrows the workspace and
 //!   is valid until the next pass overwrites the buffers.
 //!
+//! The cache holds weights in one form only — the exact f32 `W ⊙ M` and its
+//! f32 pack — so a pass through a workspace is bit-identical to the training
+//! forward whichever kernel the batch shape selects.
+//!
 //! # Example
 //!
 //! ```
@@ -40,33 +44,13 @@
 //! assert_eq!(full.row(0), small.row(0), "row results are batch-independent");
 //! ```
 
-use crate::kernels::{PackedWeight, PackedWeightHalf};
+use crate::kernels::PackedWeight;
 use crate::param::WeightKey;
 use crate::tensor::Matrix;
 
-/// Which storage tier the batched packed kernels read weights from.
-///
-/// [`Full`](WeightMode::Full) (the default) is the exact f32 pack —
-/// bit-identical to the dense path. [`Half`](WeightMode::Half) is the
-/// compressed warm tier: weights stored as f16 bits with f32 accumulation,
-/// halving resident bytes and strip memory traffic at the cost of a bounded
-/// one-time per-weight rounding (see
-/// [`PackedWeightHalf`]). The mode lives on the *workspace* (per serving
-/// worker), never on the model, so a fleet can serve the same shared model
-/// at different tiers. Training always runs `Full`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WeightMode {
-    /// Exact f32 packed weights (bit-identical to the dense path).
-    #[default]
-    Full,
-    /// f16-storage packed weights with f32 accumulation (bounded error).
-    Half,
-}
-
 /// One memoized masked effective weight (`W ⊙ M`) plus the key of the
-/// weights it was materialized from, with lazily maintained mask-aware
-/// packed forms for both storage tiers (see [`PackedWeight`] and
-/// [`PackedWeightHalf`]).
+/// weights it was materialized from, with a lazily maintained mask-aware
+/// packed form (see [`PackedWeight`]).
 #[derive(Debug, Clone, Default)]
 pub struct MaskedEntry {
     key: Option<WeightKey>,
@@ -76,11 +60,6 @@ pub struct MaskedEntry {
     /// kernel never pay for packing.
     packed_key: Option<WeightKey>,
     packed: PackedWeight,
-    /// Key the f16 pack was derived under (same protocol as `packed_key`).
-    /// Lazy so workspaces that never switch to [`WeightMode::Half`] never
-    /// pay for the compressed pack.
-    half_key: Option<WeightKey>,
-    half: PackedWeightHalf,
 }
 
 impl MaskedEntry {
@@ -100,17 +79,6 @@ impl MaskedEntry {
         }
         &self.packed
     }
-
-    /// The f16-storage packed form of [`MaskedEntry::weight`] (the
-    /// compressed warm tier), packing it now if missing or from older
-    /// weights. Same lazy/reuse protocol as [`MaskedEntry::packed`].
-    pub fn packed_half(&mut self) -> &PackedWeightHalf {
-        if self.half_key != self.key {
-            self.half.fill_from(self.weight.as_slice(), self.weight.rows(), self.weight.cols());
-            self.half_key = self.key;
-        }
-        &self.half
-    }
 }
 
 /// A per-workspace memo of masked effective weights, indexed by the masked
@@ -127,24 +95,9 @@ impl MaskedEntry {
 #[derive(Debug, Clone, Default)]
 pub struct MaskedWeightCache {
     slots: Vec<MaskedEntry>,
-    /// Storage tier the batched packed path should read from; layers consult
-    /// this when dispatching (see [`WeightMode`]).
-    mode: WeightMode,
 }
 
 impl MaskedWeightCache {
-    /// The storage tier the batched packed path reads from.
-    pub fn mode(&self) -> WeightMode {
-        self.mode
-    }
-
-    /// Select the storage tier for subsequent passes (see [`WeightMode`]).
-    /// Cached packs of *both* tiers stay valid across switches — flipping
-    /// modes never re-materializes anything already built.
-    pub fn set_mode(&mut self, mode: WeightMode) {
-        self.mode = mode;
-    }
-
     /// The cached entry for `slot`, refilled via `fill` first if the slot is
     /// empty or was materialized from differently-keyed weights.
     ///
@@ -185,7 +138,6 @@ impl MaskedWeightCache {
         for slot in &mut self.slots {
             slot.key = None;
             slot.packed_key = None;
-            slot.half_key = None;
         }
     }
 }
@@ -241,18 +193,6 @@ impl ForwardWorkspace {
     /// The masked weight cache (inspection / explicit invalidation).
     pub fn masked_cache_mut(&mut self) -> &mut MaskedWeightCache {
         &mut self.masked
-    }
-
-    /// Select the weight storage tier for subsequent passes through this
-    /// workspace (see [`WeightMode`]). Sticky until changed; defaults to
-    /// [`WeightMode::Full`].
-    pub fn set_weight_mode(&mut self, mode: WeightMode) {
-        self.masked.set_mode(mode);
-    }
-
-    /// The weight storage tier currently selected (see [`WeightMode`]).
-    pub fn weight_mode(&self) -> WeightMode {
-        self.masked.mode()
     }
 
     /// Promote the `next` buffer of the last [`ForwardWorkspace::split`] to

@@ -18,10 +18,9 @@
 //!   so whatever path the dispatcher picks must agree with the reference.
 
 use duet_nn::kernels::{
-    addmm_blocked, addmm_packed, addmm_packed_half, matmul_nt_blocked, matmul_tn_blocked,
-    PackedWeight, PackedWeightHalf, MR, NR,
+    addmm_blocked, addmm_packed, matmul_nt_blocked, matmul_tn_blocked, PackedWeight, MR, NR,
 };
-use duet_nn::{f16_to_f32, f32_to_f16, with_tile, Activation, Matrix, SparseRows, Tile};
+use duet_nn::{with_tile, Activation, Matrix, SparseRows, Tile};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -351,152 +350,4 @@ fn pooled_kernels_match_serial_bitwise() {
     });
     assert_bit_identical(&pooled_packed, &serial_packed, "pooled packed");
     assert_bit_identical(&serial_packed, &serial, "packed vs dense");
-}
-
-// ---------------------------------------------------------------------------
-// f16 warm tier: conversion exactness and the half-storage packed kernel.
-// ---------------------------------------------------------------------------
-
-/// Directed round-to-nearest-even cases for `f32_to_f16`: signed zeros, exact
-/// powers of two, the overflow and subnormal boundaries, ties in both
-/// directions, and class preservation for infinities and NaN.
-#[test]
-fn f32_to_f16_directed_rounding_cases() {
-    assert_eq!(f32_to_f16(0.0), 0x0000);
-    assert_eq!(f32_to_f16(-0.0), 0x8000);
-    assert_eq!(f32_to_f16(1.0), 0x3C00);
-    assert_eq!(f32_to_f16(-2.0), 0xC000);
-    // Largest finite half; one ulp above it still rounds down.
-    assert_eq!(f32_to_f16(65504.0), 0x7BFF);
-    assert_eq!(f32_to_f16(65505.0), 0x7BFF);
-    // Past the overflow midpoint: saturates to the signed infinity.
-    assert_eq!(f32_to_f16(1.0e6), 0x7C00);
-    assert_eq!(f32_to_f16(-1.0e6), 0xFC00);
-    assert_eq!(f32_to_f16(f32::INFINITY), 0x7C00);
-    assert_eq!(f32_to_f16(f32::NEG_INFINITY), 0xFC00);
-    let nan = f32_to_f16(f32::NAN);
-    assert_eq!(nan & 0x7C00, 0x7C00, "NaN keeps an all-ones exponent");
-    assert_ne!(nan & 0x03FF, 0, "NaN keeps a non-zero mantissa");
-    // Subnormal range: the smallest subnormal is 2^-24; half of it is a tie
-    // with zero (even), and anything above the midpoint rounds up.
-    assert_eq!(f32_to_f16(2.0f32.powi(-24)), 0x0001);
-    assert_eq!(
-        f32_to_f16(2.0f32.powi(-25)),
-        0x0000,
-        "tie at the underflow midpoint goes to even (zero)"
-    );
-    assert_eq!(f32_to_f16(1.5 * 2.0f32.powi(-25)), 0x0001);
-    assert_eq!(f32_to_f16(-2.0f32.powi(-25)), 0x8000, "underflow keeps the sign");
-    // Largest subnormal (1023/1024 * 2^-14), then the smallest normal.
-    assert_eq!(f32_to_f16(1023.0 / 1024.0 * 2.0f32.powi(-14)), 0x03FF);
-    assert_eq!(f32_to_f16(2.0f32.powi(-14)), 0x0400);
-    // Ties to even in the normal range: 1 + 2^-11 sits exactly between
-    // 0x3C00 (even) and 0x3C01; 1 + 3*2^-11 between 0x3C01 and 0x3C02 (even).
-    assert_eq!(f32_to_f16(1.0 + 2.0f32.powi(-11)), 0x3C00);
-    assert_eq!(f32_to_f16(1.0 + 3.0 * 2.0f32.powi(-11)), 0x3C02);
-}
-
-/// `f16_to_f32` is exact, so the f32→f16→f32→f16 loop must be the identity
-/// on every non-NaN bit pattern (and preserve the NaN class on the rest).
-/// The whole 16-bit space is small enough to sweep exhaustively.
-#[test]
-fn f16_roundtrip_is_exact_for_every_bit_pattern() {
-    for h in 0..=u16::MAX {
-        let widened = f16_to_f32(h);
-        let is_nan = h & 0x7C00 == 0x7C00 && h & 0x03FF != 0;
-        if is_nan {
-            assert!(widened.is_nan(), "{h:#06x} must widen to NaN");
-            let back = f32_to_f16(widened);
-            assert_eq!(back & 0x7C00, 0x7C00);
-            assert_ne!(back & 0x03FF, 0);
-        } else {
-            assert_eq!(f32_to_f16(widened), h, "{h:#06x} must survive the round trip");
-        }
-    }
-}
-
-/// The half-storage packed kernel's contract: bit-identical to the naive
-/// reference computed over *dequantized* weights (each weight rounded
-/// through f16 and widened back), for every (pack tile, run tile) pairing.
-/// Widening is exact and accumulation stays f32 in ascending-`k` order, so
-/// the only difference from the f32 path is the one-time weight rounding.
-fn check_shape_half(m: usize, k: usize, n: usize, rng: &mut SmallRng) {
-    let a = matrix_with_zeros(m, k, rng);
-    let b = matrix_with_zeros(k, n, rng);
-    let bias: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let dequantized = Matrix::from_fn(k, n, |p, j| f16_to_f32(f32_to_f16(b.get(p, j))));
-    let full = reference_addmm(&a, &b, Some(&bias), Activation::Relu);
-    let want = reference_addmm(&a, &dequantized, Some(&bias), Activation::Relu);
-
-    for pack_tile in TILES {
-        let mut packed = PackedWeightHalf::new();
-        with_tile(pack_tile, || packed.fill_from(b.as_slice(), k, n));
-        assert_eq!(packed.shape(), (k, n));
-        assert_eq!(packed.tile(), pack_tile);
-        for run_tile in TILES {
-            let mut got = Matrix::zeros(m, n);
-            with_tile(run_tile, || {
-                addmm_packed_half(
-                    a.as_slice(),
-                    m,
-                    &packed,
-                    Some(&bias),
-                    Activation::Relu,
-                    got.as_mut_slice(),
-                );
-            });
-            assert_bit_identical(&got, &want, "addmm_packed_half vs dequantized reference");
-        }
-    }
-
-    // Bounded drift against the full-precision result: each weight rounds
-    // with relative error <= 2^-11 (plus subnormal flushes below 2^-24), so
-    // the output error is bounded by the absolute-value product at that
-    // relative scale.
-    for i in 0..m {
-        for j in 0..n {
-            let abs_sum: f32 = (0..k).map(|p| (a.get(i, p) * b.get(p, j)).abs()).sum();
-            let bound = 5.0e-4 * abs_sum + 1.0e-5;
-            let diff = (want.get(i, j) - full.get(i, j)).abs();
-            assert!(
-                diff <= bound,
-                "half tier drifted past the rounding bound at ({i},{j}): {diff} > {bound}"
-            );
-        }
-    }
-}
-
-/// Directed half-kernel shapes mirroring the f32 edge sweep: vectors, prime
-/// dimensions, and tile-multiple neighbours.
-#[test]
-fn packed_half_matches_dequantized_reference_on_edge_shapes() {
-    let mut rng = duet_nn::seeded_rng(0xa1f ^ 0xf16);
-    for &(m, k, n) in &[
-        (1usize, 1usize, 1usize),
-        (1, 7, NR + 1),
-        (MR, 13, NR),
-        (MR + 1, 24, 2 * NR + 1),
-        (2 * MR, 5, NR - 1),
-        (13, 19, 29),
-    ] {
-        check_shape_half(m, k, n, &mut rng);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random shapes and values: the half pack must agree bitwise with the
-    /// dequantized reference under every tile pairing, and stay within the
-    /// f16 rounding envelope of the full-precision result.
-    #[test]
-    fn packed_half_matches_reference_on_random_shapes(
-        m in 1usize..2 * MR + 2,
-        k in 1usize..24,
-        n in 1usize..2 * NR + 2,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = duet_nn::seeded_rng(seed ^ 0xf16);
-        check_shape_half(m, k, n, &mut rng);
-    }
 }

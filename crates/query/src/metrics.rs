@@ -1,7 +1,5 @@
 //! Q-Error summaries and distribution helpers used by every experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// The Q-Error of an estimate (Moerkotte et al.): `max(est, actual) / min(est,
 /// actual)`, with both sides clamped to at least 1 row.
 pub fn q_error(estimate: f64, actual: f64) -> f64 {
@@ -16,7 +14,7 @@ pub fn q_error(estimate: f64, actual: f64) -> f64 {
 
 /// Summary of a Q-Error distribution, matching the columns reported in the
 /// paper's Table II (mean, median, 75th, 99th, max) plus a few extras.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QErrorSummary {
     /// Number of queries evaluated.
     pub count: usize,

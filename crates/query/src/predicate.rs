@@ -1,11 +1,10 @@
 //! Predicates over single columns and their translation into value-id ranges.
 
 use duet_data::{Column, Value};
-use serde::{Deserialize, Serialize};
 
 /// The predicate operators supported by the paper
 /// (`=`, `>`, `<`, `>=`, `<=`; conjunctions of these form a query).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredOp {
     /// Equality.
     Eq,
@@ -59,7 +58,7 @@ impl PredOp {
 }
 
 /// One predicate on one column: `column <op> value`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnPredicate {
     /// Index of the constrained column in the table.
     pub column: usize,

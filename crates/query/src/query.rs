@@ -3,12 +3,11 @@
 
 use crate::predicate::{intersect, ColumnPredicate, PredOp};
 use duet_data::{Table, Value};
-use serde::{Deserialize, Serialize};
 
 /// A conjunction of column predicates (the query class of the paper:
 /// single-table, `AND` of `{=, <, >, <=, >=}` predicates, possibly several per
 /// column).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Query {
     /// The predicates, in no particular order.
     pub predicates: Vec<ColumnPredicate>,

@@ -19,10 +19,9 @@ use crate::query::Query;
 use duet_data::Table;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Distribution of the number of constrained columns per query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PredicateCountDist {
     /// Uniform over `1..=max_columns` (random workloads, Rand-Q).
     Uniform,
@@ -37,7 +36,7 @@ pub enum PredicateCountDist {
 }
 
 /// Restriction of one column's literals to a subset of its distinct values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundedColumn {
     /// The column whose literals are restricted.
     pub column: usize,
@@ -46,7 +45,7 @@ pub struct BoundedColumn {
 }
 
 /// Full description of a generated workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of queries to generate.
     pub num_queries: usize,

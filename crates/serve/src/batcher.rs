@@ -19,6 +19,11 @@
 //! worker that finds the pool busy simply runs its kernel inline — results
 //! are identical either way.
 //!
+//! The scheduling policy is two constants, not settings: a batch holds at
+//! most `MAX_BATCH` (64) requests and forms without waiting for stragglers,
+//! and an idle worker steals from a sibling shard whose queue is at least
+//! `STEAL_THRESHOLD` (2) deep.
+//!
 //! Because the batched path is bit-identical to the single-query path (see
 //! `duet_core::estimator`), neither the shard a table hashes to nor the
 //! batch composition a request lands in can ever change its answer:
@@ -32,64 +37,18 @@ use duet_core::WorkspacePool;
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-/// How the straggler window (the close-out wait of a non-full batch) is
-/// chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StragglerMode {
-    /// Always wait exactly [`BatchConfig::batch_window`] (zero = no wait).
-    #[default]
-    Fixed,
-    /// Autotune per batch from the shard's observed inter-arrival gaps:
-    /// wait about twice the typical gap when requests are arriving faster
-    /// than the cap, wait not at all when traffic is sparse — the same
-    /// adapt-to-load idea as batch sizes emerging from backlog. The cap is
-    /// [`BatchConfig::batch_window`] when positive, otherwise 100 µs.
-    Auto,
-}
+/// Largest number of queries fused into one forward pass — the only value
+/// the batcher has ever been configured with.
+pub(crate) const MAX_BATCH: usize = 64;
 
-/// Tuning knobs of the per-shard micro-batcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Largest number of queries fused into one forward pass.
-    pub max_batch_size: usize,
-    /// How long a non-full batch waits for stragglers after its first
-    /// request arrived.
-    ///
-    /// The default is zero: the worker only drains what is already queued,
-    /// so batching emerges from backlog under load and a lone request pays
-    /// no artificial delay. A positive window trades latency for larger
-    /// batches when clients are pipelined/asynchronous; with *blocking*
-    /// clients it can backfire (everyone waits on the worker, the worker
-    /// waits on the window). Under [`StragglerMode::Auto`] this is the
-    /// window's upper bound rather than its value.
-    pub batch_window: Duration,
-    /// Straggler-window policy: fixed, or autotuned from arrival gaps.
-    pub straggler: StragglerMode,
-    /// Minimum queue depth another shard must have before an idle worker
-    /// steals a batch from it; `0` disables work-stealing. Stealing only
-    /// engages after a worker's own queue stayed empty for a full idle
-    /// park, so a shard with traffic never gives work away needlessly.
-    pub steal_threshold: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self {
-            max_batch_size: 64,
-            batch_window: Duration::ZERO,
-            straggler: StragglerMode::Fixed,
-            steal_threshold: 2,
-        }
-    }
-}
+/// Queue depth a sibling shard must reach before an idle worker steals a
+/// batch from it — the default since stealing was added, never tuned
+/// (`docs/PERFORMANCE.md` records the one reading with stealing off).
+const STEAL_THRESHOLD: usize = 2;
 
 /// How long an idle worker parks on its own empty queue before scanning
-/// other shards for stealable work (only with work-stealing enabled).
+/// other shards for stealable work (only when there is more than one shard).
 const IDLE_PARK: Duration = Duration::from_micros(500);
-
-/// Straggler-window cap under [`StragglerMode::Auto`] when no explicit
-/// `batch_window` bound is configured.
-const AUTO_WINDOW_CAP: Duration = Duration::from_micros(100);
 
 /// Worker-lifetime execution state, reused across every batch: the
 /// per-table workspace pool and the batch containers. None of these
@@ -330,13 +289,16 @@ pub(crate) fn recycle_batch(batch: &mut Vec<RoutedRequest>, metrics: &ServeMetri
 /// Production worker loop: one thread per shard, runs until the router is
 /// closed and its own shard's queue is drained.
 ///
-/// With `config.steal_threshold > 0` and more than one shard, a worker
-/// whose own queue stays empty for a full idle park scans the other shards
-/// and **steals one batch** from the deepest queue at or above the
-/// threshold. Batch execution is shard-agnostic (the thief uses its own
-/// per-table workspace and answers are bit-identical wherever they run), so
-/// stealing only changes *when* a backlogged request is served — one cold
-/// shard can no longer idle next to a drowning neighbor.
+/// Each batch is whatever the queue holds for the head request's table when
+/// the worker wakes, up to [`MAX_BATCH`] — there is no close-out wait, so
+/// batching emerges from backlog under load and a lone request pays no
+/// artificial delay. With more than one shard, a worker whose own queue
+/// stays empty for a full idle park scans the other shards and **steals
+/// one batch** from the deepest queue at least [`STEAL_THRESHOLD`] deep.
+/// Batch execution is shard-agnostic (the thief uses its own per-table
+/// workspace and answers are bit-identical wherever they run), so stealing
+/// only changes *when* a backlogged request is served — one cold shard can
+/// no longer idle next to a drowning neighbor.
 pub(crate) fn run_shard_worker(
     shard_index: usize,
     shards: Vec<Arc<Shard>>,
@@ -344,28 +306,17 @@ pub(crate) fn run_shard_worker(
     clock: Arc<dyn crate::router::Clock>,
     metrics: Arc<ServeMetrics>,
     tier: Arc<ModelTier>,
-    config: BatchConfig,
 ) {
     let shard = shards[shard_index].clone();
-    let stealing = config.steal_threshold > 0 && shards.len() > 1;
-    let auto_cap =
-        if config.batch_window > Duration::ZERO { config.batch_window } else { AUTO_WINDOW_CAP };
+    let stealing = shards.len() > 1;
     let mut worker = ShardWorker::new();
     // Production requests reply over channels or outboxes, so this stays
     // empty; it only exists so the harness and the worker share one
     // execution path.
     let mut outcomes = Vec::new();
     loop {
-        let window = match config.straggler {
-            StragglerMode::Fixed => config.batch_window,
-            StragglerMode::Auto => shard.suggested_window(auto_cap),
-        };
-        let popped = shard.pop_batch_blocking(
-            config.max_batch_size,
-            window,
-            stealing.then_some(IDLE_PARK),
-            &mut worker.batch,
-        );
+        let popped =
+            shard.pop_batch_blocking(MAX_BATCH, stealing.then_some(IDLE_PARK), &mut worker.batch);
         match popped {
             Popped::Closed => break,
             Popped::Batch => {
@@ -385,8 +336,8 @@ pub(crate) fn run_shard_worker(
                     .map(|(_, s)| (s.depth(), s))
                     .max_by_key(|(depth, _)| *depth);
                 if let Some((depth, victim)) = victim {
-                    if depth >= config.steal_threshold
-                        && victim.try_pop_batch(config.max_batch_size, &mut worker.batch)
+                    if depth >= STEAL_THRESHOLD
+                        && victim.try_pop_batch(MAX_BATCH, &mut worker.batch)
                     {
                         metrics.incr(Counter::Steals);
                         let now = clock.now();
@@ -421,7 +372,7 @@ mod tests {
     use std::sync::mpsc::SyncSender;
 
     fn test_shard(capacity: usize) -> Shard {
-        Shard::new(capacity, Arc::new(SystemClock::new()))
+        Shard::new(capacity)
     }
 
     fn resources_for(estimator: &DuetEstimator, name: &str) -> TableResources {
@@ -630,58 +581,12 @@ mod tests {
                 (vec![router.shard(0).clone()], directory.clone(), metrics.clone());
             let clock: Arc<dyn crate::router::Clock> = Arc::new(SystemClock::new());
             let tier = Arc::new(ModelTier::new(0));
-            std::thread::spawn(move || {
-                run_shard_worker(0, shards, directory, clock, metrics, tier, BatchConfig::default())
-            })
+            std::thread::spawn(move || run_shard_worker(0, shards, directory, clock, metrics, tier))
         };
         let got: Vec<f64> = replies.iter().map(|r| r.recv().unwrap().unwrap()).collect();
         assert_eq!(got, expected);
         router.close();
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn straggler_window_adapts_to_arrival_gaps() {
-        use crate::router::VirtualClock;
-        let clock = Arc::new(VirtualClock::new());
-        let shard = Shard::new(64, clock.clone());
-        let cap = Duration::from_micros(100);
-        assert_eq!(shard.suggested_window(cap), Duration::ZERO, "no estimate yet");
-
-        // Dense arrivals every 10 µs: the window converges to ~2 gaps.
-        let mut drain = Vec::new();
-        for _ in 0..32 {
-            clock.advance(Duration::from_micros(10));
-            shard.try_push(request(0, None)).unwrap();
-            shard.try_pop_batch(64, &mut drain);
-        }
-        let window = shard.suggested_window(cap);
-        assert!(
-            window >= Duration::from_micros(15) && window <= Duration::from_micros(25),
-            "dense traffic should suggest ~2x the 10us gap, got {window:?}"
-        );
-        assert!(shard.suggested_window(Duration::from_micros(12)) <= Duration::from_micros(12));
-
-        // Sparse arrivals (gaps far beyond the cap): no straggler is coming
-        // within the window, so don't tax latency at all.
-        for _ in 0..8 {
-            clock.advance(Duration::from_millis(50));
-            shard.try_push(request(0, None)).unwrap();
-            shard.try_pop_batch(64, &mut drain);
-        }
-        assert_eq!(shard.suggested_window(cap), Duration::ZERO, "sparse traffic");
-    }
-
-    fn request(table_id: u32, deadline: Option<Duration>) -> RoutedRequest {
-        RoutedRequest {
-            table_id,
-            slot_uid: 0,
-            preds: Vec::new(),
-            intervals: Vec::new(),
-            key: None,
-            deadline,
-            reply: ReplyTo::Discard,
-        }
     }
 
     #[test]
@@ -715,10 +620,7 @@ mod tests {
             let (directory, metrics) = (directory.clone(), metrics.clone());
             let clock: Arc<dyn crate::router::Clock> = Arc::new(SystemClock::new());
             let tier = Arc::new(ModelTier::new(0));
-            let config = BatchConfig { steal_threshold: 2, ..BatchConfig::default() };
-            std::thread::spawn(move || {
-                run_shard_worker(0, shards, directory, clock, metrics, tier, config)
-            })
+            std::thread::spawn(move || run_shard_worker(0, shards, directory, clock, metrics, tier))
         };
         let got: Vec<f64> = replies.iter().map(|r| r.recv().unwrap().unwrap()).collect();
         assert_eq!(got, expected, "stolen batches must stay bit-identical");

@@ -105,7 +105,6 @@ pub mod sim;
 pub mod tier;
 pub mod wire;
 
-pub use batcher::{BatchConfig, StragglerMode};
 pub use cache::{
     canonical_key, canonical_key_from_parts, CacheKey, HotQuery, HotSet, ShardedCache,
 };

@@ -20,6 +20,11 @@
 //!   with a [`ShedReason::DeadlineExpired`] reply instead of wasting a
 //!   forward pass on an answer nobody is waiting for.
 //!
+//! A batch is formed at dequeue from what is already queued — the head
+//! request plus every queued request for the same table, up to the worker's
+//! cap — with no close-out wait, so batches grow only when requests back up
+//! behind a running forward pass.
+//!
 //! All timing goes through the [`Clock`] trait: production uses the
 //! monotonic [`SystemClock`], while the deterministic test harness
 //! ([`crate::sim`]) drives the very same queue/admission/deadline code with
@@ -257,24 +262,11 @@ struct ShardState {
 
 /// One worker shard: a bounded FIFO of routed requests plus the signalling
 /// its worker thread parks on.
-///
-/// The shard also observes its own **arrival rhythm**: every admission
-/// updates an EWMA of the inter-arrival gap (in clock nanoseconds), which
-/// the straggler-window autotuner ([`Shard::suggested_window`]) turns into
-/// an adaptive batch close-out wait — wait about two typical gaps when
-/// requests are arriving faster than the cap, wait not at all when the
-/// queue is quiet and no straggler is coming.
 pub(crate) struct Shard {
     state: Mutex<ShardState>,
     available: Condvar,
     capacity: usize,
     closed: AtomicBool,
-    clock: Arc<dyn Clock>,
-    /// Clock time of the most recent admission (`u64::MAX` = none yet).
-    last_arrival_ns: AtomicU64,
-    /// EWMA of inter-arrival gaps in nanoseconds (0 = no estimate yet;
-    /// observed gaps are clamped to ≥ 1 ns so 0 stays unambiguous).
-    gap_ewma_ns: AtomicU64,
 }
 
 /// Outcome of a blocking dequeue.
@@ -289,15 +281,12 @@ pub(crate) enum Popped {
 }
 
 impl Shard {
-    pub(crate) fn new(capacity: usize, clock: Arc<dyn Clock>) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             state: Mutex::new(ShardState { queue: VecDeque::new(), scratch: Vec::new() }),
             available: Condvar::new(),
             capacity,
             closed: AtomicBool::new(false),
-            clock,
-            last_arrival_ns: AtomicU64::new(u64::MAX),
-            gap_ewma_ns: AtomicU64::new(0),
         }
     }
 
@@ -305,13 +294,11 @@ impl Shard {
     ///
     /// Returns the queue depth after the push; on rejection the request is
     /// handed back so the caller can fail it without losing the reply
-    /// channel. Every attempt (admitted or shed) feeds the arrival-gap EWMA:
-    /// rejected traffic is still arrival pressure.
+    /// channel.
     // The "large" Err is the point: rejection hands the request back whole
     // (reply channel and encodings intact) without a heap round trip.
     #[allow(clippy::result_large_err)]
     pub(crate) fn try_push(&self, request: RoutedRequest) -> Result<usize, RoutedRequest> {
-        self.observe_arrival();
         let mut state = self.state.lock().expect("shard poisoned");
         if state.queue.len() >= self.capacity {
             return Err(request);
@@ -321,39 +308,6 @@ impl Shard {
         drop(state);
         self.available.notify_one();
         Ok(depth)
-    }
-
-    /// Fold "a request arrived now" into the inter-arrival gap EWMA
-    /// (`new = (3·old + gap) / 4`, lock-free, single-writer-tolerant: a
-    /// racing store loses one sample, never corrupts the estimate).
-    fn observe_arrival(&self) {
-        let now_ns = self.clock.now().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let last = self.last_arrival_ns.swap(now_ns, Ordering::Relaxed);
-        if last == u64::MAX {
-            return; // first arrival: no gap yet
-        }
-        let gap = now_ns.saturating_sub(last).max(1);
-        let old = self.gap_ewma_ns.load(Ordering::Relaxed);
-        let ewma = if old == 0 { gap } else { (3 * old + gap) / 4 };
-        self.gap_ewma_ns.store(ewma.max(1), Ordering::Relaxed);
-    }
-
-    /// The autotuned straggler window: how long a freshly formed non-full
-    /// batch should wait for more same-table requests, given the shard's
-    /// observed arrival rhythm and the configured upper bound `cap`.
-    ///
-    /// *No estimate yet, or typical gaps longer than the cap* → zero (a
-    /// straggler is not coming within the window; don't tax latency).
-    /// *Gaps within the cap* → twice the typical gap, clamped to the cap
-    /// (enough room for the next arrival plus jitter).
-    pub(crate) fn suggested_window(&self, cap: Duration) -> Duration {
-        let gap = self.gap_ewma_ns.load(Ordering::Relaxed);
-        let cap_ns = cap.as_nanos().min(u128::from(u64::MAX)) as u64;
-        if gap == 0 || gap > cap_ns {
-            Duration::ZERO
-        } else {
-            Duration::from_nanos((2 * gap).min(cap_ns))
-        }
     }
 
     /// Current queue depth.
@@ -397,9 +351,9 @@ impl Shard {
         }
     }
 
-    /// Blocking dequeue for the production worker: waits for work, forms a
-    /// same-table batch from the queue head, then optionally waits out the
-    /// straggler window for more requests of that table.
+    /// Blocking dequeue for the production worker: waits for work, then
+    /// forms a same-table batch from the queue head (up to `max_batch`) out
+    /// of whatever is already queued — no close-out wait for stragglers.
     ///
     /// With `idle_park: Some(park)`, the wait-for-work phase gives up after
     /// `park` with [`Popped::Idle`] so the worker can go look for stealable
@@ -410,17 +364,12 @@ impl Shard {
     pub(crate) fn pop_batch_blocking(
         &self,
         max_batch: usize,
-        window: Duration,
         idle_park: Option<Duration>,
         batch: &mut Vec<RoutedRequest>,
     ) -> Popped {
         batch.clear();
-        let max = max_batch.max(1);
         let mut state = self.state.lock().expect("shard poisoned");
-        loop {
-            if !state.queue.is_empty() {
-                break;
-            }
+        while state.queue.is_empty() {
             if self.closed.load(Ordering::Acquire) {
                 return Popped::Closed;
             }
@@ -439,32 +388,8 @@ impl Shard {
                 }
             }
         }
-        Self::take_head_table(&mut state, batch, max);
-        if batch.len() >= max || window == Duration::ZERO {
-            return Popped::Batch;
-        }
-        // Straggler window: wait (in real time — this is a latency/throughput
-        // knob, not a correctness deadline) for more requests of the same
-        // table to coalesce into this forward pass.
-        let table_id = batch[0].table_id;
-        let deadline = Instant::now() + window;
-        loop {
-            Self::take_matching(&mut state, batch, table_id, max);
-            if batch.len() >= max || self.closed.load(Ordering::Acquire) {
-                return Popped::Batch;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Popped::Batch;
-            }
-            let (s, timeout) =
-                self.available.wait_timeout(state, deadline - now).expect("shard poisoned");
-            state = s;
-            if timeout.timed_out() {
-                Self::take_matching(&mut state, batch, table_id, max);
-                return Popped::Batch;
-            }
-        }
+        Self::take_head_table(&mut state, batch, max_batch.max(1));
+        Popped::Batch
     }
 
     /// Non-blocking dequeue for the deterministic harness: form one
@@ -549,9 +474,7 @@ impl Router {
     ) -> Self {
         let num = config.num_shards.max(1);
         Self {
-            shards: (0..num)
-                .map(|_| Arc::new(Shard::new(config.queue_capacity, clock.clone())))
-                .collect(),
+            shards: (0..num).map(|_| Arc::new(Shard::new(config.queue_capacity))).collect(),
             clock,
             metrics,
             config,
@@ -622,7 +545,7 @@ mod tests {
     use super::*;
 
     fn test_shard(capacity: usize) -> Shard {
-        Shard::new(capacity, Arc::new(SystemClock::new()))
+        Shard::new(capacity)
     }
 
     fn request(table_id: u32, deadline: Option<Duration>) -> RoutedRequest {
@@ -690,6 +613,32 @@ mod tests {
         assert!(shard.try_pop_batch(2, &mut batch));
         assert_eq!(batch.len(), 2);
         assert_eq!(shard.depth(), 3, "remaining requests stay queued");
+    }
+
+    #[test]
+    fn pop_batch_blocking_batches_idles_and_drains_on_close() {
+        let shard = test_shard(16);
+        let park = Some(Duration::from_millis(2));
+        for table_id in [1u32, 2, 1, 1, 1] {
+            shard.try_push(request(table_id, None)).unwrap();
+        }
+        let mut batch = Vec::new();
+        let mut pop = |max: usize| {
+            let popped = shard.pop_batch_blocking(max, park, &mut batch);
+            (popped, batch.iter().map(|r| r.table_id).collect::<Vec<_>>())
+        };
+
+        // Batch: the head table's requests, in arrival order, capped at max.
+        assert!(matches!(pop(2), (Popped::Batch, ids) if ids == [1, 1]));
+        assert!(matches!(pop(64), (Popped::Batch, ids) if ids == [2]));
+        assert!(matches!(pop(64), (Popped::Batch, ids) if ids == [1, 1]));
+        // Idle: the park elapses on an empty queue.
+        assert!(matches!(pop(64), (Popped::Idle, ids) if ids.is_empty()));
+        // Closed: the queued remainder still comes out first, then Closed.
+        shard.try_push(request(3, None)).unwrap();
+        shard.close();
+        assert!(matches!(pop(64), (Popped::Batch, ids) if ids == [3]));
+        assert!(matches!(pop(64), (Popped::Closed, ids) if ids.is_empty()));
     }
 
     #[test]

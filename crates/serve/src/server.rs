@@ -16,7 +16,7 @@
 //! its budget expires is dropped at dequeue and fails with
 //! [`ServeError::DeadlineExceeded`].
 
-use crate::batcher::{run_shard_worker, BatchConfig};
+use crate::batcher::run_shard_worker;
 use crate::cache::{canonical_key_from_parts, HotSet, ShardedCache};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::online::{
@@ -40,8 +40,6 @@ use std::time::Instant;
 /// Server-wide configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Micro-batcher tuning (applies to every shard worker).
-    pub batch: BatchConfig,
     /// Routing and admission control: shard count, per-shard queue bound,
     /// per-request deadline budget.
     pub router: RouterConfig,
@@ -63,7 +61,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            batch: BatchConfig::default(),
             router: RouterConfig::default(),
             cache_capacity: 4096,
             cache_shards: 8,
@@ -226,19 +223,10 @@ impl DuetServer {
                 let shards = shards.clone();
                 let (directory, clock, metrics, tier) =
                     (directory.clone(), clock.clone(), metrics.clone(), tier.clone());
-                let batch = config.batch;
                 std::thread::Builder::new()
                     .name(format!("duet-serve-shard-{shard_index}"))
                     .spawn(move || {
-                        run_shard_worker(
-                            shard_index,
-                            shards,
-                            directory,
-                            clock,
-                            metrics,
-                            tier,
-                            batch,
-                        )
+                        run_shard_worker(shard_index, shards, directory, clock, metrics, tier)
                     })
                     .expect("failed to spawn shard worker")
             })

@@ -27,7 +27,7 @@
 //! [`DriftScenarioConfig::generate`] (train-while-serving),
 //! [`FaultPlan::inject`] (faults merged into either).
 
-use crate::batcher::{execute_supervised, BatchConfig, ShardWorker};
+use crate::batcher::{execute_supervised, ShardWorker, MAX_BATCH};
 use crate::cache::{canonical_key_from_parts, HotSet, ShardedCache};
 use crate::metrics::{Counter, CounterTable, MetricsSnapshot, ServeMetrics};
 use crate::online::{OnlineConfig, OnlineDirectory, OnlineHooks, OnlineTable, OnlineTickReport};
@@ -55,8 +55,6 @@ use std::time::Duration;
 pub struct HarnessConfig {
     /// Routing and admission control under test.
     pub router: RouterConfig,
-    /// Micro-batcher tuning.
-    pub batch: BatchConfig,
     /// Result-cache entries per table; defaults to 0 (off) so every request
     /// exercises the queue/batch path.
     pub cache_capacity: usize,
@@ -71,7 +69,6 @@ impl Default for HarnessConfig {
     fn default() -> Self {
         Self {
             router: RouterConfig::default(),
-            batch: BatchConfig::default(),
             cache_capacity: 0,
             cache_shards: 1,
             model_budget_bytes: 0,
@@ -368,11 +365,10 @@ impl RouterHarness {
     /// can recycle one fixed request set through the hot loop indefinitely.
     pub fn turn(&mut self, mut recycled: Option<&mut Vec<PreparedRequest>>) -> usize {
         let now = self.clock.now();
-        let max_batch = self.config.batch.max_batch_size;
         let mut processed = 0;
         for shard_index in 0..self.workers.len() {
             let worker = &mut self.workers[shard_index];
-            if self.router.shard(shard_index).try_pop_batch(max_batch, &mut worker.batch) {
+            if self.router.shard(shard_index).try_pop_batch(MAX_BATCH, &mut worker.batch) {
                 processed += worker.batch.len();
                 // The same supervised execution the production shard threads
                 // run: a panicking batch is failed typed and the worker state

@@ -7,7 +7,7 @@ use duet::core::{save_weights, DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
 use duet::data::Table;
 use duet::query::{CardinalityEstimator, Query, WorkloadSpec};
-use duet::serve::{BatchConfig, DuetServer, ServeConfig, ServeError};
+use duet::serve::{DuetServer, ServeConfig, ServeError};
 use std::sync::Arc;
 
 fn trained(rows: usize, seed: u64) -> (Table, DuetEstimator) {
@@ -234,8 +234,7 @@ fn unknown_tables_and_multi_table_routing() {
     let (table_a, est_a) = trained(400, 6);
     let (_, est_b) = trained(400, 7);
 
-    let server =
-        DuetServer::new(ServeConfig { batch: BatchConfig::default(), ..ServeConfig::default() });
+    let server = DuetServer::new(ServeConfig::default());
     server.register("alpha", est_a.clone());
     server.register("beta", est_b.clone());
     let mut tables = server.tables();

@@ -1,12 +1,13 @@
-//! End-to-end parity of the softmax modes: `SoftmaxMode::Fast` (the
-//! inference default, polynomial exp) must agree with `SoftmaxMode::Exact`
-//! (libm exp) to within noise on a real workload — per-estimate relative
-//! error far below model error, and q-error distributions that match to
-//! high precision.
+//! End-to-end parity of the softmax modes: `SoftmaxMode::Fast` (polynomial
+//! exp, the mode every estimate path runs) must agree with
+//! `SoftmaxMode::Exact` (libm exp, the mode training uses) to within noise
+//! on a real workload — per-estimate relative error far below model error,
+//! and q-error distributions that match to high precision. Both modes read
+//! the same logits, computed once through the backbone.
 
 use duet::core::{query_to_id_predicates, DuetConfig, DuetEstimator, DuetWorkspace, SoftmaxMode};
 use duet::data::datasets::census_like;
-use duet::nn::q_error;
+use duet::nn::{q_error, ForwardWorkspace, InferLayer, Matrix};
 use duet::query::{exact_cardinality, WorkloadSpec};
 
 /// Per-query id-space predicate rows.
@@ -26,18 +27,41 @@ fn setup() -> (DuetEstimator, EncodedRows, EncodedIntervals, Vec<u64>) {
     (est, rows, intervals, truths)
 }
 
+/// The backbone's logits for `rows`, one forward pass.
+fn logits(est: &DuetEstimator, rows: &[Vec<Vec<duet::core::IdPredicate>>]) -> Matrix {
+    let mut ws = DuetWorkspace::new();
+    est.model().fill_input(rows, &mut ws);
+    est.model().made().infer_into(ws.input(), &mut ForwardWorkspace::new()).clone()
+}
+
+/// Cardinality estimates read off `logits` under `mode`.
+fn estimates(
+    est: &DuetEstimator,
+    logits: &Matrix,
+    intervals: &[Vec<(u32, u32)>],
+    mode: SoftmaxMode,
+) -> Vec<f64> {
+    let mut probs = Vec::new();
+    intervals
+        .iter()
+        .enumerate()
+        .map(|(r, iv)| {
+            let sel = est.model().selectivity_from_logits_mode(logits.row(r), iv, &mut probs, mode);
+            sel * est.num_rows() as f64
+        })
+        .collect()
+}
+
 #[test]
 fn fast_and_exact_estimates_agree_within_noise() {
     let (est, rows, intervals, truths) = setup();
+    let logits = logits(&est, &rows);
+    let fast = estimates(&est, &logits, &intervals, SoftmaxMode::Fast);
+    let exact = estimates(&est, &logits, &intervals, SoftmaxMode::Exact);
 
-    let mut ws = DuetWorkspace::new();
-    assert_eq!(ws.softmax_mode, SoftmaxMode::Fast, "Fast is the inference default");
-    let mut fast = Vec::new();
-    est.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut fast);
-
-    ws.softmax_mode = SoftmaxMode::Exact;
-    let mut exact = Vec::new();
-    est.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut exact);
+    let mut served = Vec::new();
+    est.estimate_encoded_batch_with(&rows, &intervals, &mut DuetWorkspace::new(), &mut served);
+    assert_eq!(fast, served, "Fast is the mode the estimate path runs");
 
     // Per-estimate: the fast path's 1e-6 exp error composes across at most
     // ~14 constrained columns — relative error stays microscopic next to
@@ -66,23 +90,17 @@ fn fast_and_exact_estimates_agree_within_noise() {
 #[test]
 fn each_mode_is_deterministic_and_batch_invariant() {
     let (est, rows, intervals, _) = setup();
+    let all = logits(&est, &rows);
+    let mut chunked = Vec::new();
+    for chunk in rows.chunks(7) {
+        chunked.extend_from_slice(logits(&est, chunk).as_slice());
+    }
+    let chunked = Matrix::from_vec(all.rows(), all.cols(), chunked);
     for mode in [SoftmaxMode::Fast, SoftmaxMode::Exact] {
-        let mut ws = DuetWorkspace::new();
-        ws.softmax_mode = mode;
-        let mut all = Vec::new();
-        est.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut all);
-
-        // Re-running and re-batching must be bit-identical within a mode.
-        let mut rerun = Vec::new();
-        est.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut rerun);
-        assert_eq!(all, rerun, "{mode:?} must be deterministic");
-
-        let mut chunked = Vec::new();
-        let mut out = Vec::new();
-        for (r, i) in rows.chunks(7).zip(intervals.chunks(7)) {
-            est.estimate_encoded_batch_with(r, i, &mut ws, &mut out);
-            chunked.extend_from_slice(&out);
-        }
-        assert_eq!(all, chunked, "{mode:?} must be batch-invariant");
+        let once = estimates(&est, &all, &intervals, mode);
+        // Re-evaluating and re-batching must be bit-identical within a mode.
+        assert_eq!(once, estimates(&est, &all, &intervals, mode), "{mode:?} must be deterministic");
+        let rebatched = estimates(&est, &chunked, &intervals, mode);
+        assert_eq!(once, rebatched, "{mode:?} must be batch-invariant");
     }
 }

@@ -60,7 +60,7 @@ use duet::nn::{seeded_rng, with_pool, Adam, ComputePool};
 use duet::query::{exact_cardinality, WorkloadSpec};
 use duet::serve::sim::{HarnessConfig, PreparedRequest, RouterHarness, WireSim};
 use duet::serve::wire::{frame, ConnConfig};
-use duet::serve::{BatchConfig, DriftMonitor, RouterConfig};
+use duet::serve::{DriftMonitor, RouterConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -178,7 +178,6 @@ fn routed_multi_table_phase() {
         vec![("alpha".into(), est_a), ("beta".into(), est_b)],
         HarnessConfig {
             router: RouterConfig { num_shards: 2, queue_capacity: 64, default_deadline: None },
-            batch: BatchConfig::default(),
             cache_capacity: 0,
             cache_shards: 1,
             model_budget_bytes: 0,
@@ -419,7 +418,6 @@ fn wire_phase() {
         vec![("wire".into(), est.clone())],
         HarnessConfig {
             router: RouterConfig { num_shards: 1, queue_capacity: 64, default_deadline: None },
-            batch: BatchConfig::default(),
             cache_capacity: 0,
             cache_shards: 1,
             model_budget_bytes: 0,
@@ -490,7 +488,6 @@ fn budgeted_tier_phase() {
         vec![("gamma".into(), est_a), ("delta".into(), est_b)],
         HarnessConfig {
             router: RouterConfig { num_shards: 2, queue_capacity: 64, default_deadline: None },
-            batch: BatchConfig::default(),
             cache_capacity: 0,
             cache_shards: 1,
             // Generous: both models fit, so the tier observes and checks
@@ -555,7 +552,6 @@ fn trainer_tick_phase() {
         vec![("online".into(), est)],
         HarnessConfig {
             router: RouterConfig { num_shards: 1, queue_capacity: 64, default_deadline: None },
-            batch: BatchConfig::default(),
             cache_capacity: 0,
             cache_shards: 1,
             model_budget_bytes: 1 << 40,
@@ -640,7 +636,6 @@ fn supervised_fault_phase() {
         vec![("supervised".into(), est)],
         HarnessConfig {
             router: RouterConfig { num_shards: 1, queue_capacity: 64, default_deadline: None },
-            batch: BatchConfig::default(),
             cache_capacity: 0,
             cache_shards: 1,
             model_budget_bytes: 0,
