@@ -87,6 +87,8 @@ fn main() {
         &csv,
     );
     println!(
-        "\nDuet's cost stays flat (single forward pass) while Naru/UAE grow with the column count."
+        "\nDuet runs one forward pass whose output layer computes only the constrained columns' \
+         blocks, so its cost grows with the column count up to one full-width pass; Naru/UAE \
+         grow with it through one sampling pass per column."
     );
 }

@@ -7,7 +7,6 @@ use crate::encoding::IdPredicate;
 use crate::model::{query_to_id_predicates, DuetModel, DuetWorkspace};
 use crate::trainer::{train_model, EpochStats, TrainingWorkload};
 use duet_data::Table;
-use duet_nn::{InferLayer, SoftmaxMode};
 use duet_query::{CardinalityEstimator, Query};
 use std::time::{Duration, Instant};
 
@@ -132,12 +131,14 @@ impl DuetEstimator {
     }
 
     /// Estimate with a timing breakdown into encoding and inference phases,
-    /// on the path that serves: predicate translation + [`DuetModel::fill_input`]
-    /// against the backbone's `infer_into` + the masked-softmax mass, all
-    /// staged in the caller's `ws`. Hand the same workspace to every call and
-    /// the breakdown reads steady-state serving cost (masked weights
-    /// memoized, buffers warm) — which is what Figure 6 compares against
-    /// Naru's persistent-workspace forwards.
+    /// on the path that serves: predicate translation +
+    /// [`DuetModel::fill_input`], then the same trunk, block projection and
+    /// masked-softmax mass the batched estimate runs, all staged in the
+    /// caller's `ws`. The inference phase grows with the number of columns
+    /// the query constrains (one output block each). Hand the same workspace
+    /// to every call and the breakdown reads steady-state serving cost
+    /// (masked weights memoized, buffers warm) — which is what Figure 6
+    /// compares against Naru's persistent-workspace forwards.
     pub fn estimate_with_breakdown(
         &self,
         query: &Query,
@@ -149,18 +150,13 @@ impl DuetEstimator {
         self.model.fill_input(std::slice::from_ref(&preds), ws);
         let encode_time = encode_started.elapsed();
 
+        let mut selectivity = Vec::with_capacity(1);
         let infer_started = Instant::now();
-        let logits = self.model.made().infer_into(&ws.input, &mut ws.nn);
-        let selectivity = self.model.selectivity_from_logits_mode(
-            logits.row(0),
-            &intervals,
-            &mut ws.probs,
-            SoftmaxMode::Fast,
-        );
+        self.model.selectivities_of_input(std::slice::from_ref(&intervals), ws, &mut selectivity);
         let inference_time = infer_started.elapsed();
 
         EstimateBreakdown {
-            cardinality: selectivity * self.num_rows as f64,
+            cardinality: selectivity[0] * self.num_rows as f64,
             encode_time,
             inference_time,
         }

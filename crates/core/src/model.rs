@@ -7,7 +7,7 @@ use crate::encoding::{Encoder, IdPredicate};
 use crate::mpsn::{build_mpsns, ColumnMpsn, MergedMlpMpsn, MpsnScratch};
 use duet_data::Table;
 use duet_nn::{
-    seeded_rng, softmax_restricted_mass, ForwardWorkspace, InferLayer, Made, MadeConfig, Matrix,
+    seeded_rng, softmax_restricted_mass, BlockPlan, ForwardWorkspace, Made, MadeConfig, Matrix,
     Param, Params, SoftmaxMode, SparseRows,
 };
 use duet_query::{PredOp, Query};
@@ -28,8 +28,14 @@ use duet_query::{PredOp, Query};
 pub struct DuetWorkspace {
     /// The `N x total_width` encoded input batch.
     pub(crate) input: Matrix,
-    /// Ping-pong buffers for the autoregressive backbone's forward pass.
+    /// Ping-pong buffers for the autoregressive backbone's forward pass;
+    /// the output projection writes each planned block's logits here.
     pub(crate) nn: ForwardWorkspace,
+    /// Which rows need which column blocks: a row needs the blocks of the
+    /// columns it constrains.
+    pub(crate) plan: BlockPlan,
+    /// Per column, how many of its planned rows the mass loop has read.
+    pub(crate) cursor: Vec<usize>,
     /// Per-column softmax staging for the probability masking step.
     pub(crate) probs: Vec<f32>,
     /// Stacked per-column predicate encodings feeding the MPSN.
@@ -266,7 +272,8 @@ impl DuetModel {
     /// domain, then is reused allocation-free) and the mass is taken as an
     /// `f64` ratio. Estimates are identical across batch sizes and serving
     /// paths for a fixed `mode`, which is the bit-identity the serving layer
-    /// relies on.
+    /// relies on: this is the same product the batched estimate takes over
+    /// the blocks it computed.
     pub fn selectivity_from_logits_mode(
         &self,
         logits_row: &[f32],
@@ -275,44 +282,30 @@ impl DuetModel {
         mode: SoftmaxMode,
     ) -> f64 {
         let sizes = self.encoder.output_sizes_ref();
-        debug_assert_eq!(intervals.len(), sizes.len());
         debug_assert_eq!(logits_row.len(), sizes.iter().sum::<usize>());
-        let mut selectivity = 1.0f64;
-        let mut offset = 0usize;
-        for (col, &size) in sizes.iter().enumerate() {
-            let (lo, hi) = intervals[col];
-            if lo == 0 && hi as usize == size {
-                offset += size;
-                continue; // unconstrained column
-            }
-            if lo >= hi {
-                return 0.0; // contradictory predicates
-            }
-            let mass = softmax_restricted_mass(
-                &logits_row[offset..offset + size],
-                probs,
-                lo as usize,
-                hi as usize,
-                mode,
-            );
-            selectivity *= mass;
-            offset += size;
-        }
-        selectivity.clamp(0.0, 1.0)
+        masked_product(sizes, intervals, probs, mode, |col| {
+            let (offset, size) = self.made.output_block(col);
+            &logits_row[offset..offset + size]
+        })
     }
 
-    /// Estimate the selectivities of `N` query rows with **one** `N×W`
+    /// Estimate the selectivities of `N` query rows with **one** batched
     /// forward pass through the backbone (the paper's O(1) inference),
     /// staging every intermediate (encoded input, layer activations,
     /// per-column softmax) in a caller-provided workspace and writing the
     /// selectivities into `out` (cleared first). Zero heap allocation once the
     /// workspace and `out` have warmed up to the batch shape.
     ///
+    /// The forward computes only the logits the product reads: a column's
+    /// block, for the rows that constrain it. Rows with contradictory
+    /// intervals and rows constraining nothing need no block at all, and a
+    /// batch of only such rows runs no forward.
+    ///
     /// The forward pass is row-independent (every matmul accumulates along
-    /// the shared dimension in a fixed order, per output row), so a row's
-    /// result does not depend on what it is batched with — batching is purely
-    /// a throughput optimization, which the serving layer (`duet-serve`)
-    /// relies on for determinism.
+    /// the shared dimension in a fixed order, per output element), so a
+    /// row's result does not depend on what it is batched with — batching is
+    /// purely a throughput optimization, which the serving layer
+    /// (`duet-serve`) relies on for determinism.
     ///
     /// `rows` and `intervals` are generic over anything that derefs to the
     /// per-row slices, so a serving queue can run its own request structs
@@ -329,20 +322,52 @@ impl DuetModel {
         I: AsRef<[(u32, u32)]>,
     {
         assert_eq!(rows.len(), intervals.len(), "rows/intervals length mismatch");
-        out.clear();
-        if rows.is_empty() {
-            return;
-        }
-        out.reserve(rows.len());
         self.fill_input(rows, ws);
-        let logits = self.made.infer_into(&ws.input, &mut ws.nn);
-        for (r, row_intervals) in intervals.iter().enumerate() {
-            out.push(self.selectivity_from_logits_mode(
-                logits.row(r),
-                row_intervals.as_ref(),
-                &mut ws.probs,
-                SoftmaxMode::Fast,
-            ));
+        self.selectivities_of_input(intervals, ws, out);
+    }
+
+    /// The estimate of the rows [`DuetModel::fill_input`] last encoded into
+    /// `ws`, given their intervals: plan the blocks each row's product
+    /// reads, run the backbone's trunk and block projection, and multiply
+    /// each row's masses in ascending column order.
+    pub(crate) fn selectivities_of_input<I: AsRef<[(u32, u32)]>>(
+        &self,
+        intervals: &[I],
+        ws: &mut DuetWorkspace,
+        out: &mut Vec<f64>,
+    ) {
+        let sizes = self.encoder.output_sizes_ref();
+        out.clear();
+        // Contradictory rows are answered now and planned no block;
+        // `out[r] != 0.0` marks the rows still to estimate.
+        out.extend(
+            intervals.iter().map(|iv| if contradicts(sizes, iv.as_ref()) { 0.0 } else { 1.0 }),
+        );
+        let DuetWorkspace { input, nn, probs, plan, cursor, .. } = ws;
+        plan.begin(intervals.len(), sizes.len());
+        for (col, &size) in sizes.iter().enumerate() {
+            for (r, iv) in intervals.iter().enumerate() {
+                if out[r] != 0.0 && !is_full(iv.as_ref()[col], size) {
+                    plan.push_row(r);
+                }
+            }
+            plan.end_block();
+        }
+        if plan.is_empty() {
+            return; // every row is contradictory (0) or unconstrained (1)
+        }
+        let logits = self.made.infer_blocks(input, plan, nn);
+        cursor.clear();
+        cursor.resize(sizes.len(), 0);
+        for (sel, iv) in out.iter_mut().zip(intervals) {
+            if *sel == 0.0 {
+                continue;
+            }
+            *sel = masked_product(sizes, iv.as_ref(), probs, SoftmaxMode::Fast, |col| {
+                let i = cursor[col];
+                cursor[col] += 1;
+                logits.row(col, i)
+            });
         }
     }
 
@@ -368,6 +393,43 @@ impl DuetModel {
     pub fn size_bytes(&self) -> usize {
         self.num_parameters() * std::mem::size_of::<f32>()
     }
+}
+
+/// Whether `interval` spans column domain `size` (the column is
+/// unconstrained).
+fn is_full((lo, hi): (u32, u32), size: usize) -> bool {
+    lo == 0 && hi as usize == size
+}
+
+/// Whether some constrained column's interval admits no value.
+fn contradicts(sizes: &[usize], intervals: &[(u32, u32)]) -> bool {
+    sizes.iter().zip(intervals).any(|(&size, &(lo, hi))| !is_full((lo, hi), size) && lo >= hi)
+}
+
+/// One row's selectivity: 0 if its intervals contradict, else the product
+/// of every constrained column's restricted mass in ascending column order
+/// (`block(col)` yields that column's logits; it is called once per
+/// constrained column, in that order, and never for a contradictory row),
+/// clamped to `[0, 1]`.
+fn masked_product<'a>(
+    sizes: &[usize],
+    intervals: &[(u32, u32)],
+    probs: &mut Vec<f32>,
+    mode: SoftmaxMode,
+    mut block: impl FnMut(usize) -> &'a [f32],
+) -> f64 {
+    assert_eq!(intervals.len(), sizes.len(), "one interval per column");
+    if contradicts(sizes, intervals) {
+        return 0.0;
+    }
+    let mut selectivity = 1.0f64;
+    for (col, (&size, &(lo, hi))) in sizes.iter().zip(intervals).enumerate() {
+        if !is_full((lo, hi), size) {
+            selectivity *=
+                softmax_restricted_mass(block(col), probs, lo as usize, hi as usize, mode);
+        }
+    }
+    selectivity.clamp(0.0, 1.0)
 }
 
 /// Translate a [`Query`]'s predicates into per-column id-space predicates

@@ -550,15 +550,27 @@ fn run_rows_blocked_t<const TMR: usize, const TNR: usize>(
     epilogue(out_rows, n, bias, act);
 }
 
+/// The lanes of panel `jp` (of width `nr`) that fall inside `cols`, and the
+/// output column, counted from `cols.start`, the first of them is stored
+/// at. A panel straddling either end of `cols` computes the lanes outside
+/// it too; they are never stored.
+#[inline(always)]
+fn panel_lanes(jp: usize, nr: usize, cols: &Range<usize>) -> (Range<usize>, usize) {
+    let col0 = jp * nr;
+    let first = cols.start.max(col0);
+    (first - col0..cols.end.min(col0 + nr) - col0, first - cols.start)
+}
+
 /// Run the mask-aware packed micro-kernel over `rows` of the output,
-/// bias/act epilogue included. Generic over the register tile (see
+/// bias/act epilogue included, for the output columns `cols` (`out_rows`
+/// holds `cols.len()` values per row). Generic over the register tile (see
 /// [`run_rows_blocked_t`]).
 #[inline(always)]
 fn run_rows_packed_t<const TMR: usize, const TNR: usize>(
     a: &[f32],
     k: usize,
     packed: &PackedWeight,
-    n: usize,
+    cols: Range<usize>,
     bias: Option<&[f32]>,
     act: Activation,
     rows: Range<usize>,
@@ -566,16 +578,26 @@ fn run_rows_packed_t<const TMR: usize, const TNR: usize>(
 ) {
     debug_assert_eq!(packed.tile.nr(), TNR);
     let out_base = rows.start;
-    let panels = n.div_ceil(TNR);
+    let width = cols.len();
+    let panels = cols.start / TNR..cols.end.div_ceil(TNR);
     let mut i = rows.start;
-    while i + TMR <= rows.end {
+    loop {
+        if i + TMR > rows.end {
+            // A tail of half a tile or more runs as one more full tile
+            // ending at the last row, cheaper than row by row; the rows it
+            // shares with the previous tile are recomputed to the same bits.
+            let tail = rows.end - i;
+            if tail == 0 || 2 * tail < TMR || rows.len() < TMR {
+                break;
+            }
+            i = rows.end - TMR;
+        }
         // SAFETY precondition for the unchecked loads below: each slice has
         // length exactly `k`, and every strip row index stored in a
         // `PackedWeight` is `< k` (struct invariant; `addmm_packed` debug-asserts it).
         let ar: [&[f32]; TMR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-        for jp in 0..panels {
-            let col0 = jp * TNR;
-            let vis = TNR.min(n - col0);
+        for jp in panels.clone() {
+            let (lanes, at) = panel_lanes(jp, TNR, &cols);
             let sr = packed.strips[jp]..packed.strips[jp + 1];
             let sdata = &packed.data[sr.start * TNR..sr.end * TNR];
             let srows = &packed.rows[sr];
@@ -592,17 +614,16 @@ fn run_rows_packed_t<const TMR: usize, const TNR: usize>(
                 }
             }
             for r in 0..TMR {
-                let dst = (i + r - out_base) * n + col0;
-                out_rows[dst..dst + vis].copy_from_slice(&acc[r][..vis]);
+                let dst = (i + r - out_base) * width + at;
+                out_rows[dst..dst + lanes.len()].copy_from_slice(&acc[r][lanes.clone()]);
             }
         }
         i += TMR;
     }
     while i < rows.end {
         let arow = &a[i * k..(i + 1) * k];
-        for jp in 0..panels {
-            let col0 = jp * TNR;
-            let vis = TNR.min(n - col0);
+        for jp in panels.clone() {
+            let (lanes, at) = panel_lanes(jp, TNR, &cols);
             let sr = packed.strips[jp]..packed.strips[jp + 1];
             let sdata = &packed.data[sr.start * TNR..sr.end * TNR];
             let srows = &packed.rows[sr];
@@ -615,12 +636,12 @@ fn run_rows_packed_t<const TMR: usize, const TNR: usize>(
                     acc[l] += av * strip[l];
                 }
             }
-            let dst = (i - out_base) * n + col0;
-            out_rows[dst..dst + vis].copy_from_slice(&acc[..vis]);
+            let dst = (i - out_base) * width + at;
+            out_rows[dst..dst + lanes.len()].copy_from_slice(&acc[lanes]);
         }
         i += 1;
     }
-    epilogue(out_rows, n, bias, act);
+    epilogue(out_rows, width, bias, act);
 }
 
 /// AVX2 instantiation of the dense 6×16 micro-kernel: same source, same
@@ -656,13 +677,13 @@ unsafe fn run_rows_packed_avx2(
     a: &[f32],
     k: usize,
     packed: &PackedWeight,
-    n: usize,
+    cols: Range<usize>,
     bias: Option<&[f32]>,
     act: Activation,
     rows: Range<usize>,
     out_rows: &mut [f32],
 ) {
-    run_rows_packed_t::<6, 16>(a, k, packed, n, bias, act, rows, out_rows)
+    run_rows_packed_t::<6, 16>(a, k, packed, cols, bias, act, rows, out_rows)
 }
 
 /// Tile-dispatched dense kernel: picks the micro-kernel instantiation for
@@ -700,21 +721,23 @@ fn run_rows_packed(
     a: &[f32],
     k: usize,
     packed: &PackedWeight,
-    n: usize,
+    cols: Range<usize>,
     bias: Option<&[f32]>,
     act: Activation,
     rows: Range<usize>,
     out_rows: &mut [f32],
 ) {
     match packed.tile {
-        Tile::Sse4x8 => run_rows_packed_t::<4, 8>(a, k, packed, n, bias, act, rows, out_rows),
+        Tile::Sse4x8 => run_rows_packed_t::<4, 8>(a, k, packed, cols, bias, act, rows, out_rows),
         Tile::Avx6x16 => {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: feature presence just checked.
-                return unsafe { run_rows_packed_avx2(a, k, packed, n, bias, act, rows, out_rows) };
+                return unsafe {
+                    run_rows_packed_avx2(a, k, packed, cols, bias, act, rows, out_rows)
+                };
             }
-            run_rows_packed_t::<6, 16>(a, k, packed, n, bias, act, rows, out_rows)
+            run_rows_packed_t::<6, 16>(a, k, packed, cols, bias, act, rows, out_rows)
         }
     }
 }
@@ -801,29 +824,44 @@ pub fn addmm_blocked(
     });
 }
 
-/// Fused `out = act(a @ w + bias)` against a pre-packed right operand (see
-/// [`PackedWeight`]): no per-call packing, all-zero weight strips skipped.
-/// Bit-identical to the dense kernels for finite inputs.
+/// Fused `out = act(a @ w[:, cols] + bias[cols])` against a pre-packed right
+/// operand (see [`PackedWeight`]): no per-call packing, all-zero weight
+/// strips skipped. `out` holds `cols.len()` values per row; only the panels
+/// overlapping `cols` run, and `0..n` is the whole product. Every output
+/// element is the same dot product whichever range it is computed in, so
+/// the result is bit-identical to the dense kernels for finite inputs.
 pub fn addmm_packed(
     a: &[f32],
     m: usize,
     packed: &PackedWeight,
+    cols: Range<usize>,
     bias: Option<&[f32]>,
     act: Activation,
     out: &mut [f32],
 ) {
     let (k, n) = packed.shape();
+    assert!(cols.start <= cols.end && cols.end <= n, "column range {cols:?} outside 0..{n}");
+    let width = cols.len();
     assert_eq!(a.len(), m * k);
-    assert_eq!(out.len(), m * n);
+    assert_eq!(out.len(), m * width);
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), n, "bias length mismatch");
+    }
     debug_assert!(
         packed.rows.iter().all(|&p| (p as usize) < k)
             && packed.strips.windows(2).all(|w| w[0] <= w[1])
             && packed.strips.last() == Some(&packed.rows.len()),
         "PackedWeight invariant (relied on by the unchecked loads) violated"
     );
-    let total_work = m.saturating_mul(packed.rows.len()).saturating_mul(packed.tile.nr());
-    fan_out_rows(m, n, total_work, out, |rows, out_rows| {
-        run_rows_packed(a, k, packed, n, bias, act, rows, out_rows)
+    if width == 0 {
+        return;
+    }
+    let nr = packed.tile.nr();
+    let strips = packed.strips[cols.end.div_ceil(nr)] - packed.strips[cols.start / nr];
+    let total_work = m.saturating_mul(strips).saturating_mul(nr);
+    let bias = bias.map(|b| &b[cols.clone()]);
+    fan_out_rows(m, width, total_work, out, |rows, out_rows| {
+        run_rows_packed(a, k, packed, cols.clone(), bias, act, rows, out_rows)
     });
 }
 

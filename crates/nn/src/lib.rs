@@ -46,7 +46,7 @@ pub use loss::{
     grouped_cross_entropy, grouped_cross_entropy_with, mse, mse_with, q_error, softmax,
     softmax_blocks, softmax_into, softmax_rows, softmax_rows_inplace,
 };
-pub use made::{Made, MadeConfig};
+pub use made::{BlockLogits, BlockPlan, Made, MadeConfig};
 pub use math::{
     fast_exp, fast_exp_slice, softmax_block_into, softmax_blocks_inplace, softmax_restricted_mass,
     SoftmaxMode,

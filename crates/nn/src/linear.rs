@@ -6,9 +6,9 @@
 //! a workspace. Each has one inference forward into a caller buffer
 //! (caching nothing), one training forward that additionally caches its input,
 //! and one scratch backward that consumes that cache. The masked inference
-//! forward picks one of three kernels by batch shape and input density —
-//! the cached pack, the dense dispatch, or the naive zero-skipping loop —
-//! and all three give the same bits for finite inputs.
+//! forward picks one of two kernels by batch shape and input density — the
+//! cached pack or the naive zero-skipping loop — and both give the same bits
+//! for finite inputs, for the full output width or any column range of it.
 
 use crate::activation::Activation;
 use crate::init::Init;
@@ -17,6 +17,7 @@ use crate::param::{cache_input, Param, Params, WeightKey};
 use crate::tensor::Matrix;
 use crate::workspace::MaskedEntry;
 use rand::rngs::SmallRng;
+use std::ops::Range;
 
 /// `y = x @ W + b`, with `W` of shape `(in_features, out_features)`.
 #[derive(Debug, Clone)]
@@ -208,18 +209,48 @@ impl MaskedLinear {
         entry: &mut MaskedEntry,
         out: &mut Matrix,
     ) {
+        let packed = self.runs_packed(input);
+        let n = self.out_features();
+        out.resize_for_overwrite(input.rows(), n);
+        self.infer_cols(input, act, entry, packed, 0..n, out.as_mut_slice());
+    }
+
+    /// The kernel class [`MaskedLinear::infer_entry`] picks for `input`:
+    /// `true` for the packed kernel (a batch shape it pays off on, and an
+    /// input dense enough), `false` for the naive kernel against the cached
+    /// dense weight. The density scan only runs for an eligible shape.
+    pub(crate) fn runs_packed(&self, input: &Matrix) -> bool {
         let (m, k) = input.shape();
+        kernels::use_packed(m, k, self.out_features()) && kernels::mostly_dense(input.as_slice())
+    }
+
+    /// `out = act(input @ (W ⊙ M)[:, cols] + b[cols])` into a caller slice
+    /// of `cols.len()` values per row, on the kernel class `packed` names
+    /// (see [`MaskedLinear::runs_packed`]). Each output element is the same
+    /// dot product whatever range and kernel compute it, so a column range
+    /// of a product is bit-identical to the same columns of the full one.
+    pub(crate) fn infer_cols(
+        &self,
+        input: &Matrix,
+        act: Activation,
+        entry: &mut MaskedEntry,
+        packed: bool,
+        cols: Range<usize>,
+        out: &mut [f32],
+    ) {
         let bias = Some(self.bias.data.as_slice());
-        if !kernels::use_packed(m, k, self.out_features()) {
-            // Shape-ineligible: the inner dispatch short-circuits before
-            // any scan (same shape predicate).
-            input.addmm_bias_act_into(entry.weight(), bias, act, out);
-        } else if !kernels::mostly_dense(input.as_slice()) {
-            // One density scan decides both this dispatch and (via the
-            // hint) the dense kernel's own blocked-vs-naive choice.
-            input.addmm_dispatch(entry.weight(), bias, act, Some(false), out);
+        if packed {
+            kernels::addmm_packed(
+                input.as_slice(),
+                input.rows(),
+                entry.packed(),
+                cols,
+                bias,
+                act,
+                out,
+            );
         } else {
-            input.addmm_packed_bias_act_into(entry.packed(), bias, act, out);
+            input.addmm_dispatch(entry.weight(), bias, act, Some(false), cols, out);
         }
     }
 

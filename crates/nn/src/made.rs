@@ -7,10 +7,14 @@
 //! tuple values, but the masking logic is identical, so it lives here in the
 //! substrate crate.
 //!
-//! A [`Made`] has one serving forward ([`InferLayer::infer_into`], masked
-//! weights memoized in the caller's workspace) and one training forward
+//! A [`Made`] has one serving forward and one training forward
 //! ([`Made::forward_train`], activations checkpointed for the backward); the
-//! two produce bit-identical logits.
+//! two produce bit-identical logits. The serving forward is the hidden trunk
+//! (every stage but the output layer) followed by one output projection
+//! that computes only the column blocks a [`BlockPlan`] asks for, each for
+//! only the rows that need it ([`Made::infer_blocks`]);
+//! [`InferLayer::infer_into`] is the same projection with every row in
+//! every block. Masked weights are memoized in the caller's workspace.
 
 use crate::activation::Activation;
 use crate::init::Init;
@@ -18,7 +22,9 @@ use crate::kernels::SparseRows;
 use crate::linear::MaskedLinear;
 use crate::param::{InferLayer, Param, Params};
 use crate::tensor::Matrix;
-use crate::workspace::{pick2, pick3, ForwardWorkspace, MaskedWeightCache, TrainWorkspace};
+use crate::workspace::{
+    pick2, pick3, ForwardWorkspace, MaskedWeightCache, ProjectionParts, TrainWorkspace,
+};
 use rand::rngs::SmallRng;
 
 /// Architecture description for a [`Made`] network.
@@ -210,6 +216,116 @@ enum Stage {
     Output(MaskedLinear),
 }
 
+/// Which rows need which output column blocks: block `b` is computed for
+/// exactly the rows listed for it, in ascending order.
+///
+/// Built block by block with [`BlockPlan::push_row`] and
+/// [`BlockPlan::end_block`] after [`BlockPlan::begin`], which reserves the
+/// worst case (every row in every block) so a plan reused across batches of
+/// up to that many rows never reallocates.
+#[derive(Debug, Clone, Default)]
+pub struct BlockPlan {
+    /// Every block's row list, concatenated (blocks may share a list).
+    rows: Vec<usize>,
+    /// Block `b` lists `rows[spans[b].0..spans[b].1]`.
+    spans: Vec<(usize, usize)>,
+    /// Where the block under construction starts in `rows`.
+    open: usize,
+}
+
+impl BlockPlan {
+    /// An empty plan.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Start a new plan over `rows` rows and `blocks` blocks.
+    pub fn begin(&mut self, rows: usize, blocks: usize) {
+        self.rows.clear();
+        self.rows.reserve(rows * blocks);
+        self.spans.clear();
+        self.spans.reserve(blocks);
+        self.open = 0;
+    }
+
+    /// Add `row` to the block under construction; rows must ascend.
+    pub fn push_row(&mut self, row: usize) {
+        debug_assert!(
+            self.rows.len() == self.open || self.rows.last() < Some(&row),
+            "plan rows must ascend within a block"
+        );
+        self.rows.push(row);
+    }
+
+    /// Close the block under construction; the next block starts empty.
+    pub fn end_block(&mut self) {
+        self.spans.push((self.open, self.rows.len()));
+        self.open = self.rows.len();
+    }
+
+    /// Replace the plan with every one of `rows` rows in every one of
+    /// `blocks` blocks (one shared row list).
+    fn every_row(&mut self, rows: usize, blocks: usize) {
+        self.rows.clear();
+        self.rows.extend(0..rows);
+        self.spans.clear();
+        self.spans.resize(blocks, (0, rows));
+        self.open = rows;
+    }
+
+    /// Number of closed blocks.
+    pub fn num_blocks(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// The rows block `b` is computed for.
+    pub fn block(&self, b: usize) -> &[usize] {
+        let (start, end) = self.spans[b];
+        &self.rows[start..end]
+    }
+
+    /// Whether no block is computed for any row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Whether blocks `a` and `b` are computed for the same rows (a shared
+    /// list is recognized without comparing it).
+    fn same_rows(&self, a: usize, b: usize) -> bool {
+        self.spans[a] == self.spans[b] || self.block(a) == self.block(b)
+    }
+}
+
+/// Where one column block's logits landed in the projection output: the
+/// block's `i`-th planned row is `len` values at `start + i * stride`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct BlockAt {
+    start: usize,
+    stride: usize,
+    len: usize,
+}
+
+/// The logits [`Made::infer_blocks`] computed, by column block. Borrows the
+/// workspace until its next pass.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockLogits<'w> {
+    data: &'w [f32],
+    at: &'w [BlockAt],
+}
+
+impl<'w> BlockLogits<'w> {
+    pub(crate) fn new(data: &'w [f32], at: &'w [BlockAt]) -> Self {
+        Self { data, at }
+    }
+
+    /// Column `block`'s logits for the `i`-th row of that block's plan
+    /// list. Only meaningful for a block and position the plan holds.
+    pub fn row(&self, block: usize, i: usize) -> &'w [f32] {
+        let at = self.at[block];
+        &self.data[at.start + i * at.stride..][..at.len]
+    }
+}
+
 /// A masked autoregressive network over column blocks.
 #[derive(Debug, Clone)]
 pub struct Made {
@@ -300,6 +416,124 @@ impl Made {
     /// `(offset, len)` of column `i`'s logits.
     pub fn output_block(&self, col: usize) -> (usize, usize) {
         (self.output_offsets[col], self.config.output_block_sizes[col])
+    }
+
+    /// The serving forward for the blocks `plan` asks for: the hidden trunk
+    /// over every row of `input`, then one output product per run of
+    /// adjacent blocks planned for the same rows, against only those rows
+    /// and only those blocks' columns. Every logit is an independent dot
+    /// product accumulated in ascending order, so each computed block is
+    /// bit-identical to the same slice of [`InferLayer::infer_into`]'s
+    /// full-width output.
+    ///
+    /// # Panics
+    /// Panics if `plan` does not hold one block per column, or lists a row
+    /// outside `input`.
+    pub fn infer_blocks<'w>(
+        &self,
+        input: &Matrix,
+        plan: &BlockPlan,
+        ws: &'w mut ForwardWorkspace,
+    ) -> BlockLogits<'w> {
+        let slot = self.infer_trunk(input, ws);
+        self.project(Some(plan), slot, ws);
+        ws.block_logits()
+    }
+
+    /// Every stage but the output layer, through the workspace's ping-pong
+    /// buffers; the last hidden activation is left as the current buffer.
+    /// Returns the output layer's masked-weight slot.
+    fn infer_trunk(&self, input: &Matrix, ws: &mut ForwardWorkspace) -> usize {
+        assert_eq!(
+            input.cols(),
+            self.config.input_width(),
+            "input width mismatch: expected {}",
+            self.config.input_width()
+        );
+        ws.rewind();
+        let mut slot = 0usize;
+        for (i, stage) in self.stages.iter().enumerate() {
+            let (cur, next, aux, masked) = ws.split_masked();
+            let x: &Matrix = if i == 0 { input } else { cur };
+            match stage {
+                Stage::MaskedRelu(linear) => {
+                    let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
+                    linear.infer_entry(x, Activation::Relu, entry, next);
+                    slot += 1;
+                }
+                Stage::Residual(block) => {
+                    block.infer_cached(x, aux, next, masked, slot);
+                    slot += 2;
+                }
+                Stage::Output(_) => return slot,
+            }
+            ws.flip();
+        }
+        unreachable!("a Made always ends in its output stage")
+    }
+
+    /// The output projection over the hidden activation [`Made::infer_trunk`]
+    /// left in `ws`, for `plan` (`None`: every row in every block).
+    ///
+    /// The packed-vs-naive verdict is taken once, on the whole hidden
+    /// activation, and holds for every product, so the kernel class is the
+    /// one a full-width product would run. A product whose rows are the
+    /// whole batch reads the activation in place; any other gathers its
+    /// rows first. Products land one after another in the next buffer,
+    /// sized as the full-width logits (which bounds their total), so with
+    /// every row in every block the output is exactly the `rows x width`
+    /// logits matrix.
+    fn project(&self, plan: Option<&BlockPlan>, slot: usize, ws: &mut ForwardWorkspace) {
+        let Some(Stage::Output(linear)) = self.stages.last() else {
+            unreachable!("a Made always ends in its output stage")
+        };
+        let ProjectionParts { hidden, out, gather, masked, blocks, every } = ws.split_projection();
+        let (rows, num_blocks) = (hidden.rows(), self.config.num_columns());
+        let plan = match plan {
+            Some(plan) => plan,
+            None => {
+                every.every_row(rows, num_blocks);
+                &*every
+            }
+        };
+        assert_eq!(plan.num_blocks(), num_blocks, "the plan must hold one block per column");
+        let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
+        let packed = linear.runs_packed(hidden);
+        out.resize_for_overwrite(rows, self.config.output_width());
+        blocks.clear();
+        blocks.resize(num_blocks, BlockAt::default());
+
+        let mut base = 0usize;
+        let mut b = 0usize;
+        while b < num_blocks {
+            let run_rows = plan.block(b);
+            let first = b;
+            b += 1;
+            if run_rows.is_empty() {
+                continue;
+            }
+            while b < num_blocks && plan.same_rows(first, b) {
+                b += 1;
+            }
+            let cols = self.output_offsets[first]
+                ..self.output_offsets[b - 1] + self.config.output_block_sizes[b - 1];
+            let width = cols.len();
+            for (at, blk) in blocks[first..b].iter_mut().zip(first..) {
+                let start = base + self.output_offsets[blk] - cols.start;
+                *at = BlockAt { start, stride: width, len: self.config.output_block_sizes[blk] };
+            }
+            let whole_batch = run_rows.len() == rows && run_rows.last() == Some(&(rows - 1));
+            let a: &Matrix = if whole_batch {
+                hidden
+            } else {
+                gather.gather_rows(hidden, run_rows);
+                &*gather
+            };
+            let dst = &mut out.as_mut_slice()[base..base + run_rows.len() * width];
+            linear.infer_cols(a, Activation::Identity, entry, packed, cols, dst);
+            base += run_rows.len() * width;
+        }
+        ws.flip();
     }
 
     /// Forward pass without caching; use for inference/latency measurements.
@@ -476,39 +710,8 @@ impl InferLayer for Made {
     /// by [`crate::param::WeightKey`] so optimizer steps and hot-swaps can
     /// never serve stale weights. Bit-identical to [`Made::forward_train`].
     fn infer_into<'w>(&self, input: &Matrix, ws: &'w mut ForwardWorkspace) -> &'w Matrix {
-        assert_eq!(
-            input.cols(),
-            self.config.input_width(),
-            "input width mismatch: expected {}",
-            self.config.input_width()
-        );
-        ws.rewind();
-        let mut slot = 0usize;
-        for (i, stage) in self.stages.iter().enumerate() {
-            {
-                let (cur, next, aux, masked) = ws.split_masked();
-                let x: &Matrix = if i == 0 { input } else { cur };
-                match stage {
-                    Stage::MaskedRelu(linear) => {
-                        let entry =
-                            masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                        linear.infer_entry(x, Activation::Relu, entry, next);
-                        slot += 1;
-                    }
-                    Stage::Residual(block) => {
-                        block.infer_cached(x, aux, next, masked, slot);
-                        slot += 2;
-                    }
-                    Stage::Output(linear) => {
-                        let entry =
-                            masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                        linear.infer_entry(x, Activation::Identity, entry, next);
-                        slot += 1;
-                    }
-                }
-            }
-            ws.flip();
-        }
+        let slot = self.infer_trunk(input, ws);
+        self.project(None, slot, ws);
         ws.output()
     }
 }

@@ -149,6 +149,19 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Make `self` the listed `rows` of `src`, in order, reusing `self`'s
+    /// heap buffer. Room for all of `src` is reserved, so gathering any
+    /// subset of a same-sized source never reallocates.
+    pub(crate) fn gather_rows(&mut self, src: &Matrix, rows: &[usize]) {
+        self.rows = rows.len();
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.reserve(src.data.len());
+        for &r in rows {
+            self.data.extend_from_slice(src.row(r));
+        }
+    }
+
     /// Make `self` an exact copy of `other`, reusing `self`'s heap buffer
     /// whenever its capacity suffices.
     pub fn copy_from(&mut self, other: &Matrix) {
@@ -294,20 +307,26 @@ impl Matrix {
         act: Activation,
         out: &mut Matrix,
     ) {
-        self.addmm_dispatch(w, bias, act, None, out);
+        out.resize_for_overwrite(self.rows, w.cols);
+        self.addmm_dispatch(w, bias, act, None, 0..w.cols, &mut out.data);
     }
 
-    /// [`Matrix::addmm_bias_act_into`] with an optional precomputed density
-    /// verdict for `self`, so callers that already ran
-    /// [`kernels::mostly_dense`] for their own dispatch (the masked-layer
-    /// entry path) don't pay the input scan twice.
+    /// `out = act(self @ w[:, cols] + bias[cols])` into a caller slice of
+    /// `cols.len()` values per row; `0..w.cols()` is
+    /// [`Matrix::addmm_bias_act_into`]. `dense_hint` is an optional
+    /// precomputed density verdict for `self`, so callers that already ran
+    /// [`kernels::mostly_dense`] for their own dispatch (the masked layers)
+    /// don't pay the input scan twice. A partial range always runs the naive
+    /// zero-skip loop, whose per-element sequence does not depend on the
+    /// range.
     pub(crate) fn addmm_dispatch(
         &self,
         w: &Matrix,
         bias: Option<&[f32]>,
         act: Activation,
         dense_hint: Option<bool>,
-        out: &mut Matrix,
+        cols: std::ops::Range<usize>,
+        out: &mut [f32],
     ) {
         assert_eq!(
             self.cols, w.rows,
@@ -317,24 +336,34 @@ impl Matrix {
         if let Some(bias) = bias {
             assert_eq!(bias.len(), w.cols, "bias length mismatch");
         }
+        assert!(
+            cols.start <= cols.end && cols.end <= w.cols,
+            "column range {cols:?} outside 0..{}",
+            w.cols
+        );
         let (m, k, n) = (self.rows, self.cols, w.cols);
-        out.resize_for_overwrite(m, n);
+        let width = cols.len();
+        assert_eq!(out.len(), m * width, "output length mismatch");
         let a = &self.data;
         let b = &w.data;
-        if kernels::use_blocked(m, k, n) && dense_hint.unwrap_or_else(|| kernels::mostly_dense(a)) {
-            kernels::addmm_blocked(a, m, k, b, n, bias, act, &mut out.data);
+        if width == n
+            && kernels::use_blocked(m, k, n)
+            && dense_hint.unwrap_or_else(|| kernels::mostly_dense(a))
+        {
+            kernels::addmm_blocked(a, m, k, b, n, bias, act, out);
             return;
         }
+        let bias = bias.map(|bias| &bias[cols.clone()]);
         let run_rows = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
             for (local_i, i) in rows.enumerate() {
                 let arow = &a[i * k..(i + 1) * k];
-                let crow = &mut out_chunk[local_i * n..(local_i + 1) * n];
+                let crow = &mut out_chunk[local_i * width..(local_i + 1) * width];
                 crow.fill(0.0);
                 for (p, &av) in arow.iter().enumerate() {
                     if av == 0.0 {
                         continue;
                     }
-                    let brow = &b[p * n..(p + 1) * n];
+                    let brow = &b[p * n + cols.start..p * n + cols.end];
                     for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
                         *cv += av * bv;
                     }
@@ -347,37 +376,7 @@ impl Matrix {
                 act.apply(crow);
             }
         };
-        parallel_rows(m, k * n, &mut out.data, n, run_rows);
-    }
-
-    /// Fused `out = act(self @ w + bias)` against a pre-packed right operand
-    /// (see [`crate::kernels::PackedWeight`]): the packing — and with it the
-    /// skipping of all-zero weight strips — was paid once when the operand
-    /// was cached, so this is the cheapest batched path through a masked
-    /// layer. Bit-identical to [`Matrix::addmm_bias_act_into`] against the
-    /// equivalent dense matrix, for finite inputs.
-    ///
-    /// # Panics
-    /// Panics if `self.cols()` does not match the packed operand's `k`.
-    pub fn addmm_packed_bias_act_into(
-        &self,
-        packed: &kernels::PackedWeight,
-        bias: Option<&[f32]>,
-        act: Activation,
-        out: &mut Matrix,
-    ) {
-        let (k, n) = packed.shape();
-        assert_eq!(
-            self.cols, k,
-            "packed matmul shape mismatch: {}x{} @ {}x{}",
-            self.rows, self.cols, k, n
-        );
-        if let Some(bias) = bias {
-            assert_eq!(bias.len(), n, "bias length mismatch");
-        }
-        let m = self.rows;
-        out.resize_for_overwrite(m, n);
-        kernels::addmm_packed(&self.data, m, packed, bias, act, &mut out.data);
+        parallel_rows(m, k * width, out, width, run_rows);
     }
 
     /// `self @ other^T` — `(m x k) @ (n x k)^T -> (m x n)` — into a

@@ -2,8 +2,10 @@
 //!
 //! A [`ForwardWorkspace`] owns every intermediate buffer a forward pass
 //! needs: two ping-pong activation matrices, an auxiliary matrix (residual
-//! skip / hidden state), and a [`MaskedWeightCache`] that **memoizes** the
-//! masked effective weights across batches. Layers implementing
+//! skip / hidden state), the scratch of MADE's output projection (gathered
+//! hidden rows, where each column block's logits landed, the every-row
+//! plan), and a [`MaskedWeightCache`] that **memoizes** the masked effective
+//! weights across batches. Layers implementing
 //! [`InferLayer`](crate::param::InferLayer) thread their activations through
 //! these buffers instead of allocating per call, so once the buffers have
 //! grown to the widest layer of a network (after the first batch), repeated
@@ -45,6 +47,7 @@
 //! ```
 
 use crate::kernels::PackedWeight;
+use crate::made::{BlockAt, BlockLogits, BlockPlan};
 use crate::param::WeightKey;
 use crate::tensor::Matrix;
 
@@ -154,6 +157,28 @@ pub struct ForwardWorkspace {
     aux: Matrix,
     /// Memoized masked effective weights, validated by [`WeightKey`].
     masked: MaskedWeightCache,
+    /// The rows of the last hidden activation one output product reads,
+    /// gathered contiguously.
+    gather: Matrix,
+    /// Where each column block's logits landed in the projection output.
+    blocks: Vec<BlockAt>,
+    /// The every-row, every-block plan `infer_into` projects with.
+    every: BlockPlan,
+}
+
+/// Disjoint borrows of a [`ForwardWorkspace`] for one output projection.
+pub(crate) struct ProjectionParts<'w> {
+    /// The last hidden activation (the current buffer).
+    pub hidden: &'w Matrix,
+    /// The projection output (the next buffer).
+    pub out: &'w mut Matrix,
+    /// Scratch for the rows one product reads.
+    pub gather: &'w mut Matrix,
+    pub masked: &'w mut MaskedWeightCache,
+    /// Per column block, where its logits land in `out`.
+    pub blocks: &'w mut Vec<BlockAt>,
+    /// Scratch for the every-row, every-block plan.
+    pub every: &'w mut BlockPlan,
 }
 
 impl ForwardWorkspace {
@@ -188,6 +213,21 @@ impl ForwardWorkspace {
         let (a, b) = bufs.split_at_mut(1);
         let (cur, next) = if *live == 0 { (&mut a[0], &mut b[0]) } else { (&mut b[0], &mut a[0]) };
         (cur, next, aux, masked)
+    }
+
+    /// Split the workspace for an output projection that reads the current
+    /// activation and writes the next buffer; [`ForwardWorkspace::flip`]
+    /// afterwards, as for any stage.
+    pub(crate) fn split_projection(&mut self) -> ProjectionParts<'_> {
+        let Self { bufs, live, masked, gather, blocks, every, .. } = self;
+        let (a, b) = bufs.split_at_mut(1);
+        let (hidden, out) = if *live == 0 { (&a[0], &mut b[0]) } else { (&b[0], &mut a[0]) };
+        ProjectionParts { hidden, out, gather, masked, blocks, every }
+    }
+
+    /// The logits of the most recent output projection, by column block.
+    pub(crate) fn block_logits(&self) -> BlockLogits<'_> {
+        BlockLogits::new(self.output().as_slice(), &self.blocks)
     }
 
     /// The masked weight cache (inspection / explicit invalidation).

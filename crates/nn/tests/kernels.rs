@@ -117,13 +117,17 @@ fn check_shape_current_tile(a: &Matrix, b: &Matrix, bias: &[f32], m: usize, k: u
         let mut packed = PackedWeight::new();
         packed.fill_from(b.as_slice(), k, n);
         let mut got = Matrix::zeros(m, n);
-        addmm_packed(a.as_slice(), m, &packed, bias_opt, act, got.as_mut_slice());
+        addmm_packed(a.as_slice(), m, &packed, 0..n, bias_opt, act, got.as_mut_slice());
         assert_bit_identical(&got, &want, "addmm_packed");
 
-        // Packed path through the public Matrix API.
-        let mut got = Matrix::zeros(0, 0);
-        a.addmm_packed_bias_act_into(&packed, bias_opt, act, &mut got);
-        assert_bit_identical(&got, &want, "addmm_packed_bias_act_into");
+        // Column ranges of the packed product (panel-straddling at either
+        // end, empty, single-column) are the same columns of the full one.
+        for cols in [1.min(n)..n, n / 3..n - n / 4, n / 2..n / 2, n - 1..n] {
+            let mut got = Matrix::zeros(m, cols.len());
+            addmm_packed(a.as_slice(), m, &packed, cols.clone(), bias_opt, act, got.as_mut_slice());
+            let want = Matrix::from_fn(m, cols.len(), |i, j| want.get(i, cols.start + j));
+            assert_bit_identical(&got, &want, &format!("addmm_packed columns {cols:?}"));
+        }
 
         // Fused sparse-input path (the first-layer training kernel).
         let mut got = Matrix::zeros(0, 0);
@@ -234,6 +238,7 @@ fn packed_weight_survives_tile_changes() {
                     a.as_slice(),
                     m,
                     &packed,
+                    0..n,
                     None,
                     Activation::Identity,
                     got.as_mut_slice(),
@@ -256,7 +261,15 @@ fn packed_all_zero_weight_is_bias_only() {
     packed.fill_from(b.as_slice(), 6, 20);
     assert_eq!(packed.density(), 0.0);
     let mut got = Matrix::zeros(9, 20);
-    addmm_packed(a.as_slice(), 9, &packed, Some(&bias), Activation::Relu, got.as_mut_slice());
+    addmm_packed(
+        a.as_slice(),
+        9,
+        &packed,
+        0..20,
+        Some(&bias),
+        Activation::Relu,
+        got.as_mut_slice(),
+    );
     let want = reference_addmm(&a, &b, Some(&bias), Activation::Relu);
     assert_bit_identical(&got, &want, "all-zero packed");
 }
@@ -333,6 +346,7 @@ fn pooled_kernels_match_serial_bitwise() {
         a.as_slice(),
         m,
         &packed,
+        0..n,
         None,
         Activation::Identity,
         serial_packed.as_mut_slice(),
@@ -343,6 +357,7 @@ fn pooled_kernels_match_serial_bitwise() {
             a.as_slice(),
             m,
             &packed,
+            0..n,
             None,
             Activation::Identity,
             pooled_packed.as_mut_slice(),

@@ -6,13 +6,15 @@
 //! blocked-kernel threshold, under both register tiles — and for `Mlp`'s
 //! pair. This is the oracle behind the "estimates and checkpoints are
 //! bit-identical whatever path produced them" guarantee; the kernels alone
-//! are held to the same standard in `kernels.rs`.
+//! are held to the same standard in `kernels.rs`. The serving forward's
+//! block projection (`Made::infer_blocks`) is held to it too: every logit it
+//! computes, for any per-row subset of column blocks.
 
 mod naive;
 
 use duet_nn::{
-    seeded_rng, with_tile, ForwardWorkspace, InferLayer, Made, MadeConfig, Matrix, Mlp, Params,
-    SparseRows, Tile, TrainWorkspace,
+    seeded_rng, with_tile, BlockPlan, ForwardWorkspace, InferLayer, Made, MadeConfig, Matrix, Mlp,
+    Params, SparseRows, Tile, TrainWorkspace,
 };
 use naive::{Net, Rows};
 use rand::rngs::SmallRng;
@@ -154,6 +156,77 @@ fn check_made(residual: bool, nnz_prob: f32, rows: usize, what: &str) {
     let [a, b] = &inputs;
     check_two_passes(&mut reference, [a, b], config.output_width(), &mut rng, what, pass);
     assert_grads_match(&mut made, &reference, what);
+}
+
+#[test]
+fn block_projection_matches_the_naive_reference_bitwise() {
+    for tile in TILES {
+        for residual in [false, true] {
+            // 19 rows take the packed output kernel when the hidden
+            // activation is dense (ResMADE) and the naive one when it is not
+            // (MADE's ReLU); 3 rows always take the naive one.
+            for rows in [19usize, 3] {
+                let what = format!("{tile:?} residual={residual} rows={rows}");
+                with_tile(tile, || check_block_projection(residual, rows, &what));
+            }
+        }
+    }
+}
+
+fn check_block_projection(residual: bool, rows: usize, what: &str) {
+    // Output blocks at offsets 0, 6, 8, 27, 30: blocks narrower than either
+    // tile's panel, and blocks straddling panel boundaries of both.
+    let config = MadeConfig {
+        input_block_sizes: vec![4, 3, 5, 6, 2],
+        output_block_sizes: vec![6, 2, 19, 3, 7],
+        hidden_sizes: vec![24, 24, 24],
+        residual,
+    };
+    let blocks = config.num_columns();
+    let mut rng = seeded_rng(47);
+    let mut made = Made::new(config.clone(), &mut rng);
+    let masks = naive::made_masks(
+        &config.input_block_sizes,
+        &config.output_block_sizes,
+        &config.hidden_sizes,
+        residual,
+    );
+    let reference =
+        reference_of(&mut made, masks.into_iter().map(Some).collect(), residual, &mut rng);
+    let x = random_matrix(rows, config.input_width(), 0.95, &mut rng);
+    let want = reference.forward(&rows_of(&x)).output;
+
+    let mut ws = ForwardWorkspace::new();
+    let mut plan = BlockPlan::new();
+    // The empty plan, the all-blocks plan, then random per-row subsets, all
+    // through one workspace.
+    for round in 0..12 {
+        let keep = match round {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.gen_range(0.1f32..0.9),
+        };
+        plan.begin(rows, blocks);
+        for _ in 0..blocks {
+            for r in 0..rows {
+                if rng.gen_range(0.0f32..1.0) < keep {
+                    plan.push_row(r);
+                }
+            }
+            plan.end_block();
+        }
+        let logits = made.infer_blocks(&x, &plan, &mut ws);
+        for b in 0..blocks {
+            let (offset, len) = made.output_block(b);
+            for (i, &r) in plan.block(b).iter().enumerate() {
+                assert_eq!(
+                    bits(logits.row(b, i)),
+                    bits(&want[r][offset..offset + len]),
+                    "{what}: round {round}, block {b}, row {r}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -136,6 +136,11 @@ counters! {
     FramesOut => frames_out,
     /// Wire connections torn down by protocol decode errors.
     WireDecodeErrors => wire_decode_errors,
+    /// Well-formed wire requests answered `Rejected` at admission, never
+    /// queued, because they do not fit their table's id space (column
+    /// count, an interval outside the column's domain, a literal id past
+    /// it).
+    WireRejected => wire_rejected,
     /// Failed `accept` calls on wire listeners (anything but `WouldBlock`:
     /// descriptor exhaustion, a connection aborted in the backlog).
     WireAcceptErrors => wire_accept_errors,

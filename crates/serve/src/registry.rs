@@ -130,6 +130,10 @@ pub struct ModelSlot {
     /// been **re-registered** (a new slot under the same dense table id).
     /// Hot-swaps and evict/reload keep the slot — and its uid — intact.
     uid: u64,
+    /// Per-column domain sizes of the slot's id space. Fixed for the slot's
+    /// lifetime: a swap must keep every dictionary, and eviction keeps the
+    /// schema.
+    ndvs: Box<[u32]>,
     /// Models evicted from this slot so far.
     evictions: AtomicU64,
     /// Spill files written by this slot so far, successful eviction or not.
@@ -150,7 +154,10 @@ pub struct ModelSlot {
 impl ModelSlot {
     /// Wrap an estimator in a fresh slot (generation 0).
     pub fn new(estimator: DuetEstimator) -> Self {
+        let schema = estimator.schema();
+        let ndvs = schema.columns().iter().map(|c| c.ndv().min(u32::MAX as usize) as u32).collect();
         Self {
+            ndvs,
             inner: RwLock::new(VersionedModel {
                 generation: 0,
                 state: Residency::Resident(Arc::new(estimator)),
@@ -166,6 +173,12 @@ impl ModelSlot {
     /// This slot's process-unique registration id (see the field docs).
     pub fn uid(&self) -> u64 {
         self.uid
+    }
+
+    /// Per-column domain sizes of the id space requests to this slot are
+    /// encoded in (see the field docs).
+    pub(crate) fn ndvs(&self) -> &[u32] {
+        &self.ndvs
     }
 
     /// Whether the model is currently resident (not evicted to checkpoint

@@ -1417,7 +1417,9 @@ fn wire_outcome(response: &ResponseFrame) -> Result<f64, ShedReason> {
         // Scripts only address registered table ids, which leaves the stale
         // registration as the one way a query is answered `UnknownTable`.
         Status::UnknownTable => Err(ShedReason::StaleRegistration),
-        Status::Rejected => unreachable!("only ingest and feedback frames are answered Rejected"),
+        Status::Rejected => {
+            unreachable!("scripted requests are encoded against their table's schema")
+        }
     }
 }
 

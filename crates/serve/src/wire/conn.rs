@@ -46,6 +46,7 @@ use crate::wire::frame::{
     self, DecodeError, FrameView, Status, DEFAULT_MAX_FRAME_LEN, PREAMBLE_LEN,
 };
 use crate::wire::readiness::Waker;
+use duet_core::IdPredicate;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -229,7 +230,7 @@ pub struct WireConn {
     /// Reused predicate/interval staging for feedback frames (feedback is
     /// copied into the online table's queue, not routed, so it does not use
     /// the pooled request carcasses).
-    preds_scratch: Vec<Vec<duet_core::IdPredicate>>,
+    preds_scratch: Vec<Vec<IdPredicate>>,
     intervals_scratch: Vec<(u32, u32)>,
 }
 
@@ -450,6 +451,16 @@ fn admit(
 
     let mut holder = outbox.take_pooled();
     request.read_into(&mut holder.preds, &mut holder.intervals);
+    if !fits_id_space(&holder.preds, &holder.intervals, resources.slot.ndvs()) {
+        // Checked before queueing: a request outside the id space would
+        // fail (or silently mis-encode) inside its batch, taking its
+        // batch-mates down with it.
+        metrics.incr(Counter::WireRejected);
+        outbox.recycle(holder);
+        frame::encode_response(outbound.tail_mut(), request_id, Status::Rejected, 0.0);
+        metrics.incr(Counter::FramesOut);
+        return;
+    }
     holder.table_id = request.table_id;
     // Bind the request to the table's *current registration*: if the table
     // is re-registered before a worker dequeues it, the uid mismatch rejects
@@ -484,6 +495,17 @@ fn admit(
             metrics.incr(Counter::FramesOut);
         }
     }
+}
+
+/// Whether a decoded request is expressed in the id space of a table with
+/// per-column domain sizes `ndvs`: one column each, every interval
+/// `lo <= hi <= ndv`, every literal id `< ndv`.
+fn fits_id_space(preds: &[Vec<IdPredicate>], intervals: &[(u32, u32)], ndvs: &[u32]) -> bool {
+    preds.len() == ndvs.len()
+        && intervals.len() == ndvs.len()
+        && ndvs.iter().zip(preds).zip(intervals).all(|((&ndv, column), &(lo, hi))| {
+            lo <= hi && hi <= ndv && column.iter().all(|p| p.value_id < ndv)
+        })
 }
 
 /// Answer a table-resolution query: linear scan over the directory
@@ -575,7 +597,7 @@ fn handle_ingest(
 /// stale-registration path).
 fn handle_feedback(
     feedback: frame::FeedbackView<'_>,
-    preds_scratch: &mut Vec<Vec<duet_core::IdPredicate>>,
+    preds_scratch: &mut Vec<Vec<IdPredicate>>,
     intervals_scratch: &mut Vec<(u32, u32)>,
     outbound: &mut ByteQueue,
     tables: &[TableResources],

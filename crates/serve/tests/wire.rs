@@ -494,6 +494,68 @@ fn pipeline_cap_sheds_at_the_connection_before_the_queues() {
 }
 
 #[test]
+fn a_request_outside_the_table_id_space_is_rejected_alone() {
+    let (tables, workloads) = trained_tables(1);
+    let estimator = tables[0].1.clone();
+    let schema = estimator.schema().clone();
+    let rows: Vec<_> =
+        workloads[0].iter().map(|q| duet_core::query_to_id_predicates(&schema, q)).collect();
+    let intervals: Vec<_> = workloads[0].iter().map(|q| q.column_intervals(&schema)).collect();
+    let expected = estimator.estimate_encoded_batch(&rows, &intervals);
+
+    // Three ways out of the id space, each pipelined between good requests
+    // bound for the same batch: an interval past column 0's domain, a
+    // missing column, a literal id past column 0's domain.
+    let ndv = schema.column(0).ndv() as u32;
+    let mut past_domain = intervals[0].clone();
+    past_domain[0] = (0, ndv + 1);
+    let mut past_literal = rows[0].clone();
+    past_literal[0] = vec![IdPredicate { op: PredOp::Eq, value_id: ndv }];
+    let bad = [
+        (rows[0].clone(), past_domain),
+        (rows[0][1..].to_vec(), intervals[0][1..].to_vec()),
+        (past_literal, intervals[0].clone()),
+    ];
+    let mut bytes = Vec::new();
+    frame::encode_preamble(&mut bytes);
+    for (i, (preds, ivs)) in rows.iter().zip(&intervals).enumerate() {
+        frame::encode_request(&mut bytes, i as u64, 0, 0, preds, ivs);
+        if let Some((preds, ivs)) = bad.get(i) {
+            frame::encode_request(&mut bytes, 100 + i as u64, 0, 0, preds, ivs);
+        }
+    }
+
+    let mut sim = WireSim::new(tables, HarnessConfig::default(), ConnConfig::default(), 1);
+    sim.feed(0, &bytes);
+    sim.pump(0).expect("valid protocol bytes");
+    while sim.harness().queue_depth() > 0 {
+        sim.turn();
+    }
+    sim.pump(0).expect("pump after turns");
+
+    let (mut at, mut answered) = (0, 0);
+    while let Some((view, used)) =
+        frame::next_frame(&sim.output(0)[at..], frame::DEFAULT_MAX_FRAME_LEN).expect("replies")
+    {
+        let FrameView::Response(response) = view else { panic!("expected a response frame") };
+        let id = response.request_id as usize;
+        if id >= 100 {
+            assert_eq!(response.status, Status::Rejected, "bad request {id}");
+        } else {
+            assert_eq!(response.status, Status::Ok, "good request {id}");
+            assert_eq!(response.value.to_bits(), expected[id].to_bits(), "good request {id}");
+        }
+        answered += 1;
+        at += used;
+    }
+    assert_eq!(answered, rows.len() + bad.len(), "one reply per request");
+    let snapshot = sim.harness().metrics_snapshot();
+    assert_eq!(snapshot.shed_internal, 0, "no batch failed");
+    assert_eq!(snapshot.panics_caught, 0);
+    assert_eq!(snapshot.wire_rejected, bad.len() as u64);
+}
+
+#[test]
 fn resolving_a_table_whose_spilled_checkpoint_went_bad_counts_a_reload_failure() {
     let (tables, workloads) = trained_tables(2);
     // A budget nothing fits in: executing a batch for table 1 evicts table 0

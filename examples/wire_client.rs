@@ -60,7 +60,7 @@ fn main() {
             }
             Status::Overloaded | Status::DeadlineExceeded | Status::Internal => shed += 1,
             Status::UnknownTable => panic!("server forgot the table mid-stream"),
-            Status::Rejected => panic!("estimate requests are never rejected as malformed"),
+            Status::Rejected => panic!("requests encoded against the resolved schema fit it"),
         }
     }
     let wall = started.elapsed();

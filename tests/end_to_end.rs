@@ -1,13 +1,15 @@
 //! Cross-crate integration tests: train Duet end-to-end on synthetic data and
 //! check the paper's qualitative claims on a small scale — determinism,
 //! accuracy better than the independence baseline, hybrid training improving
-//! the in-workload tail, and O(1) latency scaling.
+//! the in-workload tail, and latency that grows with the columns a query
+//! constrains, up to one full-width forward.
 
 use duet::baselines::IndependenceEstimator;
 use duet::core::{DuetConfig, DuetEstimator, DuetWorkspace};
 use duet::data::datasets::{census_like, kddcup98_like};
 use duet::query::{
-    exact_cardinality, label_workload, CardinalityEstimator, QErrorSummary, Query, WorkloadSpec,
+    exact_cardinality, label_workload, CardinalityEstimator, PredOp, QErrorSummary, Query,
+    WorkloadSpec,
 };
 
 fn summary(est: &mut dyn CardinalityEstimator, queries: &[Query], cards: &[u64]) -> QErrorSummary {
@@ -73,32 +75,44 @@ fn hybrid_training_does_not_regress_random_queries_catastrophically() {
 }
 
 #[test]
-fn estimation_latency_is_flat_in_the_number_of_constrained_columns() {
-    // O(1) claim: the number of network evaluations does not depend on how
-    // many columns the query constrains. We check latency on a 100-column
-    // table stays within a small factor between 2-column and 60-column
-    // queries (wall-clock is noisy, the factor is generous).
+fn estimation_latency_grows_with_constrained_columns_up_to_a_full_forward() {
+    // One forward pass per query still, but its output layer computes only
+    // the blocks of the columns the query constrains: on a 100-column table,
+    // 2-column queries must cost less than 60-column ones, and those no more
+    // than queries constraining every column (a full-width output layer).
+    // Wall-clock is noisy: each reading is the best of five passes, and the
+    // measured gaps are several-fold.
     let table = kddcup98_like(1_500, 14);
     let cfg = DuetConfig::small().with_epochs(1);
     let duet = DuetEstimator::train_data_only(&table, &cfg, 3);
 
     let narrow = WorkloadSpec::random(&table, 30, 5).with_max_columns(2).generate(&table);
     let wide = WorkloadSpec::random(&table, 30, 6).with_max_columns(60).generate(&table);
+    let every: Vec<Query> = (0..30)
+        .map(|i| {
+            let row = i * 47 % table.num_rows();
+            (0..table.num_columns()).fold(Query::all(), |q, c| {
+                q.and(c, PredOp::Eq, table.column(c).value_at(row).clone())
+            })
+        })
+        .collect();
     let mut ws = DuetWorkspace::new();
     let mut time = |queries: &[Query]| {
-        let start = std::time::Instant::now();
-        for q in queries {
-            let _ = duet.estimate_with_breakdown(q, &mut ws);
-        }
-        start.elapsed().as_secs_f64() / queries.len() as f64
+        (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                for q in queries {
+                    let _ = duet.estimate_with_breakdown(q, &mut ws);
+                }
+                start.elapsed().as_secs_f64() / queries.len() as f64
+            })
+            .fold(f64::INFINITY, f64::min)
     };
-    // Warm up, then measure.
-    let _ = time(&narrow);
-    let narrow_t = time(&narrow);
-    let wide_t = time(&wide);
+    let (narrow_t, wide_t, every_t) = (time(&narrow), time(&wide), time(&every));
     assert!(
-        wide_t < narrow_t * 6.0,
-        "per-query latency should not blow up with constrained columns: {narrow_t:.6}s vs {wide_t:.6}s"
+        narrow_t < wide_t && wide_t < every_t,
+        "per-query latency should grow with constrained columns up to a full forward: \
+         {narrow_t:.6}s (2) vs {wide_t:.6}s (60) vs {every_t:.6}s (all 100)"
     );
 }
 

@@ -5,11 +5,12 @@
 
 use duet::core::{
     query_to_id_predicates, sample_predicate, DuetConfig, DuetEstimator, DuetModel, DuetWorkspace,
+    MpsnKind,
 };
 use duet::data::datasets::census_like;
 use duet::data::{Column, Table, Value};
-use duet::nn::seeded_rng;
-use duet::query::{exact_cardinality, q_error, CardinalityEstimator, PredOp, Query};
+use duet::nn::{seeded_rng, ForwardWorkspace, InferLayer, SoftmaxMode};
+use duet::query::{exact_cardinality, q_error, CardinalityEstimator, PredOp, Query, WorkloadSpec};
 use proptest::prelude::*;
 
 /// Build a small random table from proptest-generated cell values.
@@ -140,6 +141,59 @@ proptest! {
         prop_assert_eq!(sel, estimate());
     }
 
+    /// The batched estimate, which computes only the output blocks of the
+    /// columns each row constrains, equals the full-width composition it
+    /// replaced — `infer_into` over every logit, then
+    /// `selectivity_from_logits_mode(…, Fast)` per row — bit for bit, for
+    /// every MPSN kind, with unconstrained, fully constrained and
+    /// contradictory rows mixed into one batch.
+    #[test]
+    fn block_projected_estimate_equals_the_full_width_composition(
+        batch in 1usize..=70,
+        seed in 0u64..1_000,
+    ) {
+        let table = census_like(300, 77);
+        let ncols = table.num_columns();
+        let mut queries = WorkloadSpec::random(&table, batch, seed).generate(&table);
+        for (r, query) in queries.iter_mut().enumerate() {
+            let row = (r * 37 + seed as usize) % table.num_rows();
+            let value = |c: usize| table.column(c).value_at(row).clone();
+            match r % 5 {
+                1 => *query = Query::all(),
+                // Every column pinned to one value: every block is read.
+                2 => *query = (0..ncols).fold(Query::all(), |q, c| q.and(c, PredOp::Eq, value(c))),
+                // Two different literals on one column: nothing qualifies.
+                3 => {
+                    let c = r % ncols;
+                    let other = table.column(c).value_of_id(0).clone();
+                    let first = table.column(c).value_of_id(1).clone();
+                    *query = query.clone().and(c, PredOp::Eq, first).and(c, PredOp::Eq, other);
+                }
+                _ => {}
+            }
+        }
+        for kind in [MpsnKind::None, MpsnKind::Mlp, MpsnKind::Recurrent, MpsnKind::Recursive] {
+            let config = match kind {
+                MpsnKind::None => DuetConfig::small(),
+                _ => DuetConfig::small().with_mpsn(kind, 2),
+            };
+            let model = DuetModel::new(&table, &config, seed);
+            let rows: Vec<_> = queries.iter().map(|q| query_to_id_predicates(&table, q)).collect();
+            let intervals: Vec<_> = queries.iter().map(|q| q.column_intervals(&table)).collect();
+            let mut ws = DuetWorkspace::new();
+            let mut got = Vec::new();
+            model.estimate_selectivity_batch_with(&rows, &intervals, &mut ws, &mut got);
+
+            model.fill_input(&rows, &mut ws);
+            let logits = model.made().infer_into(ws.input(), &mut ForwardWorkspace::new()).clone();
+            let mut probs = Vec::new();
+            for (r, iv) in intervals.iter().enumerate() {
+                let want = model.selectivity_from_logits_mode(logits.row(r), iv, &mut probs, SoftmaxMode::Fast);
+                prop_assert_eq!(got[r].to_bits(), want.to_bits(), "{:?} row {} of {}", kind, r, batch);
+            }
+        }
+    }
+
     /// A trained estimator never exceeds the table size and treats an
     /// unconstrained query as the full relation.
     #[test]
@@ -161,10 +215,7 @@ proptest! {
 // Allocation-free kernel / workspace bit-identity
 // ---------------------------------------------------------------------------
 
-use duet::nn::{
-    rowvec_matmul_into, Activation, ForwardWorkspace, InferLayer, Made, MadeConfig, Matrix,
-    TrainWorkspace,
-};
+use duet::nn::{rowvec_matmul_into, Activation, Made, MadeConfig, Matrix, TrainWorkspace};
 
 /// Deterministic pseudo-random matrix (LCG, no `rand` dependency).
 fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {

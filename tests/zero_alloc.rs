@@ -8,7 +8,8 @@
 //! bounded shard queue, same-table batch formation at dequeue, deadline
 //! triage, and per-table-workspace batch execution across two
 //! differently-shaped tables, driven through the deterministic harness with
-//! one fixed request set recycled through the router — the
+//! two fixed request sets that constrain different columns, alternated and
+//! recycled through the router — the
 //! **pooled large-batch path**: a batch big enough to cross the kernels'
 //! parallelism threshold, so the forward pass fans row blocks out over a
 //! `duet_nn::ComputePool` (the pool's parked workers are woken per job with
@@ -56,8 +57,9 @@ use duet::core::{
 };
 use duet::data::datasets::census_like;
 use duet::data::table_stats;
+use duet::data::Table;
 use duet::nn::{seeded_rng, with_pool, Adam, ComputePool};
-use duet::query::{exact_cardinality, WorkloadSpec};
+use duet::query::{exact_cardinality, Query, WorkloadSpec};
 use duet::serve::sim::{HarnessConfig, PreparedRequest, RouterHarness, WireSim};
 use duet::serve::wire::{frame, ConnConfig};
 use duet::serve::{DriftMonitor, RouterConfig};
@@ -165,7 +167,10 @@ fn routed_multi_table_phase() {
     // Two differently-shaped tables multiplexed through one shard pool: the
     // worker's per-table workspaces must absorb the alternation without
     // re-growing buffers, and the queue/admission machinery must be free of
-    // allocations of its own.
+    // allocations of its own. Consecutive rounds alternate between two
+    // request sets that constrain different columns (the second one leads
+    // each table's batch with an all-wildcard row), so the output
+    // projection's plan, gather and block buffers change shape every batch.
     let cfg = DuetConfig::small().with_epochs(1);
     let table_a = census_like(300, 7);
     let table_b = census_like(200, 9);
@@ -173,6 +178,17 @@ fn routed_multi_table_phase() {
     let est_b = DuetEstimator::train_data_only(&table_b, &cfg, 6);
     let queries_a = WorkloadSpec::random(&table_a, 8, 11).generate(&table_a);
     let queries_b = WorkloadSpec::random(&table_b, 8, 12).generate(&table_b);
+    let mut other_a = WorkloadSpec::random(&table_a, 8, 13).generate(&table_a);
+    let mut other_b = WorkloadSpec::random(&table_b, 8, 14).generate(&table_b);
+    other_a[0] = Query::all();
+    other_b[0] = Query::all();
+    let constrained = |table: &Table, queries: &[Query]| -> Vec<Vec<bool>> {
+        let full = |c: usize, iv: (u32, u32)| iv == (0, table.column(c).ndv() as u32);
+        let intervals = queries.iter().map(|q| q.column_intervals(table));
+        intervals.map(|iv| iv.iter().enumerate().map(|(c, &iv)| !full(c, iv)).collect()).collect()
+    };
+    assert_ne!(constrained(&table_a, &queries_a), constrained(&table_a, &other_a));
+    assert_ne!(constrained(&table_b, &queries_b), constrained(&table_b, &other_b));
 
     let mut harness = RouterHarness::new(
         vec![("alpha".into(), est_a), ("beta".into(), est_b)],
@@ -184,17 +200,22 @@ fn routed_multi_table_phase() {
         },
     );
 
-    // One fixed request set, interleaving the two tables; outcomes are
-    // discarded (no channels, no ticket log) so the loop can recycle the
+    // Two fixed request sets, each interleaving the two tables; outcomes
+    // are discarded (no channels, no ticket log) so the loop can recycle the
     // requests — their encodings included — indefinitely.
-    let mut stash: Vec<PreparedRequest> = Vec::new();
+    let (mut stash, mut other): (Vec<PreparedRequest>, Vec<PreparedRequest>) = (vec![], vec![]);
     for i in 0..8 {
         stash.push(harness.prepare(0, &queries_a[i], None));
         stash.push(harness.prepare(1, &queries_b[i], None));
+        other.push(harness.prepare(0, &other_a[i], None));
+        other.push(harness.prepare(1, &other_b[i], None));
     }
     let mut returned: Vec<PreparedRequest> = Vec::with_capacity(stash.len());
 
-    let mut round = |stash: &mut Vec<PreparedRequest>, returned: &mut Vec<PreparedRequest>| {
+    // One round serves one set; the sets trade places after every round.
+    let mut round = |stash: &mut Vec<PreparedRequest>,
+                     other: &mut Vec<PreparedRequest>,
+                     returned: &mut Vec<PreparedRequest>| {
         for request in stash.drain(..) {
             harness.submit_prepared(request).unwrap_or_else(|_| panic!("queue overflow"));
         }
@@ -202,25 +223,26 @@ fn routed_multi_table_phase() {
             harness.turn(Some(returned));
         }
         std::mem::swap(stash, returned);
+        std::mem::swap(stash, other);
     };
 
     // Warm-up: queues, batch containers, and both tables' workspaces grow
-    // to their steady-state shapes.
+    // to their steady-state shapes, one round per request set.
     for _ in 0..2 {
-        round(&mut stash, &mut returned);
+        round(&mut stash, &mut other, &mut returned);
     }
 
     let (allocs_before, frees_before) =
         (ALLOCS.load(Ordering::Relaxed), FREES.load(Ordering::Relaxed));
     for _ in 0..10 {
-        round(&mut stash, &mut returned);
+        round(&mut stash, &mut other, &mut returned);
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
     let frees = FREES.load(Ordering::Relaxed) - frees_before;
 
     assert_eq!(allocs, 0, "steady-state routed multi-table serving must not allocate");
     assert_eq!(frees, 0, "steady-state routed multi-table serving must not free");
-    assert_eq!(stash.len(), 16, "all requests recycled each round");
+    assert_eq!(stash.len() + other.len(), 32, "all requests recycled each round");
     let snapshot = harness.metrics_snapshot();
     assert_eq!(snapshot.shed_overload + snapshot.shed_deadline, 0);
     assert!(snapshot.batches >= 24, "12 rounds x 2 tables of batches, got {}", snapshot.batches);
