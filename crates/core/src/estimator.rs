@@ -201,11 +201,9 @@ impl DuetEstimator {
     /// This is the serving hot path: a `duet-serve` shard worker owns one
     /// workspace per table for its whole lifetime (see
     /// [`crate::WorkspacePool`]), so steady-state batched estimation performs
-    /// zero heap allocation — including above the kernels' parallelism
-    /// threshold, where the forward pass fans out over the process-wide
-    /// persistent [`duet_nn::ComputePool`] shared by every caller (trainer,
-    /// shard workers, benches). Results do not depend on the batch a query
-    /// arrives in, whatever kernel or parallelism the dispatch picks.
+    /// zero heap allocation at any batch size. The whole forward pass runs
+    /// on the calling thread. Results do not depend on the batch a query
+    /// arrives in, whatever kernel the dispatch picks.
     ///
     /// Generic over the row/interval holders (anything that derefs to the
     /// per-row slices), so a serving queue's own request structs can feed the

@@ -19,16 +19,17 @@
 //!   autoregressive masking that zeroes roughly half of every MADE weight
 //!   matrix removes that fraction of the inner-loop work outright, and the
 //!   packing cost itself is paid once per weight version instead of once
-//!   per call;
-//! * above the parallelism threshold the row blocks are fanned out over the
-//!   persistent [`crate::pool::ComputePool`] (packing happens once, on the
-//!   submitting thread, and is shared read-only by all workers).
+//!   per call.
+//!
+//! Every kernel runs its whole product on the calling thread: parallelism
+//! comes from the callers (one serving thread per shard), not from
+//! splitting one product across cores.
 //!
 //! # Runtime tile selection
 //!
 //! The micro-kernel is generic over its `MR x NR` tile, and the tile is
 //! picked **at runtime** from the CPU ([`Tile`], selected once via
-//! `is_x86_feature_detected!` when the compute pool initializes):
+//! `is_x86_feature_detected!` on the first kernel call):
 //!
 //! * [`Tile::Sse4x8`] — the baseline `4 x 8` tile sized for the 16-register
 //!   SSE2 file (8 accumulator registers plus the strip and broadcast);
@@ -76,7 +77,6 @@
 #![allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 
 use crate::activation::Activation;
-use crate::pool;
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -102,10 +102,6 @@ const MIN_BLOCK_ROWS: usize = 8;
 /// the inner tile shape does).
 const MIN_PANEL_COLS: usize = 8;
 
-/// Minimum number of multiply-accumulate operations before a kernel is worth
-/// fanning out over the compute pool.
-pub(crate) const PAR_THRESHOLD: usize = 1 << 22;
-
 /// Fraction of exact zeros in the left operand above which the naive
 /// kernel's row-skip beats the dense blocked kernel (measured on the
 /// serving shapes; see `docs/PERFORMANCE.md`). The sparse-capture first
@@ -113,12 +109,6 @@ pub(crate) const PAR_THRESHOLD: usize = 1 << 22;
 /// batch runs the CSR kernel or the register-blocked kernel flips at exactly
 /// the density where the dense dispatch itself would change paths.
 pub(crate) const SPARSE_DISPATCH_THRESHOLD: f64 = 0.4;
-
-/// Minimum packed elements before panel packing fans out over the compute
-/// pool. Packing is pure data movement, so the bar is far lower than the
-/// multiply-accumulate threshold [`PAR_THRESHOLD`] — but still high enough
-/// that the park/wake round trip never dominates a small pack.
-const PACK_PAR_THRESHOLD: usize = 1 << 18;
 
 /// How many `NR`-wide strips ahead of the accumulation loop the micro-kernel
 /// issues a software prefetch. One strip is at most 64 bytes (a cache line),
@@ -128,12 +118,11 @@ const PREFETCH_STRIPS: usize = 8;
 
 /// The register-tile variant the blocked kernels run with.
 ///
-/// Selected once per process from the CPU (see [`native_tile`]) — eagerly at
-/// [`crate::pool::ComputePool`] construction — and overridable per thread
-/// for tests via [`with_tile`]. Both variants are plain safe Rust with
-/// identical accumulation order; the AVX2 variant additionally carries a
-/// `#[target_feature(enable = "avx2")]` instantiation used when (and only
-/// when) the CPU supports it.
+/// Selected once per process from the CPU (see [`native_tile`]) and
+/// overridable per thread for tests via [`with_tile`]. Both variants are
+/// plain safe Rust with identical accumulation order; the AVX2 variant
+/// additionally carries a `#[target_feature(enable = "avx2")]`
+/// instantiation used when (and only when) the CPU supports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tile {
     /// `4 x 8` — sized for the 16-register SSE2 baseline file.
@@ -162,9 +151,6 @@ impl Tile {
 }
 
 /// The tile variant matching this machine, detected once per process.
-///
-/// [`crate::pool::ComputePool`] forces the detection at pool init, so the
-/// first hot-path kernel call never pays for it.
 pub fn native_tile() -> Tile {
     static TILE: OnceLock<Tile> = OnceLock::new();
     *TILE.get_or_init(|| {
@@ -247,58 +233,20 @@ struct Scratch {
     b: Vec<f32>,
 }
 
-/// Fan per-panel packing work out over the current compute pool, or run it
-/// serially below [`PACK_PAR_THRESHOLD`]. Each panel owns the disjoint
-/// contiguous region `jp * panel_len..(jp + 1) * panel_len` of `packed`, so
-/// the parallel and serial schedules write byte-identical results — packing
-/// is pure data movement and carries no bit-identity risk.
-fn fan_out_panels<F>(panels: usize, panel_len: usize, packed: &mut [f32], pack_panel: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    pool::with_current(|pool| {
-        let threads = pool.parallelism();
-        if panels < 2 || threads <= 1 || panels * panel_len < PACK_PAR_THRESHOLD {
-            for jp in 0..panels {
-                pack_panel(jp, &mut packed[jp * panel_len..(jp + 1) * panel_len]);
-            }
-            return;
-        }
-        let chunks = threads.min(panels);
-        let panels_per_chunk = panels.div_ceil(chunks);
-        let num_chunks = panels.div_ceil(panels_per_chunk);
-        let base = SendPtr(packed.as_mut_ptr());
-        let task = |chunk: usize| {
-            let start = chunk * panels_per_chunk;
-            let end = (start + panels_per_chunk).min(panels);
-            for jp in start..end {
-                // SAFETY: panels are disjoint contiguous regions of
-                // `packed`, which outlives the pool job (`run` blocks until
-                // completion).
-                let dst = unsafe {
-                    std::slice::from_raw_parts_mut(base.get().add(jp * panel_len), panel_len)
-                };
-                pack_panel(jp, dst);
-            }
-        };
-        pool.run(num_chunks, &task);
-    });
-}
-
 /// Pack `b` (`k x n`, row-major) into `n.div_ceil(nr)` panels of `k x nr`,
-/// zero-padding the last panel's missing columns. Panels fan out over the
-/// compute pool when the pack is large (see [`fan_out_panels`]).
+/// zero-padding the last panel's missing columns.
 fn pack_b_panels(b: &[f32], k: usize, n: usize, nr: usize, packed: &mut Vec<f32>) {
     let panels = n.div_ceil(nr);
     packed.clear();
     packed.resize(panels * k * nr, 0.0);
-    fan_out_panels(panels, k * nr, packed, |jp, dst| {
+    for jp in 0..panels {
+        let dst = &mut packed[jp * k * nr..(jp + 1) * k * nr];
         let col0 = jp * nr;
         let vis = nr.min(n - col0);
         for p in 0..k {
             dst[p * nr..p * nr + vis].copy_from_slice(&b[p * n + col0..p * n + col0 + vis]);
         }
-    });
+    }
 }
 
 /// Pack `bt` (`n x k`, row-major — i.e. the transpose of the logical `k x n`
@@ -307,7 +255,8 @@ fn pack_bt_panels(bt: &[f32], k: usize, n: usize, nr: usize, packed: &mut Vec<f3
     let panels = n.div_ceil(nr);
     packed.clear();
     packed.resize(panels * k * nr, 0.0);
-    fan_out_panels(panels, k * nr, packed, |jp, dst| {
+    for jp in 0..panels {
+        let dst = &mut packed[jp * k * nr..(jp + 1) * k * nr];
         let col0 = jp * nr;
         let vis = nr.min(n - col0);
         for (lane, row) in bt[col0 * k..(col0 + vis) * k].chunks_exact(k).enumerate() {
@@ -315,7 +264,7 @@ fn pack_bt_panels(bt: &[f32], k: usize, n: usize, nr: usize, packed: &mut Vec<f3
                 dst[p * nr + lane] = v;
             }
         }
-    });
+    }
 }
 
 /// Transpose `a` (`k x m`, row-major) into `out` (`m x k`, row-major).
@@ -742,59 +691,6 @@ fn run_rows_packed(
     }
 }
 
-/// A raw output pointer smuggled into a pool task; chunks write disjoint
-/// row ranges, so concurrent access never aliases.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-// SAFETY: the pointee outlives the pool job (`ComputePool::run` blocks until
-// every chunk finishes) and chunks write disjoint ranges of it.
-unsafe impl Send for SendPtr {}
-// SAFETY: `&SendPtr` only yields copies of the pointer; same argument.
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Taking `self` (not the field) keeps closures capturing the whole
-    /// `Sync` wrapper rather than the raw pointer inside it.
-    fn get(self) -> *mut f32 {
-        self.0
-    }
-}
-
-/// Fan `run_rows(range, out_rows)` out over the current compute pool in
-/// `MR`-aligned row chunks, or run it serially below the work threshold.
-/// Shared by the blocked kernels here and the naive kernels in
-/// [`crate::tensor`]. Chunk boundaries are aligned to the baseline `MR`
-/// purely as a sizing heuristic — per-row results never depend on chunk
-/// boundaries (a taller tile simply handles boundary rows in its per-row
-/// tail), so alignment is not load-bearing for bit-identity.
-pub(crate) fn fan_out_rows<F>(m: usize, n: usize, total_work: usize, out: &mut [f32], run_rows: F)
-where
-    F: Fn(Range<usize>, &mut [f32]) + Sync,
-{
-    pool::with_current(|pool| {
-        let threads = pool.parallelism();
-        if total_work < PAR_THRESHOLD || threads <= 1 || m < 2 * MR {
-            run_rows(0..m, out);
-            return;
-        }
-        let chunks = threads.min(m.div_ceil(MR));
-        let rows_per_chunk = m.div_ceil(chunks).next_multiple_of(MR);
-        let num_chunks = m.div_ceil(rows_per_chunk);
-        let base = SendPtr(out.as_mut_ptr());
-        let task = |chunk: usize| {
-            let start = chunk * rows_per_chunk;
-            let end = (start + rows_per_chunk).min(m);
-            // SAFETY: chunks cover disjoint row ranges of `out`, which
-            // outlives the pool job (`run` blocks until completion).
-            let out_rows = unsafe {
-                std::slice::from_raw_parts_mut(base.get().add(start * n), (end - start) * n)
-            };
-            run_rows(start..end, out_rows);
-        };
-        pool.run(num_chunks, &task);
-    });
-}
-
 /// Blocked fused `out = act(a @ b + bias)` for `a: m x k`, `b: k x n`
 /// (both row-major, `out` pre-sized to `m x n`). Packs `b` into per-thread
 /// scratch on every call; for cached operands use [`addmm_packed`].
@@ -817,10 +713,7 @@ pub fn addmm_blocked(
     SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
         pack_b_panels(b, k, n, tile.nr(), &mut scratch.b);
-        let packed = &scratch.b;
-        fan_out_rows(m, n, m * k * n, out, |rows, out_rows| {
-            run_rows_blocked(tile, a, k, packed, n, bias, act, rows, out_rows)
-        });
+        run_rows_blocked(tile, a, k, &scratch.b, n, bias, act, 0..m, out);
     });
 }
 
@@ -856,13 +749,8 @@ pub fn addmm_packed(
     if width == 0 {
         return;
     }
-    let nr = packed.tile.nr();
-    let strips = packed.strips[cols.end.div_ceil(nr)] - packed.strips[cols.start / nr];
-    let total_work = m.saturating_mul(strips).saturating_mul(nr);
     let bias = bias.map(|b| &b[cols.clone()]);
-    fan_out_rows(m, width, total_work, out, |rows, out_rows| {
-        run_rows_packed(a, k, packed, cols.clone(), bias, act, rows, out_rows)
-    });
+    run_rows_packed(a, k, packed, cols, bias, act, 0..m, out);
 }
 
 /// Blocked `out = a @ bt^T` for `a: m x k`, `bt: n x k` (row-major; the
@@ -877,10 +765,7 @@ pub fn matmul_nt_blocked(a: &[f32], m: usize, k: usize, bt: &[f32], n: usize, ou
     SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
         pack_bt_panels(bt, k, n, tile.nr(), &mut scratch.b);
-        let packed = &scratch.b;
-        fan_out_rows(m, n, m * k * n, out, |rows, out_rows| {
-            run_rows_blocked(tile, a, k, packed, n, None, Activation::Identity, rows, out_rows)
-        });
+        run_rows_blocked(tile, a, k, &scratch.b, n, None, Activation::Identity, 0..m, out);
     });
 }
 
@@ -898,20 +783,7 @@ pub fn matmul_tn_blocked(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, out
         let Scratch { a: packed_a, b: packed_b } = &mut *scratch;
         pack_a_transposed(a, k, m, packed_a);
         pack_b_panels(b, k, n, tile.nr(), packed_b);
-        let (packed_a, packed_b) = (&*packed_a, &*packed_b);
-        fan_out_rows(m, n, m * k * n, out, |rows, out_rows| {
-            run_rows_blocked(
-                tile,
-                packed_a,
-                k,
-                packed_b,
-                n,
-                None,
-                Activation::Identity,
-                rows,
-                out_rows,
-            )
-        });
+        run_rows_blocked(tile, packed_a, k, packed_b, n, None, Activation::Identity, 0..m, out);
     });
 }
 
@@ -992,11 +864,6 @@ impl SparseRows {
         self.cols
     }
 
-    /// Number of captured nonzero entries.
-    pub fn nnz(&self) -> usize {
-        self.val.len()
-    }
-
     /// Fraction of entries that are nonzero (an empty capture counts as
     /// dense, mirroring [`mostly_dense`] on an empty slice).
     pub fn density(&self) -> f64 {
@@ -1027,9 +894,7 @@ impl SparseRows {
 /// pre-sized to `m x n`). Each output row accumulates exactly its input
 /// row's nonzero terms in ascending-`k` order — the identical element-wise
 /// sequence to the naive zero-skipping kernel, and therefore (for finite
-/// inputs) bit-identical to every dense path. Rows fan out over the compute
-/// pool above the usual work threshold, with the work estimate scaled by the
-/// capture's actual nonzero count.
+/// inputs) bit-identical to every dense path.
 pub fn addmm_sparse(
     a: &SparseRows,
     b: &[f32],
@@ -1041,25 +906,22 @@ pub fn addmm_sparse(
     let (m, k) = (a.rows(), a.cols());
     assert_eq!(b.len(), k * n, "sparse addmm operand shape mismatch");
     assert_eq!(out.len(), m * n, "sparse addmm output shape mismatch");
-    let total_work = a.nnz().saturating_mul(n);
-    fan_out_rows(m, n, total_work, out, |rows, out_rows| {
-        for (i, out_row) in rows.clone().zip(out_rows.chunks_exact_mut(n)) {
-            out_row.fill(0.0);
-            let (idx, val) = a.row(i);
-            for (&j, &v) in idx.iter().zip(val.iter()) {
-                let brow = &b[j as usize * n..(j as usize + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(brow.iter()) {
-                    *o += v * bv;
-                }
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        out_row.fill(0.0);
+        let (idx, val) = a.row(i);
+        for (&j, &v) in idx.iter().zip(val.iter()) {
+            let brow = &b[j as usize * n..(j as usize + 1) * n];
+            for (o, &bv) in out_row.iter_mut().zip(brow.iter()) {
+                *o += v * bv;
             }
-            if let Some(bias) = bias {
-                for (o, &bv) in out_row.iter_mut().zip(bias.iter()) {
-                    *o += bv;
-                }
-            }
-            act.apply(out_row);
         }
-    });
+        if let Some(bias) = bias {
+            for (o, &bv) in out_row.iter_mut().zip(bias.iter()) {
+                *o += bv;
+            }
+        }
+        act.apply(out_row);
+    }
 }
 
 /// `out = a^T @ b` where `a` is a sparse capture over `t` rows (`t x m` in

@@ -7,8 +7,8 @@
 //!
 //! * dense `f32` matrices with shape-dispatched matmul kernels — naive
 //!   loops for small/single-row products, blocked panel-packed kernels for
-//!   batches ([`tensor::Matrix`], [`kernels`]) — parallelized over a
-//!   persistent parked-thread worker pool ([`pool::ComputePool`]),
+//!   batches ([`tensor::Matrix`], [`kernels`]) — each product runs whole on
+//!   its caller's thread,
 //! * fully connected and mask-constrained layers ([`linear`]),
 //! * MADE / ResMADE construction with per-column block masking ([`made`]),
 //! * a plain MLP used by MSCN and the MPSN predicate embedder ([`mlp`]),
@@ -33,7 +33,6 @@ pub mod math;
 pub mod mlp;
 pub mod optim;
 pub mod param;
-pub mod pool;
 pub mod serialize;
 pub mod tensor;
 pub mod workspace;
@@ -54,7 +53,6 @@ pub use math::{
 pub use mlp::Mlp;
 pub use optim::{Adam, GradClip};
 pub use param::{InferLayer, Param, Params, WeightKey};
-pub use pool::{with_pool, ComputePool};
 pub use serialize::{load_params, save_params, CheckpointError};
 pub use tensor::{rowvec_matmul_into, Matrix};
 pub use workspace::{ForwardWorkspace, MaskedWeightCache, TrainWorkspace};

@@ -5,10 +5,8 @@
 //! The performance-sensitive kernels are the matmul family, which dispatches
 //! by shape: small or single-row products run a naive `i-k-j` loop whose
 //! inner loop streams through contiguous memory; batch-sized products run
-//! the blocked, panel-packed kernels of [`crate::kernels`]; and once the
-//! work is large enough, row blocks are fanned out over the persistent
-//! [`crate::pool::ComputePool`] (no per-call thread spawning, no
-//! allocation).
+//! the blocked, panel-packed kernels of [`crate::kernels`]. Either way the
+//! whole product runs on the calling thread.
 //!
 //! Every kernel writes into a caller-provided output matrix
 //! ([`Matrix::matmul_into`], [`Matrix::matmul_nt_into`],
@@ -354,29 +352,26 @@ impl Matrix {
             return;
         }
         let bias = bias.map(|bias| &bias[cols.clone()]);
-        let run_rows = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
-            for (local_i, i) in rows.enumerate() {
-                let arow = &a[i * k..(i + 1) * k];
-                let crow = &mut out_chunk[local_i * width..(local_i + 1) * width];
-                crow.fill(0.0);
-                for (p, &av) in arow.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[p * n + cols.start..p * n + cols.end];
-                    for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                        *cv += av * bv;
-                    }
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            let crow = &mut out[i * width..(i + 1) * width];
+            crow.fill(0.0);
+            for (p, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
                 }
-                if let Some(bias) = bias {
-                    for (cv, &bv) in crow.iter_mut().zip(bias.iter()) {
-                        *cv += bv;
-                    }
+                let brow = &b[p * n + cols.start..p * n + cols.end];
+                for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
+                    *cv += av * bv;
                 }
-                act.apply(crow);
             }
-        };
-        parallel_rows(m, k * width, out, width, run_rows);
+            if let Some(bias) = bias {
+                for (cv, &bv) in crow.iter_mut().zip(bias.iter()) {
+                    *cv += bv;
+                }
+            }
+            act.apply(crow);
+        }
     }
 
     /// `self @ other^T` — `(m x k) @ (n x k)^T -> (m x n)` — into a
@@ -399,21 +394,18 @@ impl Matrix {
             kernels::matmul_nt_blocked(a, m, k, b, n, &mut out.data);
             return;
         }
-        let run_rows = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
-            for (local_i, i) in rows.enumerate() {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out_chunk[local_i * n..(local_i + 1) * n];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    let brow = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (x, y) in arow.iter().zip(brow.iter()) {
-                        acc += x * y;
-                    }
-                    *o = acc;
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            let orow = &mut out.data[i * n..(i + 1) * n];
+            for (j, o) in orow.iter_mut().enumerate() {
+                let brow = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (x, y) in arow.iter().zip(brow.iter()) {
+                    acc += x * y;
                 }
+                *o = acc;
             }
-        };
-        parallel_rows(m, k * n, &mut out.data, n, run_rows);
+        }
     }
 
     /// `self^T @ other` — `(k x m)^T @ (k x n) -> (m x n)` — into a
@@ -543,19 +535,6 @@ pub fn rowvec_matmul_into(x: &[f32], b: &Matrix, out: &mut [f32]) {
             *o += av * bv;
         }
     }
-}
-
-/// Split `m` output rows across the current [`crate::pool::ComputePool`]
-/// when the total work (`m * work_per_row`) is large enough; otherwise run
-/// serially. Delegates to the fan-out helper shared with the blocked
-/// kernels — the pool's threads are persistent and parked, so unlike the
-/// `std::thread::scope` this replaced, crossing the parallelism threshold
-/// costs neither thread start-up nor heap allocation.
-fn parallel_rows<F>(m: usize, work_per_row: usize, out: &mut [f32], n: usize, run_rows: F)
-where
-    F: Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
-{
-    kernels::fan_out_rows(m, n, m.saturating_mul(work_per_row), out, run_rows);
 }
 
 #[cfg(test)]

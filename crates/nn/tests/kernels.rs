@@ -316,53 +316,3 @@ fn sparse_capture_matches_dense_on_onehot_batches() {
         }
     }
 }
-
-/// The pooled (parallel) path splits rows across worker threads and must
-/// still be bit-identical to the serial run — chunk boundaries never change
-/// per-row results.
-#[test]
-fn pooled_kernels_match_serial_bitwise() {
-    let pool = duet_nn::ComputePool::new(3);
-    let mut rng = duet_nn::seeded_rng(0x9001);
-    // Big enough to cross PAR_THRESHOLD (m * k * n >= 2^22).
-    let (m, k, n) = (210, 150, 150);
-    let a = matrix_with_zeros(m, k, &mut rng);
-    let b = matrix_with_zeros(k, n, &mut rng);
-    let matmul = || {
-        let mut out = Matrix::default();
-        a.matmul_into(&b, &mut out);
-        out
-    };
-    let serial = matmul();
-    let before = pool.dispatched_jobs();
-    let pooled = duet_nn::with_pool(&pool, matmul);
-    assert!(pool.dispatched_jobs() > before, "the pooled path must actually dispatch");
-    assert_bit_identical(&pooled, &serial, "pooled matmul");
-
-    let mut packed = PackedWeight::new();
-    packed.fill_from(b.as_slice(), k, n);
-    let mut serial_packed = Matrix::zeros(m, n);
-    addmm_packed(
-        a.as_slice(),
-        m,
-        &packed,
-        0..n,
-        None,
-        Activation::Identity,
-        serial_packed.as_mut_slice(),
-    );
-    let mut pooled_packed = Matrix::zeros(m, n);
-    duet_nn::with_pool(&pool, || {
-        addmm_packed(
-            a.as_slice(),
-            m,
-            &packed,
-            0..n,
-            None,
-            Activation::Identity,
-            pooled_packed.as_mut_slice(),
-        );
-    });
-    assert_bit_identical(&pooled_packed, &serial_packed, "pooled packed");
-    assert_bit_identical(&serial_packed, &serial, "packed vs dense");
-}

@@ -13,11 +13,8 @@
 //! performs **zero heap allocation of its own** (asserted by
 //! `tests/zero_alloc.rs`); the only allocations on the serving path are the
 //! per-request encodings the clients hand in (and their eventual frees).
-//! Batches large enough to parallelize fan out over the process-wide
-//! persistent compute pool (`duet_nn::pool::ComputePool`), which all shard
-//! workers share: its parked threads are woken per job (no spawning), and a
-//! worker that finds the pool busy simply runs its kernel inline — results
-//! are identical either way.
+//! Each batch's forward pass runs entirely on the worker's own thread: the
+//! shards are the serving path's only source of parallelism.
 //!
 //! The scheduling policy is two constants, not settings: a batch holds at
 //! most `MAX_BATCH` (64) requests and forms without waiting for stragglers,

@@ -121,7 +121,7 @@ impl Default for OnlineConfig {
 /// trained against (the *baseline*) and compares live statistics against it
 /// on every [`DriftMonitor::check`]. Checking is allocation-free, so the
 /// detector can tick inside the serving hot loop (see `tests/zero_alloc.rs`
-/// phase nine).
+/// phase eight).
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
     baseline: Vec<ColumnStats>,

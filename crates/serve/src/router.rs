@@ -258,6 +258,9 @@ struct ShardState {
     /// reinstated at the queue front; reused so the hot loop never
     /// allocates.
     scratch: Vec<RoutedRequest>,
+    /// Set when the worker reported [`Popped::Closed`] and left: nothing
+    /// pops this queue again, so a later push would never be answered.
+    drained: bool,
 }
 
 /// One worker shard: a bounded FIFO of routed requests plus the signalling
@@ -283,14 +286,19 @@ pub(crate) enum Popped {
 impl Shard {
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
-            state: Mutex::new(ShardState { queue: VecDeque::new(), scratch: Vec::new() }),
+            state: Mutex::new(ShardState {
+                queue: VecDeque::new(),
+                scratch: Vec::new(),
+                drained: false,
+            }),
             available: Condvar::new(),
             capacity,
             closed: AtomicBool::new(false),
         }
     }
 
-    /// Admit a request, or reject it if the queue is at capacity.
+    /// Admit a request, or reject it if the queue is at capacity or its
+    /// worker has drained the queue and exited.
     ///
     /// Returns the queue depth after the push; on rejection the request is
     /// handed back so the caller can fail it without losing the reply
@@ -300,7 +308,7 @@ impl Shard {
     #[allow(clippy::result_large_err)]
     pub(crate) fn try_push(&self, request: RoutedRequest) -> Result<usize, RoutedRequest> {
         let mut state = self.state.lock().expect("shard poisoned");
-        if state.queue.len() >= self.capacity {
+        if state.queue.len() >= self.capacity || state.drained {
             return Err(request);
         }
         state.queue.push_back(request);
@@ -360,7 +368,8 @@ impl Shard {
     /// work on other shards; with `None` it parks indefinitely.
     ///
     /// After [`Shard::close`], keeps returning batches until the queue is
-    /// empty (graceful drain), then reports [`Popped::Closed`].
+    /// empty (graceful drain), then reports [`Popped::Closed`] and refuses
+    /// every later push.
     pub(crate) fn pop_batch_blocking(
         &self,
         max_batch: usize,
@@ -371,6 +380,7 @@ impl Shard {
         let mut state = self.state.lock().expect("shard poisoned");
         while state.queue.is_empty() {
             if self.closed.load(Ordering::Acquire) {
+                state.drained = true;
                 return Popped::Closed;
             }
             match idle_park {

@@ -77,8 +77,10 @@ pub enum ServeError {
     UnknownTable(String),
     /// The table's worker shard is gone (server shutting down).
     WorkerUnavailable(String),
-    /// The table's shard queue was at capacity: the request was shed at
-    /// admission instead of queued. Retry later or against another replica.
+    /// The table's shard queue was at capacity, or its worker had already
+    /// drained it and stopped (the server shut down): the request was shed
+    /// at admission instead of queued. Retry later or against another
+    /// replica.
     Overloaded {
         /// Table the request addressed.
         table: String,
@@ -345,9 +347,11 @@ impl DuetServer {
         }
     }
 
-    /// Map one worker reply onto the public error surface.
+    /// Map one worker reply for `table` (routed through `handle`) onto the
+    /// public error surface.
     fn resolve_reply(
         table: &str,
+        handle: &TableHandle,
         received: Result<Result<f64, ShedReason>, mpsc::RecvError>,
     ) -> Result<f64, ServeError> {
         match received {
@@ -361,9 +365,11 @@ impl DuetServer {
             // QueueFull reaches a reply channel only when an evicted model's
             // reload failed mid-batch (the worker sheds on the retryable
             // overload path); at admission it is raised synchronously.
-            Ok(Err(ShedReason::QueueFull)) => {
-                Err(ServeError::Overloaded { table: table.to_string(), shard: 0, depth: 0 })
-            }
+            Ok(Err(ShedReason::QueueFull)) => Err(ServeError::Overloaded {
+                table: table.to_string(),
+                shard: handle.shard,
+                depth: 0,
+            }),
             Ok(Err(ShedReason::WorkerPanicked)) => Err(ServeError::Internal(table.to_string())),
             Err(_) => Err(ServeError::WorkerUnavailable(table.to_string())),
         }
@@ -388,7 +394,7 @@ impl DuetServer {
             .map_err(|_| ServeError::ModelUnavailable(table.to_string()))?;
         let value = match self.submit(table, &handle, generation, &estimator, query)? {
             Submitted::Cached(value) => value,
-            Submitted::Pending(reply_rx) => Self::resolve_reply(table, reply_rx.recv())?,
+            Submitted::Pending(reply_rx) => Self::resolve_reply(table, &handle, reply_rx.recv())?,
         };
         self.metrics.record_request(started.elapsed());
         Ok(value)
@@ -421,7 +427,7 @@ impl DuetServer {
             }
         }
         for (i, submitted, reply_rx) in pending {
-            results[i] = Self::resolve_reply(table, reply_rx.recv())?;
+            results[i] = Self::resolve_reply(table, &handle, reply_rx.recv())?;
             self.metrics.record_request(submitted.elapsed());
         }
         Ok(results)
@@ -713,5 +719,32 @@ impl Drop for DuetServer {
         for worker in workers {
             let _ = worker.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use duet_core::{DuetConfig, DuetModel};
+    use duet_data::datasets::census_like;
+
+    /// A batch shed mid-flight (an evicted model's reload failed) reports
+    /// the shard its table actually lives on.
+    #[test]
+    fn a_mid_batch_overload_names_the_tables_own_shard() {
+        let server = DuetServer::new(ServeConfig {
+            router: RouterConfig { num_shards: 4, ..RouterConfig::default() },
+            ..ServeConfig::default()
+        });
+        let table = (0..).map(|i| format!("t{i}")).find(|t| server.shard_of(t) != 0).unwrap();
+        let data = census_like(50, 1);
+        let model = DuetModel::new(&data, &DuetConfig::small(), 1);
+        server.register(table.as_str(), DuetEstimator::from_model(model, &data, "census"));
+
+        let handle = server.handle(&table).unwrap();
+        let reply = DuetServer::resolve_reply(&table, &handle, Ok(Err(ShedReason::QueueFull)));
+        let shard = server.shard_of(&table);
+        assert_ne!(shard, 0);
+        assert_eq!(reply, Err(ServeError::Overloaded { table, shard, depth: 0 }));
     }
 }

@@ -569,11 +569,14 @@ fn graceful_shutdown_answers_every_in_flight_request() {
                             Err(e) => {
                                 // Typed shutdown-era errors are fine; the
                                 // call just must not hang or panic.
-                                let _ = matches!(
-                                    e,
-                                    ServeError::Overloaded { .. }
-                                        | ServeError::DeadlineExceeded { .. }
-                                        | ServeError::Internal(_)
+                                assert!(
+                                    matches!(
+                                        e,
+                                        ServeError::Overloaded { .. }
+                                            | ServeError::DeadlineExceeded { .. }
+                                            | ServeError::Internal(_)
+                                    ),
+                                    "unexpected shutdown-era error {e:?}"
                                 );
                             }
                         }
@@ -595,6 +598,11 @@ fn graceful_shutdown_answers_every_in_flight_request() {
         let terminal = thread.join().expect("client threads never panic");
         assert_eq!(terminal, expected_calls, "every estimate call returned a terminal result");
     }
+    // A cache miss after the drain is refused at admission rather than
+    // queued for a worker that has already left.
+    let fresh = WorkloadSpec::random(&table, 1, 79).generate(&table).remove(0);
+    let late = server.estimate("census", &fresh);
+    assert!(matches!(late, Err(ServeError::Overloaded { .. })), "got {late:?}");
     // Shutdown is idempotent.
     assert!(server.shutdown(Duration::from_secs(1)));
 }

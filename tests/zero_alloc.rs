@@ -3,19 +3,13 @@
 //! measured after warm-up — the steady-state serving hot loop must perform
 //! **zero** heap allocations (and zero frees).
 //!
-//! Eleven phases: the raw batched estimation path (full and shrinking
-//! batches), the **routed multi-table hot loop** — admission into a
-//! bounded shard queue, same-table batch formation at dequeue, deadline
-//! triage, and per-table-workspace batch execution across two
-//! differently-shaped tables, driven through the deterministic harness with
-//! two fixed request sets that constrain different columns, alternated and
-//! recycled through the router — the
-//! **pooled large-batch path**: a batch big enough to cross the kernels'
-//! parallelism threshold, so the forward pass fans row blocks out over a
-//! `duet_nn::ComputePool` (the pool's parked workers are woken per job with
-//! no allocation anywhere on the submit/execute/wait path; this is exactly
-//! what the pool replaced `std::thread::scope` for — scoped spawning
-//! allocated on every large matmul) — the **steady-state training
+//! Ten phases: the raw batched estimation path (full batches of 32 and
+//! 1 024 rows, and shrinking batches), the **routed multi-table hot loop** —
+//! admission into a bounded shard queue, same-table batch formation at
+//! dequeue, deadline triage, and per-table-workspace batch execution across
+//! two differently-shaped tables, driven through the deterministic harness
+//! with two fixed request sets that constrain different columns, alternated
+//! and recycled through the router — the **steady-state training
 //! forward**: `zero_grad` + the data-driven forward (encode, checkpointing
 //! backbone forward, grouped cross-entropy gradient staging) + the
 //! supervised Q-Error forward (per-column softmax into flat staging), for
@@ -58,7 +52,7 @@ use duet::core::{
 use duet::data::datasets::census_like;
 use duet::data::table_stats;
 use duet::data::Table;
-use duet::nn::{seeded_rng, with_pool, Adam, ComputePool};
+use duet::nn::{seeded_rng, Adam};
 use duet::query::{exact_cardinality, Query, WorkloadSpec};
 use duet::serve::sim::{HarnessConfig, PreparedRequest, RouterHarness, WireSim};
 use duet::serve::wire::{frame, ConnConfig};
@@ -99,7 +93,6 @@ fn steady_state_batched_inference_is_allocation_free() {
     full_batch_phase();
     shrinking_batch_phase();
     routed_multi_table_phase();
-    pooled_large_batch_phase();
     training_step_phase();
     full_train_step_phase();
     wire_phase();
@@ -113,29 +106,33 @@ fn full_batch_phase() {
     let table = census_like(400, 5);
     let cfg = DuetConfig::small().with_epochs(1);
     let est = DuetEstimator::train_data_only(&table, &cfg, 3);
-    let queries = WorkloadSpec::random(&table, 32, 9).generate(&table);
-    let rows: Vec<_> = queries.iter().map(|q| query_to_id_predicates(est.schema(), q)).collect();
-    let intervals: Vec<_> = queries.iter().map(|q| q.column_intervals(est.schema())).collect();
+    // A serving-sized batch, and one far past the batcher's 64-row cap.
+    for (batch, seed) in [(32, 9), (1024, 17)] {
+        let queries = WorkloadSpec::random(&table, batch, seed).generate(&table);
+        let rows: Vec<_> =
+            queries.iter().map(|q| query_to_id_predicates(est.schema(), q)).collect();
+        let intervals: Vec<_> = queries.iter().map(|q| q.column_intervals(est.schema())).collect();
 
-    let mut ws = DuetWorkspace::new();
-    let mut out = Vec::new();
-    // Warm-up: every workspace buffer grows to the batch shape.
-    for _ in 0..2 {
-        est.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut out);
+        let mut ws = DuetWorkspace::new();
+        let mut out = Vec::new();
+        // Warm-up: every workspace buffer grows to the batch shape.
+        for _ in 0..2 {
+            est.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut out);
+        }
+        let expected = out.clone();
+
+        let (allocs_before, frees_before) =
+            (ALLOCS.load(Ordering::Relaxed), FREES.load(Ordering::Relaxed));
+        for _ in 0..10 {
+            est.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut out);
+        }
+        let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+        let frees = FREES.load(Ordering::Relaxed) - frees_before;
+
+        assert_eq!(allocs, 0, "steady-state batched inference must not allocate ({batch} rows)");
+        assert_eq!(frees, 0, "steady-state batched inference must not free ({batch} rows)");
+        assert_eq!(out, expected, "reused workspace must not change results ({batch} rows)");
     }
-    let expected = out.clone();
-
-    let (allocs_before, frees_before) =
-        (ALLOCS.load(Ordering::Relaxed), FREES.load(Ordering::Relaxed));
-    for _ in 0..10 {
-        est.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut out);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-    let frees = FREES.load(Ordering::Relaxed) - frees_before;
-
-    assert_eq!(allocs, 0, "steady-state batched inference must not allocate");
-    assert_eq!(frees, 0, "steady-state batched inference must not free");
-    assert_eq!(out, expected, "reused workspace must not change results");
 }
 
 fn shrinking_batch_phase() {
@@ -362,7 +359,7 @@ fn full_train_step_phase() {
 }
 
 fn mpsn_train_step_phase() {
-    // The eleventh phase: `full_train_step_phase` again, on models with an
+    // The tenth phase: `full_train_step_phase` again, on models with an
     // MPSN per column and up to three predicates per column. On top of the
     // plain step this runs the backbone's input-gradient matmul, re-stages
     // every multi-predicate column's encodings through the workspace, and
@@ -556,7 +553,7 @@ fn budgeted_tier_phase() {
 }
 
 fn trainer_tick_phase() {
-    // The ninth phase: the online trainer's steady-state tick shares the
+    // The eighth phase: the online trainer's steady-state tick shares the
     // process with the serving hot loop, so its per-tick body must be as
     // allocation-clean as the loop it rides along with. Each measured round
     // interleaves (a) a budgeted routed serving round with a recycled
@@ -640,7 +637,7 @@ fn trainer_tick_phase() {
 }
 
 fn supervised_fault_phase() {
-    // The tenth phase: the supervision wrapper itself. Every batch in the
+    // The ninth phase: the supervision wrapper itself. Every batch in the
     // routed hot loop runs under `catch_unwind` with a fault hook armed on
     // the worker — in steady state the hook is one disarmed atomic check.
     // During warm-up the hook actually fires once: the panic is caught,
@@ -725,46 +722,4 @@ fn supervised_fault_phase() {
         snapshot.panics_caught, snapshot.shard_restarts,
         "every caught panic respawns its worker exactly once"
     );
-}
-
-fn pooled_large_batch_phase() {
-    // A batch large enough that the forward pass crosses the kernels'
-    // parallelism threshold and fans out over the compute pool. A scoped
-    // 2-worker pool (rather than the machine-sized global one) makes the
-    // test exercise the pooled path even on a single-core runner. Pool
-    // threads are spawned at construction — before the measured window —
-    // and each job afterwards is a park/wake cycle with no allocation.
-    let table = census_like(400, 5);
-    let cfg = DuetConfig::small().with_epochs(1);
-    let est = DuetEstimator::train_data_only(&table, &cfg, 7);
-    let queries = WorkloadSpec::random(&table, 1024, 17).generate(&table);
-    let rows: Vec<_> = queries.iter().map(|q| query_to_id_predicates(est.schema(), q)).collect();
-    let intervals: Vec<_> = queries.iter().map(|q| q.column_intervals(est.schema())).collect();
-
-    let pool = ComputePool::new(2);
-    with_pool(&pool, || {
-        let mut ws = DuetWorkspace::new();
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            est.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut out);
-        }
-        let expected = out.clone();
-        let jobs_before = pool.dispatched_jobs();
-
-        let (allocs_before, frees_before) =
-            (ALLOCS.load(Ordering::Relaxed), FREES.load(Ordering::Relaxed));
-        for _ in 0..5 {
-            est.estimate_encoded_batch_with(&rows, &intervals, &mut ws, &mut out);
-        }
-        let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-        let frees = FREES.load(Ordering::Relaxed) - frees_before;
-
-        assert_eq!(allocs, 0, "pooled large-batch inference must not allocate");
-        assert_eq!(frees, 0, "pooled large-batch inference must not free");
-        assert!(
-            pool.dispatched_jobs() > jobs_before,
-            "the batch must be large enough to dispatch kernel jobs to the pool"
-        );
-        assert_eq!(out, expected, "pooled runs must be bit-identical to the warm-up runs");
-    });
 }
