@@ -359,9 +359,10 @@ pub(crate) fn run_shard_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{canonical_key, ShardedCache};
+    use crate::cache::canonical_key;
     use crate::registry::ModelSlot;
     use crate::router::{RouterConfig, SystemClock};
+    use crate::ServeConfig;
     use duet_core::{DuetConfig, DuetEstimator};
     use duet_data::datasets::census_like;
     use duet_query::{Query, WorkloadSpec};
@@ -373,11 +374,15 @@ mod tests {
     }
 
     fn resources_for(estimator: &DuetEstimator, name: &str) -> TableResources {
-        TableResources {
-            name: Arc::from(name),
-            slot: Arc::new(ModelSlot::new(estimator.clone())),
-            cache: Arc::new(ShardedCache::new(0, 1)),
-        }
+        resources_with(estimator, name, ServeConfig { cache_capacity: 0, ..ServeConfig::default() })
+    }
+
+    fn resources_with(
+        estimator: &DuetEstimator,
+        name: &str,
+        config: ServeConfig,
+    ) -> TableResources {
+        TableResources::new(name, Arc::new(ModelSlot::new(estimator.clone())), 0, &config)
     }
 
     /// Build a request against the table's *current registration*: encoded
@@ -526,12 +531,9 @@ mod tests {
         let key = canonical_key(&est, 0, &query);
         let expected = est.estimate_batch(std::slice::from_ref(&query))[0];
 
-        let cache = Arc::new(ShardedCache::new(16, 2));
-        let tables = vec![TableResources {
-            name: Arc::from("census"),
-            slot: Arc::new(ModelSlot::new(est.clone())),
-            cache: cache.clone(),
-        }];
+        let config = ServeConfig { cache_capacity: 16, cache_shards: 2, ..ServeConfig::default() };
+        let tables = vec![resources_with(&est, "census", config)];
+        let cache = tables[0].cache.clone();
         let shard = test_shard(8);
         let (reply, reply_rx) = mpsc::sync_channel(1);
         let mut request = request_for(&tables[0], 0, &query, None, reply);
@@ -569,7 +571,7 @@ mod tests {
         let mut replies = Vec::new();
         for q in &queries {
             let (reply, reply_rx) = mpsc::sync_channel(1);
-            router.try_route(0, request_for(&resources, 0, q, None, reply)).unwrap();
+            router.shard(0).try_push(request_for(&resources, 0, q, None, reply)).unwrap();
             replies.push(reply_rx);
         }
 
@@ -608,7 +610,7 @@ mod tests {
         let mut replies = Vec::new();
         for q in &queries {
             let (reply, reply_rx) = mpsc::sync_channel(1);
-            router.try_route(1, request_for(&resources, 0, q, None, reply)).unwrap();
+            router.shard(1).try_push(request_for(&resources, 0, q, None, reply)).unwrap();
             replies.push(reply_rx);
         }
 

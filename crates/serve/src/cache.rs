@@ -88,12 +88,24 @@ pub fn canonical_key_from_parts(
     preds: &[Vec<IdPredicate>],
     intervals: &[(u32, u32)],
 ) -> CacheKey {
+    key_from_ids(generation, preds, intervals, |col| schema.column(col).ndv())
+}
+
+/// The key layout behind [`canonical_key_from_parts`], for callers that know
+/// the table only by its per-column domain sizes (`ndv(col)`) — the serving
+/// admission path, which keys wire requests without touching a schema.
+pub(crate) fn key_from_ids(
+    generation: u64,
+    preds: &[Vec<IdPredicate>],
+    intervals: &[(u32, u32)],
+    ndv: impl Fn(usize) -> usize,
+) -> CacheKey {
     let num_preds: usize = preds.iter().map(Vec::len).sum();
     let mut words = Vec::with_capacity(1 + 3 * num_preds + 2);
     words.push(generation);
     for (col, col_preds) in preds.iter().enumerate() {
         let (lo, hi) = intervals[col];
-        let full = lo == 0 && hi as usize == schema.column(col).ndv();
+        let full = lo == 0 && hi as usize == ndv(col);
         if col_preds.is_empty() && full {
             continue; // unconstrained column: contributes nothing
         }
@@ -379,6 +391,7 @@ impl LruShard {
 /// ```
 pub struct ShardedCache {
     shards: Vec<Mutex<LruShard>>,
+    capacity: usize,
     epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -401,10 +414,16 @@ impl ShardedCache {
             shards: (0..num_shards)
                 .map(|i| Mutex::new(LruShard::new(base + usize::from(i < remainder))))
                 .collect(),
+            capacity,
             epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
+    }
+
+    /// Total entries the cache may hold; 0 means caching is off.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
     }
 
     // Shard locks tolerate poisoning (`into_inner`): workers insert into the

@@ -9,7 +9,10 @@
 //! of threads, and a shard multiplexes requests for all of its tables
 //! through one bounded FIFO queue.
 //!
-//! Admission control is two-sided:
+//! Every front door — in-process, wire, and the [`crate::sim`] harness —
+//! admits through one function, `Router::admit`: result-cache probe and
+//! hot-set observe, slot-uid stamp, deadline, enqueue. Admission control is
+//! two-sided:
 //!
 //! * **at enqueue** — a shard whose queue is at capacity rejects the request
 //!   immediately (the push fails, the server surfaces a typed `Overloaded`
@@ -31,9 +34,10 @@
 //! a manually-advanced [`VirtualClock`], which is what makes shed/served
 //! counts exactly reproducible under a fixed seed.
 
-use crate::cache::{CacheKey, ShardedCache};
+use crate::cache::{key_from_ids, CacheKey, HotSet, ShardedCache};
 use crate::metrics::{Counter, ServeMetrics};
 use crate::registry::ModelSlot;
+use crate::ServeConfig;
 use duet_core::IdPredicate;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -241,13 +245,50 @@ impl AsRef<[(u32, u32)]> for RoutedRequest {
     }
 }
 
-/// Everything a shard worker needs to serve one table, shared between the
-/// server front door and the worker pool through the id-indexed directory.
+/// One registered table's serving record: what every front door admits
+/// against and every shard worker executes against, shared through the
+/// id-indexed directory.
 #[derive(Debug, Clone)]
 pub(crate) struct TableResources {
     pub name: Arc<str>,
     pub slot: Arc<ModelSlot>,
+    /// The shard the table's requests queue on, fixed at registration.
+    pub shard: usize,
     pub cache: Arc<ShardedCache>,
+    /// Hottest cache keys, replayed into `cache` after a hot-swap.
+    pub hot: Arc<HotSet>,
+}
+
+impl TableResources {
+    /// The record of `slot` registered as `name` on shard `shard`, with its
+    /// cache and hot set sized from `config` (a hot set only beside a cache).
+    pub(crate) fn new(
+        name: &str,
+        slot: Arc<ModelSlot>,
+        shard: usize,
+        config: &ServeConfig,
+    ) -> Self {
+        let hot_keys = if config.cache_capacity > 0 { config.hot_keys } else { 0 };
+        Self {
+            name: Arc::from(name),
+            slot,
+            shard,
+            cache: Arc::new(ShardedCache::new(config.cache_capacity, config.cache_shards)),
+            hot: Arc::new(HotSet::new(hot_keys)),
+        }
+    }
+}
+
+/// How [`Router::admit`] disposed of one request.
+#[derive(Debug)]
+pub(crate) enum Admission {
+    /// Answered from the table's result cache; nothing was queued.
+    Cached(f64),
+    /// Queued on the table's shard, now `depth` deep.
+    Queued { depth: usize },
+    /// Refused: the shard was full (or drained). The request comes back so
+    /// its door can recycle it.
+    Shed { depth: usize, request: RoutedRequest },
 }
 
 /// The lock-protected interior of a [`Shard`]: the FIFO plus a reused
@@ -513,23 +554,49 @@ impl Router {
         &self.shards
     }
 
-    /// Admit `request` to shard `index`, recording an overload shed on
-    /// rejection. Returns the post-admission queue depth.
-    pub(crate) fn try_route(&self, index: usize, request: RoutedRequest) -> Result<usize, usize> {
-        match self.shards[index].try_push(request) {
-            Ok(depth) => Ok(depth),
-            Err(rejected) => {
+    /// The one admission path of every front door (in-process, wire, sim):
+    /// `request` arrives encoded against `table`'s id space and leaves
+    /// answered from the cache, queued, or shed. `budget` overrides the
+    /// router's default deadline budget. `reply` builds the reply sink and
+    /// runs only on a cache miss, so a hit never allocates one.
+    pub(crate) fn admit(
+        &self,
+        table: &TableResources,
+        mut request: RoutedRequest,
+        budget: Option<Duration>,
+        reply: impl FnOnce() -> ReplyTo,
+    ) -> Admission {
+        request.key = if table.cache.capacity() > 0 {
+            let ndvs = table.slot.ndvs();
+            let key =
+                key_from_ids(table.slot.generation(), &request.preds, &request.intervals, |col| {
+                    ndvs[col] as usize
+                });
+            // Hits never reach a worker, so admission is the only place the
+            // hottest keys are visible.
+            table.hot.observe(&key, &request.preds, &request.intervals);
+            if let Some(value) = table.cache.get(&key) {
+                return Admission::Cached(value);
+            }
+            Some(key)
+        } else {
+            None
+        };
+        // Bind the request to the table's current registration: if the table
+        // is re-registered before a worker dequeues it, the uid mismatch
+        // rejects it there instead of decoding it against the wrong schema.
+        request.slot_uid = table.slot.uid();
+        request.deadline =
+            budget.or(self.config.default_deadline).map(|budget| self.clock.now() + budget);
+        request.reply = reply();
+        let shard = &self.shards[table.shard];
+        match shard.try_push(request) {
+            Ok(depth) => Admission::Queued { depth },
+            Err(request) => {
                 self.metrics.incr(Counter::ShedOverload);
-                drop(rejected);
-                Err(self.shards[index].depth())
+                Admission::Shed { depth: shard.depth(), request }
             }
         }
-    }
-
-    /// The admission deadline for a request arriving now, per the configured
-    /// per-request budget.
-    pub(crate) fn admission_deadline(&self) -> Option<Duration> {
-        self.config.default_deadline.map(|budget| self.clock.now() + budget)
     }
 
     /// Total queued requests across all shards.

@@ -17,21 +17,20 @@
 //! [`ServeError::DeadlineExceeded`].
 
 use crate::batcher::run_shard_worker;
-use crate::cache::{canonical_key_from_parts, HotSet, ShardedCache};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::online::{
     FeedbackError, OnlineConfig, OnlineDirectory, OnlineHooks, OnlineTable, OnlineTickReport,
     OnlineTrainerHandle,
 };
-use crate::registry::{ModelRegistry, ModelSlot, SwapError};
+use crate::registry::{ModelRegistry, SwapError};
 use crate::router::{
-    Clock, ReplyTo, RoutedRequest, Router, RouterConfig, ShedReason, SystemClock, TableResources,
+    Admission, Clock, ReplyTo, RoutedRequest, Router, RouterConfig, ShedReason, SystemClock,
+    TableResources,
 };
 use crate::tier::ModelTier;
 use duet_core::{query_to_id_predicates, DuetEstimator};
 use duet_data::Table;
 use duet_query::Query;
-use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -43,13 +42,16 @@ pub struct ServeConfig {
     /// Routing and admission control: shard count, per-shard queue bound,
     /// per-request deadline budget.
     pub router: RouterConfig,
-    /// Total result-cache entries per table; 0 disables caching.
+    /// Total result-cache entries per table; 0 disables caching. The cache
+    /// fronts both doors: in-process estimates and wire requests probe it at
+    /// admission, so a hit never reaches a shard queue.
     pub cache_capacity: usize,
     /// Number of independently locked cache shards per table.
     pub cache_shards: usize,
     /// Per-table capacity of the hot-key tracker replayed into the cache
     /// after a model hot-swap (see [`crate::HotSet`]); 0 disables the
-    /// post-swap warm-up replay. Only effective when caching is enabled.
+    /// post-swap warm-up replay. Only effective when caching is enabled;
+    /// requests through either door are observed.
     pub hot_keys: usize,
     /// Upper bound on the summed resident weight bytes of all registered
     /// models; 0 (the default) keeps every model resident. With a positive
@@ -161,18 +163,6 @@ impl From<SwapError> for ServeError {
     }
 }
 
-/// Per-table client-side handles: the dense id, the shard the table hashes
-/// to, and the slot/cache shared with the worker directory.
-#[derive(Debug, Clone)]
-struct TableHandle {
-    id: u32,
-    shard: usize,
-    slot: Arc<ModelSlot>,
-    cache: Arc<ShardedCache>,
-    /// Hottest cache keys, replayed into `cache` after a hot-swap.
-    hot: Arc<HotSet>,
-}
-
 /// Outcome of submitting one query: answered from cache, or in a shard's
 /// queue with a receiver for the eventual result.
 enum Submitted {
@@ -186,10 +176,9 @@ pub struct DuetServer {
     config: ServeConfig,
     registry: ModelRegistry,
     router: Arc<Router>,
-    /// Worker-shared, id-indexed view of every table's serving resources.
+    /// Every table's serving record, indexed by registry id and shared with
+    /// the shard workers and wire acceptors.
     directory: Arc<RwLock<Vec<TableResources>>>,
-    /// Client-side name→handle map (same slot/cache `Arc`s as `directory`).
-    tables: RwLock<HashMap<String, TableHandle>>,
     metrics: Arc<ServeMetrics>,
     /// The clock deadlines are measured against; shared with every worker
     /// and wire acceptor.
@@ -238,7 +227,6 @@ impl DuetServer {
             registry: ModelRegistry::new(),
             router,
             directory,
-            tables: RwLock::new(HashMap::new()),
             metrics,
             clock,
             tier,
@@ -259,99 +247,79 @@ impl DuetServer {
     /// spawned — all tables share the router's worker pool.
     pub fn register(&self, table: impl Into<String>, estimator: DuetEstimator) {
         let table = table.into();
-        // Hold the tables lock across the registry/directory updates so two
+        // Hold the directory lock across the registry update so two
         // concurrent register() calls for the same table cannot interleave
-        // and leave the maps pointing at different slots.
-        let mut tables = self.tables.write().expect("server poisoned");
+        // and leave the registry and the directory on different slots.
+        let mut directory = self.directory.write().expect("directory poisoned");
         let (id, slot) = self.registry.register_indexed(table.clone(), estimator);
-        let cache =
-            Arc::new(ShardedCache::new(self.config.cache_capacity, self.config.cache_shards));
         let shard = self.router.shard_index(&table);
-        let resources = TableResources {
-            name: Arc::from(table.as_str()),
-            slot: slot.clone(),
-            cache: cache.clone(),
-        };
-        {
-            let mut directory = self.directory.write().expect("directory poisoned");
-            let id = id as usize;
-            if id < directory.len() {
-                directory[id] = resources; // re-registration reuses the id
-            } else {
-                // A real invariant, not a debug assertion: the workers index
-                // this vector by registry id, so a gap would misroute every
-                // later table.
-                assert_eq!(id, directory.len(), "registry ids are dense");
-                directory.push(resources);
-            }
-        }
-        let hot = Arc::new(HotSet::new(if self.config.cache_capacity > 0 {
-            self.config.hot_keys
+        let resources = TableResources::new(&table, slot, shard, &self.config);
+        let id = id as usize;
+        if id < directory.len() {
+            directory[id] = resources; // re-registration reuses the id
         } else {
-            0
-        }));
-        tables.insert(table, TableHandle { id, shard, slot, cache, hot });
+            // A real invariant, not a debug assertion: the workers index
+            // this vector by registry id, so a gap would misroute every
+            // later table.
+            assert_eq!(id, directory.len(), "registry ids are dense");
+            directory.push(resources);
+        }
     }
 
-    /// Look up the client-side handle for `table`.
-    fn handle(&self, table: &str) -> Result<TableHandle, ServeError> {
-        let tables = self.tables.read().expect("server poisoned");
-        tables.get(table).cloned().ok_or_else(|| ServeError::UnknownTable(table.to_string()))
+    /// The dense id and serving record of `table`.
+    fn record(&self, table: &str) -> Result<(u32, TableResources), ServeError> {
+        let id =
+            self.registry.table_id(table).ok_or_else(|| ServeError::UnknownTable(table.into()))?;
+        // `register` holds the directory lock while it updates the registry,
+        // so an id the registry hands out already has its record.
+        let record = self.directory.read().expect("directory poisoned")[id as usize].clone();
+        Ok((id, record))
     }
 
-    /// Encode `query`, probe the cache, and on a miss route it to the
-    /// table's shard — the one submit pipeline both `estimate` and
-    /// `estimate_many` go through.
-    ///
-    /// The same encoding feeds the cache key and, on a miss, the batched
-    /// forward pass, so nothing is translated twice on the hot path. A full
-    /// shard queue fails here with [`ServeError::Overloaded`].
+    /// Encode `query` and hand it to [`Router::admit`] — the in-process
+    /// door both `estimate` and `estimate_many` go through. The same
+    /// encoding feeds the cache key and, on a miss, the batched forward
+    /// pass; a full shard queue fails here with [`ServeError::Overloaded`].
     fn submit(
         &self,
-        table: &str,
-        handle: &TableHandle,
-        generation: u64,
+        name: &str,
+        table_id: u32,
+        table: &TableResources,
         estimator: &DuetEstimator,
         query: &Query,
     ) -> Result<Submitted, ServeError> {
         let schema = estimator.schema();
-        let preds = query_to_id_predicates(schema, query);
-        let intervals = query.column_intervals(schema);
-        let key = if self.config.cache_capacity > 0 {
-            let key = canonical_key_from_parts(schema, generation, &preds, &intervals);
-            // Track popularity at the front door: hits never reach a worker,
-            // so this is the only place the hottest keys are visible.
-            handle.hot.observe(&key, &preds, &intervals);
-            if let Some(value) = handle.cache.get(&key) {
-                return Ok(Submitted::Cached(value));
-            }
-            Some(key)
-        } else {
-            None
-        };
-        let (reply, reply_rx) = mpsc::sync_channel(1);
         let request = RoutedRequest {
-            table_id: handle.id,
-            slot_uid: handle.slot.uid(),
-            preds,
-            intervals,
-            key,
-            deadline: self.router.admission_deadline(),
-            reply: ReplyTo::Channel(reply),
+            table_id,
+            slot_uid: 0,
+            preds: query_to_id_predicates(schema, query),
+            intervals: query.column_intervals(schema),
+            key: None,
+            deadline: None,
+            reply: ReplyTo::Discard,
         };
-        match self.router.try_route(handle.shard, request) {
-            Ok(_depth) => Ok(Submitted::Pending(reply_rx)),
-            Err(depth) => {
-                Err(ServeError::Overloaded { table: table.to_string(), shard: handle.shard, depth })
+        let mut receiver = None;
+        let admission = self.router.admit(table, request, None, || {
+            let (reply, reply_rx) = mpsc::sync_channel(1);
+            receiver = Some(reply_rx);
+            ReplyTo::Channel(reply)
+        });
+        match admission {
+            Admission::Cached(value) => Ok(Submitted::Cached(value)),
+            Admission::Queued { .. } => {
+                Ok(Submitted::Pending(receiver.expect("a queued request carries its reply")))
+            }
+            Admission::Shed { depth, .. } => {
+                Err(ServeError::Overloaded { table: name.to_string(), shard: table.shard, depth })
             }
         }
     }
 
-    /// Map one worker reply for `table` (routed through `handle`) onto the
+    /// Map one worker reply for `table` (queued on shard `shard`) onto the
     /// public error surface.
     fn resolve_reply(
         table: &str,
-        handle: &TableHandle,
+        shard: usize,
         received: Result<Result<f64, ShedReason>, mpsc::RecvError>,
     ) -> Result<f64, ServeError> {
         match received {
@@ -365,11 +333,9 @@ impl DuetServer {
             // QueueFull reaches a reply channel only when an evicted model's
             // reload failed mid-batch (the worker sheds on the retryable
             // overload path); at admission it is raised synchronously.
-            Ok(Err(ShedReason::QueueFull)) => Err(ServeError::Overloaded {
-                table: table.to_string(),
-                shard: handle.shard,
-                depth: 0,
-            }),
+            Ok(Err(ShedReason::QueueFull)) => {
+                Err(ServeError::Overloaded { table: table.to_string(), shard, depth: 0 })
+            }
             Ok(Err(ShedReason::WorkerPanicked)) => Err(ServeError::Internal(table.to_string())),
             Err(_) => Err(ServeError::WorkerUnavailable(table.to_string())),
         }
@@ -385,16 +351,13 @@ impl DuetServer {
     /// [`ServeError::DeadlineExceeded`] (expired while queued).
     pub fn estimate(&self, table: &str, query: &Query) -> Result<f64, ServeError> {
         let started = Instant::now();
-        let handle = self.handle(table)?;
-        // Resolving may lazily reload a model the tier evicted (the front
-        // door needs its schema to encode the query).
-        let (generation, estimator) = handle
-            .slot
-            .resolve(&self.metrics)
-            .map_err(|_| ServeError::ModelUnavailable(table.to_string()))?;
-        let value = match self.submit(table, &handle, generation, &estimator, query)? {
+        let (id, record) = self.record(table)?;
+        let estimator = self.encoder(table, &record)?;
+        let value = match self.submit(table, id, &record, &estimator, query)? {
             Submitted::Cached(value) => value,
-            Submitted::Pending(reply_rx) => Self::resolve_reply(table, &handle, reply_rx.recv())?,
+            Submitted::Pending(reply_rx) => {
+                Self::resolve_reply(table, record.shard, reply_rx.recv())?
+            }
         };
         self.metrics.record_request(started.elapsed());
         Ok(value)
@@ -408,17 +371,14 @@ impl DuetServer {
     /// (ample queues, no deadline) this only happens when the server is
     /// shutting down.
     pub fn estimate_many(&self, table: &str, queries: &[Query]) -> Result<Vec<f64>, ServeError> {
-        let handle = self.handle(table)?;
-        let (generation, estimator) = handle
-            .slot
-            .resolve(&self.metrics)
-            .map_err(|_| ServeError::ModelUnavailable(table.to_string()))?;
+        let (id, record) = self.record(table)?;
+        let estimator = self.encoder(table, &record)?;
         let mut results = vec![0.0f64; queries.len()];
         let mut pending = Vec::new();
         for (i, query) in queries.iter().enumerate() {
             // Latency is per query, from its own submission.
             let submitted = Instant::now();
-            match self.submit(table, &handle, generation, &estimator, query)? {
+            match self.submit(table, id, &record, &estimator, query)? {
                 Submitted::Cached(value) => {
                     results[i] = value;
                     self.metrics.record_request(submitted.elapsed());
@@ -427,10 +387,24 @@ impl DuetServer {
             }
         }
         for (i, submitted, reply_rx) in pending {
-            results[i] = Self::resolve_reply(table, &handle, reply_rx.recv())?;
+            results[i] = Self::resolve_reply(table, record.shard, reply_rx.recv())?;
             self.metrics.record_request(submitted.elapsed());
         }
         Ok(results)
+    }
+
+    /// The model whose schema encodes queries for `record`. Resolving may
+    /// lazily reload a model the tier evicted.
+    fn encoder(
+        &self,
+        table: &str,
+        record: &TableResources,
+    ) -> Result<Arc<DuetEstimator>, ServeError> {
+        let (_, estimator) = record
+            .slot
+            .resolve(&self.metrics)
+            .map_err(|_| ServeError::ModelUnavailable(table.to_string()))?;
+        Ok(estimator)
     }
 
     /// Hot-swap `table`'s weights from a [`duet_core::save_weights`]
@@ -450,21 +424,16 @@ impl DuetServer {
     /// cliff). Replayed inserts are epoch-tagged like worker inserts: a
     /// second swap racing this one drops them.
     pub fn hot_swap(&self, table: &str, checkpoint: &[u8]) -> Result<(), ServeError> {
-        let handle = self.handle(table)?;
-        handle
+        let (_, record) = self.record(table)?;
+        record
             .slot
             .hot_swap_checkpoint(checkpoint)
             .map_err(|e| ServeError::Swap(SwapError::Checkpoint(e)))?;
-        handle.cache.invalidate();
-        Self::replay_hot_keys(&handle);
+        record.cache.invalidate();
+        // One batched forward pass over the hot set, shared with the online
+        // trainer's publish path.
+        crate::online::replay_hot_keys(&record.slot, &record.cache, &record.hot);
         Ok(())
-    }
-
-    /// Re-estimate `handle`'s hot set under its current model and seed the
-    /// cache with the results (one batched forward pass; swap-frequency
-    /// work). Shared with the online trainer's publish path.
-    fn replay_hot_keys(handle: &TableHandle) {
-        crate::online::replay_hot_keys(&handle.slot, &handle.cache, &handle.hot);
     }
 
     /// Enable online learning for `table`: ingest, drift detection against
@@ -482,8 +451,8 @@ impl DuetServer {
         data: Table,
         config: OnlineConfig,
     ) -> Result<(), ServeError> {
-        let handle = self.handle(table)?;
-        let schema_columns = handle.slot.current().schema().num_columns();
+        let (id, record) = self.record(table)?;
+        let schema_columns = record.slot.current().schema().num_columns();
         if data.num_columns() != schema_columns {
             return Err(ServeError::Rejected {
                 table: table.to_string(),
@@ -494,14 +463,14 @@ impl DuetServer {
             });
         }
         let hooks = OnlineHooks {
-            slot: handle.slot.clone(),
-            cache: handle.cache.clone(),
-            hot: handle.hot.clone(),
+            slot: record.slot,
+            cache: record.cache,
+            hot: record.hot,
             tier: self.tier.clone(),
             metrics: self.metrics.clone(),
-            table_id: handle.id as usize,
+            table_id: id as usize,
         };
-        self.online.enable(handle.id as usize, OnlineTable::new(data, config, hooks));
+        self.online.enable(id as usize, OnlineTable::new(data, config, hooks));
         Ok(())
     }
 
@@ -509,8 +478,8 @@ impl DuetServer {
     /// the table's new row count. Fails with [`ServeError::Rejected`] when
     /// the table is not online-enabled or the row is invalid.
     pub fn ingest(&self, table: &str, ids: &[u32]) -> Result<u64, ServeError> {
-        let handle = self.handle(table)?;
-        let online = self.online_state(table, &handle)?;
+        let (id, _) = self.record(table)?;
+        let online = self.online_state(table, id)?;
         let mut online = online.lock().expect("online table poisoned");
         online
             .ingest_row(ids)
@@ -526,9 +495,9 @@ impl DuetServer {
     /// [`ServeError::StaleRegistration`] (re-enable online learning against
     /// the new registration).
     pub fn feedback(&self, table: &str, query: &Query, actual: f64) -> Result<(), ServeError> {
-        let handle = self.handle(table)?;
-        let online = self.online_state(table, &handle)?;
-        let estimator = handle
+        let (id, record) = self.record(table)?;
+        let online = self.online_state(table, id)?;
+        let estimator = record
             .slot
             .try_current()
             .map_err(|_| ServeError::ModelUnavailable(table.to_string()))?;
@@ -536,7 +505,7 @@ impl DuetServer {
         let preds = query_to_id_predicates(schema, query);
         let intervals = query.column_intervals(schema);
         let mut online = online.lock().expect("online table poisoned");
-        online.push_feedback(handle.slot.uid(), preds, intervals, actual).map_err(|e| match e {
+        online.push_feedback(record.slot.uid(), preds, intervals, actual).map_err(|e| match e {
             FeedbackError::StaleSlot { .. } => ServeError::StaleRegistration(table.to_string()),
             FeedbackError::InvalidCardinality => {
                 ServeError::Rejected { table: table.to_string(), reason: e.to_string() }
@@ -547,8 +516,8 @@ impl DuetServer {
     /// Run one trainer tick for `table` synchronously: check drift and, if
     /// triggered, retrain and publish. Returns what the tick did.
     pub fn maintain_online(&self, table: &str) -> Result<OnlineTickReport, ServeError> {
-        let handle = self.handle(table)?;
-        let online = self.online_state(table, &handle)?;
+        let (id, _) = self.record(table)?;
+        let online = self.online_state(table, id)?;
         let report = online.lock().expect("online table poisoned").tick();
         Ok(report)
     }
@@ -566,12 +535,8 @@ impl DuetServer {
     }
 
     /// Resolve `table`'s online state or explain why it has none.
-    fn online_state(
-        &self,
-        table: &str,
-        handle: &TableHandle,
-    ) -> Result<Arc<Mutex<OnlineTable>>, ServeError> {
-        self.online.get(handle.id as usize).ok_or_else(|| ServeError::Rejected {
+    fn online_state(&self, table: &str, id: u32) -> Result<Arc<Mutex<OnlineTable>>, ServeError> {
+        self.online.get(id as usize).ok_or_else(|| ServeError::Rejected {
             table: table.to_string(),
             reason: "online learning is not enabled for this table".to_string(),
         })
@@ -698,9 +663,9 @@ impl DuetServer {
     /// summed across tables and the router's current total queue depth.
     pub fn metrics(&self) -> MetricsSnapshot {
         let (hits, misses) = {
-            let tables = self.tables.read().expect("server poisoned");
-            tables
-                .values()
+            let directory = self.directory.read().expect("directory poisoned");
+            directory
+                .iter()
                 .fold((0u64, 0u64), |(h, m), e| (h + e.cache.hits(), m + e.cache.misses()))
         };
         self.metrics.snapshot(hits, misses, self.router.queue_depth())
@@ -741,8 +706,8 @@ mod tests {
         let model = DuetModel::new(&data, &DuetConfig::small(), 1);
         server.register(table.as_str(), DuetEstimator::from_model(model, &data, "census"));
 
-        let handle = server.handle(&table).unwrap();
-        let reply = DuetServer::resolve_reply(&table, &handle, Ok(Err(ShedReason::QueueFull)));
+        let (_, record) = server.record(&table).unwrap();
+        let reply = DuetServer::resolve_reply(&table, record.shard, Ok(Err(ShedReason::QueueFull)));
         let shard = server.shard_of(&table);
         assert_ne!(shard, 0);
         assert_eq!(reply, Err(ServeError::Overloaded { table, shard, depth: 0 }));

@@ -6,10 +6,13 @@
 //! machine drains it. This module removes time and thread scheduling from
 //! the equation while changing *nothing else*:
 //!
-//! * the same shard queues, the same admission check, the same
-//!   deadline triage, the same shard-worker batch execution and the same
-//!   wire connection state machine as the production [`crate::DuetServer`] —
-//!   just driven single-threaded;
+//! * the same per-table records, the same admission path
+//!   (`Router::admit`: cache, hot set, slot uid, deadline, shard queue), the
+//!   same deadline triage, the same shard-worker batch execution and the
+//!   same wire connection state machine as the production
+//!   [`crate::DuetServer`] — just driven single-threaded. The in-process
+//!   transport differs from the production door only in its reply sink (a
+//!   ticket instead of a channel);
 //! * a [`VirtualClock`] that only moves when the driver says so, making
 //!   deadline expiry a pure function of the script;
 //! * scripts generated from a seeded RNG, so a scenario replays
@@ -28,17 +31,16 @@
 //! [`FaultPlan::inject`] (faults merged into either).
 
 use crate::batcher::{execute_supervised, ShardWorker, MAX_BATCH};
-use crate::cache::{canonical_key_from_parts, HotSet, ShardedCache};
-use crate::metrics::{Counter, CounterTable, MetricsSnapshot, ServeMetrics};
+use crate::metrics::{CounterTable, MetricsSnapshot, ServeMetrics};
 use crate::online::{OnlineConfig, OnlineDirectory, OnlineHooks, OnlineTable, OnlineTickReport};
 use crate::registry::ModelSlot;
 use crate::router::{
-    shard_for, Clock, ReplyTo, RoutedRequest, Router, RouterConfig, ShedReason, TableResources,
-    VirtualClock,
+    Admission, Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources, VirtualClock,
 };
 use crate::tier::ModelTier;
 use crate::wire::conn::{ConnConfig, WireConn};
 use crate::wire::frame::{self, DecodeError, FrameView, ResponseFrame, Status};
+use crate::ServeConfig;
 use duet_core::{query_to_id_predicates, DuetEstimator, IdPredicate};
 use duet_data::Table;
 use duet_query::{exact_cardinality, CardinalityEstimator, Query};
@@ -48,33 +50,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Configuration of a [`RouterHarness`] (a [`crate::ServeConfig`] minus the
-/// production-only knobs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HarnessConfig {
-    /// Routing and admission control under test.
-    pub router: RouterConfig,
-    /// Result-cache entries per table; defaults to 0 (off) so every request
-    /// exercises the queue/batch path.
-    pub cache_capacity: usize,
-    /// Cache shards per table.
-    pub cache_shards: usize,
-    /// Model-memory budget in bytes enforced by the workers (see
-    /// [`crate::ModelTier`]); defaults to 0 (unlimited, no eviction).
-    pub model_budget_bytes: usize,
-}
-
-impl Default for HarnessConfig {
-    fn default() -> Self {
-        Self {
-            router: RouterConfig::default(),
-            cache_capacity: 0,
-            cache_shards: 1,
-            model_budget_bytes: 0,
-        }
-    }
-}
 
 /// An encoded request ready for admission, produced by
 /// [`RouterHarness::prepare`]. Opaque; re-submittable after a recycling
@@ -111,20 +86,16 @@ pub enum SubmitResult {
 ///
 /// The harness owns everything a [`crate::DuetServer`] would spread across
 /// threads — router shards, one shard worker per shard, the id-indexed
-/// table directory — and exposes explicit steps: [`RouterHarness::submit_query`]
-/// admits, [`RouterHarness::turn`] runs one batch per shard, the
-/// [`VirtualClock`] moves only via [`RouterHarness::clock`]. Ticket replies
-/// land in an outcome log instead of channels, so no call ever blocks.
+/// table directory, built from the same [`ServeConfig`] — and exposes
+/// explicit steps: [`RouterHarness::submit_query`] admits,
+/// [`RouterHarness::turn`] runs one batch per shard, the [`VirtualClock`]
+/// moves only via [`RouterHarness::clock`]. Ticket replies land in an
+/// outcome log instead of channels, so no call ever blocks.
 pub struct RouterHarness {
     clock: Arc<VirtualClock>,
     router: Router,
     workers: Vec<ShardWorker>,
     directory: Vec<TableResources>,
-    /// Shard each table id routes to (precomputed from the table names).
-    table_shard: Vec<usize>,
-    /// Per-table hot-query trackers (capacity 0 — disabled — until
-    /// [`RouterHarness::enable_hot_set`]).
-    hot: Vec<Arc<HotSet>>,
     /// Online-learning state for tables with
     /// [`RouterHarness::enable_online`] called; shared with the simulated
     /// wire connections' ingest/feedback handlers.
@@ -132,49 +103,34 @@ pub struct RouterHarness {
     metrics: Arc<ServeMetrics>,
     tier: Arc<ModelTier>,
     outcomes: Vec<(u64, Result<f64, ShedReason>)>,
-    config: HarnessConfig,
 }
 
 impl RouterHarness {
     /// Build a harness serving `tables` (name + trained estimator; the index
-    /// in the vector becomes the table id).
-    pub fn new(tables: Vec<(String, DuetEstimator)>, config: HarnessConfig) -> Self {
+    /// in the vector becomes the table id), each registered exactly as
+    /// [`crate::DuetServer::register`] registers it under `config`.
+    pub fn new(tables: Vec<(String, DuetEstimator)>, config: ServeConfig) -> Self {
         let clock = Arc::new(VirtualClock::new());
         let metrics = Arc::new(ServeMetrics::new());
         let clock_dyn: Arc<dyn Clock> = clock.clone();
         let router = Router::new(config.router, clock_dyn, metrics.clone());
-        let num_shards = router.num_shards();
-        let mut directory = Vec::with_capacity(tables.len());
-        let mut table_shard = Vec::with_capacity(tables.len());
-        for (name, estimator) in tables {
-            table_shard.push(shard_for(&name, num_shards));
-            directory.push(TableResources {
-                name: Arc::from(name.as_str()),
-                slot: Arc::new(ModelSlot::new(estimator)),
-                cache: Arc::new(ShardedCache::new(config.cache_capacity, config.cache_shards)),
-            });
-        }
-        let hot = directory.iter().map(|_| Arc::new(HotSet::new(0))).collect();
+        let directory = tables
+            .into_iter()
+            .map(|(name, estimator)| {
+                let slot = Arc::new(ModelSlot::new(estimator));
+                TableResources::new(&name, slot, router.shard_index(&name), &config)
+            })
+            .collect();
         Self {
+            workers: (0..router.num_shards()).map(|_| ShardWorker::new()).collect(),
             clock,
             router,
-            workers: (0..num_shards).map(|_| ShardWorker::new()).collect(),
             directory,
-            table_shard,
-            hot,
             online: Arc::new(OnlineDirectory::new()),
             metrics,
             tier: Arc::new(ModelTier::new(config.model_budget_bytes)),
             outcomes: Vec::new(),
-            config,
         }
-    }
-
-    /// Track up to `capacity` hot queries for `table` (replayed into the
-    /// cache after an online publish, exactly as the production server
-    /// does after a hot-swap).
-    pub fn enable_hot_set(&mut self, table: usize, capacity: usize) {
-        self.hot[table] = Arc::new(HotSet::new(capacity));
     }
 
     /// Enable the online-learning loop for `table`: `data` is the table the
@@ -191,7 +147,7 @@ impl RouterHarness {
         let hooks = OnlineHooks {
             slot: resources.slot.clone(),
             cache: resources.cache.clone(),
-            hot: self.hot[table].clone(),
+            hot: resources.hot.clone(),
             tier: self.tier.clone(),
             metrics: self.metrics.clone(),
             table_id: table,
@@ -212,8 +168,8 @@ impl RouterHarness {
     }
 
     /// The model-memory tier enforcing
-    /// [`HarnessConfig::model_budget_bytes`] (e.g. to set a spill
-    /// directory, or inspect heat).
+    /// [`ServeConfig::model_budget_bytes`] (e.g. to set a spill directory,
+    /// or inspect heat).
     pub fn tier(&self) -> &ModelTier {
         &self.tier
     }
@@ -262,9 +218,9 @@ impl RouterHarness {
         self.directory[table].slot.current()
     }
 
-    /// Encode `query` against `table`'s schema into a routable request.
-    /// With `ticket: Some(t)`, the outcome is logged under `t`; with `None`
-    /// it is discarded (allocation-probe mode).
+    /// Encode `query` against `table`'s schema into a request ready for
+    /// admission. With `ticket: Some(t)`, the outcome is logged under `t`;
+    /// with `None` it is discarded (allocation-probe mode).
     ///
     /// # Panics
     /// Panics if the table's model is evicted and cannot be reloaded
@@ -285,22 +241,17 @@ impl RouterHarness {
         query: &Query,
         ticket: Option<u64>,
     ) -> Result<PreparedRequest, crate::registry::ReloadError> {
-        let resources = &self.directory[table];
         // Resolving may lazily reload a model the tier evicted (encoding
         // needs its schema), counted as the production front door counts it.
-        let (generation, estimator) = resources.slot.resolve(&self.metrics)?;
+        let (_, estimator) = self.directory[table].slot.resolve(&self.metrics)?;
         let schema = estimator.schema();
-        let preds = query_to_id_predicates(schema, query);
-        let intervals = query.column_intervals(schema);
-        let key = (self.config.cache_capacity > 0)
-            .then(|| canonical_key_from_parts(schema, generation, &preds, &intervals));
         Ok(PreparedRequest(RoutedRequest {
             table_id: table as u32,
-            slot_uid: resources.slot.uid(),
-            preds,
-            intervals,
-            key,
-            deadline: self.router.admission_deadline(),
+            slot_uid: 0,
+            preds: query_to_id_predicates(schema, query),
+            intervals: query.column_intervals(schema),
+            key: None,
+            deadline: None,
             reply: match ticket {
                 Some(t) => ReplyTo::Ticket(t),
                 None => ReplyTo::Discard,
@@ -308,51 +259,38 @@ impl RouterHarness {
         }))
     }
 
-    /// Admit a prepared request to its table's shard. On rejection the
-    /// request is handed back (encodings intact) and the overload shed is
-    /// recorded. Allocation-free on a warm queue.
-    // Mirrors `Shard::try_push`: the rejected request comes back by value so
-    // the recycling driver loops stay allocation-free.
+    /// Admit a prepared request through the production admission path. On
+    /// rejection the request is handed back (encodings intact) and the
+    /// overload shed is recorded. Allocation-free on a warm queue with the
+    /// cache off.
+    // The rejected request comes back by value so the recycling driver
+    // loops stay allocation-free.
     #[allow(clippy::result_large_err)]
-    pub fn submit_prepared(&mut self, request: PreparedRequest) -> Result<usize, PreparedRequest> {
-        let shard = self.table_shard[request.0.table_id as usize];
-        match self.router.shard(shard).try_push(request.0) {
-            Ok(depth) => Ok(depth),
-            Err(rejected) => {
-                self.metrics.incr(Counter::ShedOverload);
-                Err(PreparedRequest(rejected))
-            }
+    pub fn submit_prepared(
+        &mut self,
+        mut request: PreparedRequest,
+    ) -> Result<SubmitResult, PreparedRequest> {
+        let table = &self.directory[request.table()];
+        let reply = std::mem::replace(&mut request.0.reply, ReplyTo::Discard);
+        match self.router.admit(table, request.0, None, || reply) {
+            Admission::Cached(value) => Ok(SubmitResult::Cached(value)),
+            Admission::Queued { depth } => Ok(SubmitResult::Queued { depth }),
+            Admission::Shed { request, .. } => Err(PreparedRequest(request)),
         }
     }
 
-    /// Encode, cache-probe, and admit one query (the driver-facing
-    /// equivalent of [`crate::DuetServer::estimate`]'s submit pipeline).
-    /// A table whose evicted model cannot be reloaded sheds at admission
-    /// (counted as a reload failure, never a panic).
+    /// Encode and admit one query (the driver-facing equivalent of
+    /// [`crate::DuetServer::estimate`]'s submit pipeline). A table whose
+    /// evicted model cannot be reloaded sheds at admission (counted as a
+    /// reload failure, never a panic).
     pub fn submit_query(&mut self, table: usize, query: &Query, ticket: u64) -> SubmitResult {
-        let request = match self.try_prepare(table, query, Some(ticket)) {
-            Ok(request) => request,
-            Err(_unloadable) => {
-                return SubmitResult::Shed {
-                    depth: self.router.shard(self.table_shard[table]).depth(),
-                };
-            }
+        let admitted = match self.try_prepare(table, query, Some(ticket)) {
+            Ok(request) => self.submit_prepared(request).ok(),
+            Err(_unloadable) => None,
         };
-        if let Some(key) = &request.0.key {
-            // Popularity is observed on every cacheable request — hit or
-            // miss — mirroring the production submit path, so the hot set
-            // reflects what clients actually ask.
-            self.hot[table].observe(key, &request.0.preds, &request.0.intervals);
-            if let Some(value) = self.directory[table].cache.get(key) {
-                return SubmitResult::Cached(value);
-            }
-        }
-        match self.submit_prepared(request) {
-            Ok(depth) => SubmitResult::Queued { depth },
-            Err(_rejected) => {
-                SubmitResult::Shed { depth: self.router.shard(self.table_shard[table]).depth() }
-            }
-        }
+        admitted.unwrap_or_else(|| SubmitResult::Shed {
+            depth: self.router.shard(self.directory[table].shard).depth(),
+        })
     }
 
     /// Run one worker turn: every shard pops and executes at most one
@@ -505,7 +443,7 @@ pub struct ScenarioReport {
     pub post_swap_served: u64,
     /// Hot-set entries replayed into the cache by online publishes.
     pub hot_replayed: u64,
-    /// What the *server* counted: every [`Counter`] of the harness's
+    /// What the *server* counted: every [`Counter`](crate::Counter) of the harness's
     /// [`ServeMetrics`] at the end of the replay (`counters[Counter::Batches]`,
     /// `counters[Counter::ModelReloads]`, …). The fields above are what the
     /// client saw; this is the server's own table, not a copy of it, so the
@@ -601,7 +539,7 @@ impl WireSim {
     /// running the given connection config.
     pub fn new(
         tables: Vec<(String, DuetEstimator)>,
-        config: HarnessConfig,
+        config: ServeConfig,
         conn_config: ConnConfig,
         connections: usize,
     ) -> Self {
@@ -708,10 +646,10 @@ pub struct Setup {
     tables: Vec<(String, DuetEstimator)>,
     /// `workloads[t]` is the query pool steps against table `t` index into.
     workloads: Vec<Vec<Query>>,
-    harness: HarnessConfig,
+    harness: ServeConfig,
     /// Tables running the online loop: `(table, the rows its model was
-    /// trained on, hot-set capacity, tuning)`.
-    online: Vec<(usize, Table, usize, OnlineConfig)>,
+    /// trained on, tuning)`.
+    online: Vec<(usize, Table, OnlineConfig)>,
     /// Where evictions spill (`None`: checkpoints stay in memory).
     spill_dir: Option<PathBuf>,
 }
@@ -810,8 +748,8 @@ pub struct ScenarioConfig {
     pub service_every: Duration,
     /// Arrival pattern under test.
     pub pattern: ArrivalPattern,
-    /// Harness (router/batch/cache) configuration.
-    pub harness: HarnessConfig,
+    /// Server (router/cache/tier) configuration of the harness.
+    pub harness: ServeConfig,
 }
 
 fn pick_table(rng: &mut SmallRng, pattern: ArrivalPattern, num_tables: usize) -> usize {
@@ -917,13 +855,11 @@ pub struct DriftScenarioConfig {
     /// cardinality of the query just served is pushed back (0 disables
     /// feedback).
     pub feedback_every: usize,
-    /// Hot-set capacity (hottest keys replayed into the cache after an
-    /// online publish).
-    pub hot_keys: usize,
     /// Online-learning tuning (threshold, hysteresis, retrain budget).
     pub online: OnlineConfig,
-    /// Router/batch/cache configuration.
-    pub harness: HarnessConfig,
+    /// Server (router/cache/tier) configuration of the harness; its
+    /// `hot_keys` sizes the hot set replayed after an online publish.
+    pub harness: ServeConfig,
 }
 
 impl Default for DriftScenarioConfig {
@@ -935,9 +871,13 @@ impl Default for DriftScenarioConfig {
             post_queries: 64,
             tick_every: 8,
             feedback_every: 4,
-            hot_keys: 16,
             online: OnlineConfig::default(),
-            harness: HarnessConfig { cache_capacity: 256, ..HarnessConfig::default() },
+            harness: ServeConfig {
+                cache_capacity: 256,
+                cache_shards: 1,
+                hot_keys: 16,
+                ..ServeConfig::default()
+            },
         }
     }
 }
@@ -995,7 +935,7 @@ impl DriftScenarioConfig {
             tables: vec![("drift".to_string(), estimator.clone())],
             workloads: vec![workload.to_vec()],
             harness: self.harness,
-            online: vec![(0, table.clone(), self.hot_keys, self.online)],
+            online: vec![(0, table.clone(), self.online)],
             spill_dir: None,
         };
         let script = Script {
@@ -1189,8 +1129,7 @@ impl<'a> Replay<'a> {
         let mut sim = WireSim::new(setup.tables.clone(), setup.harness, conn_config, connections);
         sim.harness.tier().set_spill_dir(setup.spill_dir.clone());
         sim.harness.arm_panic_batches(&script.panic_batches);
-        for (table, data, hot_keys, config) in &setup.online {
-            sim.harness.enable_hot_set(*table, *hot_keys);
+        for (table, data, config) in &setup.online {
             sim.harness.enable_online(*table, data.clone(), *config);
         }
         // Every connection starts by writing the protocol preamble.

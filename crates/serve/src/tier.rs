@@ -192,8 +192,8 @@ impl ModelTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ShardedCache;
     use crate::registry::ModelSlot;
+    use crate::ServeConfig;
     use duet_core::{DuetConfig, DuetEstimator};
     use duet_data::datasets::census_like;
     use std::sync::Arc;
@@ -201,13 +201,12 @@ mod tests {
     fn directory(n: usize) -> Vec<TableResources> {
         let table = census_like(200, 7);
         let cfg = DuetConfig::small().with_epochs(1);
+        let serve = ServeConfig { cache_capacity: 0, ..ServeConfig::default() };
         (0..n)
-            .map(|i| TableResources {
-                name: Arc::from(format!("t{i}").as_str()),
-                slot: Arc::new(ModelSlot::new(DuetEstimator::train_data_only(
-                    &table, &cfg, i as u64,
-                ))),
-                cache: Arc::new(ShardedCache::new(0, 1)),
+            .map(|i| {
+                let estimator = DuetEstimator::train_data_only(&table, &cfg, i as u64);
+                let slot = Arc::new(ModelSlot::new(estimator));
+                TableResources::new(&format!("t{i}"), slot, 0, &serve)
             })
             .collect()
     }

@@ -16,6 +16,14 @@
 //! [`SystemClock`]: crate::SystemClock
 //! [`VirtualClock`]: crate::VirtualClock
 //!
+//! ## Admission
+//!
+//! A decoded request is checked against the connection's pipeline window
+//! and its table's id space, then handed to [`Router::admit`] — the same
+//! admission path the in-process door takes, result cache and hot set
+//! included. A cache hit is answered `Ok` within the same pump; everything
+//! else queues on the table's shard or is shed.
+//!
 //! ## Pipelining and flow control
 //!
 //! A connection may have many requests in flight (each tagged with a client
@@ -41,7 +49,7 @@
 
 use crate::metrics::{Counter, ServeMetrics};
 use crate::online::OnlineDirectory;
-use crate::router::{Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources};
+use crate::router::{Admission, Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources};
 use crate::wire::frame::{
     self, DecodeError, FrameView, Status, DEFAULT_MAX_FRAME_LEN, PREAMBLE_LEN,
 };
@@ -389,7 +397,7 @@ impl WireConn {
         if self.completions.is_empty() {
             return false;
         }
-        let now_ns = clock.now().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let now_ns = now_ns(clock);
         for (request_id, outcome) in self.completions.drain(..) {
             // Every outcome retires its in-flight entry; only an estimate is
             // a completed request (as on the in-process front door), so a
@@ -436,7 +444,7 @@ fn admit(
     metrics: &ServeMetrics,
 ) {
     let request_id = request.request_id;
-    let Some(resources) = tables.get(request.table_id as usize) else {
+    let Some(table) = tables.get(request.table_id as usize) else {
         frame::encode_response(outbound.tail_mut(), request_id, Status::UnknownTable, 0.0);
         metrics.incr(Counter::FramesOut);
         return;
@@ -451,7 +459,7 @@ fn admit(
 
     let mut holder = outbox.take_pooled();
     request.read_into(&mut holder.preds, &mut holder.intervals);
-    if !fits_id_space(&holder.preds, &holder.intervals, resources.slot.ndvs()) {
+    if !fits_id_space(&holder.preds, &holder.intervals, table.slot.ndvs()) {
         // Checked before queueing: a request outside the id space would
         // fail (or silently mis-encode) inside its batch, taking its
         // batch-mates down with it.
@@ -462,39 +470,37 @@ fn admit(
         return;
     }
     holder.table_id = request.table_id;
-    // Bind the request to the table's *current registration*: if the table
-    // is re-registered before a worker dequeues it, the uid mismatch rejects
-    // it there instead of decoding it against the wrong schema.
-    holder.slot_uid = resources.slot.uid();
-    // The wire path bypasses the result cache: a remote client gets the
-    // batched forward pass directly (the cache fronts the in-process
-    // `DuetServer::estimate` API, whose callers hold a schema and can
-    // canonicalize keys; wire requests go straight to the shards).
-    holder.key = None;
-    holder.deadline = if request.deadline_us > 0 {
-        Some(clock.now() + Duration::from_micros(u64::from(request.deadline_us)))
-    } else {
-        router.admission_deadline()
-    };
-    holder.reply = ReplyTo::Wire { outbox: outbox.clone(), request_id };
-
-    let shard = crate::router::shard_for(&resources.name, router.num_shards());
-    match router.shard(shard).try_push(holder) {
-        Ok(_depth) => {
-            let now_ns = clock.now().as_nanos().min(u128::from(u64::MAX)) as u64;
-            inflight.push((request_id, now_ns));
+    // A zero budget defers to the router's configured default.
+    let budget =
+        (request.deadline_us > 0).then(|| Duration::from_micros(u64::from(request.deadline_us)));
+    let admitted_ns = now_ns(clock);
+    let reply = || ReplyTo::Wire { outbox: outbox.clone(), request_id };
+    let (status, value) = match router.admit(table, holder, budget, reply) {
+        Admission::Queued { .. } => {
+            inflight.push((request_id, admitted_ns));
             metrics.record_pipeline_depth(inflight.len());
+            return;
         }
-        Err(mut rejected) => {
-            // Shard queue full: recycle the holder (reply detached so the
-            // pool holds no self-reference) and shed on the wire.
-            metrics.incr(Counter::ShedOverload);
-            rejected.reply = ReplyTo::Discard;
-            outbox.recycle(rejected);
-            frame::encode_response(outbound.tail_mut(), request_id, Status::Overloaded, 0.0);
-            metrics.incr(Counter::FramesOut);
+        Admission::Cached(value) => {
+            // Answered at admission: a completed request, like any `Ok`.
+            metrics.record_request(Duration::from_nanos(now_ns(clock).saturating_sub(admitted_ns)));
+            (Status::Ok, value)
         }
-    }
+        Admission::Shed { mut request, .. } => {
+            // Recycle the holder (reply detached so the pool holds no
+            // self-reference) and shed on the wire.
+            request.reply = ReplyTo::Discard;
+            outbox.recycle(request);
+            (Status::Overloaded, 0.0)
+        }
+    };
+    frame::encode_response(outbound.tail_mut(), request_id, status, value);
+    metrics.incr(Counter::FramesOut);
+}
+
+/// `clock`'s reading in whole nanoseconds.
+fn now_ns(clock: &dyn Clock) -> u64 {
+    clock.now().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Whether a decoded request is expressed in the id space of a table with
@@ -631,11 +637,12 @@ fn handle_feedback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{HotSet, ShardedCache};
+    use crate::cache::HotSet;
     use crate::online::{OnlineConfig, OnlineHooks, OnlineTable};
     use crate::registry::ModelSlot;
     use crate::router::{RouterConfig, VirtualClock};
     use crate::tier::ModelTier;
+    use crate::ServeConfig;
     use duet_core::{DuetConfig, DuetEstimator};
     use duet_data::datasets::census_like;
 
@@ -649,11 +656,9 @@ mod tests {
         let router = Router::new(RouterConfig::default(), clock.clone(), metrics.clone());
         // The online state is bound to the registration it was enabled
         // under; the directory now holds a fresh slot for the same table id.
-        let tables = [TableResources {
-            name: Arc::from("census"),
-            slot: Arc::new(ModelSlot::new(estimator.clone())),
-            cache: Arc::new(ShardedCache::new(0, 1)),
-        }];
+        let slot = Arc::new(ModelSlot::new(estimator.clone()));
+        let config = ServeConfig { cache_capacity: 0, ..ServeConfig::default() };
+        let tables = [TableResources::new("census", slot, 0, &config)];
         let hooks = OnlineHooks {
             slot: Arc::new(ModelSlot::new(estimator)),
             cache: tables[0].cache.clone(),

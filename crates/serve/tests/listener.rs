@@ -12,7 +12,7 @@ use duet_data::datasets::census_like;
 use duet_query::WorkloadSpec;
 use duet_serve::wire::frame::{self, Status};
 use duet_serve::wire::WireClient;
-use duet_serve::{DuetServer, MetricsSnapshot, WireConfig, WireHandle};
+use duet_serve::{DuetServer, MetricsSnapshot, ServeConfig, WireConfig, WireHandle};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
@@ -57,9 +57,14 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// A server with the fixture's table behind a loopback listener.
+/// A server with the fixture's table behind a loopback listener. The cache
+/// is off, so every request takes the model path these tests count.
 fn serve(config: WireConfig) -> (Arc<DuetServer>, WireHandle) {
-    let server = Arc::new(DuetServer::with_defaults());
+    serve_with(ServeConfig { cache_capacity: 0, ..ServeConfig::default() }, config)
+}
+
+fn serve_with(serve: ServeConfig, config: WireConfig) -> (Arc<DuetServer>, WireHandle) {
+    let server = Arc::new(DuetServer::new(serve));
     server.register(TABLE, fixture().estimator.clone());
     let handle = server.serve_wire("127.0.0.1:0", config).expect("bind a loopback port");
     (server, handle)
@@ -115,6 +120,26 @@ fn loopback_replies_are_bit_identical_to_the_direct_batch_path() {
         assert_eq!(response.request_id, request_id);
         assert_served(&response);
     }
+}
+
+#[test]
+fn a_repeated_request_is_answered_from_the_cache_over_loopback() {
+    let (server, handle) = serve_with(ServeConfig::default(), WireConfig::default());
+    let (mut client, table_id) = connect(&handle);
+    submit(&mut client, table_id, 0);
+    client.flush().expect("flush");
+    let first = client.recv().expect("a reply");
+    assert_served(&first);
+    // The worker fills the cache before it answers, so the repeat hits.
+    let before = server.metrics();
+    submit(&mut client, table_id, 0);
+    client.flush().expect("flush");
+    let second = client.recv().expect("a reply");
+    assert_eq!(second.value.to_bits(), first.value.to_bits(), "a hit returns the miss's bits");
+    let after = server.metrics();
+    assert_eq!(after.cache_hits, before.cache_hits + 1);
+    assert_eq!(after.batches, before.batches, "a hit runs no batch");
+    assert_eq!(after.requests, 2, "both answers are completed requests");
 }
 
 #[test]

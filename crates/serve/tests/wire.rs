@@ -7,12 +7,10 @@
 use duet_core::{DuetConfig, DuetEstimator, IdPredicate};
 use duet_data::datasets::census_like;
 use duet_query::{PredOp, Query, WorkloadSpec};
-use duet_serve::sim::{
-    replay, ArrivalPattern, ChunkMode, HarnessConfig, ScenarioConfig, Transport, WireSim,
-};
+use duet_serve::sim::{replay, ArrivalPattern, ChunkMode, ScenarioConfig, Transport, WireSim};
 use duet_serve::wire::frame::{self, DecodeError, FrameView, Status};
 use duet_serve::wire::{ConnConfig, RetryConfig, WireClient};
-use duet_serve::{Counter, RouterConfig};
+use duet_serve::{Counter, RouterConfig, ServeConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -242,7 +240,7 @@ fn split_and_coalesced_reads_replay_bit_identically() {
         mean_gap: Duration::from_micros(100),
         service_every: Duration::from_micros(300),
         pattern: ArrivalPattern::Uniform,
-        harness: HarnessConfig::default(),
+        harness: ServeConfig { cache_capacity: 0, ..ServeConfig::default() },
     };
     // Frames arrive shredded into ≤7-byte reads, with tails held back to
     // coalesce with later frames — the adversarial TCP delivery shapes.
@@ -281,13 +279,14 @@ fn overload_and_deadline_sheds_become_status_frames() {
         // queue sheds the bursts at admission. All three outcomes fire.
         service_every: Duration::from_millis(5),
         pattern: ArrivalPattern::Bursty { burst_size: 16 },
-        harness: HarnessConfig {
+        harness: ServeConfig {
             router: RouterConfig {
                 num_shards: 1,
                 queue_capacity: 8,
                 default_deadline: Some(Duration::from_millis(7)),
             },
-            ..HarnessConfig::default()
+            cache_capacity: 0,
+            ..ServeConfig::default()
         },
     };
     let wire = Transport::Wire { chunk: ChunkMode::Random { max: 9 }, max_pipeline: 64 };
@@ -476,7 +475,7 @@ fn pipeline_cap_sheds_at_the_connection_before_the_queues() {
         // in-flight cap is the only backpressure in play.
         service_every: Duration::from_millis(100),
         pattern: ArrivalPattern::Uniform,
-        harness: HarnessConfig::default(),
+        harness: ServeConfig { cache_capacity: 0, ..ServeConfig::default() },
     };
     let capped = Transport::Wire { chunk: ChunkMode::Exact, max_pipeline: 4 };
     let (setup, script) = cfg.generate(&tables, &workloads);
@@ -525,7 +524,12 @@ fn a_request_outside_the_table_id_space_is_rejected_alone() {
         }
     }
 
-    let mut sim = WireSim::new(tables, HarnessConfig::default(), ConnConfig::default(), 1);
+    let mut sim = WireSim::new(
+        tables,
+        ServeConfig { cache_capacity: 0, ..ServeConfig::default() },
+        ConnConfig::default(),
+        1,
+    );
     sim.feed(0, &bytes);
     sim.pump(0).expect("valid protocol bytes");
     while sim.harness().queue_depth() > 0 {
@@ -562,7 +566,7 @@ fn resolving_a_table_whose_spilled_checkpoint_went_bad_counts_a_reload_failure()
     // to the spill directory.
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("wire-resolve-corrupt-spill");
     let _ = std::fs::remove_dir_all(&dir);
-    let config = HarnessConfig { model_budget_bytes: 1, ..HarnessConfig::default() };
+    let config = ServeConfig { model_budget_bytes: 1, cache_capacity: 0, ..ServeConfig::default() };
     let mut sim = WireSim::new(tables, config, ConnConfig::default(), 1);
     sim.harness().tier().set_spill_dir(Some(dir.clone()));
 

@@ -13,8 +13,8 @@ use duet::core::{DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
 use duet::query::{CardinalityEstimator, Query, WorkloadSpec};
 use duet::serve::sim::{
-    replay, ArrivalPattern, ChunkMode, FaultPlan, HarnessConfig, RouterHarness, ScenarioConfig,
-    Script, Setup, SubmitResult, Transport, WireSim,
+    replay, ArrivalPattern, ChunkMode, FaultPlan, RouterHarness, ScenarioConfig, Script, Setup,
+    SubmitResult, Transport, WireSim,
 };
 use duet::serve::wire::frame::{self, FrameView, Status};
 use duet::serve::wire::ConnConfig;
@@ -90,7 +90,7 @@ fn combined_fault_scenario(
         mean_gap: Duration::from_micros(60),
         service_every: Duration::from_micros(120),
         pattern: ArrivalPattern::Uniform,
-        harness: HarnessConfig::default(),
+        harness: ServeConfig { cache_capacity: 0, ..ServeConfig::default() },
     };
     let plan = FaultPlan {
         // Panic a handful of batches spread across the run.
@@ -172,9 +172,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Whatever the script — any arrival pattern, up to three panicking
-    /// batches, an optional damage/restore pair — and whichever transport
-    /// carries it: every request is accounted once, everything served is
-    /// bit-identical to the reference, and the replay repeats exactly.
+    /// batches, an optional damage/restore pair, the result cache on or off
+    /// — and whichever transport carries it: every request is accounted
+    /// once, everything served is bit-identical to the reference, and the
+    /// replay repeats exactly.
     #[test]
     fn generated_scripts_hold_the_replay_invariants_on_both_transports(
         seed in 0u64..1_000_000,
@@ -185,6 +186,7 @@ proptest! {
         panic_batches in prop::collection::vec(0u64..10, 0..4),
         damage_at in 0u64..24,
         chunk_max in 0usize..12,
+        cache_on in 0usize..2,
     ) {
         quiet_injected_panics();
         static TABLES: OnceLock<Trained> = OnceLock::new();
@@ -200,9 +202,11 @@ proptest! {
                 ArrivalPattern::Bursty { burst_size: 5 },
                 ArrivalPattern::HotTable { hot_table: 1, hot_permille: 800 },
             ][pattern],
-            harness: HarnessConfig {
+            harness: ServeConfig {
                 router: RouterConfig { queue_capacity, ..RouterConfig::default() },
-                ..HarnessConfig::default()
+                // 0 or 64 entries per table.
+                cache_capacity: 64 * cache_on,
+                ..ServeConfig::default()
             },
         };
         // Half the cases damage table 0's checkpoint (alternating the two
@@ -233,9 +237,10 @@ proptest! {
             prop_assert_eq!(counted[Counter::ShedDeadline], report.shed_deadline, "{:?}", report);
             prop_assert_eq!(counted[Counter::ShedInternal], report.shed_internal, "{:?}", report);
             // On the wire every answer is a frame the server produced, so
-            // completions and overload sheds balance too. In-process they
-            // need not: a reload that fails at admission is a "retry" to the
-            // client but never reached a queue, so the server shed nothing.
+            // completions (cache hits included) and overload sheds balance
+            // too. In-process they need not: a reload that fails at
+            // admission is a "retry" to the client but never reached a
+            // queue, so the server shed nothing.
             if matches!(transport, Transport::Wire { .. }) {
                 prop_assert_eq!(counted[Counter::Requests], report.served, "{:?}", report);
                 prop_assert_eq!(counted[Counter::ShedOverload], report.shed_overload, "{:?}", report);
@@ -257,7 +262,7 @@ fn a_truncated_checkpoint_sheds_typed_and_heals_on_restore() {
         mean_gap: Duration::from_micros(50),
         service_every: Duration::from_micros(100),
         pattern: ArrivalPattern::Uniform,
-        harness: HarnessConfig::default(),
+        harness: ServeConfig { cache_capacity: 0, ..ServeConfig::default() },
     };
     let plan = FaultPlan {
         truncate_checkpoint_at: Some((30, 0)),
@@ -293,9 +298,10 @@ fn spill_io_errors_keep_models_resident_and_serving() {
         mean_gap: Duration::from_micros(50),
         service_every: Duration::from_micros(100),
         pattern: ArrivalPattern::Uniform,
-        harness: HarnessConfig {
+        harness: ServeConfig {
             model_budget_bytes: resident_total - 1,
-            ..HarnessConfig::default()
+            cache_capacity: 0,
+            ..ServeConfig::default()
         },
     };
     let plan = FaultPlan {
@@ -334,7 +340,8 @@ fn a_panicking_batch_sheds_typed_then_the_respawned_worker_serves_bit_identicall
         let mut reference = tables[0].1.clone();
         workloads[0].iter().map(|q| reference.estimate(q)).collect()
     };
-    let mut harness = RouterHarness::new(tables, HarnessConfig::default());
+    let mut harness =
+        RouterHarness::new(tables, ServeConfig { cache_capacity: 0, ..ServeConfig::default() });
     // The very first batch panics; everything after runs clean.
     harness.arm_panic_batches(&[0]);
 
@@ -382,13 +389,14 @@ fn every_shed_path_delivers_exactly_one_terminal_reply() {
     // A deliberately hostile configuration: tiny queues (overload sheds), a
     // tight deadline budget (deadline sheds after a clock jump), and an
     // injected panic (internal sheds).
-    let harness_cfg = HarnessConfig {
+    let harness_cfg = ServeConfig {
         router: RouterConfig {
             queue_capacity: 4,
             default_deadline: Some(Duration::from_micros(200)),
             ..RouterConfig::default()
         },
-        ..HarnessConfig::default()
+        cache_capacity: 0,
+        ..ServeConfig::default()
     };
     let mut harness = RouterHarness::new(tables, harness_cfg);
     harness.arm_panic_batches(&[1]);
@@ -448,7 +456,12 @@ fn a_mid_frame_disconnect_is_contained_to_its_connection() {
         let mut reference = tables[0].1.clone();
         reference.estimate(&workloads[0][0])
     };
-    let mut sim = WireSim::new(tables, HarnessConfig::default(), ConnConfig::default(), 2);
+    let mut sim = WireSim::new(
+        tables,
+        ServeConfig { cache_capacity: 0, ..ServeConfig::default() },
+        ConnConfig::default(),
+        2,
+    );
 
     // Connection 0: preamble, one complete request, then HALF of a second
     // request frame — and the peer vanishes mid-frame.
@@ -620,9 +633,10 @@ fn the_virtual_clock_fault_replay_is_independent_of_wall_time() {
         mean_gap: Duration::from_micros(40),
         service_every: Duration::from_micros(90),
         pattern: ArrivalPattern::Bursty { burst_size: 8 },
-        harness: HarnessConfig {
+        harness: ServeConfig {
             router: RouterConfig { queue_capacity: 8, ..RouterConfig::default() },
-            ..HarnessConfig::default()
+            cache_capacity: 0,
+            ..ServeConfig::default()
         },
     };
     let plan = FaultPlan { panic_batches: vec![1, 4], ..FaultPlan::default() };

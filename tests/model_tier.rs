@@ -13,7 +13,7 @@
 use duet::core::{DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
 use duet::query::{Query, WorkloadSpec};
-use duet::serve::sim::{replay, ArrivalPattern, HarnessConfig, ScenarioConfig, Transport};
+use duet::serve::sim::{replay, ArrivalPattern, ScenarioConfig, Transport};
 use duet::serve::{Counter, DuetServer, ModelSlot, ServeConfig};
 use std::time::Duration;
 
@@ -86,7 +86,11 @@ fn budget_pressure_scenario_serves_everything_and_replays_identically() {
         // Heavy skew: table 0 stays hot, tables 1/2 go cold and become the
         // eviction victims until their next request reloads them.
         pattern: ArrivalPattern::HotTable { hot_table: 0, hot_permille: 800 },
-        harness: HarnessConfig { model_budget_bytes: resident_total - 1, ..Default::default() },
+        harness: ServeConfig {
+            model_budget_bytes: resident_total - 1,
+            cache_capacity: 0,
+            ..Default::default()
+        },
     };
 
     let (setup, script) = cfg.generate(&tables, &workloads);
@@ -124,8 +128,9 @@ fn budget_pressure_with_a_different_seed_still_conserves_requests() {
         mean_gap: Duration::from_micros(120),
         service_every: Duration::from_micros(250),
         pattern: ArrivalPattern::Uniform,
-        harness: HarnessConfig {
+        harness: ServeConfig {
             model_budget_bytes: resident_total - max_model / 2,
+            cache_capacity: 0,
             ..Default::default()
         },
     };

@@ -24,7 +24,7 @@ use duet::data::datasets::census_like;
 use duet::data::Table;
 use duet::query::{exact_cardinality, q_error, CardinalityEstimator, WorkloadSpec};
 use duet::serve::sim::{
-    replay, ChunkMode, DriftScenarioConfig, HarnessConfig, RouterHarness, SubmitResult, Transport,
+    replay, ChunkMode, DriftScenarioConfig, RouterHarness, SubmitResult, Transport,
 };
 use duet::serve::{Counter, DuetServer, OnlineConfig, ServeConfig, ServeError};
 use std::sync::Arc;
@@ -49,7 +49,6 @@ fn drift_scenario_replays_bit_identically() {
             post_queries: 48,
             tick_every: 8,
             feedback_every: 4,
-            hot_keys: 16,
             online: OnlineConfig {
                 drift_threshold: 0.05,
                 drift_hysteresis: 2,
@@ -57,7 +56,12 @@ fn drift_scenario_replays_bit_identically() {
                 train_batch_size: 8,
                 ..OnlineConfig::default()
             },
-            harness: HarnessConfig { cache_capacity: 128, ..HarnessConfig::default() },
+            harness: ServeConfig {
+                cache_capacity: 128,
+                cache_shards: 1,
+                hot_keys: 16,
+                ..ServeConfig::default()
+            },
         };
         let (setup, script) = cfg.generate(&table, &estimator, &workload);
         let first = replay(&setup, &script, Transport::InProcess);
@@ -125,9 +129,8 @@ fn retrain_beats_stale_model_on_drifted_workload() {
     let estimator = DuetEstimator::train_data_only(&table, &model_cfg, 61);
     let stale = estimator.clone();
 
-    let mut harness =
-        RouterHarness::new(vec![("drift".into(), estimator)], HarnessConfig::default());
-    harness.enable_hot_set(0, 8);
+    let config = ServeConfig { cache_capacity: 0, ..ServeConfig::default() };
+    let mut harness = RouterHarness::new(vec![("drift".into(), estimator)], config);
     let online = harness.enable_online(
         0,
         table.clone(),
@@ -183,9 +186,8 @@ fn hot_set_replay_leaves_zero_post_swap_cache_misses() {
     let estimator = DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 71);
     let mut harness = RouterHarness::new(
         vec![("hot".into(), estimator)],
-        HarnessConfig { cache_capacity: 64, ..HarnessConfig::default() },
+        ServeConfig { cache_capacity: 64, cache_shards: 1, hot_keys: 32, ..ServeConfig::default() },
     );
-    harness.enable_hot_set(0, 32);
     let online = harness.enable_online(
         0,
         table.clone(),

@@ -18,7 +18,7 @@ use duet::core::{DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
 use duet::query::{CardinalityEstimator, Query, WorkloadSpec};
 use duet::serve::sim::{
-    replay, ArrivalPattern, HarnessConfig, RouterHarness, ScenarioConfig, SubmitResult, Transport,
+    replay, ArrivalPattern, ChunkMode, RouterHarness, ScenarioConfig, SubmitResult, Transport,
 };
 use duet::serve::{
     shard_for, Counter, DuetServer, RouterConfig, ServeConfig, ServeError, ShedReason,
@@ -53,7 +53,7 @@ fn uniform_arrivals_serve_everything_bit_identically() {
         mean_gap: Duration::from_micros(100),
         service_every: Duration::from_micros(300),
         pattern: ArrivalPattern::Uniform,
-        harness: HarnessConfig::default(),
+        harness: ServeConfig { cache_capacity: 0, ..ServeConfig::default() },
     };
     let (setup, script) = cfg.generate(&tables, &workloads);
     let report = replay(&setup, &script, Transport::InProcess);
@@ -89,9 +89,10 @@ fn bursty_overload_sheds_instead_of_queueing_unboundedly() {
         // control the queues would grow without bound.
         service_every: Duration::from_millis(5),
         pattern: ArrivalPattern::Bursty { burst_size: 16 },
-        harness: HarnessConfig {
+        harness: ServeConfig {
             router: RouterConfig { num_shards: 2, queue_capacity, default_deadline: None },
-            ..HarnessConfig::default()
+            cache_capacity: 0,
+            ..ServeConfig::default()
         },
     };
     let (setup, script) = cfg.generate(&tables, &workloads);
@@ -131,9 +132,10 @@ fn hot_table_skew_cannot_starve_tables_on_other_shards() {
         mean_gap: Duration::from_micros(50),
         service_every: Duration::from_micros(250),
         pattern: ArrivalPattern::HotTable { hot_table: 0, hot_permille: 850 },
-        harness: HarnessConfig {
+        harness: ServeConfig {
             router: RouterConfig { num_shards: 4, queue_capacity: 6, default_deadline: None },
-            ..HarnessConfig::default()
+            cache_capacity: 0,
+            ..ServeConfig::default()
         },
     };
     let (setup, script) = cfg.generate(&tables, &workloads);
@@ -171,13 +173,14 @@ fn deadline_budgets_expire_at_dequeue_deterministically() {
         // than one cadence before their service turn expire at dequeue.
         service_every: Duration::from_millis(2),
         pattern: ArrivalPattern::Uniform,
-        harness: HarnessConfig {
+        harness: ServeConfig {
             router: RouterConfig {
                 num_shards: 2,
                 queue_capacity: 4096,
                 default_deadline: Some(Duration::from_micros(500)),
             },
-            ..HarnessConfig::default()
+            cache_capacity: 0,
+            ..ServeConfig::default()
         },
     };
     let (setup, script) = cfg.generate(&tables, &workloads);
@@ -194,13 +197,14 @@ fn harness_single_steps_admission_deadline_and_metrics() {
     let (tables, workloads) = trained_tables(1);
     let mut harness = RouterHarness::new(
         tables,
-        HarnessConfig {
+        ServeConfig {
             router: RouterConfig {
                 num_shards: 1,
                 queue_capacity: 2,
                 default_deadline: Some(Duration::from_millis(1)),
             },
-            ..HarnessConfig::default()
+            cache_capacity: 0,
+            ..ServeConfig::default()
         },
     );
     let query = &workloads[0][0];
@@ -342,7 +346,8 @@ fn production_shared_pool_routes_many_tables_bit_identically() {
 fn scenario_with_result_cache_still_conserves_and_matches() {
     // With a per-table cache on, repeats are served from cache; everything
     // still conserves and stays bit-identical (a hit returns the exact miss
-    // value), and the replay stays deterministic.
+    // value), and the replay stays deterministic — on either front door,
+    // which share one admission path and so hit, batch and shed alike.
     let (tables, workloads) = trained_tables(2);
     let cfg = ScenarioConfig {
         seed: 5,
@@ -351,7 +356,7 @@ fn scenario_with_result_cache_still_conserves_and_matches() {
         mean_gap: Duration::from_micros(80),
         service_every: Duration::from_micros(160),
         pattern: ArrivalPattern::Uniform,
-        harness: HarnessConfig { cache_capacity: 256, cache_shards: 2, ..HarnessConfig::default() },
+        harness: ServeConfig { cache_capacity: 256, cache_shards: 2, ..ServeConfig::default() },
     };
     let (setup, script) = cfg.generate(&tables, &workloads);
     let report = replay(&setup, &script, Transport::InProcess);
@@ -362,4 +367,24 @@ fn scenario_with_result_cache_still_conserves_and_matches() {
         "cache hits must spare forward batches: {report:?}"
     );
     assert_eq!(report, replay(&setup, &script, Transport::InProcess));
+
+    let wire = Transport::Wire { chunk: ChunkMode::Exact, max_pipeline: 256 };
+    let over_wire = replay(&setup, &script, wire);
+    assert_eq!(
+        (over_wire.served, over_wire.shed_overload, over_wire.shed_deadline),
+        (report.served, report.shed_overload, report.shed_deadline)
+    );
+    assert_eq!(over_wire.shed_internal, report.shed_internal);
+    assert_eq!(over_wire.mismatches, 0);
+    assert_eq!(
+        over_wire.counters[Counter::Batches],
+        report.counters[Counter::Batches],
+        "the wire door must hit the cache exactly where the in-process door does: {over_wire:?}"
+    );
+    assert_eq!(
+        over_wire.counters[Counter::Requests],
+        over_wire.served,
+        "a wire cache hit is a completed request"
+    );
+    assert_eq!(over_wire, replay(&setup, &script, wire));
 }

@@ -54,9 +54,9 @@ use duet::data::table_stats;
 use duet::data::Table;
 use duet::nn::{seeded_rng, Adam};
 use duet::query::{exact_cardinality, Query, WorkloadSpec};
-use duet::serve::sim::{HarnessConfig, PreparedRequest, RouterHarness, WireSim};
+use duet::serve::sim::{PreparedRequest, RouterHarness, WireSim};
 use duet::serve::wire::{frame, ConnConfig};
-use duet::serve::{DriftMonitor, RouterConfig};
+use duet::serve::{DriftMonitor, RouterConfig, ServeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -189,10 +189,11 @@ fn routed_multi_table_phase() {
 
     let mut harness = RouterHarness::new(
         vec![("alpha".into(), est_a), ("beta".into(), est_b)],
-        HarnessConfig {
+        ServeConfig {
             router: RouterConfig { num_shards: 2, queue_capacity: 64, default_deadline: None },
             cache_capacity: 0,
             cache_shards: 1,
+            hot_keys: 0,
             model_budget_bytes: 0,
         },
     );
@@ -435,10 +436,11 @@ fn wire_phase() {
 
     let mut sim = WireSim::new(
         vec![("wire".into(), est.clone())],
-        HarnessConfig {
+        ServeConfig {
             router: RouterConfig { num_shards: 1, queue_capacity: 64, default_deadline: None },
             cache_capacity: 0,
             cache_shards: 1,
+            hot_keys: 0,
             model_budget_bytes: 0,
         },
         ConnConfig::default(),
@@ -505,10 +507,11 @@ fn budgeted_tier_phase() {
 
     let mut harness = RouterHarness::new(
         vec![("gamma".into(), est_a), ("delta".into(), est_b)],
-        HarnessConfig {
+        ServeConfig {
             router: RouterConfig { num_shards: 2, queue_capacity: 64, default_deadline: None },
             cache_capacity: 0,
             cache_shards: 1,
+            hot_keys: 0,
             // Generous: both models fit, so the tier observes and checks
             // every batch but never has to evict.
             model_budget_bytes: 1 << 40,
@@ -569,10 +572,11 @@ fn trainer_tick_phase() {
 
     let mut harness = RouterHarness::new(
         vec![("online".into(), est)],
-        HarnessConfig {
+        ServeConfig {
             router: RouterConfig { num_shards: 1, queue_capacity: 64, default_deadline: None },
             cache_capacity: 0,
             cache_shards: 1,
+            hot_keys: 0,
             model_budget_bytes: 1 << 40,
         },
     );
@@ -653,10 +657,11 @@ fn supervised_fault_phase() {
 
     let mut harness = RouterHarness::new(
         vec![("supervised".into(), est)],
-        HarnessConfig {
+        ServeConfig {
             router: RouterConfig { num_shards: 1, queue_capacity: 64, default_deadline: None },
             cache_capacity: 0,
             cache_shards: 1,
+            hot_keys: 0,
             model_budget_bytes: 0,
         },
     );
