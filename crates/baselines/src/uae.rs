@@ -12,8 +12,8 @@
 //! forward pass. This keeps the properties the paper's comparison relies on —
 //! per-query training cost proportional to `samples × constrained columns`,
 //! progressive-sampling inference identical to Naru (O(n), non-deterministic)
-//! — while remaining tractable on CPU. The deviation is documented in
-//! DESIGN.md.
+//! — while remaining tractable on CPU. This note is the one record of that
+//! deviation from the original UAE.
 
 use crate::naru::{train_value_model, NaruConfig, NaruEpochStats, NaruEstimator, ValueEncoder};
 use duet_data::Table;

@@ -2,12 +2,15 @@
 //!
 //! Shared harness code for the experiment binaries under `src/bin/`, each of
 //! which regenerates one table or figure of the paper's evaluation section
-//! (see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for the
-//! recorded results).
+//! and writes it as CSV. The binaries are named after what they reproduce
+//! (`table1`–`table3`, `fig3`–`fig8_9`); the README's "Experiments" section
+//! lists them.
 //!
-//! All binaries accept the same flags:
+//! All binaries accept the same flags, each followed by one value; an
+//! unknown flag or a value that does not parse stops the run with status 2:
 //!
-//! * `--scale <f>` — multiply the default (CI-sized) row counts by `f`
+//! * `--scale <f>` — multiply each dataset's CI-sized row count
+//!   ([`Dataset::default_rows`]) by `f`, with a floor of 500 rows
 //!   (`--scale 1` ≈ minutes on a laptop CPU; the paper's full row counts are
 //!   reached around `--scale 100` for DMV).
 //! * `--epochs <n>` — override the number of training epochs.
@@ -26,13 +29,19 @@ use duet_core::{DuetConfig, DuetEstimator};
 use duet_data::datasets;
 use duet_data::Table;
 use duet_query::{label_workload, CardinalityEstimator, QErrorSummary, Query, WorkloadSpec};
+use std::fmt::Display;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Instant;
 
-/// Seed of the training / in-workload generator (paper §V-A2).
+/// Seed of the training workload generator (paper §V-A2).
 pub const TRAIN_SEED: u64 = 42;
+/// Seed of the in-workload test queries: drawn from the training spec (same
+/// bounded column, allowed literals and predicate counts) on a stream of
+/// their own, so In-Q never replays the training queries.
+pub const IN_Q_SEED: u64 = 4242;
 /// Seed of the random test workload (paper §V-A2).
 pub const RAND_SEED: u64 = 1234;
 
@@ -63,50 +72,44 @@ impl Default for BenchOptions {
     }
 }
 
+/// The flag list of the module docs, printed after a parse error.
+const USAGE: &str =
+    "flags: --scale <f>  --epochs <n>  --queries <n>  --train-queries <n>  --out <dir>";
+
 impl BenchOptions {
-    /// Parse the common flags from `std::env::args`.
+    /// Parse the common flags from `std::env::args`. On an unknown flag, a
+    /// missing value or a value that does not parse, print the error and the
+    /// flag list and exit with status 2.
     pub fn from_args() -> Self {
-        let mut opts = Self::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            let take = |i: &mut usize| -> Option<String> {
-                *i += 1;
-                args.get(*i).cloned()
-            };
-            match args[i].as_str() {
-                "--scale" => {
-                    if let Some(v) = take(&mut i) {
-                        opts.scale = v.parse().unwrap_or(opts.scale);
-                    }
-                }
-                "--epochs" => {
-                    if let Some(v) = take(&mut i) {
-                        opts.epochs = v.parse().unwrap_or(opts.epochs);
-                    }
-                }
-                "--queries" => {
-                    if let Some(v) = take(&mut i) {
-                        opts.test_queries = v.parse().unwrap_or(opts.test_queries);
-                    }
-                }
-                "--train-queries" => {
-                    if let Some(v) = take(&mut i) {
-                        opts.train_queries = v.parse().unwrap_or(opts.train_queries);
-                    }
-                }
-                "--out" => {
-                    if let Some(v) = take(&mut i) {
-                        opts.out_dir = PathBuf::from(v);
-                    }
-                }
-                other => {
-                    eprintln!("ignoring unknown flag {other}");
-                }
-            }
-            i += 1;
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse the common flags (without the program name) over the defaults.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String>
+        where
+            T::Err: Display,
+        {
+            value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
         }
-        opts
+        let mut opts = Self::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--scale" => opts.scale = number(flag, value()?)?,
+                "--epochs" => opts.epochs = number(flag, value()?)?,
+                "--queries" => opts.test_queries = number(flag, value()?)?,
+                "--train-queries" => opts.train_queries = number(flag, value()?)?,
+                "--out" => opts.out_dir = PathBuf::from(value()?),
+                other => return Err(format!("unknown flag {other}")),
+            }
+        }
+        Ok(opts)
     }
 
     /// Scaled row count for a dataset's CI-sized default.
@@ -216,15 +219,16 @@ impl Dataset {
 /// The training and test workloads of §V-A2 for one dataset.
 #[derive(Debug, Clone)]
 pub struct Workloads {
-    /// Training workload (bounded column, Gamma predicate counts, seed 42).
+    /// Training workload (bounded column, Gamma predicate counts,
+    /// [`TRAIN_SEED`]).
     pub train: Vec<Query>,
     /// Training-workload cardinality labels.
     pub train_cards: Vec<u64>,
-    /// In-workload test queries (same distribution as training, seed 42).
+    /// In-workload test queries (the training spec, [`IN_Q_SEED`]).
     pub in_q: Vec<Query>,
     /// In-workload ground truth.
     pub in_q_cards: Vec<u64>,
-    /// Random test queries (uniform, seed 1234).
+    /// Random test queries (uniform, [`RAND_SEED`]).
     pub rand_q: Vec<Query>,
     /// Random-workload ground truth.
     pub rand_q_cards: Vec<u64>,
@@ -232,8 +236,10 @@ pub struct Workloads {
 
 /// Generate and label the workloads for a table.
 pub fn build_workloads(table: &Table, opts: &BenchOptions) -> Workloads {
-    let train = WorkloadSpec::in_workload(table, opts.train_queries, TRAIN_SEED).generate(table);
-    let in_q = WorkloadSpec::in_workload(table, opts.test_queries, TRAIN_SEED).generate(table);
+    let spec = WorkloadSpec::in_workload(table, opts.train_queries, TRAIN_SEED);
+    let train = spec.generate(table);
+    let in_q =
+        WorkloadSpec { num_queries: opts.test_queries, seed: IN_Q_SEED, ..spec }.generate(table);
     let rand_q = WorkloadSpec::random(table, opts.test_queries, RAND_SEED).generate(table);
     let train_cards = label_workload(table, &train);
     let in_q_cards = label_workload(table, &in_q);
@@ -367,6 +373,7 @@ pub fn print_result(dataset: &str, workload: &str, r: &EvalResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use duet_data::datasets::census_like;
 
     #[test]
     fn options_scale_rows() {
@@ -398,6 +405,65 @@ mod tests {
         assert_eq!(w.rand_q.len(), 20);
         assert_eq!(w.train.len(), w.train_cards.len());
         assert_eq!(w.in_q.len(), w.in_q_cards.len());
+    }
+
+    /// In-Q comes from the training distribution but not from the training
+    /// queries themselves: it is not a prefix of `train`, and its literals on
+    /// the bounded column are still drawn from the training spec's allowed set.
+    #[test]
+    fn in_workload_queries_are_not_training_queries() {
+        let opts = BenchOptions { test_queries: 50, train_queries: 200, ..BenchOptions::default() };
+        let table = census_like(2_000, 7);
+        let w = build_workloads(&table, &opts);
+        assert_eq!(w.in_q.len(), 50);
+        assert_ne!(w.in_q[..], w.train[..w.in_q.len()], "In-Q replays the training queries");
+
+        let bounded = WorkloadSpec::in_workload(&table, 1, TRAIN_SEED).bounded_column.unwrap();
+        let column = table.column(bounded.column);
+        let mut checked = 0;
+        for p in w.in_q.iter().flat_map(|q| &q.predicates).filter(|p| p.column == bounded.column) {
+            let id = column.id_of_value(&p.value).expect("literal in the dictionary");
+            assert!(bounded.allowed_ids.contains(&id), "In-Q literal id {id} is not allowed");
+            checked += 1;
+        }
+        assert!(checked > 0, "no In-Q query constrains the bounded column");
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn parse_takes_the_fig6_smoke_flags() {
+        let opts = BenchOptions::parse(&args(
+            "--scale 0.1 --epochs 1 --queries 20 --train-queries 100 --out target/fig6-smoke",
+        ))
+        .unwrap();
+        assert_eq!(opts.scale, 0.1);
+        assert_eq!(opts.epochs, 1);
+        assert_eq!(opts.test_queries, 20);
+        assert_eq!(opts.train_queries, 100);
+        assert_eq!(opts.out_dir, PathBuf::from("target/fig6-smoke"));
+        assert_eq!(BenchOptions::parse(&[]).unwrap().epochs, BenchOptions::default().epochs);
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_flag() {
+        let err = BenchOptions::parse(&args("--epoch 1")).unwrap_err();
+        assert!(err.contains("unknown flag --epoch"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_a_malformed_value() {
+        let err = BenchOptions::parse(&args("--scale abc")).unwrap_err();
+        assert!(err.contains("--scale \"abc\""), "{err}");
+        assert!(BenchOptions::parse(&args("--epochs -1")).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_missing_value() {
+        let err = BenchOptions::parse(&args("--epochs 2 --queries")).unwrap_err();
+        assert_eq!(err, "--queries needs a value");
     }
 
     #[test]

@@ -132,12 +132,6 @@ impl DuetConfig {
         self
     }
 
-    /// Override the batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
     /// Basic validity check; called by the trainer.
     pub fn validate(&self) -> Result<(), String> {
         if self.hidden_sizes.is_empty() {
@@ -181,16 +175,11 @@ mod tests {
 
     #[test]
     fn builders_apply_overrides() {
-        let cfg = DuetConfig::small()
-            .with_mpsn(MpsnKind::Mlp, 3)
-            .with_lambda(0.01)
-            .with_epochs(7)
-            .with_batch_size(33);
+        let cfg = DuetConfig::small().with_mpsn(MpsnKind::Mlp, 3).with_lambda(0.01).with_epochs(7);
         assert_eq!(cfg.mpsn, MpsnKind::Mlp);
         assert_eq!(cfg.max_predicates_per_column, 3);
         assert_eq!(cfg.lambda, 0.01);
         assert_eq!(cfg.epochs, 7);
-        assert_eq!(cfg.batch_size, 33);
         assert!(cfg.validate().is_ok());
     }
 

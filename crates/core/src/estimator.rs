@@ -5,7 +5,7 @@
 use crate::config::DuetConfig;
 use crate::encoding::IdPredicate;
 use crate::model::{query_to_id_predicates, DuetModel, DuetWorkspace};
-use crate::trainer::{train_model, EpochStats, TrainingWorkload};
+use crate::trainer::{train_model, TrainingWorkload};
 use duet_data::Table;
 use duet_query::{CardinalityEstimator, Query};
 use std::time::{Duration, Instant};
@@ -43,17 +43,6 @@ impl DuetEstimator {
         Self::from_model(model, table, "duet_d")
     }
 
-    /// Train data-driven while recording per-epoch statistics.
-    pub fn train_data_only_with_stats(
-        table: &Table,
-        config: &DuetConfig,
-        seed: u64,
-        mut on_epoch: impl FnMut(&EpochStats),
-    ) -> Self {
-        let model = train_model(table, config, None, seed, |s| on_epoch(s));
-        Self::from_model(model, table, "duet_d")
-    }
-
     /// Hybrid training on the table plus a labelled historical workload
     /// (the paper's full `Duet`).
     pub fn train_hybrid(
@@ -63,20 +52,8 @@ impl DuetEstimator {
         config: &DuetConfig,
         seed: u64,
     ) -> Self {
-        Self::train_hybrid_with_stats(table, queries, cardinalities, config, seed, |_| {})
-    }
-
-    /// Hybrid training with per-epoch statistics.
-    pub fn train_hybrid_with_stats(
-        table: &Table,
-        queries: &[Query],
-        cardinalities: &[u64],
-        config: &DuetConfig,
-        seed: u64,
-        mut on_epoch: impl FnMut(&EpochStats),
-    ) -> Self {
         let workload = TrainingWorkload { queries, cardinalities };
-        let model = train_model(table, config, Some(workload), seed, |s| on_epoch(s));
+        let model = train_model(table, config, Some(workload), seed, |_| {});
         Self::from_model(model, table, "duet")
     }
 
@@ -123,11 +100,6 @@ impl DuetEstimator {
     /// Number of rows of the table the estimator was trained on.
     pub fn num_rows(&self) -> usize {
         self.num_rows
-    }
-
-    /// Change the reported name (e.g. to distinguish ablations).
-    pub fn set_label(&mut self, label: impl Into<String>) {
-        self.label = label.into();
     }
 
     /// Estimate with a timing breakdown into encoding and inference phases,

@@ -12,8 +12,9 @@
 //! * [`encoding`] — predicate encoding (binary value bits + one-hot operator,
 //!   wildcard skipping), §IV-C;
 //! * [`virtual_table`] — Algorithm 1, sampling virtual tuples during SGD;
-//! * [`mpsn`] — Multiple Predicates Supporting Networks and the merged-MLP
-//!   acceleration, §IV-F;
+//! * [`mpsn`] — Multiple Predicates Supporting Networks, §IV-F; the
+//!   per-column forward is the one MPSN forward, and the paper's merged
+//!   block-diagonal form is not implemented;
 //! * [`model`] — the network and the sampling-free estimation of Algorithm 3;
 //! * [`trainer`] — data-driven and hybrid training (Algorithm 2, the
 //!   `L = L_data + λ·log2(QError+1)` loss);
@@ -50,7 +51,6 @@ pub use duet_nn::SoftmaxMode;
 pub use encoding::{Encoder, IdPredicate};
 pub use estimator::{DuetEstimator, EstimateBreakdown};
 pub use model::{query_to_id_predicates, DuetModel, DuetWorkspace, WorkspacePool};
-pub use mpsn::{build_mpsns, ColumnMpsn, MergedMlpMpsn, MpsnScratch};
 pub use persist::{load_weights, save_weights, verify_checkpoint, CheckpointError};
 pub use trainer::{
     data_forward, measure_training_throughput, query_forward, train_model, train_model_with_eval,

@@ -2,9 +2,9 @@
 //! masked autoregressive backbone, with the sampling-free estimation path of
 //! the paper's Algorithm 3.
 
-use crate::config::{DuetConfig, MpsnKind};
+use crate::config::DuetConfig;
 use crate::encoding::{Encoder, IdPredicate};
-use crate::mpsn::{build_mpsns, ColumnMpsn, MergedMlpMpsn, MpsnScratch};
+use crate::mpsn::{build_mpsns, ColumnMpsn, MpsnScratch};
 use duet_data::Table;
 use duet_nn::{
     seeded_rng, softmax_restricted_mass, BlockPlan, ForwardWorkspace, Made, MadeConfig, Matrix,
@@ -164,18 +164,8 @@ impl DuetModel {
     }
 
     /// The per-column MPSNs (empty when `MpsnKind::None`).
-    pub fn mpsns(&self) -> &[ColumnMpsn] {
+    pub(crate) fn mpsns(&self) -> &[ColumnMpsn] {
         &self.mpsns
-    }
-
-    /// Build the merged block-diagonal MPSN for accelerated inference
-    /// (only valid for the MLP variant).
-    pub fn merged_mpsn(&self) -> Option<MergedMlpMpsn> {
-        if self.config.mpsn == MpsnKind::Mlp && !self.mpsns.is_empty() {
-            Some(MergedMlpMpsn::from_columns(&self.mpsns))
-        } else {
-            None
-        }
     }
 
     /// Encode a batch of rows directly into the workspace's input matrix,
@@ -473,6 +463,7 @@ pub fn id_pred_matches(pred: &IdPredicate, id: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MpsnKind;
     use duet_data::datasets::census_like;
     use duet_data::Value;
     use duet_query::{PredOp, Query};
@@ -564,14 +555,6 @@ mod tests {
         let (_, with) = model(MpsnKind::Mlp);
         assert!(with.num_parameters() > without.num_parameters());
         assert_eq!(with.size_bytes(), with.num_parameters() * 4);
-    }
-
-    #[test]
-    fn merged_mpsn_only_exists_for_mlp_kind() {
-        let (_, m_none) = model(MpsnKind::None);
-        assert!(m_none.merged_mpsn().is_none());
-        let (_, m_mlp) = model(MpsnKind::Mlp);
-        assert!(m_mlp.merged_mpsn().is_some());
     }
 
     #[test]

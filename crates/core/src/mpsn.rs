@@ -14,15 +14,16 @@
 //!   order sensitivity);
 //! * **Recursive** — `out = MLP(E(pred) || out)`, folded over the predicates.
 //!
-//! Every column owns an independent MPSN. For the MLP variant the paper also
-//! describes a *merged* inference mode where all per-column MLPs are combined
-//! into one block-diagonal network so a single forward pass embeds every
-//! column at once; [`MergedMlpMpsn`] implements that acceleration.
+//! Every column owns an independent MPSN, and `ColumnMpsn::embed_into`,
+//! one column at a time, is the one MPSN forward: estimation and training
+//! both run it. The paper's §IV-F also describes a *merged* inference mode
+//! for the MLP variant, which fuses every column's MLP into one
+//! block-diagonal network; that form is not implemented here.
 
 use crate::config::MpsnKind;
 use duet_nn::{
-    rowvec_matmul_into, seeded_rng, Activation, ForwardWorkspace, InferLayer, Init, Linear, Matrix,
-    Mlp, Param, Params, TrainWorkspace,
+    rowvec_matmul_into, seeded_rng, ForwardWorkspace, InferLayer, Init, Matrix, Mlp, Param, Params,
+    TrainWorkspace,
 };
 use rand::rngs::SmallRng;
 
@@ -35,7 +36,7 @@ use rand::rngs::SmallRng;
 /// once the buffers have warmed up to the widest column. The training-only
 /// buffers stay empty in a workspace that only ever serves.
 #[derive(Debug, Clone, Default)]
-pub struct MpsnScratch {
+pub(crate) struct MpsnScratch {
     /// Workspace for the per-column MLP / recursive cell forward passes.
     nn: ForwardWorkspace,
     /// One-row input staging matrix for the recursive cell.
@@ -57,19 +58,12 @@ pub struct MpsnScratch {
     da: Vec<f32>,
 }
 
-impl MpsnScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A per-column MPSN instance.
 // Variant sizes differ, but a model holds at most one per column, so boxing
 // the larger variants would add a pointer chase per embed for nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub enum ColumnMpsn {
+pub(crate) enum ColumnMpsn {
     /// MLP embedding + vector sum.
     Mlp(MlpMpsn),
     /// Recurrent (tanh RNN) embedding.
@@ -147,7 +141,7 @@ impl ColumnMpsn {
 
 /// MLP & vector-sum MPSN: `embed(preds) = Σ_j MLP(pred_j)`.
 #[derive(Debug, Clone)]
-pub struct MlpMpsn {
+pub(crate) struct MlpMpsn {
     mlp: Mlp,
     dim: usize,
 }
@@ -179,17 +173,12 @@ impl MlpMpsn {
         }
         self.mlp.backward_scratch(&ws.grad, &mut ws.train, false);
     }
-
-    /// Access to the underlying MLP (used by [`MergedMlpMpsn`]).
-    pub fn mlp(&self) -> &Mlp {
-        &self.mlp
-    }
 }
 
 /// Recurrent MPSN: a single-layer tanh RNN over the predicate sequence
 /// followed by a linear readout of the final hidden state.
 #[derive(Debug, Clone)]
-pub struct RecurrentMpsn {
+pub(crate) struct RecurrentMpsn {
     wx: Param,
     wh: Param,
     b: Param,
@@ -281,7 +270,7 @@ impl RecurrentMpsn {
 
 /// Recursive MPSN: `out_t = MLP([pred_t ; out_{t-1}])`, with `out_0 = 0`.
 #[derive(Debug, Clone)]
-pub struct RecursiveMpsn {
+pub(crate) struct RecursiveMpsn {
     cell: Mlp,
     dim: usize,
 }
@@ -356,7 +345,7 @@ fn rowvec_matmul_nt_into(x: &[f32], w: &Matrix, out: &mut Vec<f32>) {
 }
 
 /// Build one MPSN per column.
-pub fn build_mpsns(
+pub(crate) fn build_mpsns(
     kind: MpsnKind,
     block_widths: &[usize],
     hidden: usize,
@@ -367,134 +356,6 @@ pub fn build_mpsns(
     }
     let mut rng = seeded_rng(seed);
     block_widths.iter().map(|&dim| ColumnMpsn::new(kind, dim, hidden, &mut rng)).collect()
-}
-
-/// The merged-MLP acceleration (paper §IV-F, "Parallel Acceleration for MLP
-/// MPSN"): all per-column MLP MPSNs are fused into one block-diagonal MLP so a
-/// single forward pass embeds every column's predicates at once.
-#[derive(Debug, Clone)]
-pub struct MergedMlpMpsn {
-    /// One `(weight, bias)` pair per fused layer; weights are block-diagonal.
-    layers: Vec<(Matrix, Vec<f32>)>,
-    block_offsets: Vec<Vec<usize>>, // per layer, per column offset
-    dims: Vec<usize>,
-}
-
-impl MergedMlpMpsn {
-    /// Fuse per-column MLP MPSNs. All columns must use the same number of
-    /// layers (they do, by construction in [`build_mpsns`]).
-    ///
-    /// # Panics
-    /// Panics if `mpsns` is empty or contains a non-MLP variant.
-    pub fn from_columns(mpsns: &[ColumnMpsn]) -> Self {
-        assert!(!mpsns.is_empty(), "cannot merge zero MPSNs");
-        let mlps: Vec<&Mlp> = mpsns
-            .iter()
-            .map(|m| match m {
-                ColumnMpsn::Mlp(m) => m.mlp(),
-                _ => panic!("merged acceleration only applies to MLP MPSNs"),
-            })
-            .collect();
-        let n_layers = mlps[0].linears().len();
-        assert!(mlps.iter().all(|m| m.linears().len() == n_layers));
-
-        let dims: Vec<usize> = mpsns.iter().map(|m| m.dim()).collect();
-        let mut layers = Vec::with_capacity(n_layers);
-        let mut block_offsets = Vec::with_capacity(n_layers + 1);
-        for layer_idx in 0..n_layers {
-            let linears: Vec<&Linear> = mlps.iter().map(|m| &m.linears()[layer_idx]).collect();
-            let total_in: usize = linears.iter().map(|l| l.in_features()).sum();
-            let total_out: usize = linears.iter().map(|l| l.out_features()).sum();
-            let mut w = Matrix::zeros(total_in, total_out);
-            let mut b = vec![0.0f32; total_out];
-            let mut in_off = 0;
-            let mut out_off = 0;
-            let mut in_offsets = Vec::with_capacity(linears.len());
-            for l in &linears {
-                in_offsets.push(in_off);
-                // Copy the column's weight block onto the diagonal.
-                for i in 0..l.in_features() {
-                    for j in 0..l.out_features() {
-                        w.set(in_off + i, out_off + j, l.weight().get(i, j));
-                    }
-                }
-                b[out_off..out_off + l.out_features()].copy_from_slice(l.bias().as_slice());
-                in_off += l.in_features();
-                out_off += l.out_features();
-            }
-            block_offsets.push(in_offsets);
-            layers.push((w, b));
-        }
-        // Output offsets of the final layer (per column).
-        let mut final_offsets = Vec::with_capacity(dims.len());
-        let mut off = 0;
-        for &d in &dims {
-            final_offsets.push(off);
-            off += d;
-        }
-        block_offsets.push(final_offsets);
-        Self { layers, block_offsets, dims }
-    }
-
-    /// Embed every column's predicate lists in one fused pass.
-    ///
-    /// `preds_per_col[c]` holds the encodings of column `c`'s predicates; the
-    /// result written to `out` is the concatenation of every column's
-    /// embedding (what each [`ColumnMpsn::embed_into`] would write for its
-    /// block). Every intermediate is staged in the workspace —
-    /// allocation-free once it has warmed up to this network's widths.
-    pub fn embed_all_into(
-        &self,
-        preds_per_col: &[Vec<Vec<f32>>],
-        ws: &mut ForwardWorkspace,
-        out: &mut [f32],
-    ) {
-        assert_eq!(preds_per_col.len(), self.dims.len(), "column count mismatch");
-        let total: usize = self.dims.iter().sum();
-        assert_eq!(out.len(), total, "output length mismatch");
-        out.fill(0.0);
-        let max_preds = preds_per_col.iter().map(|p| p.len()).max().unwrap_or(0);
-        if max_preds == 0 {
-            return;
-        }
-        ws.rewind();
-        // Row k holds every column's k-th predicate (or zeros). Running the
-        // block-diagonal MLP over these rows and masking out the slots where a
-        // column has no k-th predicate reproduces the per-column sum exactly.
-        {
-            let (_cur, _next, aux) = ws.split();
-            aux.reset(max_preds, self.layers[0].0.rows());
-            for (c, preds) in preds_per_col.iter().enumerate() {
-                let off = self.block_offsets[0][c];
-                for (k, p) in preds.iter().enumerate() {
-                    aux.row_mut(k)[off..off + p.len()].copy_from_slice(p);
-                }
-            }
-        }
-        let last = self.layers.len() - 1;
-        for (i, (w, b)) in self.layers.iter().enumerate() {
-            let act = if i < last { Activation::Relu } else { Activation::Identity };
-            {
-                let (cur, next, aux) = ws.split();
-                let x: &Matrix = if i == 0 { aux } else { cur };
-                x.addmm_bias_act_into(w, Some(b), act, next);
-            }
-            ws.flip();
-        }
-        // Mask and sum over the predicate-slot rows.
-        let y = ws.output();
-        let final_offsets = &self.block_offsets[self.layers.len()];
-        for (c, preds) in preds_per_col.iter().enumerate() {
-            let off = final_offsets[c];
-            let dim = self.dims[c];
-            for k in 0..preds.len() {
-                let row = y.row(k);
-                for d in 0..dim {
-                    out[off + d] += row[off + d];
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -515,12 +376,12 @@ mod tests {
 
     fn embed_vec(m: &ColumnMpsn, preds: &[Vec<f32>]) -> Vec<f32> {
         let mut out = vec![9.0; m.dim()];
-        m.embed_into(&stack(preds, m.dim()), &mut MpsnScratch::new(), &mut out);
+        m.embed_into(&stack(preds, m.dim()), &mut MpsnScratch::default(), &mut out);
         out
     }
 
     fn accumulate_grad(m: &mut ColumnMpsn, preds: &[Vec<f32>], grad: &[f32]) {
-        m.accumulate_grad(&stack(preds, m.dim()), grad, &mut MpsnScratch::new());
+        m.accumulate_grad(&stack(preds, m.dim()), grad, &mut MpsnScratch::default());
     }
 
     #[test]
@@ -608,25 +469,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn merged_mlp_matches_per_column_embeddings() {
-        let widths = vec![7, 5, 9];
-        let mpsns = build_mpsns(MpsnKind::Mlp, &widths, 16, 77);
-        let merged = MergedMlpMpsn::from_columns(&mpsns);
-        let preds_per_col =
-            vec![vec![pred_vec(7, 0.2), pred_vec(7, 0.8)], vec![], vec![pred_vec(9, 1.5)]];
-        let mut fused = vec![9.0; widths.iter().sum()];
-        merged.embed_all_into(&preds_per_col, &mut ForwardWorkspace::new(), &mut fused);
-        let mut expected = Vec::new();
-        for (m, preds) in mpsns.iter().zip(&preds_per_col) {
-            expected.extend(embed_vec(m, preds));
-        }
-        assert_eq!(fused.len(), expected.len());
-        for (a, b) in fused.iter().zip(expected.iter()) {
-            assert!((a - b).abs() < 1e-4, "merged {a} vs per-column {b}");
         }
     }
 

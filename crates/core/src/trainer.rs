@@ -28,7 +28,6 @@ use duet_nn::{
 };
 use duet_query::Query;
 use rand::seq::SliceRandom;
-use rand::Rng;
 use std::borrow::Borrow;
 use std::time::Instant;
 
@@ -170,12 +169,6 @@ impl TrainStepScratch {
     /// allocation-free afterwards.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The `dL/dlogits` staged by the most recent forward pass (what the
-    /// backward pass consumes).
-    pub fn grad_logits(&self) -> &Matrix {
-        &self.grad_logits
     }
 }
 
@@ -542,12 +535,6 @@ pub fn measure_training_throughput(
     processed as f64 / secs.max(1e-9)
 }
 
-/// Deterministically pick `n` row indices (used by tests).
-pub fn pick_rows(table: &Table, n: usize, seed: u64) -> Vec<usize> {
-    let mut rng = seeded_rng(seed);
-    (0..n.min(table.num_rows())).map(|_| rng.gen_range(0..table.num_rows())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,7 +635,7 @@ mod tests {
         for round in 0..2 {
             let loss = data_forward(&mut model, &batch, &mut scratch);
             assert_eq!(loss, want_loss, "round {round}");
-            assert_eq!(scratch.grad_logits(), &want_grad, "round {round}");
+            assert_eq!(scratch.grad_logits, want_grad, "round {round}");
         }
     }
 
@@ -665,11 +652,11 @@ mod tests {
         let mut scratch = TrainStepScratch::new();
         let first =
             query_forward(&mut model, &prepared, table.num_rows() as f64, 0.1, &mut scratch);
-        let first_grad = scratch.grad_logits().clone();
+        let first_grad = scratch.grad_logits.clone();
         let second =
             query_forward(&mut model, &prepared, table.num_rows() as f64, 0.1, &mut scratch);
         assert_eq!(first, second);
-        assert_eq!(&first_grad, scratch.grad_logits());
+        assert_eq!(first_grad, scratch.grad_logits);
         assert!(first.0.is_finite() && first.1 >= 1.0);
 
         // An empty batch is the fold-neutral element, never NaN.
@@ -727,8 +714,8 @@ mod tests {
         // The duplicated batch stages the copy's gradient on two rows; the
         // weighted batch folds it into one. Summing per-logit over rows of
         // the same query must agree.
-        let gw = scratch.grad_logits();
-        let gd = scratch_dup.grad_logits();
+        let gw = &scratch.grad_logits;
+        let gd = &scratch_dup.grad_logits;
         for c in 0..gw.cols() {
             let w0 = gw.row(0)[c] as f64;
             let d0 = gd.row(0)[c] as f64 + gd.row(1)[c] as f64;

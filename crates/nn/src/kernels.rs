@@ -133,14 +133,6 @@ pub enum Tile {
 }
 
 impl Tile {
-    /// Micro-kernel height (rows per register block).
-    pub fn mr(self) -> usize {
-        match self {
-            Tile::Sse4x8 => 4,
-            Tile::Avx6x16 => 6,
-        }
-    }
-
     /// Packed panel width (columns per register block).
     pub fn nr(self) -> usize {
         match self {

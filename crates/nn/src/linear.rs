@@ -47,26 +47,6 @@ impl Linear {
         self.weight.data.cols()
     }
 
-    /// Immutable access to the weight matrix (for inspection / merging).
-    pub fn weight(&self) -> &Matrix {
-        &self.weight.data
-    }
-
-    /// Mutable access to the weight matrix (used by the merged-MPSN builder).
-    pub fn weight_mut(&mut self) -> &mut Matrix {
-        &mut self.weight.data
-    }
-
-    /// Immutable access to the bias row vector.
-    pub fn bias(&self) -> &Matrix {
-        &self.bias.data
-    }
-
-    /// Mutable access to the bias row vector.
-    pub fn bias_mut(&mut self) -> &mut Matrix {
-        &mut self.bias.data
-    }
-
     /// Allocation-free fused forward: `out = act(input @ W + b)` written into
     /// a caller buffer (reshaped, heap reused). The building block the
     /// composite networks chain through their workspace.
@@ -400,7 +380,7 @@ mod tests {
     fn linear_forward_shape_and_bias() {
         let mut rng = seeded_rng(1);
         let mut layer = Linear::new(3, 2, Init::Zeros, &mut rng);
-        layer.bias_mut().as_mut_slice().copy_from_slice(&[1.0, -1.0]);
+        layer.bias.data.as_mut_slice().copy_from_slice(&[1.0, -1.0]);
         let x = Matrix::full(4, 3, 2.0);
         let mut y = Matrix::default();
         layer.train_forward(&x, &mut y);

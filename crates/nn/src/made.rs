@@ -408,11 +408,6 @@ impl Made {
         self.input_offsets[col]
     }
 
-    /// Offset of column `i`'s logits in the output vector.
-    pub fn output_offset(&self, col: usize) -> usize {
-        self.output_offsets[col]
-    }
-
     /// `(offset, len)` of column `i`'s logits.
     pub fn output_block(&self, col: usize) -> (usize, usize) {
         (self.output_offsets[col], self.config.output_block_sizes[col])

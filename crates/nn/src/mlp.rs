@@ -44,11 +44,6 @@ impl Mlp {
         *self.sizes.last().expect("sizes cannot be empty")
     }
 
-    /// Access to the underlying linear layers (used by the merged-MPSN builder).
-    pub fn linears(&self) -> &[Linear] {
-        &self.layers
-    }
-
     /// Forward pass without caching; convenience for one-off calls.
     ///
     /// Allocates a throwaway workspace per call; hot paths should hold a

@@ -604,11 +604,6 @@ impl Router {
         self.shards.iter().map(|s| s.depth()).sum()
     }
 
-    /// Per-shard queue depths.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.depth()).collect()
-    }
-
     /// Close every shard (workers drain their queues, then exit).
     pub(crate) fn close(&self) {
         for shard in &self.shards {

@@ -237,11 +237,6 @@ impl DuetServer {
         }
     }
 
-    /// A server with default configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(ServeConfig::default())
-    }
-
     /// Register (or replace) the model serving `table`: the table is hashed
     /// onto its worker shard and gets a fresh result cache. No thread is
     /// spawned — all tables share the router's worker pool.

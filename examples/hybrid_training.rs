@@ -22,17 +22,19 @@ fn main() {
     // Historical workload with temporal locality: bounded column + skewed
     // predicate counts, seed 42 (the paper's training workload protocol).
     println!("generating and labelling the training workload ...");
-    let train = WorkloadSpec::in_workload(&table, 2_000, 42).generate(&table);
+    let train_spec = WorkloadSpec::in_workload(&table, 2_000, 42);
+    let train = train_spec.generate(&table);
     let train_cards = label_workload(&table, &train);
 
     println!("training DuetD (data only) and Duet (hybrid) ...");
     let mut duet_d = DuetEstimator::train_data_only(&table, &config, 7);
     let mut duet = DuetEstimator::train_hybrid(&table, &train, &train_cards, &config, 7);
 
-    // Evaluate on queries drawn from the same distribution as the history
-    // (In-Q) and on a completely random workload (Rand-Q).
+    // Evaluate on queries drawn from the same distribution as the history,
+    // on a seed of their own so they do not replay the training queries
+    // (In-Q), and on a completely random workload (Rand-Q).
     for (label, spec) in [
-        ("In-Workload queries", WorkloadSpec::in_workload(&table, 300, 42)),
+        ("In-Workload queries", WorkloadSpec { num_queries: 300, seed: 4242, ..train_spec }),
         ("Random queries", WorkloadSpec::random(&table, 300, 1234)),
     ] {
         let queries = spec.generate(&table);
