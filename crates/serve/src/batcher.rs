@@ -27,11 +27,12 @@
 //! concurrent clients always observe the same estimates a serial client
 //! would.
 
+use crate::core::ServeCore;
 use crate::metrics::{Counter, ServeMetrics};
-use crate::router::{Popped, ReplyTo, RoutedRequest, Shard, ShedReason, TableResources};
+use crate::router::{Popped, ReplyTo, RoutedRequest, ShedReason, TableResources};
 use crate::tier::ModelTier;
 use duet_core::WorkspacePool;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Largest number of queries fused into one forward pass — the only value
@@ -257,28 +258,31 @@ pub(crate) fn execute_supervised(
     }
 }
 
-/// Empty an executed batch, handing wire requests (their predicate/interval
-/// buffers intact) back to their connection's outbox pool so the next
-/// decode on that connection reuses the allocations; everything else is
-/// dropped. This is what keeps the steady-state wire path allocation-free.
+/// Hand an executed batch's wire requests (their predicate/interval buffers
+/// intact) back to their connection's outbox pool so the next decode on that
+/// connection reuses the allocations. Every other request stays in the batch
+/// for its owner: the harness hands it back to its driver, and the next pop
+/// clears it. This is what keeps the steady-state wire path
+/// allocation-free.
 ///
 /// It is also where the listener threads behind those connections are told
 /// to look: every completion of the batch is in its outbox by now, so each
 /// thread is woken once per batch (if it is blocked at all — see
 /// [`crate::wire::readiness`]) and finds all of its replies on one pump.
 pub(crate) fn recycle_batch(batch: &mut Vec<RoutedRequest>, metrics: &ServeMetrics) {
-    for mut request in batch.drain(..) {
+    let wire = |request: &mut RoutedRequest| {
+        matches!(request.reply, ReplyTo::Wire { .. } | ReplyTo::WireAnswered(_))
+    };
+    for mut request in batch.extract_if(.., wire) {
         // Detach the reply first: a pooled request must not keep a cyclic
         // strong reference to the outbox that owns the pool.
-        let reply = std::mem::replace(&mut request.reply, ReplyTo::Discard);
-        match reply {
-            ReplyTo::Wire { outbox, .. } | ReplyTo::WireAnswered(outbox) => {
-                outbox.recycle(request);
-                if outbox.waker().is_some_and(|waker| waker.wake()) {
-                    metrics.incr(Counter::WireWakeSignals);
-                }
+        if let ReplyTo::Wire { outbox, .. } | ReplyTo::WireAnswered(outbox) =
+            std::mem::replace(&mut request.reply, ReplyTo::Discard)
+        {
+            outbox.recycle(request);
+            if outbox.waker().is_some_and(|waker| waker.wake()) {
+                metrics.incr(Counter::WireWakeSignals);
             }
-            _ => {}
         }
     }
 }
@@ -296,15 +300,8 @@ pub(crate) fn recycle_batch(batch: &mut Vec<RoutedRequest>, metrics: &ServeMetri
 /// workspace and answers are bit-identical wherever they run), so stealing
 /// only changes *when* a backlogged request is served — one cold shard can
 /// no longer idle next to a drowning neighbor.
-pub(crate) fn run_shard_worker(
-    shard_index: usize,
-    shards: Vec<Arc<Shard>>,
-    directory: Arc<RwLock<Vec<TableResources>>>,
-    clock: Arc<dyn crate::router::Clock>,
-    metrics: Arc<ServeMetrics>,
-    tier: Arc<ModelTier>,
-) {
-    let shard = shards[shard_index].clone();
+pub(crate) fn run_shard_worker(shard_index: usize, core: Arc<ServeCore>) {
+    let shards = core.router.shards();
     let stealing = shards.len() > 1;
     let mut worker = ShardWorker::new();
     // Production requests reply over channels or outboxes, so this stays
@@ -312,17 +309,10 @@ pub(crate) fn run_shard_worker(
     // execution path.
     let mut outcomes = Vec::new();
     loop {
-        let popped =
-            shard.pop_batch_blocking(MAX_BATCH, stealing.then_some(IDLE_PARK), &mut worker.batch);
-        match popped {
+        let idle_park = stealing.then_some(IDLE_PARK);
+        match shards[shard_index].pop_batch_blocking(MAX_BATCH, idle_park, &mut worker.batch) {
             Popped::Closed => break,
-            Popped::Batch => {
-                let now = clock.now();
-                let tables = directory.read().expect("directory poisoned");
-                execute_supervised(&mut worker, &tables, now, &metrics, &tier, &mut outcomes);
-                drop(tables);
-                recycle_batch(&mut worker.batch, &metrics);
-            }
+            Popped::Batch => core.run_batch(&mut worker, &mut outcomes),
             Popped::Idle => {
                 // Own queue empty for a whole park: steal one batch from the
                 // deepest sibling at or above the threshold, if any.
@@ -336,19 +326,8 @@ pub(crate) fn run_shard_worker(
                     if depth >= STEAL_THRESHOLD
                         && victim.try_pop_batch(MAX_BATCH, &mut worker.batch)
                     {
-                        metrics.incr(Counter::Steals);
-                        let now = clock.now();
-                        let tables = directory.read().expect("directory poisoned");
-                        execute_supervised(
-                            &mut worker,
-                            &tables,
-                            now,
-                            &metrics,
-                            &tier,
-                            &mut outcomes,
-                        );
-                        drop(tables);
-                        recycle_batch(&mut worker.batch, &metrics);
+                        core.metrics.incr(Counter::Steals);
+                        core.run_batch(&mut worker, &mut outcomes);
                     }
                 }
             }
@@ -361,7 +340,7 @@ mod tests {
     use super::*;
     use crate::cache::canonical_key;
     use crate::registry::ModelSlot;
-    use crate::router::{RouterConfig, SystemClock};
+    use crate::router::{RouterConfig, Shard, SystemClock};
     use crate::ServeConfig;
     use duet_core::{DuetConfig, DuetEstimator};
     use duet_data::datasets::census_like;
@@ -551,6 +530,18 @@ mod tests {
         assert_eq!(cache.get(&key), Some(expected));
     }
 
+    /// A core of `num_shards` shards serving `est` as table 0, cache off.
+    fn core_with(est: &DuetEstimator, num_shards: usize) -> Arc<ServeCore> {
+        let config = ServeConfig {
+            router: RouterConfig { num_shards, ..RouterConfig::default() },
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        };
+        let core = Arc::new(ServeCore::new(&config, Arc::new(SystemClock::new())));
+        core.register("census", est.clone());
+        core
+    }
+
     #[test]
     fn run_shard_worker_drains_and_exits_on_close() {
         let table = census_like(250, 34);
@@ -559,32 +550,22 @@ mod tests {
         let queries = WorkloadSpec::random(&table, 8, 9).generate(&table);
         let expected = est.estimate_batch(&queries);
 
-        let router = crate::router::Router::new(
-            RouterConfig { num_shards: 1, ..RouterConfig::default() },
-            Arc::new(SystemClock::new()),
-            Arc::new(ServeMetrics::new()),
-        );
-        let resources = resources_for(&est, "census");
-        let directory = Arc::new(RwLock::new(vec![resources.clone()]));
-        let metrics = Arc::new(ServeMetrics::new());
-
+        let core = core_with(&est, 1);
+        let resources = core.table(0);
         let mut replies = Vec::new();
         for q in &queries {
             let (reply, reply_rx) = mpsc::sync_channel(1);
-            router.shard(0).try_push(request_for(&resources, 0, q, None, reply)).unwrap();
+            core.router.shard(0).try_push(request_for(&resources, 0, q, None, reply)).unwrap();
             replies.push(reply_rx);
         }
 
         let handle = {
-            let (shards, directory, metrics) =
-                (vec![router.shard(0).clone()], directory.clone(), metrics.clone());
-            let clock: Arc<dyn crate::router::Clock> = Arc::new(SystemClock::new());
-            let tier = Arc::new(ModelTier::new(0));
-            std::thread::spawn(move || run_shard_worker(0, shards, directory, clock, metrics, tier))
+            let core = core.clone();
+            std::thread::spawn(move || run_shard_worker(0, core))
         };
         let got: Vec<f64> = replies.iter().map(|r| r.recv().unwrap().unwrap()).collect();
         assert_eq!(got, expected);
-        router.close();
+        core.router.close();
         handle.join().unwrap();
     }
 
@@ -596,37 +577,27 @@ mod tests {
         let queries = WorkloadSpec::random(&table, 6, 10).generate(&table);
         let expected = est.estimate_batch(&queries);
 
-        let router = crate::router::Router::new(
-            RouterConfig { num_shards: 2, ..RouterConfig::default() },
-            Arc::new(SystemClock::new()),
-            Arc::new(ServeMetrics::new()),
-        );
-        let resources = resources_for(&est, "census");
-        let directory = Arc::new(RwLock::new(vec![resources.clone()]));
-        let metrics = Arc::new(ServeMetrics::new());
-
+        let core = core_with(&est, 2);
+        let resources = core.table(0);
         // Backlog lands on shard 1, but only shard 0 gets a worker: every
         // answer must come from a steal.
         let mut replies = Vec::new();
         for q in &queries {
             let (reply, reply_rx) = mpsc::sync_channel(1);
-            router.shard(1).try_push(request_for(&resources, 0, q, None, reply)).unwrap();
+            core.router.shard(1).try_push(request_for(&resources, 0, q, None, reply)).unwrap();
             replies.push(reply_rx);
         }
 
         let handle = {
-            let shards: Vec<_> = (0..2).map(|i| router.shard(i).clone()).collect();
-            let (directory, metrics) = (directory.clone(), metrics.clone());
-            let clock: Arc<dyn crate::router::Clock> = Arc::new(SystemClock::new());
-            let tier = Arc::new(ModelTier::new(0));
-            std::thread::spawn(move || run_shard_worker(0, shards, directory, clock, metrics, tier))
+            let core = core.clone();
+            std::thread::spawn(move || run_shard_worker(0, core))
         };
         let got: Vec<f64> = replies.iter().map(|r| r.recv().unwrap().unwrap()).collect();
         assert_eq!(got, expected, "stolen batches must stay bit-identical");
-        router.close();
+        core.router.close();
         handle.join().unwrap();
         assert!(
-            metrics.snapshot(0, 0, 0).steals >= 1,
+            core.metrics().steals >= 1,
             "serving a foreign shard's backlog must be recorded as a steal"
         );
     }

@@ -38,13 +38,14 @@
 //!   that retrains from the serving weights and publishes through the
 //!   hot-swap + hot-set-replay path — drift → retrain → swap, with zero
 //!   downtime;
-//! * [`server`] — [`DuetServer`], the blocking, `Sync` front door tying the
-//!   pieces together;
+//! * [`server`] — [`DuetServer`], the blocking, `Sync` front door: one
+//!   serving core (the pieces above, assembled once) plus the threads that
+//!   run it;
 //! * [`sim`] — a **deterministic serving test harness**: a virtual-clock,
 //!   seeded-RNG driver that replays a script (arrivals, ingest, feedback,
-//!   trainer ticks, faults) through the real router/worker code over either
-//!   transport, making the concurrency layer regression-testable instead of
-//!   timing-dependent;
+//!   trainer ticks, faults) through the server's own serving core over
+//!   either transport, making the concurrency layer regression-testable
+//!   instead of timing-dependent;
 //! * [`wire`] — **duet-wire**, the TCP front door: a compact binary
 //!   protocol with pipelined connections, served by nonblocking acceptor
 //!   threads ([`DuetServer::serve_wire`]) and driven byte-for-byte by the
@@ -96,6 +97,7 @@
 
 pub mod batcher;
 pub mod cache;
+mod core;
 pub mod metrics;
 pub mod online;
 pub mod registry;

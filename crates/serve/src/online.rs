@@ -232,6 +232,10 @@ pub enum FeedbackError {
         /// Uid the feedback was stamped with.
         got: u64,
     },
+    /// The predicates or intervals fall outside the table's id space (wrong
+    /// column count, an interval past a column's domain, an unknown literal
+    /// id): training on them would index past the column's domain.
+    OutsideIdSpace,
     /// The observed cardinality was not a finite non-negative number.
     InvalidCardinality,
 }
@@ -241,6 +245,9 @@ impl std::fmt::Display for FeedbackError {
         match self {
             FeedbackError::StaleSlot { bound, got } => {
                 write!(f, "stale feedback: stamped slot uid {got}, online table bound to {bound}")
+            }
+            FeedbackError::OutsideIdSpace => {
+                write!(f, "feedback predicates fall outside the table's id space")
             }
             FeedbackError::InvalidCardinality => {
                 write!(f, "feedback cardinality must be finite and non-negative")
@@ -407,8 +414,11 @@ impl OnlineTable {
     ///
     /// `slot_uid` must be the uid of the slot the *caller* resolved for this
     /// table; if the table was re-registered since this online state was
-    /// bound, the uids differ and the feedback is rejected as stale (counted
-    /// in [`crate::MetricsSnapshot::feedback_rejected`]).
+    /// bound, the uids differ and the feedback is rejected as stale. Feedback
+    /// outside the bound slot's id space, or with an unusable cardinality, is
+    /// rejected too. Every rejection is counted in
+    /// [`crate::MetricsSnapshot::feedback_rejected`] and leaves the queue
+    /// untouched. Both front doors feed this one sink.
     pub fn push_feedback(
         &mut self,
         slot_uid: u64,
@@ -419,6 +429,10 @@ impl OnlineTable {
         if slot_uid != self.bound_uid {
             self.hooks.metrics.incr(Counter::FeedbackRejected);
             return Err(FeedbackError::StaleSlot { bound: self.bound_uid, got: slot_uid });
+        }
+        if !self.hooks.slot.fits_id_space(&preds, &intervals) {
+            self.hooks.metrics.incr(Counter::FeedbackRejected);
+            return Err(FeedbackError::OutsideIdSpace);
         }
         if !actual.is_finite() || actual < 0.0 {
             self.hooks.metrics.incr(Counter::FeedbackRejected);
@@ -754,34 +768,68 @@ mod tests {
         assert_eq!(monitor.consecutive(), 0);
     }
 
+    /// Feedback in `slot`'s id space that constrains no column.
+    fn unconstrained(slot: &ModelSlot) -> (Vec<Vec<IdPredicate>>, Vec<(u32, u32)>) {
+        (vec![Vec::new(); slot.ndvs().len()], slot.ndvs().iter().map(|&ndv| (0, ndv)).collect())
+    }
+
     #[test]
     fn stale_feedback_is_rejected_and_counted() {
         let (table, hooks) = small_setup();
         let metrics = hooks.metrics.clone();
         let bound = hooks.slot.uid();
+        let (preds, intervals) = unconstrained(&hooks.slot);
         let mut online = OnlineTable::new(table, OnlineConfig::default(), hooks);
-        assert!(online.push_feedback(bound, vec![Vec::new()], vec![(0, 1)], 5.0).is_ok());
+        assert!(online.push_feedback(bound, preds.clone(), intervals.clone(), 5.0).is_ok());
         assert_eq!(online.feedback_len(), 1);
         assert_eq!(
-            online.push_feedback(bound + 1, vec![Vec::new()], vec![(0, 1)], 5.0),
+            online.push_feedback(bound + 1, preds.clone(), intervals.clone(), 5.0),
             Err(FeedbackError::StaleSlot { bound, got: bound + 1 })
         );
         assert_eq!(
-            online.push_feedback(bound, vec![Vec::new()], vec![(0, 1)], f64::NAN),
+            online.push_feedback(bound, preds, intervals, f64::NAN),
             Err(FeedbackError::InvalidCardinality)
         );
         assert_eq!(online.feedback_len(), 1, "rejected feedback is not queued");
         assert_eq!(metrics.snapshot(0, 0, 0).feedback_rejected, 2);
     }
 
+    /// Feedback whose interval runs past its column's domain would index
+    /// past the column in the next retrain; it is refused at the sink, and
+    /// the retrain it would have triggered never sees it.
+    #[test]
+    fn feedback_outside_the_id_space_is_rejected_before_it_can_train() {
+        let (table, hooks) = small_setup();
+        let metrics = hooks.metrics.clone();
+        let bound = hooks.slot.uid();
+        let (preds, mut intervals) = unconstrained(&hooks.slot);
+        let ndv = intervals[0].1;
+        intervals[0] = (0, ndv + 1000);
+        let cfg = OnlineConfig {
+            feedback_trigger: 1,
+            retrain_steps: 1,
+            train_batch_size: 4,
+            ..OnlineConfig::default()
+        };
+        let mut online = OnlineTable::new(table, cfg, hooks);
+        assert!(online.push_feedback(bound, preds.clone(), intervals, 5.0).is_err());
+        let mut wrong_width = unconstrained(&online.hooks.slot).1;
+        wrong_width.pop();
+        assert!(online.push_feedback(bound, preds, wrong_width, 5.0).is_err());
+        assert_eq!(online.feedback_len(), 0, "rejected feedback is not queued");
+        assert_eq!(metrics.snapshot(0, 0, 0).feedback_rejected, 2);
+        assert!(!online.tick().retrained, "nothing queued, nothing to train on");
+    }
+
     #[test]
     fn feedback_ring_is_bounded() {
         let (table, hooks) = small_setup();
         let bound = hooks.slot.uid();
+        let (preds, intervals) = unconstrained(&hooks.slot);
         let cfg = OnlineConfig { feedback_capacity: 3, ..OnlineConfig::default() };
         let mut online = OnlineTable::new(table, cfg, hooks);
         for i in 0..10 {
-            online.push_feedback(bound, vec![Vec::new()], vec![(0, 1)], i as f64).unwrap();
+            online.push_feedback(bound, preds.clone(), intervals.clone(), i as f64).unwrap();
         }
         assert_eq!(online.feedback_len(), 3);
     }

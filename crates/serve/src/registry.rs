@@ -26,7 +26,7 @@
 //! **not** bump the generation: cached results stay valid.
 
 use crate::metrics::{Counter, ServeMetrics};
-use duet_core::{load_weights, CheckpointError, DuetConfig, DuetEstimator};
+use duet_core::{load_weights, CheckpointError, DuetConfig, DuetEstimator, IdPredicate};
 use duet_data::Table;
 use duet_query::CardinalityEstimator;
 use std::collections::HashMap;
@@ -179,6 +179,24 @@ impl ModelSlot {
     /// encoded in (see the field docs).
     pub(crate) fn ndvs(&self) -> &[u32] {
         &self.ndvs
+    }
+
+    /// Whether decoded predicates and intervals are expressed in this slot's
+    /// id space: one column each, every interval `lo <= hi <= ndv`, every
+    /// literal id `< ndv`. Checked before a wire request queues and before
+    /// feedback reaches a retrain, so neither can index past a column's
+    /// domain.
+    pub(crate) fn fits_id_space(
+        &self,
+        preds: &[Vec<IdPredicate>],
+        intervals: &[(u32, u32)],
+    ) -> bool {
+        let ndvs = &self.ndvs;
+        preds.len() == ndvs.len()
+            && intervals.len() == ndvs.len()
+            && ndvs.iter().zip(preds).zip(intervals).all(|((&ndv, column), &(lo, hi))| {
+                lo <= hi && hi <= ndv && column.iter().all(|p| p.value_id < ndv)
+            })
     }
 
     /// Whether the model is currently resident (not evicted to checkpoint

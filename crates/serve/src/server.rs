@@ -1,9 +1,11 @@
-//! The estimation server: ties registry, router, shard workers, cache, and
-//! metrics together behind a blocking, thread-safe `estimate` call.
+//! The estimation server: the serving core (registry, router, table
+//! directory, model tier, online directory, metrics) plus the shard worker
+//! threads that run its batches, behind a blocking, thread-safe `estimate`
+//! call.
 //!
 //! A [`DuetServer`] is `Sync`; wrap it in an `Arc` and call
 //! [`DuetServer::estimate`] from as many client threads as you like. Model
-//! slots live in an embedded [`ModelRegistry`]; registered tables are hashed
+//! slots live in an embedded [`crate::ModelRegistry`]; registered tables are hashed
 //! onto a **shared pool of worker shards** (see [`crate::router`]) instead
 //! of one thread per table, each table gets its own result cache, and
 //! metrics are aggregated server-wide.
@@ -17,22 +19,21 @@
 //! [`ServeError::DeadlineExceeded`].
 
 use crate::batcher::run_shard_worker;
-use crate::metrics::{MetricsSnapshot, ServeMetrics};
+use crate::core::ServeCore;
+use crate::metrics::MetricsSnapshot;
 use crate::online::{
-    FeedbackError, OnlineConfig, OnlineDirectory, OnlineHooks, OnlineTable, OnlineTickReport,
-    OnlineTrainerHandle,
+    FeedbackError, OnlineConfig, OnlineTable, OnlineTickReport, OnlineTrainerHandle,
 };
-use crate::registry::{ModelRegistry, SwapError};
+use crate::registry::SwapError;
 use crate::router::{
-    Admission, Clock, ReplyTo, RoutedRequest, Router, RouterConfig, ShedReason, SystemClock,
-    TableResources,
+    Admission, ReplyTo, Router, RouterConfig, ShedReason, SystemClock, TableResources,
 };
 use crate::tier::ModelTier;
 use duet_core::{query_to_id_predicates, DuetEstimator};
 use duet_data::Table;
 use duet_query::Query;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -170,24 +171,13 @@ enum Submitted {
     Pending(mpsc::Receiver<Result<f64, ShedReason>>),
 }
 
-/// A concurrent, batched estimation server over registered Duet models.
+/// A concurrent, batched estimation server over registered Duet models: the
+/// serving core plus the worker threads that run its batches, and the stop
+/// flags of the trainers and listeners opened through it.
 #[derive(Debug)]
 pub struct DuetServer {
-    config: ServeConfig,
-    registry: ModelRegistry,
-    router: Arc<Router>,
-    /// Every table's serving record, indexed by registry id and shared with
-    /// the shard workers and wire acceptors.
-    directory: Arc<RwLock<Vec<TableResources>>>,
-    metrics: Arc<ServeMetrics>,
-    /// The clock deadlines are measured against; shared with every worker
-    /// and wire acceptor.
-    clock: Arc<dyn Clock>,
-    /// Model-memory budgeting, shared with every shard worker.
-    tier: Arc<ModelTier>,
-    /// Online-learning state of online-enabled tables, shared with the wire
-    /// acceptors and any background trainer.
-    online: Arc<OnlineDirectory>,
+    /// Shared with every shard worker and wire acceptor.
+    core: Arc<ServeCore>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Stop flags of every background trainer spawned through this server,
     /// so [`DuetServer::shutdown`] can halt training promptly without owning
@@ -203,34 +193,18 @@ impl DuetServer {
     /// A server with the given configuration and no tables; the worker pool
     /// (one thread per router shard) starts immediately.
     pub fn new(config: ServeConfig) -> Self {
-        let metrics = Arc::new(ServeMetrics::new());
-        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-        let router = Arc::new(Router::new(config.router, clock.clone(), metrics.clone()));
-        let directory = Arc::new(RwLock::new(Vec::new()));
-        let tier = Arc::new(ModelTier::new(config.model_budget_bytes));
-        let shards: Vec<_> = router.shards().to_vec();
-        let workers = (0..router.num_shards())
+        let core = Arc::new(ServeCore::new(&config, Arc::new(SystemClock::new())));
+        let workers = (0..core.router.num_shards())
             .map(|shard_index| {
-                let shards = shards.clone();
-                let (directory, clock, metrics, tier) =
-                    (directory.clone(), clock.clone(), metrics.clone(), tier.clone());
+                let core = core.clone();
                 std::thread::Builder::new()
                     .name(format!("duet-serve-shard-{shard_index}"))
-                    .spawn(move || {
-                        run_shard_worker(shard_index, shards, directory, clock, metrics, tier)
-                    })
+                    .spawn(move || run_shard_worker(shard_index, core))
                     .expect("failed to spawn shard worker")
             })
             .collect();
         Self {
-            config,
-            registry: ModelRegistry::new(),
-            router,
-            directory,
-            metrics,
-            clock,
-            tier,
-            online: Arc::new(OnlineDirectory::new()),
+            core,
             workers: Mutex::new(workers),
             trainer_stops: Mutex::new(Vec::new()),
             wire_stops: Mutex::new(Vec::new()),
@@ -241,34 +215,7 @@ impl DuetServer {
     /// onto its worker shard and gets a fresh result cache. No thread is
     /// spawned — all tables share the router's worker pool.
     pub fn register(&self, table: impl Into<String>, estimator: DuetEstimator) {
-        let table = table.into();
-        // Hold the directory lock across the registry update so two
-        // concurrent register() calls for the same table cannot interleave
-        // and leave the registry and the directory on different slots.
-        let mut directory = self.directory.write().expect("directory poisoned");
-        let (id, slot) = self.registry.register_indexed(table.clone(), estimator);
-        let shard = self.router.shard_index(&table);
-        let resources = TableResources::new(&table, slot, shard, &self.config);
-        let id = id as usize;
-        if id < directory.len() {
-            directory[id] = resources; // re-registration reuses the id
-        } else {
-            // A real invariant, not a debug assertion: the workers index
-            // this vector by registry id, so a gap would misroute every
-            // later table.
-            assert_eq!(id, directory.len(), "registry ids are dense");
-            directory.push(resources);
-        }
-    }
-
-    /// The dense id and serving record of `table`.
-    fn record(&self, table: &str) -> Result<(u32, TableResources), ServeError> {
-        let id =
-            self.registry.table_id(table).ok_or_else(|| ServeError::UnknownTable(table.into()))?;
-        // `register` holds the directory lock while it updates the registry,
-        // so an id the registry hands out already has its record.
-        let record = self.directory.read().expect("directory poisoned")[id as usize].clone();
-        Ok((id, record))
+        self.core.register(&table.into(), estimator);
     }
 
     /// Encode `query` and hand it to [`Router::admit`] — the in-process
@@ -280,21 +227,14 @@ impl DuetServer {
         name: &str,
         table_id: u32,
         table: &TableResources,
-        estimator: &DuetEstimator,
         query: &Query,
     ) -> Result<Submitted, ServeError> {
-        let schema = estimator.schema();
-        let request = RoutedRequest {
-            table_id,
-            slot_uid: 0,
-            preds: query_to_id_predicates(schema, query),
-            intervals: query.column_intervals(schema),
-            key: None,
-            deadline: None,
-            reply: ReplyTo::Discard,
-        };
+        let request = self
+            .core
+            .prepare(table_id, query)
+            .map_err(|_| ServeError::ModelUnavailable(name.to_string()))?;
         let mut receiver = None;
-        let admission = self.router.admit(table, request, None, || {
+        let admission = self.core.router.admit(table, request, None, || {
             let (reply, reply_rx) = mpsc::sync_channel(1);
             receiver = Some(reply_rx);
             ReplyTo::Channel(reply)
@@ -346,15 +286,14 @@ impl DuetServer {
     /// [`ServeError::DeadlineExceeded`] (expired while queued).
     pub fn estimate(&self, table: &str, query: &Query) -> Result<f64, ServeError> {
         let started = Instant::now();
-        let (id, record) = self.record(table)?;
-        let estimator = self.encoder(table, &record)?;
-        let value = match self.submit(table, id, &record, &estimator, query)? {
+        let (id, record) = self.core.record(table)?;
+        let value = match self.submit(table, id, &record, query)? {
             Submitted::Cached(value) => value,
             Submitted::Pending(reply_rx) => {
                 Self::resolve_reply(table, record.shard, reply_rx.recv())?
             }
         };
-        self.metrics.record_request(started.elapsed());
+        self.core.metrics.record_request(started.elapsed());
         Ok(value)
     }
 
@@ -366,40 +305,25 @@ impl DuetServer {
     /// (ample queues, no deadline) this only happens when the server is
     /// shutting down.
     pub fn estimate_many(&self, table: &str, queries: &[Query]) -> Result<Vec<f64>, ServeError> {
-        let (id, record) = self.record(table)?;
-        let estimator = self.encoder(table, &record)?;
+        let (id, record) = self.core.record(table)?;
         let mut results = vec![0.0f64; queries.len()];
         let mut pending = Vec::new();
         for (i, query) in queries.iter().enumerate() {
             // Latency is per query, from its own submission.
             let submitted = Instant::now();
-            match self.submit(table, id, &record, &estimator, query)? {
+            match self.submit(table, id, &record, query)? {
                 Submitted::Cached(value) => {
                     results[i] = value;
-                    self.metrics.record_request(submitted.elapsed());
+                    self.core.metrics.record_request(submitted.elapsed());
                 }
                 Submitted::Pending(reply_rx) => pending.push((i, submitted, reply_rx)),
             }
         }
         for (i, submitted, reply_rx) in pending {
             results[i] = Self::resolve_reply(table, record.shard, reply_rx.recv())?;
-            self.metrics.record_request(submitted.elapsed());
+            self.core.metrics.record_request(submitted.elapsed());
         }
         Ok(results)
-    }
-
-    /// The model whose schema encodes queries for `record`. Resolving may
-    /// lazily reload a model the tier evicted.
-    fn encoder(
-        &self,
-        table: &str,
-        record: &TableResources,
-    ) -> Result<Arc<DuetEstimator>, ServeError> {
-        let (_, estimator) = record
-            .slot
-            .resolve(&self.metrics)
-            .map_err(|_| ServeError::ModelUnavailable(table.to_string()))?;
-        Ok(estimator)
     }
 
     /// Hot-swap `table`'s weights from a [`duet_core::save_weights`]
@@ -419,7 +343,7 @@ impl DuetServer {
     /// cliff). Replayed inserts are epoch-tagged like worker inserts: a
     /// second swap racing this one drops them.
     pub fn hot_swap(&self, table: &str, checkpoint: &[u8]) -> Result<(), ServeError> {
-        let (_, record) = self.record(table)?;
+        let (_, record) = self.core.record(table)?;
         record
             .slot
             .hot_swap_checkpoint(checkpoint)
@@ -446,34 +370,15 @@ impl DuetServer {
         data: Table,
         config: OnlineConfig,
     ) -> Result<(), ServeError> {
-        let (id, record) = self.record(table)?;
-        let schema_columns = record.slot.current().schema().num_columns();
-        if data.num_columns() != schema_columns {
-            return Err(ServeError::Rejected {
-                table: table.to_string(),
-                reason: format!(
-                    "online table has {} columns, serving schema has {schema_columns}",
-                    data.num_columns()
-                ),
-            });
-        }
-        let hooks = OnlineHooks {
-            slot: record.slot,
-            cache: record.cache,
-            hot: record.hot,
-            tier: self.tier.clone(),
-            metrics: self.metrics.clone(),
-            table_id: id as usize,
-        };
-        self.online.enable(id as usize, OnlineTable::new(data, config, hooks));
-        Ok(())
+        let (id, _) = self.core.record(table)?;
+        self.core.enable_online(id, data, config).map(drop)
     }
 
     /// Append one dictionary-encoded row to `table`'s online state; returns
     /// the table's new row count. Fails with [`ServeError::Rejected`] when
     /// the table is not online-enabled or the row is invalid.
     pub fn ingest(&self, table: &str, ids: &[u32]) -> Result<u64, ServeError> {
-        let (id, _) = self.record(table)?;
+        let (id, _) = self.core.record(table)?;
         let online = self.online_state(table, id)?;
         let mut online = online.lock().expect("online table poisoned");
         online
@@ -490,7 +395,7 @@ impl DuetServer {
     /// [`ServeError::StaleRegistration`] (re-enable online learning against
     /// the new registration).
     pub fn feedback(&self, table: &str, query: &Query, actual: f64) -> Result<(), ServeError> {
-        let (id, record) = self.record(table)?;
+        let (id, record) = self.core.record(table)?;
         let online = self.online_state(table, id)?;
         let estimator = record
             .slot
@@ -502,7 +407,7 @@ impl DuetServer {
         let mut online = online.lock().expect("online table poisoned");
         online.push_feedback(record.slot.uid(), preds, intervals, actual).map_err(|e| match e {
             FeedbackError::StaleSlot { .. } => ServeError::StaleRegistration(table.to_string()),
-            FeedbackError::InvalidCardinality => {
+            FeedbackError::OutsideIdSpace | FeedbackError::InvalidCardinality => {
                 ServeError::Rejected { table: table.to_string(), reason: e.to_string() }
             }
         })
@@ -511,7 +416,7 @@ impl DuetServer {
     /// Run one trainer tick for `table` synchronously: check drift and, if
     /// triggered, retrain and publish. Returns what the tick did.
     pub fn maintain_online(&self, table: &str) -> Result<OnlineTickReport, ServeError> {
-        let (id, _) = self.record(table)?;
+        let (id, _) = self.core.record(table)?;
         let online = self.online_state(table, id)?;
         let report = online.lock().expect("online table poisoned").tick();
         Ok(report)
@@ -522,7 +427,7 @@ impl DuetServer {
     /// [`OnlineTrainerHandle::shutdown`] or drop; the server can outlive it
     /// or vice versa (the thread holds its own `Arc`s).
     pub fn spawn_online_trainer(&self, interval: std::time::Duration) -> OnlineTrainerHandle {
-        let handle = OnlineTrainerHandle::spawn(self.online.clone(), interval);
+        let handle = OnlineTrainerHandle::spawn(self.core.online.clone(), interval);
         // Remember the stop flag so a server-wide shutdown halts training
         // without waiting for the caller to drop the handle.
         self.trainer_stops.lock().expect("server poisoned").push(handle.stop_flag());
@@ -531,7 +436,7 @@ impl DuetServer {
 
     /// Resolve `table`'s online state or explain why it has none.
     fn online_state(&self, table: &str, id: u32) -> Result<Arc<Mutex<OnlineTable>>, ServeError> {
-        self.online.get(id as usize).ok_or_else(|| ServeError::Rejected {
+        self.core.online.get(id as usize).ok_or_else(|| ServeError::Rejected {
             table: table.to_string(),
             reason: "online learning is not enabled for this table".to_string(),
         })
@@ -539,33 +444,33 @@ impl DuetServer {
 
     /// The swap generation of `table`'s model (0 until the first swap).
     pub fn generation(&self, table: &str) -> Option<u64> {
-        self.registry.slot(table).map(|s| s.generation())
+        self.core.registry.slot(table).map(|s| s.generation())
     }
 
     /// Names of every registered table (unordered).
     pub fn tables(&self) -> Vec<String> {
-        self.registry.tables()
+        self.core.registry.tables()
     }
 
     /// The worker shard `table` is (or would be) routed to.
     pub fn shard_of(&self, table: &str) -> usize {
-        self.router.shard_index(table)
+        self.core.router.shard_index(table)
     }
 
     /// The routing layer (shard count, queue depths).
     pub fn router(&self) -> &Router {
-        &self.router
+        &self.core.router
     }
 
     /// The model-memory tier enforcing [`ServeConfig::model_budget_bytes`].
     pub fn model_tier(&self) -> &ModelTier {
-        &self.tier
+        &self.core.tier
     }
 
     /// Spill evicted model checkpoints to files under `dir` instead of
     /// holding them in memory (see [`crate::ModelTier::set_spill_dir`]).
     pub fn set_model_spill_dir(&self, dir: impl Into<std::path::PathBuf>) {
-        self.tier.set_spill_dir(Some(dir.into()));
+        self.core.tier.set_spill_dir(Some(dir.into()));
     }
 
     /// Open the TCP front door: bind `addr` and serve the binary wire
@@ -584,17 +489,7 @@ impl DuetServer {
         addr: impl std::net::ToSocketAddrs,
         config: crate::wire::WireConfig,
     ) -> std::io::Result<crate::wire::WireHandle> {
-        let handle = crate::wire::listener::serve(
-            addr,
-            config,
-            crate::wire::listener::WireShared {
-                router: self.router.clone(),
-                directory: self.directory.clone(),
-                online: self.online.clone(),
-                clock: self.clock.clone(),
-                metrics: self.metrics.clone(),
-            },
-        )?;
+        let handle = crate::wire::listener::serve(addr, config, self.core.clone())?;
         // Remember the stop signal so a server-wide shutdown closes the front
         // door without owning the handle (the caller keeps it for joins).
         self.wire_stops.lock().expect("server poisoned").push(handle.stop_signal());
@@ -633,7 +528,7 @@ impl DuetServer {
             // Sets the flag and wakes the acceptors blocked in `poll`.
             stop.request();
         }
-        self.router.close();
+        self.core.router.close();
         let mut workers = self.workers.lock().expect("server poisoned");
         loop {
             let mut i = 0;
@@ -657,13 +552,7 @@ impl DuetServer {
     /// A point-in-time snapshot of all serving metrics, with cache counters
     /// summed across tables and the router's current total queue depth.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let (hits, misses) = {
-            let directory = self.directory.read().expect("directory poisoned");
-            directory
-                .iter()
-                .fold((0u64, 0u64), |(h, m), e| (h + e.cache.hits(), m + e.cache.misses()))
-        };
-        self.metrics.snapshot(hits, misses, self.router.queue_depth())
+        self.core.metrics()
     }
 }
 
@@ -671,7 +560,7 @@ impl Drop for DuetServer {
     fn drop(&mut self) {
         // Close the router so every worker drains its queue and exits, then
         // join the pool.
-        self.router.close();
+        self.core.router.close();
         let workers: Vec<JoinHandle<()>> = {
             let mut workers = self.workers.lock().expect("server poisoned");
             workers.drain(..).collect()
@@ -701,7 +590,7 @@ mod tests {
         let model = DuetModel::new(&data, &DuetConfig::small(), 1);
         server.register(table.as_str(), DuetEstimator::from_model(model, &data, "census"));
 
-        let (_, record) = server.record(&table).unwrap();
+        let (_, record) = server.core.record(&table).unwrap();
         let reply = DuetServer::resolve_reply(&table, record.shard, Ok(Err(ShedReason::QueueFull)));
         let shard = server.shard_of(&table);
         assert_ne!(shard, 0);

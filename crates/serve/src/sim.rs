@@ -1,18 +1,21 @@
 //! Deterministic serving test harness: a virtual-clock, seeded-RNG
-//! multi-client driver over the **real** router/worker code.
+//! multi-client driver over the **server's own serving core**.
 //!
 //! Concurrency tests that rely on wall-clock timing are flaky by
 //! construction: whether a burst overflows a queue depends on how fast the
 //! machine drains it. This module removes time and thread scheduling from
 //! the equation while changing *nothing else*:
 //!
-//! * the same per-table records, the same admission path
-//!   (`Router::admit`: cache, hot set, slot uid, deadline, shard queue), the
-//!   same deadline triage, the same shard-worker batch execution and the
-//!   same wire connection state machine as the production
-//!   [`crate::DuetServer`] — just driven single-threaded. The in-process
-//!   transport differs from the production door only in its reply sink (a
-//!   ticket instead of a channel);
+//! * the harness holds the same serving core a [`crate::DuetServer`] holds,
+//!   built by the same constructor from the same [`ServeConfig`]: tables are
+//!   registered, requests encoded (`prepare`, reload failures counted as the
+//!   server counts them), admitted (`Router::admit`: cache, hot set, slot
+//!   uid, deadline, shard queue) and batches run (`run_batch`: supervised
+//!   execution, then wire recycling) by the code the server ships, and wire
+//!   bytes go through the same connection state machine — just driven
+//!   single-threaded. The in-process transport differs from the server's
+//!   door only in its reply sink (a ticket instead of a channel), and counts
+//!   what it serves and sheds exactly as that door does;
 //! * a [`VirtualClock`] that only moves when the driver says so, making
 //!   deadline expiry a pure function of the script;
 //! * scripts generated from a seeded RNG, so a scenario replays
@@ -30,13 +33,12 @@
 //! [`DriftScenarioConfig::generate`] (train-while-serving),
 //! [`FaultPlan::inject`] (faults merged into either).
 
-use crate::batcher::{execute_supervised, ShardWorker, MAX_BATCH};
-use crate::metrics::{CounterTable, MetricsSnapshot, ServeMetrics};
-use crate::online::{OnlineConfig, OnlineDirectory, OnlineHooks, OnlineTable, OnlineTickReport};
-use crate::registry::ModelSlot;
-use crate::router::{
-    Admission, Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources, VirtualClock,
-};
+use crate::batcher::{ShardWorker, MAX_BATCH};
+use crate::core::ServeCore;
+use crate::metrics::{Counter, CounterTable, MetricsSnapshot};
+use crate::online::{OnlineConfig, OnlineTable};
+use crate::registry::ReloadError;
+use crate::router::{Admission, ReplyTo, RoutedRequest, ShedReason, VirtualClock};
 use crate::tier::ModelTier;
 use crate::wire::conn::{ConnConfig, WireConn};
 use crate::wire::frame::{self, DecodeError, FrameView, ResponseFrame, Status};
@@ -82,96 +84,63 @@ pub enum SubmitResult {
     },
 }
 
-/// A single-threaded driver over the production routing/batching code.
+/// A single-threaded driver over the server's own serving core.
 ///
-/// The harness owns everything a [`crate::DuetServer`] would spread across
-/// threads — router shards, one shard worker per shard, the id-indexed
-/// table directory, built from the same [`ServeConfig`] — and exposes
-/// explicit steps: [`RouterHarness::submit_query`] admits,
-/// [`RouterHarness::turn`] runs one batch per shard, the [`VirtualClock`]
-/// moves only via [`RouterHarness::clock`]. Ticket replies land in an
-/// outcome log instead of channels, so no call ever blocks.
+/// The harness is the [`crate::DuetServer`]'s core — router, table
+/// directory, metrics, model tier and online directory, built and registered
+/// exactly as the server builds them from the same [`ServeConfig`] — plus a
+/// [`VirtualClock`], one shard worker per shard that it steps by hand, and an
+/// outcome log. [`RouterHarness::submit_query`] admits,
+/// [`RouterHarness::turn`] runs one batch per shard, the clock moves only via
+/// [`RouterHarness::clock`]. Ticket replies land in the outcome log instead
+/// of channels, so no call ever blocks.
 pub struct RouterHarness {
+    core: ServeCore,
     clock: Arc<VirtualClock>,
-    router: Router,
     workers: Vec<ShardWorker>,
-    directory: Vec<TableResources>,
-    /// Online-learning state for tables with
-    /// [`RouterHarness::enable_online`] called; shared with the simulated
-    /// wire connections' ingest/feedback handlers.
-    online: Arc<OnlineDirectory>,
-    metrics: Arc<ServeMetrics>,
-    tier: Arc<ModelTier>,
     outcomes: Vec<(u64, Result<f64, ShedReason>)>,
 }
 
 impl RouterHarness {
     /// Build a harness serving `tables` (name + trained estimator; the index
-    /// in the vector becomes the table id), each registered exactly as
-    /// [`crate::DuetServer::register`] registers it under `config`.
+    /// in the vector becomes the table id, so names must be distinct),
+    /// registered in order exactly as [`crate::DuetServer::register`]
+    /// registers them under `config`.
     pub fn new(tables: Vec<(String, DuetEstimator)>, config: ServeConfig) -> Self {
         let clock = Arc::new(VirtualClock::new());
-        let metrics = Arc::new(ServeMetrics::new());
-        let clock_dyn: Arc<dyn Clock> = clock.clone();
-        let router = Router::new(config.router, clock_dyn, metrics.clone());
-        let directory = tables
-            .into_iter()
-            .map(|(name, estimator)| {
-                let slot = Arc::new(ModelSlot::new(estimator));
-                TableResources::new(&name, slot, router.shard_index(&name), &config)
-            })
-            .collect();
-        Self {
-            workers: (0..router.num_shards()).map(|_| ShardWorker::new()).collect(),
-            clock,
-            router,
-            directory,
-            online: Arc::new(OnlineDirectory::new()),
-            metrics,
-            tier: Arc::new(ModelTier::new(config.model_budget_bytes)),
-            outcomes: Vec::new(),
+        let core = ServeCore::new(&config, clock.clone());
+        for (index, (name, estimator)) in tables.into_iter().enumerate() {
+            let id = core.register(&name, estimator);
+            assert_eq!(id as usize, index, "table names are distinct");
         }
+        let workers = (0..core.router.num_shards()).map(|_| ShardWorker::new()).collect();
+        Self { core, clock, workers, outcomes: Vec::new() }
     }
 
     /// Enable the online-learning loop for `table`: `data` is the table the
     /// serving model was trained on (ingest appends to it; it is also the
     /// retrain substrate). Returns the shared state so the driver can
     /// ingest, feed back, and tick directly.
+    ///
+    /// Panics if `data`'s width differs from the serving schema's.
     pub fn enable_online(
         &mut self,
         table: usize,
         data: Table,
         cfg: OnlineConfig,
     ) -> Arc<Mutex<OnlineTable>> {
-        let resources = &self.directory[table];
-        let hooks = OnlineHooks {
-            slot: resources.slot.clone(),
-            cache: resources.cache.clone(),
-            hot: resources.hot.clone(),
-            tier: self.tier.clone(),
-            metrics: self.metrics.clone(),
-            table_id: table,
-        };
-        self.online.enable(table, OnlineTable::new(data, cfg, hooks))
-    }
-
-    /// Run one trainer tick on `table`'s online state.
-    ///
-    /// Panics if online learning was not enabled for `table`.
-    pub fn online_tick(&self, table: usize) -> OnlineTickReport {
-        let report = self.online_state(table).lock().expect("online table poisoned").tick();
-        report
+        self.core.enable_online(table as u32, data, cfg).expect("online table matches the schema")
     }
 
     fn online_state(&self, table: usize) -> Arc<Mutex<OnlineTable>> {
-        self.online.get(table).expect("online learning not enabled for table")
+        self.core.online.get(table).expect("online learning not enabled for table")
     }
 
     /// The model-memory tier enforcing
     /// [`ServeConfig::model_budget_bytes`] (e.g. to set a spill directory,
     /// or inspect heat).
     pub fn tier(&self) -> &ModelTier {
-        &self.tier
+        &self.core.tier
     }
 
     /// Arm an injected fault hook on every shard worker. The hook runs
@@ -208,61 +177,35 @@ impl RouterHarness {
         &self.clock
     }
 
-    /// Number of worker shards.
-    pub fn num_shards(&self) -> usize {
-        self.router.num_shards()
-    }
-
     /// The estimator currently serving `table`.
     pub fn estimator(&self, table: usize) -> Arc<DuetEstimator> {
-        self.directory[table].slot.current()
+        self.core.table(table as u32).slot.current()
     }
 
     /// Encode `query` against `table`'s schema into a request ready for
-    /// admission. With `ticket: Some(t)`, the outcome is logged under `t`;
-    /// with `None` it is discarded (allocation-probe mode).
-    ///
-    /// # Panics
-    /// Panics if the table's model is evicted and cannot be reloaded
-    /// (corrupt or unreadable spilled checkpoint); fault-tolerant callers
-    /// use [`RouterHarness::try_prepare`].
-    pub fn prepare(&self, table: usize, query: &Query, ticket: Option<u64>) -> PreparedRequest {
-        self.try_prepare(table, query, ticket).expect("model unavailable (reload failed)")
-    }
-
-    /// [`RouterHarness::prepare`], but a failed lazy reload (the tier
+    /// admission, through the server's own request builder. With
+    /// `ticket: Some(t)`, the outcome is logged under `t`; with `None` it is
+    /// discarded (allocation-probe mode). A failed lazy reload (the tier
     /// evicted the model and its checkpoint has gone bad) comes back as a
-    /// typed error instead of a panic — mirroring the production front
-    /// door's [`crate::ServeError::ModelUnavailable`] path, including its
-    /// metric.
-    pub fn try_prepare(
+    /// typed error, counted as the server counts it.
+    pub fn prepare(
         &self,
         table: usize,
         query: &Query,
         ticket: Option<u64>,
-    ) -> Result<PreparedRequest, crate::registry::ReloadError> {
-        // Resolving may lazily reload a model the tier evicted (encoding
-        // needs its schema), counted as the production front door counts it.
-        let (_, estimator) = self.directory[table].slot.resolve(&self.metrics)?;
-        let schema = estimator.schema();
-        Ok(PreparedRequest(RoutedRequest {
-            table_id: table as u32,
-            slot_uid: 0,
-            preds: query_to_id_predicates(schema, query),
-            intervals: query.column_intervals(schema),
-            key: None,
-            deadline: None,
-            reply: match ticket {
-                Some(t) => ReplyTo::Ticket(t),
-                None => ReplyTo::Discard,
-            },
-        }))
+    ) -> Result<PreparedRequest, ReloadError> {
+        let mut request = self.core.prepare(table as u32, query)?;
+        if let Some(ticket) = ticket {
+            request.reply = ReplyTo::Ticket(ticket);
+        }
+        Ok(PreparedRequest(request))
     }
 
     /// Admit a prepared request through the production admission path. On
     /// rejection the request is handed back (encodings intact) and the
-    /// overload shed is recorded. Allocation-free on a warm queue with the
-    /// cache off.
+    /// overload shed is recorded; a cache hit is a completed request, as on
+    /// the server's in-process door. Allocation-free on a warm queue with
+    /// the cache off.
     // The rejected request comes back by value so the recycling driver
     // loops stay allocation-free.
     #[allow(clippy::result_large_err)]
@@ -270,10 +213,13 @@ impl RouterHarness {
         &mut self,
         mut request: PreparedRequest,
     ) -> Result<SubmitResult, PreparedRequest> {
-        let table = &self.directory[request.table()];
         let reply = std::mem::replace(&mut request.0.reply, ReplyTo::Discard);
-        match self.router.admit(table, request.0, None, || reply) {
-            Admission::Cached(value) => Ok(SubmitResult::Cached(value)),
+        let directory = self.core.directory.read().expect("directory poisoned");
+        match self.core.router.admit(&directory[request.table()], request.0, None, || reply) {
+            Admission::Cached(value) => {
+                self.core.metrics.incr(Counter::Requests);
+                Ok(SubmitResult::Cached(value))
+            }
             Admission::Queued { depth } => Ok(SubmitResult::Queued { depth }),
             Admission::Shed { request, .. } => Err(PreparedRequest(request)),
         }
@@ -282,56 +228,44 @@ impl RouterHarness {
     /// Encode and admit one query (the driver-facing equivalent of
     /// [`crate::DuetServer::estimate`]'s submit pipeline). A table whose
     /// evicted model cannot be reloaded sheds at admission (counted as a
-    /// reload failure, never a panic).
+    /// reload failure and an overload shed, never a panic).
     pub fn submit_query(&mut self, table: usize, query: &Query, ticket: u64) -> SubmitResult {
-        let admitted = match self.try_prepare(table, query, Some(ticket)) {
+        let admitted = match self.prepare(table, query, Some(ticket)) {
             Ok(request) => self.submit_prepared(request).ok(),
             Err(_unloadable) => None,
         };
         admitted.unwrap_or_else(|| SubmitResult::Shed {
-            depth: self.router.shard(self.directory[table].shard).depth(),
+            depth: self.core.router.shard(self.core.table(table as u32).shard).depth(),
         })
     }
 
     /// Run one worker turn: every shard pops and executes at most one
     /// same-table batch at the current virtual time. Returns the number of
     /// requests processed (served + deadline-shed). Allocation-free once
-    /// warm.
+    /// warm. Every estimate a turn delivers to the outcome log is a
+    /// completed request (`requests`), as on the server's in-process door;
+    /// virtual time is not a latency, so none is sampled.
     ///
     /// With `recycled: Some(sink)` the processed requests are handed back
     /// (their encodings intact) instead of dropped, so an allocation probe
     /// can recycle one fixed request set through the hot loop indefinitely.
+    /// Wire-originated requests always go back to their connection's pool.
     pub fn turn(&mut self, mut recycled: Option<&mut Vec<PreparedRequest>>) -> usize {
-        let now = self.clock.now();
         let mut processed = 0;
-        for shard_index in 0..self.workers.len() {
-            let worker = &mut self.workers[shard_index];
-            if self.router.shard(shard_index).try_pop_batch(MAX_BATCH, &mut worker.batch) {
-                processed += worker.batch.len();
-                // The same supervised execution the production shard threads
-                // run: a panicking batch is failed typed and the worker state
-                // respawned, so fault-injection scenarios exercise the real
-                // recovery path.
-                execute_supervised(
-                    worker,
-                    &self.directory,
-                    now,
-                    &self.metrics,
-                    &self.tier,
-                    &mut self.outcomes,
-                );
-                match recycled.as_deref_mut() {
-                    Some(sink) => {
-                        for request in worker.batch.drain(..) {
-                            sink.push(PreparedRequest(request));
-                        }
-                    }
-                    // Recycle rather than drop: wire-originated requests go
-                    // back to their connection's pool, keeping the simulated
-                    // wire hot loop allocation-free (ticket/discard requests
-                    // just drop, exactly as `clear` did).
-                    None => crate::batcher::recycle_batch(&mut worker.batch, &self.metrics),
+        for (shard_index, worker) in self.workers.iter_mut().enumerate() {
+            if !self.core.router.shard(shard_index).try_pop_batch(MAX_BATCH, &mut worker.batch) {
+                continue;
+            }
+            processed += worker.batch.len();
+            let logged = self.outcomes.len();
+            self.core.run_batch(worker, &mut self.outcomes);
+            for (_, outcome) in &self.outcomes[logged..] {
+                if outcome.is_ok() {
+                    self.core.metrics.incr(Counter::Requests);
                 }
+            }
+            if let Some(sink) = recycled.as_deref_mut() {
+                sink.extend(worker.batch.drain(..).map(PreparedRequest));
             }
         }
         processed
@@ -341,7 +275,7 @@ impl RouterHarness {
     /// empty; returns the number of requests processed.
     pub fn drain(&mut self) -> usize {
         let mut total = 0;
-        while self.router.queue_depth() > 0 {
+        while self.queue_depth() > 0 {
             total += self.turn(None);
         }
         total
@@ -359,30 +293,27 @@ impl RouterHarness {
 
     /// Total queued requests across all shards.
     pub fn queue_depth(&self) -> usize {
-        self.router.queue_depth()
+        self.core.router.queue_depth()
     }
 
     /// Depth of the deepest shard queue.
     fn deepest_shard(&self) -> usize {
-        (0..self.router.num_shards()).map(|s| self.router.shard(s).depth()).max().unwrap_or(0)
+        self.core.router.shards().iter().map(|shard| shard.depth()).max().unwrap_or(0)
     }
 
-    /// Snapshot of the harness metrics (batches, sheds, queue depth).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let (hits, misses) = self
-            .directory
-            .iter()
-            .fold((0u64, 0u64), |(h, m), r| (h + r.cache.hits(), m + r.cache.misses()));
-        self.metrics.snapshot(hits, misses, self.router.queue_depth())
+    /// A point-in-time snapshot of the harness's metrics, taken as
+    /// [`crate::DuetServer::metrics`] takes it.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.core.metrics()
     }
 }
 
 impl std::fmt::Debug for RouterHarness {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterHarness")
-            .field("tables", &self.directory.len())
+            .field("tables", &self.core.directory.read().expect("directory poisoned").len())
             .field("shards", &self.workers.len())
-            .field("queue_depth", &self.router.queue_depth())
+            .field("queue_depth", &self.queue_depth())
             .finish()
     }
 }
@@ -417,9 +348,11 @@ pub struct ScenarioReport {
     pub submitted: u64,
     /// Requests answered with an estimate.
     pub served: u64,
-    /// Requests answered "retry": rejected at admission (shard queue or
-    /// connection pipeline full), or failed at dequeue because the model
-    /// could not be reloaded or the table had been re-registered.
+    /// Requests answered "retry": rejected at admission (model could not be
+    /// reloaded to encode the request, shard queue or connection pipeline
+    /// full), or failed at dequeue because the model could not be reloaded
+    /// or the table had been re-registered. Every one but the last is a
+    /// `shed_overload` the server counted too, on either transport.
     pub shed_overload: u64,
     /// Requests dropped at dequeue (deadline expired).
     pub shed_deadline: u64,
@@ -443,8 +376,8 @@ pub struct ScenarioReport {
     pub post_swap_served: u64,
     /// Hot-set entries replayed into the cache by online publishes.
     pub hot_replayed: u64,
-    /// What the *server* counted: every [`Counter`](crate::Counter) of the harness's
-    /// [`ServeMetrics`] at the end of the replay (`counters[Counter::Batches]`,
+    /// What the *server* counted: every [`Counter`] of the harness's
+    /// [`crate::ServeMetrics`] at the end of the replay (`counters[Counter::Batches]`,
     /// `counters[Counter::ModelReloads]`, …). The fields above are what the
     /// client saw; this is the server's own table, not a copy of it, so the
     /// two can be checked against each other.
@@ -590,13 +523,7 @@ impl WireSim {
     /// happened; a [`DecodeError`] means the byte stream was corrupt (a real
     /// listener would close the connection).
     pub fn pump(&mut self, conn: usize) -> Result<bool, DecodeError> {
-        self.conns[conn].pump(
-            &self.harness.router,
-            &self.harness.directory,
-            &self.harness.online,
-            self.harness.clock.as_ref(),
-            &self.harness.metrics,
-        )
+        self.conns[conn].pump(&self.harness.core)
     }
 
     /// One worker turn at the current virtual time (see
@@ -1071,7 +998,7 @@ pub fn replay(setup: &Setup, script: &Script, transport: Transport) -> ScenarioR
         assert!(idle_turns < 1000, "drain stalled: a request produced no response");
     }
 
-    run.report.counters = run.sim.harness.metrics_snapshot().counters();
+    run.report.counters = run.sim.harness.metrics().counters();
     run.report
 }
 
@@ -1231,7 +1158,7 @@ impl<'a> Replay<'a> {
                 } else {
                     // Stamped with the currently registered slot's uid, the
                     // stamp the wire front door applies.
-                    let uid = self.sim.harness.directory[table].slot.uid();
+                    let uid = self.sim.harness.core.table(table as u32).slot.uid();
                     online
                         .lock()
                         .expect("online table poisoned")
@@ -1240,7 +1167,13 @@ impl<'a> Replay<'a> {
                 }
             }
             Step::Tick { table } => {
-                let tick = self.sim.harness.online_tick(table);
+                let tick = self
+                    .sim
+                    .harness
+                    .online_state(table)
+                    .lock()
+                    .expect("online table poisoned")
+                    .tick();
                 self.report.hot_replayed += tick.replayed as u64;
                 if tick.swapped {
                     // Replies from here on are checked against the model just
@@ -1385,7 +1318,7 @@ fn damage_checkpoint(
     table: usize,
     damage: Damage,
 ) -> (PathBuf, Vec<u8>) {
-    let slot = &harness.directory[table].slot;
+    let slot = harness.core.table(table as u32).slot;
     if slot.is_resident() {
         slot.evict(Some(dir)).expect("spilling the checkpoint about to be damaged");
     }

@@ -47,6 +47,7 @@
 //! admission → batch execution → response encode and asserts zero heap
 //! traffic.
 
+use crate::core::ServeCore;
 use crate::metrics::{Counter, ServeMetrics};
 use crate::online::OnlineDirectory;
 use crate::router::{Admission, Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources};
@@ -54,7 +55,6 @@ use crate::wire::frame::{
     self, DecodeError, FrameView, Status, DEFAULT_MAX_FRAME_LEN, PREAMBLE_LEN,
 };
 use crate::wire::readiness::Waker;
-use duet_core::IdPredicate;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -235,11 +235,6 @@ pub struct WireConn {
     ndv_scratch: Vec<u32>,
     /// Reused value-id staging for ingest frames.
     ids_scratch: Vec<u32>,
-    /// Reused predicate/interval staging for feedback frames (feedback is
-    /// copied into the online table's queue, not routed, so it does not use
-    /// the pooled request carcasses).
-    preds_scratch: Vec<Vec<IdPredicate>>,
-    intervals_scratch: Vec<(u32, u32)>,
 }
 
 impl WireConn {
@@ -261,8 +256,6 @@ impl WireConn {
             completions: Vec::new(),
             ndv_scratch: Vec::new(),
             ids_scratch: Vec::new(),
-            preds_scratch: Vec::new(),
-            intervals_scratch: Vec::new(),
         }
     }
 
@@ -306,14 +299,8 @@ impl WireConn {
     /// the byte stream is unrecoverable and the connection must be closed;
     /// in-flight requests still complete harmlessly into the outbox (their
     /// `Arc` keeps it alive) and are dropped with it.
-    pub(crate) fn pump(
-        &mut self,
-        router: &Router,
-        tables: &[TableResources],
-        online: &OnlineDirectory,
-        clock: &dyn Clock,
-        metrics: &ServeMetrics,
-    ) -> Result<bool, DecodeError> {
+    pub(crate) fn pump(&mut self, core: &ServeCore) -> Result<bool, DecodeError> {
+        let (clock, metrics) = (core.clock.as_ref(), core.metrics.as_ref());
         let mut progressed = false;
 
         if self.phase == Phase::Handshake {
@@ -331,6 +318,7 @@ impl WireConn {
         // Decode/admit every complete frame currently buffered. The frame
         // view borrows `self.inbound`, so the handlers are free functions
         // over the *other* fields (disjoint borrows).
+        let tables = core.directory.read().expect("directory poisoned");
         loop {
             let consumed = {
                 match frame::next_frame(self.inbound.bytes(), self.config.max_frame_len)? {
@@ -344,8 +332,8 @@ impl WireConn {
                                 &self.outbox,
                                 &mut self.inflight,
                                 &mut self.outbound,
-                                router,
-                                tables,
+                                &core.router,
+                                &tables,
                                 clock,
                                 metrics,
                             ),
@@ -353,24 +341,22 @@ impl WireConn {
                                 query,
                                 &mut self.ndv_scratch,
                                 &mut self.outbound,
-                                tables,
+                                &tables,
                                 metrics,
                             ),
                             FrameView::Ingest(ingest) => handle_ingest(
                                 ingest,
                                 &mut self.ids_scratch,
                                 &mut self.outbound,
-                                tables,
-                                online,
+                                &tables,
+                                &core.online,
                                 metrics,
                             ),
                             FrameView::Feedback(feedback) => handle_feedback(
                                 feedback,
-                                &mut self.preds_scratch,
-                                &mut self.intervals_scratch,
                                 &mut self.outbound,
-                                tables,
-                                online,
+                                &tables,
+                                &core.online,
                                 metrics,
                             ),
                             // A server connection ignores server-to-client
@@ -385,6 +371,7 @@ impl WireConn {
             self.inbound.consume(consumed);
             progressed = true;
         }
+        drop(tables);
 
         progressed |= self.drain_responses(clock, metrics);
         Ok(progressed)
@@ -459,7 +446,7 @@ fn admit(
 
     let mut holder = outbox.take_pooled();
     request.read_into(&mut holder.preds, &mut holder.intervals);
-    if !fits_id_space(&holder.preds, &holder.intervals, table.slot.ndvs()) {
+    if !table.slot.fits_id_space(&holder.preds, &holder.intervals) {
         // Checked before queueing: a request outside the id space would
         // fail (or silently mis-encode) inside its batch, taking its
         // batch-mates down with it.
@@ -501,17 +488,6 @@ fn admit(
 /// `clock`'s reading in whole nanoseconds.
 fn now_ns(clock: &dyn Clock) -> u64 {
     clock.now().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// Whether a decoded request is expressed in the id space of a table with
-/// per-column domain sizes `ndvs`: one column each, every interval
-/// `lo <= hi <= ndv`, every literal id `< ndv`.
-fn fits_id_space(preds: &[Vec<IdPredicate>], intervals: &[(u32, u32)], ndvs: &[u32]) -> bool {
-    preds.len() == ndvs.len()
-        && intervals.len() == ndvs.len()
-        && ndvs.iter().zip(preds).zip(intervals).all(|((&ndv, column), &(lo, hi))| {
-            lo <= hi && hi <= ndv && column.iter().all(|p| p.value_id < ndv)
-        })
 }
 
 /// Answer a table-resolution query: linear scan over the directory
@@ -600,11 +576,11 @@ fn handle_ingest(
 /// The feedback is stamped with the uid of the slot *currently* registered
 /// under the table id; if the online state is bound to an older registration
 /// the stamp mismatches and the feedback is `Rejected` (the wire face of the
-/// stale-registration path).
+/// stale-registration path), as is feedback outside the table's id space.
+/// The decoded predicates move into the online table's queue, so they are
+/// decoded into fresh vectors rather than reused staging.
 fn handle_feedback(
     feedback: frame::FeedbackView<'_>,
-    preds_scratch: &mut Vec<Vec<IdPredicate>>,
-    intervals_scratch: &mut Vec<(u32, u32)>,
     outbound: &mut ByteQueue,
     tables: &[TableResources],
     online: &OnlineDirectory,
@@ -616,11 +592,12 @@ fn handle_feedback(
         Some(resources) => match online.get(feedback.table_id as usize) {
             None => Status::UnknownTable,
             Some(table) => {
-                feedback.read_into(preds_scratch, intervals_scratch);
+                let (mut preds, mut intervals) = (Vec::new(), Vec::new());
+                feedback.read_into(&mut preds, &mut intervals);
                 let pushed = table.lock().expect("online table poisoned").push_feedback(
                     resources.slot.uid(),
-                    preds_scratch.clone(),
-                    intervals_scratch.clone(),
+                    preds,
+                    intervals,
                     feedback.actual,
                 );
                 match pushed {
@@ -637,55 +614,71 @@ fn handle_feedback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::HotSet;
-    use crate::online::{OnlineConfig, OnlineHooks, OnlineTable};
-    use crate::registry::ModelSlot;
-    use crate::router::{RouterConfig, VirtualClock};
-    use crate::tier::ModelTier;
+    use crate::online::OnlineConfig;
+    use crate::router::VirtualClock;
     use crate::ServeConfig;
-    use duet_core::{DuetConfig, DuetEstimator};
+    use duet_core::{DuetConfig, DuetEstimator, IdPredicate};
     use duet_data::datasets::census_like;
 
-    #[test]
-    fn feedback_stamped_against_a_reregistered_table_is_answered_rejected() {
+    /// A core serving one online-enabled table, `census`, as id 0; the
+    /// table's column count.
+    fn online_core() -> (ServeCore, DuetEstimator, usize) {
         let table = census_like(200, 17);
         let estimator =
             DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 17);
-        let clock = Arc::new(VirtualClock::new());
-        let metrics = Arc::new(ServeMetrics::new());
-        let router = Router::new(RouterConfig::default(), clock.clone(), metrics.clone());
-        // The online state is bound to the registration it was enabled
-        // under; the directory now holds a fresh slot for the same table id.
-        let slot = Arc::new(ModelSlot::new(estimator.clone()));
         let config = ServeConfig { cache_capacity: 0, ..ServeConfig::default() };
-        let tables = [TableResources::new("census", slot, 0, &config)];
-        let hooks = OnlineHooks {
-            slot: Arc::new(ModelSlot::new(estimator)),
-            cache: tables[0].cache.clone(),
-            hot: Arc::new(HotSet::new(0)),
-            tier: Arc::new(ModelTier::new(0)),
-            metrics: metrics.clone(),
-            table_id: 0,
-        };
+        let core = ServeCore::new(&config, Arc::new(VirtualClock::new()));
+        core.register("census", estimator.clone());
         let columns = table.num_columns();
-        let online = OnlineDirectory::new();
-        online.enable(0, OnlineTable::new(table, OnlineConfig::default(), hooks));
+        core.enable_online(0, table, OnlineConfig::default()).expect("the schema matches");
+        (core, estimator, columns)
+    }
 
+    /// Pump one feedback frame through a fresh connection; the status of the
+    /// response it is answered with.
+    fn feedback_status(
+        core: &ServeCore,
+        preds: &[Vec<IdPredicate>],
+        intervals: &[(u32, u32)],
+    ) -> Status {
         let mut bytes = Vec::new();
         frame::encode_preamble(&mut bytes);
-        let (preds, intervals) = (vec![Vec::new(); columns], vec![(0, 0); columns]);
-        frame::encode_feedback(&mut bytes, 9, 0, 12.0, &preds, &intervals);
+        frame::encode_feedback(&mut bytes, 9, 0, 12.0, preds, intervals);
         let mut conn = WireConn::new(ConnConfig::default());
         conn.feed(&bytes);
-        conn.pump(&router, &tables, &online, clock.as_ref(), &metrics).expect("valid bytes");
-
+        conn.pump(core).expect("valid bytes");
         let (view, _) = frame::next_frame(conn.output(), DEFAULT_MAX_FRAME_LEN).unwrap().unwrap();
         match view {
             FrameView::Response(response) => {
-                assert_eq!((response.request_id, response.status), (9, Status::Rejected));
+                assert_eq!(response.request_id, 9);
+                response.status
             }
             other => panic!("expected a response frame, got {other:?}"),
         }
-        assert_eq!(metrics.snapshot(0, 0, 0).feedback_rejected, 1);
+    }
+
+    #[test]
+    fn feedback_stamped_against_a_reregistered_table_is_answered_rejected() {
+        let (core, estimator, columns) = online_core();
+        // The online state stays bound to the registration it was enabled
+        // under; re-registering the table gives its id a fresh slot.
+        core.register("census", estimator);
+        let (preds, intervals) = (vec![Vec::new(); columns], vec![(0, 0); columns]);
+        assert_eq!(feedback_status(&core, &preds, &intervals), Status::Rejected);
+        assert_eq!(core.metrics().feedback_rejected, 1);
+    }
+
+    #[test]
+    fn feedback_outside_the_id_space_is_answered_rejected() {
+        let (core, _, columns) = online_core();
+        let preds = vec![Vec::new(); columns];
+        let mut intervals: Vec<(u32, u32)> =
+            core.table(0).slot.ndvs().iter().map(|&n| (0, n)).collect();
+        assert_eq!(feedback_status(&core, &preds, &intervals), Status::Ok);
+        intervals[0].1 += 1000;
+        assert_eq!(feedback_status(&core, &preds, &intervals), Status::Rejected);
+        let online = core.online.get(0).expect("online-enabled");
+        assert_eq!(online.lock().unwrap().feedback_len(), 1, "only the valid report is queued");
+        assert_eq!(core.metrics().feedback_rejected, 1);
     }
 }

@@ -41,9 +41,8 @@
 //! set, connections are closed as they become quiescent, and the wait's
 //! timeout is what is left of [`WireConfig::drain`].
 
+use crate::core::ServeCore;
 use crate::metrics::{Counter, ServeMetrics};
-use crate::online::OnlineDirectory;
-use crate::router::{Clock, Router, TableResources};
 use crate::wire::conn::{ConnConfig, WireConn};
 use crate::wire::frame::DEFAULT_MAX_FRAME_LEN;
 use crate::wire::readiness::{
@@ -51,7 +50,7 @@ use crate::wire::readiness::{
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -123,23 +122,14 @@ impl Drop for WireHandle {
     }
 }
 
-/// Everything an acceptor thread shares with the server.
-pub(crate) struct WireShared {
-    pub(crate) router: Arc<Router>,
-    pub(crate) directory: Arc<RwLock<Vec<TableResources>>>,
-    pub(crate) online: Arc<OnlineDirectory>,
-    pub(crate) clock: Arc<dyn Clock>,
-    pub(crate) metrics: Arc<ServeMetrics>,
-}
-
-/// Bind `addr` and start the acceptor pool. Called by
-/// [`crate::DuetServer::serve_wire`]. Fails with
+/// Bind `addr` and start the acceptor pool over the server's `core`. Called
+/// by [`crate::DuetServer::serve_wire`]. Fails with
 /// [`ErrorKind::Unsupported`], before binding, on a platform without
 /// `poll(2)`.
 pub(crate) fn serve(
     addr: impl ToSocketAddrs,
     config: WireConfig,
-    shared: WireShared,
+    core: Arc<ServeCore>,
 ) -> std::io::Result<WireHandle> {
     let acceptors = if config.acceptors > 0 {
         config.acceptors
@@ -152,7 +142,6 @@ pub(crate) fn serve(
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(StopSignal::new(channels.iter().map(|rx| rx.waker().clone()).collect()));
-    let shared = Arc::new(shared);
     let mut handle = WireHandle { addr, stop, threads: Vec::with_capacity(acceptors) };
     for (i, wake_rx) in channels.into_iter().enumerate() {
         // On failure `handle` drops, which stops and joins the threads
@@ -161,7 +150,7 @@ pub(crate) fn serve(
             listener: listener.try_clone()?,
             config,
             stop: handle.stop.clone(),
-            shared: shared.clone(),
+            core: core.clone(),
             wake_rx,
             connections: Vec::new(),
             fds: Vec::new(),
@@ -192,12 +181,7 @@ impl Connection {
 
     /// Do what `polled` says the socket is ready for, and deliver what the
     /// shard workers finished meanwhile. `Err(())` means close it.
-    fn service(
-        &mut self,
-        polled: PollFd,
-        read_buf: &mut [u8],
-        shared: &WireShared,
-    ) -> Result<(), ()> {
+    fn service(&mut self, polled: PollFd, read_buf: &mut [u8], core: &ServeCore) -> Result<(), ()> {
         // A hang-up or socket error is delivered by `read` as `Ok(0)` or
         // `Err`, which is the close path.
         let readable = polled.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0;
@@ -219,19 +203,9 @@ impl Connection {
         }
 
         // Decode/admit what arrived; encode what completed.
-        if readable || self.conn.has_completions() {
-            let tables = shared.directory.read().expect("directory poisoned");
-            let pumped = self.conn.pump(
-                &shared.router,
-                &tables,
-                &shared.online,
-                shared.clock.as_ref(),
-                &shared.metrics,
-            );
-            if pumped.is_err() {
-                shared.metrics.incr(Counter::WireDecodeErrors);
-                return Err(());
-            }
+        if (readable || self.conn.has_completions()) && self.conn.pump(core).is_err() {
+            core.metrics.incr(Counter::WireDecodeErrors);
+            return Err(());
         }
 
         // Write unless the socket is known to be full: it was polled for
@@ -278,7 +252,7 @@ struct Acceptor {
     listener: TcpListener,
     config: WireConfig,
     stop: Arc<StopSignal>,
-    shared: Arc<WireShared>,
+    core: Arc<ServeCore>,
     /// Ends this thread's `poll`; its sending half goes to every accepted
     /// connection's outbox.
     wake_rx: WakeReceiver,
@@ -345,7 +319,7 @@ impl Acceptor {
             };
             let ready = readiness::wait(&mut self.fds, timeout);
             self.wake_rx.unpark();
-            self.shared.metrics.incr(Counter::WireAcceptorWakeups);
+            self.core.metrics.incr(Counter::WireAcceptorWakeups);
             // Only a bug here (a bad pointer or count) or a kernel out of
             // memory makes `poll` fail; retrying would spin.
             ready.expect("poll(2) failed on the acceptor's descriptor set");
@@ -357,7 +331,7 @@ impl Acceptor {
             // were already served and the rest keep matching `fds`.
             for i in (0..self.connections.len()).rev() {
                 let polled = self.fds[CONNECTIONS + i];
-                if self.connections[i].service(polled, &mut read_buf, &self.shared).is_err() {
+                if self.connections[i].service(polled, &mut read_buf, &self.core).is_err() {
                     // EOF, reset or protocol error: close and forget.
                     self.connections.swap_remove(i);
                 }
@@ -387,12 +361,12 @@ impl Acceptor {
                     }
                     let conn =
                         WireConn::with_waker(conn_config, Some(self.wake_rx.waker().clone()));
-                    self.connections.push(Connection::open(stream, conn, &self.shared.metrics));
+                    self.connections.push(Connection::open(stream, conn, &self.core.metrics));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => {
-                    self.shared.metrics.incr(Counter::WireAcceptErrors);
+                    self.core.metrics.incr(Counter::WireAcceptErrors);
                     // That connection died in the backlog and is gone; the
                     // next one may be fine.
                     if e.kind() != ErrorKind::ConnectionAborted {

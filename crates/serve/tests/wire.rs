@@ -553,7 +553,7 @@ fn a_request_outside_the_table_id_space_is_rejected_alone() {
         at += used;
     }
     assert_eq!(answered, rows.len() + bad.len(), "one reply per request");
-    let snapshot = sim.harness().metrics_snapshot();
+    let snapshot = sim.harness().metrics();
     assert_eq!(snapshot.shed_internal, 0, "no batch failed");
     assert_eq!(snapshot.panics_caught, 0);
     assert_eq!(snapshot.wire_rejected, bad.len() as u64);
@@ -593,7 +593,7 @@ fn resolving_a_table_whose_spilled_checkpoint_went_bad_counts_a_reload_failure()
         *bytes.last_mut().unwrap() ^= 0xFF;
         std::fs::write(file, &bytes).unwrap();
     }
-    let before = sim.harness().metrics_snapshot().reload_failures;
+    let before = sim.harness().metrics().reload_failures;
     let mut query = Vec::new();
     frame::encode_table_query(&mut query, 2, "table-0");
     sim.feed(0, &query);
@@ -606,7 +606,7 @@ fn resolving_a_table_whose_spilled_checkpoint_went_bad_counts_a_reload_failure()
         other => panic!("expected a table-info frame, got {other:?}"),
     }
     assert_eq!(
-        sim.harness().metrics_snapshot().reload_failures,
+        sim.harness().metrics().reload_failures,
         before + 1,
         "the failed lazy reload must be visible to the operator"
     );

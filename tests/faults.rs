@@ -231,20 +231,14 @@ proptest! {
             let report = replay(&setup, &script, transport);
             prop_assert_eq!(report.accounted(), report.submitted, "{:?}: {:?}", transport, report);
             prop_assert_eq!(report.mismatches, 0, "{:?}: {:?}", transport, report);
-            // Server-vs-client conservation: each deadline / internal shed
-            // the client was told about is one the server counted.
+            // Server-vs-client conservation: each answer and each shed the
+            // client was told about is one the server counted, cache hits
+            // and reloads that fail at admission included.
             let counted = &report.counters;
+            prop_assert_eq!(counted[Counter::Requests], report.served, "{:?}", report);
+            prop_assert_eq!(counted[Counter::ShedOverload], report.shed_overload, "{:?}", report);
             prop_assert_eq!(counted[Counter::ShedDeadline], report.shed_deadline, "{:?}", report);
             prop_assert_eq!(counted[Counter::ShedInternal], report.shed_internal, "{:?}", report);
-            // On the wire every answer is a frame the server produced, so
-            // completions (cache hits included) and overload sheds balance
-            // too. In-process they need not: a reload that fails at
-            // admission is a "retry" to the client but never reached a
-            // queue, so the server shed nothing.
-            if matches!(transport, Transport::Wire { .. }) {
-                prop_assert_eq!(counted[Counter::Requests], report.served, "{:?}", report);
-                prop_assert_eq!(counted[Counter::ShedOverload], report.shed_overload, "{:?}", report);
-            }
             prop_assert_eq!(&report, &replay(&setup, &script, transport), "{:?}", transport);
         }
     }
@@ -376,7 +370,7 @@ fn a_panicking_batch_sheds_typed_then_the_respawned_worker_serves_bit_identicall
             "post-respawn estimates are bit-identical"
         );
     }
-    let snapshot = harness.metrics_snapshot();
+    let snapshot = harness.metrics();
     assert_eq!(snapshot.panics_caught, 1);
     assert_eq!(snapshot.shard_restarts, 1);
     assert_eq!(snapshot.shed_internal as usize, panicked);
@@ -555,6 +549,48 @@ fn a_corrupt_spilled_checkpoint_is_a_typed_error_and_a_hot_swap_heals_it() {
     for (v, e) in served.iter().zip(&expected) {
         assert_eq!(v.to_bits(), e.to_bits(), "healed slot serves bit-identically");
     }
+}
+
+/// The server side of the conservation the replays assert: an estimate
+/// whose evicted model cannot be reloaded is answered `ModelUnavailable` and
+/// counted once as a reload failure and once as an overload shed.
+#[test]
+fn an_unreloadable_model_answers_model_unavailable_and_counts_one_overload_shed() {
+    let (tables, workloads) = trained_tables(2);
+    let dir = spill_dir("server-model-unavailable");
+    // A budget nothing fits in: a batch for one table evicts the other. The
+    // cache is off, so the estimate below reaches a worker.
+    let server = DuetServer::new(ServeConfig {
+        model_budget_bytes: 1,
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    });
+    server.set_model_spill_dir(dir.clone());
+    for (name, estimator) in &tables {
+        server.register(name.as_str(), estimator.clone());
+    }
+    let (cold, hot) = (tables[0].0.as_str(), tables[1].0.as_str());
+    server.estimate(hot, &workloads[1][0]).expect("the hot table serves");
+    // The worker replies before it enforces the budget: wait for the spill.
+    let give_up_at = std::time::Instant::now() + Duration::from_secs(10);
+    while server.metrics().model_evictions == 0 {
+        assert!(std::time::Instant::now() < give_up_at, "the cold table is never evicted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for entry in std::fs::read_dir(&dir).expect("the spill dir exists") {
+        let path = entry.expect("a spilled file").path();
+        let mut bytes = std::fs::read(&path).expect("reading the spilled checkpoint");
+        *bytes.last_mut().expect("a non-empty checkpoint") ^= 0xFF;
+        std::fs::write(&path, &bytes).expect("corrupting the spilled checkpoint");
+    }
+
+    let before = server.metrics();
+    let unavailable = server.estimate(cold, &workloads[0][0]);
+    assert_eq!(unavailable, Err(ServeError::ModelUnavailable(cold.to_string())));
+    let after = server.metrics();
+    assert_eq!(after.reload_failures - before.reload_failures, 1);
+    assert_eq!(after.shed_overload - before.shed_overload, 1);
+    assert_eq!(after.requests, before.requests, "nothing was answered");
 }
 
 #[test]

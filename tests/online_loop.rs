@@ -228,7 +228,7 @@ fn hot_set_replay_leaves_zero_post_swap_cache_misses() {
     assert!(tick.swapped, "the drift burst must publish a new model");
     assert!(tick.replayed > 0, "the warm phase must have populated the hot set");
 
-    let misses_before = harness.metrics_snapshot().cache_misses;
+    let misses_before = harness.metrics().cache_misses;
     for (i, query) in workload.iter().enumerate() {
         match harness.submit_query(0, query, 200 + i as u64) {
             SubmitResult::Cached(_) => {}
@@ -236,7 +236,7 @@ fn hot_set_replay_leaves_zero_post_swap_cache_misses() {
         }
     }
     assert_eq!(
-        harness.metrics_snapshot().cache_misses,
+        harness.metrics().cache_misses,
         misses_before,
         "hot-set replay must leave zero post-swap cache misses"
     );

@@ -224,7 +224,7 @@ fn harness_single_steps_admission_deadline_and_metrics() {
         .outcomes()
         .iter()
         .all(|(_, outcome)| *outcome == Err(ShedReason::DeadlineExpired)));
-    let snapshot = harness.metrics_snapshot();
+    let snapshot = harness.metrics();
     assert_eq!(snapshot.shed_overload, 1);
     assert_eq!(snapshot.shed_deadline, 2);
     assert_eq!(snapshot.queue_depth, 0);

@@ -203,10 +203,10 @@ fn routed_multi_table_phase() {
     // requests — their encodings included — indefinitely.
     let (mut stash, mut other): (Vec<PreparedRequest>, Vec<PreparedRequest>) = (vec![], vec![]);
     for i in 0..8 {
-        stash.push(harness.prepare(0, &queries_a[i], None));
-        stash.push(harness.prepare(1, &queries_b[i], None));
-        other.push(harness.prepare(0, &other_a[i], None));
-        other.push(harness.prepare(1, &other_b[i], None));
+        stash.push(harness.prepare(0, &queries_a[i], None).expect("a resident model"));
+        stash.push(harness.prepare(1, &queries_b[i], None).expect("a resident model"));
+        other.push(harness.prepare(0, &other_a[i], None).expect("a resident model"));
+        other.push(harness.prepare(1, &other_b[i], None).expect("a resident model"));
     }
     let mut returned: Vec<PreparedRequest> = Vec::with_capacity(stash.len());
 
@@ -241,7 +241,7 @@ fn routed_multi_table_phase() {
     assert_eq!(allocs, 0, "steady-state routed multi-table serving must not allocate");
     assert_eq!(frees, 0, "steady-state routed multi-table serving must not free");
     assert_eq!(stash.len() + other.len(), 32, "all requests recycled each round");
-    let snapshot = harness.metrics_snapshot();
+    let snapshot = harness.metrics();
     assert_eq!(snapshot.shed_overload + snapshot.shed_deadline, 0);
     assert!(snapshot.batches >= 24, "12 rounds x 2 tables of batches, got {}", snapshot.batches);
 }
@@ -520,8 +520,8 @@ fn budgeted_tier_phase() {
 
     let mut stash: Vec<PreparedRequest> = Vec::new();
     for i in 0..8 {
-        stash.push(harness.prepare(0, &queries_a[i], None));
-        stash.push(harness.prepare(1, &queries_b[i], None));
+        stash.push(harness.prepare(0, &queries_a[i], None).expect("a resident model"));
+        stash.push(harness.prepare(1, &queries_b[i], None).expect("a resident model"));
     }
     let mut returned: Vec<PreparedRequest> = Vec::with_capacity(stash.len());
 
@@ -549,7 +549,7 @@ fn budgeted_tier_phase() {
 
     assert_eq!(allocs, 0, "budgeted-tier serving within budget must not allocate");
     assert_eq!(frees, 0, "budgeted-tier serving within budget must not free");
-    let snapshot = harness.metrics_snapshot();
+    let snapshot = harness.metrics();
     assert_eq!(snapshot.model_evictions, 0, "a generous budget must never evict");
     assert_eq!(snapshot.model_reloads, 0);
     assert!(harness.tier().heat_of(0) > 0 && harness.tier().heat_of(1) > 0);
@@ -581,7 +581,7 @@ fn trainer_tick_phase() {
         },
     );
     let mut stash: Vec<PreparedRequest> =
-        queries.iter().map(|q| harness.prepare(0, q, None)).collect();
+        queries.iter().map(|q| harness.prepare(0, q, None).expect("a resident model")).collect();
     let mut returned: Vec<PreparedRequest> = Vec::with_capacity(stash.len());
 
     // Trainer state, all staged before the measured window.
@@ -674,7 +674,7 @@ fn supervised_fault_phase() {
     }));
 
     let mut stash: Vec<PreparedRequest> =
-        queries.iter().map(|q| harness.prepare(0, q, None)).collect();
+        queries.iter().map(|q| harness.prepare(0, q, None).expect("a resident model")).collect();
     let mut returned: Vec<PreparedRequest> = Vec::with_capacity(stash.len());
 
     let mut round = |stash: &mut Vec<PreparedRequest>, returned: &mut Vec<PreparedRequest>| {
@@ -721,7 +721,7 @@ fn supervised_fault_phase() {
     assert_eq!(allocs, 0, "supervised routed serving must not allocate in steady state");
     assert_eq!(frees, 0, "supervised routed serving must not free in steady state");
     assert_eq!(stash.len(), queries.len(), "every request recycled each round");
-    let snapshot = harness.metrics_snapshot();
+    let snapshot = harness.metrics();
     assert!(snapshot.panics_caught >= 1, "the warm-up fault must actually fire");
     assert_eq!(
         snapshot.panics_caught, snapshot.shard_restarts,
