@@ -374,7 +374,7 @@ mod tests {
         deadline: Option<Duration>,
         reply: SyncSender<Result<f64, ShedReason>>,
     ) -> RoutedRequest {
-        let estimator = resources.slot.current();
+        let (_, estimator) = resources.slot.resolve(&ServeMetrics::new()).unwrap();
         RoutedRequest {
             table_id,
             slot_uid: resources.slot.uid(),

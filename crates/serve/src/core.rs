@@ -7,18 +7,31 @@
 //! outcome log. Both build their parts here, register tables here, encode
 //! requests here and run batches here, so the harness replays the code the
 //! server ships rather than a copy of it.
+//!
+//! Ingest, feedback, the trainer tick and the checkpoint hot-swap are
+//! written here once too: every door only decodes, calls them and encodes.
 
 use crate::batcher::{execute_supervised, recycle_batch, ShardWorker};
 use crate::metrics::{Counter, MetricsSnapshot, ServeMetrics};
-use crate::online::{OnlineConfig, OnlineDirectory, OnlineHooks, OnlineTable};
-use crate::registry::{ModelRegistry, ReloadError};
+use crate::online::{
+    lock, replay_hot_keys, FeedbackError, OnlineConfig, OnlineDirectory, OnlineHooks, OnlineTable,
+    OnlineTickReport,
+};
+use crate::registry::{ModelRegistry, ModelSlot, ReloadError, SwapError};
 use crate::router::{Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources};
 use crate::server::{ServeConfig, ServeError};
 use crate::tier::ModelTier;
-use duet_core::{query_to_id_predicates, DuetEstimator};
+use duet_core::{query_to_id_predicates, DuetEstimator, IdPredicate};
 use duet_data::Table;
 use duet_query::Query;
 use std::sync::{Arc, Mutex, RwLock};
+
+/// Predicates and intervals of one query in a table's id space.
+pub(crate) type Encoded = (Vec<Vec<IdPredicate>>, Vec<(u32, u32)>);
+
+/// The reason [`ServeError::Rejected`] gives for ingest or feedback to a
+/// table that is not online-enabled (the wire answers it `UnknownTable`).
+pub(crate) const NOT_ONLINE: &str = "online learning is not enabled for this table";
 
 /// Router, table directory, metrics, clock, model tier and online directory,
 /// built once from a [`ServeConfig`].
@@ -95,13 +108,21 @@ impl ServeCore {
         self.directory.read().expect("directory poisoned")[table_id as usize].clone()
     }
 
+    /// `query` encoded against the current schema of `slot`'s model (a lazy
+    /// reload, or its failure, is counted).
+    pub(crate) fn encode(&self, slot: &ModelSlot, query: &Query) -> Result<Encoded, ReloadError> {
+        let (_, estimator) = slot.resolve(&self.metrics)?;
+        let schema = estimator.schema();
+        Ok((query_to_id_predicates(schema, query), query.column_intervals(schema)))
+    }
+
     /// Encode `query` against the current schema of table `table_id` into a
     /// request for [`Router::admit`]; the door that admits it supplies the
     /// reply. The one place an in-process request is built.
     ///
-    /// Resolving may lazily reload a model the tier evicted. A reload that
-    /// fails is counted (`reload_failures`) and the request is shed as
-    /// `shed_overload`, the counter a batch whose reload fails uses too.
+    /// A reload that fails is counted (`reload_failures`) and the request is
+    /// shed as `shed_overload`, the counter a batch whose reload fails uses
+    /// too.
     pub(crate) fn prepare(
         &self,
         table_id: u32,
@@ -109,15 +130,13 @@ impl ServeCore {
     ) -> Result<RoutedRequest, ReloadError> {
         let slot =
             self.directory.read().expect("directory poisoned")[table_id as usize].slot.clone();
-        let (_, estimator) = slot
-            .resolve(&self.metrics)
-            .inspect_err(|_| self.metrics.incr(Counter::ShedOverload))?;
-        let schema = estimator.schema();
+        let (preds, intervals) =
+            self.encode(&slot, query).inspect_err(|_| self.metrics.incr(Counter::ShedOverload))?;
         Ok(RoutedRequest {
             table_id,
             slot_uid: 0,
-            preds: query_to_id_predicates(schema, query),
-            intervals: query.column_intervals(schema),
+            preds,
+            intervals,
             key: None,
             deadline: None,
             reply: ReplyTo::Discard,
@@ -137,13 +156,10 @@ impl ServeCore {
         let record = self.table(table_id);
         let schema_columns = record.slot.ndvs().len();
         if data.num_columns() != schema_columns {
-            return Err(ServeError::Rejected {
-                table: record.name.to_string(),
-                reason: format!(
-                    "online table has {} columns, serving schema has {schema_columns}",
-                    data.num_columns()
-                ),
-            });
+            let columns = data.num_columns();
+            let reason =
+                format!("online table has {columns} columns, serving schema has {schema_columns}");
+            return Err(rejected(&record, reason));
         }
         let hooks = OnlineHooks {
             slot: record.slot,
@@ -154,6 +170,81 @@ impl ServeCore {
             table_id: table_id as usize,
         };
         Ok(self.online.enable(table_id as usize, OnlineTable::new(data, config, hooks)))
+    }
+
+    /// Table `table_id`'s online state, or the refusal for a table that is not
+    /// online-enabled.
+    fn online_state(
+        &self,
+        table_id: u32,
+        record: &TableResources,
+    ) -> Result<Arc<Mutex<OnlineTable>>, ServeError> {
+        self.online.get(table_id as usize).ok_or_else(|| rejected(record, NOT_ONLINE.to_string()))
+    }
+
+    /// Append one dictionary-encoded row to table `table_id`, served by
+    /// `record`; returns the new row count.
+    pub(crate) fn ingest(
+        &self,
+        table_id: u32,
+        record: &TableResources,
+        ids: &[u32],
+    ) -> Result<u64, ServeError> {
+        let online = self.online_state(table_id, record)?;
+        let ingested = lock(&online).ingest_row(ids);
+        ingested.map_err(|e| rejected(record, e.to_string()))
+    }
+
+    /// Queue one observed true cardinality on table `table_id` for the next
+    /// retrain, stamped with the uid of `record`'s slot: a table re-registered
+    /// since online learning was enabled answers `StaleRegistration`.
+    /// `observed` yields the query in the table's id space, and runs only
+    /// for an online-enabled table.
+    pub(crate) fn feedback(
+        &self,
+        table_id: u32,
+        record: &TableResources,
+        observed: impl FnOnce() -> Result<Encoded, ServeError>,
+        actual: f64,
+    ) -> Result<(), ServeError> {
+        let online = self.online_state(table_id, record)?;
+        let (preds, intervals) = observed()?;
+        let pushed = lock(&online).push_feedback(record.slot.uid(), preds, intervals, actual);
+        pushed.map_err(|e| match e {
+            FeedbackError::StaleSlot { .. } => {
+                ServeError::StaleRegistration(record.name.to_string())
+            }
+            FeedbackError::OutsideIdSpace | FeedbackError::InvalidCardinality => {
+                rejected(record, e.to_string())
+            }
+        })
+    }
+
+    /// One trainer tick on table `table_id`, supervised (see
+    /// [`OnlineDirectory::tick`]); a tick that panicked answers `Internal`.
+    pub(crate) fn tick(
+        &self,
+        table_id: u32,
+        record: &TableResources,
+    ) -> Result<OnlineTickReport, ServeError> {
+        let online = self.online_state(table_id, record)?;
+        self.online.tick(&online).ok_or_else(|| ServeError::Internal(record.name.to_string()))
+    }
+
+    /// Replace `record`'s weights from a checkpoint, purge its cache and
+    /// replay its hot set (see [`crate::DuetServer::hot_swap`]).
+    pub(crate) fn hot_swap(
+        &self,
+        record: &TableResources,
+        checkpoint: &[u8],
+    ) -> Result<(), ServeError> {
+        record
+            .slot
+            .hot_swap_checkpoint(checkpoint)
+            .map_err(|e| ServeError::Swap(SwapError::Checkpoint(e)))?;
+        record.cache.invalidate();
+        replay_hot_keys(&record.slot, &record.cache, &record.hot, &self.metrics);
+        Ok(())
     }
 
     /// A point-in-time snapshot of every metric, with cache counters summed
@@ -182,4 +273,9 @@ impl ServeCore {
         drop(tables);
         recycle_batch(&mut worker.batch, &self.metrics);
     }
+}
+
+/// An online payload for `record`'s table refused for `reason`.
+fn rejected(record: &TableResources, reason: String) -> ServeError {
+    ServeError::Rejected { table: record.name.to_string(), reason }
 }

@@ -295,7 +295,7 @@ pub struct OnlineTickReport {
     pub max_distance: f64,
     /// Whether drift was confirmed (threshold + hysteresis) this tick.
     pub drift: bool,
-    /// Whether a retrain ran.
+    /// Whether a retrain ran (not when the serving model failed to reload).
     pub retrained: bool,
     /// Whether the retrained model was published (swap succeeded).
     pub swapped: bool,
@@ -457,7 +457,8 @@ impl OnlineTable {
     ///
     /// The table is pinned in the tier for the retrain's duration, so the
     /// model being replaced (and the retrained one about to publish) cannot
-    /// be evicted mid-flight.
+    /// be evicted mid-flight. A serving model that no longer reloads skips
+    /// the retrain (`retrained == false`); the next tick retries.
     pub fn tick(&mut self) -> OnlineTickReport {
         let mut report = OnlineTickReport {
             max_distance: self.monitor.max_distance(&self.live),
@@ -472,16 +473,18 @@ impl OnlineTable {
         if !(report.drift || feedback_due) {
             return report;
         }
-        report.retrained = true;
         // Pin before announcing the retrain and unpin only after the publish
         // is fully accounted: any observer that sees `retrains` ticked but
         // `swaps_published` not yet ticked is looking at a window where the
         // pin is guaranteed held, which is what makes the mid-retrain
         // no-eviction regression test race-free.
         self.hooks.tier.pin(self.hooks.table_id);
-        self.hooks.metrics.incr(Counter::Retrains);
-        match self.retrain_and_publish() {
-            Ok(replayed) => {
+        if let Ok((_, serving)) = self.hooks.slot.resolve(&self.hooks.metrics) {
+            report.retrained = true;
+            self.hooks.metrics.incr(Counter::Retrains);
+            // A failed swap keeps the baseline and feedback: the next tick
+            // retries.
+            if let Ok(replayed) = self.retrain_and_publish(&serving) {
                 report.swapped = true;
                 report.replayed = replayed;
                 self.hooks.metrics.incr(Counter::SwapsPublished);
@@ -491,21 +494,18 @@ impl OnlineTable {
                 self.feedback.clear();
                 self.feedback_cursor = 0;
             }
-            Err(_) => {
-                // Keep the baseline and feedback: the next tick retries.
-            }
         }
         self.hooks.tier.unpin(self.hooks.table_id);
         report
     }
 
-    /// Warm-start from the serving weights, run the retrain loop over
+    /// Warm-start from `serving`'s weights, run the retrain loop over
     /// recency-biased virtual-tuple batches plus the weighted feedback
     /// queries, and publish the result. Returns the number of hot-set
     /// entries replayed into the cache.
-    fn retrain_and_publish(&mut self) -> Result<usize, SwapError> {
-        let snapshot = self.hooks.slot.current();
-        let mut model = snapshot.model().clone();
+    fn retrain_and_publish(&mut self, serving: &DuetEstimator) -> Result<usize, SwapError> {
+        retrain_fault(self);
+        let mut model = serving.model().clone();
         let mut adam = Adam::new(self.cfg.learning_rate);
         let mut scratch = TrainStepScratch::new();
         let sampler = SamplerConfig {
@@ -549,7 +549,8 @@ impl OnlineTable {
         let retrained = DuetEstimator::from_model(model, &self.table, "online-retrained");
         self.hooks.slot.swap(retrained)?;
         self.hooks.cache.invalidate();
-        Ok(replay_hot_keys(&self.hooks.slot, &self.hooks.cache, &self.hooks.hot))
+        let hooks = &self.hooks;
+        Ok(replay_hot_keys(&hooks.slot, &hooks.cache, &hooks.hot, &hooks.metrics))
     }
 }
 
@@ -565,16 +566,26 @@ impl std::fmt::Debug for OnlineTable {
     }
 }
 
+/// Where the unit tests inject a panicking retrain (defined beside them).
+#[cfg(not(test))]
+fn retrain_fault(_: &OnlineTable) {}
+
 /// Re-estimate the hottest observed keys under `slot`'s current model and
 /// seed `cache` with the results — one batched forward pass, epoch-tagged so
 /// a racing swap drops them. Shared by [`crate::DuetServer::hot_swap`] and
-/// the online trainer's publish path. Returns the number of replayed keys.
-pub(crate) fn replay_hot_keys(slot: &ModelSlot, cache: &ShardedCache, hot: &HotSet) -> usize {
+/// the online trainer's publish path. Returns the number of replayed keys
+/// (none if the model no longer reloads: the cache then starts cold).
+pub(crate) fn replay_hot_keys(
+    slot: &ModelSlot,
+    cache: &ShardedCache,
+    hot: &HotSet,
+    metrics: &ServeMetrics,
+) -> usize {
     let hot_queries = hot.snapshot();
     if hot_queries.is_empty() {
         return 0;
     }
-    let (generation, estimator) = slot.current_versioned();
+    let Ok((generation, estimator)) = slot.resolve(metrics) else { return 0 };
     let epoch = cache.epoch();
     let mut ws = DuetWorkspace::new();
     let mut values = Vec::with_capacity(hot_queries.len());
@@ -616,23 +627,47 @@ impl OnlineDirectory {
         self.tables.read().expect("online directory poisoned").get(table_id).cloned().flatten()
     }
 
-    /// Tick every online-enabled table once; returns the number of retrains
-    /// that ran. This is the background trainer's body — also callable
-    /// synchronously (tests, the sim).
+    /// Tick every online-enabled table once, each supervised (a table whose
+    /// tick panics leaves this directory, and the others keep ticking);
+    /// returns the number of retrains that ran. The background trainer's
+    /// body.
     pub fn tick_all(&self) -> usize {
         let tables: Vec<_> = {
             let guard = self.tables.read().expect("online directory poisoned");
             guard.iter().flatten().cloned().collect()
         };
-        let mut retrains = 0;
-        for table in tables {
-            let report = table.lock().expect("online table poisoned").tick();
-            if report.retrained {
-                retrains += 1;
+        tables.iter().filter_map(|table| self.tick(table)).filter(|r| r.retrained).count()
+    }
+
+    /// One tick of `online` under the in-thread `catch_unwind` a batch runs
+    /// under (`batcher::execute_supervised`), with the guard held outside it
+    /// so the mutex is never poisoned. `None` when the tick panicked: that
+    /// counts `panics_caught`, releases the retrain's tier pin and takes the
+    /// table out of this directory, so ingest and feedback answer as for a
+    /// table that is not online-enabled.
+    pub(crate) fn tick(&self, online: &Arc<Mutex<OnlineTable>>) -> Option<OnlineTickReport> {
+        let mut table = lock(online);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| table.tick()));
+        if caught.is_err() {
+            let OnlineHooks { metrics, tier, table_id, .. } = &table.hooks;
+            metrics.incr(Counter::PanicsCaught);
+            if tier.is_pinned(*table_id) {
+                tier.unpin(*table_id);
+            }
+            let mut tables = self.tables.write().expect("online directory poisoned");
+            // Unless `enable` has replaced it meanwhile.
+            if tables[*table_id].as_ref().is_some_and(|current| Arc::ptr_eq(current, online)) {
+                tables[*table_id] = None;
             }
         }
-        retrains
+        caught.ok()
     }
+}
+
+/// Lock one table's online state, which nothing poisons: ingest and feedback
+/// validate before they mutate, and ticks run supervised.
+pub(crate) fn lock(online: &Mutex<OnlineTable>) -> std::sync::MutexGuard<'_, OnlineTable> {
+    online.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl std::fmt::Debug for OnlineDirectory {
@@ -697,6 +732,26 @@ impl OnlineTrainerHandle {
 impl Drop for OnlineTrainerHandle {
     fn drop(&mut self) {
         self.stop_and_join();
+    }
+}
+
+/// Slot uids whose online tables panic at the start of every retrain: the
+/// fault the tick-supervision tests inject.
+#[cfg(test)]
+pub(crate) static PANICKING_RETRAINS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
+#[cfg(test)]
+fn retrain_fault(online: &OnlineTable) {
+    if PANICKING_RETRAINS.lock().unwrap().contains(&online.bound_uid) {
+        panic!("injected retrain fault (slot {})", online.bound_uid);
+    }
+}
+
+#[cfg(test)]
+impl OnlineDirectory {
+    /// Feedback entries queued on table `table_id`'s online state.
+    pub(crate) fn feedback_len(&self, table_id: usize) -> usize {
+        lock(&self.get(table_id).expect("online-enabled")).feedback_len()
     }
 }
 
@@ -875,7 +930,7 @@ mod tests {
         let second = online.tick();
         assert!(!second.drift && !second.retrained);
         // The published estimator carries the grown row count.
-        assert_eq!(slot.current().num_rows(), online.num_rows());
+        assert_eq!(slot.resolve(&metrics).unwrap().1.num_rows(), online.num_rows());
     }
 
     #[test]
@@ -883,7 +938,7 @@ mod tests {
         let (table, hooks) = small_setup();
         let slot = hooks.slot.clone();
         let bound = hooks.slot.uid();
-        let schema = slot.current().schema().clone();
+        let schema = slot.resolve(&hooks.metrics).unwrap().1.schema().clone();
         let cfg = OnlineConfig {
             feedback_trigger: 2,
             retrain_steps: 2,

@@ -6,11 +6,11 @@
 //! old weights, requests arriving afterwards see the new ones.
 //!
 //! The generation counter and the estimator live under one lock, so
-//! [`ModelSlot::current_versioned`] always returns a matching
-//! `(generation, weights)` pair. `duet-serve` keys cache entries by
-//! generation; the batch worker labels every insert with the generation it
-//! actually resolved, so a cached value is always one that *those* weights
-//! computed — even for requests in flight across a swap.
+//! resolving a slot always returns a matching `(generation, weights)` pair.
+//! `duet-serve` keys cache entries by generation; the batch worker labels
+//! every insert with the generation it actually resolved, so a cached value
+//! is always one that *those* weights computed — even for requests in flight
+//! across a swap.
 //!
 //! ## Residency
 //!
@@ -134,21 +134,11 @@ pub struct ModelSlot {
     /// lifetime: a swap must keep every dictionary, and eviction keeps the
     /// schema.
     ndvs: Box<[u32]>,
-    /// Models evicted from this slot so far.
-    evictions: AtomicU64,
     /// Spill files written by this slot so far, successful eviction or not.
     /// Part of the file name, so two workers evicting the slot at once
     /// never share a path: the loser of that race discards *its* file, not
     /// the one the winner's store points at.
     spills: AtomicU64,
-    /// Evicted models rebuilt from their checkpoint so far.
-    reloads: AtomicU64,
-    /// Reload attempts that failed (unreadable spill file, corrupt or
-    /// truncated checkpoint). Each failure sheds the requesting batch on the
-    /// retryable overload path; the store is kept so a later attempt — after
-    /// the file is repaired or a fresh model is swapped in — can still
-    /// succeed. The slot degrades, it never wedges into a panic.
-    reload_failures: AtomicU64,
 }
 
 impl ModelSlot {
@@ -163,10 +153,7 @@ impl ModelSlot {
                 state: Residency::Resident(Arc::new(estimator)),
             }),
             uid: NEXT_SLOT_UID.fetch_add(1, Ordering::Relaxed),
-            evictions: AtomicU64::new(0),
             spills: AtomicU64::new(0),
-            reloads: AtomicU64::new(0),
-            reload_failures: AtomicU64::new(0),
         }
     }
 
@@ -214,66 +201,32 @@ impl ModelSlot {
         }
     }
 
-    /// Models evicted from this slot so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Evicted models rebuilt from their checkpoint so far.
-    pub fn reloads(&self) -> u64 {
-        self.reloads.load(Ordering::Relaxed)
-    }
-
-    /// Reload attempts that failed with a typed error so far (see the
-    /// `reload_failures` field docs for the recovery contract).
-    pub fn reload_failures(&self) -> u64 {
-        self.reload_failures.load(Ordering::Relaxed)
-    }
-
-    /// The estimator currently serving this slot.
-    ///
-    /// Cheap (`Arc` clone under a read lock) while resident; an evicted slot
-    /// is transparently reloaded first.
-    ///
-    /// # Panics
-    ///
-    /// If an evicted model cannot be reloaded (spill file unreadable). The
-    /// serving hot path uses [`ModelSlot::try_current_versioned`] and sheds
-    /// instead.
-    pub fn current(&self) -> Arc<DuetEstimator> {
-        self.current_versioned().1
+    /// The estimator currently serving this slot, reloading an evicted model
+    /// first, with nothing counted. For tools outside the server (benchmarks,
+    /// inspection); the server reaches a model only through its counted
+    /// resolve, so its `model_reloads` and `reload_failures` see every reload.
+    pub fn try_current(&self) -> Result<Arc<DuetEstimator>, ReloadError> {
+        self.resolve_counting(None).map(|(_, estimator)| estimator)
     }
 
     /// The current `(generation, estimator)` pair, read atomically — the
-    /// returned generation is exactly the one these weights were installed
-    /// under. Panics like [`ModelSlot::current`] if a reload fails.
-    pub fn current_versioned(&self) -> (u64, Arc<DuetEstimator>) {
-        self.try_current_versioned().expect("evicted model failed to reload")
-    }
-
-    /// Fallible [`ModelSlot::current`].
-    pub fn try_current(&self) -> Result<Arc<DuetEstimator>, ReloadError> {
-        self.try_current_versioned().map(|(_, estimator)| estimator)
-    }
-
-    /// The current `(generation, estimator)` pair, transparently rebuilding
-    /// an evicted model from its checkpoint (lazy reload).
+    /// generation is exactly the one these weights were installed under —
+    /// transparently rebuilding an evicted model from its checkpoint (lazy
+    /// reload). The one way the serving paths reach a model.
     ///
     /// The reload is **bit-identical**: Duet's architecture is a pure
     /// function of `(schema, config)`, so rebuilding the network and
     /// restoring the checkpointed weights reproduces the evicted model's
     /// estimates exactly, under the same generation. On a resident slot this
-    /// is a read-lock `Arc` clone, same as before eviction.
-    pub fn try_current_versioned(&self) -> Result<(u64, Arc<DuetEstimator>), ReloadError> {
-        self.resolve_counting(None)
-    }
-
-    /// [`ModelSlot::try_current_versioned`] for the serving paths, with the
-    /// lazy reload accounted on `metrics`: `model_reloads` when *this call*
-    /// rebuilt the model, `reload_failures` when the rebuild failed. Both are
-    /// recorded under the slot's write lock, beside the slot's own counters,
-    /// so callers racing on one evicted slot record exactly the reloads
-    /// [`ModelSlot::reloads`] counts.
+    /// is a read-lock `Arc` clone.
+    ///
+    /// The reload is accounted on `metrics`: `model_reloads` when *this call*
+    /// rebuilt the model, `reload_failures` when the rebuild failed, both
+    /// under the slot's write lock, so callers racing on one evicted slot
+    /// record exactly one reload. A failure (unreadable spill file, corrupt
+    /// or truncated checkpoint) keeps the store, so a later attempt — after
+    /// the file is repaired or a fresh model is swapped in — can still
+    /// succeed: the slot degrades, it never wedges into a panic.
     pub(crate) fn resolve(
         &self,
         metrics: &ServeMetrics,
@@ -315,7 +268,6 @@ impl ModelSlot {
                         // spill file or a hot-swap publish heals the slot
                         // without a restart. Never a panic, never garbage
                         // weights (the checksum frame rejects those).
-                        self.reload_failures.fetch_add(1, Ordering::Relaxed);
                         if let Some(metrics) = metrics {
                             metrics.incr(Counter::ReloadFailures);
                         }
@@ -325,7 +277,6 @@ impl ModelSlot {
                 evicted.store.discard();
                 let estimator = Arc::new(estimator);
                 inner.state = Residency::Resident(estimator.clone());
-                self.reloads.fetch_add(1, Ordering::Relaxed);
                 if let Some(metrics) = metrics {
                     metrics.incr(Counter::ModelReloads);
                 }
@@ -403,7 +354,6 @@ impl ModelSlot {
             return Ok(0);
         }
         inner.state = Residency::Evicted(evicted);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
         Ok(weight_bytes)
     }
 
@@ -514,8 +464,6 @@ impl ModelSlot {
 /// Why a registry-level swap failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SwapError {
-    /// No model is registered under the given table name.
-    UnknownTable(String),
     /// The checkpoint was rejected (bad magic, truncation, shape mismatch).
     Checkpoint(CheckpointError),
     /// The replacement model serves a different schema than the current one.
@@ -530,7 +478,6 @@ pub enum SwapError {
 impl std::fmt::Display for SwapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SwapError::UnknownTable(t) => write!(f, "no model registered for table {t:?}"),
             SwapError::Checkpoint(e) => write!(f, "checkpoint rejected: {e}"),
             SwapError::IncompatibleSchema { expected_columns, found_columns } => write!(
                 f,
@@ -543,12 +490,6 @@ impl std::fmt::Display for SwapError {
 }
 
 impl std::error::Error for SwapError {}
-
-impl From<CheckpointError> for SwapError {
-    fn from(e: CheckpointError) -> Self {
-        SwapError::Checkpoint(e)
-    }
-}
 
 /// A registered slot plus the dense id the serving router addresses it by.
 #[derive(Debug)]
@@ -584,8 +525,8 @@ impl ModelRegistry {
     /// Register (or replace) the model serving `table`, returning its slot.
     ///
     /// Replacing through `register` creates a *new* slot (generation resets)
-    /// but keeps the table's dense id; use [`ModelRegistry::hot_swap`] to
-    /// refresh weights in place.
+    /// but keeps the table's dense id; use [`ModelSlot::hot_swap_checkpoint`]
+    /// to refresh weights in place.
     pub fn register(&self, table: impl Into<String>, estimator: DuetEstimator) -> Arc<ModelSlot> {
         self.register_indexed(table, estimator).1
     }
@@ -628,14 +569,6 @@ impl ModelRegistry {
     /// Names of all registered tables (unordered).
     pub fn tables(&self) -> Vec<String> {
         self.slots.read().expect("registry poisoned").keys().cloned().collect()
-    }
-
-    /// Hot-swap `table`'s weights from a checkpoint (see
-    /// [`ModelSlot::hot_swap_checkpoint`]).
-    pub fn hot_swap(&self, table: &str, checkpoint: &[u8]) -> Result<(), SwapError> {
-        let slot = self.slot(table).ok_or_else(|| SwapError::UnknownTable(table.to_string()))?;
-        slot.hot_swap_checkpoint(checkpoint)?;
-        Ok(())
     }
 }
 
@@ -690,13 +623,13 @@ mod tests {
         let registry = ModelRegistry::new();
         let slot = registry.register("census", est_a);
         assert_eq!(slot.generation(), 0);
-        let before = slot.current().estimate_batch(&queries);
+        let before = slot.try_current().unwrap().estimate_batch(&queries);
         assert_ne!(before, expect_b, "differently seeded models should disagree");
 
         let checkpoint = save_weights(&mut est_b);
-        registry.hot_swap("census", &checkpoint).expect("swap should succeed");
+        slot.hot_swap_checkpoint(&checkpoint).expect("swap should succeed");
         assert_eq!(slot.generation(), 1);
-        assert_eq!(slot.current().estimate_batch(&queries), expect_b);
+        assert_eq!(slot.try_current().unwrap().estimate_batch(&queries), expect_b);
     }
 
     #[test]
@@ -704,7 +637,7 @@ mod tests {
         let (_, est_a) = trained(1);
         let (_, est_b) = trained(2);
         let slot = ModelSlot::new(est_a);
-        let held = slot.current();
+        let held = slot.try_current().unwrap();
         slot.swap(est_b).expect("same-schema swap should succeed");
         // The old Arc is still alive and usable after the swap.
         assert!(held.num_rows() > 0);
@@ -737,7 +670,7 @@ mod tests {
         let (table, est) = trained(9);
         let queries = WorkloadSpec::random(&table, 12, 3).generate(&table);
         let slot = ModelSlot::new(est);
-        let before = slot.current().estimate_batch(&queries);
+        let before = slot.try_current().unwrap().estimate_batch(&queries);
         let bytes = slot.resident_weight_bytes().expect("fresh slot is resident");
         assert!(bytes > 0);
 
@@ -748,11 +681,15 @@ mod tests {
         assert_eq!(slot.evict(None).expect("double evict is a no-op"), 0);
         assert_eq!(slot.generation(), 0, "evict must not bump the generation");
 
-        // The next access reloads transparently and bit-identically.
-        let after = slot.current().estimate_batch(&queries);
+        // The next access reloads transparently and bit-identically, counted
+        // once. (Evictions are counted by the tier that makes them;
+        // `tests/model_tier.rs` reads both counts off a harness snapshot.)
+        let metrics = ServeMetrics::new();
+        let after = slot.resolve(&metrics).unwrap().1.estimate_batch(&queries);
         assert_eq!(after, before, "reload must reproduce the evicted model exactly");
         assert!(slot.is_resident());
-        assert_eq!((slot.evictions(), slot.reloads()), (1, 1));
+        slot.resolve(&metrics).unwrap();
+        assert_eq!(metrics.snapshot(0, 0, 0).model_reloads, 1);
         assert_eq!(slot.generation(), 0);
     }
 
@@ -772,8 +709,7 @@ mod tests {
             }
         });
         // Exactly one of the two calls rebuilt the model, and only that one
-        // is counted — the metric agrees with the slot's own counter.
-        assert_eq!(slot.reloads(), 1);
+        // is counted.
         assert_eq!(metrics.snapshot(0, 0, 0).model_reloads, 1);
     }
 
@@ -789,7 +725,7 @@ mod tests {
         let checkpoint = save_weights(&mut est_b);
         slot.hot_swap_checkpoint(&checkpoint).expect("swap through an evicted slot");
         assert_eq!(slot.generation(), 1);
-        assert_eq!(slot.current().estimate_batch(&queries), expect_b);
+        assert_eq!(slot.try_current().unwrap().estimate_batch(&queries), expect_b);
     }
 
     #[test]
@@ -830,14 +766,10 @@ mod tests {
         let queries = WorkloadSpec::random(&table, 5, 9).generate(&table);
         let registry = ModelRegistry::new();
         let slot = registry.register("census", est);
-        let before = slot.current().estimate_batch(&queries);
+        let before = slot.try_current().unwrap().estimate_batch(&queries);
 
-        let err = registry.hot_swap("census", b"not a checkpoint").unwrap_err();
-        assert!(matches!(err, SwapError::Checkpoint(_)));
+        assert!(slot.hot_swap_checkpoint(b"not a checkpoint").is_err());
         assert_eq!(slot.generation(), 0);
-        assert_eq!(slot.current().estimate_batch(&queries), before);
-
-        let err = registry.hot_swap("missing", b"x").unwrap_err();
-        assert!(matches!(err, SwapError::UnknownTable(_)));
+        assert_eq!(slot.try_current().unwrap().estimate_batch(&queries), before);
     }
 }

@@ -21,15 +21,13 @@
 use crate::batcher::run_shard_worker;
 use crate::core::ServeCore;
 use crate::metrics::MetricsSnapshot;
-use crate::online::{
-    FeedbackError, OnlineConfig, OnlineTable, OnlineTickReport, OnlineTrainerHandle,
-};
+use crate::online::{OnlineConfig, OnlineTickReport, OnlineTrainerHandle};
 use crate::registry::SwapError;
 use crate::router::{
     Admission, ReplyTo, Router, RouterConfig, ShedReason, SystemClock, TableResources,
 };
 use crate::tier::ModelTier;
-use duet_core::{query_to_id_predicates, DuetEstimator};
+use duet_core::DuetEstimator;
 use duet_data::Table;
 use duet_query::Query;
 use std::sync::mpsc;
@@ -104,7 +102,9 @@ pub enum ServeError {
     ModelUnavailable(String),
     /// The request's batch hit an internal fault: a panic caught by shard
     /// supervision. The worker was respawned with a fresh workspace pool;
-    /// the request itself may be fine — retrying usually succeeds.
+    /// the request itself may be fine — retrying usually succeeds. A
+    /// synchronous online tick that panicked answers this too; its table is
+    /// then no longer online-enabled.
     Internal(String),
     /// A model swap failed; the previous model keeps serving.
     Swap(SwapError),
@@ -152,17 +152,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-impl From<SwapError> for ServeError {
-    fn from(e: SwapError) -> Self {
-        match e {
-            // Flatten so callers see one UnknownTable variant regardless of
-            // which layer noticed.
-            SwapError::UnknownTable(t) => ServeError::UnknownTable(t),
-            e => ServeError::Swap(e),
-        }
-    }
-}
 
 /// Outcome of submitting one query: answered from cache, or in a shard's
 /// queue with a receiver for the eventual result.
@@ -344,15 +333,7 @@ impl DuetServer {
     /// second swap racing this one drops them.
     pub fn hot_swap(&self, table: &str, checkpoint: &[u8]) -> Result<(), ServeError> {
         let (_, record) = self.core.record(table)?;
-        record
-            .slot
-            .hot_swap_checkpoint(checkpoint)
-            .map_err(|e| ServeError::Swap(SwapError::Checkpoint(e)))?;
-        record.cache.invalidate();
-        // One batched forward pass over the hot set, shared with the online
-        // trainer's publish path.
-        crate::online::replay_hot_keys(&record.slot, &record.cache, &record.hot);
-        Ok(())
+        self.core.hot_swap(&record, checkpoint)
     }
 
     /// Enable online learning for `table`: ingest, drift detection against
@@ -378,12 +359,8 @@ impl DuetServer {
     /// the table's new row count. Fails with [`ServeError::Rejected`] when
     /// the table is not online-enabled or the row is invalid.
     pub fn ingest(&self, table: &str, ids: &[u32]) -> Result<u64, ServeError> {
-        let (id, _) = self.core.record(table)?;
-        let online = self.online_state(table, id)?;
-        let mut online = online.lock().expect("online table poisoned");
-        online
-            .ingest_row(ids)
-            .map_err(|e| ServeError::Rejected { table: table.to_string(), reason: e.to_string() })
+        let (id, record) = self.core.record(table)?;
+        self.core.ingest(id, &record, ids)
     }
 
     /// Report the observed true cardinality of `query` against `table`,
@@ -393,53 +370,37 @@ impl DuetServer {
     /// under `table`; if the table was re-registered since online learning
     /// was enabled, the stamp is stale and the call fails with
     /// [`ServeError::StaleRegistration`] (re-enable online learning against
-    /// the new registration).
+    /// the new registration). Encoding `query` may reload an evicted model;
+    /// a reload that fails is [`ServeError::ModelUnavailable`].
     pub fn feedback(&self, table: &str, query: &Query, actual: f64) -> Result<(), ServeError> {
         let (id, record) = self.core.record(table)?;
-        let online = self.online_state(table, id)?;
-        let estimator = record
-            .slot
-            .try_current()
-            .map_err(|_| ServeError::ModelUnavailable(table.to_string()))?;
-        let schema = estimator.schema();
-        let preds = query_to_id_predicates(schema, query);
-        let intervals = query.column_intervals(schema);
-        let mut online = online.lock().expect("online table poisoned");
-        online.push_feedback(record.slot.uid(), preds, intervals, actual).map_err(|e| match e {
-            FeedbackError::StaleSlot { .. } => ServeError::StaleRegistration(table.to_string()),
-            FeedbackError::OutsideIdSpace | FeedbackError::InvalidCardinality => {
-                ServeError::Rejected { table: table.to_string(), reason: e.to_string() }
-            }
-        })
+        let encode = || {
+            let encoded = self.core.encode(&record.slot, query);
+            encoded.map_err(|_| ServeError::ModelUnavailable(table.to_string()))
+        };
+        self.core.feedback(id, &record, encode, actual)
     }
 
     /// Run one trainer tick for `table` synchronously: check drift and, if
-    /// triggered, retrain and publish. Returns what the tick did.
+    /// triggered, retrain and publish. Returns what the tick did. A tick that
+    /// panics is caught and answered [`ServeError::Internal`]; the table is
+    /// then not online-enabled until [`DuetServer::enable_online`] again.
     pub fn maintain_online(&self, table: &str) -> Result<OnlineTickReport, ServeError> {
-        let (id, _) = self.core.record(table)?;
-        let online = self.online_state(table, id)?;
-        let report = online.lock().expect("online table poisoned").tick();
-        Ok(report)
+        let (id, record) = self.core.record(table)?;
+        self.core.tick(id, &record)
     }
 
     /// Spawn a background trainer thread ticking every online-enabled table
-    /// each `interval`. The returned handle stops and joins the thread on
-    /// [`OnlineTrainerHandle::shutdown`] or drop; the server can outlive it
-    /// or vice versa (the thread holds its own `Arc`s).
+    /// each `interval`, each tick supervised as in
+    /// [`DuetServer::maintain_online`]. The returned handle stops and joins
+    /// the thread on [`OnlineTrainerHandle::shutdown`] or drop; the server
+    /// can outlive it or vice versa (the thread holds its own `Arc`s).
     pub fn spawn_online_trainer(&self, interval: std::time::Duration) -> OnlineTrainerHandle {
         let handle = OnlineTrainerHandle::spawn(self.core.online.clone(), interval);
         // Remember the stop flag so a server-wide shutdown halts training
         // without waiting for the caller to drop the handle.
         self.trainer_stops.lock().expect("server poisoned").push(handle.stop_flag());
         handle
-    }
-
-    /// Resolve `table`'s online state or explain why it has none.
-    fn online_state(&self, table: &str, id: u32) -> Result<Arc<Mutex<OnlineTable>>, ServeError> {
-        self.core.online.get(id as usize).ok_or_else(|| ServeError::Rejected {
-            table: table.to_string(),
-            reason: "online learning is not enabled for this table".to_string(),
-        })
     }
 
     /// The swap generation of `table`'s model (0 until the first swap).
@@ -574,8 +535,13 @@ impl Drop for DuetServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::NOT_ONLINE;
+    use crate::online::PANICKING_RETRAINS;
+    use crate::wire::conn::{ConnConfig, WireConn};
+    use crate::wire::frame::{self, FrameView, Status, DEFAULT_MAX_FRAME_LEN};
     use duet_core::{DuetConfig, DuetModel};
     use duet_data::datasets::census_like;
+    use duet_query::WorkloadSpec;
 
     /// A batch shed mid-flight (an evicted model's reload failed) reports
     /// the shard its table actually lives on.
@@ -595,5 +561,92 @@ mod tests {
         let shard = server.shard_of(&table);
         assert_ne!(shard, 0);
         assert_eq!(reply, Err(ServeError::Overloaded { table, shard, depth: 0 }));
+    }
+
+    /// The statuses a fresh wire connection is answered with for one ingest
+    /// frame (`row`) and one feedback frame (no predicates) to table 0.
+    fn wire_online_statuses(server: &DuetServer, row: &[u32]) -> Vec<Status> {
+        let mut bytes = Vec::new();
+        frame::encode_preamble(&mut bytes);
+        frame::encode_ingest(&mut bytes, 1, 0, row);
+        let unconstrained = vec![(0, 1); row.len()];
+        frame::encode_feedback(&mut bytes, 2, 0, 3.0, &vec![Vec::new(); row.len()], &unconstrained);
+        let mut conn = WireConn::new(ConnConfig::default());
+        conn.feed(&bytes);
+        conn.pump(&server.core).expect("valid bytes");
+        let (mut statuses, mut read) = (Vec::new(), 0);
+        while let Some((view, used)) =
+            frame::next_frame(&conn.output()[read..], DEFAULT_MAX_FRAME_LEN).unwrap()
+        {
+            read += used;
+            if let FrameView::Response(response) = view {
+                statuses.push(response.status);
+            }
+        }
+        statuses
+    }
+
+    /// A tick that panics is supervised like a batch: caught and counted,
+    /// its tier pin released, its table taken offline (both doors answer as
+    /// for a table that was never online-enabled), and the other tables keep
+    /// ticking; `enable_online` brings the table back.
+    #[test]
+    fn a_panicking_tick_is_caught_and_takes_only_its_table_offline() {
+        let cfg = DuetConfig::small().with_epochs(1);
+        let data: Vec<Table> = (0..2).map(|i| census_like(200 + 40 * i, 90 + i as u64)).collect();
+        let server = DuetServer::new(ServeConfig {
+            model_budget_bytes: 1,
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        });
+        let online = OnlineConfig {
+            feedback_trigger: 1,
+            retrain_steps: 2,
+            train_batch_size: 8,
+            ..OnlineConfig::default()
+        };
+        let queries: Vec<Query> = data
+            .iter()
+            .enumerate()
+            .map(|(i, table)| {
+                let name = format!("t{i}");
+                server.register(name.as_str(), DuetEstimator::train_data_only(table, &cfg, 3));
+                server.enable_online(&name, table.clone(), online).unwrap();
+                let query = WorkloadSpec::random(table, 1, 5).generate(table).remove(0);
+                server.feedback(&name, &query, 7.0).unwrap();
+                query
+            })
+            .collect();
+        let row = vec![0u32; data[0].num_columns()];
+        let uid = server.core.table(0).slot.uid();
+        PANICKING_RETRAINS.lock().unwrap().push(uid);
+
+        assert_eq!(server.core.online.tick_all(), 1, "t1 still retrains");
+        let counted = server.metrics();
+        assert_eq!((counted.panics_caught, counted.swaps_published), (1, 1));
+        assert!(!server.model_tier().is_pinned(0), "the panicked retrain's pin is released");
+
+        // Unpinned, t0 is the over-budget victim of a batch for t1.
+        server.estimate("t1", &queries[1]).unwrap();
+        let give_up_at = Instant::now() + std::time::Duration::from_secs(10);
+        while server.metrics().model_evictions == 0 {
+            assert!(Instant::now() < give_up_at, "t0 is never evicted");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+
+        let offline = ServeError::Rejected { table: "t0".into(), reason: NOT_ONLINE.into() };
+        assert_eq!(server.ingest("t0", &row), Err(offline.clone()));
+        assert_eq!(server.feedback("t0", &queries[0], 7.0), Err(offline.clone()));
+        assert_eq!(server.maintain_online("t0"), Err(offline));
+        assert_eq!(wire_online_statuses(&server, &row), [Status::UnknownTable; 2]);
+
+        // Re-enabled, t0 answers again; its retrain still panics, now on the
+        // synchronous path, which answers `Internal`.
+        server.enable_online("t0", data[0].clone(), online).unwrap();
+        assert_eq!(wire_online_statuses(&server, &row), [Status::Ok; 2]);
+        assert_eq!(server.maintain_online("t0"), Err(ServeError::Internal("t0".into())));
+        assert_eq!(server.metrics().panics_caught, 2);
+        assert!(!server.model_tier().is_pinned(0));
+        PANICKING_RETRAINS.lock().unwrap().retain(|&panicking| panicking != uid);
     }
 }

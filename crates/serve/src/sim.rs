@@ -34,7 +34,7 @@
 //! [`FaultPlan::inject`] (faults merged into either).
 
 use crate::batcher::{ShardWorker, MAX_BATCH};
-use crate::core::ServeCore;
+use crate::core::{Encoded, ServeCore};
 use crate::metrics::{Counter, CounterTable, MetricsSnapshot};
 use crate::online::{OnlineConfig, OnlineTable};
 use crate::registry::ReloadError;
@@ -43,7 +43,7 @@ use crate::tier::ModelTier;
 use crate::wire::conn::{ConnConfig, WireConn};
 use crate::wire::frame::{self, DecodeError, FrameView, ResponseFrame, Status};
 use crate::ServeConfig;
-use duet_core::{query_to_id_predicates, DuetEstimator, IdPredicate};
+use duet_core::{query_to_id_predicates, DuetEstimator};
 use duet_data::Table;
 use duet_query::{exact_cardinality, CardinalityEstimator, Query};
 use rand::rngs::SmallRng;
@@ -132,10 +132,6 @@ impl RouterHarness {
         self.core.enable_online(table as u32, data, cfg).expect("online table matches the schema")
     }
 
-    fn online_state(&self, table: usize) -> Arc<Mutex<OnlineTable>> {
-        self.core.online.get(table).expect("online learning not enabled for table")
-    }
-
     /// The model-memory tier enforcing
     /// [`ServeConfig::model_budget_bytes`] (e.g. to set a spill directory,
     /// or inspect heat).
@@ -177,9 +173,11 @@ impl RouterHarness {
         &self.clock
     }
 
-    /// The estimator currently serving `table`.
+    /// The estimator currently serving `table`, resolved as a request
+    /// resolves it; panics if an evicted model no longer reloads.
     pub fn estimator(&self, table: usize) -> Arc<DuetEstimator> {
-        self.core.table(table as u32).slot.current()
+        let slot = self.core.table(table as u32).slot;
+        slot.resolve(&self.core.metrics).expect("the serving model reloads").1
     }
 
     /// Encode `query` against `table`'s schema into a request ready for
@@ -612,12 +610,13 @@ enum Step {
         table: usize,
         rows: Vec<Vec<u32>>,
     },
-    /// `client` reports the true cardinality of `workloads[table][query]`,
-    /// counted on `table`'s live rows at this instant.
+    /// `client` reports `actual`, the true cardinality of
+    /// `workloads[table][query]` over the rows `table` holds at this instant.
     Feedback {
         client: usize,
         table: usize,
         query: usize,
+        actual: f64,
     },
     /// One trainer tick on `table`'s online state.
     Tick {
@@ -645,8 +644,9 @@ enum Damage {
 /// How a script's client steps reach the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
-    /// Queries are tickets through [`RouterHarness::submit_query`]; ingest
-    /// and feedback call the table's online state directly.
+    /// Queries are tickets through [`RouterHarness::submit_query`]; ingest,
+    /// feedback and ticks are calls into the serving core, the calls the
+    /// server's own door makes.
     InProcess,
     /// Every client step is encoded to protocol bytes, delivered (possibly
     /// split/coalesced), decoded and admitted by the real [`WireConn`]
@@ -828,6 +828,9 @@ impl DriftScenarioConfig {
         const PERIOD_NS: u64 = 100_000;
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x44_52_49_46); // "DRIF"
         let ndvs: Vec<usize> = (0..table.num_columns()).map(|c| table.column(c).ndv()).collect();
+        // The rows the server's online table holds as the script runs, so
+        // feedback reports the cardinality the server's rows give.
+        let mut live = table.clone();
         let mut steps = Vec::new();
         for i in 0..self.warm_queries + self.post_queries {
             let at_ns = PERIOD_NS * (i as u64 + 1);
@@ -842,7 +845,9 @@ impl DriftScenarioConfig {
                         let band = (ndv / 8).max(1).min(ndv);
                         (ndv - 1 - rng.gen_range(0..band)) as u32
                     });
-                    rows.push(skewed.collect());
+                    let row: Vec<u32> = skewed.collect();
+                    live.append_row_ids(&row);
+                    rows.push(row);
                 }
                 steps.push((at_ns, Step::Ingest { client: 0, table: 0, rows }));
             }
@@ -851,7 +856,8 @@ impl DriftScenarioConfig {
             if let Some(k) = i.checked_sub(self.warm_queries) {
                 let served_ns = at_ns + PERIOD_NS;
                 if self.feedback_every > 0 && k.is_multiple_of(self.feedback_every) {
-                    steps.push((served_ns, Step::Feedback { client: 0, table: 0, query }));
+                    let actual = exact_cardinality(&live, &workload[query]) as f64;
+                    steps.push((served_ns, Step::Feedback { client: 0, table: 0, query, actual }));
                 }
                 if self.tick_every > 0 && (k + 1).is_multiple_of(self.tick_every) {
                     steps.push((served_ns, Step::Tick { table: 0 }));
@@ -1134,46 +1140,33 @@ impl<'a> Replay<'a> {
                     }
                     self.exchange(client);
                 } else {
-                    let online = self.sim.harness.online_state(table);
-                    let mut online = online.lock().expect("online table poisoned");
+                    let core = &self.sim.harness.core;
+                    let record = core.table(table as u32);
                     for row in rows {
-                        online.ingest_row(row).expect("scripted rows stay inside the dictionary");
+                        let ingested = core.ingest(table as u32, &record, row);
+                        ingested.expect("scripted rows stay inside the dictionary");
                     }
                 }
             }
-            Step::Feedback { client, table, query } => {
-                let query = &setup.workloads[table][query];
-                let (preds, intervals) = encode(setup, table, query);
-                let online = self.sim.harness.online_state(table);
-                let live = online.lock().expect("online table poisoned");
-                let actual = exact_cardinality(live.table(), query) as f64;
-                // Released here: the connection's feedback handler takes the
-                // same lock.
-                drop(live);
+            Step::Feedback { client, table, query, actual } => {
+                let (preds, intervals) = encode(setup, table, &setup.workloads[table][query]);
                 if wire {
                     let id = self.issue(None);
                     let buf = &mut self.pending[client];
                     frame::encode_feedback(buf, id, table as u32, actual, &preds, &intervals);
                     self.exchange(client);
                 } else {
-                    // Stamped with the currently registered slot's uid, the
-                    // stamp the wire front door applies.
-                    let uid = self.sim.harness.core.table(table as u32).slot.uid();
-                    online
-                        .lock()
-                        .expect("online table poisoned")
-                        .push_feedback(uid, preds, intervals, actual)
-                        .expect("in-run feedback is never stale");
+                    let core = &self.sim.harness.core;
+                    let observed = || Ok((preds, intervals));
+                    let pushed =
+                        core.feedback(table as u32, &core.table(table as u32), observed, actual);
+                    pushed.expect("in-run feedback is never stale");
                 }
             }
             Step::Tick { table } => {
-                let tick = self
-                    .sim
-                    .harness
-                    .online_state(table)
-                    .lock()
-                    .expect("online table poisoned")
-                    .tick();
+                let core = &self.sim.harness.core;
+                let tick = core.tick(table as u32, &core.table(table as u32));
+                let tick = tick.expect("scripted ticks address online tables and never panic");
                 self.report.hot_replayed += tick.replayed as u64;
                 if tick.swapped {
                     // Replies from here on are checked against the model just
@@ -1273,7 +1266,7 @@ impl<'a> Replay<'a> {
 /// `query` in the canonical per-column id layout, encoded with the schema
 /// the client was set up with (publishes keep the id space, so it never goes
 /// stale, and encoding never touches the server's model).
-fn encode(setup: &Setup, table: usize, query: &Query) -> (Vec<Vec<IdPredicate>>, Vec<(u32, u32)>) {
+fn encode(setup: &Setup, table: usize, query: &Query) -> Encoded {
     let schema = setup.tables[table].1.schema();
     (query_to_id_predicates(schema, query), query.column_intervals(schema))
 }
@@ -1336,4 +1329,62 @@ fn damage_checkpoint(
     }
     std::fs::write(&path, &bytes).expect("writing the damaged checkpoint");
     (path, original)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use duet_core::DuetConfig;
+    use duet_data::datasets::census_like;
+    use duet_query::WorkloadSpec;
+
+    /// A tick whose evicted model no longer reloads skips its retrain, and
+    /// the table's online state keeps acknowledging ingest frames.
+    #[test]
+    fn an_ingest_frame_after_a_tick_over_a_corrupt_checkpoint_is_answered_ok() {
+        let cfg = DuetConfig::small().with_epochs(1);
+        let data: Vec<Table> = (0..2).map(|i| census_like(200 + 40 * i, 70 + i as u64)).collect();
+        let tables = (0..2)
+            .map(|i| (format!("t{i}"), DuetEstimator::train_data_only(&data[i], &cfg, 3)))
+            .collect();
+        let config =
+            ServeConfig { model_budget_bytes: 1, cache_capacity: 0, ..ServeConfig::default() };
+        let mut sim = WireSim::new(tables, config, ConnConfig::default(), 1);
+        let dir = std::env::temp_dir().join(format!("duet-sim-tick-{}", std::process::id()));
+        sim.harness.tier().set_spill_dir(Some(dir.clone()));
+        let online = OnlineConfig {
+            feedback_trigger: 1,
+            retrain_steps: 2,
+            train_batch_size: 8,
+            ..OnlineConfig::default()
+        };
+        sim.harness.enable_online(0, data[0].clone(), online);
+        let core = &sim.harness.core;
+        let columns = core.table(0).slot.ndvs().len();
+        let observed = || Ok((vec![Vec::new(); columns], vec![(0, 1); columns]));
+        core.feedback(0, &core.table(0), observed, 7.0).unwrap();
+
+        // The batch for t1 evicts t0, whose spilled checkpoint then rots.
+        let query = WorkloadSpec::random(&data[1], 1, 5).generate(&data[1]).remove(0);
+        sim.harness.submit_query(1, &query, 0);
+        sim.turn();
+        damage_checkpoint(&sim.harness, &dir, 0, Damage::FlipByte);
+        let core = &sim.harness.core;
+        let tick = core.tick(0, &core.table(0)).expect("a failed reload is not an error");
+        assert!(!tick.retrained, "nothing to retrain from: {tick:?}");
+        assert_eq!(sim.harness.metrics().reload_failures, 1);
+
+        let mut bytes = Vec::new();
+        frame::encode_preamble(&mut bytes);
+        frame::encode_ingest(&mut bytes, 5, 0, &vec![0; columns]);
+        sim.feed(0, &bytes);
+        sim.pump(0).expect("valid bytes");
+        let (view, _) = frame::next_frame(sim.output(0), frame::DEFAULT_MAX_FRAME_LEN)
+            .unwrap()
+            .expect("a complete response frame");
+        let FrameView::Response(response) = view else { panic!("expected a response frame") };
+        assert_eq!((response.request_id, response.status), (5, Status::Ok));
+        assert_eq!(response.value, (data[0].num_rows() + 1) as f64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

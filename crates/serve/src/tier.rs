@@ -16,8 +16,8 @@
 //!   checkpoint bytes ([`crate::ModelSlot::evict`] — in memory, or spilled
 //!   to a file under the configured spill directory);
 //! * an evicted model's next request **lazily reloads** it, bit-identically,
-//!   inside [`crate::ModelSlot::try_current_versioned`] — no client-visible
-//!   state, no generation bump, no cache invalidation.
+//!   when the serving core resolves its slot (counted in `model_reloads`) —
+//!   no client-visible state, no generation bump, no cache invalidation.
 //!
 //! Every eviction halves all heat counters, so a table that was hot last
 //! hour cannot pin its model forever on stale popularity — the aging half of

@@ -47,14 +47,14 @@
 //! admission → batch execution → response encode and asserts zero heap
 //! traffic.
 
-use crate::core::ServeCore;
+use crate::core::{ServeCore, NOT_ONLINE};
 use crate::metrics::{Counter, ServeMetrics};
-use crate::online::OnlineDirectory;
 use crate::router::{Admission, Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources};
 use crate::wire::frame::{
     self, DecodeError, FrameView, Status, DEFAULT_MAX_FRAME_LEN, PREAMBLE_LEN,
 };
 use crate::wire::readiness::Waker;
+use crate::ServeError;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -317,7 +317,9 @@ impl WireConn {
 
         // Decode/admit every complete frame currently buffered. The frame
         // view borrows `self.inbound`, so the handlers are free functions
-        // over the *other* fields (disjoint borrows).
+        // over the *other* fields (disjoint borrows). They are handed the
+        // records read here and never take the directory lock again: a
+        // second read can deadlock behind a queued `register`.
         let tables = core.directory.read().expect("directory poisoned");
         loop {
             let consumed = {
@@ -344,21 +346,30 @@ impl WireConn {
                                 &tables,
                                 metrics,
                             ),
-                            FrameView::Ingest(ingest) => handle_ingest(
-                                ingest,
-                                &mut self.ids_scratch,
-                                &mut self.outbound,
-                                &tables,
-                                &core.online,
-                                metrics,
-                            ),
-                            FrameView::Feedback(feedback) => handle_feedback(
-                                feedback,
-                                &mut self.outbound,
-                                &tables,
-                                &core.online,
-                                metrics,
-                            ),
+                            FrameView::Ingest(ingest) => {
+                                let record = tables.get(ingest.table_id as usize);
+                                let outcome = record.map(|record| {
+                                    ingest.read_ids_into(&mut self.ids_scratch);
+                                    let ids = &self.ids_scratch;
+                                    core.ingest(ingest.table_id, record, ids).map(|n| n as f64)
+                                });
+                                acknowledge(&mut self.outbound, core, ingest.request_id, outcome);
+                            }
+                            FrameView::Feedback(feedback) => {
+                                let record = tables.get(feedback.table_id as usize);
+                                let outcome = record.map(|record| {
+                                    // The predicates move into the feedback
+                                    // queue: fresh vectors, not staging.
+                                    let observed = || {
+                                        let (mut preds, mut intervals) = (Vec::new(), Vec::new());
+                                        feedback.read_into(&mut preds, &mut intervals);
+                                        Ok((preds, intervals))
+                                    };
+                                    let (id, actual) = (feedback.table_id, feedback.actual);
+                                    core.feedback(id, record, observed, actual).map(|()| 0.0)
+                                });
+                                acknowledge(&mut self.outbound, core, feedback.request_id, outcome);
+                            }
                             // A server connection ignores server-to-client
                             // frames echoed back at it; they are
                             // structurally valid, just meaningless here.
@@ -542,73 +553,26 @@ fn resolve_table(
     metrics.incr(Counter::FramesOut);
 }
 
-/// Apply one ingest frame to the table's online state and acknowledge it:
-/// `Ok` with the new row count, `UnknownTable` when the table is missing or
-/// not online-enabled, `Rejected` when the row itself is invalid.
-fn handle_ingest(
-    ingest: frame::IngestView<'_>,
-    ids_scratch: &mut Vec<u32>,
+/// Answer one ingest or feedback frame with its core `outcome` (`None`: no
+/// such table): `Ok` with the value, `UnknownTable` for a table that is
+/// missing or not online-enabled, and `Rejected` for any other refusal
+/// (stale feedback included: the wire face of the stale-registration path).
+fn acknowledge(
     outbound: &mut ByteQueue,
-    tables: &[TableResources],
-    online: &OnlineDirectory,
-    metrics: &ServeMetrics,
+    core: &ServeCore,
+    request_id: u64,
+    outcome: Option<Result<f64, ServeError>>,
 ) {
-    let request_id = ingest.request_id;
-    let (status, value) = if tables.get(ingest.table_id as usize).is_none() {
-        (Status::UnknownTable, 0.0)
-    } else {
-        match online.get(ingest.table_id as usize) {
-            None => (Status::UnknownTable, 0.0),
-            Some(table) => {
-                ingest.read_ids_into(ids_scratch);
-                match table.lock().expect("online table poisoned").ingest_row(ids_scratch) {
-                    Ok(rows) => (Status::Ok, rows as f64),
-                    Err(_) => (Status::Rejected, 0.0),
-                }
-            }
+    let (status, value) = match outcome {
+        Some(Ok(value)) => (Status::Ok, value),
+        None => (Status::UnknownTable, 0.0),
+        Some(Err(ServeError::Rejected { reason, .. })) if reason == NOT_ONLINE => {
+            (Status::UnknownTable, 0.0)
         }
+        Some(Err(_)) => (Status::Rejected, 0.0),
     };
     frame::encode_response(outbound.tail_mut(), request_id, status, value);
-    metrics.incr(Counter::FramesOut);
-}
-
-/// Queue one feedback frame on the table's online state and acknowledge it.
-/// The feedback is stamped with the uid of the slot *currently* registered
-/// under the table id; if the online state is bound to an older registration
-/// the stamp mismatches and the feedback is `Rejected` (the wire face of the
-/// stale-registration path), as is feedback outside the table's id space.
-/// The decoded predicates move into the online table's queue, so they are
-/// decoded into fresh vectors rather than reused staging.
-fn handle_feedback(
-    feedback: frame::FeedbackView<'_>,
-    outbound: &mut ByteQueue,
-    tables: &[TableResources],
-    online: &OnlineDirectory,
-    metrics: &ServeMetrics,
-) {
-    let request_id = feedback.request_id;
-    let status = match tables.get(feedback.table_id as usize) {
-        None => Status::UnknownTable,
-        Some(resources) => match online.get(feedback.table_id as usize) {
-            None => Status::UnknownTable,
-            Some(table) => {
-                let (mut preds, mut intervals) = (Vec::new(), Vec::new());
-                feedback.read_into(&mut preds, &mut intervals);
-                let pushed = table.lock().expect("online table poisoned").push_feedback(
-                    resources.slot.uid(),
-                    preds,
-                    intervals,
-                    feedback.actual,
-                );
-                match pushed {
-                    Ok(()) => Status::Ok,
-                    Err(_) => Status::Rejected,
-                }
-            }
-        },
-    };
-    frame::encode_response(outbound.tail_mut(), request_id, status, 0.0);
-    metrics.incr(Counter::FramesOut);
+    core.metrics.incr(Counter::FramesOut);
 }
 
 #[cfg(test)]
@@ -677,8 +641,7 @@ mod tests {
         assert_eq!(feedback_status(&core, &preds, &intervals), Status::Ok);
         intervals[0].1 += 1000;
         assert_eq!(feedback_status(&core, &preds, &intervals), Status::Rejected);
-        let online = core.online.get(0).expect("online-enabled");
-        assert_eq!(online.lock().unwrap().feedback_len(), 1, "only the valid report is queued");
+        assert_eq!(core.online.feedback_len(0), 1, "only the valid report is queued");
         assert_eq!(core.metrics().feedback_rejected, 1);
     }
 }

@@ -9,19 +9,21 @@
 //! unbatched reference, and a seeded fault scenario replayed twice produces
 //! `==` reports — fault counters included.
 
-use duet::core::{DuetConfig, DuetEstimator};
+use duet::core::{save_weights, DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
+use duet::data::Table;
 use duet::query::{CardinalityEstimator, Query, WorkloadSpec};
 use duet::serve::sim::{
-    replay, ArrivalPattern, ChunkMode, FaultPlan, RouterHarness, ScenarioConfig, Script, Setup,
-    SubmitResult, Transport, WireSim,
+    replay, ArrivalPattern, ChunkMode, DriftScenarioConfig, FaultPlan, RouterHarness,
+    ScenarioConfig, Script, Setup, SubmitResult, Transport, WireSim,
 };
 use duet::serve::wire::frame::{self, FrameView, Status};
 use duet::serve::wire::ConnConfig;
 use duet::serve::{
-    Counter, DuetServer, ModelSlot, RouterConfig, ServeConfig, ServeError, ShedReason,
+    Counter, DuetServer, OnlineConfig, RouterConfig, ServeConfig, ServeError, ShedReason,
 };
 use proptest::prelude::*;
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -58,13 +60,61 @@ fn trained_tables(n: usize) -> Trained {
     let mut tables = Vec::new();
     let mut workloads = Vec::new();
     for i in 0..n {
-        let table = census_like(200 + 60 * i, 300 + i as u64);
+        let table = fault_table(i);
         let estimator = DuetEstimator::train_data_only(&table, &cfg, 31 + i as u64);
         let queries = WorkloadSpec::random(&table, 10, 400 + i as u64).generate(&table);
         tables.push((format!("fault-table-{i}"), estimator));
         workloads.push(queries);
     }
     (tables, workloads)
+}
+
+/// The rows table `i` of [`trained_tables`] is trained on.
+fn fault_table(i: usize) -> Table {
+    census_like(200 + 60 * i, 300 + i as u64)
+}
+
+/// A server serving `tables` under a budget nothing fits in, spilling to
+/// `dir`, with the cache off: a batch for one table evicts the others.
+fn budgeted_server(tables: &[(String, DuetEstimator)], dir: &Path) -> DuetServer {
+    let server = DuetServer::new(ServeConfig {
+        model_budget_bytes: 1,
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    });
+    server.set_model_spill_dir(dir);
+    for (name, estimator) in tables {
+        server.register(name.as_str(), estimator.clone());
+    }
+    server
+}
+
+/// Serve `query` on `hot`, wait for the worker to spill the other tables
+/// (it replies before it enforces the budget), then flip the last byte of
+/// every checkpoint spilled to `dir`.
+fn evict_and_corrupt(server: &DuetServer, hot: &str, query: &Query, dir: &Path) {
+    server.estimate(hot, query).expect("the hot table serves");
+    let give_up_at = std::time::Instant::now() + Duration::from_secs(10);
+    while server.metrics().model_evictions == 0 {
+        assert!(std::time::Instant::now() < give_up_at, "the cold table is never evicted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for entry in std::fs::read_dir(dir).expect("the spill dir exists") {
+        let path = entry.expect("a spilled file").path();
+        let mut bytes = std::fs::read(&path).expect("reading the spilled checkpoint");
+        *bytes.last_mut().expect("a non-empty checkpoint") ^= 0xFF;
+        std::fs::write(&path, &bytes).expect("corrupting the spilled checkpoint");
+    }
+}
+
+/// Online tuning whose first tick retrains on one feedback report, briefly.
+fn retrain_on_feedback() -> OnlineConfig {
+    OnlineConfig {
+        feedback_trigger: 1,
+        retrain_steps: 2,
+        train_batch_size: 8,
+        ..OnlineConfig::default()
+    }
 }
 
 /// A fresh subdirectory of the test-scoped target tmpdir (unique per test so
@@ -524,28 +574,28 @@ fn a_corrupt_spilled_checkpoint_is_a_typed_error_and_a_hot_swap_heals_it() {
         let mut reference = est.clone();
         queries.iter().map(|q| reference.estimate(q)).collect()
     };
+    let (mut tables, workloads) = trained_tables(1);
+    tables.insert(0, ("wedged".into(), est.clone()));
 
     let dir = spill_dir("corrupt-spill-hot-swap-heals");
-    let slot = ModelSlot::new(est.clone());
-    slot.evict(Some(&dir)).expect("spill");
-    let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-    let mut bytes = std::fs::read(&file).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    std::fs::write(&file, &bytes).unwrap();
+    let server = budgeted_server(&tables, &dir);
+    evict_and_corrupt(&server, &tables[1].0, &workloads[0][0], &dir);
 
     // Every access is a typed failure — never a panic, never garbage
-    // weights — and the store is kept so later attempts can retry.
-    for _ in 0..3 {
-        assert!(slot.try_current_versioned().is_err(), "corrupt checkpoint is typed");
+    // weights — counted once each, and the store is kept so later attempts
+    // can retry.
+    let before = server.metrics();
+    for query in &queries[..3] {
+        let unavailable = server.estimate("wedged", query);
+        assert_eq!(unavailable, Err(ServeError::ModelUnavailable("wedged".into())));
     }
-    assert!(slot.reload_failures() >= 3);
+    assert_eq!(server.metrics().reload_failures - before.reload_failures, 3);
 
     // Publishing a fresh model through the hot-swap path heals the slot
     // without ever reading the corrupt bytes.
-    slot.swap(est).expect("hot-swap onto a wedged slot");
-    let healed = slot.current();
-    let served = healed.estimate_batch(&queries);
+    let checkpoint = save_weights(&mut est.clone());
+    server.hot_swap("wedged", &checkpoint).expect("hot-swap onto a wedged slot");
+    let served = server.estimate_many("wedged", &queries).expect("the healed slot serves");
     for (v, e) in served.iter().zip(&expected) {
         assert_eq!(v.to_bits(), e.to_bits(), "healed slot serves bit-identically");
     }
@@ -558,31 +608,9 @@ fn a_corrupt_spilled_checkpoint_is_a_typed_error_and_a_hot_swap_heals_it() {
 fn an_unreloadable_model_answers_model_unavailable_and_counts_one_overload_shed() {
     let (tables, workloads) = trained_tables(2);
     let dir = spill_dir("server-model-unavailable");
-    // A budget nothing fits in: a batch for one table evicts the other. The
-    // cache is off, so the estimate below reaches a worker.
-    let server = DuetServer::new(ServeConfig {
-        model_budget_bytes: 1,
-        cache_capacity: 0,
-        ..ServeConfig::default()
-    });
-    server.set_model_spill_dir(dir.clone());
-    for (name, estimator) in &tables {
-        server.register(name.as_str(), estimator.clone());
-    }
+    let server = budgeted_server(&tables, &dir);
     let (cold, hot) = (tables[0].0.as_str(), tables[1].0.as_str());
-    server.estimate(hot, &workloads[1][0]).expect("the hot table serves");
-    // The worker replies before it enforces the budget: wait for the spill.
-    let give_up_at = std::time::Instant::now() + Duration::from_secs(10);
-    while server.metrics().model_evictions == 0 {
-        assert!(std::time::Instant::now() < give_up_at, "the cold table is never evicted");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    for entry in std::fs::read_dir(&dir).expect("the spill dir exists") {
-        let path = entry.expect("a spilled file").path();
-        let mut bytes = std::fs::read(&path).expect("reading the spilled checkpoint");
-        *bytes.last_mut().expect("a non-empty checkpoint") ^= 0xFF;
-        std::fs::write(&path, &bytes).expect("corrupting the spilled checkpoint");
-    }
+    evict_and_corrupt(&server, hot, &workloads[1][0], &dir);
 
     let before = server.metrics();
     let unavailable = server.estimate(cold, &workloads[0][0]);
@@ -684,4 +712,108 @@ fn the_virtual_clock_fault_replay_is_independent_of_wall_time() {
     assert_eq!(first, second);
     assert!(first.counters[Counter::PanicsCaught] >= 2);
     assert_eq!(first.accounted(), first.submitted);
+}
+
+/// A retrain whose evicted serving model no longer reloads is skipped and
+/// counted, never a panic: the tick reports no retrain, and the table's
+/// online state keeps answering.
+#[test]
+fn a_tick_over_a_corrupt_spilled_checkpoint_skips_the_retrain_and_keeps_ingesting() {
+    let (tables, workloads) = trained_tables(2);
+    let dir = spill_dir("tick-over-corrupt-spill");
+    let server = budgeted_server(&tables, &dir);
+    let (t0, t1) = (tables[0].0.as_str(), tables[1].0.as_str());
+    let data = fault_table(0);
+    let row = vec![0u32; data.num_columns()];
+    server.enable_online(t0, data, retrain_on_feedback()).expect("the schema matches");
+    server.feedback(t0, &workloads[0][0], 12.0).expect("t0 is online-enabled");
+    evict_and_corrupt(&server, t1, &workloads[1][0], &dir);
+
+    let before = server.metrics();
+    let tick = server.maintain_online(t0).expect("a failed reload is not an error");
+    assert!(!tick.retrained && !tick.swapped, "nothing to retrain from: {tick:?}");
+    let after = server.metrics();
+    assert_eq!(after.reload_failures - before.reload_failures, 1);
+    assert_eq!((after.retrains, after.panics_caught), (before.retrains, before.panics_caught));
+    assert!(server.ingest(t0, &row).is_ok(), "the online state still answers");
+}
+
+/// The same fault seen through a wire connection's ingest frame, and through
+/// the background trainer: one table whose checkpoint no longer reloads does
+/// not stop the trainer, and the healthy table still publishes.
+#[test]
+fn the_background_trainer_survives_a_table_whose_checkpoint_is_corrupt() {
+    let (tables, workloads) = trained_tables(2);
+    let dir = spill_dir("trainer-over-corrupt-spill");
+    let server = budgeted_server(&tables, &dir);
+    for (i, (name, _)) in tables.iter().enumerate() {
+        server.enable_online(name, fault_table(i), retrain_on_feedback()).unwrap();
+        server.feedback(name, &workloads[i][0], 12.0).expect("online-enabled");
+    }
+    // Table 0, which the trainer ticks first, is the broken one.
+    evict_and_corrupt(&server, &tables[1].0, &workloads[1][0], &dir);
+
+    let trainer = server.spawn_online_trainer(Duration::from_millis(1));
+    let give_up_at = std::time::Instant::now() + Duration::from_secs(30);
+    while server.metrics().swaps_published == 0 {
+        assert!(std::time::Instant::now() < give_up_at, "the healthy table never publishes");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    trainer.shutdown();
+    let counted = server.metrics();
+    assert!(counted.reload_failures > 0, "the broken table's retrains are skipped, counted");
+    assert_eq!(counted.panics_caught, 0, "a failed reload is no panic");
+    assert_eq!(server.generation(&tables[0].0), Some(0));
+    assert_eq!(server.generation(&tables[1].0), Some(1));
+}
+
+/// Trainer ticks while the online table's spilled checkpoint is damaged, on
+/// both transports: each such tick skips its retrain (counted), every
+/// request is still accounted once, whatever is served is bit-identical, the
+/// retrain publishes once the checkpoint is restored, and the replay repeats.
+#[test]
+fn ticks_over_a_damaged_checkpoint_hold_the_replay_invariants() {
+    let table = census_like(400, 613);
+    let estimator =
+        DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 613);
+    let workload = WorkloadSpec::random(&table, 32, 614).generate(&table);
+    let cfg = DriftScenarioConfig {
+        seed: 5,
+        warm_queries: 32,
+        post_queries: 64,
+        online: OnlineConfig {
+            drift_threshold: 0.05,
+            drift_hysteresis: 1,
+            retrain_steps: 4,
+            train_batch_size: 8,
+            ..OnlineConfig::default()
+        },
+        ..DriftScenarioConfig::default()
+    };
+    // Damage the checkpoint as the shift lands, so the first three ticks
+    // after it find no model to retrain from; restore it before the fourth.
+    let plan = FaultPlan {
+        corrupt_checkpoint_at: Some((32, 0)),
+        restore_checkpoint_at: Some(32 + 28),
+        spill_dir: Some(spill_dir("ticks-over-damaged-checkpoint")),
+        ..FaultPlan::default()
+    };
+    let (mut setup, mut script) = cfg.generate(&table, &estimator, &workload);
+    plan.inject(&mut setup, &mut script);
+
+    // Whole writes, so the shift's ingest frames land before the first tick.
+    let wire = Transport::Wire { chunk: ChunkMode::Exact, max_pipeline: 16 };
+    for transport in [Transport::InProcess, wire] {
+        let report = replay(&setup, &script, transport);
+        assert_eq!(report.accounted(), report.submitted, "{transport:?}: {report:?}");
+        assert_eq!(report.mismatches, 0, "{transport:?}: {report:?}");
+        let counted = &report.counters;
+        assert!(counted[Counter::ReloadFailures] > 0, "{transport:?}: {report:?}");
+        assert_eq!(counted[Counter::PanicsCaught], 0, "{transport:?}: {report:?}");
+        assert!(counted[Counter::SwapsPublished] >= 1, "{transport:?} heals: {report:?}");
+        // Drift stayed confirmed across the ticks that could not retrain.
+        let (drifts, retrains) = (counted[Counter::DriftDetections], counted[Counter::Retrains]);
+        assert!(drifts > retrains, "{transport:?}: {drifts} drifts, {retrains} retrains");
+        assert_eq!(report, replay(&setup, &script, transport), "{transport:?} repeats");
+    }
 }

@@ -4,8 +4,8 @@
 //! spilled to disk) and lazily reloaded, bit-identically, when traffic
 //! returns to them.
 //!
-//! Three layers are covered: the slot-level evict→reload round trip with a
-//! spilled (on-disk) checkpoint, seeded budget-pressure scenarios through
+//! Three layers are covered: the evict→reload round trip with a spilled
+//! (on-disk) checkpoint, seeded budget-pressure scenarios through
 //! the deterministic harness (replay equality + bit-identity + eviction
 //! accounting), and the production [`DuetServer`] with a configured
 //! [`ServeConfig::model_budget_bytes`].
@@ -13,8 +13,8 @@
 use duet::core::{DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
 use duet::query::{Query, WorkloadSpec};
-use duet::serve::sim::{replay, ArrivalPattern, ScenarioConfig, Transport};
-use duet::serve::{Counter, DuetServer, ModelSlot, ServeConfig};
+use duet::serve::sim::{replay, ArrivalPattern, RouterHarness, ScenarioConfig, Transport};
+use duet::serve::{Counter, DuetServer, OnlineConfig, ServeConfig};
 use std::time::Duration;
 
 /// Train `n` small tables (distinct shapes and seeds) plus a query pool per
@@ -48,27 +48,39 @@ fn spilled_eviction_reloads_bit_identically() {
     let est = DuetEstimator::train_data_only(&table, &cfg, 21);
     let queries = WorkloadSpec::random(&table, 24, 7).generate(&table);
     let expected = est.estimate_batch(&queries);
-    let weight_bytes = est.model().size_bytes();
+    let (mut tables, others) = trained_tables(1);
+    tables.insert(0, ("spilled".into(), est));
 
+    // A budget nothing fits in: the batch for table 1 evicts table 0,
+    // spilling its checkpoint to disk.
     let dir = spill_dir("spilled-evict-reload");
-    let slot = ModelSlot::new(est);
-    let freed = slot.evict(Some(&dir)).expect("spill to target tmpdir");
-    assert_eq!(freed, weight_bytes, "eviction frees exactly the resident weight bytes");
-    assert!(!slot.is_resident());
+    let config = ServeConfig { model_budget_bytes: 1, cache_capacity: 0, ..Default::default() };
+    let mut harness = RouterHarness::new(tables, config);
+    harness.tier().set_spill_dir(Some(dir.clone()));
+    harness.submit_query(1, &others[0][0], 0);
+    harness.drain();
     let spilled: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert_eq!(spilled.len(), 1, "one checkpoint file per evicted model");
 
-    // The next access transparently reloads from the spilled checkpoint and
-    // must reproduce every estimate bit-for-bit.
-    let reloaded = slot.current();
-    assert!(slot.is_resident());
-    let after = reloaded.estimate_batch(&queries);
-    for (a, e) in after.iter().zip(expected.iter()) {
-        assert_eq!(a.to_bits(), e.to_bits(), "reloaded model must be bit-identical");
+    // The next request transparently reloads from the spilled checkpoint,
+    // and the server counts the eviction and the reload once each.
+    for (ticket, query) in (1..).zip(&queries) {
+        harness.submit_query(0, query, ticket);
     }
-    assert_eq!((slot.evictions(), slot.reloads()), (1, 1));
+    let counted = harness.metrics();
+    assert_eq!((counted.model_evictions, counted.model_reloads), (1, 1));
     let remaining: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(remaining.is_empty(), "the spill file is discarded after a successful reload");
+
+    // The reloaded model must reproduce every estimate bit-for-bit.
+    harness.drain();
+    let outcomes = &harness.outcomes()[1..];
+    assert_eq!(outcomes.len(), queries.len());
+    for &(ticket, outcome) in outcomes {
+        let value = outcome.expect("a reloaded model serves");
+        let reference = expected[ticket as usize - 1];
+        assert_eq!(value.to_bits(), reference.to_bits(), "reloaded model must be bit-identical");
+    }
 }
 
 #[test]
@@ -174,4 +186,34 @@ fn server_with_model_budget_serves_correct_estimates_under_eviction() {
     let snapshot = server.metrics();
     assert!(snapshot.model_evictions > 0, "the budget must force evictions");
     assert!(snapshot.model_reloads > 0, "evicted models must reload on demand");
+}
+
+/// Feedback encodes its query against the serving schema, so feedback to an
+/// evicted table reloads the model — and the server counts that reload like
+/// any other.
+#[test]
+fn feedback_to_an_evicted_table_counts_its_reload() {
+    let (tables, workloads) = trained_tables(2);
+    let server = DuetServer::new(ServeConfig {
+        model_budget_bytes: 1,
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    });
+    for (name, est) in &tables {
+        server.register(name.clone(), est.clone());
+    }
+    let (a, b) = (tables[0].0.as_str(), tables[1].0.as_str());
+    server.enable_online(b, census_like(260, 81), OnlineConfig::default()).unwrap();
+
+    server.estimate(a, &workloads[0][0]).expect("served under budget");
+    // The worker replies before it enforces the budget: wait for the
+    // eviction of `b`.
+    let give_up_at = std::time::Instant::now() + Duration::from_secs(10);
+    while server.metrics().model_evictions == 0 {
+        assert!(std::time::Instant::now() < give_up_at, "`b` is never evicted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.feedback(b, &workloads[1][0], 5.0).expect("`b` is online-enabled");
+    let counted = server.metrics();
+    assert_eq!((counted.model_evictions, counted.model_reloads), (1, 1));
 }
