@@ -172,44 +172,46 @@ impl ServeCore {
         Ok(self.online.enable(table_id as usize, OnlineTable::new(data, config, hooks)))
     }
 
-    /// Table `table_id`'s online state, or the refusal for a table that is not
-    /// online-enabled.
-    fn online_state(
+    /// `table`'s serving record and online state, or the refusal the
+    /// in-process doors give for a table that is missing or not
+    /// online-enabled (the wire, which reads `online` itself, answers both
+    /// `UnknownTable`).
+    pub(crate) fn online_record(
         &self,
-        table_id: u32,
-        record: &TableResources,
-    ) -> Result<Arc<Mutex<OnlineTable>>, ServeError> {
-        self.online.get(table_id as usize).ok_or_else(|| rejected(record, NOT_ONLINE.to_string()))
+        table: &str,
+    ) -> Result<(TableResources, Arc<Mutex<OnlineTable>>), ServeError> {
+        let (id, record) = self.record(table)?;
+        match self.online.get(id as usize) {
+            Some(online) => Ok((record, online)),
+            None => Err(rejected(&record, NOT_ONLINE.into())),
+        }
     }
 
-    /// Append one dictionary-encoded row to table `table_id`, served by
-    /// `record`; returns the new row count.
+    /// Append one dictionary-encoded row to `online`, the online state of
+    /// the table `record` serves; returns the new row count.
     pub(crate) fn ingest(
         &self,
-        table_id: u32,
+        online: &Mutex<OnlineTable>,
         record: &TableResources,
         ids: &[u32],
     ) -> Result<u64, ServeError> {
-        let online = self.online_state(table_id, record)?;
-        let ingested = lock(&online).ingest_row(ids);
+        let ingested = lock(online).ingest_row(ids);
         ingested.map_err(|e| rejected(record, e.to_string()))
     }
 
-    /// Queue one observed true cardinality on table `table_id` for the next
-    /// retrain, stamped with the uid of `record`'s slot: a table re-registered
-    /// since online learning was enabled answers `StaleRegistration`.
-    /// `observed` yields the query in the table's id space, and runs only
-    /// for an online-enabled table.
+    /// Queue one observed true cardinality on `online` for the next retrain,
+    /// stamped with the uid of `record`'s slot: a table re-registered since
+    /// online learning was enabled answers `StaleRegistration`. `observed`
+    /// yields the query in the table's id space.
     pub(crate) fn feedback(
         &self,
-        table_id: u32,
+        online: &Mutex<OnlineTable>,
         record: &TableResources,
         observed: impl FnOnce() -> Result<Encoded, ServeError>,
         actual: f64,
     ) -> Result<(), ServeError> {
-        let online = self.online_state(table_id, record)?;
         let (preds, intervals) = observed()?;
-        let pushed = lock(&online).push_feedback(record.slot.uid(), preds, intervals, actual);
+        let pushed = lock(online).push_feedback(record.slot.uid(), preds, intervals, actual);
         pushed.map_err(|e| match e {
             FeedbackError::StaleSlot { .. } => {
                 ServeError::StaleRegistration(record.name.to_string())
@@ -220,15 +222,14 @@ impl ServeCore {
         })
     }
 
-    /// One trainer tick on table `table_id`, supervised (see
+    /// One trainer tick on `online`, supervised (see
     /// [`OnlineDirectory::tick`]); a tick that panicked answers `Internal`.
     pub(crate) fn tick(
         &self,
-        table_id: u32,
+        online: &Arc<Mutex<OnlineTable>>,
         record: &TableResources,
     ) -> Result<OnlineTickReport, ServeError> {
-        let online = self.online_state(table_id, record)?;
-        self.online.tick(&online).ok_or_else(|| ServeError::Internal(record.name.to_string()))
+        self.online.tick(online).ok_or_else(|| ServeError::Internal(record.name.to_string()))
     }
 
     /// Replace `record`'s weights from a checkpoint, purge its cache and

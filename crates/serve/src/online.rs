@@ -477,8 +477,10 @@ impl OnlineTable {
         // is fully accounted: any observer that sees `retrains` ticked but
         // `swaps_published` not yet ticked is looking at a window where the
         // pin is guaranteed held, which is what makes the mid-retrain
-        // no-eviction regression test race-free.
+        // no-eviction regression test race-free. A tick that unwinds
+        // releases this pin, and only this one, as the guard drops.
         self.hooks.tier.pin(self.hooks.table_id);
+        let _pin = Pinned(self.hooks.tier.clone(), self.hooks.table_id);
         if let Ok((_, serving)) = self.hooks.slot.resolve(&self.hooks.metrics) {
             report.retrained = true;
             self.hooks.metrics.incr(Counter::Retrains);
@@ -495,7 +497,6 @@ impl OnlineTable {
                 self.feedback_cursor = 0;
             }
         }
-        self.hooks.tier.unpin(self.hooks.table_id);
         report
     }
 
@@ -563,6 +564,15 @@ impl std::fmt::Debug for OnlineTable {
             .field("feedback_len", &self.feedback.len())
             .field("bound_uid", &self.bound_uid)
             .finish_non_exhaustive()
+    }
+}
+
+/// Releases one tier pin of a table when dropped.
+struct Pinned(Arc<ModelTier>, usize);
+
+impl Drop for Pinned {
+    fn drop(&mut self) {
+        self.0.unpin(self.1);
     }
 }
 
@@ -642,18 +652,15 @@ impl OnlineDirectory {
     /// One tick of `online` under the in-thread `catch_unwind` a batch runs
     /// under (`batcher::execute_supervised`), with the guard held outside it
     /// so the mutex is never poisoned. `None` when the tick panicked: that
-    /// counts `panics_caught`, releases the retrain's tier pin and takes the
-    /// table out of this directory, so ingest and feedback answer as for a
-    /// table that is not online-enabled.
+    /// counts `panics_caught` and takes the table out of this directory, so
+    /// ingest and feedback answer as for a table that is not online-enabled.
+    /// The unwind has already released the retrain's tier pin.
     pub(crate) fn tick(&self, online: &Arc<Mutex<OnlineTable>>) -> Option<OnlineTickReport> {
         let mut table = lock(online);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| table.tick()));
         if caught.is_err() {
-            let OnlineHooks { metrics, tier, table_id, .. } = &table.hooks;
+            let OnlineHooks { metrics, table_id, .. } = &table.hooks;
             metrics.incr(Counter::PanicsCaught);
-            if tier.is_pinned(*table_id) {
-                tier.unpin(*table_id);
-            }
             let mut tables = self.tables.write().expect("online directory poisoned");
             // Unless `enable` has replaced it meanwhile.
             if tables[*table_id].as_ref().is_some_and(|current| Arc::ptr_eq(current, online)) {

@@ -359,8 +359,8 @@ impl DuetServer {
     /// the table's new row count. Fails with [`ServeError::Rejected`] when
     /// the table is not online-enabled or the row is invalid.
     pub fn ingest(&self, table: &str, ids: &[u32]) -> Result<u64, ServeError> {
-        let (id, record) = self.core.record(table)?;
-        self.core.ingest(id, &record, ids)
+        let (record, online) = self.core.online_record(table)?;
+        self.core.ingest(&online, &record, ids)
     }
 
     /// Report the observed true cardinality of `query` against `table`,
@@ -373,12 +373,12 @@ impl DuetServer {
     /// the new registration). Encoding `query` may reload an evicted model;
     /// a reload that fails is [`ServeError::ModelUnavailable`].
     pub fn feedback(&self, table: &str, query: &Query, actual: f64) -> Result<(), ServeError> {
-        let (id, record) = self.core.record(table)?;
+        let (record, online) = self.core.online_record(table)?;
         let encode = || {
             let encoded = self.core.encode(&record.slot, query);
             encoded.map_err(|_| ServeError::ModelUnavailable(table.to_string()))
         };
-        self.core.feedback(id, &record, encode, actual)
+        self.core.feedback(&online, &record, encode, actual)
     }
 
     /// Run one trainer tick for `table` synchronously: check drift and, if
@@ -386,8 +386,8 @@ impl DuetServer {
     /// panics is caught and answered [`ServeError::Internal`]; the table is
     /// then not online-enabled until [`DuetServer::enable_online`] again.
     pub fn maintain_online(&self, table: &str) -> Result<OnlineTickReport, ServeError> {
-        let (id, record) = self.core.record(table)?;
-        self.core.tick(id, &record)
+        let (record, online) = self.core.online_record(table)?;
+        self.core.tick(&online, &record)
     }
 
     /// Spawn a background trainer thread ticking every online-enabled table
@@ -587,7 +587,7 @@ mod tests {
     }
 
     /// A tick that panics is supervised like a batch: caught and counted,
-    /// its tier pin released, its table taken offline (both doors answer as
+    /// its own tier pin released, its table taken offline (both doors answer as
     /// for a table that was never online-enabled), and the other tables keep
     /// ticking; `enable_online` brings the table back.
     #[test]
@@ -641,11 +641,15 @@ mod tests {
         assert_eq!(wire_online_statuses(&server, &row), [Status::UnknownTable; 2]);
 
         // Re-enabled, t0 answers again; its retrain still panics, now on the
-        // synchronous path, which answers `Internal`.
+        // synchronous path, which answers `Internal`. The unwind releases
+        // the tick's own pin and leaves a pin another holder took.
         server.enable_online("t0", data[0].clone(), online).unwrap();
         assert_eq!(wire_online_statuses(&server, &row), [Status::Ok; 2]);
+        server.model_tier().pin(0);
         assert_eq!(server.maintain_online("t0"), Err(ServeError::Internal("t0".into())));
         assert_eq!(server.metrics().panics_caught, 2);
+        assert!(server.model_tier().is_pinned(0), "the other holder's pin survives");
+        server.model_tier().unpin(0);
         assert!(!server.model_tier().is_pinned(0));
         PANICKING_RETRAINS.lock().unwrap().retain(|&panicking| panicking != uid);
     }

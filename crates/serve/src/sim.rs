@@ -1142,8 +1142,9 @@ impl<'a> Replay<'a> {
                 } else {
                     let core = &self.sim.harness.core;
                     let record = core.table(table as u32);
+                    let online = core.online.get(table).expect("scripted rows go to online tables");
                     for row in rows {
-                        let ingested = core.ingest(table as u32, &record, row);
+                        let ingested = core.ingest(&online, &record, row);
                         ingested.expect("scripted rows stay inside the dictionary");
                     }
                 }
@@ -1157,16 +1158,18 @@ impl<'a> Replay<'a> {
                     self.exchange(client);
                 } else {
                     let core = &self.sim.harness.core;
+                    let record = core.table(table as u32);
+                    let online = core.online.get(table).expect("scripted feedback is online");
                     let observed = || Ok((preds, intervals));
-                    let pushed =
-                        core.feedback(table as u32, &core.table(table as u32), observed, actual);
+                    let pushed = core.feedback(&online, &record, observed, actual);
                     pushed.expect("in-run feedback is never stale");
                 }
             }
             Step::Tick { table } => {
                 let core = &self.sim.harness.core;
-                let tick = core.tick(table as u32, &core.table(table as u32));
-                let tick = tick.expect("scripted ticks address online tables and never panic");
+                let record = core.table(table as u32);
+                let online = core.online.get(table).expect("scripted ticks address online tables");
+                let tick = core.tick(&online, &record).expect("scripted ticks never panic");
                 self.report.hot_replayed += tick.replayed as u64;
                 if tick.swapped {
                     // Replies from here on are checked against the model just
@@ -1362,7 +1365,8 @@ mod tests {
         let core = &sim.harness.core;
         let columns = core.table(0).slot.ndvs().len();
         let observed = || Ok((vec![Vec::new(); columns], vec![(0, 1); columns]));
-        core.feedback(0, &core.table(0), observed, 7.0).unwrap();
+        let online = core.online.get(0).expect("online-enabled");
+        core.feedback(&online, &core.table(0), observed, 7.0).unwrap();
 
         // The batch for t1 evicts t0, whose spilled checkpoint then rots.
         let query = WorkloadSpec::random(&data[1], 1, 5).generate(&data[1]).remove(0);
@@ -1370,7 +1374,7 @@ mod tests {
         sim.turn();
         damage_checkpoint(&sim.harness, &dir, 0, Damage::FlipByte);
         let core = &sim.harness.core;
-        let tick = core.tick(0, &core.table(0)).expect("a failed reload is not an error");
+        let tick = core.tick(&online, &core.table(0)).expect("a failed reload is not an error");
         assert!(!tick.retrained, "nothing to retrain from: {tick:?}");
         assert_eq!(sim.harness.metrics().reload_failures, 1);
 

@@ -47,7 +47,7 @@
 //! admission → batch execution → response encode and asserts zero heap
 //! traffic.
 
-use crate::core::{ServeCore, NOT_ONLINE};
+use crate::core::ServeCore;
 use crate::metrics::{Counter, ServeMetrics};
 use crate::router::{Admission, Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources};
 use crate::wire::frame::{
@@ -347,17 +347,19 @@ impl WireConn {
                                 metrics,
                             ),
                             FrameView::Ingest(ingest) => {
-                                let record = tables.get(ingest.table_id as usize);
-                                let outcome = record.map(|record| {
+                                let id = ingest.table_id as usize;
+                                let target = tables.get(id).zip(core.online.get(id));
+                                let outcome = target.map(|(record, online)| {
                                     ingest.read_ids_into(&mut self.ids_scratch);
                                     let ids = &self.ids_scratch;
-                                    core.ingest(ingest.table_id, record, ids).map(|n| n as f64)
+                                    core.ingest(&online, record, ids).map(|n| n as f64)
                                 });
                                 acknowledge(&mut self.outbound, core, ingest.request_id, outcome);
                             }
                             FrameView::Feedback(feedback) => {
-                                let record = tables.get(feedback.table_id as usize);
-                                let outcome = record.map(|record| {
+                                let id = feedback.table_id as usize;
+                                let target = tables.get(id).zip(core.online.get(id));
+                                let outcome = target.map(|(record, online)| {
                                     // The predicates move into the feedback
                                     // queue: fresh vectors, not staging.
                                     let observed = || {
@@ -365,8 +367,8 @@ impl WireConn {
                                         feedback.read_into(&mut preds, &mut intervals);
                                         Ok((preds, intervals))
                                     };
-                                    let (id, actual) = (feedback.table_id, feedback.actual);
-                                    core.feedback(id, record, observed, actual).map(|()| 0.0)
+                                    let actual = feedback.actual;
+                                    core.feedback(&online, record, observed, actual).map(|()| 0.0)
                                 });
                                 acknowledge(&mut self.outbound, core, feedback.request_id, outcome);
                             }
@@ -553,10 +555,10 @@ fn resolve_table(
     metrics.incr(Counter::FramesOut);
 }
 
-/// Answer one ingest or feedback frame with its core `outcome` (`None`: no
-/// such table): `Ok` with the value, `UnknownTable` for a table that is
-/// missing or not online-enabled, and `Rejected` for any other refusal
-/// (stale feedback included: the wire face of the stale-registration path).
+/// Answer one ingest or feedback frame with its core `outcome`: `Ok` with
+/// the value, `UnknownTable` (`None`) for a table that is missing or not
+/// online-enabled, and `Rejected` for any refusal (stale feedback included:
+/// the wire face of the stale-registration path).
 fn acknowledge(
     outbound: &mut ByteQueue,
     core: &ServeCore,
@@ -566,9 +568,6 @@ fn acknowledge(
     let (status, value) = match outcome {
         Some(Ok(value)) => (Status::Ok, value),
         None => (Status::UnknownTable, 0.0),
-        Some(Err(ServeError::Rejected { reason, .. })) if reason == NOT_ONLINE => {
-            (Status::UnknownTable, 0.0)
-        }
         Some(Err(_)) => (Status::Rejected, 0.0),
     };
     frame::encode_response(outbound.tail_mut(), request_id, status, value);

@@ -14,7 +14,7 @@ use duet::core::{DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
 use duet::query::{Query, WorkloadSpec};
 use duet::serve::sim::{replay, ArrivalPattern, RouterHarness, ScenarioConfig, Transport};
-use duet::serve::{Counter, DuetServer, OnlineConfig, ServeConfig};
+use duet::serve::{Counter, DuetServer, ModelSlot, OnlineConfig, ServeConfig};
 use std::time::Duration;
 
 /// Train `n` small tables (distinct shapes and seeds) plus a query pool per
@@ -48,11 +48,30 @@ fn spilled_eviction_reloads_bit_identically() {
     let est = DuetEstimator::train_data_only(&table, &cfg, 21);
     let queries = WorkloadSpec::random(&table, 24, 7).generate(&table);
     let expected = est.estimate_batch(&queries);
+    let weight_bytes = est.model().size_bytes();
+
+    // The slot itself: eviction frees exactly the resident weight bytes, and
+    // the next access transparently reloads from the spilled checkpoint.
+    let dir = spill_dir("spilled-evict-reload-slot");
+    let slot = ModelSlot::new(est.clone());
+    let freed = slot.evict(Some(&dir)).expect("spill to target tmpdir");
+    assert_eq!(freed, weight_bytes, "eviction frees exactly the resident weight bytes");
+    assert!(!slot.is_resident());
+    let spilled: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert_eq!(spilled.len(), 1, "one checkpoint file per evicted model");
+    let reloaded = slot.try_current().expect("the spilled checkpoint reloads");
+    assert!(slot.is_resident());
+    let after = reloaded.estimate_batch(&queries);
+    for (a, e) in after.iter().zip(expected.iter()) {
+        assert_eq!(a.to_bits(), e.to_bits(), "reloaded model must be bit-identical");
+    }
+    let remaining: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(remaining.is_empty(), "the spill file is discarded after a successful reload");
+
+    // Through the server: a budget nothing fits in makes the batch for table
+    // 1 evict table 0, spilling its checkpoint to disk.
     let (mut tables, others) = trained_tables(1);
     tables.insert(0, ("spilled".into(), est));
-
-    // A budget nothing fits in: the batch for table 1 evicts table 0,
-    // spilling its checkpoint to disk.
     let dir = spill_dir("spilled-evict-reload");
     let config = ServeConfig { model_budget_bytes: 1, cache_capacity: 0, ..Default::default() };
     let mut harness = RouterHarness::new(tables, config);
