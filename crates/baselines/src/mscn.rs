@@ -107,6 +107,7 @@ impl MscnEstimator {
             logs.iter().map(|&l| ((l - min_log) / (max_log - min_log)) as f32).collect();
 
         let mut tws = TrainWorkspace::new();
+        let mut grad = vec![0.0; mlp.param_count()];
         let mut order: Vec<usize> = (0..queries.len()).collect();
         let mut shuffle_rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
         for _ in 0..config.epochs {
@@ -121,10 +122,10 @@ impl MscnEstimator {
                     x.row_mut(r).copy_from_slice(&features[idx]);
                     y.set(r, 0, targets[idx]);
                 }
-                mlp.zero_grad();
-                let (_, grad) = mse(mlp.forward_train(&x, &mut tws), &y);
-                mlp.backward_scratch(&grad, &mut tws, false);
-                adam.step(&mut mlp);
+                grad.fill(0.0);
+                let (_, grad_out) = mse(mlp.forward_train(&x, &mut tws), &y);
+                mlp.backward_scratch(&x, &grad_out, &mut tws, &mut grad, false);
+                adam.step(&mut mlp, &grad);
             }
         }
 
@@ -206,8 +207,7 @@ impl CardinalityEstimator for MscnEstimator {
     }
 
     fn size_bytes(&self) -> usize {
-        let mut mlp = self.mlp.clone();
-        mlp.param_count() * 4 + self.sample.num_cells() * 4
+        self.mlp.param_count() * 4 + self.sample.num_cells() * 4
     }
 }
 

@@ -10,7 +10,7 @@
 use duet_data::Table;
 use duet_nn::{
     grouped_cross_entropy, seeded_rng, softmax_into, Adam, ForwardWorkspace, GradClip, InferLayer,
-    Made, MadeConfig, Matrix, Params, TrainWorkspace,
+    Made, MadeConfig, Matrix, TrainWorkspace,
 };
 use duet_query::{CardinalityEstimator, Query};
 use rand::rngs::SmallRng;
@@ -165,9 +165,8 @@ pub struct NaruEstimator {
     pub(crate) schema: Table,
     pub(crate) num_rows: usize,
     pub(crate) num_samples: usize,
-    /// Forward scratch kept across the O(columns) passes of every estimate:
-    /// activation buffers stay warm and `W ⊙ M` is materialized once per
-    /// model, not once per pass.
+    /// Forward scratch kept across the O(columns) passes of every estimate,
+    /// so the activation buffers stay warm.
     ws: ForwardWorkspace,
     rng: SmallRng,
     name: String,
@@ -369,6 +368,7 @@ pub(crate) fn train_value_model(
     let mut adam = Adam::new(config.learning_rate).with_clip(GradClip::Value(8.0));
     let blocks = encoder.output_sizes();
     let mut tws = TrainWorkspace::new();
+    let mut grad = vec![0.0; made.num_parameters()];
 
     let mut order: Vec<usize> = (0..table.num_rows()).collect();
     for epoch in 0..config.epochs {
@@ -397,11 +397,11 @@ pub(crate) fn train_value_model(
                 }
                 labels.push(row_labels);
             }
-            made.zero_grad();
+            grad.fill(0.0);
             let logits = made.forward_train(&input, None, &mut tws);
-            let (loss, grad) = grouped_cross_entropy(logits, &blocks, &labels);
-            made.backward_scratch(&grad, None, &mut tws, false);
-            adam.step(&mut made);
+            let (loss, grad_logits) = grouped_cross_entropy(logits, &blocks, &labels);
+            made.backward_scratch(&input, &grad_logits, None, &mut tws, &mut grad, false);
+            adam.step(&mut made, &grad);
             loss_sum += loss as f64;
             batches += 1;
         }

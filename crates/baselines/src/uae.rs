@@ -18,8 +18,7 @@
 use crate::naru::{train_value_model, NaruConfig, NaruEpochStats, NaruEstimator, ValueEncoder};
 use duet_data::Table;
 use duet_nn::{
-    softmax_into, Adam, ForwardWorkspace, GradClip, InferLayer, Made, Matrix, Params,
-    TrainWorkspace,
+    softmax_into, Adam, ForwardWorkspace, GradClip, InferLayer, Made, Matrix, TrainWorkspace,
 };
 use duet_query::{CardinalityEstimator, Query};
 use rand::rngs::SmallRng;
@@ -194,7 +193,7 @@ fn supervised_step(
     rng: &mut SmallRng,
     (fws, tws): &mut (ForwardWorkspace, TrainWorkspace),
 ) -> f64 {
-    made.zero_grad();
+    let mut grad = vec![0.0; made.num_parameters()];
     let mut loss_sum = 0.0f64;
     let ln2 = std::f64::consts::LN_2;
     let sizes = encoder.output_sizes();
@@ -296,10 +295,10 @@ fn supervised_step(
                 grow[out_off + k] = (p as f64 * (in_range - mass) * dl_dmass) as f32;
             }
         }
-        made.backward_scratch(&grad_logits, None, tws, false);
+        made.backward_scratch(&input, &grad_logits, None, tws, &mut grad, false);
     }
 
-    adam.step(made);
+    adam.step(made, &grad);
     loss_sum / batch.len().max(1) as f64
 }
 

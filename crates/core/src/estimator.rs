@@ -109,7 +109,7 @@ impl DuetEstimator {
     /// caller's `ws`. The inference phase grows with the number of columns
     /// the query constrains (one output block each). Hand the same workspace
     /// to every call and the breakdown reads steady-state serving cost
-    /// (masked weights memoized, buffers warm) — which is what Figure 6
+    /// (buffers warm) — which is what Figure 6
     /// compares against Naru's persistent-workspace forwards.
     pub fn estimate_with_breakdown(
         &self,
@@ -171,9 +171,9 @@ impl DuetEstimator {
     /// and/or builds a workspace and calls this.
     ///
     /// This is the serving hot path: a `duet-serve` shard worker owns one
-    /// workspace per table for its whole lifetime (see
-    /// [`crate::WorkspacePool`]), so steady-state batched estimation performs
-    /// zero heap allocation at any batch size. The whole forward pass runs
+    /// workspace for its whole lifetime and runs every table's batches
+    /// through it, so steady-state batched estimation performs zero heap
+    /// allocation at any batch size. The whole forward pass runs
     /// on the calling thread. Results do not depend on the batch a query
     /// arrives in, whatever kernel the dispatch picks.
     ///

@@ -50,10 +50,10 @@ pub use config::{DuetConfig, MpsnKind};
 pub use duet_nn::SoftmaxMode;
 pub use encoding::{Encoder, IdPredicate};
 pub use estimator::{DuetEstimator, EstimateBreakdown};
-pub use model::{query_to_id_predicates, DuetModel, DuetWorkspace, WorkspacePool};
+pub use model::{query_to_id_predicates, DuetModel, DuetWorkspace};
 pub use persist::{load_weights, save_weights, verify_checkpoint, CheckpointError};
 pub use trainer::{
     data_forward, measure_training_throughput, query_forward, train_model, train_model_with_eval,
-    train_step, EpochStats, ModelParams, PreparedQuery, TrainStepScratch, TrainingWorkload,
+    train_step, EpochStats, PreparedQuery, TrainStepScratch, TrainingWorkload,
 };
 pub use virtual_table::{sample_predicate, sample_virtual_batch, SamplerConfig, VirtualTuple};

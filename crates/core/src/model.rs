@@ -19,11 +19,10 @@ use duet_query::{PredOp, Query};
 /// a shared (`Arc`) model can serve concurrent callers, each with their own
 /// workspace. Buffers grow to the model's widest layer on first use and are
 /// reused afterwards, making steady-state batched estimation **zero heap
-/// allocation**. A workspace may be reused across models and batch sizes:
-/// activation buffers are pure scratch, and the embedded
-/// [`duet_nn::ForwardWorkspace`]'s masked-weight memos are validated per
-/// layer by [`duet_nn::WeightKey`] — so reuse across models, optimizer
-/// steps, or checkpoint hot-swaps can never serve stale weights.
+/// allocation**. A workspace holds scratch only — the model carries its own
+/// weights and packs — so it may be reused across models, batch sizes,
+/// optimizer steps and checkpoint hot-swaps: one workspace serving several
+/// tables grows to the widest of them, then stops allocating.
 #[derive(Debug, Clone, Default)]
 pub struct DuetWorkspace {
     /// The `N x total_width` encoded input batch.
@@ -59,45 +58,6 @@ impl DuetWorkspace {
     /// [`DuetModel::fill_input`] call.
     pub fn input(&self) -> &Matrix {
         &self.input
-    }
-}
-
-/// Per-table forward workspaces for a worker that serves a heterogeneous
-/// set of models — e.g. a `duet-serve` shard worker whose queue multiplexes
-/// requests for several registered tables.
-///
-/// Workspace `i` only ever sees table `i`'s shapes, so alternating between
-/// differently-shaped models never thrashes buffer sizes: after one warm
-/// batch per table the whole pool is allocation-free, exactly like a single
-/// dedicated [`DuetWorkspace`]. The pool grows only when a table id first
-/// appears (a registration-time event, never on the steady-state hot path).
-#[derive(Debug, Clone, Default)]
-pub struct WorkspacePool {
-    slots: Vec<DuetWorkspace>,
-}
-
-impl WorkspacePool {
-    /// An empty pool; per-table workspaces are created on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The workspace dedicated to `table_id`, created (empty) on first use.
-    pub fn workspace(&mut self, table_id: usize) -> &mut DuetWorkspace {
-        if table_id >= self.slots.len() {
-            self.slots.resize_with(table_id + 1, DuetWorkspace::default);
-        }
-        &mut self.slots[table_id]
-    }
-
-    /// Number of per-table workspaces created so far.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if no workspace has been requested yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -137,9 +97,7 @@ impl DuetModel {
         let mpsns =
             build_mpsns(config.mpsn, &encoder.block_widths(), config.mpsn_hidden, seed ^ 0xa5a5);
         let mut model = Self { config: config.clone(), encoder, made, mpsns, num_params: 0 };
-        let mut n = 0;
-        model.visit_params(&mut |p| n += p.len());
-        model.num_params = n;
+        model.num_params = model.param_count();
         model
     }
 
@@ -151,11 +109,6 @@ impl DuetModel {
     /// The predicate encoder.
     pub fn encoder(&self) -> &Encoder {
         &self.encoder
-    }
-
-    /// The autoregressive backbone (mutable, for the trainer/optimizer).
-    pub fn made_mut(&mut self) -> &mut Made {
-        &mut self.made
     }
 
     /// The autoregressive backbone.
@@ -220,26 +173,32 @@ impl DuetModel {
     /// Back-propagate `grad_input` — the gradient w.r.t. the encoded input
     /// [`DuetModel::fill_input`] produced for the same `rows` — into the
     /// per-column MPSNs, re-staging each predicate list through the
-    /// workspace exactly as `fill_input` did. Allocation-free once warm.
+    /// workspace exactly as `fill_input` did, and adding each column's
+    /// parameter gradients into its slice of `grad` (the MPSNs' part of the
+    /// model's gradient buffer, in visiting order). Allocation-free once
+    /// warm.
     pub(crate) fn backprop_mpsn<R: AsRef<[Vec<IdPredicate>]>>(
-        &mut self,
+        &self,
         rows: &[R],
         grad_input: &Matrix,
+        grad: &mut [f32],
         ws: &mut DuetWorkspace,
     ) {
         let DuetWorkspace { stacked, mpsn, .. } = ws;
-        let mut off = 0usize;
-        for (col, column_mpsn) in self.mpsns.iter_mut().enumerate() {
+        let (mut off, mut at) = (0usize, 0usize);
+        for (col, column_mpsn) in self.mpsns.iter().enumerate() {
             let width = self.encoder.block_width(col);
+            let column_grad = &mut grad[at..at + column_mpsn.param_count()];
             for (r, row) in rows.iter().enumerate() {
                 let col_preds = &row.as_ref()[col];
                 if !col_preds.is_empty() {
                     self.encoder.stack_predicates_into(col, col_preds, stacked);
                     let grad_block = &grad_input.row(r)[off..off + width];
-                    column_mpsn.accumulate_grad(stacked, grad_block, mpsn);
+                    column_mpsn.accumulate_grad(stacked, grad_block, mpsn, column_grad);
                 }
             }
             off += width;
+            at += column_grad.len();
         }
     }
 
@@ -361,19 +320,6 @@ impl DuetModel {
         }
     }
 
-    /// Visit every trainable parameter (backbone + MPSNs).
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.made.visit_params(f);
-        for m in &mut self.mpsns {
-            m.visit_params(f);
-        }
-    }
-
-    /// Zero every parameter gradient.
-    pub fn zero_grad(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
-    }
-
     /// Total number of trainable scalars (cached at construction).
     pub fn num_parameters(&self) -> usize {
         self.num_params
@@ -382,6 +328,30 @@ impl DuetModel {
     /// Model size in bytes (`f32` parameters), as reported in Table II.
     pub fn size_bytes(&self) -> usize {
         self.num_parameters() * std::mem::size_of::<f32>()
+    }
+
+    /// Bytes the model holds to serve: every parameter plus the pack of
+    /// every masked layer — what a serving tier budgets.
+    pub fn resident_bytes(&self) -> usize {
+        let mpsn_params: usize = self.mpsns.iter().map(|m| m.param_count()).sum();
+        self.made.resident_bytes() + mpsn_params * std::mem::size_of::<f32>()
+    }
+}
+
+/// The backbone's parameters, then each column's MPSN's.
+impl Params for DuetModel {
+    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
+        self.made.visit_params_ref(f);
+        for m in &self.mpsns {
+            m.visit_params_ref(f);
+        }
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.made.visit_params(f);
+        for m in &mut self.mpsns {
+            m.visit_params(f);
+        }
     }
 }
 
@@ -555,6 +525,7 @@ mod tests {
         let (_, with) = model(MpsnKind::Mlp);
         assert!(with.num_parameters() > without.num_parameters());
         assert_eq!(with.size_bytes(), with.num_parameters() * 4);
+        assert!(with.resident_bytes() > with.size_bytes(), "the packs are held too");
     }
 
     #[test]

@@ -105,27 +105,25 @@ impl ColumnMpsn {
         }
     }
 
-    /// Accumulate parameter gradients for one embedding: `grad_out` is the
-    /// gradient of the loss w.r.t. what [`Self::embed_into`] writes for the
-    /// same `encs`. Allocation-free once `ws` is warm.
-    pub fn accumulate_grad(&mut self, encs: &Matrix, grad_out: &[f32], ws: &mut MpsnScratch) {
+    /// Add the parameter gradients of one embedding into `grad` (this
+    /// MPSN's slice of the gradient buffer, in visiting order): `grad_out`
+    /// is the gradient of the loss w.r.t. what [`Self::embed_into`] writes
+    /// for the same `encs`. Allocation-free once `ws` is warm.
+    pub fn accumulate_grad(
+        &self,
+        encs: &Matrix,
+        grad_out: &[f32],
+        ws: &mut MpsnScratch,
+        grad: &mut [f32],
+    ) {
         debug_assert_eq!(grad_out.len(), self.dim());
         if encs.rows() == 0 {
             return; // wildcard embeddings are constant zeros
         }
         match self {
-            ColumnMpsn::Mlp(m) => m.accumulate_grad(encs, grad_out, ws),
-            ColumnMpsn::Recurrent(m) => m.accumulate_grad(encs, grad_out, ws),
-            ColumnMpsn::Recursive(m) => m.accumulate_grad(encs, grad_out, ws),
-        }
-    }
-
-    /// Visit the trainable parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        match self {
-            ColumnMpsn::Mlp(m) => m.mlp.visit_params(f),
-            ColumnMpsn::Recurrent(m) => m.visit_params(f),
-            ColumnMpsn::Recursive(m) => m.cell.visit_params(f),
+            ColumnMpsn::Mlp(m) => m.accumulate_grad(encs, grad_out, ws, grad),
+            ColumnMpsn::Recurrent(m) => m.accumulate_grad(encs, grad_out, ws, grad),
+            ColumnMpsn::Recursive(m) => m.accumulate_grad(encs, grad_out, ws, grad),
         }
     }
 
@@ -135,6 +133,26 @@ impl ColumnMpsn {
             ColumnMpsn::Mlp(m) => m.dim,
             ColumnMpsn::Recurrent(m) => m.dim,
             ColumnMpsn::Recursive(m) => m.dim,
+        }
+    }
+}
+
+impl Params for ColumnMpsn {
+    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
+        match self {
+            ColumnMpsn::Mlp(m) => m.mlp.visit_params_ref(f),
+            ColumnMpsn::Recurrent(m) => [&m.wx, &m.wh, &m.b, &m.wo, &m.bo].into_iter().for_each(f),
+            ColumnMpsn::Recursive(m) => m.cell.visit_params_ref(f),
+        }
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        match self {
+            ColumnMpsn::Mlp(m) => m.mlp.visit_params(f),
+            ColumnMpsn::Recurrent(m) => {
+                [&mut m.wx, &mut m.wh, &mut m.b, &mut m.wo, &mut m.bo].into_iter().for_each(f)
+            }
+            ColumnMpsn::Recursive(m) => m.cell.visit_params(f),
         }
     }
 }
@@ -164,14 +182,20 @@ impl MlpMpsn {
         }
     }
 
-    fn accumulate_grad(&mut self, encs: &Matrix, grad_out: &[f32], ws: &mut MpsnScratch) {
+    fn accumulate_grad(
+        &self,
+        encs: &Matrix,
+        grad_out: &[f32],
+        ws: &mut MpsnScratch,
+        grad: &mut [f32],
+    ) {
         self.mlp.forward_train(encs, &mut ws.train);
         // The sum over predicates broadcasts the same gradient to every row.
         ws.grad.reset(encs.rows(), self.dim);
         for r in 0..encs.rows() {
             ws.grad.row_mut(r).copy_from_slice(grad_out);
         }
-        self.mlp.backward_scratch(&ws.grad, &mut ws.train, false);
+        self.mlp.backward_scratch(encs, &ws.grad, &mut ws.train, grad, false);
     }
 }
 
@@ -236,12 +260,23 @@ impl RecurrentMpsn {
         }
     }
 
-    fn accumulate_grad(&mut self, encs: &Matrix, grad_out: &[f32], ws: &mut MpsnScratch) {
+    fn accumulate_grad(
+        &self,
+        encs: &Matrix,
+        grad_out: &[f32],
+        ws: &mut MpsnScratch,
+        grad: &mut [f32],
+    ) {
         self.run_into(encs, ws);
         let n = encs.rows();
+        // The gradient slice in visiting order: wx, wh, b, wo, bo.
+        let (g_wx, rest) = grad.split_at_mut(self.wx.len());
+        let (g_wh, rest) = rest.split_at_mut(self.wh.len());
+        let (g_b, rest) = rest.split_at_mut(self.b.len());
+        let (g_wo, g_bo) = rest.split_at_mut(self.wo.len());
         // Readout layer.
-        outer_add(&mut self.wo.grad, ws.states.row(n), grad_out);
-        for (b, &d) in self.bo.grad.as_mut_slice().iter_mut().zip(grad_out) {
+        outer_add(g_wo, ws.states.row(n), grad_out);
+        for (b, &d) in g_bo.iter_mut().zip(grad_out) {
             *b += d;
         }
         rowvec_matmul_nt_into(grad_out, &self.wo.data, &mut ws.dh);
@@ -250,21 +285,13 @@ impl RecurrentMpsn {
             // da = dh * (1 - h_t^2)
             ws.da.clear();
             ws.da.extend(ws.dh.iter().zip(ws.states.row(t + 1)).map(|(&d, &h)| d * (1.0 - h * h)));
-            outer_add(&mut self.wx.grad, encs.row(t), &ws.da);
-            outer_add(&mut self.wh.grad, ws.states.row(t), &ws.da);
-            for (b, &d) in self.b.grad.as_mut_slice().iter_mut().zip(ws.da.iter()) {
+            outer_add(g_wx, encs.row(t), &ws.da);
+            outer_add(g_wh, ws.states.row(t), &ws.da);
+            for (b, &d) in g_b.iter_mut().zip(ws.da.iter()) {
                 *b += d;
             }
             rowvec_matmul_nt_into(&ws.da, &self.wh.data, &mut ws.dh);
         }
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.wx);
-        f(&mut self.wh);
-        f(&mut self.b);
-        f(&mut self.wo);
-        f(&mut self.bo);
     }
 }
 
@@ -305,25 +332,32 @@ impl RecursiveMpsn {
         out.copy_from_slice(ws.states.row(encs.rows()));
     }
 
-    fn accumulate_grad(&mut self, encs: &Matrix, grad_out: &[f32], ws: &mut MpsnScratch) {
+    fn accumulate_grad(
+        &self,
+        encs: &Matrix,
+        grad_out: &[f32],
+        ws: &mut MpsnScratch,
+        grad: &mut [f32],
+    ) {
         self.run_into(encs, ws);
         ws.grad.reset(1, self.dim);
         ws.grad.row_mut(0).copy_from_slice(grad_out);
         for t in (0..encs.rows()).rev() {
             self.stage_cell_input(encs, t, ws);
             self.cell.forward_train(&ws.row_in, &mut ws.train);
-            self.cell.backward_scratch(&ws.grad, &mut ws.train, true);
+            self.cell.backward_scratch(&ws.row_in, &ws.grad, &mut ws.train, grad, true);
             // The second half of the input gradient flows to out_{t-1}.
             ws.grad.row_mut(0).copy_from_slice(&ws.train.input_grad().row(0)[self.dim..]);
         }
     }
 }
 
-/// `grad += col^T @ row`: the rank-one weight gradient of a single example.
-fn outer_add(grad: &mut Matrix, col: &[f32], row: &[f32]) {
-    debug_assert_eq!(grad.shape(), (col.len(), row.len()));
-    for (i, &c) in col.iter().enumerate() {
-        for (g, &r) in grad.row_mut(i).iter_mut().zip(row) {
+/// `grad += col^T @ row`: the rank-one weight gradient of a single example,
+/// into a row-major `col.len() x row.len()` gradient slice.
+fn outer_add(grad: &mut [f32], col: &[f32], row: &[f32]) {
+    debug_assert_eq!(grad.len(), col.len() * row.len());
+    for (&c, grad_row) in col.iter().zip(grad.chunks_exact_mut(row.len())) {
+        for (g, &r) in grad_row.iter_mut().zip(row) {
             *g += c * r;
         }
     }
@@ -380,8 +414,12 @@ mod tests {
         out
     }
 
-    fn accumulate_grad(m: &mut ColumnMpsn, preds: &[Vec<f32>], grad: &[f32]) {
-        m.accumulate_grad(&stack(preds, m.dim()), grad, &mut MpsnScratch::default());
+    /// `m`'s parameter gradient (visiting order) for one embedding.
+    fn accumulate_grad(m: &ColumnMpsn, preds: &[Vec<f32>], grad_out: &[f32]) -> Vec<f32> {
+        let mut grad = vec![0.0; m.param_count()];
+        let encs = stack(preds, m.dim());
+        m.accumulate_grad(&encs, grad_out, &mut MpsnScratch::default(), &mut grad);
+        grad
     }
 
     #[test]
@@ -415,19 +453,14 @@ mod tests {
     fn gradients_accumulate_for_all_variants() {
         let mut rng = seeded_rng(3);
         for kind in [MpsnKind::Mlp, MpsnKind::Recurrent, MpsnKind::Recursive] {
-            let mut m = ColumnMpsn::new(kind, 6, 12, &mut rng);
+            let m = ColumnMpsn::new(kind, 6, 12, &mut rng);
             let preds = vec![pred_vec(6, 0.5), pred_vec(6, 0.9)];
-            let grad = vec![0.1f32; 6];
-            accumulate_grad(&mut m, &preds, &grad);
-            let mut total = 0.0f32;
-            m.visit_params(&mut |p| total += p.grad.max_abs());
-            assert!(total > 0.0, "{kind:?} accumulated no gradient");
+            let grad_out = vec![0.1f32; 6];
+            let grad = accumulate_grad(&m, &preds, &grad_out);
+            assert!(grad.iter().any(|&g| g != 0.0), "{kind:?} accumulated no gradient");
             // Wildcards never contribute gradient.
-            let mut m2 = ColumnMpsn::new(kind, 6, 12, &mut rng);
-            accumulate_grad(&mut m2, &[], &grad);
-            let mut total2 = 0.0f32;
-            m2.visit_params(&mut |p| total2 += p.grad.max_abs());
-            assert_eq!(total2, 0.0);
+            let m2 = ColumnMpsn::new(kind, 6, 12, &mut rng);
+            assert!(accumulate_grad(&m2, &[], &grad_out).iter().all(|&g| g == 0.0));
         }
     }
 
@@ -441,9 +474,13 @@ mod tests {
             let mut m = ColumnMpsn::new(kind, 4, 8, &mut rng);
             let preds = vec![pred_vec(4, 0.4), pred_vec(4, 1.1)];
             let w: Vec<f32> = vec![0.3, -0.2, 0.5, 0.1];
-            accumulate_grad(&mut m, &preds, &w);
+            let grad = accumulate_grad(&m, &preds, &w);
             let mut analytic: Vec<Vec<f32>> = Vec::new();
-            m.visit_params(&mut |p| analytic.push(p.grad.as_slice()[..4].to_vec()));
+            let mut at = 0;
+            m.visit_params_ref(&mut |p| {
+                analytic.push(grad[at..at + 4].to_vec());
+                at += p.len();
+            });
             let eps = 1e-3f32;
             for (param, grads) in analytic.iter().enumerate() {
                 for (idx, &ga) in grads.iter().enumerate() {

@@ -27,7 +27,6 @@
 //! half-loaded model.
 
 use crate::estimator::DuetEstimator;
-use crate::trainer::ModelParams;
 use bytes::Bytes;
 use duet_nn::serialize::{load_params, save_params};
 
@@ -89,17 +88,21 @@ pub fn verify_checkpoint(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
 }
 
 /// Serialize the estimator's weights (backbone + MPSNs) into a sealed,
-/// checksummed checkpoint (see the module docs for the frame layout).
+/// checksummed checkpoint (see the module docs for the frame layout). A
+/// read-only visit: nothing of the model is touched or rebuilt.
 pub fn save_weights(estimator: &mut DuetEstimator) -> Bytes {
-    seal(&save_params(&mut ModelParams(estimator.model_mut())))
+    seal(&save_params(estimator.model()))
 }
 
 /// Load a checkpoint produced by [`save_weights`] into an estimator with the
 /// same architecture. The integrity frame is validated first; corrupt or
-/// truncated bytes yield a typed error before any weight is touched.
+/// truncated bytes yield a typed error before any weight is touched. The
+/// masked layers re-mask and repack as the weights go in, so checkpoints
+/// written with non-zero values at forbidden connections load to the same
+/// served model as those written with zeros there.
 pub fn load_weights(estimator: &mut DuetEstimator, bytes: &[u8]) -> Result<(), CheckpointError> {
     let payload = verify_checkpoint(bytes)?;
-    load_params(&mut ModelParams(estimator.model_mut()), payload)
+    load_params(estimator.model_mut(), payload)
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@ use crate::model::{query_to_id_predicates, DuetModel, DuetWorkspace};
 use crate::virtual_table::{sample_virtual_batch, SamplerConfig, VirtualTuple};
 use duet_data::Table;
 use duet_nn::{
-    grouped_cross_entropy_with, seeded_rng, softmax_block_into, Adam, GradClip, Matrix, Param,
-    Params, SoftmaxMode, TrainWorkspace,
+    grouped_cross_entropy_with, seeded_rng, softmax_block_into, Adam, GradClip, Matrix,
+    SoftmaxMode, TrainWorkspace,
 };
 use duet_query::Query;
 use rand::seq::SliceRandom;
@@ -145,17 +145,21 @@ struct ConstrainedCol {
 ///
 /// Layered on the inference workspaces: input encoding stages through an
 /// embedded [`DuetWorkspace`], the backbone's training forward checkpoints
-/// its activations into a [`duet_nn::TrainWorkspace`] (whose masked-weight
-/// memo re-materializes in place after each optimizer step), and both losses
-/// stage `dL/dlogits` in one reused gradient matrix. The query pass
-/// additionally stages its per-column probabilities in a **flat buffer plus
-/// an offset table**, not per-row heap containers.
+/// its activations into a [`duet_nn::TrainWorkspace`], both losses stage
+/// `dL/dlogits` in one reused gradient matrix, and every backward pass adds
+/// into one flat gradient buffer — the model's whole gradient, backbone then
+/// MPSNs, in visiting order (Adam's layout). The query pass additionally
+/// stages its per-column probabilities in a **flat buffer plus an offset
+/// table**, not per-row heap containers. The model itself holds no training
+/// state.
 #[derive(Debug, Clone, Default)]
 pub struct TrainStepScratch {
     /// Input-encoding workspace (shared with the inference path's layout).
     ws: DuetWorkspace,
-    /// Train-side activation checkpoints + masked-weight memo.
+    /// Train-side activation checkpoints and backward scratch.
     nn: TrainWorkspace,
+    /// Every parameter's gradient, in visiting order.
+    grad: Vec<f32>,
     /// `dL/dlogits` staging, shared by the data and query passes.
     grad_logits: Matrix,
     /// Flat per-column probability staging for the query pass.
@@ -169,18 +173,6 @@ impl TrainStepScratch {
     /// allocation-free afterwards.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// Adapter exposing a [`DuetModel`]'s parameters (backbone + MPSNs) to the
-/// optimizer and the checkpoint codec through the [`Params`] trait. Public so
-/// external drivers — benches, the zero-allocation harness — can run their
-/// own `adam.step(&mut ModelParams(&mut model))`.
-pub struct ModelParams<'a>(pub &'a mut DuetModel);
-
-impl Params for ModelParams<'_> {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.0.visit_params(f);
     }
 }
 
@@ -318,7 +310,7 @@ pub fn data_forward(
 ) -> f32 {
     let TrainStepScratch { ws, nn, grad_logits, .. } = scratch;
     model.fill_input_with_sparse(batch, ws);
-    let logits = model.made_mut().forward_train(ws.input(), Some(&ws.sparse), nn);
+    let logits = model.made().forward_train(ws.input(), Some(&ws.sparse), nn);
     grouped_cross_entropy_with(logits, model.output_sizes_ref(), batch, grad_logits)
 }
 
@@ -326,16 +318,19 @@ pub fn data_forward(
 /// the preceding forward staged through the backbone and — when the model has
 /// MPSNs — on through the input gradient into the per-column embedders,
 /// re-staging `rows` (the batch that forward encoded) as `fill_input` did.
+/// Every parameter gradient is added into the scratch's gradient buffer.
 fn backward<R: AsRef<[Vec<IdPredicate>]>>(
-    model: &mut DuetModel,
+    model: &DuetModel,
     rows: &[R],
     scratch: &mut TrainStepScratch,
 ) {
     let has_mpsn = !model.mpsns().is_empty();
-    let TrainStepScratch { ws, nn, grad_logits, .. } = scratch;
-    model.made_mut().backward_scratch(grad_logits, Some(&ws.sparse), nn, has_mpsn);
+    let TrainStepScratch { ws, nn, grad, grad_logits, .. } = scratch;
+    let (made_grad, mpsn_grad) = grad.split_at_mut(model.made().num_parameters());
+    let sparse = Some(&ws.sparse);
+    model.made().backward_scratch(ws.input(), grad_logits, sparse, nn, made_grad, has_mpsn);
     if has_mpsn {
-        model.backprop_mpsn(rows, nn.input_grad(), ws);
+        model.backprop_mpsn(rows, nn.input_grad(), mpsn_grad, ws);
     }
 }
 
@@ -379,9 +374,9 @@ where
         // must not run backward for an empty batch.
         return (0.0, 1.0);
     }
-    let TrainStepScratch { ws, nn, grad_logits, probs, cols } = scratch;
+    let TrainStepScratch { ws, nn, grad_logits, probs, cols, .. } = scratch;
     model.fill_input_with_sparse(batch, ws);
-    let logits = model.made_mut().forward_train(ws.input(), Some(&ws.sparse), nn);
+    let logits = model.made().forward_train(ws.input(), Some(&ws.sparse), nn);
     let sizes = model.output_sizes_ref();
 
     grad_logits.reset(logits.rows(), logits.cols());
@@ -473,7 +468,7 @@ where
 }
 
 /// One complete optimizer step — the paper's hybrid update (Algorithm 2):
-/// zero the gradients, run the data-driven pass (forward + scratch
+/// zero the scratch's gradient buffer, run the data-driven pass (forward + scratch
 /// backward), the supervised query pass when `query_batch` is non-empty,
 /// MPSN back-propagation when the model has MPSNs, then one Adam step.
 ///
@@ -497,7 +492,8 @@ pub fn train_step<Q>(
 where
     Q: Borrow<PreparedQuery> + AsRef<[Vec<IdPredicate>]>,
 {
-    model.zero_grad();
+    scratch.grad.clear();
+    scratch.grad.resize(model.num_parameters(), 0.0);
     let data_loss = data_forward(model, batch, scratch);
     backward(model, batch, scratch);
     let (query_loss, mean_q) = if query_batch.is_empty() {
@@ -507,7 +503,7 @@ where
         backward(model, query_batch, scratch);
         losses
     };
-    adam.step(&mut ModelParams(model));
+    adam.step(model, &scratch.grad);
     (data_loss, query_loss, mean_q)
 }
 
@@ -540,6 +536,7 @@ mod tests {
     use super::*;
     use crate::config::MpsnKind;
     use duet_data::datasets::census_like;
+    use duet_nn::Params;
     use duet_query::{exact_cardinality, WorkloadSpec};
 
     #[test]
@@ -581,16 +578,16 @@ mod tests {
         let mut cfg = DuetConfig::small().with_mpsn(MpsnKind::Mlp, 2);
         cfg.epochs = 1;
         cfg.batch_size = 64;
-        let mut model_before = DuetModel::new(&table, &cfg, 5);
+        let model_before = DuetModel::new(&table, &cfg, 5);
         let before: Vec<f32> = {
             let mut v = Vec::new();
-            model_before.visit_params(&mut |p| v.push(p.data.mean()));
+            model_before.visit_params_ref(&mut |p| v.push(p.data.mean()));
             v
         };
-        let mut model_after = train_model(&table, &cfg, None, 5, |_| {});
+        let model_after = train_model(&table, &cfg, None, 5, |_| {});
         let after: Vec<f32> = {
             let mut v = Vec::new();
-            model_after.visit_params(&mut |p| v.push(p.data.mean()));
+            model_after.visit_params_ref(&mut |p| v.push(p.data.mean()));
             v
         };
         assert_eq!(before.len(), after.len());

@@ -278,8 +278,9 @@ fn pack_a_transposed(a: &[f32], k: usize, m: usize, out: &mut Vec<f32>) {
 /// zeroes every connection violating the autoregressive order — typically
 /// around *half* of the matrix, in a block-structured pattern (for a given
 /// output column, every hidden unit of too-high degree). Packing the masked
-/// effective weight once per weight version (the workspace's
-/// `MaskedWeightCache` keys it) lets the kernel skip those strips entirely:
+/// weight once per weight change (each `MaskedLinear` owns its pack and
+/// refills it whenever its weights change) lets the kernel skip those
+/// strips entirely:
 /// each panel stores only the strips with at least one nonzero, plus their
 /// original row indices, so the inner loop does `density()` of the dense
 /// work while accumulating the surviving terms in the same ascending-`k`
@@ -291,8 +292,9 @@ fn pack_a_transposed(a: &[f32], k: usize, m: usize, out: &mut Vec<f32>) {
 /// built under one tile and executed after a [`with_tile`] change still runs
 /// the matching micro-kernel.
 ///
-/// The buffers are reused across refills (a hot-swap repacks in place), so
-/// steady-state serving never allocates for packing.
+/// The buffers are reused across refills (an optimizer step or a checkpoint
+/// load repacks in place) and sized exactly to the kept strips, so a refill
+/// with the same zero pattern never allocates and a pack holds no slack.
 ///
 /// Invariant (relied on by unsafe code, debug-asserted in [`addmm_packed`]):
 /// every entry of `rows` is `< k`, and panel `jp`'s strips
@@ -351,8 +353,17 @@ impl PackedWeight {
         self.rows.len() as f64 / total as f64
     }
 
+    /// Bytes the pack holds on the heap.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.data.capacity() * size_of::<f32>()
+            + self.rows.capacity() * size_of::<u32>()
+            + self.strips.capacity() * size_of::<usize>()
+    }
+
     /// Re-pack from `w` (`k x n`, row-major) under the current thread's
-    /// tile, reusing the existing buffers.
+    /// tile, reusing the existing buffers (grown, if they must grow, to
+    /// exactly the kept strips).
     pub fn fill_from(&mut self, w: &[f32], k: usize, n: usize) {
         assert_eq!(w.len(), k * n, "packed weight shape mismatch");
         let tile = current_tile();
@@ -360,20 +371,28 @@ impl PackedWeight {
         self.k = k;
         self.n = n;
         self.tile = tile;
+        let panels = n.div_ceil(nr);
+        let strip = |jp: usize, p: usize| {
+            let col0 = jp * nr;
+            &w[p * n + col0..p * n + (col0 + nr).min(n)]
+        };
+        let kept = (0..panels)
+            .map(|jp| (0..k).filter(|&p| strip(jp, p).iter().any(|v| *v != 0.0)).count())
+            .sum::<usize>();
         self.data.clear();
         self.rows.clear();
         self.strips.clear();
-        let panels = n.div_ceil(nr);
+        self.data.reserve_exact(kept * nr);
+        self.rows.reserve_exact(kept);
+        self.strips.reserve_exact(panels + 1);
         self.strips.push(0);
         for jp in 0..panels {
-            let col0 = jp * nr;
-            let vis = nr.min(n - col0);
             for p in 0..k {
-                let src = &w[p * n + col0..p * n + col0 + vis];
+                let src = strip(jp, p);
                 if src.iter().any(|v| *v != 0.0) {
                     let start = self.data.len();
                     self.data.resize(start + nr, 0.0);
-                    self.data[start..start + vis].copy_from_slice(src);
+                    self.data[start..start + src.len()].copy_from_slice(src);
                     self.rows.push(p as u32);
                 }
             }

@@ -52,7 +52,7 @@ pub use math::{
 };
 pub use mlp::Mlp;
 pub use optim::{Adam, GradClip};
-pub use param::{InferLayer, Param, Params, WeightKey};
+pub use param::{InferLayer, Param, Params};
 pub use serialize::{load_params, save_params, CheckpointError};
 pub use tensor::{rowvec_matmul_into, Matrix};
-pub use workspace::{ForwardWorkspace, MaskedWeightCache, TrainWorkspace};
+pub use workspace::{ForwardWorkspace, TrainWorkspace};

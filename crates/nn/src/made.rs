@@ -14,7 +14,9 @@
 //! that computes only the column blocks a [`BlockPlan`] asks for, each for
 //! only the rows that need it ([`Made::infer_blocks`]);
 //! [`InferLayer::infer_into`] is the same projection with every row in
-//! every block. Masked weights are memoized in the caller's workspace.
+//! every block. Each masked layer stores its weight already masked and
+//! carries its own pack (see [`crate::linear`]), so a workspace holds
+//! activations only.
 
 use crate::activation::Activation;
 use crate::init::Init;
@@ -23,7 +25,8 @@ use crate::linear::MaskedLinear;
 use crate::param::{InferLayer, Param, Params};
 use crate::tensor::Matrix;
 use crate::workspace::{
-    pick2, pick3, ForwardWorkspace, MaskedWeightCache, ProjectionParts, TrainWorkspace,
+    pick2, pick3, ForwardWorkspace, GradStage, ProjectionParts, TrainBackwardParts,
+    TrainForwardParts, TrainWorkspace,
 };
 use rand::rngs::SmallRng;
 
@@ -102,104 +105,62 @@ fn hidden_degrees(width: usize, num_columns: usize) -> Vec<usize> {
     (0..width).map(|k| k % max_degree).collect()
 }
 
-/// Mask between two non-output layers: connection allowed iff
-/// `deg(next) >= deg(prev)`.
-fn hidden_mask(prev: &[usize], next: &[usize]) -> Matrix {
-    Matrix::from_fn(prev.len(), next.len(), |i, j| if next[j] >= prev[i] { 1.0 } else { 0.0 })
-}
-
-/// Mask into the output layer: connection allowed iff `deg(out) > deg(prev)`.
-fn output_mask(prev: &[usize], out: &[usize]) -> Matrix {
-    Matrix::from_fn(prev.len(), out.len(), |i, j| if out[j] > prev[i] { 1.0 } else { 0.0 })
-}
-
-/// A residual block `y = x + W2·relu(W1·x)`, with both linears masked so that
-/// degrees are preserved end-to-end (the identity skip is then mask-safe).
+/// A residual block `y = x + W2·relu(W1·x)`, with both linears masked
+/// between the block's own degrees (a connection needs `deg(next) >=
+/// deg(prev)`), so that degrees are preserved end-to-end and the identity
+/// skip is mask-safe.
 #[derive(Debug, Clone)]
 struct ResBlock {
-    fc1: MaskedLinear,
-    fc2: MaskedLinear,
+    /// `[fc1, fc2]`.
+    fc: [MaskedLinear; 2],
 }
 
 impl ResBlock {
     fn new(degrees: &[usize], init: Init, rng: &mut SmallRng) -> Self {
-        let mask = hidden_mask(degrees, degrees);
-        Self {
-            fc1: MaskedLinear::new(degrees.len(), degrees.len(), mask.clone(), init, rng),
-            fc2: MaskedLinear::new(degrees.len(), degrees.len(), mask, init, rng),
-        }
+        let fc1 = MaskedLinear::new(degrees, degrees, false, init, rng);
+        let fc2 = MaskedLinear::new(degrees, degrees, false, init, rng);
+        Self { fc: [fc1, fc2] }
     }
 
-    /// Training forward `out = x + fc2(relu(fc1(x)))`. Everything
-    /// `backward_scratch` needs is what the two linears cache as their
-    /// inputs: `x`, and the rectified hidden state staged in `aux` (which
-    /// doubles as the ReLU gate). The masked effective weights come from the
-    /// train-workspace cache. Allocation-free once warm.
-    fn train_forward(
-        &mut self,
-        x: &Matrix,
-        aux: &mut Matrix,
-        out: &mut Matrix,
-        masked: &mut MaskedWeightCache,
-        slot: usize,
-    ) {
-        let e1 = masked.entry(slot, self.fc1.weight_key(), |w| self.fc1.fill_masked(w));
-        self.fc1.train_forward(x, None, e1, aux);
-        Activation::Relu.apply(aux.as_mut_slice());
-        let e2 = masked.entry(slot + 1, self.fc2.weight_key(), |w| self.fc2.fill_masked(w));
-        self.fc2.train_forward(aux, None, e2, out);
+    /// Training forward `out = x + fc2(relu(fc1(x)))`, leaving the rectified
+    /// hidden state — fc2's input, and the ReLU gate of the backward — in
+    /// `hidden`. Allocation-free once warm.
+    fn train_forward(&self, x: &Matrix, hidden: &mut Matrix, out: &mut Matrix) {
+        let [fc1, fc2] = &self.fc;
+        fc1.train_forward(x, None, hidden);
+        Activation::Relu.apply(hidden.as_mut_slice());
+        fc2.train_forward(hidden, None, out);
         out.add_assign(x);
     }
 
-    /// Scratch-buffer backward: fc2's input gradient lands in `grad_act`, is
-    /// ReLU-gated in place against the rectified hidden state fc2 cached,
-    /// feeds fc1, and the identity skip adds `grad_out` into `grad_in`. The masked effective weights come
-    /// from the train-workspace cache (slots `slot` / `slot + 1` — guaranteed
-    /// hits, since backward runs before the optimizer bumps any
-    /// [`WeightKey`](crate::param::WeightKey)). Allocation-free once warm.
-    #[allow(clippy::too_many_arguments)]
+    /// Scratch-buffer backward of the block that read `x` and checkpointed
+    /// `hidden`: fc2's input gradient lands in `grad_act`, is ReLU-gated in
+    /// place against `hidden`, feeds fc1, and the identity skip adds
+    /// `grad_out` into `grad_in`. `grad` is the block's slice of the
+    /// gradient buffer (fc1's parameters, then fc2's). Allocation-free once
+    /// warm.
     fn backward_scratch(
-        &mut self,
-        grad_out: &Matrix,
-        grad_act: &mut Matrix,
-        grad_in: &mut Matrix,
-        dw: &mut Matrix,
-        db: &mut Vec<f32>,
-        masked: &mut MaskedWeightCache,
-        slot: usize,
+        &self,
+        (x, hidden): (&Matrix, &Matrix),
+        (grad_out, grad_act, grad_in): (&Matrix, &mut Matrix, &mut Matrix),
+        grad: &mut [f32],
+        stage: &mut GradStage,
     ) {
-        let e2 = masked.entry(slot + 1, self.fc2.weight_key(), |w| self.fc2.fill_masked(w));
-        self.fc2.backward_scratch(grad_out, None, e2.weight(), dw, db, Some(grad_act));
-        Activation::Relu.gate(grad_act.as_mut_slice(), self.fc2.cached_input().as_slice());
-        let e1 = masked.entry(slot, self.fc1.weight_key(), |w| self.fc1.fill_masked(w));
-        self.fc1.backward_scratch(grad_act, None, e1.weight(), dw, db, Some(grad_in));
+        let [fc1, fc2] = &self.fc;
+        let (g1, g2) = grad.split_at_mut(fc1.num_parameters());
+        fc2.backward_scratch(hidden, None, grad_out, g2, stage, Some(&mut *grad_act));
+        Activation::Relu.gate(grad_act.as_mut_slice(), hidden.as_slice());
+        fc1.backward_scratch(x, None, grad_act, g1, stage, Some(&mut *grad_in));
         grad_in.add_assign(grad_out); // identity skip
     }
 
-    /// Allocation-free fused forward `out = x + fc2(relu(fc1(x)))` against
-    /// workspace-cached masked weights (slots `slot` and `slot + 1`): on a
-    /// cache hit nothing is re-materialized. Bit-identical to the training
-    /// forward.
-    fn infer_cached(
-        &self,
-        x: &Matrix,
-        h: &mut Matrix,
-        out: &mut Matrix,
-        masked: &mut MaskedWeightCache,
-        slot: usize,
-    ) {
-        let e1 = masked.entry(slot, self.fc1.weight_key(), |w| self.fc1.fill_masked(w));
-        self.fc1.infer_entry(x, Activation::Relu, e1, h);
-        let e2 = masked.entry(slot + 1, self.fc2.weight_key(), |w| self.fc2.fill_masked(w));
-        self.fc2.infer_entry(h, Activation::Identity, e2, out);
+    /// Allocation-free fused forward `out = x + fc2(relu(fc1(x)))`, with the
+    /// hidden state in `h`. Bit-identical to the training forward.
+    fn infer(&self, x: &Matrix, h: &mut Matrix, out: &mut Matrix) {
+        let [fc1, fc2] = &self.fc;
+        fc1.infer(x, Activation::Relu, h);
+        fc2.infer(h, Activation::Identity, out);
         out.add_assign(x);
-    }
-}
-
-impl Params for ResBlock {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.fc1.visit_params(f);
-        self.fc2.visit_params(f);
     }
 }
 
@@ -214,6 +175,29 @@ enum Stage {
     Residual(ResBlock),
     /// Final masked linear producing the logits (no activation).
     Output(MaskedLinear),
+}
+
+impl Stage {
+    /// The stage's masked linears, in visiting order.
+    fn layers(&self) -> &[MaskedLinear] {
+        match self {
+            Stage::MaskedRelu(linear) | Stage::Output(linear) => std::slice::from_ref(linear),
+            Stage::Residual(block) => &block.fc,
+        }
+    }
+
+    /// [`Stage::layers`], mutably.
+    fn layers_mut(&mut self) -> &mut [MaskedLinear] {
+        match self {
+            Stage::MaskedRelu(linear) | Stage::Output(linear) => std::slice::from_mut(linear),
+            Stage::Residual(block) => &mut block.fc,
+        }
+    }
+
+    /// Number of trainable scalars in the stage.
+    fn num_parameters(&self) -> usize {
+        self.layers().iter().map(MaskedLinear::num_parameters).sum()
+    }
 }
 
 /// Which rows need which output column blocks: block `b` is computed for
@@ -333,11 +317,6 @@ pub struct Made {
     stages: Vec<Stage>,
     input_offsets: Vec<usize>,
     output_offsets: Vec<usize>,
-    /// Whether the most recent training forward fed the first stage through
-    /// the sparse-input kernel (in which case the dense input was never
-    /// cached and [`Made::backward_scratch`] must be handed the same sparse
-    /// capture).
-    first_stage_sparse: bool,
 }
 
 impl Made {
@@ -374,28 +353,22 @@ impl Made {
                 continue;
             }
             let h_deg = hidden_degrees(hidden, n);
-            let mask = hidden_mask(&prev_deg, &h_deg);
-            stages.push(Stage::MaskedRelu(MaskedLinear::new(
-                prev_deg.len(),
-                hidden,
-                mask,
-                Init::KaimingUniform,
-                rng,
-            )));
+            let layer = MaskedLinear::new(&prev_deg, &h_deg, false, Init::KaimingUniform, rng);
+            stages.push(Stage::MaskedRelu(layer));
             prev_deg = h_deg;
         }
-        let mask = output_mask(&prev_deg, &out_deg);
+        // Into the output layer a connection needs a strictly greater degree.
         stages.push(Stage::Output(MaskedLinear::new(
-            prev_deg.len(),
-            out_deg.len(),
-            mask,
+            &prev_deg,
+            &out_deg,
+            true,
             Init::XavierUniform,
             rng,
         )));
 
         let input_offsets = prefix_sums(&config.input_block_sizes);
         let output_offsets = prefix_sums(&config.output_block_sizes);
-        Self { config, stages, input_offsets, output_offsets, first_stage_sparse: false }
+        Self { config, stages, input_offsets, output_offsets }
     }
 
     /// Architecture description.
@@ -430,15 +403,14 @@ impl Made {
         plan: &BlockPlan,
         ws: &'w mut ForwardWorkspace,
     ) -> BlockLogits<'w> {
-        let slot = self.infer_trunk(input, ws);
-        self.project(Some(plan), slot, ws);
+        self.infer_trunk(input, ws);
+        self.project(Some(plan), ws);
         ws.block_logits()
     }
 
     /// Every stage but the output layer, through the workspace's ping-pong
     /// buffers; the last hidden activation is left as the current buffer.
-    /// Returns the output layer's masked-weight slot.
-    fn infer_trunk(&self, input: &Matrix, ws: &mut ForwardWorkspace) -> usize {
+    fn infer_trunk(&self, input: &Matrix, ws: &mut ForwardWorkspace) {
         assert_eq!(
             input.cols(),
             self.config.input_width(),
@@ -446,21 +418,13 @@ impl Made {
             self.config.input_width()
         );
         ws.rewind();
-        let mut slot = 0usize;
         for (i, stage) in self.stages.iter().enumerate() {
-            let (cur, next, aux, masked) = ws.split_masked();
+            let (cur, next, aux) = ws.split();
             let x: &Matrix = if i == 0 { input } else { cur };
             match stage {
-                Stage::MaskedRelu(linear) => {
-                    let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                    linear.infer_entry(x, Activation::Relu, entry, next);
-                    slot += 1;
-                }
-                Stage::Residual(block) => {
-                    block.infer_cached(x, aux, next, masked, slot);
-                    slot += 2;
-                }
-                Stage::Output(_) => return slot,
+                Stage::MaskedRelu(linear) => linear.infer(x, Activation::Relu, next),
+                Stage::Residual(block) => block.infer(x, aux, next),
+                Stage::Output(_) => return,
             }
             ws.flip();
         }
@@ -478,11 +442,11 @@ impl Made {
     /// sized as the full-width logits (which bounds their total), so with
     /// every row in every block the output is exactly the `rows x width`
     /// logits matrix.
-    fn project(&self, plan: Option<&BlockPlan>, slot: usize, ws: &mut ForwardWorkspace) {
+    fn project(&self, plan: Option<&BlockPlan>, ws: &mut ForwardWorkspace) {
         let Some(Stage::Output(linear)) = self.stages.last() else {
             unreachable!("a Made always ends in its output stage")
         };
-        let ProjectionParts { hidden, out, gather, masked, blocks, every } = ws.split_projection();
+        let ProjectionParts { hidden, out, gather, blocks, every } = ws.split_projection();
         let (rows, num_blocks) = (hidden.rows(), self.config.num_columns());
         let plan = match plan {
             Some(plan) => plan,
@@ -492,7 +456,6 @@ impl Made {
             }
         };
         assert_eq!(plan.num_blocks(), num_blocks, "the plan must hold one block per column");
-        let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
         let packed = linear.runs_packed(hidden);
         out.resize_for_overwrite(rows, self.config.output_width());
         blocks.clear();
@@ -525,7 +488,7 @@ impl Made {
                 &*gather
             };
             let dst = &mut out.as_mut_slice()[base..base + run_rows.len() * width];
-            linear.infer_cols(a, Activation::Identity, entry, packed, cols, dst);
+            linear.infer_cols(a, Activation::Identity, packed, cols, dst);
             base += run_rows.len() * width;
         }
         ws.flip();
@@ -542,16 +505,14 @@ impl Made {
     }
 
     /// The training forward through a [`TrainWorkspace`]: every stage's
-    /// activation is checkpointed into a persistent workspace buffer, the
-    /// masked effective weights come from the workspace's
-    /// [`MaskedWeightCache`], and each layer's backward cache (its input) is
-    /// refilled in place — so the steady-state training
+    /// activation (and each residual block's hidden state) is checkpointed
+    /// into a persistent workspace buffer, so the steady-state training
     /// forward performs **zero heap allocation** (asserted by the training
     /// phase of `tests/zero_alloc.rs`). The logits are bit-identical to
     /// [`InferLayer::infer_into`]'s for finite inputs (every kernel follows
     /// the numerical contract in `duet_nn::kernels`); the returned reference
     /// lives in `tws` until the next pass overwrites it, and the matching
-    /// backward is [`Made::backward_scratch`].
+    /// backward is [`Made::backward_scratch`], handed the same `input`.
     ///
     /// `sparse` is an optional sparse row capture of `input`. When it is
     /// provided and sparse *enough* (see [`SparseRows::is_sparse_enough`] —
@@ -561,7 +522,7 @@ impl Made {
     /// predicate encoding is mostly made of; the backward must then be handed
     /// the same capture.
     pub fn forward_train<'w>(
-        &mut self,
+        &self,
         input: &Matrix,
         sparse: Option<&SparseRows>,
         tws: &'w mut TrainWorkspace,
@@ -573,50 +534,39 @@ impl Made {
             self.config.input_width()
         );
         let num = self.stages.len();
-        let (acts, aux, masked) = tws.parts(num);
-        let mut slot = 0usize;
-        let mut first_sparse = false;
-        for i in 0..num {
+        let TrainForwardParts { acts, hidden, first_sparse } = tws.forward_parts(num);
+        *first_sparse = false;
+        for (i, stage) in self.stages.iter().enumerate() {
             let (prev, rest) = acts.split_at_mut(i);
             let x: &Matrix = if i == 0 { input } else { &prev[i - 1] };
             let out = &mut rest[0];
-            match &mut self.stages[i] {
+            match stage {
                 Stage::MaskedRelu(linear) => {
-                    let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
                     let capture = sparse.filter(|s| i == 0 && s.is_sparse_enough());
-                    linear.train_forward(x, capture, entry, out);
-                    first_sparse |= capture.is_some();
+                    linear.train_forward(x, capture, out);
+                    *first_sparse |= capture.is_some();
                     Activation::Relu.apply(out.as_mut_slice());
-                    slot += 1;
                 }
-                Stage::Residual(block) => {
-                    block.train_forward(x, aux, out, masked, slot);
-                    slot += 2;
-                }
-                Stage::Output(linear) => {
-                    let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                    linear.train_forward(x, None, entry, out);
-                    slot += 1;
-                }
+                Stage::Residual(block) => block.train_forward(x, &mut hidden[i], out),
+                Stage::Output(linear) => linear.train_forward(x, None, out),
             }
         }
-        self.first_stage_sparse = first_sparse;
         &acts[num - 1]
     }
 
-    /// Scratch-buffer backward. The gradient ping-pongs through the
-    /// [`TrainWorkspace`]'s three reusable buffers (three, not two: a
-    /// residual block keeps its incoming gradient alive across both inner
-    /// backwards for the identity skip), `dW`/`db` are staged in workspace
-    /// scratch before accumulating into the parameter gradients, and every
-    /// masked effective weight is a guaranteed [`MaskedWeightCache`] hit
-    /// because backward runs before the optimizer bumps any
-    /// [`WeightKey`](crate::param::WeightKey).
+    /// Scratch-buffer backward of the most recent
+    /// [`forward_train`](Self::forward_train), which read `input`. The
+    /// gradient ping-pongs through the [`TrainWorkspace`]'s three reusable
+    /// buffers (three, not two: a residual block keeps its incoming gradient
+    /// alive across both inner backwards for the identity skip), and each
+    /// layer's `dW`/`db` is staged in workspace scratch before it is added
+    /// into `grad`: the network's gradient buffer, one `f32` per parameter in
+    /// visiting order (at least [`Made::num_parameters`] long; the caller
+    /// zeroes it before a step's first backward).
     ///
-    /// `sparse` must be the same capture the preceding
-    /// [`forward_train`](Self::forward_train) consumed (pass `None` after a
-    /// dense forward). With `need_input_grad` the gradient
-    /// w.r.t. the network input is left in the workspace and readable via
+    /// `sparse` must be the same capture the forward consumed (pass `None`
+    /// after a dense forward). With `need_input_grad` the gradient w.r.t.
+    /// the network input is left in the workspace and readable via
     /// [`TrainWorkspace::input_grad`] (the MPSN chain needs it; plain tables
     /// skip that final matmul).
     ///
@@ -624,56 +574,53 @@ impl Made {
     /// Panics if called before a training forward, or if the forward used
     /// the sparse first-layer path and `sparse` is `None`.
     pub fn backward_scratch(
-        &mut self,
+        &self,
+        input: &Matrix,
         grad_logits: &Matrix,
         sparse: Option<&SparseRows>,
         tws: &mut TrainWorkspace,
+        grad: &mut [f32],
         need_input_grad: bool,
     ) {
-        let first_sparse = self.first_stage_sparse;
-        let total_slots: usize =
-            self.stages.iter().map(|s| if matches!(s, Stage::Residual(_)) { 2 } else { 1 }).sum();
-        let (acts, grads, dw, db, masked) = tws.backward_parts();
-        let mut slot = total_slots;
+        let TrainBackwardParts { acts, hidden, first_sparse, grads, stage } =
+            tws.backward_parts(self.stages.len());
+        let mut end = self.num_parameters();
         // Index of the grads buffer holding the live incoming gradient.
         let mut cur = 0usize;
-        for (i, stage) in self.stages.iter_mut().enumerate().rev() {
-            let is_input_stage = i == 0;
-            match stage {
+        for (i, st) in self.stages.iter().enumerate().rev() {
+            let x: &Matrix = if i == 0 { input } else { &acts[i - 1] };
+            let start = end - st.num_parameters();
+            let g = &mut grad[start..end];
+            end = start;
+            match st {
                 Stage::Output(linear) => {
-                    slot -= 1;
-                    let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
                     let grad_in = Some(&mut grads[0]);
-                    linear.backward_scratch(grad_logits, None, entry.weight(), dw, db, grad_in);
+                    linear.backward_scratch(x, None, grad_logits, g, stage, grad_in);
                     cur = 0;
                 }
                 Stage::Residual(block) => {
-                    slot -= 2;
-                    let (g_out, g_act, g_in) = pick3(grads, cur);
-                    block.backward_scratch(g_out, g_act, g_in, dw, db, masked, slot);
+                    block.backward_scratch((x, &hidden[i]), pick3(grads, cur), g, stage);
                     cur = (cur + 2) % 3;
                 }
                 Stage::MaskedRelu(linear) => {
-                    slot -= 1;
                     // Gate against the stage's own checkpointed (rectified) output.
                     Activation::Relu.gate(grads[cur].as_mut_slice(), acts[i].as_slice());
-                    let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
-                    let want_grad_in = !is_input_stage || need_input_grad;
+                    let want_grad_in = i != 0 || need_input_grad;
                     let (g_out, g_in_buf) = pick2(grads, cur);
                     let grad_in = if want_grad_in { Some(g_in_buf) } else { None };
-                    let capture = (is_input_stage && first_sparse).then(|| {
+                    let capture = (i == 0 && first_sparse).then(|| {
                         sparse.expect(
                             "forward used the sparse first-layer path; pass the same sparse input to backward",
                         )
                     });
-                    linear.backward_scratch(g_out, capture, entry.weight(), dw, db, grad_in);
+                    linear.backward_scratch(x, capture, g_out, g, stage, grad_in);
                     if want_grad_in {
                         cur = (cur + 1) % 3;
                     }
                 }
             }
         }
-        debug_assert_eq!(slot, 0);
+        debug_assert_eq!(end, 0);
         tws.set_input_grad_slot(cur);
     }
 
@@ -681,32 +628,28 @@ impl Made {
     /// (`&self`), so read paths — e.g. a serving tier's memory-budget
     /// accounting — can query sizes without exclusive access.
     pub fn num_parameters(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|stage| match stage {
-                Stage::MaskedRelu(linear) => linear.num_parameters(),
-                Stage::Residual(block) => block.fc1.num_parameters() + block.fc2.num_parameters(),
-                Stage::Output(linear) => linear.num_parameters(),
-            })
-            .sum()
+        self.stages.iter().map(Stage::num_parameters).sum()
     }
 
     /// Model size in bytes assuming `f32` storage (reported in Table II).
     pub fn size_bytes(&self) -> usize {
         self.num_parameters() * std::mem::size_of::<f32>()
     }
+
+    /// Bytes the network holds to serve: every parameter plus every masked
+    /// layer's pack.
+    pub fn resident_bytes(&self) -> usize {
+        self.stages.iter().flat_map(Stage::layers).map(MaskedLinear::resident_bytes).sum()
+    }
 }
 
 impl InferLayer for Made {
     /// The serving-path forward: activations ping-pong through the
-    /// workspace, and every stage's masked effective weight (`W ⊙ M`) comes
-    /// from the workspace's [`MaskedWeightCache`] — materialized once per
-    /// (workspace, weights) pair instead of once per batch, and re-validated
-    /// by [`crate::param::WeightKey`] so optimizer steps and hot-swaps can
-    /// never serve stale weights. Bit-identical to [`Made::forward_train`].
+    /// workspace, and every stage reads its layers' stored (masked) weights
+    /// and packs directly. Bit-identical to [`Made::forward_train`].
     fn infer_into<'w>(&self, input: &Matrix, ws: &'w mut ForwardWorkspace) -> &'w Matrix {
-        let slot = self.infer_trunk(input, ws);
-        self.project(None, slot, ws);
+        self.infer_trunk(input, ws);
+        self.project(None, ws);
         ws.output()
     }
 }
@@ -722,13 +665,15 @@ fn prefix_sums(sizes: &[usize]) -> Vec<usize> {
 }
 
 impl Params for Made {
+    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
+        for layer in self.stages.iter().flat_map(Stage::layers) {
+            layer.visit_params_ref(f);
+        }
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for stage in &mut self.stages {
-            match stage {
-                Stage::MaskedRelu(linear) => linear.visit_params(f),
-                Stage::Residual(block) => block.visit_params(f),
-                Stage::Output(linear) => linear.visit_params(f),
-            }
+        for layer in self.stages.iter_mut().flat_map(Stage::layers_mut) {
+            layer.visit_params(f);
         }
     }
 }
@@ -830,21 +775,17 @@ mod tests {
         let labels: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 0], vec![1, 1], vec![2, 0]];
         let blocks = config.output_block_sizes.clone();
 
-        made.zero_grad();
+        let mut grad = vec![0.0; made.num_parameters()];
         let mut tws = TrainWorkspace::new();
         let mut sparse = SparseRows::new();
         sparse.capture_from(&input);
         assert_eq!(sparse.is_sparse_enough(), sparse_input, "input must pick the path under test");
         let logits = made.forward_train(&input, Some(&sparse), &mut tws).clone();
         let (loss, grad_logits) = grouped_cross_entropy(&logits, &blocks, &labels);
-        made.backward_scratch(&grad_logits, Some(&sparse), &mut tws, false);
+        made.backward_scratch(&input, &grad_logits, Some(&sparse), &mut tws, &mut grad, false);
         assert!(loss.is_finite());
-        let mut analytic = Vec::new();
-        made.visit_params(&mut |p| {
-            if analytic.is_empty() {
-                analytic = p.grad.as_slice()[..6].to_vec();
-            }
-        });
+        // The first parameter is the first layer's weight.
+        let analytic = grad[..6].to_vec();
 
         let eps = 1e-3f32;
         for (idx, &ga) in analytic.iter().enumerate() {
@@ -894,25 +835,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "forward used the sparse first-layer path")]
     fn dense_backward_after_sparse_forward_panics() {
-        // The sparse training forward deliberately drops the dense input
-        // cache: a backward without the capture must fail loudly, not
-        // silently use the previous batch's input.
+        // A backward must read the layer input the forward read: after a
+        // sparse first layer, one without the capture fails loudly.
         let mut rng = seeded_rng(24);
         let config = small_config(false);
-        let mut made = Made::new(config.clone(), &mut rng);
+        let made = Made::new(config.clone(), &mut rng);
         let input = Matrix::zeros(2, config.input_width()); // all-zero: maximally sparse
         let mut tws = TrainWorkspace::new();
         let mut sparse = SparseRows::new();
         sparse.capture_from(&input);
         let _ = made.forward_train(&input, Some(&sparse), &mut tws);
-        made.backward_scratch(&Matrix::zeros(2, config.output_width()), None, &mut tws, false);
+        let grad_logits = Matrix::zeros(2, config.output_width());
+        let mut grad = vec![0.0; made.num_parameters()];
+        made.backward_scratch(&input, &grad_logits, None, &mut tws, &mut grad, false);
     }
 
     #[test]
     fn param_count_and_size() {
         for residual in [false, true] {
             let mut rng = seeded_rng(14);
-            let mut made = Made::new(small_config(residual), &mut rng);
+            let made = Made::new(small_config(residual), &mut rng);
             let n = made.num_parameters();
             assert!(n > 0);
             assert_eq!(made.size_bytes(), n * 4);

@@ -6,7 +6,7 @@ use crate::init::Init;
 use crate::linear::Linear;
 use crate::param::{InferLayer, Param, Params};
 use crate::tensor::Matrix;
-use crate::workspace::{pick2, ForwardWorkspace, TrainWorkspace};
+use crate::workspace::{pick2, ForwardWorkspace, TrainBackwardParts, TrainWorkspace};
 use rand::rngs::SmallRng;
 
 /// A feed-forward network: `Linear -> ReLU -> ... -> Linear` (no activation on
@@ -56,18 +56,18 @@ impl Mlp {
 
     /// The training forward through a [`TrainWorkspace`]: layer `i`'s output
     /// (rectified, for every layer but the last) is checkpointed into the
-    /// workspace's `i`-th activation buffer and cached as layer `i + 1`'s
-    /// input, so the steady-state pass allocates nothing. The result is
+    /// workspace's `i`-th activation buffer — layer `i + 1`'s input for the
+    /// backward — so the steady-state pass allocates nothing. The result is
     /// bit-identical to [`InferLayer::infer_into`]'s and lives in `tws` until
     /// the next pass overwrites it; the matching backward is
-    /// [`Mlp::backward_scratch`].
-    pub fn forward_train<'w>(&mut self, input: &Matrix, tws: &'w mut TrainWorkspace) -> &'w Matrix {
+    /// [`Mlp::backward_scratch`], handed the same `input`.
+    pub fn forward_train<'w>(&self, input: &Matrix, tws: &'w mut TrainWorkspace) -> &'w Matrix {
         let num = self.layers.len();
-        let (acts, _aux, _masked) = tws.parts(num);
-        for (i, layer) in self.layers.iter_mut().enumerate() {
+        let acts = tws.forward_parts(num).acts;
+        for (i, layer) in self.layers.iter().enumerate() {
             let (prev, rest) = acts.split_at_mut(i);
             let x = if i == 0 { input } else { &prev[i - 1] };
-            layer.train_forward(x, &mut rest[0]);
+            layer.infer_raw(x, Activation::Identity, &mut rest[0]);
             if i + 1 < num {
                 Activation::Relu.apply(rest[0].as_mut_slice());
             }
@@ -75,11 +75,13 @@ impl Mlp {
         &acts[num - 1]
     }
 
-    /// Scratch-buffer backward for the most recent [`Mlp::forward_train`].
-    /// The gradient ping-pongs through the workspace's gradient buffers, each
-    /// ReLU is gated in place against the rectified activation the forward
-    /// checkpointed, and `dW`/`db` are staged in workspace scratch
-    /// before accumulating into the parameter gradients. With
+    /// Scratch-buffer backward for the most recent [`Mlp::forward_train`],
+    /// which read `input`. The gradient ping-pongs through the workspace's
+    /// gradient buffers, each ReLU is gated in place against the rectified
+    /// activation the forward checkpointed, and each layer's `dW`/`db` is
+    /// staged in workspace scratch before it is added into `grad`: the
+    /// network's gradient buffer, one `f32` per parameter in visiting order
+    /// (the caller zeroes it before a step's first backward). With
     /// `need_input_grad` the gradient w.r.t. the network input is left
     /// readable via [`TrainWorkspace::input_grad`]; without it the first
     /// layer skips that matmul.
@@ -87,24 +89,31 @@ impl Mlp {
     /// # Panics
     /// Panics if called before a training forward.
     pub fn backward_scratch(
-        &mut self,
+        &self,
+        input: &Matrix,
         grad_out: &Matrix,
         tws: &mut TrainWorkspace,
+        grad: &mut [f32],
         need_input_grad: bool,
     ) {
-        let (acts, grads, dw, db, _masked) = tws.backward_parts();
         let last = self.layers.len() - 1;
+        let TrainBackwardParts { acts, grads, stage, .. } = tws.backward_parts(last + 1);
+        let mut end = self.layers.iter().map(Linear::num_parameters).sum::<usize>();
         // Index of the grads buffer the *next* stage reads from.
         let mut cur = 0usize;
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            let x = if i == 0 { input } else { &acts[i - 1] };
+            let start = end - layer.num_parameters();
+            let g = &mut grad[start..end];
+            end = start;
             let want = i > 0 || need_input_grad;
             if i == last {
-                layer.backward_scratch(grad_out, dw, db, want.then_some(&mut grads[0]));
+                layer.backward_scratch(x, grad_out, g, stage, want.then_some(&mut grads[0]));
                 continue;
             }
             Activation::Relu.gate(grads[cur].as_mut_slice(), acts[i].as_slice());
             let (g_out, g_in) = pick2(grads, cur);
-            layer.backward_scratch(g_out, dw, db, want.then_some(g_in));
+            layer.backward_scratch(x, g_out, g, stage, want.then_some(g_in));
             if want {
                 cur = (cur + 1) % 3;
             }
@@ -129,6 +138,12 @@ impl InferLayer for Mlp {
 }
 
 impl Params for Mlp {
+    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
+        for layer in &self.layers {
+            layer.visit_params_ref(f);
+        }
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
@@ -156,7 +171,7 @@ mod tests {
     #[test]
     fn inference_path_matches_training_path() {
         let mut rng = seeded_rng(21);
-        let mut mlp = Mlp::new(&[3, 6, 2], &mut rng);
+        let mlp = Mlp::new(&[3, 6, 2], &mut rng);
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.4, 0.9, 1.2, 0.0, -0.7]);
         let mut tws = TrainWorkspace::new();
         let trained = mlp.forward_train(&x, &mut tws).clone();
@@ -171,12 +186,13 @@ mod tests {
         let ys = Matrix::from_vec(4, 1, vec![0.0, 1.0, 1.0, 0.0]);
         let mut adam = Adam::new(0.02);
         let mut tws = TrainWorkspace::new();
+        let mut grad = vec![0.0; mlp.param_count()];
         let mut final_loss = f32::MAX;
         for _ in 0..2000 {
-            mlp.zero_grad();
-            let (loss, grad) = mse(mlp.forward_train(&xs, &mut tws), &ys);
-            mlp.backward_scratch(&grad, &mut tws, false);
-            adam.step(&mut mlp);
+            grad.fill(0.0);
+            let (loss, grad_out) = mse(mlp.forward_train(&xs, &mut tws), &ys);
+            mlp.backward_scratch(&xs, &grad_out, &mut tws, &mut grad, false);
+            adam.step(&mut mlp, &grad);
             final_loss = loss;
         }
         assert!(final_loss < 0.03, "MLP failed to learn XOR, loss = {final_loss}");

@@ -1,8 +1,9 @@
 //! The Adam optimizer, operating on anything that implements [`Params`].
 //!
 //! The optimizer keeps its per-parameter state (Adam moments) in the order the
-//! model visits its parameters, so the same model instance must be used for
-//! every step.
+//! model visits its parameters — the layout of the flat gradient buffer the
+//! networks' backward passes fill — so the same model instance must be used
+//! for every step.
 
 use crate::param::Params;
 
@@ -75,10 +76,19 @@ impl Adam {
         self.step
     }
 
-    /// Apply one update using the gradients currently stored in the model's
-    /// parameters, then leave the gradients untouched (call
-    /// [`Params::zero_grad`] before the next backward pass).
-    pub fn step(&mut self, layer: &mut dyn Params) {
+    /// Apply one update to `layer`'s parameters from `grad`, the gradient
+    /// buffer the backward passes filled (one `f32` per parameter, in
+    /// visiting order — the moments' layout). The gradients are left
+    /// untouched; the caller zeroes them before the next step's backward.
+    ///
+    /// The update goes through [`Params::visit_params`], so a masked layer
+    /// re-masks and repacks once it is done. A forbidden weight stays
+    /// exactly where it was: its gradient is `±0`, so both moments stay `0`
+    /// and its update is `0`.
+    ///
+    /// # Panics
+    /// Panics if `grad` is shorter than the parameters `layer` visits.
+    pub fn step(&mut self, layer: &mut dyn Params, grad: &[f32]) {
         self.step += 1;
         let t = self.step as f32;
         let bias1 = 1.0 - self.beta1.powf(t);
@@ -104,7 +114,7 @@ impl Adam {
             let v = &mut v_store[start..end];
             assert_eq!(m.len(), p.len(), "parameter shape changed between optimizer steps");
             let data = p.data.as_mut_slice();
-            let grad = p.grad.as_slice();
+            let grad = &grad[start..end];
             for i in 0..data.len() {
                 let mut g = grad[i];
                 if !g.is_finite() {
@@ -127,11 +137,12 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Activation;
     use crate::init::{seeded_rng, Init};
     use crate::linear::Linear;
     use crate::loss::mse;
-    use crate::param::Params;
     use crate::tensor::Matrix;
+    use crate::workspace::GradStage;
 
     #[test]
     fn adam_converges_on_linear_regression() {
@@ -141,14 +152,15 @@ mod tests {
         let xs = Matrix::from_vec(8, 1, (0..8).map(|i| i as f32 / 8.0).collect());
         let ys = Matrix::from_vec(8, 1, (0..8).map(|i| 3.0 * i as f32 / 8.0 + 1.0).collect());
         let mut adam = Adam::new(0.05);
-        let (mut pred, mut dw, mut db) = (Matrix::default(), Matrix::default(), Vec::new());
+        let (mut pred, mut stage) = (Matrix::default(), GradStage::default());
+        let mut grad = vec![0.0; layer.num_parameters()];
         let mut loss = f32::MAX;
         for _ in 0..500 {
-            layer.zero_grad();
-            layer.train_forward(&xs, &mut pred);
-            let (l, grad) = mse(&pred, &ys);
-            layer.backward_scratch(&grad, &mut dw, &mut db, None);
-            adam.step(&mut layer);
+            grad.fill(0.0);
+            layer.infer_raw(&xs, Activation::Identity, &mut pred);
+            let (l, grad_out) = mse(&pred, &ys);
+            layer.backward_scratch(&xs, &grad_out, &mut grad, &mut stage, None);
+            adam.step(&mut layer, &grad);
             loss = l;
         }
         assert!(loss < 1e-3, "Adam failed to converge, loss = {loss}");
@@ -161,15 +173,15 @@ mod tests {
         let mut layer = Linear::new(1, 1, Init::Zeros, &mut rng);
         let before: Vec<f32> = {
             let mut v = Vec::new();
-            layer.visit_params(&mut |p| v.extend_from_slice(p.data.as_slice()));
+            layer.visit_params_ref(&mut |p| v.extend_from_slice(p.data.as_slice()));
             v
         };
         // Gigantic gradient.
-        layer.visit_params(&mut |p| p.grad.fill(1e9));
+        let grad = vec![1e9; layer.param_count()];
         let mut adam = Adam::new(0.1).with_clip(GradClip::Value(1.0));
-        adam.step(&mut layer);
+        adam.step(&mut layer, &grad);
         let mut after = Vec::new();
-        layer.visit_params(&mut |p| after.extend_from_slice(p.data.as_slice()));
+        layer.visit_params_ref(&mut |p| after.extend_from_slice(p.data.as_slice()));
         for (b, a) in before.iter().zip(after.iter()) {
             assert!((b - a).abs() <= 0.11, "clipped Adam step too large: {b} -> {a}");
         }
@@ -179,13 +191,13 @@ mod tests {
     fn non_finite_gradients_are_ignored() {
         let mut rng = seeded_rng(101);
         let mut layer = Linear::new(2, 2, Init::KaimingUniform, &mut rng);
-        layer.visit_params(&mut |p| p.grad.fill(f32::NAN));
+        let grad = vec![f32::NAN; layer.param_count()];
         let mut before = Vec::new();
-        layer.visit_params(&mut |p| before.extend_from_slice(p.data.as_slice()));
+        layer.visit_params_ref(&mut |p| before.extend_from_slice(p.data.as_slice()));
         let mut adam = Adam::new(0.1);
-        adam.step(&mut layer);
+        adam.step(&mut layer, &grad);
         let mut after = Vec::new();
-        layer.visit_params(&mut |p| after.extend_from_slice(p.data.as_slice()));
+        layer.visit_params_ref(&mut |p| after.extend_from_slice(p.data.as_slice()));
         assert!(after.iter().all(|x| x.is_finite()));
         assert_eq!(before, after);
     }

@@ -78,17 +78,17 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// Serialize every parameter of `layer` into a checkpoint buffer.
-pub fn save_params(layer: &mut dyn Params) -> Bytes {
+pub fn save_params(layer: &dyn Params) -> Bytes {
     let mut shapes: Vec<(usize, usize)> = Vec::new();
     let mut payload_len = 0usize;
-    layer.visit_params(&mut |p| {
+    layer.visit_params_ref(&mut |p| {
         shapes.push(p.data.shape());
         payload_len += p.data.len() * 4 + 16;
     });
     let mut buf = BytesMut::with_capacity(16 + payload_len);
     buf.put_slice(MAGIC);
     buf.put_u64_le(shapes.len() as u64);
-    layer.visit_params(&mut |p| {
+    layer.visit_params_ref(&mut |p| {
         buf.put_u64_le(p.data.rows() as u64);
         buf.put_u64_le(p.data.cols() as u64);
         for &v in p.data.as_slice() {
@@ -101,7 +101,11 @@ pub fn save_params(layer: &mut dyn Params) -> Bytes {
 /// Load a checkpoint produced by [`save_params`] into `layer`.
 ///
 /// The layer must have been constructed with the same architecture (same
-/// parameter order and shapes).
+/// parameter order and shapes). Nothing is written unless every record
+/// fits. The values go in through [`Params::visit_params`], so a masked
+/// layer re-masks and repacks after the load: a checkpoint that holds
+/// non-zero values at forbidden connections serves exactly like one that
+/// holds zeros there.
 pub fn load_params(layer: &mut dyn Params, bytes: &[u8]) -> Result<(), CheckpointError> {
     let mut buf = bytes;
     if buf.remaining() < MAGIC.len() + 8 {
@@ -113,13 +117,10 @@ pub fn load_params(layer: &mut dyn Params, bytes: &[u8]) -> Result<(), Checkpoin
         return Err(CheckpointError::BadMagic);
     }
     let count = buf.get_u64_le() as usize;
-    let expected = {
-        let mut n = 0usize;
-        layer.visit_params(&mut |_| n += 1);
-        n
-    };
-    if count != expected {
-        return Err(CheckpointError::ParamCountMismatch { expected, found: count });
+    let mut shapes = Vec::new();
+    layer.visit_params_ref(&mut |p| shapes.push(p.data.shape()));
+    if count != shapes.len() {
+        return Err(CheckpointError::ParamCountMismatch { expected: shapes.len(), found: count });
     }
 
     // Read all records first so a failure cannot leave the model half-loaded.
@@ -152,28 +153,15 @@ pub fn load_params(layer: &mut dyn Params, bytes: &[u8]) -> Result<(), Checkpoin
         records.push(Matrix::from_vec(rows, cols, data));
     }
 
-    let mut idx = 0usize;
-    let mut error: Option<CheckpointError> = None;
-    layer.visit_params(&mut |p| {
-        if error.is_some() {
-            return;
+    for (index, (rec, &expected)) in records.iter().zip(&shapes).enumerate() {
+        if rec.shape() != expected {
+            return Err(CheckpointError::ShapeMismatch { index, expected, found: rec.shape() });
         }
-        let rec = &records[idx];
-        if rec.shape() != p.data.shape() {
-            error = Some(CheckpointError::ShapeMismatch {
-                index: idx,
-                expected: p.data.shape(),
-                found: rec.shape(),
-            });
-        } else {
-            p.data = rec.clone();
-        }
-        idx += 1;
-    });
-    match error {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
+    // Every record fits: only now is a single weight written.
+    let mut records = records.into_iter();
+    layer.visit_params(&mut |p| p.data = records.next().expect("one record per parameter"));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -187,11 +175,11 @@ mod tests {
     #[test]
     fn round_trip_restores_exact_weights() {
         let mut rng = seeded_rng(30);
-        let mut original = Mlp::new(&[3, 5, 2], &mut rng);
+        let original = Mlp::new(&[3, 5, 2], &mut rng);
         let x = Matrix::full(1, 3, 0.7);
         let before = original.forward_inference(&x);
 
-        let bytes = save_params(&mut original);
+        let bytes = save_params(&original);
         let mut restored = Mlp::new(&[3, 5, 2], &mut seeded_rng(31));
         load_params(&mut restored, &bytes).expect("load should succeed");
         let after = restored.forward_inference(&x);
@@ -210,7 +198,7 @@ mod tests {
     fn truncated_buffer_rejected() {
         let mut rng = seeded_rng(33);
         let mut layer = Linear::new(4, 4, Init::KaimingUniform, &mut rng);
-        let bytes = save_params(&mut layer);
+        let bytes = save_params(&layer);
         let cut = &bytes[..bytes.len() - 5];
         let err = load_params(&mut layer, cut).unwrap_err();
         assert_eq!(err, CheckpointError::Truncated);
@@ -219,8 +207,8 @@ mod tests {
     #[test]
     fn shape_mismatch_rejected() {
         let mut rng = seeded_rng(34);
-        let mut a = Linear::new(2, 3, Init::KaimingUniform, &mut rng);
-        let bytes = save_params(&mut a);
+        let a = Linear::new(2, 3, Init::KaimingUniform, &mut rng);
+        let bytes = save_params(&a);
         let mut b = Linear::new(3, 2, Init::KaimingUniform, &mut rng);
         let err = load_params(&mut b, &bytes).unwrap_err();
         assert!(matches!(err, CheckpointError::ShapeMismatch { .. }));
@@ -229,8 +217,8 @@ mod tests {
     #[test]
     fn param_count_mismatch_rejected() {
         let mut rng = seeded_rng(35);
-        let mut a = Mlp::new(&[2, 3, 2], &mut rng);
-        let bytes = save_params(&mut a);
+        let a = Mlp::new(&[2, 3, 2], &mut rng);
+        let bytes = save_params(&a);
         let mut b = Linear::new(2, 3, Init::KaimingUniform, &mut rng);
         let err = load_params(&mut b, &bytes).unwrap_err();
         assert!(matches!(err, CheckpointError::ParamCountMismatch { .. }));

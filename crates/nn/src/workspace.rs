@@ -1,32 +1,28 @@
-//! Scratch buffers for the allocation-free inference path.
+//! Scratch buffers for the allocation-free forward and training passes.
 //!
 //! A [`ForwardWorkspace`] owns every intermediate buffer a forward pass
-//! needs: two ping-pong activation matrices, an auxiliary matrix (residual
-//! skip / hidden state), the scratch of MADE's output projection (gathered
-//! hidden rows, where each column block's logits landed, the every-row
-//! plan), and a [`MaskedWeightCache`] that **memoizes** the masked effective
-//! weights across batches. Layers implementing
+//! needs: two ping-pong activation matrices, an auxiliary matrix (a residual
+//! block's hidden state), and the scratch of MADE's output projection
+//! (gathered hidden rows, where each column block's logits landed, the
+//! every-row plan). Layers implementing
 //! [`InferLayer`](crate::param::InferLayer) thread their activations through
 //! these buffers instead of allocating per call, so once the buffers have
-//! grown to the widest layer of a network (after the first batch), repeated
-//! forward passes perform **zero heap allocation**.
+//! grown to the widest layer the workspace has seen (after the first batch),
+//! repeated forward passes perform **zero heap allocation**.
 //!
 //! Ownership rules:
 //!
 //! * the workspace belongs to the *caller* (one per serving worker thread /
 //!   bench loop), never to a model — models stay shareable (`&self`
 //!   inference) and a workspace is never aliased by two concurrent passes;
-//! * a workspace may be reused freely across models and batch shapes; the
-//!   buffers reshape on the fly, reusing their heap capacity, and the masked
-//!   weight cache re-validates per layer via [`WeightKey`]s — so reuse
-//!   across models, optimizer steps, or checkpoint hot-swaps can never serve
-//!   stale weights;
+//! * a workspace holds activations only — no weights and nothing derived
+//!   from them (a masked layer keeps its own pack) — so it may be reused
+//!   freely across models, batch shapes, optimizer steps and checkpoint
+//!   hot-swaps. The buffers reshape on the fly, keeping their heap capacity:
+//!   one workspace serving several models grows to the widest of them, then
+//!   stops allocating;
 //! * the output reference returned by `infer_into` borrows the workspace and
 //!   is valid until the next pass overwrites the buffers.
-//!
-//! The cache holds weights in one form only — the exact f32 `W ⊙ M` and its
-//! f32 pack — so a pass through a workspace is bit-identical to the training
-//! forward whichever kernel the batch shape selects.
 //!
 //! # Example
 //!
@@ -46,104 +42,8 @@
 //! assert_eq!(full.row(0), small.row(0), "row results are batch-independent");
 //! ```
 
-use crate::kernels::PackedWeight;
 use crate::made::{BlockAt, BlockLogits, BlockPlan};
-use crate::param::WeightKey;
 use crate::tensor::Matrix;
-
-/// One memoized masked effective weight (`W ⊙ M`) plus the key of the
-/// weights it was materialized from, with a lazily maintained mask-aware
-/// packed form (see [`PackedWeight`]).
-#[derive(Debug, Clone, Default)]
-pub struct MaskedEntry {
-    key: Option<WeightKey>,
-    weight: Matrix,
-    /// Key the packed form was derived under; `packed` is valid iff this
-    /// equals `key`. Lazy so single-row paths that never run the packed
-    /// kernel never pay for packing.
-    packed_key: Option<WeightKey>,
-    packed: PackedWeight,
-}
-
-impl MaskedEntry {
-    /// The dense masked effective weight.
-    pub fn weight(&self) -> &Matrix {
-        &self.weight
-    }
-
-    /// The mask-aware packed form of [`MaskedEntry::weight`], packing it now
-    /// if the cached pack is missing or from older weights. Repacking reuses
-    /// the pack buffers, so a steady-state refill (e.g. after a hot-swap)
-    /// does not allocate.
-    pub fn packed(&mut self) -> &PackedWeight {
-        if self.packed_key != self.key {
-            self.packed.fill_from(self.weight.as_slice(), self.weight.rows(), self.weight.cols());
-            self.packed_key = self.key;
-        }
-        &self.packed
-    }
-}
-
-/// A per-workspace memo of masked effective weights, indexed by the masked
-/// layer's position (slot) in its network.
-///
-/// MADE-style networks multiply every weight matrix by a binary mask on each
-/// forward pass; materializing `W ⊙ M` per batch costs a full pass over the
-/// parameters. Because inference never mutates weights, the materialized
-/// product is reusable across batches — this cache keeps one per masked
-/// layer, validated by the layer's [`WeightKey`] (identity + mutation
-/// version). A hot-swap or optimizer step changes the key, so the next pass
-/// refills the slot in place (same shape ⇒ still allocation-free); a key
-/// match skips the materialization entirely.
-#[derive(Debug, Clone, Default)]
-pub struct MaskedWeightCache {
-    slots: Vec<MaskedEntry>,
-}
-
-impl MaskedWeightCache {
-    /// The cached entry for `slot`, refilled via `fill` first if the slot is
-    /// empty or was materialized from differently-keyed weights.
-    ///
-    /// The slot vector grows on first use per network depth (a warm-up
-    /// event); steady-state hits touch only the key comparison. The entry
-    /// gives access to both the dense weight and its packed form.
-    pub fn entry(
-        &mut self,
-        slot: usize,
-        key: WeightKey,
-        fill: impl FnOnce(&mut Matrix),
-    ) -> &mut MaskedEntry {
-        if slot >= self.slots.len() {
-            self.slots.resize_with(slot + 1, MaskedEntry::default);
-        }
-        let entry = &mut self.slots[slot];
-        if entry.key != Some(key) {
-            fill(&mut entry.weight);
-            entry.key = Some(key);
-        }
-        entry
-    }
-
-    /// Number of slots materialized so far.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Drop every memoized weight's key (buffers are kept for reuse). The
-    /// next pass re-materializes. Callers normally never need this — key
-    /// validation is automatic — but it makes invalidation testable.
-    pub fn invalidate(&mut self) {
-        for slot in &mut self.slots {
-            slot.key = None;
-            slot.packed_key = None;
-        }
-    }
-}
 
 /// Reusable scratch buffers for one in-flight forward pass.
 #[derive(Debug, Clone, Default)]
@@ -155,8 +55,6 @@ pub struct ForwardWorkspace {
     /// Extra buffer for stages that need a third activation (the hidden
     /// state of a residual block).
     aux: Matrix,
-    /// Memoized masked effective weights, validated by [`WeightKey`].
-    masked: MaskedWeightCache,
     /// The rows of the last hidden activation one output product reads,
     /// gathered contiguously.
     gather: Matrix,
@@ -174,7 +72,6 @@ pub(crate) struct ProjectionParts<'w> {
     pub out: &'w mut Matrix,
     /// Scratch for the rows one product reads.
     pub gather: &'w mut Matrix,
-    pub masked: &'w mut MaskedWeightCache,
     /// Per column block, where its logits land in `out`.
     pub blocks: &'w mut Vec<BlockAt>,
     /// Scratch for the every-row, every-block plan.
@@ -203,36 +100,19 @@ impl ForwardWorkspace {
         (cur, next, aux)
     }
 
-    /// [`ForwardWorkspace::split`] for masked networks: additionally exposes
-    /// the masked weight cache, so a stage can look its effective weight up
-    /// (or refill it) while writing activations.
-    pub fn split_masked(
-        &mut self,
-    ) -> (&mut Matrix, &mut Matrix, &mut Matrix, &mut MaskedWeightCache) {
-        let Self { bufs, live, aux, masked, .. } = self;
-        let (a, b) = bufs.split_at_mut(1);
-        let (cur, next) = if *live == 0 { (&mut a[0], &mut b[0]) } else { (&mut b[0], &mut a[0]) };
-        (cur, next, aux, masked)
-    }
-
     /// Split the workspace for an output projection that reads the current
     /// activation and writes the next buffer; [`ForwardWorkspace::flip`]
     /// afterwards, as for any stage.
     pub(crate) fn split_projection(&mut self) -> ProjectionParts<'_> {
-        let Self { bufs, live, masked, gather, blocks, every, .. } = self;
+        let Self { bufs, live, gather, blocks, every, .. } = self;
         let (a, b) = bufs.split_at_mut(1);
         let (hidden, out) = if *live == 0 { (&a[0], &mut b[0]) } else { (&b[0], &mut a[0]) };
-        ProjectionParts { hidden, out, gather, masked, blocks, every }
+        ProjectionParts { hidden, out, gather, blocks, every }
     }
 
     /// The logits of the most recent output projection, by column block.
     pub(crate) fn block_logits(&self) -> BlockLogits<'_> {
         BlockLogits::new(self.output().as_slice(), &self.blocks)
-    }
-
-    /// The masked weight cache (inspection / explicit invalidation).
-    pub fn masked_cache_mut(&mut self) -> &mut MaskedWeightCache {
-        &mut self.masked
     }
 
     /// Promote the `next` buffer of the last [`ForwardWorkspace::split`] to
@@ -258,44 +138,68 @@ impl ForwardWorkspace {
 /// The inference [`ForwardWorkspace`] ping-pongs two buffers because nothing
 /// downstream needs intermediate activations; the training forward must keep
 /// *every* stage output alive for the backward pass, so this workspace holds
-/// one persistent activation matrix per network stage plus an auxiliary
-/// buffer (the hidden state of a residual block) and the same
-/// [`MaskedWeightCache`] memo of masked effective weights. The backward pass
-/// rotates through three gradient buffers (`grads`) instead of allocating a
-/// fresh `Matrix` per stage, staging weight and bias gradients in `dw`/`db`
-/// before accumulating them into the parameters.
+/// one persistent activation matrix per network stage, plus each residual
+/// block's rectified hidden state. Those are every layer input the backward
+/// reads, apart from the network input, which the caller hands to both
+/// passes. The backward pass rotates through three gradient buffers
+/// (`grads`) instead of allocating a fresh `Matrix` per stage, staging each
+/// layer's weight and bias gradients before adding them into the caller's
+/// flat gradient buffer.
 ///
 /// Ownership mirrors [`ForwardWorkspace`]: the workspace belongs to the
-/// caller (the trainer's step scratch), buffers grow to the network's
-/// shapes on the first batch and are reused allocation-free afterwards, and
-/// the weight memo re-validates per layer by [`WeightKey`] — an optimizer
-/// step (which bumps every key through `visit_params`) re-materializes the
-/// masked weights **in place**, once per step. One workspace serves either
-/// network kind: [`Made`](crate::made::Made) uses all of it,
-/// [`Mlp`](crate::mlp::Mlp) (no masks, no residual skips) leaves the weight
-/// memo, `aux` and the third gradient buffer empty.
+/// caller (the trainer's step scratch), and buffers grow to the network's
+/// shapes on the first batch and are reused allocation-free afterwards. One
+/// workspace serves either network kind: [`Made`](crate::made::Made) uses all
+/// of it, [`Mlp`](crate::mlp::Mlp) (no residual skips) leaves the hidden
+/// states and the third gradient buffer empty.
 #[derive(Debug, Clone, Default)]
 pub struct TrainWorkspace {
     /// One checkpointed activation per stage: stage `i` reads `acts[i-1]`
     /// (or the input) and writes `acts[i]`.
     acts: Vec<Matrix>,
-    /// Residual-block hidden state (`relu(fc1(x))`).
-    aux: Matrix,
-    /// Memoized masked effective weights, validated by [`WeightKey`].
-    masked: MaskedWeightCache,
+    /// Per stage, a residual block's rectified hidden state
+    /// (`relu(fc1(x))`), which its `fc2` reads; empty for other stages.
+    hidden: Vec<Matrix>,
+    /// Whether the most recent training forward fed the first stage through
+    /// the sparse-input kernel, in which case the backward must be handed
+    /// the same capture.
+    first_sparse: bool,
     /// Gradient ping-pong buffers for the scratch backward pass. Three, not
     /// two: a residual stage needs its incoming gradient alive (for the skip
     /// add) while `fc2`-backward writes one buffer and `fc1`-backward
     /// another.
     grads: [Matrix; 3],
-    /// Weight-gradient staging (`input^T @ grad`, masked in place before
-    /// accumulation into the parameter gradient).
-    dw: Matrix,
-    /// Bias-gradient staging (column sums of the incoming gradient).
-    db: Vec<f32>,
+    /// One layer's weight and bias gradients, staged before they are added
+    /// into the gradient buffer.
+    stage: GradStage,
     /// Which of `grads` holds the gradient w.r.t. the network input after
     /// the most recent backward pass.
     input_grad: usize,
+}
+
+/// Disjoint borrows of a [`TrainWorkspace`] for one forward pass.
+pub(crate) struct TrainForwardParts<'w> {
+    /// Per-stage activation checkpoints.
+    pub acts: &'w mut [Matrix],
+    /// Per-stage residual hidden states.
+    pub hidden: &'w mut [Matrix],
+    /// Set by the forward: whether the first stage ran sparse.
+    pub first_sparse: &'w mut bool,
+}
+
+/// Disjoint borrows of a [`TrainWorkspace`] for one backward pass.
+pub(crate) struct TrainBackwardParts<'w> {
+    /// The activations the forward checkpointed (layer inputs and ReLU
+    /// gates).
+    pub acts: &'w [Matrix],
+    /// The residual hidden states the forward checkpointed.
+    pub hidden: &'w [Matrix],
+    /// Whether the forward ran the first stage sparse.
+    pub first_sparse: bool,
+    /// Gradient ping-pong buffers.
+    pub grads: &'w mut [Matrix; 3],
+    /// Per-layer gradient staging.
+    pub stage: &'w mut GradStage,
 }
 
 impl TrainWorkspace {
@@ -304,32 +208,31 @@ impl TrainWorkspace {
         Self::default()
     }
 
-    /// Split into the per-stage activation slots (grown to `stages`), the
-    /// auxiliary buffer, and the masked weight cache — disjoint borrows for
-    /// one forward pass.
-    pub(crate) fn parts(
-        &mut self,
-        stages: usize,
-    ) -> (&mut [Matrix], &mut Matrix, &mut MaskedWeightCache) {
+    /// Disjoint borrows for one forward pass through `stages` stages (the
+    /// per-stage buffers grow to that count on first use).
+    pub(crate) fn forward_parts(&mut self, stages: usize) -> TrainForwardParts<'_> {
         if self.acts.len() < stages {
             self.acts.resize_with(stages, Matrix::default);
+            self.hidden.resize_with(stages, Matrix::default);
         }
-        let Self { acts, aux, masked, .. } = self;
-        (&mut acts[..stages], aux, masked)
+        let Self { acts, hidden, first_sparse, .. } = self;
+        TrainForwardParts { acts: &mut acts[..stages], hidden: &mut hidden[..stages], first_sparse }
     }
 
-    /// Disjoint borrows for one scratch backward pass: the activations the
-    /// forward checkpointed (the ReLU gates read them), the gradient
-    /// ping-pong buffers, the weight-gradient staging matrix, the
-    /// bias-gradient staging vector, and the masked weight cache (whose
-    /// entries, still keyed from the forward pass, provide the effective
-    /// weights without re-materializing them).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn backward_parts(
-        &mut self,
-    ) -> (&[Matrix], &mut [Matrix; 3], &mut Matrix, &mut Vec<f32>, &mut MaskedWeightCache) {
-        let Self { acts, masked, grads, dw, db, .. } = self;
-        (acts, grads, dw, db, masked)
+    /// Disjoint borrows for one scratch backward pass over `stages` stages.
+    ///
+    /// # Panics
+    /// Panics if no forward pass through that many stages ran first.
+    pub(crate) fn backward_parts(&mut self, stages: usize) -> TrainBackwardParts<'_> {
+        assert!(self.acts.len() >= stages, "backward called before forward");
+        let Self { acts, hidden, first_sparse, grads, stage, .. } = self;
+        TrainBackwardParts {
+            acts: &acts[..stages],
+            hidden: &hidden[..stages],
+            first_sparse: *first_sparse,
+            grads,
+            stage,
+        }
     }
 
     /// Record which gradient buffer ended the backward pass holding the
@@ -345,10 +248,26 @@ impl TrainWorkspace {
     pub fn input_grad(&self) -> &Matrix {
         &self.grads[self.input_grad]
     }
+}
 
-    /// The masked weight cache (inspection / explicit invalidation).
-    pub fn masked_cache_mut(&mut self) -> &mut MaskedWeightCache {
-        &mut self.masked
+/// One layer's gradient staging: `dW` and the bias column sums, computed
+/// before they are added into the gradient buffer.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GradStage {
+    pub dw: Matrix,
+    pub db: Vec<f32>,
+}
+
+impl GradStage {
+    /// Add the staged `dW`, then the bias sums, into `grad` (one layer's
+    /// weight-then-bias slice of a gradient buffer), one rounding per
+    /// element.
+    pub(crate) fn add_into(&self, grad: &mut [f32]) {
+        let (gw, gb) = grad.split_at_mut(self.dw.len());
+        debug_assert_eq!(gb.len(), self.db.len(), "gradient slice must cover weight and bias");
+        for (g, &d) in gw.iter_mut().zip(self.dw.as_slice()).chain(gb.iter_mut().zip(&self.db)) {
+            *g += d;
+        }
     }
 }
 
@@ -375,16 +294,6 @@ pub(crate) fn pick3(bufs: &mut [Matrix; 3], cur: usize) -> (&Matrix, &mut Matrix
     }
 }
 
-impl Matrix {
-    /// Compute the masked effective weight `self ⊙ mask` into `out`
-    /// (reshaped, buffer reused). The inference-path replacement for
-    /// materializing a fresh masked weight matrix per forward call.
-    pub fn masked_into(&self, mask: &Matrix, out: &mut Matrix) {
-        out.copy_from(self);
-        out.mul_assign(mask);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,46 +316,5 @@ mod tests {
         }
         ws.flip();
         assert_eq!(ws.output().shape(), (1, 1));
-    }
-
-    #[test]
-    fn masked_into_matches_clone_and_mul() {
-        let w = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let m = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-        let mut out = Matrix::zeros(0, 0);
-        w.masked_into(&m, &mut out);
-        let mut expected = w.clone();
-        expected.mul_assign(&m);
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn masked_cache_fills_once_per_key() {
-        let mut cache = MaskedWeightCache::default();
-        let key = WeightKey::fresh();
-        let mut fills = 0;
-        for _ in 0..3 {
-            let entry = cache.entry(0, key, |out| {
-                fills += 1;
-                out.reset(2, 2);
-                out.fill(1.5);
-            });
-            assert_eq!(entry.weight().get(1, 1), 1.5);
-        }
-        assert_eq!(fills, 1, "a matching key must not re-materialize");
-
-        let mut other_key = key;
-        other_key.bump();
-        cache.entry(0, other_key, |out| {
-            fills += 1;
-            out.fill(2.5);
-        });
-        assert_eq!(fills, 2, "a bumped version must re-materialize");
-
-        cache.invalidate();
-        cache.entry(0, other_key, |_| fills += 1);
-        assert_eq!(fills, 3, "explicit invalidation must re-materialize");
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
     }
 }

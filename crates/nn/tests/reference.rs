@@ -67,14 +67,18 @@ fn reference_of(
     Net::new(layers, residual)
 }
 
-fn assert_grads_match(model: &mut dyn Params, reference: &Net, what: &str) {
+/// `grad` is the model's gradient buffer: every parameter's gradient,
+/// concatenated in visiting order.
+fn assert_grads_match(model: &dyn Params, grad: &[f32], reference: &Net, what: &str) {
     let want = reference.grads();
-    let mut index = 0;
-    model.visit_params(&mut |p| {
-        assert_eq!(bits(p.grad.as_slice()), bits(&want[index]), "{what}: parameter {index}");
-        index += 1;
+    let (mut index, mut at) = (0, 0);
+    model.visit_params_ref(&mut |p| {
+        let got = &grad[at..at + p.len()];
+        assert_eq!(bits(got), bits(&want[index]), "{what}: parameter {index}");
+        (index, at) = (index + 1, at + p.len());
     });
     assert_eq!(index, want.len(), "{what}: parameter count");
+    assert_eq!(at, grad.len(), "{what}: gradient buffer length");
 }
 
 /// Two accumulating forward/backward passes (as one hybrid step runs) of
@@ -142,7 +146,7 @@ fn check_made(residual: bool, nnz_prob: f32, rows: usize, what: &str) {
         random_matrix(rows, config.input_width(), nnz_prob, &mut rng),
     ];
 
-    made.zero_grad();
+    let mut grad = vec![0.0; made.num_parameters()];
     let (mut ws, mut tws) = (ForwardWorkspace::new(), TrainWorkspace::new());
     let mut sparse = SparseRows::new();
     let pass = |x: &Matrix, grad_out: &Matrix| {
@@ -150,12 +154,12 @@ fn check_made(residual: bool, nnz_prob: f32, rows: usize, what: &str) {
         assert_eq!(sparse.is_sparse_enough(), nnz_prob < 0.4, "{what}: input picks the path");
         let inferred = made.infer_into(x, &mut ws).clone();
         let trained = made.forward_train(x, Some(&sparse), &mut tws).clone();
-        made.backward_scratch(grad_out, Some(&sparse), &mut tws, true);
+        made.backward_scratch(x, grad_out, Some(&sparse), &mut tws, &mut grad, true);
         (inferred, trained, tws.input_grad().clone())
     };
     let [a, b] = &inputs;
     check_two_passes(&mut reference, [a, b], config.output_width(), &mut rng, what, pass);
-    assert_grads_match(&mut made, &reference, what);
+    assert_grads_match(&made, &grad, &reference, what);
 }
 
 #[test]
@@ -241,17 +245,17 @@ fn mlp_pair_matches_the_naive_reference_bitwise() {
                 let inputs =
                     [random_matrix(rows, 5, 0.9, &mut rng), random_matrix(rows, 5, 0.4, &mut rng)];
 
-                mlp.zero_grad();
+                let mut grad = vec![0.0; mlp.param_count()];
                 let (mut ws, mut tws) = (ForwardWorkspace::new(), TrainWorkspace::new());
                 let pass = |x: &Matrix, grad_out: &Matrix| {
                     let inferred = mlp.infer_into(x, &mut ws).clone();
                     let trained = mlp.forward_train(x, &mut tws).clone();
-                    mlp.backward_scratch(grad_out, &mut tws, true);
+                    mlp.backward_scratch(x, grad_out, &mut tws, &mut grad, true);
                     (inferred, trained, tws.input_grad().clone())
                 };
                 let [a, b] = &inputs;
                 check_two_passes(&mut reference, [a, b], 9, &mut rng, &what, pass);
-                assert_grads_match(&mut mlp, &reference, &what);
+                assert_grads_match(&mlp, &grad, &reference, &what);
             });
         }
     }

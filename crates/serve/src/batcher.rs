@@ -3,12 +3,13 @@
 //!
 //! A worker serves **every table hashed onto its shard**, not one fixed
 //! table: each popped batch holds requests for a single table (the router
-//! groups at dequeue), and the worker keeps one persistent
-//! [`duet_core::DuetWorkspace`] *per table* in a
-//! [`duet_core::WorkspacePool`], so alternating between differently-shaped
-//! models never thrashes buffer sizes — and each workspace memoizes the
-//! tables' masked effective weights (weight-version keyed), so batches stop
-//! re-materializing masks. In steady state the hot loop — admission,
+//! groups at dequeue), and the worker runs every batch through one
+//! persistent [`duet_core::DuetWorkspace`]. The workspace is scratch only
+//! (each model carries its own weights and packs) and its buffers keep
+//! their capacity when they reshape, so it grows to the widest table on the
+//! shard and then stops allocating, however the tables alternate; its
+//! memory does not grow with the number of tables. In steady state the hot
+//! loop — admission,
 //! dequeue/grouping, deadline triage, and the batched forward pass —
 //! performs **zero heap allocation of its own** (asserted by
 //! `tests/zero_alloc.rs`); the only allocations on the serving path are the
@@ -31,7 +32,7 @@ use crate::core::ServeCore;
 use crate::metrics::{Counter, ServeMetrics};
 use crate::router::{Popped, ReplyTo, RoutedRequest, ShedReason, TableResources};
 use crate::tier::ModelTier;
-use duet_core::WorkspacePool;
+use duet_core::DuetWorkspace;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,12 +50,11 @@ const STEAL_THRESHOLD: usize = 2;
 const IDLE_PARK: Duration = Duration::from_micros(500);
 
 /// Worker-lifetime execution state, reused across every batch: the
-/// per-table workspace pool and the batch containers. None of these
-/// reallocate once they have grown to the steady-state shape of every table
-/// on the shard.
+/// workspace and the batch containers. None of these reallocate once they
+/// have grown to the steady-state shape of every table on the shard.
 pub(crate) struct ShardWorker {
-    /// Per-table forward workspaces, indexed by dense table id.
-    pool: WorkspacePool,
+    /// The forward workspace every batch runs through, whatever its table.
+    ws: DuetWorkspace,
     /// The batch currently being formed/executed (all one table).
     pub(crate) batch: Vec<RoutedRequest>,
     /// Cardinalities of the live prefix of `batch`, in order.
@@ -68,21 +68,21 @@ pub(crate) struct ShardWorker {
 
 impl ShardWorker {
     pub(crate) fn new() -> Self {
-        Self { pool: WorkspacePool::new(), batch: Vec::new(), results: Vec::new(), fault: None }
+        Self { ws: DuetWorkspace::new(), batch: Vec::new(), results: Vec::new(), fault: None }
     }
 
-    /// Reset execution state after a caught panic: the workspace pool and
-    /// results may have been poisoned mid-forward, so both are rebuilt; the
+    /// Reset execution state after a caught panic: the workspace and results
+    /// may have been poisoned mid-forward, so both are rebuilt; the
     /// batch is kept (its requests were already failed and still need
     /// recycling) and the fault hook stays armed.
     pub(crate) fn respawn(&mut self) {
-        self.pool = WorkspacePool::new();
+        self.ws = DuetWorkspace::new();
         self.results = Vec::new();
     }
 
     /// Execute the batch currently in `self.batch` (all requests share one
     /// table): triage expired requests, run the live ones through a single
-    /// batched forward pass on the table's workspace, store tagged cache
+    /// batched forward pass on the worker's workspace, store tagged cache
     /// entries, and deliver every reply.
     ///
     /// `self.batch` is left holding the processed requests (live ones first)
@@ -158,7 +158,7 @@ impl ShardWorker {
         estimator.estimate_encoded_batch_with(
             &self.batch[..live],
             &self.batch[..live],
-            self.pool.workspace(table_id),
+            &mut self.ws,
             &mut self.results,
         );
         metrics.record_batch(live);
@@ -234,9 +234,9 @@ pub(crate) fn fail_batch(
 ///
 /// On a caught panic every unanswered request in the batch is terminated
 /// with a typed internal error ([`fail_batch`]) and the worker is respawned
-/// with a fresh workspace pool, since a panic mid-forward can leave
-/// workspace buffers in an arbitrary state. The worker *thread* never dies:
-/// supervision is in-thread, so respawn costs one `WorkspacePool` rebuild —
+/// with a fresh workspace, since a panic mid-forward can leave workspace
+/// buffers in an arbitrary state. The worker *thread* never dies:
+/// supervision is in-thread, so respawn costs one workspace rebuild —
 /// no thread spawn, no queue handoff, and the `catch_unwind` itself is free
 /// on the no-panic path.
 pub(crate) fn execute_supervised(
@@ -296,8 +296,8 @@ pub(crate) fn recycle_batch(batch: &mut Vec<RoutedRequest>, metrics: &ServeMetri
 /// artificial delay. With more than one shard, a worker whose own queue
 /// stays empty for a full idle park scans the other shards and **steals
 /// one batch** from the deepest queue at least [`STEAL_THRESHOLD`] deep.
-/// Batch execution is shard-agnostic (the thief uses its own per-table
-/// workspace and answers are bit-identical wherever they run), so stealing
+/// Batch execution is shard-agnostic (the thief uses its own workspace and
+/// answers are bit-identical wherever they run), so stealing
 /// only changes *when* a backlogged request is served — one cold shard can
 /// no longer idle next to a drowning neighbor.
 pub(crate) fn run_shard_worker(shard_index: usize, core: Arc<ServeCore>) {
@@ -418,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_interleaves_tables_with_per_table_workspaces() {
+    fn worker_interleaves_tables_through_one_workspace() {
         let (t1, t2) = (census_like(250, 31), census_like(350, 52));
         let cfg = DuetConfig::small().with_epochs(1);
         let est1 = DuetEstimator::train_data_only(&t1, &cfg, 3);
@@ -455,7 +455,6 @@ mod tests {
         }
         let snapshot = metrics.snapshot(0, 0, 0);
         assert_eq!(snapshot.batches, 2, "one batch per table");
-        assert_eq!(worker.pool.len(), 2, "one workspace per table");
     }
 
     #[test]

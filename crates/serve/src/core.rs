@@ -72,7 +72,8 @@ impl ServeCore {
 
     /// Register (or replace) the model serving `table` and return its dense
     /// id: the `n`-th distinct name gets id `n`. The table is hashed onto
-    /// its shard and gets a fresh cache and hot set.
+    /// its shard and gets a fresh cache and hot set; a replaced table leaves
+    /// online learning until it is enabled again.
     pub(crate) fn register(&self, table: &str, estimator: DuetEstimator) -> u32 {
         // Hold the directory lock across the registry update so two
         // concurrent registrations of one table cannot interleave and leave
@@ -84,6 +85,9 @@ impl ServeCore {
         let index = id as usize;
         if index < directory.len() {
             directory[index] = resources; // re-registration reuses the id
+                                          // The table's online state hooks the replaced slot: a retrain
+                                          // would publish where nothing serves.
+            self.online.disable(index);
         } else {
             // A real invariant, not a debug assertion: the workers index
             // this vector by registry id, so a gap would misroute every
@@ -146,7 +150,7 @@ impl ServeCore {
     /// Enable (or replace) online learning for table `table_id` over `data`,
     /// the table its model was trained on; returns the shared state. Fails
     /// with [`ServeError::Rejected`] when `data`'s width differs from the
-    /// serving schema's.
+    /// serving schema's, or `data` has no rows.
     pub(crate) fn enable_online(
         &self,
         table_id: u32,
@@ -160,6 +164,10 @@ impl ServeCore {
             let reason =
                 format!("online table has {columns} columns, serving schema has {schema_columns}");
             return Err(rejected(&record, reason));
+        }
+        if data.num_rows() == 0 {
+            // A retrain draws its anchors from these rows.
+            return Err(rejected(&record, "online table has no rows".into()));
         }
         let hooks = OnlineHooks {
             slot: record.slot,

@@ -632,6 +632,16 @@ impl OnlineDirectory {
         shared
     }
 
+    /// Take table `table_id` out of online learning (its online state
+    /// hooks a slot that a re-registration replaced).
+    pub(crate) fn disable(&self, table_id: usize) {
+        if let Some(entry) =
+            self.tables.write().expect("online directory poisoned").get_mut(table_id)
+        {
+            *entry = None;
+        }
+    }
+
     /// The online state of table `table_id`, if enabled.
     pub fn get(&self, table_id: usize) -> Option<Arc<Mutex<OnlineTable>>> {
         self.tables.read().expect("online directory poisoned").get(table_id).cloned().flatten()

@@ -192,11 +192,12 @@ impl ModelSlot {
         matches!(self.inner.read().expect("model slot poisoned").state, Residency::Resident(_))
     }
 
-    /// The resident model's weight footprint in bytes, or `None` while the
-    /// slot is evicted — the quantity [`crate::ModelTier`] budgets.
+    /// The bytes the resident model holds — its weights plus the pack of
+    /// every masked layer — or `None` while the slot is evicted: the
+    /// quantity [`crate::ModelTier`] budgets.
     pub fn resident_weight_bytes(&self) -> Option<usize> {
         match &self.inner.read().expect("model slot poisoned").state {
-            Residency::Resident(estimator) => Some(estimator.model().size_bytes()),
+            Residency::Resident(estimator) => Some(estimator.model().resident_bytes()),
             Residency::Evicted(_) => None,
         }
     }
@@ -290,9 +291,10 @@ impl ModelSlot {
     ///
     /// With `spill_dir: Some(dir)` the checkpoint is written to a file under
     /// `dir` (created if missing) and only a path is kept; otherwise the
-    /// bytes are held in memory (still ~4× smaller than the live model,
-    /// which materializes masked weight panels per layer). Returns the
-    /// resident weight bytes freed, or 0 if the slot was already evicted or
+    /// bytes are held in memory (about half the live model, which also
+    /// holds a pack per masked layer). Returns the resident bytes freed (see
+    /// [`ModelSlot::resident_weight_bytes`]), or 0 if the slot was already
+    /// evicted or
     /// a concurrent swap/reload won the race (the slot is then left as that
     /// racer installed it). The generation is **not** bumped — reload is
     /// bit-identical, so cached results keyed on it stay valid.
@@ -309,7 +311,7 @@ impl ModelSlot {
         let mut snapshot = (*estimator).clone();
         let checkpoint = duet_core::save_weights(&mut snapshot);
         drop(snapshot);
-        let weight_bytes = estimator.model().size_bytes();
+        let weight_bytes = estimator.model().resident_bytes();
         let store = match spill_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
@@ -503,8 +505,8 @@ struct RegisteredSlot {
 /// Besides the name→slot map, the registry hands every table a **dense,
 /// stable `u32` id** at first registration (0, 1, 2, … in registration
 /// order; re-registering a name reuses its id). The serving layer uses the
-/// id to index the worker-shared table directory and each worker's
-/// per-table workspace pool without hashing the name on the hot path.
+/// id to index the worker-shared table directory without hashing the name
+/// on the hot path.
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
     slots: RwLock<HashMap<String, RegisteredSlot>>,

@@ -209,8 +209,7 @@ pub(crate) enum ReplyTo {
 /// One routed estimation request, already encoded against its table's schema.
 #[derive(Debug)]
 pub(crate) struct RoutedRequest {
-    /// Dense registry id of the table; indexes the worker-shared directory
-    /// and selects the worker's per-table workspace.
+    /// Dense registry id of the table; indexes the worker-shared directory.
     pub table_id: u32,
     /// Uid of the [`ModelSlot`] registration this request was encoded
     /// against. A worker compares it with the directory entry's slot at

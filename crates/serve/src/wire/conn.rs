@@ -621,14 +621,14 @@ mod tests {
     }
 
     #[test]
-    fn feedback_stamped_against_a_reregistered_table_is_answered_rejected() {
+    fn feedback_for_a_reregistered_table_is_answered_unknown_table() {
         let (core, estimator, columns) = online_core();
-        // The online state stays bound to the registration it was enabled
-        // under; re-registering the table gives its id a fresh slot.
+        // Re-registering the table gives its id a fresh slot and takes it
+        // out of online learning: its feedback has no online state to reach.
         core.register("census", estimator);
         let (preds, intervals) = (vec![Vec::new(); columns], vec![(0, 0); columns]);
-        assert_eq!(feedback_status(&core, &preds, &intervals), Status::Rejected);
-        assert_eq!(core.metrics().feedback_rejected, 1);
+        assert_eq!(feedback_status(&core, &preds, &intervals), Status::UnknownTable);
+        assert!(core.online.get(0).is_none());
     }
 
     #[test]

@@ -334,7 +334,7 @@ fn spill_io_errors_keep_models_resident_and_serving() {
     let (tables, workloads) = trained_tables(3);
     let dir = spill_dir("fault-scenario-spill-io");
     // A budget one byte below the resident total forces eviction pressure.
-    let resident_total: usize = tables.iter().map(|(_, e)| e.model().size_bytes()).sum();
+    let resident_total: usize = tables.iter().map(|(_, e)| e.model().resident_bytes()).sum();
     let cfg = ScenarioConfig {
         seed: 7,
         clients: 4,

@@ -48,14 +48,14 @@ fn spilled_eviction_reloads_bit_identically() {
     let est = DuetEstimator::train_data_only(&table, &cfg, 21);
     let queries = WorkloadSpec::random(&table, 24, 7).generate(&table);
     let expected = est.estimate_batch(&queries);
-    let weight_bytes = est.model().size_bytes();
+    let weight_bytes = est.model().resident_bytes();
 
-    // The slot itself: eviction frees exactly the resident weight bytes, and
+    // The slot itself: eviction frees exactly the resident bytes, and
     // the next access transparently reloads from the spilled checkpoint.
     let dir = spill_dir("spilled-evict-reload-slot");
     let slot = ModelSlot::new(est.clone());
     let freed = slot.evict(Some(&dir)).expect("spill to target tmpdir");
-    assert_eq!(freed, weight_bytes, "eviction frees exactly the resident weight bytes");
+    assert_eq!(freed, weight_bytes, "eviction frees exactly the resident bytes");
     assert!(!slot.is_resident());
     let spilled: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert_eq!(spilled.len(), 1, "one checkpoint file per evicted model");
@@ -107,7 +107,7 @@ fn budget_pressure_scenario_serves_everything_and_replays_identically() {
     let (tables, workloads) = trained_tables(3);
     // A budget one byte below the resident total: the three models never fit
     // together, so serving the cold tables keeps forcing evict/reload cycles.
-    let resident_total: usize = tables.iter().map(|(_, e)| e.model().size_bytes()).sum();
+    let resident_total: usize = tables.iter().map(|(_, e)| e.model().resident_bytes()).sum();
     let cfg = ScenarioConfig {
         seed: 91,
         clients: 4,
@@ -149,9 +149,9 @@ fn budget_pressure_scenario_serves_everything_and_replays_identically() {
 #[test]
 fn budget_pressure_with_a_different_seed_still_conserves_requests() {
     let (tables, workloads) = trained_tables(3);
-    let resident_total: usize = tables.iter().map(|(_, e)| e.model().size_bytes()).sum();
+    let resident_total: usize = tables.iter().map(|(_, e)| e.model().resident_bytes()).sum();
     // Budget fits two of the three models (generously), uniform traffic.
-    let max_model = tables.iter().map(|(_, e)| e.model().size_bytes()).max().unwrap();
+    let max_model = tables.iter().map(|(_, e)| e.model().resident_bytes()).max().unwrap();
     let cfg = ScenarioConfig {
         seed: 1234,
         clients: 3,
@@ -176,7 +176,7 @@ fn budget_pressure_with_a_different_seed_still_conserves_requests() {
 #[test]
 fn server_with_model_budget_serves_correct_estimates_under_eviction() {
     let (tables, workloads) = trained_tables(3);
-    let resident_total: usize = tables.iter().map(|(_, e)| e.model().size_bytes()).sum();
+    let resident_total: usize = tables.iter().map(|(_, e)| e.model().resident_bytes()).sum();
     let expected: Vec<Vec<f64>> =
         tables.iter().zip(&workloads).map(|((_, e), qs)| e.estimate_batch(qs)).collect();
 

@@ -16,8 +16,10 @@
 //!   zero cache misses for the hot queries (every post-swap submission is
 //!   answered from the cache);
 //! * **Safety** — a table mid-retrain is pinned and never evicted by the
-//!   model tier even under a budget nothing fits in, and feedback stamped
-//!   against a stale registration is rejected, not silently trained on.
+//!   model tier even under a budget nothing fits in, a re-registered table
+//!   leaves online learning (its feedback is refused, not silently trained
+//!   on, and no retrain publishes into the replaced slot), and an empty
+//!   table cannot go online.
 
 use duet::core::{DuetConfig, DuetEstimator};
 use duet::data::datasets::census_like;
@@ -343,22 +345,77 @@ fn feedback_against_a_reregistered_table_is_rejected_as_stale() {
     let query = WorkloadSpec::random(&table, 1, 92).generate(&table).remove(0);
     server.feedback("t", &query, 10.0).unwrap();
 
-    // Re-registering mints a new slot uid; the online state is still bound
-    // to the old registration, so its observations describe a model that no
-    // longer serves and must not be trained on.
+    // Re-registering takes the table out of online learning: the online
+    // state was bound to the old registration, so its observations describe
+    // a model that no longer serves and must not be trained on.
     server.register("t", estimator);
     match server.feedback("t", &query, 10.0) {
-        Err(ServeError::StaleRegistration(t)) => assert_eq!(t, "t"),
-        other => panic!("stale feedback must be rejected, got {other:?}"),
+        Err(ServeError::Rejected { table, .. }) => assert_eq!(table, "t"),
+        other => panic!("feedback for a replaced registration must be refused, got {other:?}"),
     }
-    assert_eq!(server.metrics().feedback_rejected, 1);
 
-    // Invalid cardinalities are rejected too (and counted), re-registered
-    // or not.
+    // Enabled again, the loop is bound to the new registration; invalid
+    // cardinalities are rejected and counted.
+    server.enable_online("t", table, OnlineConfig::default()).unwrap();
+    server.feedback("t", &query, 10.0).unwrap();
     match server.feedback("t", &query, f64::NEG_INFINITY) {
-        Err(ServeError::StaleRegistration(_)) => {} // still stale: checked first
         Err(ServeError::Rejected { .. }) => {}
         other => panic!("invalid feedback must be rejected, got {other:?}"),
     }
-    assert_eq!(server.metrics().feedback_rejected, 2);
+    assert_eq!(server.metrics().feedback_rejected, 1);
+}
+
+/// Drift on the first drifted tick, and a short retrain.
+fn eager_online() -> OnlineConfig {
+    OnlineConfig { drift_hysteresis: 1, retrain_steps: 8, ..OnlineConfig::default() }
+}
+
+#[test]
+fn re_registering_a_table_stops_its_online_loop() {
+    let table = census_like(300, 93);
+    let cfg = DuetConfig::small().with_epochs(1);
+    let estimator = DuetEstimator::train_data_only(&table, &cfg, 93);
+    let server = DuetServer::new(ServeConfig::default());
+    server.register("t", estimator.clone());
+    server.enable_online("t", table.clone(), eager_online()).unwrap();
+
+    // The loop must not outlive the registration it hooks: a skewed burst
+    // and a tick against the replaced table retrain nothing and publish
+    // nothing (a retrain would land in a slot that nothing serves).
+    server.register("t", estimator);
+    let row = last_id_row(&table);
+    assert!(matches!(server.ingest("t", &row), Err(ServeError::Rejected { .. })));
+    assert!(matches!(server.maintain_online("t"), Err(ServeError::Rejected { .. })));
+    let metrics = server.metrics();
+    assert_eq!((metrics.retrains, metrics.swaps_published), (0, 0));
+    assert_eq!(server.generation("t"), Some(0));
+
+    // Enabled again, the same burst retrains and publishes where the table
+    // is served.
+    server.enable_online("t", table, eager_online()).unwrap();
+    for _ in 0..300 {
+        server.ingest("t", &row).unwrap();
+    }
+    let report = server.maintain_online("t").unwrap();
+    assert!(report.retrained && report.swapped, "the burst must retrain: {report:?}");
+    assert_eq!(server.generation("t"), Some(1), "the retrain is served");
+}
+
+#[test]
+fn an_empty_table_cannot_go_online() {
+    let table = census_like(300, 94);
+    let cfg = DuetConfig::small().with_epochs(1);
+    let server = DuetServer::new(ServeConfig::default());
+    server.register("e", DuetEstimator::train_data_only(&table, &cfg, 94));
+    // A retrain draws its anchor rows from the online table: with none,
+    // there is nothing to train on.
+    let online = OnlineConfig { feedback_trigger: 1, ..OnlineConfig::default() };
+    match server.enable_online("e", table.schema_only(), online) {
+        Err(ServeError::Rejected { table, .. }) => assert_eq!(table, "e"),
+        other => panic!("an empty online table must be refused, got {other:?}"),
+    }
+    let query = WorkloadSpec::random(&table, 1, 95).generate(&table).remove(0);
+    assert!(matches!(server.feedback("e", &query, 10.0), Err(ServeError::Rejected { .. })));
+    assert!(matches!(server.maintain_online("e"), Err(ServeError::Rejected { .. })));
+    assert_eq!(server.metrics().panics_caught, 0);
 }

@@ -315,7 +315,7 @@ proptest! {
             residual: residual == 1,
         };
         let mut rng = seeded_rng(seed);
-        let mut made = Made::new(config, &mut rng);
+        let made = Made::new(config, &mut rng);
         let (mut ws, mut tws) = (ForwardWorkspace::new(), TrainWorkspace::new());
         for round in 0..3u64 {
             let rows = 1 + (batch + round as usize) % 8;

@@ -5,6 +5,7 @@
 
 use duet::core::{query_to_id_predicates, DuetConfig, DuetEstimator, DuetWorkspace, MpsnKind};
 use duet::data::datasets::census_like;
+use duet::nn::Params;
 use duet::query::{CardinalityEstimator, WorkloadSpec};
 
 #[test]
@@ -74,11 +75,11 @@ fn workspace_survives_model_switches() {
 
 #[test]
 fn workspace_masked_cache_invalidates_on_weight_mutation() {
-    // The workspace memoizes masked effective weights keyed by the layers'
-    // WeightKeys. Mutating the weights in place (an optimizer step routes
-    // through visit_params, exactly like checkpoint loading does) must
-    // invalidate those memos: the reused workspace has to produce the same
-    // estimates as a fresh one at every step.
+    // Mutating the weights in place (an optimizer step routes through
+    // visit_params, exactly like checkpoint loading does) must never be
+    // served stale: the masked layers re-mask and repack as the visit ends,
+    // so the reused workspace has to produce the same estimates as a fresh
+    // one at every step.
     let table = census_like(300, 9);
     let cfg = DuetConfig::small().with_epochs(1);
     let mut est = DuetEstimator::train_data_only(&table, &cfg, 13);
@@ -101,7 +102,7 @@ fn workspace_masked_cache_invalidates_on_weight_mutation() {
         previous = Some(out_reused.clone());
 
         // Perturb every parameter through the only mutable route the
-        // optimizer has; stale cached masked weights would now be wrong.
+        // optimizer has; a stale pack would now be wrong.
         est.model_mut().visit_params(&mut |p| {
             for v in p.data.as_mut_slice() {
                 *v += 0.01;
@@ -113,8 +114,8 @@ fn workspace_masked_cache_invalidates_on_weight_mutation() {
 #[test]
 fn workspace_masked_cache_invalidates_on_checkpoint_hot_swap() {
     // A serving worker's long-lived workspace must follow a hot-swap: the
-    // swap loads a checkpoint into a *clone* of the running model, and the
-    // clone's fresh weight identities invalidate every cached masked weight.
+    // swap loads a checkpoint into a *clone* of the running model, whose
+    // layers repack as the weights go in.
     let table = census_like(300, 10);
     let cfg = DuetConfig::small().with_epochs(1);
     let est_a = DuetEstimator::train_data_only(&table, &cfg, 1);

@@ -6,17 +6,18 @@
 //! Ten phases: the raw batched estimation path (full batches of 32 and
 //! 1 024 rows, and shrinking batches), the **routed multi-table hot loop** —
 //! admission into a bounded shard queue, same-table batch formation at
-//! dequeue, deadline triage, and per-table-workspace batch execution across
-//! two differently-shaped tables, driven through the deterministic harness
-//! with two fixed request sets that constrain different columns, alternated
-//! and recycled through the router — the **steady-state training
-//! forward**: `zero_grad` + the data-driven forward (encode, checkpointing
-//! backbone forward, grouped cross-entropy gradient staging) + the
-//! supervised Q-Error forward (per-column softmax into flat staging), for
-//! both MADE and ResMADE, through one reused `TrainStepScratch` — the
+//! dequeue, deadline triage, and batch execution through one workspace per
+//! shard worker across two differently-shaped tables, driven through the
+//! deterministic harness with two fixed request sets that constrain
+//! different columns, alternated and recycled through the router — the
+//! **steady-state training forward**: the data-driven forward (encode,
+//! checkpointing backbone forward, grouped cross-entropy gradient staging)
+//! plus the supervised Q-Error forward (per-column softmax into flat
+//! staging), for both MADE and ResMADE, through one reused `TrainStepScratch` — the
 //! **full training step**: forward + the gradient-ping-pong scratch
-//! backward (fused sparse first layer included) + the Adam update, again
-//! for both backbone variants — the **wire hot loop**: protocol-frame
+//! backward (fused sparse first layer included) + the Adam update with its
+//! re-mask and repack of every masked layer, again for both backbone
+//! variants — the **wire hot loop**: protocol-frame
 //! decode, admission, batch execution, and response encode on a warmed
 //! simulated connection, with request structs recycled through the
 //! connection's outbox pool — and the **budgeted-tier hot loop**: the
@@ -40,9 +41,15 @@
 //! embedders' own forward/backward pairs (back-propagation through time for
 //! the recurrent and recursive kinds) are inside the window too.
 //!
+//! The same allocator also tracks live heap bytes, and a second test holds
+//! a served model's memory to what it is made of: a clone of a trained
+//! estimator costs its weights and packs and nothing else, and serving many
+//! tables under a model budget settles live heap at the budget plus a small
+//! constant per table.
+//!
 //! This lives in its own integration-test binary so the
 //! global allocator and the single-threaded measurement cannot interfere
-//! with other tests.
+//! with other tests; the tests in it take turns.
 
 use duet::core::{
     data_forward, query_forward, query_to_id_predicates, sample_virtual_batch, train_step,
@@ -58,27 +65,32 @@ use duet::serve::sim::{PreparedRequest, RouterHarness, WireSim};
 use duet::serve::wire::{frame, ConnConfig};
 use duet::serve::{DriftMonitor, RouterConfig, ServeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated.
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         FREES.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -86,10 +98,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-// One #[test] drives all phases: the counters are process-global, so two
-// tests running on parallel test threads would pollute each other's windows.
+/// The counters are process-global, so the tests of this binary take
+/// turns: two tests on parallel test threads would pollute each other's
+/// windows.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn live_bytes() -> i64 {
+    LIVE.load(Ordering::Relaxed)
+}
+
+// One #[test] drives all phases, so a regression is reported with the
+// phase that allocated.
 #[test]
 fn steady_state_batched_inference_is_allocation_free() {
+    let _turn = serial();
     full_batch_phase();
     shrinking_batch_phase();
     routed_multi_table_phase();
@@ -161,9 +186,9 @@ fn shrinking_batch_phase() {
 }
 
 fn routed_multi_table_phase() {
-    // Two differently-shaped tables multiplexed through one shard pool: the
-    // worker's per-table workspaces must absorb the alternation without
-    // re-growing buffers, and the queue/admission machinery must be free of
+    // Two differently-shaped tables multiplexed through one shard pool: each
+    // worker's one workspace must absorb the alternation without re-growing
+    // buffers, and the queue/admission machinery must be free of
     // allocations of its own. Consecutive rounds alternate between two
     // request sets that constrain different columns (the second one leads
     // each table's batch with an all-wildcard row), so the output
@@ -224,8 +249,8 @@ fn routed_multi_table_phase() {
         std::mem::swap(stash, other);
     };
 
-    // Warm-up: queues, batch containers, and both tables' workspaces grow
-    // to their steady-state shapes, one round per request set.
+    // Warm-up: queues, batch containers, and the workers' workspaces grow
+    // to the wider table's shapes, one round per request set.
     for _ in 0..2 {
         round(&mut stash, &mut other, &mut returned);
     }
@@ -247,10 +272,8 @@ fn routed_multi_table_phase() {
 }
 
 fn training_step_phase() {
-    // The steady-state training step's forward work — zero_grad (which
-    // bumps every weight key, forcing the masked-weight memo to
-    // re-materialize in place, exactly as a real optimizer step does),
-    // input encoding, the checkpointing training forward, the grouped
+    // The steady-state training step's forward work — input encoding, the
+    // checkpointing training forward, the grouped
     // cross-entropy gradient staging, and the supervised Q-Error pass with
     // its flat probability staging — must be allocation-free once the
     // scratch is warm. Backward and Adam are exercised separately by
@@ -276,14 +299,13 @@ fn training_step_phase() {
 
         let mut scratch = TrainStepScratch::new();
         let step = |model: &mut DuetModel, scratch: &mut TrainStepScratch| {
-            model.zero_grad();
             let data_loss = data_forward(model, &batch, scratch);
             let (query_loss, mean_q) = query_forward(model, &prepared, num_rows, 0.1, scratch);
             (data_loss, query_loss, mean_q)
         };
 
-        // Warm-up: scratch activations, gradient staging, probability
-        // staging, and the masked-weight memo all grow to shape.
+        // Warm-up: scratch activations, gradient staging and probability
+        // staging all grow to shape.
         step(&mut model, &mut scratch);
         let expected = step(&mut model, &mut scratch);
 
@@ -304,12 +326,13 @@ fn training_step_phase() {
 }
 
 fn full_train_step_phase() {
-    // The complete training step — zero_grad, the data-driven forward, the
-    // gradient-ping-pong scratch backward (taking the fused sparse
-    // first-layer path: the one-hot training input is far above the sparse
-    // dispatch threshold), the supervised Q-Error pass and its backward, and
-    // the Adam parameter update — must be allocation-free once the scratch,
-    // the sparse capture, and Adam's moment buffers are warm. Both backbone
+    // The complete training step — zeroing the gradient buffer, the
+    // data-driven forward, the gradient-ping-pong scratch backward (taking
+    // the fused sparse first-layer path: the one-hot training input is far
+    // above the sparse dispatch threshold), the supervised Q-Error pass and
+    // its backward, and the Adam parameter update with the re-mask and
+    // in-place repack of every masked layer — must be allocation-free once
+    // the scratch, the sparse capture, and Adam's moment buffers are warm. Both backbone
     // variants are covered: plain MADE and ResMADE (residual blocks).
     let table = census_like(400, 9);
     for residual in [false, true] {
@@ -332,8 +355,8 @@ fn full_train_step_phase() {
         let mut adam = Adam::new(1e-3);
 
         // Warm-up: scratch activations, gradient ping-pong buffers, the
-        // sparse input capture, the masked-weight memo, and Adam's
-        // first-step moment buffers all grow to shape.
+        // gradient buffer, the sparse input capture, and Adam's first-step
+        // moment buffers all grow to shape.
         for _ in 0..2 {
             train_step(&mut model, &mut adam, &batch, &prepared, num_rows, 0.1, &mut scratch);
         }
@@ -366,17 +389,11 @@ fn mpsn_train_step_phase() {
     // every multi-predicate column's encodings through the workspace, and
     // drives each embedder's training pair — for the recurrent and
     // recursive kinds, back-propagation through time over the staged state
-    // sequence. All of it must be allocation-free once warm.
-    //
-    // With MPSNs the backbone's input is a dense embedding, and training
-    // moves the hidden activations' density across the kernels' 0.4 dispatch
-    // boundary within a few steps; the first dense batch a layer sees builds
-    // that layer's packed weight — a one-time event of the backbone that
-    // would land inside the window at an arbitrary step. So the learning
-    // rate drops to zero after two real steps: every measured step still
-    // runs in full (moments update, every weight key bumps, masked weights
-    // re-materialize in place), but the weights — and with them every
-    // dispatch decision — stay where the last warm-up step left them.
+    // sequence. All of it must be allocation-free once warm, at a real
+    // learning rate: training moves the hidden activations' density across
+    // the kernels' 0.4 dispatch boundary, but every masked layer's pack is
+    // rebuilt in place by each optimizer step, whichever kernel the next
+    // batch picks.
     let table = census_like(400, 9);
     for kind in [MpsnKind::Mlp, MpsnKind::Recurrent, MpsnKind::Recursive] {
         let cfg = DuetConfig::small().with_mpsn(kind, 3);
@@ -405,8 +422,6 @@ fn mpsn_train_step_phase() {
         for _ in 0..2 {
             train_step(&mut model, &mut adam, &batch, &prepared, num_rows, 0.1, &mut scratch);
         }
-        adam.set_learning_rate(0.0);
-        train_step(&mut model, &mut adam, &batch, &prepared, num_rows, 0.1, &mut scratch);
 
         let (allocs_before, frees_before) =
             (ALLOCS.load(Ordering::Relaxed), FREES.load(Ordering::Relaxed));
@@ -727,4 +742,97 @@ fn supervised_fault_phase() {
         snapshot.panics_caught, snapshot.shard_restarts,
         "every caught panic respawns its worker exactly once"
     );
+}
+
+#[test]
+fn served_models_hold_their_weights_and_packs_only() {
+    let _turn = serial();
+    clone_phase();
+    budgeted_heap_phase();
+}
+
+fn clone_phase() {
+    // A clone of a trained estimator — what a hot-swap, an online retrain
+    // or a registration copies — is its weights and the pack of every
+    // masked layer: no gradient, no mask matrix, no cache. The remaining
+    // tenth covers the schema dictionaries, the encoder and the layers'
+    // degree lists.
+    let table = census_like(400, 15);
+    let mut cfg = DuetConfig::small().with_epochs(1);
+    cfg.hidden_sizes = vec![256, 256];
+    let est = DuetEstimator::train_data_only(&table, &cfg, 8);
+    let held = est.model().resident_bytes();
+    assert!(held > est.model().size_bytes(), "the packs are part of what a model holds");
+
+    let before = live_bytes();
+    let clone = est.clone();
+    let cloned = (live_bytes() - before) as usize;
+    eprintln!(
+        "clone: {cloned} bytes, weights + packs {held}, parameters {}",
+        est.model().size_bytes()
+    );
+    assert!(
+        cloned as f64 <= 1.1 * held as f64,
+        "a clone holds {cloned} bytes for {held} bytes of weights and packs"
+    );
+    drop(clone);
+}
+
+/// What the budgeted directory may hold per table besides its resident
+/// models: the evicted slot's schema snapshot (about 16 KiB of dictionaries
+/// for these tables), config and spill path, the table's cache, hot set and
+/// router record, and a share of the shard workers' workspaces, which grow
+/// to the widest table and no further. Measured at about 52 KiB.
+const PER_TABLE_BYTES: usize = 64 << 10;
+
+fn budgeted_heap_phase() {
+    // Six tables, each served twice in turn under a one-model budget with
+    // eviction spilling to disk: after the last batch, live heap above the
+    // level before registration is at most one resident model plus a
+    // constant per table. Nothing derived from a model outlives its
+    // eviction: a worker's workspace is scratch sized by the widest table.
+    const TABLES: usize = 6;
+    let cfg = DuetConfig::small().with_epochs(1);
+    let data: Vec<Table> = (0..TABLES).map(|t| census_like(300, 40 + t as u64)).collect();
+    let tables: Vec<(String, DuetEstimator)> = data
+        .iter()
+        .enumerate()
+        .map(|(t, table)| (format!("t{t}"), DuetEstimator::train_data_only(table, &cfg, t as u64)))
+        .collect();
+    let workloads: Vec<Vec<Query>> = data
+        .iter()
+        .enumerate()
+        .map(|(t, table)| WorkloadSpec::random(table, 8, 60 + t as u64).generate(table))
+        .collect();
+    let per_model = tables.iter().map(|(_, e)| e.model().resident_bytes()).max().unwrap();
+    let spill = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("zero-alloc-budgeted-heap");
+    let _ = std::fs::remove_dir_all(&spill);
+
+    let before = live_bytes();
+    let mut harness = RouterHarness::new(
+        tables.clone(),
+        ServeConfig { model_budget_bytes: per_model, cache_capacity: 0, ..ServeConfig::default() },
+    );
+    harness.tier().set_spill_dir(Some(spill.clone()));
+    let mut ticket = 0;
+    for _ in 0..2 {
+        for (t, queries) in workloads.iter().enumerate() {
+            for query in queries {
+                ticket += 1;
+                harness.submit_query(t, query, ticket);
+            }
+            harness.drain();
+        }
+    }
+    assert_eq!(harness.outcomes().len(), ticket as usize);
+    assert!(harness.outcomes().iter().all(|(_, outcome)| outcome.is_ok()));
+    harness.clear_outcomes();
+    let snapshot = harness.metrics();
+    assert!(snapshot.model_evictions >= TABLES as u64, "the budget must force evictions");
+
+    let held = (live_bytes() - before) as usize;
+    let bound = per_model + TABLES * PER_TABLE_BYTES;
+    assert!(held <= bound, "{held} bytes held under a one-model budget of {per_model} bytes");
+    drop(harness);
+    let _ = std::fs::remove_dir_all(&spill);
 }
