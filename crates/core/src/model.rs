@@ -10,7 +10,7 @@ use duet_nn::{
     seeded_rng, softmax_restricted_mass, BlockPlan, ForwardWorkspace, Made, MadeConfig, Matrix,
     Param, Params, SoftmaxMode, SparseRows,
 };
-use duet_query::{PredOp, Query};
+use duet_query::Query;
 
 /// Every scratch buffer one estimation call chain needs, owned by the caller.
 ///
@@ -412,24 +412,6 @@ pub fn query_to_id_predicates(schema: &Table, query: &Query) -> Vec<Vec<IdPredic
     per_col
 }
 
-/// Convenience: the number of columns a query constrains, in the encoding's
-/// terms (used by the scalability experiment to bucket queries).
-pub fn constrained_column_count(preds: &[Vec<IdPredicate>]) -> usize {
-    preds.iter().filter(|p| !p.is_empty()).count()
-}
-
-/// Check whether an id-space predicate is satisfied by a value id (shared by
-/// tests).
-pub fn id_pred_matches(pred: &IdPredicate, id: u32) -> bool {
-    match pred.op {
-        PredOp::Eq => id == pred.value_id,
-        PredOp::Gt => id > pred.value_id,
-        PredOp::Lt => id < pred.value_id,
-        PredOp::Ge => id >= pred.value_id,
-        PredOp::Le => id <= pred.value_id,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,7 +451,6 @@ mod tests {
         let mut ws = DuetWorkspace::new();
         model.fill_input(std::slice::from_ref(&preds), &mut ws);
         assert_eq!(ws.input().shape(), (1, model.encoder().total_width()));
-        assert_eq!(constrained_column_count(&preds), 1);
     }
 
     #[test]
@@ -526,16 +507,5 @@ mod tests {
         assert!(with.num_parameters() > without.num_parameters());
         assert_eq!(with.size_bytes(), with.num_parameters() * 4);
         assert!(with.resident_bytes() > with.size_bytes(), "the packs are held too");
-    }
-
-    #[test]
-    fn id_pred_matches_covers_all_ops() {
-        let p = |op| IdPredicate { op, value_id: 5 };
-        assert!(id_pred_matches(&p(PredOp::Eq), 5));
-        assert!(id_pred_matches(&p(PredOp::Ge), 5));
-        assert!(id_pred_matches(&p(PredOp::Le), 5));
-        assert!(id_pred_matches(&p(PredOp::Gt), 6));
-        assert!(id_pred_matches(&p(PredOp::Lt), 4));
-        assert!(!id_pred_matches(&p(PredOp::Gt), 5));
     }
 }

@@ -27,7 +27,6 @@
 //! half-loaded model.
 
 use crate::estimator::DuetEstimator;
-use bytes::Bytes;
 use duet_nn::serialize::{load_params, save_params};
 
 pub use duet_nn::serialize::CheckpointError;
@@ -50,14 +49,13 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Seal codec `payload` bytes in an integrity frame (see the module docs).
-fn seal(payload: &[u8]) -> Bytes {
-    let mut framed = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    framed.extend_from_slice(FRAME_MAGIC);
-    framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    framed.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    framed.extend_from_slice(payload);
-    Bytes::from(framed)
+/// Fill in the frame header at the front of `framed` (see the module
+/// docs) for the codec payload that follows it.
+fn fill_frame_header(framed: &mut [u8]) {
+    let (header, payload) = framed.split_at_mut(FRAME_HEADER_LEN);
+    header[..8].copy_from_slice(FRAME_MAGIC);
+    header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[16..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
 }
 
 /// Validate a sealed checkpoint's frame — magic, declared length, checksum —
@@ -89,9 +87,14 @@ pub fn verify_checkpoint(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
 
 /// Serialize the estimator's weights (backbone + MPSNs) into a sealed,
 /// checksummed checkpoint (see the module docs for the frame layout). A
-/// read-only visit: nothing of the model is touched or rebuilt.
-pub fn save_weights(estimator: &mut DuetEstimator) -> Bytes {
-    seal(&save_params(estimator.model()))
+/// read-only visit: nothing of the model is touched or rebuilt. The codec
+/// appends behind a placeholder header, which is filled in last, so the
+/// checkpoint is one buffer of exactly its length, written once.
+pub fn save_weights(estimator: &DuetEstimator) -> Vec<u8> {
+    let mut framed = vec![0; FRAME_HEADER_LEN];
+    save_params(estimator.model(), &mut framed);
+    fill_frame_header(&mut framed);
+    framed
 }
 
 /// Load a checkpoint produced by [`save_weights`] into an estimator with the
@@ -114,6 +117,23 @@ mod tests {
     use duet_query::{CardinalityEstimator, WorkloadSpec};
 
     #[test]
+    fn the_frame_header_is_magic_length_and_fnv1a_of_the_payload() {
+        let mut framed = vec![0; FRAME_HEADER_LEN];
+        framed.extend_from_slice(b"foobar");
+        fill_frame_header(&mut framed);
+        #[rustfmt::skip]
+        let header: &[u8] = &[
+            b'D', b'U', b'E', b'T', b'C', b'K', b'F', b'1',
+            6, 0, 0, 0, 0, 0, 0, 0,
+            // FNV-1a 64 of "foobar": 0x85944171f73967e8.
+            0xe8, 0x67, 0x39, 0xf7, 0x71, 0x41, 0x94, 0x85,
+        ];
+        assert_eq!(&framed[..FRAME_HEADER_LEN], header);
+        assert_eq!(&framed[FRAME_HEADER_LEN..], b"foobar");
+        assert_eq!(verify_checkpoint(&framed), Ok(b"foobar".as_slice()));
+    }
+
+    #[test]
     fn weights_round_trip_preserves_estimates() {
         let table = census_like(400, 41);
         let cfg = DuetConfig::small().with_epochs(2);
@@ -121,7 +141,7 @@ mod tests {
         let queries = WorkloadSpec::random(&table, 20, 9).generate(&table);
         let before: Vec<f64> = queries.iter().map(|q| trained.estimate(q)).collect();
 
-        let checkpoint = save_weights(&mut trained);
+        let checkpoint = save_weights(&trained);
 
         // A freshly initialized estimator with the same architecture.
         let fresh_model = DuetModel::new(&table, &cfg, 999);
@@ -137,9 +157,8 @@ mod tests {
     #[test]
     fn loading_into_a_different_architecture_fails() {
         let table = census_like(300, 42);
-        let mut small =
-            DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 1);
-        let checkpoint = save_weights(&mut small);
+        let small = DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 1);
+        let checkpoint = save_weights(&small);
 
         let mut other_cfg = DuetConfig::small();
         other_cfg.hidden_sizes = vec![16];
@@ -151,9 +170,8 @@ mod tests {
     #[test]
     fn verify_accepts_pristine_frames() {
         let table = census_like(200, 43);
-        let mut est =
-            DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 1);
-        let checkpoint = save_weights(&mut est);
+        let est = DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 1);
+        let checkpoint = save_weights(&est);
         let payload = verify_checkpoint(&checkpoint).expect("pristine frame verifies");
         assert_eq!(payload.len(), checkpoint.len() - super::FRAME_HEADER_LEN);
     }
@@ -161,9 +179,8 @@ mod tests {
     #[test]
     fn a_flipped_payload_bit_is_a_checksum_mismatch() {
         let table = census_like(200, 44);
-        let mut est =
-            DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 1);
-        let checkpoint = save_weights(&mut est);
+        let est = DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 1);
+        let checkpoint = save_weights(&est);
         let mut bad = checkpoint.to_vec();
         let at = super::FRAME_HEADER_LEN + bad.len() / 2;
         bad[at] ^= 0x10;
@@ -177,9 +194,8 @@ mod tests {
     #[test]
     fn truncation_and_frame_damage_are_typed_errors() {
         let table = census_like(150, 45);
-        let mut est =
-            DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 2);
-        let checkpoint = save_weights(&mut est);
+        let est = DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 2);
+        let checkpoint = save_weights(&est);
 
         // Truncated anywhere: header or payload.
         assert!(matches!(

@@ -52,11 +52,6 @@ impl Table {
         &self.columns[idx]
     }
 
-    /// Column by name.
-    pub fn column_by_name(&self, name: &str) -> Option<(usize, &Column)> {
-        self.columns.iter().enumerate().find(|(_, c)| c.name() == name)
-    }
-
     /// Number of distinct values per column.
     pub fn ndvs(&self) -> Vec<usize> {
         self.columns.iter().map(|c| c.ndv()).collect()
@@ -70,13 +65,6 @@ impl Table {
     /// The values of row `row` across all columns (mainly for debugging/CSV).
     pub fn row_values(&self, row: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.value_at(row).clone()).collect()
-    }
-
-    /// Restrict the table to its first `k` columns (used by the scalability
-    /// experiment, Figure 6, which trains on 100 columns and queries subsets).
-    pub fn project_prefix(&self, k: usize) -> Table {
-        assert!(k >= 1 && k <= self.num_columns(), "invalid projection width {k}");
-        Table::new(format!("{}_first{k}", self.name), self.columns[..k].to_vec())
     }
 
     /// Restrict the table to its first `n` rows (used to scale experiments).
@@ -207,24 +195,6 @@ mod tests {
         assert_eq!(t.row_ids(1), vec![1, 1]);
         assert_eq!(t.row_values(0), vec![Value::Int(1), Value::text("x")]);
         assert_eq!(t.num_cells(), 6);
-    }
-
-    #[test]
-    fn column_lookup_by_name() {
-        let t = toy_table();
-        let (idx, col) = t.column_by_name("b").unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(col.ndv(), 2);
-        assert!(t.column_by_name("missing").is_none());
-    }
-
-    #[test]
-    fn projection_keeps_prefix_columns() {
-        let t = toy_table();
-        let p = t.project_prefix(1);
-        assert_eq!(p.num_columns(), 1);
-        assert_eq!(p.num_rows(), 3);
-        assert_eq!(p.column(0).name(), "a");
     }
 
     #[test]

@@ -235,8 +235,7 @@ impl MaskedLinear {
     /// the product touches only the nonzero entries, bit-identical for
     /// finite inputs (the sparse kernel accumulates in the same column-index
     /// order the dense zero-skip path does; see `duet_nn::kernels`); the
-    /// matching [`backward_scratch`](Self::backward_scratch) takes the same
-    /// capture.
+    /// matching `backward_scratch` takes the same capture.
     pub fn train_forward(&self, input: &Matrix, sparse: Option<&SparseRows>, out: &mut Matrix) {
         match sparse {
             Some(sparse) => {

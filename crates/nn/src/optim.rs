@@ -66,11 +66,6 @@ impl Adam {
         self.lr
     }
 
-    /// Change the learning rate (e.g. for warm-up or decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Number of optimizer steps taken so far.
     pub fn steps(&self) -> u64 {
         self.step

@@ -160,15 +160,6 @@ impl Matrix {
         }
     }
 
-    /// Make `self` an exact copy of `other`, reusing `self`'s heap buffer
-    /// whenever its capacity suffices.
-    pub fn copy_from(&mut self, other: &Matrix) {
-        self.rows = other.rows;
-        self.cols = other.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&other.data);
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
@@ -226,22 +217,6 @@ impl Matrix {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in add_assign");
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += *b;
-        }
-    }
-
-    /// Element-wise in-place scaled addition: `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in axpy");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * *b;
-        }
-    }
-
-    /// Element-wise in-place multiplication: `self *= other`.
-    pub fn mul_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in mul_assign");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a *= *b;
         }
     }
 
@@ -442,11 +417,6 @@ impl Matrix {
                 }
             }
         }
-    }
-
-    /// Returns true if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
     }
 }
 
@@ -663,12 +633,8 @@ mod tests {
         let b = Matrix::from_vec(1, 3, vec![10.0, 20.0, 30.0]);
         a.add_assign(&b);
         assert_eq!(a.as_slice(), &[11.0, 22.0, 33.0]);
-        a.mul_assign(&b);
-        assert_eq!(a.as_slice(), &[110.0, 440.0, 990.0]);
         a.scale(0.5);
-        assert_eq!(a.as_slice(), &[55.0, 220.0, 495.0]);
-        a.axpy(2.0, &b);
-        assert_eq!(a.as_slice(), &[75.0, 260.0, 555.0]);
+        assert_eq!(a.as_slice(), &[5.5, 11.0, 16.5]);
     }
 
     #[test]
@@ -676,13 +642,5 @@ mod tests {
         let a = random_matrix(5, 9, 11);
         let back = a.transpose().transpose();
         assert!(approx_eq(&a, &back, 0.0));
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut a = Matrix::zeros(2, 2);
-        assert!(!a.has_non_finite());
-        a.set(1, 1, f32::NAN);
-        assert!(a.has_non_finite());
     }
 }

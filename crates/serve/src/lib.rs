@@ -57,9 +57,8 @@
 //! its batches under `catch_unwind` supervision (a panicking batch answers
 //! every request typed and the worker respawns), checkpoints carry a
 //! checksummed integrity frame so a torn or corrupt file is a typed reload
-//! error instead of garbage weights, the wire client retries overload with
-//! seeded jittered backoff ([`wire::RetryConfig`]) and can redial a dead
-//! server, and [`DuetServer::shutdown`] drains queued work before stopping.
+//! error instead of garbage weights, and [`DuetServer::shutdown`] drains
+//! queued work before stopping.
 //! All of it is replayable under seeded fault injection
 //! ([`sim::FaultPlan`] merged into a script, [`sim::replay`]).
 //!
@@ -119,4 +118,4 @@ pub use registry::{ModelRegistry, ModelSlot, ReloadError, SwapError};
 pub use router::{shard_for, Clock, Router, RouterConfig, ShedReason, SystemClock, VirtualClock};
 pub use server::{DuetServer, ServeConfig, ServeError};
 pub use tier::ModelTier;
-pub use wire::{RetryConfig, WireClient, WireConfig, WireConn, WireHandle};
+pub use wire::{WireClient, WireConfig, WireConn, WireHandle};

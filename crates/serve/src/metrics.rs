@@ -168,7 +168,7 @@ counters! {
     /// Batch-execution panics caught by shard supervision (every request in
     /// the poisoned batch still received a terminal internal-error reply).
     PanicsCaught => panics_caught,
-    /// Shard workers respawned with a fresh workspace pool after a panic.
+    /// Shard workers respawned with a fresh workspace after a panic.
     ShardRestarts => shard_restarts,
     /// Evicted-model reload attempts that failed with a typed error
     /// (unreadable spill file, corrupt or truncated checkpoint).

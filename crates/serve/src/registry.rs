@@ -55,9 +55,9 @@ enum CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// The checkpoint bytes, reading the spill file if necessary. A spilled
-    /// file is length-validated against its frame header here; full
-    /// checksum verification happens when the frame is unsealed on reload.
+    /// The checkpoint bytes, reading the spill file if necessary. Nothing
+    /// is validated here: the frame (magic, length, checksum) is checked
+    /// when the reload loads it.
     fn load(&self) -> std::io::Result<std::borrow::Cow<'_, [u8]>> {
         match self {
             CheckpointStore::Memory(bytes) => Ok(std::borrow::Cow::Borrowed(bytes)),
@@ -308,9 +308,7 @@ impl ModelSlot {
                 Residency::Evicted(_) => return Ok(0),
             }
         };
-        let mut snapshot = (*estimator).clone();
-        let checkpoint = duet_core::save_weights(&mut snapshot);
-        drop(snapshot);
+        let checkpoint = duet_core::save_weights(&estimator);
         let weight_bytes = estimator.model().resident_bytes();
         let store = match spill_dir {
             Some(dir) => {
@@ -326,7 +324,7 @@ impl ModelSlot {
                 // about to become the only copy of these weights, so a torn
                 // or bit-flipped write must keep the model resident instead.
                 let tmp = dir.join(format!("{name}.tmp"));
-                std::fs::write(&tmp, &checkpoint)?;
+                std::fs::write(&tmp, checkpoint)?;
                 std::fs::rename(&tmp, &path)?;
                 let written = std::fs::read(&path)?;
                 if let Err(e) = duet_core::verify_checkpoint(&written) {
@@ -338,7 +336,7 @@ impl ModelSlot {
                 }
                 CheckpointStore::Spilled(path)
             }
-            None => CheckpointStore::Memory(checkpoint.to_vec()),
+            None => CheckpointStore::Memory(checkpoint),
         };
         let evicted = Box::new(EvictedModel {
             store,
@@ -618,7 +616,7 @@ mod tests {
     #[test]
     fn hot_swap_changes_estimates_and_generation() {
         let (table, est_a) = trained(1);
-        let (_, mut est_b) = trained(2);
+        let (_, est_b) = trained(2);
         let queries = WorkloadSpec::random(&table, 10, 5).generate(&table);
         let expect_b = est_b.estimate_batch(&queries);
 
@@ -628,7 +626,7 @@ mod tests {
         let before = slot.try_current().unwrap().estimate_batch(&queries);
         assert_ne!(before, expect_b, "differently seeded models should disagree");
 
-        let checkpoint = save_weights(&mut est_b);
+        let checkpoint = save_weights(&est_b);
         slot.hot_swap_checkpoint(&checkpoint).expect("swap should succeed");
         assert_eq!(slot.generation(), 1);
         assert_eq!(slot.try_current().unwrap().estimate_batch(&queries), expect_b);
@@ -718,13 +716,13 @@ mod tests {
     #[test]
     fn evicted_slot_still_hot_swaps() {
         let (table, est_a) = trained(1);
-        let (_, mut est_b) = trained(2);
+        let (_, est_b) = trained(2);
         let queries = WorkloadSpec::random(&table, 8, 4).generate(&table);
         let expect_b = est_b.estimate_batch(&queries);
 
         let slot = ModelSlot::new(est_a);
         slot.evict(None).unwrap();
-        let checkpoint = save_weights(&mut est_b);
+        let checkpoint = save_weights(&est_b);
         slot.hot_swap_checkpoint(&checkpoint).expect("swap through an evicted slot");
         assert_eq!(slot.generation(), 1);
         assert_eq!(slot.try_current().unwrap().estimate_batch(&queries), expect_b);
@@ -734,12 +732,12 @@ mod tests {
     fn re_registration_issues_a_fresh_uid_but_swaps_keep_it() {
         let registry = ModelRegistry::new();
         let (_, est) = trained(1);
-        let (_, mut other) = trained(2);
+        let (_, other) = trained(2);
         let first = registry.register("census", est.clone());
         let uid = first.uid();
         assert!(uid > 0);
 
-        let checkpoint = save_weights(&mut other);
+        let checkpoint = save_weights(&other);
         first.hot_swap_checkpoint(&checkpoint).unwrap();
         assert_eq!(first.uid(), uid, "hot-swap keeps the registration");
         first.evict(None).unwrap();

@@ -101,7 +101,7 @@ pub enum ServeError {
     /// checkpoint failed to reload). Retry later.
     ModelUnavailable(String),
     /// The request's batch hit an internal fault: a panic caught by shard
-    /// supervision. The worker was respawned with a fresh workspace pool;
+    /// supervision. The worker was respawned with a fresh workspace;
     /// the request itself may be fine — retrying usually succeeds. A
     /// synchronous online tick that panicked answers this too; its table is
     /// then no longer online-enabled.

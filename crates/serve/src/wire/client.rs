@@ -30,43 +30,9 @@ use crate::wire::frame::{
     self, FrameView, ResponseFrame, Status, DEFAULT_MAX_FRAME_LEN, PREAMBLE_LEN,
 };
 use duet_core::IdPredicate;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
-
-/// Backoff policy for [`WireClient::request_with_retry`]: jittered
-/// exponential delays between re-submissions of a request the server
-/// answered `Overloaded`.
-///
-/// The jitter RNG is seeded (`seed ^ request_id`), so a given request's
-/// backoff schedule is reproducible — load tests and the fault-injection
-/// suite can replay identical retry timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// First backoff delay; doubles every subsequent retry.
-    pub base: Duration,
-    /// Upper bound on any single backoff delay.
-    pub cap: Duration,
-    /// Total wall-clock budget across all attempts; once an attempt (plus
-    /// its backoff sleep) would exceed it, the last `Overloaded` response
-    /// is returned as-is instead of retrying further.
-    pub deadline: Duration,
-    /// Seed for the jitter RNG.
-    pub seed: u64,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        Self {
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(100),
-            deadline: Duration::from_secs(1),
-            seed: 0,
-        }
-    }
-}
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// A resolved table: its dense wire id and per-column domain sizes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,12 +70,6 @@ pub struct WireClient {
     recv_pos: usize,
     /// Correlation ids for [`WireClient::resolve`] table queries.
     next_ticket: u64,
-    /// Remembered peer address; `Some` enables automatic reconnect
-    /// ([`WireClient::enable_reconnect`]).
-    peer: Option<SocketAddr>,
-    /// Encoded request frames awaiting a response (reconnect tracking).
-    /// Replayed verbatim over a fresh connection after a redial.
-    inflight: Vec<(u64, Vec<u8>)>,
 }
 
 impl WireClient {
@@ -126,24 +86,7 @@ impl WireClient {
             recv_buf: Vec::with_capacity(4096),
             recv_pos: 0,
             next_ticket: u64::MAX, // counts down, away from request-id space
-            peer: None,
-            inflight: Vec::new(),
         })
-    }
-
-    /// Opt in to automatic reconnection: remember the peer address and
-    /// start tracking in-flight request frames. After this, a connection
-    /// error inside [`WireClient::flush`] or [`WireClient::recv`] redials
-    /// the server, resends the preamble, and replays every request frame
-    /// that has not yet been answered — the caller just sees `recv` keep
-    /// working (or the redial's own error if the server is really gone).
-    ///
-    /// Half-received response bytes from the dead connection are discarded,
-    /// and unanswered requests may execute twice server-side (estimates are
-    /// read-only, so replays are safe).
-    pub fn enable_reconnect(&mut self) -> io::Result<()> {
-        self.peer = Some(self.stream.peer_addr()?);
-        Ok(())
     }
 
     /// Bound how long [`WireClient::recv`] (and [`WireClient::resolve`]) wait
@@ -187,7 +130,6 @@ impl WireClient {
         preds: &[Vec<IdPredicate>],
         intervals: &[(u32, u32)],
     ) {
-        let start = self.send_buf.len();
         frame::encode_request(
             &mut self.send_buf,
             request_id,
@@ -196,127 +138,22 @@ impl WireClient {
             preds,
             intervals,
         );
-        if self.peer.is_some() {
-            self.inflight.push((request_id, self.send_buf[start..].to_vec()));
-        }
     }
 
-    /// Write every buffered frame to the socket. With reconnect enabled, a
-    /// dead connection is redialed and the tracked request frames replayed
-    /// (other buffered frames — e.g. table queries — are dropped).
+    /// Write every buffered frame to the socket.
     pub fn flush(&mut self) -> io::Result<()> {
-        if self.send_buf.is_empty() {
-            return Ok(());
-        }
-        match self.stream.write_all(&self.send_buf) {
-            Ok(()) => {
-                self.send_buf.clear();
-                Ok(())
-            }
-            Err(e) if self.reconnectable(&e) => self.reconnect(),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Block until the next response frame arrives. Other server frames
-    /// (e.g. table-info answers to stale resolves) are skipped. With
-    /// reconnect enabled and requests still unanswered, a connection error
-    /// triggers one redial-and-replay before giving up.
-    pub fn recv(&mut self) -> io::Result<ResponseFrame> {
-        let mut redialed = false;
-        loop {
-            match self.next_server_frame() {
-                Ok(ServerFrame::Response(response)) => {
-                    self.inflight.retain(|(id, _)| *id != response.request_id);
-                    return Ok(response);
-                }
-                Ok(_) => {}
-                Err(e) if !redialed && !self.inflight.is_empty() && self.reconnectable(&e) => {
-                    self.reconnect()?;
-                    redialed = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Whether `e` is the kind of failure a redial can fix — and redialing
-    /// is enabled.
-    fn reconnectable(&self, e: &io::Error) -> bool {
-        self.peer.is_some()
-            && matches!(
-                e.kind(),
-                io::ErrorKind::UnexpectedEof
-                    | io::ErrorKind::ConnectionReset
-                    | io::ErrorKind::ConnectionAborted
-                    | io::ErrorKind::BrokenPipe
-            )
-    }
-
-    /// Redial the remembered peer, resend the preamble, and replay every
-    /// tracked (unanswered) request frame on the fresh connection.
-    fn reconnect(&mut self) -> io::Result<()> {
-        let peer = self.peer.expect("reconnect requires enable_reconnect");
-        let mut stream = TcpStream::connect(peer)?;
-        stream.set_nodelay(true)?;
-        let mut bytes = Vec::with_capacity(PREAMBLE_LEN);
-        frame::encode_preamble(&mut bytes);
-        for (_, frame) in &self.inflight {
-            bytes.extend_from_slice(frame);
-        }
-        stream.write_all(&bytes)?;
-        // Anything half-received or half-sent on the dead connection is
-        // garbage now; tracked frames were just replayed.
-        self.recv_buf.clear();
-        self.recv_pos = 0;
+        self.stream.write_all(&self.send_buf)?;
         self.send_buf.clear();
-        self.stream = stream;
         Ok(())
     }
 
-    /// Submit one request and block for its response, re-submitting with
-    /// jittered exponential backoff while the server answers `Overloaded`
-    /// and the `retry` deadline allows. Any other status (including
-    /// `Internal` after a worker fault) returns immediately — backoff is
-    /// for load shedding, not for masking faults.
-    ///
-    /// Intended for non-pipelined use: responses to other outstanding
-    /// requests arriving meanwhile are discarded.
-    pub fn request_with_retry(
-        &mut self,
-        request_id: u64,
-        table_id: u32,
-        deadline_us: u32,
-        preds: &[Vec<IdPredicate>],
-        intervals: &[(u32, u32)],
-        retry: &RetryConfig,
-    ) -> io::Result<ResponseFrame> {
-        let started = Instant::now();
-        let mut rng = SmallRng::seed_from_u64(retry.seed ^ request_id);
-        let mut attempt: u32 = 0;
+    /// Block until the next response frame arrives. Other server frames
+    /// (e.g. table-info answers to stale resolves) are skipped.
+    pub fn recv(&mut self) -> io::Result<ResponseFrame> {
         loop {
-            self.submit_request(request_id, table_id, deadline_us, preds, intervals);
-            self.flush()?;
-            let response = loop {
-                let response = self.recv()?;
-                if response.request_id == request_id {
-                    break response;
-                }
-            };
-            if response.status != Status::Overloaded {
+            if let ServerFrame::Response(response) = self.next_server_frame()? {
                 return Ok(response);
             }
-            // Exponential backoff with half-delay jitter: sleep in
-            // [delay/2, delay], doubling the (capped) delay per attempt.
-            let exp = retry.base.saturating_mul(1u32 << attempt.min(16));
-            let delay = exp.min(retry.cap);
-            let half = (delay.as_nanos() / 2) as u64;
-            let sleep = Duration::from_nanos(half + rng.gen_range(0..=half.max(1)));
-            if started.elapsed() + sleep >= retry.deadline {
-                return Ok(response);
-            }
-            std::thread::sleep(sleep);
-            attempt += 1;
         }
     }
 

@@ -33,7 +33,7 @@ pub mod frame;
 pub(crate) mod listener;
 pub(crate) mod readiness;
 
-pub use client::{RetryConfig, TableSpec, WireClient};
+pub use client::{TableSpec, WireClient};
 pub use conn::{ConnConfig, Outbox, WireConn};
 pub use frame::{DecodeError, FrameView, ResponseFrame, Status};
 pub use listener::{WireConfig, WireHandle};

@@ -9,13 +9,11 @@ use duet_data::datasets::census_like;
 use duet_query::{PredOp, Query, WorkloadSpec};
 use duet_serve::sim::{replay, ArrivalPattern, ChunkMode, ScenarioConfig, Transport, WireSim};
 use duet_serve::wire::frame::{self, DecodeError, FrameView, Status};
-use duet_serve::wire::{ConnConfig, RetryConfig, WireClient};
+use duet_serve::wire::ConnConfig;
 use duet_serve::{Counter, RouterConfig, ServeConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 type RequestParts = (u64, u32, u32, Vec<Vec<IdPredicate>>, Vec<(u32, u32)>);
@@ -307,160 +305,6 @@ fn overload_and_deadline_sheds_become_status_frames() {
     assert_eq!(report.counters[Counter::ShedInternal], report.shed_internal, "{report:?}");
     // Shed counts replay exactly — status frames are deterministic too.
     assert_eq!(report, replay(&setup, &script, wire));
-}
-
-// ---------------------------------------------------------------------------
-// Blocking client against a scripted TCP server: retry/backoff + reconnect.
-// ---------------------------------------------------------------------------
-
-/// Read and validate the client preamble off a fresh connection.
-fn read_preamble(stream: &mut TcpStream) {
-    let mut preamble = [0u8; frame::PREAMBLE_LEN];
-    stream.read_exact(&mut preamble).expect("preamble");
-    frame::decode_preamble(&preamble).expect("valid preamble");
-}
-
-/// Block until the next complete request frame arrives; return its id.
-fn next_request_id(stream: &mut TcpStream, acc: &mut Vec<u8>) -> std::io::Result<u64> {
-    loop {
-        if let Some((view, consumed)) =
-            frame::next_frame(acc, frame::DEFAULT_MAX_FRAME_LEN).expect("client frames decode")
-        {
-            let id = match view {
-                FrameView::Request(r) => r.request_id,
-                other => panic!("expected a request frame, got {other:?}"),
-            };
-            acc.drain(..consumed);
-            return Ok(id);
-        }
-        let mut chunk = [0u8; 1024];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "client gone"));
-        }
-        acc.extend_from_slice(&chunk[..n]);
-    }
-}
-
-#[test]
-fn the_retry_client_backs_off_through_overload_to_a_served_answer() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    // Scripted server: shed the first two attempts, serve the third.
-    let server = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().expect("accept");
-        read_preamble(&mut stream);
-        let mut acc = Vec::new();
-        let mut attempts = 0u32;
-        loop {
-            let id = next_request_id(&mut stream, &mut acc).expect("request");
-            attempts += 1;
-            let mut out = Vec::new();
-            if attempts < 3 {
-                frame::encode_response(&mut out, id, Status::Overloaded, 0.0);
-            } else {
-                frame::encode_response(&mut out, id, Status::Ok, 321.5);
-            }
-            stream.write_all(&out).expect("respond");
-            if attempts == 3 {
-                return attempts;
-            }
-        }
-    });
-
-    let mut client = WireClient::connect(addr).expect("connect");
-    let preds: Vec<Vec<IdPredicate>> = vec![vec![]];
-    let retry = RetryConfig {
-        base: Duration::from_micros(200),
-        cap: Duration::from_millis(2),
-        deadline: Duration::from_secs(5),
-        seed: 3,
-    };
-    let response =
-        client.request_with_retry(77, 0, 0, &preds, &[(0, 9)], &retry).expect("retry loop");
-    assert_eq!(response.request_id, 77);
-    assert_eq!(response.status, Status::Ok);
-    assert_eq!(response.value, 321.5);
-    assert_eq!(server.join().expect("server"), 3, "exactly two sheds then one served attempt");
-}
-
-#[test]
-fn the_retry_client_returns_the_last_typed_shed_at_its_deadline() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    // Scripted server: shed every attempt until the client hangs up.
-    let server = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().expect("accept");
-        read_preamble(&mut stream);
-        let mut acc = Vec::new();
-        let mut attempts = 0u32;
-        while let Ok(id) = next_request_id(&mut stream, &mut acc) {
-            attempts += 1;
-            let mut out = Vec::new();
-            frame::encode_response(&mut out, id, Status::Overloaded, 0.0);
-            if stream.write_all(&out).is_err() {
-                break;
-            }
-        }
-        attempts
-    });
-
-    let mut client = WireClient::connect(addr).expect("connect");
-    let preds: Vec<Vec<IdPredicate>> = vec![vec![]];
-    let retry = RetryConfig {
-        base: Duration::from_millis(1),
-        cap: Duration::from_millis(4),
-        deadline: Duration::from_millis(25),
-        seed: 11,
-    };
-    let started = std::time::Instant::now();
-    let response =
-        client.request_with_retry(5, 0, 0, &preds, &[(0, 9)], &retry).expect("retry loop");
-    // The shed comes back typed — not an error — once the budget is spent,
-    // and the client does not keep hammering past its deadline.
-    assert_eq!(response.status, Status::Overloaded);
-    assert_eq!(response.request_id, 5);
-    assert!(started.elapsed() < Duration::from_secs(2), "deadline bounds the retry loop");
-    drop(client);
-    assert!(server.join().expect("server") >= 1);
-}
-
-#[test]
-fn a_reconnecting_client_replays_its_unanswered_request() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let server = std::thread::spawn(move || {
-        // First connection: swallow the request, then die without answering.
-        let (mut stream, _) = listener.accept().expect("accept");
-        read_preamble(&mut stream);
-        let mut acc = Vec::new();
-        let first_id = next_request_id(&mut stream, &mut acc).expect("first request");
-        drop(stream);
-        // The redial replays the unanswered frame verbatim; answer it.
-        let (mut stream, _) = listener.accept().expect("re-accept");
-        read_preamble(&mut stream);
-        let mut acc = Vec::new();
-        let replayed_id = next_request_id(&mut stream, &mut acc).expect("replayed request");
-        let mut out = Vec::new();
-        frame::encode_response(&mut out, replayed_id, Status::Ok, 55.0);
-        stream.write_all(&out).expect("respond");
-        (first_id, replayed_id)
-    });
-
-    let mut client = WireClient::connect(addr).expect("connect");
-    client.enable_reconnect().expect("reconnect enabled");
-    let preds: Vec<Vec<IdPredicate>> = vec![vec![IdPredicate { op: PredOp::Le, value_id: 3 }]];
-    client.submit_request(99, 1, 0, &preds, &[(0, 5)]);
-    client.flush().expect("flush");
-    // The dead connection surfaces inside recv; with reconnect enabled the
-    // client redials and replays, and the caller just gets the answer.
-    let response = client.recv().expect("answer after redial");
-    assert_eq!(response.request_id, 99);
-    assert_eq!(response.status, Status::Ok);
-    assert_eq!(response.value, 55.0);
-    let (first, replayed) = server.join().expect("server");
-    assert_eq!(first, 99);
-    assert_eq!(replayed, 99, "the replayed frame carries the original request id");
 }
 
 #[test]

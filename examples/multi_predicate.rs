@@ -36,7 +36,7 @@ fn main() {
     );
 
     // Persist the trained weights and restore them into a fresh estimator.
-    let checkpoint = save_weights(&mut duet);
+    let checkpoint = save_weights(&duet);
     println!("\ncheckpoint size: {} KiB", checkpoint.len() / 1024);
     let fresh_model = duet::core::DuetModel::new(&table, &config, 7);
     let mut restored = DuetEstimator::from_model(fresh_model, &table, "restored");

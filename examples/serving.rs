@@ -32,7 +32,7 @@ fn main() {
     let est_v0 = DuetEstimator::train_data_only(&table, &config, 1);
     println!("training refreshed model (different seed) for the hot-swap ...");
     let mut est_v1 = DuetEstimator::train_data_only(&table, &config, 2);
-    let checkpoint = save_weights(&mut est_v1);
+    let checkpoint = save_weights(&est_v1);
 
     let server = Arc::new(DuetServer::new(ServeConfig::default()));
     server.register("census", est_v0);

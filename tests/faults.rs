@@ -593,7 +593,7 @@ fn a_corrupt_spilled_checkpoint_is_a_typed_error_and_a_hot_swap_heals_it() {
 
     // Publishing a fresh model through the hot-swap path heals the slot
     // without ever reading the corrupt bytes.
-    let checkpoint = save_weights(&mut est.clone());
+    let checkpoint = save_weights(&est);
     server.hot_swap("wedged", &checkpoint).expect("hot-swap onto a wedged slot");
     let served = server.estimate_many("wedged", &queries).expect("the healed slot serves");
     for (v, e) in served.iter().zip(&expected) {

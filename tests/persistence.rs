@@ -3,11 +3,13 @@
 //! read back produces identical ground truth.
 
 use duet::core::{
-    load_weights, save_weights, verify_checkpoint, DuetConfig, DuetEstimator, DuetModel,
+    load_weights, save_weights, verify_checkpoint, CheckpointError, DuetConfig, DuetEstimator,
+    DuetModel,
 };
 use duet::data::csv::{read_csv, write_csv};
 use duet::data::datasets::census_like;
 use duet::data::Table;
+use duet::nn::Params;
 use duet::query::{exact_cardinality, CardinalityEstimator, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -19,7 +21,7 @@ fn checkpoint_round_trip_preserves_every_estimate() {
     let queries = WorkloadSpec::random(&table, 40, 17).generate(&table);
     let expected: Vec<f64> = queries.iter().map(|q| trained.estimate(q)).collect();
 
-    let checkpoint = save_weights(&mut trained);
+    let checkpoint = save_weights(&trained);
     let mut restored =
         DuetEstimator::from_model(DuetModel::new(&table, &cfg, 12345), &table, "restored");
     load_weights(&mut restored, &checkpoint).expect("loading the checkpoint should succeed");
@@ -32,7 +34,7 @@ fn corrupted_checkpoints_are_rejected_without_panicking() {
     let table = census_like(400, 92);
     let cfg = DuetConfig::small().with_epochs(1);
     let mut est = DuetEstimator::train_data_only(&table, &cfg, 1);
-    let checkpoint = save_weights(&mut est);
+    let checkpoint = save_weights(&est);
     // Truncated buffer.
     assert!(load_weights(&mut est, &checkpoint[..checkpoint.len() / 2]).is_err());
     // Garbage buffer.
@@ -40,6 +42,58 @@ fn corrupted_checkpoints_are_rejected_without_panicking() {
     // The estimator still works after the failed loads.
     let q = WorkloadSpec::random(&table, 1, 3).generate(&table).remove(0);
     assert!(est.estimate(&q).is_finite());
+}
+
+/// FNV-1a 64, the checksum a `DUETCKF1` frame carries over its payload.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn a_checkpoint_whose_last_shape_differs_loads_nothing() {
+    let table = census_like(400, 96);
+    let cfg = DuetConfig::small().with_epochs(1);
+    let source = DuetEstimator::train_data_only(&table, &cfg, 1);
+    let mut target = DuetEstimator::train_data_only(&table, &cfg, 2);
+    let queries = WorkloadSpec::random(&table, 30, 8).generate(&table);
+    let estimates = |est: &mut DuetEstimator| -> Vec<u64> {
+        queries.iter().map(|q| est.estimate(q).to_bits()).collect()
+    };
+    let before = estimates(&mut target);
+
+    // The source's checkpoint with its last parameter's shape transposed
+    // (same bytes, a shape the target does not have), sealed again so the
+    // frame is valid and only the record headers can object. Every other
+    // record fits the target, so a load that wrote as it went would have
+    // overwritten all of them before reaching the last.
+    let (mut count, mut last) = (0, (0, 0));
+    source.model().visit_params_ref(&mut |p| {
+        count += 1;
+        last = p.data.shape();
+    });
+    let (rows, cols) = last;
+    assert_ne!(rows, cols, "transposing must change the shape");
+    let mut checkpoint = save_weights(&source);
+    let at = checkpoint.len() - rows * cols * 4 - 16;
+    checkpoint[at..at + 8].copy_from_slice(&(cols as u64).to_le_bytes());
+    checkpoint[at + 8..at + 16].copy_from_slice(&(rows as u64).to_le_bytes());
+    let checksum = fnv1a64(&checkpoint[24..]);
+    checkpoint[16..24].copy_from_slice(&checksum.to_le_bytes());
+    assert!(verify_checkpoint(&checkpoint).is_ok());
+
+    assert_eq!(
+        load_weights(&mut target, &checkpoint),
+        Err(CheckpointError::ShapeMismatch {
+            index: count - 1,
+            expected: (rows, cols),
+            found: (cols, rows)
+        })
+    );
+    assert_eq!(estimates(&mut target), before, "a rejected checkpoint writes no weight");
+    load_weights(&mut target, &save_weights(&source)).expect("the unaltered checkpoint loads");
+    assert_ne!(estimates(&mut target), before, "the source's weights are visible when loaded");
 }
 
 #[test]
@@ -64,8 +118,8 @@ fn checkpoint_fixture() -> &'static (Table, usize, DuetConfig, Vec<u8>) {
     FIXTURE.get_or_init(|| {
         let table = census_like(300, 95);
         let cfg = DuetConfig::small().with_epochs(1);
-        let mut est = DuetEstimator::train_data_only(&table, &cfg, 9);
-        let bytes = save_weights(&mut est).to_vec();
+        let est = DuetEstimator::train_data_only(&table, &cfg, 9);
+        let bytes = save_weights(&est);
         (table.schema_only(), table.num_rows(), cfg, bytes)
     })
 }

@@ -125,7 +125,7 @@ fn hot_swap_round_trips_checkpointed_estimates() {
         queries.iter().map(|q| server.estimate("census", q).unwrap()).collect();
     assert_eq!(served_a, expected_a);
 
-    let checkpoint = save_weights(&mut est_b);
+    let checkpoint = save_weights(&est_b);
     server.hot_swap("census", &checkpoint).unwrap();
     assert_eq!(server.generation("census"), Some(1));
 
@@ -137,11 +137,11 @@ fn hot_swap_round_trips_checkpointed_estimates() {
     );
 
     // Swapping back restores the original estimates (and a new generation).
-    let mut est_a_again = {
+    let est_a_again = {
         let (_, e) = trained(700, 4);
         e
     };
-    let checkpoint_a = save_weights(&mut est_a_again);
+    let checkpoint_a = save_weights(&est_a_again);
     server.hot_swap("census", &checkpoint_a).unwrap();
     assert_eq!(server.generation("census"), Some(2));
     let served_a_again: Vec<f64> =
@@ -166,7 +166,7 @@ fn hot_swap_replays_hot_keys_into_the_fresh_cache() {
         }
     }
 
-    let checkpoint = save_weights(&mut est_b);
+    let checkpoint = save_weights(&est_b);
     server.hot_swap("census", &checkpoint).unwrap();
 
     // The replay must have re-seeded the new generation's cache: the first
@@ -192,7 +192,7 @@ fn hot_swap_under_concurrent_load_never_drops_requests() {
         queries.iter().map(|q| e.estimate(q)).collect()
     };
     let expected_b: Vec<f64> = queries.iter().map(|q| est_b.estimate(q)).collect();
-    let checkpoint = save_weights(&mut est_b);
+    let checkpoint = save_weights(&est_b);
 
     let server = Arc::new(DuetServer::new(ServeConfig::default()));
     server.register("census", est_a);

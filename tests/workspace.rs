@@ -119,7 +119,7 @@ fn workspace_masked_cache_invalidates_on_checkpoint_hot_swap() {
     let table = census_like(300, 10);
     let cfg = DuetConfig::small().with_epochs(1);
     let est_a = DuetEstimator::train_data_only(&table, &cfg, 1);
-    let mut est_b = DuetEstimator::train_data_only(&table, &cfg, 2);
+    let est_b = DuetEstimator::train_data_only(&table, &cfg, 2);
     let queries = WorkloadSpec::random(&table, 10, 4).generate(&table);
     let expected_b = est_b.estimate_batch(&queries);
 
@@ -129,7 +129,7 @@ fn workspace_masked_cache_invalidates_on_checkpoint_hot_swap() {
     assert_ne!(out, expected_b, "differently seeded models should disagree");
 
     // The registry's hot-swap path: clone the serving model, load weights.
-    let checkpoint = duet::core::save_weights(&mut est_b);
+    let checkpoint = duet::core::save_weights(&est_b);
     let mut swapped = est_a.clone();
     duet::core::load_weights(&mut swapped, &checkpoint).expect("checkpoint should load");
     swapped.estimate_batch_with(&queries, &mut ws, &mut out);

@@ -41,20 +41,22 @@
 //! embedders' own forward/backward pairs (back-propagation through time for
 //! the recurrent and recursive kinds) are inside the window too.
 //!
-//! The same allocator also tracks live heap bytes, and a second test holds
-//! a served model's memory to what it is made of: a clone of a trained
-//! estimator costs its weights and packs and nothing else, and serving many
-//! tables under a model budget settles live heap at the budget plus a small
-//! constant per table.
+//! The same allocator also tracks live heap bytes and their peak. A second
+//! test holds a served model's memory to what it is made of: a clone of a
+//! trained estimator costs its weights and packs and nothing else, and
+//! serving many tables under a model budget settles live heap at the budget
+//! plus a small constant per table. A third holds a checkpoint to one
+//! buffer: an eviction peaks at the checkpoint it keeps, and a load into a
+//! model of the same architecture allocates nothing of weight size.
 //!
 //! This lives in its own integration-test binary so the
 //! global allocator and the single-threaded measurement cannot interfere
 //! with other tests; the tests in it take turns.
 
 use duet::core::{
-    data_forward, query_forward, query_to_id_predicates, sample_virtual_batch, train_step,
-    DuetConfig, DuetEstimator, DuetModel, DuetWorkspace, MpsnKind, PreparedQuery, SamplerConfig,
-    TrainStepScratch,
+    data_forward, load_weights, query_forward, query_to_id_predicates, sample_virtual_batch,
+    save_weights, train_step, DuetConfig, DuetEstimator, DuetModel, DuetWorkspace, MpsnKind,
+    PreparedQuery, SamplerConfig, TrainStepScratch,
 };
 use duet::data::datasets::census_like;
 use duet::data::table_stats;
@@ -63,7 +65,7 @@ use duet::nn::{seeded_rng, Adam};
 use duet::query::{exact_cardinality, Query, WorkloadSpec};
 use duet::serve::sim::{PreparedRequest, RouterHarness, WireSim};
 use duet::serve::wire::{frame, ConnConfig};
-use duet::serve::{DriftMonitor, RouterConfig, ServeConfig};
+use duet::serve::{DriftMonitor, ModelSlot, RouterConfig, ServeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -72,13 +74,15 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
 /// Bytes currently allocated.
 static LIVE: AtomicI64 = AtomicI64::new(0);
+/// The most bytes allocated at once since the last [`reset_peak`].
+static PEAK: AtomicI64 = AtomicI64::new(0);
 
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        grow(layout.size() as i64);
         System.alloc(layout)
     }
 
@@ -90,9 +94,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        // Counted as the size change alone: a moving realloc briefly also
+        // holds the old block, which the peak misses. The buffers measured
+        // below are reallocated only from a few bytes, if at all.
+        grow(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
+}
+
+/// Add `delta` to the live bytes and raise the peak to match.
+fn grow(delta: i64) {
+    let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK.fetch_max(live, Ordering::Relaxed);
 }
 
 #[global_allocator]
@@ -108,6 +121,17 @@ fn serial() -> MutexGuard<'static, ()> {
 
 fn live_bytes() -> i64 {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Start a new peak window at the current live bytes, which it returns.
+fn reset_peak() -> i64 {
+    let live = live_bytes();
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
+
+fn peak_bytes() -> i64 {
+    PEAK.load(Ordering::Relaxed)
 }
 
 // One #[test] drives all phases, so a regression is reported with the
@@ -835,4 +859,47 @@ fn budgeted_heap_phase() {
     assert!(held <= bound, "{held} bytes held under a one-model budget of {per_model} bytes");
     drop(harness);
     let _ = std::fs::remove_dir_all(&spill);
+}
+
+/// What a checkpoint operation may allocate besides the checkpoint itself:
+/// the evicted slot's schema snapshot, config and label.
+const CHECKPOINT_SLACK: usize = 64 << 10;
+
+#[test]
+fn a_checkpoint_is_one_buffer_written_once_and_read_in_place() {
+    let _turn = serial();
+    let table = census_like(400, 16);
+    let mut cfg = DuetConfig::small().with_epochs(1);
+    cfg.hidden_sizes = vec![256, 256];
+    let est = DuetEstimator::train_data_only(&table, &cfg, 9);
+    let checkpoint = save_weights(&est);
+    let params = est.model().size_bytes();
+    assert!(checkpoint.len() > params, "a checkpoint holds every parameter");
+
+    // Loading into a model of the same architecture decodes into the
+    // weights it already has: no staging copy, no reallocation.
+    let mut target = est.clone();
+    let before = reset_peak();
+    load_weights(&mut target, &checkpoint).expect("same architecture");
+    let loaded = (peak_bytes() - before) as usize;
+    eprintln!("load: peak {loaded} bytes above start, parameters {params}");
+    assert!(loaded <= CHECKPOINT_SLACK, "a load allocated {loaded} bytes for {params} bytes");
+    drop(target);
+
+    // Evicting serializes the resident model where it lies: the only large
+    // allocation is the checkpoint, held by the slot from then on.
+    let slot = ModelSlot::new(est);
+    let before = reset_peak();
+    let freed = slot.evict(None).expect("in-memory eviction");
+    let evicted = (peak_bytes() - before) as usize;
+    eprintln!(
+        "evict: peak {evicted} bytes above start, checkpoint {}, freed {freed}",
+        checkpoint.len()
+    );
+    assert!(freed > 0 && !slot.is_resident());
+    assert!(
+        evicted <= checkpoint.len() + CHECKPOINT_SLACK,
+        "an eviction peaked {evicted} bytes above its start for a {} byte checkpoint",
+        checkpoint.len()
+    );
 }
