@@ -8,6 +8,7 @@ use crate::model::{query_to_id_predicates, DuetModel, DuetWorkspace};
 use crate::trainer::{train_model, TrainingWorkload};
 use duet_data::Table;
 use duet_query::{CardinalityEstimator, Query};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Timing breakdown of one estimation call (used by the scalability
@@ -26,7 +27,9 @@ pub struct EstimateBreakdown {
 #[derive(Debug, Clone)]
 pub struct DuetEstimator {
     model: DuetModel,
-    schema: Table,
+    /// Zero-row; shared with every estimator that serves the same id space
+    /// (see [`DuetEstimator::share_schema`]).
+    schema: Arc<Table>,
     num_rows: usize,
     label: String,
 }
@@ -34,7 +37,8 @@ pub struct DuetEstimator {
 impl DuetEstimator {
     /// Wrap an already-trained model.
     pub fn from_model(model: DuetModel, table: &Table, label: impl Into<String>) -> Self {
-        Self { model, schema: table.schema_only(), num_rows: table.num_rows(), label: label.into() }
+        let schema = Arc::new(table.schema_only());
+        Self { model, schema, num_rows: table.num_rows(), label: label.into() }
     }
 
     /// Train purely data-driven (the paper's `DuetD` ablation).
@@ -58,26 +62,27 @@ impl DuetEstimator {
     }
 
     /// Rebuild an estimator from its architecture description plus a weight
-    /// checkpoint produced by [`crate::persist::save_weights`] — the
-    /// lazy-reload path of a serving model tier that evicted the resident
-    /// instance to reclaim memory.
+    /// checkpoint produced by [`crate::persist::save_weights`] — the one
+    /// way a checkpoint becomes an estimator: a serving slot's lazy reload
+    /// and its hot-swap both come here.
     ///
     /// The architecture is a deterministic function of `(schema, config)` —
-    /// mask construction uses no randomness — so a freshly initialized model
-    /// has exactly the shapes the checkpoint expects, and loading restores
-    /// the parameters bit for bit: estimates from the rebuilt instance are
-    /// **bit-identical** to the evicted one's. `schema` may be (and in the
-    /// tier is) a zero-row [`Table::schema_only`] snapshot; `num_rows` is
-    /// the trained row count the evictor recorded.
+    /// mask construction uses no randomness — so a zero-weight skeleton
+    /// (nothing drawn, no strip packed) has exactly the shapes the
+    /// checkpoint expects, and loading fills each parameter in place and
+    /// packs each masked layer once: estimates from the rebuilt instance are
+    /// **bit-identical** to the saved one's. `schema` is a zero-row
+    /// [`Table::schema_only`] snapshot, shared, not copied; `num_rows` is
+    /// the trained row count.
     pub fn rebuild_from_checkpoint(
-        schema: &Table,
+        schema: Arc<Table>,
         num_rows: usize,
         config: &DuetConfig,
         label: impl Into<String>,
         checkpoint: &[u8],
     ) -> Result<Self, crate::persist::CheckpointError> {
-        let model = DuetModel::new(schema, config, 0);
-        let mut est = Self { model, schema: schema.schema_only(), num_rows, label: label.into() };
+        let model = DuetModel::skeleton(&schema, config);
+        let mut est = Self { model, schema, num_rows, label: label.into() };
         crate::persist::load_weights(&mut est, checkpoint)?;
         Ok(est)
     }
@@ -95,6 +100,31 @@ impl DuetEstimator {
     /// The zero-row schema table used to translate literals.
     pub fn schema(&self) -> &Table {
         &self.schema
+    }
+
+    /// The shared handle of [`DuetEstimator::schema`].
+    pub fn shared_schema(&self) -> &Arc<Table> {
+        &self.schema
+    }
+
+    /// Whether `schema` has this estimator's id space: as many columns, each
+    /// with the same dictionary, value for value. If so, literals are
+    /// translated through `schema` from now on, so estimators of one id
+    /// space hold one copy of it. O(total distinct values) unless the two
+    /// are already shared.
+    pub fn share_schema(&mut self, schema: &Arc<Table>) -> bool {
+        let (theirs, ours) = (schema.as_ref(), self.schema.as_ref());
+        let same = Arc::ptr_eq(schema, &self.schema)
+            || theirs.num_columns() == ours.num_columns()
+                && (0..theirs.num_columns()).all(|c| {
+                    let (tc, oc) = (theirs.column(c), ours.column(c));
+                    tc.ndv() == oc.ndv()
+                        && (0..tc.ndv() as u32).all(|id| tc.value_of_id(id) == oc.value_of_id(id))
+                });
+        if same {
+            self.schema = schema.clone();
+        }
+        same
     }
 
     /// Number of rows of the table the estimator was trained on.

@@ -8,7 +8,7 @@ use crate::mpsn::{build_mpsns, ColumnMpsn, MpsnScratch};
 use duet_data::Table;
 use duet_nn::{
     seeded_rng, softmax_restricted_mass, BlockPlan, ForwardWorkspace, Made, MadeConfig, Matrix,
-    Param, Params, SoftmaxMode, SparseRows,
+    Param, Params, Skeleton, SoftmaxMode, SparseRows, WeightSource,
 };
 use duet_query::Query;
 
@@ -74,8 +74,26 @@ pub struct DuetModel {
 }
 
 impl DuetModel {
-    /// Build a model for `table` with the given configuration.
+    /// Build a model for `table` with the given configuration, its weights
+    /// drawn from `seed`.
     pub fn new(table: &Table, config: &DuetConfig, seed: u64) -> Self {
+        Self::build(table, config, &mut seeded_rng(seed), &mut seeded_rng(seed ^ 0xa5a5))
+    }
+
+    /// The architecture [`DuetModel::new`] builds, every weight zero and
+    /// nothing drawn: the model a checkpoint is loaded into.
+    pub(crate) fn skeleton(table: &Table, config: &DuetConfig) -> Self {
+        Self::build(table, config, &mut Skeleton, &mut Skeleton)
+    }
+
+    /// The one constructor: the backbone's weights come from `made`, the
+    /// MPSNs' from `mpsn`.
+    fn build(
+        table: &Table,
+        config: &DuetConfig,
+        made: &mut impl WeightSource,
+        mpsn: &mut impl WeightSource,
+    ) -> Self {
         config.validate().expect("invalid Duet configuration");
         let encoder = Encoder::new(table);
         let made_config = if config.residual {
@@ -92,10 +110,8 @@ impl DuetModel {
                 config.hidden_sizes.clone(),
             )
         };
-        let mut rng = seeded_rng(seed);
-        let made = Made::new(made_config, &mut rng);
-        let mpsns =
-            build_mpsns(config.mpsn, &encoder.block_widths(), config.mpsn_hidden, seed ^ 0xa5a5);
+        let made = Made::new(made_config, made);
+        let mpsns = build_mpsns(config.mpsn, &encoder.block_widths(), config.mpsn_hidden, mpsn);
         let mut model = Self { config: config.clone(), encoder, made, mpsns, num_params: 0 };
         model.num_params = model.param_count();
         model
@@ -507,5 +523,21 @@ mod tests {
         assert!(with.num_parameters() > without.num_parameters());
         assert_eq!(with.size_bytes(), with.num_parameters() * 4);
         assert!(with.resident_bytes() > with.size_bytes(), "the packs are held too");
+    }
+
+    #[test]
+    fn a_skeleton_is_the_drawn_architecture_with_every_weight_zero() {
+        let table = census_like(200, 5);
+        for (mpsn, residual) in [(MpsnKind::None, true), (MpsnKind::Recurrent, false)] {
+            let config = DuetConfig { mpsn, residual, ..DuetConfig::small() };
+            let shapes = |model: &DuetModel| {
+                let mut shapes = Vec::new();
+                model.visit_params_ref(&mut |p| shapes.push(p.data.shape()));
+                shapes
+            };
+            let skeleton = DuetModel::skeleton(&table, &config);
+            assert_eq!(shapes(&skeleton), shapes(&DuetModel::new(&table, &config, 3)));
+            skeleton.visit_params_ref(&mut |p| assert_eq!(p.data.max_abs(), 0.0));
+        }
     }
 }

@@ -22,10 +22,9 @@
 
 use crate::config::MpsnKind;
 use duet_nn::{
-    rowvec_matmul_into, seeded_rng, ForwardWorkspace, InferLayer, Init, Matrix, Mlp, Param, Params,
-    TrainWorkspace,
+    rowvec_matmul_into, ForwardWorkspace, InferLayer, Init, Matrix, Mlp, Param, Params,
+    TrainWorkspace, WeightSource,
 };
-use rand::rngs::SmallRng;
 
 /// Reusable scratch buffers for allocation-free MPSN embedding and
 /// back-propagation.
@@ -78,7 +77,7 @@ impl ColumnMpsn {
     ///
     /// # Panics
     /// Panics if `kind` is [`MpsnKind::None`].
-    pub fn new(kind: MpsnKind, dim: usize, hidden: usize, rng: &mut SmallRng) -> Self {
+    pub fn new(kind: MpsnKind, dim: usize, hidden: usize, rng: &mut impl WeightSource) -> Self {
         match kind {
             MpsnKind::Mlp => ColumnMpsn::Mlp(MlpMpsn::new(dim, hidden, rng)),
             MpsnKind::Recurrent => ColumnMpsn::Recurrent(RecurrentMpsn::new(dim, hidden, rng)),
@@ -165,7 +164,7 @@ pub(crate) struct MlpMpsn {
 }
 
 impl MlpMpsn {
-    fn new(dim: usize, hidden: usize, rng: &mut SmallRng) -> Self {
+    fn new(dim: usize, hidden: usize, rng: &mut impl WeightSource) -> Self {
         Self { mlp: Mlp::new(&[dim, hidden, hidden, dim], rng), dim }
     }
 
@@ -213,12 +212,12 @@ pub(crate) struct RecurrentMpsn {
 }
 
 impl RecurrentMpsn {
-    fn new(dim: usize, hidden: usize, rng: &mut SmallRng) -> Self {
+    fn new(dim: usize, hidden: usize, rng: &mut impl WeightSource) -> Self {
         Self {
-            wx: Param::new(Init::XavierUniform.matrix(dim, hidden, rng)),
-            wh: Param::new(Init::XavierUniform.matrix(hidden, hidden, rng)),
+            wx: Param::new(rng.weights(Init::XavierUniform, dim, hidden)),
+            wh: Param::new(rng.weights(Init::XavierUniform, hidden, hidden)),
             b: Param::new(Matrix::zeros(1, hidden)),
-            wo: Param::new(Init::XavierUniform.matrix(hidden, dim, rng)),
+            wo: Param::new(rng.weights(Init::XavierUniform, hidden, dim)),
             bo: Param::new(Matrix::zeros(1, dim)),
             dim,
             hidden,
@@ -303,7 +302,7 @@ pub(crate) struct RecursiveMpsn {
 }
 
 impl RecursiveMpsn {
-    fn new(dim: usize, hidden: usize, rng: &mut SmallRng) -> Self {
+    fn new(dim: usize, hidden: usize, rng: &mut impl WeightSource) -> Self {
         Self { cell: Mlp::new(&[2 * dim, hidden, hidden, dim], rng), dim }
     }
 
@@ -383,18 +382,18 @@ pub(crate) fn build_mpsns(
     kind: MpsnKind,
     block_widths: &[usize],
     hidden: usize,
-    seed: u64,
+    rng: &mut impl WeightSource,
 ) -> Vec<ColumnMpsn> {
     if kind == MpsnKind::None {
         return Vec::new();
     }
-    let mut rng = seeded_rng(seed);
-    block_widths.iter().map(|&dim| ColumnMpsn::new(kind, dim, hidden, &mut rng)).collect()
+    block_widths.iter().map(|&dim| ColumnMpsn::new(kind, dim, hidden, rng)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use duet_nn::seeded_rng;
 
     fn pred_vec(dim: usize, seed: f32) -> Vec<f32> {
         (0..dim).map(|i| ((i as f32 + 1.0) * seed).sin()).collect()
@@ -511,7 +510,7 @@ mod tests {
 
     #[test]
     fn build_mpsns_none_is_empty() {
-        assert!(build_mpsns(MpsnKind::None, &[4, 4], 8, 1).is_empty());
-        assert_eq!(build_mpsns(MpsnKind::Mlp, &[4, 4], 8, 1).len(), 2);
+        assert!(build_mpsns(MpsnKind::None, &[4, 4], 8, &mut seeded_rng(1)).is_empty());
+        assert_eq!(build_mpsns(MpsnKind::Mlp, &[4, 4], 8, &mut seeded_rng(1)).len(), 2);
     }
 }

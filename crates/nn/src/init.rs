@@ -36,6 +36,31 @@ impl Init {
     }
 }
 
+/// Where a new layer's weight matrices come from. Every constructor takes
+/// one, so the same code builds a model to train or a skeleton to load.
+pub trait WeightSource {
+    /// A `(fan_in, fan_out)` weight matrix for a layer initialized by `init`.
+    fn weights(&mut self, init: Init, fan_in: usize, fan_out: usize) -> Matrix;
+}
+
+/// An RNG draws every matrix by its scheme ([`Init::matrix`]).
+impl WeightSource for SmallRng {
+    fn weights(&mut self, init: Init, fan_in: usize, fan_out: usize) -> Matrix {
+        init.matrix(fan_in, fan_out, self)
+    }
+}
+
+/// All-zero weights whatever the scheme, drawing nothing: the skeleton a
+/// checkpoint is loaded into. A masked layer built from it packs no strip.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Skeleton;
+
+impl WeightSource for Skeleton {
+    fn weights(&mut self, _: Init, fan_in: usize, fan_out: usize) -> Matrix {
+        Matrix::zeros(fan_in, fan_out)
+    }
+}
+
 fn uniform_matrix(rows: usize, cols: usize, bound: f32, rng: &mut SmallRng) -> Matrix {
     let mut data = Vec::with_capacity(rows * cols);
     for _ in 0..rows * cols {

@@ -190,8 +190,9 @@ pub fn use_blocked(m: usize, k: usize, n: usize) -> bool {
 /// same rule as [`use_blocked`] (the pack is free on this path, but below
 /// `MIN_BLOCK_ROWS` rows the naive kernel's input-zero skipping wins on the
 /// sparse activations this workspace produces) — and the masked-layer
-/// dispatch in `MaskedLinear::infer_entry` relies on the two
-/// predicates agreeing, so keep them delegating.
+/// dispatch relies on the two predicates agreeing (`MaskedLinear::infer_cols`
+/// hands the naive kernel a `false` density hint whenever
+/// `MaskedLinear::runs_packed` declines), so keep them delegating.
 pub fn use_packed(m: usize, k: usize, n: usize) -> bool {
     use_blocked(m, k, n)
 }

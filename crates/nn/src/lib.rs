@@ -38,7 +38,7 @@ pub mod tensor;
 pub mod workspace;
 
 pub use activation::Activation;
-pub use init::{seeded_rng, Init};
+pub use init::{seeded_rng, Init, Skeleton, WeightSource};
 pub use kernels::{native_tile, with_tile, SparseRows, Tile};
 pub use linear::{Linear, MaskedLinear};
 pub use loss::{

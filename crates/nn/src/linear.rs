@@ -22,12 +22,11 @@
 //! it.
 
 use crate::activation::Activation;
-use crate::init::Init;
+use crate::init::{Init, WeightSource};
 use crate::kernels::{self, PackedWeight, SparseRows};
 use crate::param::{Param, Params};
 use crate::tensor::Matrix;
 use crate::workspace::GradStage;
-use rand::rngs::SmallRng;
 use std::ops::Range;
 
 /// `y = x @ W + b`, with `W` of shape `(in_features, out_features)`.
@@ -39,9 +38,14 @@ pub struct Linear {
 
 impl Linear {
     /// Create a layer with the given initialization.
-    pub fn new(in_features: usize, out_features: usize, init: Init, rng: &mut SmallRng) -> Self {
+    pub fn new(
+        in_features: usize,
+        out_features: usize,
+        init: Init,
+        rng: &mut impl WeightSource,
+    ) -> Self {
         Self {
-            weight: Param::new(init.matrix(in_features, out_features, rng)),
+            weight: Param::new(rng.weights(init, in_features, out_features)),
             bias: Param::new(Matrix::zeros(1, out_features)),
         }
     }
@@ -164,10 +168,10 @@ impl MaskedLinear {
         out_degrees: &[usize],
         strict: bool,
         init: Init,
-        rng: &mut SmallRng,
+        rng: &mut impl WeightSource,
     ) -> Self {
         let mut layer = Self {
-            weight: Param::new(init.matrix(in_degrees.len(), out_degrees.len(), rng)),
+            weight: Param::new(rng.weights(init, in_degrees.len(), out_degrees.len())),
             bias: Param::new(Matrix::zeros(1, out_degrees.len())),
             mask: DegreeMask::new(in_degrees, out_degrees, strict),
             packed: PackedWeight::new(),

@@ -19,7 +19,7 @@
 //! activations only.
 
 use crate::activation::Activation;
-use crate::init::Init;
+use crate::init::{Init, WeightSource};
 use crate::kernels::SparseRows;
 use crate::linear::MaskedLinear;
 use crate::param::{InferLayer, Param, Params};
@@ -28,7 +28,6 @@ use crate::workspace::{
     pick2, pick3, ForwardWorkspace, GradStage, ProjectionParts, TrainBackwardParts,
     TrainForwardParts, TrainWorkspace,
 };
-use rand::rngs::SmallRng;
 
 /// Architecture description for a [`Made`] network.
 #[derive(Debug, Clone)]
@@ -116,7 +115,7 @@ struct ResBlock {
 }
 
 impl ResBlock {
-    fn new(degrees: &[usize], init: Init, rng: &mut SmallRng) -> Self {
+    fn new(degrees: &[usize], init: Init, rng: &mut impl WeightSource) -> Self {
         let fc1 = MaskedLinear::new(degrees, degrees, false, init, rng);
         let fc2 = MaskedLinear::new(degrees, degrees, false, init, rng);
         Self { fc: [fc1, fc2] }
@@ -325,7 +324,7 @@ impl Made {
     /// # Panics
     /// Panics if the config has no columns, mismatched block lists, or (for
     /// ResMADE) non-uniform hidden sizes.
-    pub fn new(config: MadeConfig, rng: &mut SmallRng) -> Self {
+    pub fn new(config: MadeConfig, rng: &mut impl WeightSource) -> Self {
         let n = config.num_columns();
         assert!(n > 0, "MADE needs at least one column");
         assert_eq!(

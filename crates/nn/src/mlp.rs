@@ -2,12 +2,11 @@
 //! baseline and by Duet's MLP-based MPSN predicate embedder.
 
 use crate::activation::Activation;
-use crate::init::Init;
+use crate::init::{Init, WeightSource};
 use crate::linear::Linear;
 use crate::param::{InferLayer, Param, Params};
 use crate::tensor::Matrix;
 use crate::workspace::{pick2, ForwardWorkspace, TrainBackwardParts, TrainWorkspace};
-use rand::rngs::SmallRng;
 
 /// A feed-forward network: `Linear -> ReLU -> ... -> Linear` (no activation on
 /// the final layer).
@@ -22,7 +21,7 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics if fewer than two sizes are given.
-    pub fn new(sizes: &[usize], rng: &mut SmallRng) -> Self {
+    pub fn new(sizes: &[usize], rng: &mut impl WeightSource) -> Self {
         assert!(sizes.len() >= 2, "an MLP needs at least input and output sizes");
         let layers =
             sizes.windows(2).map(|w| Linear::new(w[0], w[1], Init::KaimingUniform, rng)).collect();

@@ -374,12 +374,12 @@ mod tests {
         deadline: Option<Duration>,
         reply: SyncSender<Result<f64, ShedReason>>,
     ) -> RoutedRequest {
-        let (_, estimator) = resources.slot.resolve(&ServeMetrics::new()).unwrap();
+        let (preds, intervals) = resources.slot.encode(query);
         RoutedRequest {
             table_id,
             slot_uid: resources.slot.uid(),
-            preds: duet_core::query_to_id_predicates(estimator.schema(), query),
-            intervals: query.column_intervals(estimator.schema()),
+            preds,
+            intervals,
             key: None,
             deadline,
             reply: ReplyTo::Channel(reply),

@@ -10,24 +10,27 @@
 //!
 //! Ingest, feedback, the trainer tick and the checkpoint hot-swap are
 //! written here once too: every door only decodes, calls them and encodes.
+//!
+//! Encoding reads the slot's schema and never reaches the model: a model is
+//! reached, and reloaded if the tier evicted it, only by the batch that
+//! runs it (and by the trainer tick and the hot-set replay, which run it
+//! too). A failed reload therefore sheds the batch, whichever door its
+//! requests came through.
 
 use crate::batcher::{execute_supervised, recycle_batch, ShardWorker};
-use crate::metrics::{Counter, MetricsSnapshot, ServeMetrics};
+use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::online::{
-    lock, replay_hot_keys, FeedbackError, OnlineConfig, OnlineDirectory, OnlineHooks, OnlineTable,
+    lock, publish, FeedbackError, OnlineConfig, OnlineDirectory, OnlineHooks, OnlineTable,
     OnlineTickReport,
 };
-use crate::registry::{ModelRegistry, ModelSlot, ReloadError, SwapError};
+use crate::registry::{Encoded, ModelRegistry, SwapError};
 use crate::router::{Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources};
 use crate::server::{ServeConfig, ServeError};
 use crate::tier::ModelTier;
-use duet_core::{query_to_id_predicates, DuetEstimator, IdPredicate};
+use duet_core::DuetEstimator;
 use duet_data::Table;
 use duet_query::Query;
 use std::sync::{Arc, Mutex, RwLock};
-
-/// Predicates and intervals of one query in a table's id space.
-pub(crate) type Encoded = (Vec<Vec<IdPredicate>>, Vec<(u32, u32)>);
 
 /// The reason [`ServeError::Rejected`] gives for ingest or feedback to a
 /// table that is not online-enabled (the wire answers it `UnknownTable`).
@@ -112,31 +115,14 @@ impl ServeCore {
         self.directory.read().expect("directory poisoned")[table_id as usize].clone()
     }
 
-    /// `query` encoded against the current schema of `slot`'s model (a lazy
-    /// reload, or its failure, is counted).
-    pub(crate) fn encode(&self, slot: &ModelSlot, query: &Query) -> Result<Encoded, ReloadError> {
-        let (_, estimator) = slot.resolve(&self.metrics)?;
-        let schema = estimator.schema();
-        Ok((query_to_id_predicates(schema, query), query.column_intervals(schema)))
-    }
-
-    /// Encode `query` against the current schema of table `table_id` into a
-    /// request for [`Router::admit`]; the door that admits it supplies the
-    /// reply. The one place an in-process request is built.
-    ///
-    /// A reload that fails is counted (`reload_failures`) and the request is
-    /// shed as `shed_overload`, the counter a batch whose reload fails uses
-    /// too.
-    pub(crate) fn prepare(
-        &self,
-        table_id: u32,
-        query: &Query,
-    ) -> Result<RoutedRequest, ReloadError> {
+    /// Encode `query` against the schema of table `table_id` into a request
+    /// for [`Router::admit`]; the door that admits it supplies the reply.
+    /// The one place an in-process request is built.
+    pub(crate) fn prepare(&self, table_id: u32, query: &Query) -> RoutedRequest {
         let slot =
             self.directory.read().expect("directory poisoned")[table_id as usize].slot.clone();
-        let (preds, intervals) =
-            self.encode(&slot, query).inspect_err(|_| self.metrics.incr(Counter::ShedOverload))?;
-        Ok(RoutedRequest {
+        let (preds, intervals) = slot.encode(query);
+        RoutedRequest {
             table_id,
             slot_uid: 0,
             preds,
@@ -144,7 +130,7 @@ impl ServeCore {
             key: None,
             deadline: None,
             reply: ReplyTo::Discard,
-        })
+        }
     }
 
     /// Enable (or replace) online learning for table `table_id` over `data`,
@@ -210,15 +196,15 @@ impl ServeCore {
     /// Queue one observed true cardinality on `online` for the next retrain,
     /// stamped with the uid of `record`'s slot: a table re-registered since
     /// online learning was enabled answers `StaleRegistration`. `observed`
-    /// yields the query in the table's id space.
+    /// is the query in the table's id space.
     pub(crate) fn feedback(
         &self,
         online: &Mutex<OnlineTable>,
         record: &TableResources,
-        observed: impl FnOnce() -> Result<Encoded, ServeError>,
+        observed: Encoded,
         actual: f64,
     ) -> Result<(), ServeError> {
-        let (preds, intervals) = observed()?;
+        let (preds, intervals) = observed;
         let pushed = lock(online).push_feedback(record.slot.uid(), preds, intervals, actual);
         pushed.map_err(|e| match e {
             FeedbackError::StaleSlot { .. } => {
@@ -240,20 +226,17 @@ impl ServeCore {
         self.online.tick(online).ok_or_else(|| ServeError::Internal(record.name.to_string()))
     }
 
-    /// Replace `record`'s weights from a checkpoint, purge its cache and
-    /// replay its hot set (see [`crate::DuetServer::hot_swap`]).
+    /// Replace `record`'s weights from a checkpoint and [`publish`] them
+    /// (see [`crate::DuetServer::hot_swap`]).
     pub(crate) fn hot_swap(
         &self,
         record: &TableResources,
         checkpoint: &[u8],
     ) -> Result<(), ServeError> {
-        record
-            .slot
-            .hot_swap_checkpoint(checkpoint)
-            .map_err(|e| ServeError::Swap(SwapError::Checkpoint(e)))?;
-        record.cache.invalidate();
-        replay_hot_keys(&record.slot, &record.cache, &record.hot, &self.metrics);
-        Ok(())
+        let TableResources { slot, cache, hot, .. } = record;
+        publish(slot, cache, hot, &self.metrics, |slot| slot.hot_swap_checkpoint(checkpoint))
+            .map(drop)
+            .map_err(|e| ServeError::Swap(SwapError::Checkpoint(e)))
     }
 
     /// A point-in-time snapshot of every metric, with cache counters summed

@@ -31,7 +31,7 @@
 //! * [`tier`] — **fleet-scale model tiering**: a registry-wide weight-memory
 //!   budget with LFU-aged eviction of cold models to checkpoint bytes (in
 //!   memory or spilled to disk) and transparent, bit-identical lazy reload
-//!   on the next request;
+//!   by the next batch;
 //! * [`online`] — the **online-learning loop**: row ingest with incremental
 //!   per-column statistics, histogram-distance drift detection with
 //!   hysteresis, true-cardinality query feedback, and a background trainer

@@ -173,8 +173,8 @@ counters! {
     /// Evicted-model reload attempts that failed with a typed error
     /// (unreadable spill file, corrupt or truncated checkpoint).
     ReloadFailures => reload_failures,
-    /// Requests terminated with an internal fault (poisoned batch, failed
-    /// reload) rather than a scheduling shed.
+    /// Requests terminated with an internal fault (a poisoned batch) rather
+    /// than a scheduling shed.
     ShedInternal => shed_internal,
     /// Evictions abandoned because the checkpoint spill failed (IO error or
     /// read-back verification); the model stayed resident.

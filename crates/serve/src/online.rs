@@ -548,10 +548,8 @@ impl OnlineTable {
             );
         }
         let retrained = DuetEstimator::from_model(model, &self.table, "online-retrained");
-        self.hooks.slot.swap(retrained)?;
-        self.hooks.cache.invalidate();
-        let hooks = &self.hooks;
-        Ok(replay_hot_keys(&hooks.slot, &hooks.cache, &hooks.hot, &hooks.metrics))
+        let OnlineHooks { slot, cache, hot, metrics, .. } = &self.hooks;
+        publish(slot, cache, hot, metrics, |slot| slot.swap(retrained))
     }
 }
 
@@ -580,12 +578,33 @@ impl Drop for Pinned {
 #[cfg(not(test))]
 fn retrain_fault(_: &OnlineTable) {}
 
+/// Publish a new model of `slot`'s table: `swap` installs it, `cache` is
+/// purged, and the hot set is replayed into it. The one publish path of
+/// [`crate::DuetServer::hot_swap`] and the online trainer. Returns the
+/// number of replayed keys, or `swap`'s error with nothing else done.
+///
+/// The order is the rule: the swap lands before the purge bumps the cache
+/// epoch, so a batch that resolved the old model snapshotted the old epoch
+/// and its inserts are rejected or purged; the replay then resolves the new
+/// model and tags its inserts with the new epoch, so a later swap racing it
+/// drops them.
+pub(crate) fn publish<E>(
+    slot: &ModelSlot,
+    cache: &ShardedCache,
+    hot: &HotSet,
+    metrics: &ServeMetrics,
+    swap: impl FnOnce(&ModelSlot) -> Result<(), E>,
+) -> Result<usize, E> {
+    swap(slot)?;
+    cache.invalidate();
+    Ok(replay_hot_keys(slot, cache, hot, metrics))
+}
+
 /// Re-estimate the hottest observed keys under `slot`'s current model and
 /// seed `cache` with the results — one batched forward pass, epoch-tagged so
-/// a racing swap drops them. Shared by [`crate::DuetServer::hot_swap`] and
-/// the online trainer's publish path. Returns the number of replayed keys
-/// (none if the model no longer reloads: the cache then starts cold).
-pub(crate) fn replay_hot_keys(
+/// a racing swap drops them. Returns the number of replayed keys (none if
+/// the model no longer reloads: the cache then starts cold).
+fn replay_hot_keys(
     slot: &ModelSlot,
     cache: &ShardedCache,
     hot: &HotSet,

@@ -16,19 +16,28 @@
 //!
 //! A slot's model is either **resident** (the live `Arc<DuetEstimator>`) or
 //! **evicted**: reduced to its [`duet_core::save_weights`] checkpoint bytes
-//! (in memory, or spilled to a file) plus the schema/config needed to
-//! rebuild it. Eviction is how [`crate::ModelTier`] enforces a registry-wide
-//! memory budget over many registered tables. Because Duet's architecture is
-//! a pure function of `(schema, config)` — the masks use no randomness — an
-//! evicted model reloads **bit-identically**: the next request rebuilds the
-//! network, restores the checkpointed weights, and produces exactly the
-//! estimates the evicted instance would have. Evict/reload therefore does
-//! **not** bump the generation: cached results stay valid.
+//! (in memory, or spilled to a file) plus the config, row count and label
+//! needed to rebuild it. Eviction is how [`crate::ModelTier`] enforces a
+//! registry-wide memory budget over many registered tables. Because Duet's
+//! architecture is a pure function of `(schema, config)` — the masks use no
+//! randomness — an evicted model reloads **bit-identically**: the next batch
+//! rebuilds the network, restores the checkpointed weights, and produces
+//! exactly the estimates the evicted instance would have. Evict/reload
+//! therefore does **not** bump the generation: cached results stay valid.
+//!
+//! ## The id space
+//!
+//! A slot's id space — its columns and their dictionaries — is fixed for
+//! its lifetime: a swap must keep every dictionary, and eviction keeps the
+//! schema. So the slot holds the table's one zero-row schema and shares it
+//! with every estimator it serves. Requests are encoded against it
+//! (`ModelSlot::encode`) without touching the model, resident or not; only
+//! the batch that runs a model reaches one.
 
 use crate::metrics::{Counter, ServeMetrics};
-use duet_core::{load_weights, CheckpointError, DuetConfig, DuetEstimator, IdPredicate};
+use duet_core::{query_to_id_predicates, CheckpointError, DuetConfig, DuetEstimator, IdPredicate};
 use duet_data::Table;
-use duet_query::CardinalityEstimator;
+use duet_query::{CardinalityEstimator, Query};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -73,15 +82,32 @@ impl CheckpointStore {
     }
 }
 
-/// Everything needed to rebuild an evicted model bit-identically: the
-/// checkpoint plus the deterministic-architecture inputs.
-#[derive(Debug)]
-struct EvictedModel {
-    store: CheckpointStore,
-    schema: Table,
+/// Predicates and intervals of one query in a slot's id space.
+pub(crate) type Encoded = (Vec<Vec<IdPredicate>>, Vec<(u32, u32)>);
+
+/// What rebuilding a model takes beyond its slot's schema and a checkpoint.
+#[derive(Debug, Clone)]
+struct Recipe {
     config: DuetConfig,
     num_rows: usize,
     label: String,
+}
+
+impl Recipe {
+    fn of(estimator: &DuetEstimator) -> Self {
+        Self {
+            config: estimator.model().config().clone(),
+            num_rows: estimator.num_rows(),
+            label: estimator.name().to_string(),
+        }
+    }
+}
+
+/// An evicted model: its checkpoint and how to rebuild it.
+#[derive(Debug)]
+struct EvictedModel {
+    store: CheckpointStore,
+    recipe: Recipe,
 }
 
 /// A slot's model: live, or reduced to checkpoint bytes.
@@ -130,9 +156,10 @@ pub struct ModelSlot {
     /// been **re-registered** (a new slot under the same dense table id).
     /// Hot-swaps and evict/reload keep the slot — and its uid — intact.
     uid: u64,
-    /// Per-column domain sizes of the slot's id space. Fixed for the slot's
-    /// lifetime: a swap must keep every dictionary, and eviction keeps the
-    /// schema.
+    /// The zero-row schema of the slot's id space, shared with every
+    /// estimator the slot serves (see the module docs).
+    schema: Arc<Table>,
+    /// Per-column domain sizes of `schema`, the view the hot path reads.
     ndvs: Box<[u32]>,
     /// Spill files written by this slot so far, successful eviction or not.
     /// Part of the file name, so two workers evicting the slot at once
@@ -144,9 +171,10 @@ pub struct ModelSlot {
 impl ModelSlot {
     /// Wrap an estimator in a fresh slot (generation 0).
     pub fn new(estimator: DuetEstimator) -> Self {
-        let schema = estimator.schema();
+        let schema = estimator.shared_schema().clone();
         let ndvs = schema.columns().iter().map(|c| c.ndv().min(u32::MAX as usize) as u32).collect();
         Self {
+            schema,
             ndvs,
             inner: RwLock::new(VersionedModel {
                 generation: 0,
@@ -166,6 +194,13 @@ impl ModelSlot {
     /// encoded in (see the field docs).
     pub(crate) fn ndvs(&self) -> &[u32] {
         &self.ndvs
+    }
+
+    /// `query` in this slot's id space: its predicates and per-column
+    /// intervals, read off the slot's schema, so the model is not reached
+    /// (nor reloaded).
+    pub(crate) fn encode(&self, query: &Query) -> Encoded {
+        (query_to_id_predicates(&self.schema, query), query.column_intervals(&self.schema))
     }
 
     /// Whether decoded predicates and intervals are expressed in this slot's
@@ -213,7 +248,8 @@ impl ModelSlot {
     /// The current `(generation, estimator)` pair, read atomically — the
     /// generation is exactly the one these weights were installed under —
     /// transparently rebuilding an evicted model from its checkpoint (lazy
-    /// reload). The one way the serving paths reach a model.
+    /// reload). The one way the serving paths reach a model, which only the
+    /// code that runs one does: a batch, the hot-set replay, a retrain.
     ///
     /// The reload is **bit-identical**: Duet's architecture is a pure
     /// function of `(schema, config)`, so rebuilding the network and
@@ -251,21 +287,14 @@ impl ModelSlot {
             Residency::Resident(estimator) => Ok((inner.generation, estimator.clone())),
             Residency::Evicted(evicted) => {
                 let rebuilt = evicted.store.load().map_err(ReloadError::Io).and_then(|bytes| {
-                    DuetEstimator::rebuild_from_checkpoint(
-                        &evicted.schema,
-                        evicted.num_rows,
-                        &evicted.config,
-                        evicted.label.clone(),
-                        &bytes,
-                    )
-                    .map_err(ReloadError::Checkpoint)
+                    self.rebuild(&evicted.recipe, &bytes).map_err(ReloadError::Checkpoint)
                 });
                 let estimator = match rebuilt {
                     Ok(estimator) => estimator,
                     Err(e) => {
                         // Typed failure, counted, store kept: the caller
                         // sheds this batch on the retryable overload path
-                        // and the *next* request tries again — a repaired
+                        // and the *next* batch tries again — a repaired
                         // spill file or a hot-swap publish heals the slot
                         // without a restart. Never a panic, never garbage
                         // weights (the checksum frame rejects those).
@@ -338,13 +367,7 @@ impl ModelSlot {
             }
             None => CheckpointStore::Memory(checkpoint),
         };
-        let evicted = Box::new(EvictedModel {
-            store,
-            schema: estimator.schema().schema_only(),
-            config: estimator.model().config().clone(),
-            num_rows: estimator.num_rows(),
-            label: estimator.name().to_string(),
-        });
+        let evicted = Box::new(EvictedModel { store, recipe: Recipe::of(&estimator) });
         let mut inner = self.inner.write().expect("model slot poisoned");
         let still_current = inner.generation == generation
             && matches!(&inner.state, Residency::Resident(current) if Arc::ptr_eq(current, &estimator));
@@ -369,39 +392,20 @@ impl ModelSlot {
     /// encoded against the old model may execute on the new one, which is
     /// only sound when every value id still means the same literal. A
     /// mismatch is rejected and the slot is left untouched; register a new
-    /// slot to serve a re-schematized table. The full dictionary comparison
-    /// is O(total distinct values), which is fine at swap frequency.
+    /// slot to serve a re-schematized table. The replacement then shares the
+    /// slot's schema ([`DuetEstimator::share_schema`]); the comparison is
+    /// O(total distinct values) unless it already did, which is fine at swap
+    /// frequency, and runs before any lock is taken.
     ///
-    /// In-flight requests holding the previous `Arc` are unaffected; the
-    /// dictionary comparison runs against a snapshot taken under the read
-    /// lock, so concurrent readers are never blocked behind it (the id space
-    /// is invariant across successful swaps, which keeps the pre-checked
-    /// compatibility valid even if another same-space swap lands in
-    /// between). Only the pointer/generation update takes the write lock.
-    pub fn swap(&self, estimator: DuetEstimator) -> Result<(), SwapError> {
-        // Snapshot a comparable schema without forcing a reload: an evicted
-        // slot keeps its schema alongside the checkpoint, so a swap can land
-        // on it directly — this is also the heal path for a slot whose
-        // checkpoint has gone bad (reloads fail typed; a publish installs a
-        // fresh resident model and retires the broken store).
-        let old_schema = {
-            let inner = self.inner.read().expect("model slot poisoned");
-            match &inner.state {
-                Residency::Resident(est) => est.schema().schema_only(),
-                Residency::Evicted(evicted) => evicted.schema.schema_only(),
-            }
-        };
-        let (old, new) = (&old_schema, estimator.schema());
-        let compatible = old.num_columns() == new.num_columns()
-            && (0..old.num_columns()).all(|c| {
-                let (oc, nc) = (old.column(c), new.column(c));
-                oc.ndv() == nc.ndv()
-                    && (0..oc.ndv() as u32).all(|id| oc.value_of_id(id) == nc.value_of_id(id))
-            });
-        if !compatible {
+    /// In-flight requests holding the previous `Arc` are unaffected. A swap
+    /// lands on an evicted slot directly: this is also the heal path for a
+    /// slot whose checkpoint has gone bad (reloads fail typed; a publish
+    /// installs a fresh resident model and retires the broken store).
+    pub fn swap(&self, mut estimator: DuetEstimator) -> Result<(), SwapError> {
+        if !estimator.share_schema(&self.schema) {
             return Err(SwapError::IncompatibleSchema {
-                expected_columns: old.num_columns(),
-                found_columns: new.num_columns(),
+                expected_columns: self.schema.num_columns(),
+                found_columns: estimator.schema().num_columns(),
             });
         }
         let mut inner = self.inner.write().expect("model slot poisoned");
@@ -417,47 +421,32 @@ impl ModelSlot {
 
     /// Hot-swap from a [`duet_core::save_weights`] checkpoint.
     ///
-    /// While resident, the current estimator provides the architecture: its
-    /// clone receives the checkpointed weights (frame- and shape-checked by
-    /// the codec), then replaces the original atomically. While evicted, the
-    /// architecture is rebuilt from the slot's retained `(schema, config)` —
-    /// the checkpoint is loaded into a fresh network without ever touching
-    /// the (possibly corrupt) evicted store, which makes this the heal path
-    /// for a slot whose spilled checkpoint has gone bad. On error the slot
-    /// is left untouched.
+    /// The checkpoint is rebuilt into a fresh estimator on the slot's schema
+    /// and the current model's recipe (config, row count, label) — the one
+    /// rebuild a lazy reload runs too — and then swapped in. An evicted
+    /// slot's (possibly corrupt) store is never read, which makes this the
+    /// heal path for a slot whose spilled checkpoint has gone bad. On error
+    /// the slot is left untouched.
     pub fn hot_swap_checkpoint(&self, checkpoint: &[u8]) -> Result<(), CheckpointError> {
-        // Snapshot the architecture source under the read lock, then do the
-        // (comparatively expensive) decode outside it.
-        enum Arch {
-            Live(Arc<DuetEstimator>),
-            Rebuild { schema: Table, config: DuetConfig, num_rows: usize, label: String },
-        }
-        let arch = {
-            let inner = self.inner.read().expect("model slot poisoned");
-            match &inner.state {
-                Residency::Resident(est) => Arch::Live(est.clone()),
-                Residency::Evicted(evicted) => Arch::Rebuild {
-                    schema: evicted.schema.schema_only(),
-                    config: evicted.config.clone(),
-                    num_rows: evicted.num_rows,
-                    label: evicted.label.clone(),
-                },
-            }
+        // Read the recipe under the read lock, then decode outside it.
+        let recipe = match &self.inner.read().expect("model slot poisoned").state {
+            Residency::Resident(estimator) => Recipe::of(estimator),
+            Residency::Evicted(evicted) => evicted.recipe.clone(),
         };
-        let fresh = match arch {
-            Arch::Live(current) => {
-                let mut fresh = (*current).clone();
-                load_weights(&mut fresh, checkpoint)?;
-                fresh
-            }
-            Arch::Rebuild { schema, config, num_rows, label } => {
-                DuetEstimator::rebuild_from_checkpoint(
-                    &schema, num_rows, &config, label, checkpoint,
-                )?
-            }
-        };
-        self.swap(fresh).expect("a model rebuilt from the slot's schema cannot change schema");
+        let fresh = self.rebuild(&recipe, checkpoint)?;
+        self.swap(fresh).expect("a model rebuilt on the slot's schema keeps its id space");
         Ok(())
+    }
+
+    /// `checkpoint` rebuilt by `recipe` on this slot's schema.
+    fn rebuild(
+        &self,
+        recipe: &Recipe,
+        checkpoint: &[u8],
+    ) -> Result<DuetEstimator, CheckpointError> {
+        let Recipe { config, num_rows, label } = recipe;
+        let schema = self.schema.clone();
+        DuetEstimator::rebuild_from_checkpoint(schema, *num_rows, config, label.clone(), checkpoint)
     }
 }
 
@@ -726,6 +715,27 @@ mod tests {
         slot.hot_swap_checkpoint(&checkpoint).expect("swap through an evicted slot");
         assert_eq!(slot.generation(), 1);
         assert_eq!(slot.try_current().unwrap().estimate_batch(&queries), expect_b);
+    }
+
+    #[test]
+    fn every_model_a_slot_serves_shares_its_schema() {
+        let (_, est_a) = trained(1);
+        let (_, est_b) = trained(2);
+        let checkpoint = save_weights(&est_b);
+        let slot = ModelSlot::new(est_a);
+        let shared = |slot: &ModelSlot| {
+            Arc::ptr_eq(slot.try_current().unwrap().shared_schema(), &slot.schema)
+        };
+        assert!(shared(&slot));
+        slot.evict(None).unwrap();
+        assert!(shared(&slot), "a reload rebuilds on the slot's schema");
+        slot.swap(est_b).unwrap();
+        assert!(shared(&slot), "a swapped-in model adopts the slot's schema");
+        slot.hot_swap_checkpoint(&checkpoint).unwrap();
+        assert!(shared(&slot));
+        slot.evict(None).unwrap();
+        slot.hot_swap_checkpoint(&checkpoint).unwrap();
+        assert!(shared(&slot), "an evicted slot hot-swaps on its schema too");
     }
 
     #[test]

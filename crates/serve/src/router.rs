@@ -118,7 +118,9 @@ impl Clock for VirtualClock {
 /// Why the router refused to answer a request with an estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The target shard's queue was at capacity when the request arrived.
+    /// The target shard's queue was at capacity when the request arrived —
+    /// or, delivered by a worker, the request's batch could not reload the
+    /// table's evicted model (the same retryable overload path).
     QueueFull,
     /// The request's deadline had already expired when a worker dequeued it.
     DeadlineExpired,
@@ -127,8 +129,8 @@ pub enum ShedReason {
     /// no longer mean what they meant, so it is rejected instead of served.
     StaleRegistration,
     /// The request's batch hit an internal fault — a panic caught by shard
-    /// supervision, or a failed evicted-model reload. The request itself may
-    /// be fine; retrying on a respawned worker usually succeeds.
+    /// supervision. The request itself may be fine; retrying on a respawned
+    /// worker usually succeeds.
     WorkerPanicked,
 }
 

@@ -218,10 +218,7 @@ impl DuetServer {
         table: &TableResources,
         query: &Query,
     ) -> Result<Submitted, ServeError> {
-        let request = self
-            .core
-            .prepare(table_id, query)
-            .map_err(|_| ServeError::ModelUnavailable(name.to_string()))?;
+        let request = self.core.prepare(table_id, query);
         let mut receiver = None;
         let admission = self.core.router.admit(table, request, None, || {
             let (reply, reply_rx) = mpsc::sync_channel(1);
@@ -239,11 +236,9 @@ impl DuetServer {
         }
     }
 
-    /// Map one worker reply for `table` (queued on shard `shard`) onto the
-    /// public error surface.
+    /// Map one worker reply for `table` onto the public error surface.
     fn resolve_reply(
         table: &str,
-        shard: usize,
         received: Result<Result<f64, ShedReason>, mpsc::RecvError>,
     ) -> Result<f64, ServeError> {
         match received {
@@ -254,12 +249,10 @@ impl DuetServer {
             Ok(Err(ShedReason::StaleRegistration)) => {
                 Err(ServeError::StaleRegistration(table.to_string()))
             }
-            // QueueFull reaches a reply channel only when an evicted model's
-            // reload failed mid-batch (the worker sheds on the retryable
-            // overload path); at admission it is raised synchronously.
-            Ok(Err(ShedReason::QueueFull)) => {
-                Err(ServeError::Overloaded { table: table.to_string(), shard, depth: 0 })
-            }
+            // QueueFull reaches a reply channel only when the batch could
+            // not reload an evicted model (the worker sheds on the retryable
+            // overload path); a full queue is answered at admission.
+            Ok(Err(ShedReason::QueueFull)) => Err(ServeError::ModelUnavailable(table.to_string())),
             Ok(Err(ShedReason::WorkerPanicked)) => Err(ServeError::Internal(table.to_string())),
             Err(_) => Err(ServeError::WorkerUnavailable(table.to_string())),
         }
@@ -272,15 +265,16 @@ impl DuetServer {
     /// value is always exactly what a serial `DuetEstimator::estimate` call
     /// would return. Under overload the call fails fast with
     /// [`ServeError::Overloaded`] (admission) or
-    /// [`ServeError::DeadlineExceeded`] (expired while queued).
+    /// [`ServeError::DeadlineExceeded`] (expired while queued). A table the
+    /// tier evicted is reloaded by the batch that serves the request; a
+    /// reload that fails answers [`ServeError::ModelUnavailable`], while a
+    /// cached key is still answered from the cache.
     pub fn estimate(&self, table: &str, query: &Query) -> Result<f64, ServeError> {
         let started = Instant::now();
         let (id, record) = self.core.record(table)?;
         let value = match self.submit(table, id, &record, query)? {
             Submitted::Cached(value) => value,
-            Submitted::Pending(reply_rx) => {
-                Self::resolve_reply(table, record.shard, reply_rx.recv())?
-            }
+            Submitted::Pending(reply_rx) => Self::resolve_reply(table, reply_rx.recv())?,
         };
         self.core.metrics.record_request(started.elapsed());
         Ok(value)
@@ -309,7 +303,7 @@ impl DuetServer {
             }
         }
         for (i, submitted, reply_rx) in pending {
-            results[i] = Self::resolve_reply(table, record.shard, reply_rx.recv())?;
+            results[i] = Self::resolve_reply(table, reply_rx.recv())?;
             self.core.metrics.record_request(submitted.elapsed());
         }
         Ok(results)
@@ -318,19 +312,16 @@ impl DuetServer {
     /// Hot-swap `table`'s weights from a [`duet_core::save_weights`]
     /// checkpoint without dropping in-flight requests.
     ///
-    /// Old cache entries become unreachable immediately (keys embed the
-    /// model generation) and are additionally purged to free memory; the
-    /// purge bumps the cache epoch, so a shard worker that resolved the old
-    /// model cannot strand entries computed mid-swap (its inserts carry the
-    /// pre-swap epoch and are rejected).
-    ///
-    /// After the purge the table's **hot set is replayed**: the top-K keys
-    /// the front door observed (see [`crate::HotSet`]) are re-estimated in
-    /// one batch under the new weights and inserted at the new generation —
-    /// so the hottest traffic keeps hitting the cache straight through the
-    /// swap instead of stampeding the forward pass (the post-swap p99
-    /// cliff). Replayed inserts are epoch-tagged like worker inserts: a
-    /// second swap racing this one drops them.
+    /// The checkpoint is published the way the online trainer publishes a
+    /// retrain (`online::publish`, which states the ordering rule): swap,
+    /// then purge the cache, then replay the table's **hot set**. Old cache
+    /// entries become unreachable at once (keys embed the model generation)
+    /// and the purge frees them; its epoch bump makes a shard worker that
+    /// resolved the old model drop what it computed mid-swap. The replay
+    /// re-estimates the top-K keys the front door observed (see
+    /// [`crate::HotSet`]) in one batch under the new weights, so the hottest
+    /// traffic keeps hitting the cache straight through the swap instead of
+    /// stampeding the forward pass (the post-swap p99 cliff).
     pub fn hot_swap(&self, table: &str, checkpoint: &[u8]) -> Result<(), ServeError> {
         let (_, record) = self.core.record(table)?;
         self.core.hot_swap(&record, checkpoint)
@@ -370,15 +361,12 @@ impl DuetServer {
     /// under `table`; if the table was re-registered since online learning
     /// was enabled, the stamp is stale and the call fails with
     /// [`ServeError::StaleRegistration`] (re-enable online learning against
-    /// the new registration). Encoding `query` may reload an evicted model;
-    /// a reload that fails is [`ServeError::ModelUnavailable`].
+    /// the new registration). `query` is encoded against the table's schema,
+    /// which the slot holds, so feedback never reaches (nor reloads) the
+    /// model.
     pub fn feedback(&self, table: &str, query: &Query, actual: f64) -> Result<(), ServeError> {
         let (record, online) = self.core.online_record(table)?;
-        let encode = || {
-            let encoded = self.core.encode(&record.slot, query);
-            encoded.map_err(|_| ServeError::ModelUnavailable(table.to_string()))
-        };
-        self.core.feedback(&online, &record, encode, actual)
+        self.core.feedback(&online, &record, record.slot.encode(query), actual)
     }
 
     /// Run one trainer tick for `table` synchronously: check drift and, if
@@ -543,8 +531,8 @@ mod tests {
     use duet_data::datasets::census_like;
     use duet_query::WorkloadSpec;
 
-    /// A batch shed mid-flight (an evicted model's reload failed) reports
-    /// the shard its table actually lives on.
+    /// A batch shed mid-flight (an evicted model's reload failed) answers
+    /// `ModelUnavailable` for its table, wherever the table is sharded.
     #[test]
     fn a_mid_batch_overload_names_the_tables_own_shard() {
         let server = DuetServer::new(ServeConfig {
@@ -556,11 +544,9 @@ mod tests {
         let model = DuetModel::new(&data, &DuetConfig::small(), 1);
         server.register(table.as_str(), DuetEstimator::from_model(model, &data, "census"));
 
-        let (_, record) = server.core.record(&table).unwrap();
-        let reply = DuetServer::resolve_reply(&table, record.shard, Ok(Err(ShedReason::QueueFull)));
-        let shard = server.shard_of(&table);
-        assert_ne!(shard, 0);
-        assert_eq!(reply, Err(ServeError::Overloaded { table, shard, depth: 0 }));
+        let reply = DuetServer::resolve_reply(&table, Ok(Err(ShedReason::QueueFull)));
+        assert_ne!(server.shard_of(&table), 0);
+        assert_eq!(reply, Err(ServeError::ModelUnavailable(table)));
     }
 
     /// The statuses a fresh wire connection is answered with for one ingest

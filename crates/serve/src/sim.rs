@@ -34,10 +34,10 @@
 //! [`FaultPlan::inject`] (faults merged into either).
 
 use crate::batcher::{ShardWorker, MAX_BATCH};
-use crate::core::{Encoded, ServeCore};
+use crate::core::ServeCore;
 use crate::metrics::{Counter, CounterTable, MetricsSnapshot};
 use crate::online::{OnlineConfig, OnlineTable};
-use crate::registry::ReloadError;
+use crate::registry::Encoded;
 use crate::router::{Admission, ReplyTo, RoutedRequest, ShedReason, VirtualClock};
 use crate::tier::ModelTier;
 use crate::wire::conn::{ConnConfig, WireConn};
@@ -183,20 +183,13 @@ impl RouterHarness {
     /// Encode `query` against `table`'s schema into a request ready for
     /// admission, through the server's own request builder. With
     /// `ticket: Some(t)`, the outcome is logged under `t`; with `None` it is
-    /// discarded (allocation-probe mode). A failed lazy reload (the tier
-    /// evicted the model and its checkpoint has gone bad) comes back as a
-    /// typed error, counted as the server counts it.
-    pub fn prepare(
-        &self,
-        table: usize,
-        query: &Query,
-        ticket: Option<u64>,
-    ) -> Result<PreparedRequest, ReloadError> {
-        let mut request = self.core.prepare(table as u32, query)?;
+    /// discarded (allocation-probe mode).
+    pub fn prepare(&self, table: usize, query: &Query, ticket: Option<u64>) -> PreparedRequest {
+        let mut request = self.core.prepare(table as u32, query);
         if let Some(ticket) = ticket {
             request.reply = ReplyTo::Ticket(ticket);
         }
-        Ok(PreparedRequest(request))
+        PreparedRequest(request)
     }
 
     /// Admit a prepared request through the production admission path. On
@@ -225,14 +218,12 @@ impl RouterHarness {
 
     /// Encode and admit one query (the driver-facing equivalent of
     /// [`crate::DuetServer::estimate`]'s submit pipeline). A table whose
-    /// evicted model cannot be reloaded sheds at admission (counted as a
-    /// reload failure and an overload shed, never a panic).
+    /// evicted model cannot be reloaded is admitted like any other; the
+    /// batch sheds it (counted as a reload failure and an overload shed,
+    /// never a panic).
     pub fn submit_query(&mut self, table: usize, query: &Query, ticket: u64) -> SubmitResult {
-        let admitted = match self.prepare(table, query, Some(ticket)) {
-            Ok(request) => self.submit_prepared(request).ok(),
-            Err(_unloadable) => None,
-        };
-        admitted.unwrap_or_else(|| SubmitResult::Shed {
+        let request = self.prepare(table, query, Some(ticket));
+        self.submit_prepared(request).unwrap_or_else(|_| SubmitResult::Shed {
             depth: self.core.router.shard(self.core.table(table as u32).shard).depth(),
         })
     }
@@ -1160,8 +1151,7 @@ impl<'a> Replay<'a> {
                     let core = &self.sim.harness.core;
                     let record = core.table(table as u32);
                     let online = core.online.get(table).expect("scripted feedback is online");
-                    let observed = || Ok((preds, intervals));
-                    let pushed = core.feedback(&online, &record, observed, actual);
+                    let pushed = core.feedback(&online, &record, (preds, intervals), actual);
                     pushed.expect("in-run feedback is never stale");
                 }
             }
@@ -1364,7 +1354,7 @@ mod tests {
         sim.harness.enable_online(0, data[0].clone(), online);
         let core = &sim.harness.core;
         let columns = core.table(0).slot.ndvs().len();
-        let observed = || Ok((vec![Vec::new(); columns], vec![(0, 1); columns]));
+        let observed = (vec![Vec::new(); columns], vec![(0, 1); columns]);
         let online = core.online.get(0).expect("online-enabled");
         core.feedback(&online, &core.table(0), observed, 7.0).unwrap();
 

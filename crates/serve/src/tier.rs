@@ -15,9 +15,11 @@
 //!   resident model that is not the one just served is evicted to its
 //!   checkpoint bytes ([`crate::ModelSlot::evict`] — in memory, or spilled
 //!   to a file under the configured spill directory);
-//! * an evicted model's next request **lazily reloads** it, bit-identically,
-//!   when the serving core resolves its slot (counted in `model_reloads`) —
-//!   no client-visible state, no generation bump, no cache invalidation.
+//! * the next batch for an evicted model's table **lazily reloads** it,
+//!   bit-identically, when it resolves the slot (counted in
+//!   `model_reloads`) — no client-visible state, no generation bump, no
+//!   cache invalidation. Requests are encoded against the slot's schema, so
+//!   nothing else reloads a model.
 //!
 //! Every eviction halves all heat counters, so a table that was hot last
 //! hour cannot pin its model forever on stale popularity — the aging half of

@@ -231,8 +231,6 @@ pub struct WireConn {
     inflight: Vec<(u64, u64)>,
     /// Reused drain target for outbox completions.
     completions: Vec<(u64, Result<f64, ShedReason>)>,
-    /// Reused per-column ndv staging for table-info responses.
-    ndv_scratch: Vec<u32>,
     /// Reused value-id staging for ingest frames.
     ids_scratch: Vec<u32>,
 }
@@ -254,7 +252,6 @@ impl WireConn {
             outbox: Arc::new(Outbox { waker, ..Outbox::default() }),
             inflight: Vec::new(),
             completions: Vec::new(),
-            ndv_scratch: Vec::new(),
             ids_scratch: Vec::new(),
         }
     }
@@ -339,13 +336,9 @@ impl WireConn {
                                 clock,
                                 metrics,
                             ),
-                            FrameView::TableQuery(query) => resolve_table(
-                                query,
-                                &mut self.ndv_scratch,
-                                &mut self.outbound,
-                                &tables,
-                                metrics,
-                            ),
+                            FrameView::TableQuery(query) => {
+                                resolve_table(query, &mut self.outbound, &tables, metrics)
+                            }
                             FrameView::Ingest(ingest) => {
                                 let id = ingest.table_id as usize;
                                 let target = tables.get(id).zip(core.online.get(id));
@@ -362,11 +355,8 @@ impl WireConn {
                                 let outcome = target.map(|(record, online)| {
                                     // The predicates move into the feedback
                                     // queue: fresh vectors, not staging.
-                                    let observed = || {
-                                        let (mut preds, mut intervals) = (Vec::new(), Vec::new());
-                                        feedback.read_into(&mut preds, &mut intervals);
-                                        Ok((preds, intervals))
-                                    };
+                                    let mut observed = (Vec::new(), Vec::new());
+                                    feedback.read_into(&mut observed.0, &mut observed.1);
                                     let actual = feedback.actual;
                                     core.feedback(&online, record, observed, actual).map(|()| 0.0)
                                 });
@@ -505,53 +495,19 @@ fn now_ns(clock: &dyn Clock) -> u64 {
 
 /// Answer a table-resolution query: linear scan over the directory
 /// (resolution happens once per client at connection setup, not on the
-/// request hot path).
+/// request hot path). The per-column NDVs are the slot's, so resolution
+/// never reaches (nor reloads) the model.
 fn resolve_table(
     query: frame::TableQueryView<'_>,
-    ndv_scratch: &mut Vec<u32>,
     outbound: &mut ByteQueue,
     tables: &[TableResources],
     metrics: &ServeMetrics,
 ) {
-    match tables.iter().position(|r| r.name.as_ref() == query.name) {
-        Some(table_id) => {
-            // Resolution may lazily reload an evicted model (the reply
-            // carries per-column NDVs from its schema); a failed reload
-            // answers UnknownTable so the client can retry resolution.
-            let Ok((_, estimator)) = tables[table_id].slot.resolve(metrics) else {
-                frame::encode_table_info(
-                    outbound.tail_mut(),
-                    query.request_id,
-                    Status::UnknownTable,
-                    0,
-                    &[],
-                );
-                metrics.incr(Counter::FramesOut);
-                return;
-            };
-            let schema = estimator.schema();
-            ndv_scratch.clear();
-            for column in schema.columns() {
-                ndv_scratch.push(column.ndv().min(u32::MAX as usize) as u32);
-            }
-            frame::encode_table_info(
-                outbound.tail_mut(),
-                query.request_id,
-                Status::Ok,
-                table_id as u32,
-                ndv_scratch,
-            );
-        }
-        None => {
-            frame::encode_table_info(
-                outbound.tail_mut(),
-                query.request_id,
-                Status::UnknownTable,
-                0,
-                &[],
-            );
-        }
-    }
+    let (status, table_id, ndvs) = match tables.iter().position(|r| r.name.as_ref() == query.name) {
+        Some(table_id) => (Status::Ok, table_id as u32, tables[table_id].slot.ndvs()),
+        None => (Status::UnknownTable, 0, &[][..]),
+    };
+    frame::encode_table_info(outbound.tail_mut(), query.request_id, status, table_id, ndvs);
     metrics.incr(Counter::FramesOut);
 }
 

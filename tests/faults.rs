@@ -4,8 +4,8 @@
 //!
 //! The contract under fault is the no-fault contract plus typed failure:
 //! every submitted request still gets exactly one terminal outcome (a
-//! panicking batch answers `WorkerPanicked`, an unreloadable model sheds at
-//! admission), everything that *is* served stays bit-identical to the
+//! panicking batch answers `WorkerPanicked`, an unreloadable model sheds in
+//! the batch that would reload it), everything that *is* served stays bit-identical to the
 //! unbatched reference, and a seeded fault scenario replayed twice produces
 //! `==` reports — fault counters included.
 
@@ -99,6 +99,11 @@ fn evict_and_corrupt(server: &DuetServer, hot: &str, query: &Query, dir: &Path) 
         assert!(std::time::Instant::now() < give_up_at, "the cold table is never evicted");
         std::thread::sleep(Duration::from_millis(1));
     }
+    corrupt_spills(dir);
+}
+
+/// Flip the last byte of every checkpoint spilled to `dir`.
+fn corrupt_spills(dir: &Path) {
     for entry in std::fs::read_dir(dir).expect("the spill dir exists") {
         let path = entry.expect("a spilled file").path();
         let mut bytes = std::fs::read(&path).expect("reading the spilled checkpoint");
@@ -619,6 +624,45 @@ fn an_unreloadable_model_answers_model_unavailable_and_counts_one_overload_shed(
     assert_eq!(after.reload_failures - before.reload_failures, 1);
     assert_eq!(after.shed_overload - before.shed_overload, 1);
     assert_eq!(after.requests, before.requests, "nothing was answered");
+}
+
+/// Encoding reads the slot's schema, so a key cached before its model was
+/// evicted is answered from the cache even once the model no longer
+/// reloads: no reload is attempted, none fails.
+#[test]
+fn a_cached_key_of_an_unreloadable_model_is_answered_from_the_cache() {
+    let (tables, workloads) = trained_tables(2);
+    let dir = spill_dir("cached-key-of-unreloadable-model");
+    let server = DuetServer::new(ServeConfig { model_budget_bytes: 1, ..ServeConfig::default() });
+    server.set_model_spill_dir(&dir);
+    for (name, estimator) in &tables {
+        server.register(name.as_str(), estimator.clone());
+    }
+    let (cold, hot) = (tables[0].0.as_str(), tables[1].0.as_str());
+    let query = &workloads[0][0];
+    // The worker replies before it enforces the budget: wait for each
+    // eviction before the next request.
+    let evicted = |n: u64| {
+        let give_up_at = std::time::Instant::now() + Duration::from_secs(10);
+        while server.metrics().model_evictions < n {
+            assert!(std::time::Instant::now() < give_up_at, "eviction {n} never happens");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    // Serving `cold` caches its answer and evicts `hot`; serving `hot`
+    // reloads it and evicts `cold`, whose spilled checkpoint then rots.
+    let cached = server.estimate(cold, query).expect("the cold table serves");
+    evicted(1);
+    server.estimate(hot, &workloads[1][0]).expect("the hot table reloads and serves");
+    evicted(2);
+    corrupt_spills(&dir);
+
+    let before = server.metrics();
+    let answered = server.estimate(cold, query).expect("a cached key is answered");
+    assert_eq!(answered.to_bits(), cached.to_bits());
+    let after = server.metrics();
+    assert_eq!(after.reload_failures, before.reload_failures, "no reload was attempted");
+    assert_eq!(after.cache_hits - before.cache_hits, 1);
 }
 
 #[test]

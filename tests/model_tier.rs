@@ -81,18 +81,21 @@ fn spilled_eviction_reloads_bit_identically() {
     let spilled: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert_eq!(spilled.len(), 1, "one checkpoint file per evicted model");
 
-    // The next request transparently reloads from the spilled checkpoint,
-    // and the server counts the eviction and the reload once each.
+    // The batch that serves the next requests transparently reloads from
+    // the spilled checkpoint, and the server counts the eviction and the
+    // reload once each. Table 1 stays pinned, so serving table 0 evicts
+    // nothing else.
+    harness.tier().pin(1);
     for (ticket, query) in (1..).zip(&queries) {
         harness.submit_query(0, query, ticket);
     }
+    harness.drain();
     let counted = harness.metrics();
     assert_eq!((counted.model_evictions, counted.model_reloads), (1, 1));
     let remaining: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(remaining.is_empty(), "the spill file is discarded after a successful reload");
 
     // The reloaded model must reproduce every estimate bit-for-bit.
-    harness.drain();
     let outcomes = &harness.outcomes()[1..];
     assert_eq!(outcomes.len(), queries.len());
     for &(ticket, outcome) in outcomes {
@@ -207,17 +210,20 @@ fn server_with_model_budget_serves_correct_estimates_under_eviction() {
     assert!(snapshot.model_reloads > 0, "evicted models must reload on demand");
 }
 
-/// Feedback encodes its query against the serving schema, so feedback to an
-/// evicted table reloads the model — and the server counts that reload like
-/// any other.
+/// Feedback encodes its query against the slot's schema, so feedback to an
+/// evicted table is queued without reloading the model: the reload counter
+/// stays at zero and the spilled checkpoint stays on disk (a reload would
+/// discard it).
 #[test]
-fn feedback_to_an_evicted_table_counts_its_reload() {
+fn feedback_to_an_evicted_table_leaves_it_evicted() {
     let (tables, workloads) = trained_tables(2);
     let server = DuetServer::new(ServeConfig {
         model_budget_bytes: 1,
         cache_capacity: 0,
         ..ServeConfig::default()
     });
+    let dir = spill_dir("feedback-leaves-evicted");
+    server.set_model_spill_dir(&dir);
     for (name, est) in &tables {
         server.register(name.clone(), est.clone());
     }
@@ -234,5 +240,7 @@ fn feedback_to_an_evicted_table_counts_its_reload() {
     }
     server.feedback(b, &workloads[1][0], 5.0).expect("`b` is online-enabled");
     let counted = server.metrics();
-    assert_eq!((counted.model_evictions, counted.model_reloads), (1, 1));
+    assert_eq!((counted.model_evictions, counted.model_reloads), (1, 0));
+    let spilled = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(spilled, 1, "`b` is still evicted to its spilled checkpoint");
 }

@@ -12,6 +12,7 @@ use duet::data::Table;
 use duet::nn::Params;
 use duet::query::{exact_cardinality, CardinalityEstimator, WorkloadSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 #[test]
 fn checkpoint_round_trip_preserves_every_estimate() {
@@ -112,15 +113,15 @@ fn csv_round_trip_preserves_ground_truth() {
 /// One trained, sealed checkpoint shared by every property case below.
 /// Training is the expensive part; the cases only mutate bytes, so the
 /// fixture is built once and each case clones the byte vector.
-fn checkpoint_fixture() -> &'static (Table, usize, DuetConfig, Vec<u8>) {
-    static FIXTURE: std::sync::OnceLock<(Table, usize, DuetConfig, Vec<u8>)> =
+fn checkpoint_fixture() -> &'static (Arc<Table>, usize, DuetConfig, Vec<u8>) {
+    static FIXTURE: std::sync::OnceLock<(Arc<Table>, usize, DuetConfig, Vec<u8>)> =
         std::sync::OnceLock::new();
     FIXTURE.get_or_init(|| {
         let table = census_like(300, 95);
         let cfg = DuetConfig::small().with_epochs(1);
         let est = DuetEstimator::train_data_only(&table, &cfg, 9);
         let bytes = save_weights(&est);
-        (table.schema_only(), table.num_rows(), cfg, bytes)
+        (Arc::new(table.schema_only()), table.num_rows(), cfg, bytes)
     })
 }
 
@@ -144,7 +145,7 @@ proptest! {
         mutated[index] ^= mask;
         prop_assert!(verify_checkpoint(&mutated).is_err());
         let rebuilt =
-            DuetEstimator::rebuild_from_checkpoint(schema, *num_rows, cfg, "fuzz", &mutated);
+            DuetEstimator::rebuild_from_checkpoint(schema.clone(), *num_rows, cfg, "fuzz", &mutated);
         prop_assert!(rebuilt.is_err());
     }
 
@@ -156,7 +157,7 @@ proptest! {
         let keep = (((bytes.len() - 1) as f64) * len_frac) as usize;
         prop_assert!(verify_checkpoint(&bytes[..keep]).is_err());
         let rebuilt =
-            DuetEstimator::rebuild_from_checkpoint(schema, *num_rows, cfg, "fuzz", &bytes[..keep]);
+            DuetEstimator::rebuild_from_checkpoint(schema.clone(), *num_rows, cfg, "fuzz", &bytes[..keep]);
         prop_assert!(rebuilt.is_err());
     }
 
@@ -169,9 +170,9 @@ proptest! {
     ) {
         let (schema, num_rows, cfg, bytes) = checkpoint_fixture();
         let _ = verify_checkpoint(&garbage);
-        let _ = DuetEstimator::rebuild_from_checkpoint(schema, *num_rows, cfg, "fuzz", &garbage);
+        let _ = DuetEstimator::rebuild_from_checkpoint(schema.clone(), *num_rows, cfg, "fuzz", &garbage);
         let pristine =
-            DuetEstimator::rebuild_from_checkpoint(schema, *num_rows, cfg, "fuzz", bytes);
+            DuetEstimator::rebuild_from_checkpoint(schema.clone(), *num_rows, cfg, "fuzz", bytes);
         prop_assert!(pristine.is_ok());
     }
 }

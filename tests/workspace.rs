@@ -74,7 +74,7 @@ fn workspace_survives_model_switches() {
 }
 
 #[test]
-fn workspace_masked_cache_invalidates_on_weight_mutation() {
+fn a_reused_workspace_serves_weights_mutated_in_place() {
     // Mutating the weights in place (an optimizer step routes through
     // visit_params, exactly like checkpoint loading does) must never be
     // served stale: the masked layers re-mask and repack as the visit ends,
@@ -112,10 +112,10 @@ fn workspace_masked_cache_invalidates_on_weight_mutation() {
 }
 
 #[test]
-fn workspace_masked_cache_invalidates_on_checkpoint_hot_swap() {
-    // A serving worker's long-lived workspace must follow a hot-swap: the
-    // swap loads a checkpoint into a *clone* of the running model, whose
-    // layers repack as the weights go in.
+fn a_reused_workspace_serves_a_checkpoint_loaded_into_a_clone() {
+    // A serving worker's long-lived workspace must follow a model whose
+    // weights a checkpoint replaced: loaded into a *clone* of the running
+    // model, whose layers repack as the weights go in.
     let table = census_like(300, 10);
     let cfg = DuetConfig::small().with_epochs(1);
     let est_a = DuetEstimator::train_data_only(&table, &cfg, 1);
@@ -128,7 +128,7 @@ fn workspace_masked_cache_invalidates_on_checkpoint_hot_swap() {
     est_a.estimate_batch_with(&queries, &mut ws, &mut out);
     assert_ne!(out, expected_b, "differently seeded models should disagree");
 
-    // The registry's hot-swap path: clone the serving model, load weights.
+    // Clone the serving model, load the other model's weights into it.
     let checkpoint = duet::core::save_weights(&est_b);
     let mut swapped = est_a.clone();
     duet::core::load_weights(&mut swapped, &checkpoint).expect("checkpoint should load");

@@ -252,10 +252,10 @@ fn routed_multi_table_phase() {
     // requests — their encodings included — indefinitely.
     let (mut stash, mut other): (Vec<PreparedRequest>, Vec<PreparedRequest>) = (vec![], vec![]);
     for i in 0..8 {
-        stash.push(harness.prepare(0, &queries_a[i], None).expect("a resident model"));
-        stash.push(harness.prepare(1, &queries_b[i], None).expect("a resident model"));
-        other.push(harness.prepare(0, &other_a[i], None).expect("a resident model"));
-        other.push(harness.prepare(1, &other_b[i], None).expect("a resident model"));
+        stash.push(harness.prepare(0, &queries_a[i], None));
+        stash.push(harness.prepare(1, &queries_b[i], None));
+        other.push(harness.prepare(0, &other_a[i], None));
+        other.push(harness.prepare(1, &other_b[i], None));
     }
     let mut returned: Vec<PreparedRequest> = Vec::with_capacity(stash.len());
 
@@ -559,8 +559,8 @@ fn budgeted_tier_phase() {
 
     let mut stash: Vec<PreparedRequest> = Vec::new();
     for i in 0..8 {
-        stash.push(harness.prepare(0, &queries_a[i], None).expect("a resident model"));
-        stash.push(harness.prepare(1, &queries_b[i], None).expect("a resident model"));
+        stash.push(harness.prepare(0, &queries_a[i], None));
+        stash.push(harness.prepare(1, &queries_b[i], None));
     }
     let mut returned: Vec<PreparedRequest> = Vec::with_capacity(stash.len());
 
@@ -620,7 +620,7 @@ fn trainer_tick_phase() {
         },
     );
     let mut stash: Vec<PreparedRequest> =
-        queries.iter().map(|q| harness.prepare(0, q, None).expect("a resident model")).collect();
+        queries.iter().map(|q| harness.prepare(0, q, None)).collect();
     let mut returned: Vec<PreparedRequest> = Vec::with_capacity(stash.len());
 
     // Trainer state, all staged before the measured window.
@@ -713,7 +713,7 @@ fn supervised_fault_phase() {
     }));
 
     let mut stash: Vec<PreparedRequest> =
-        queries.iter().map(|q| harness.prepare(0, q, None).expect("a resident model")).collect();
+        queries.iter().map(|q| harness.prepare(0, q, None)).collect();
     let mut returned: Vec<PreparedRequest> = Vec::with_capacity(stash.len());
 
     let mut round = |stash: &mut Vec<PreparedRequest>, returned: &mut Vec<PreparedRequest>| {
