@@ -37,8 +37,20 @@ pub struct DuetEstimator {
 impl DuetEstimator {
     /// Wrap an already-trained model.
     pub fn from_model(model: DuetModel, table: &Table, label: impl Into<String>) -> Self {
-        let schema = Arc::new(table.schema_only());
-        Self { model, schema, num_rows: table.num_rows(), label: label.into() }
+        Self::from_shared_schema(model, Arc::new(table.schema_only()), table.num_rows(), label)
+    }
+
+    /// Wrap an already-trained model over `schema`, a shared zero-row
+    /// [`Table::schema_only`] snapshot of the table it was trained on
+    /// (`num_rows` rows), without copying it: estimators of one id space
+    /// hold one copy of it (see [`DuetEstimator::share_schema`]).
+    pub fn from_shared_schema(
+        model: DuetModel,
+        schema: Arc<Table>,
+        num_rows: usize,
+        label: impl Into<String>,
+    ) -> Self {
+        Self { model, schema, num_rows, label: label.into() }
     }
 
     /// Train purely data-driven (the paper's `DuetD` ablation).
@@ -82,7 +94,7 @@ impl DuetEstimator {
         checkpoint: &[u8],
     ) -> Result<Self, crate::persist::CheckpointError> {
         let model = DuetModel::skeleton(&schema, config);
-        let mut est = Self { model, schema, num_rows, label: label.into() };
+        let mut est = Self::from_shared_schema(model, schema, num_rows, label);
         crate::persist::load_weights(&mut est, checkpoint)?;
         Ok(est)
     }

@@ -14,8 +14,13 @@
 //! performs **zero heap allocation of its own** (asserted by
 //! `tests/zero_alloc.rs`); the only allocations on the serving path are the
 //! per-request encodings the clients hand in (and their eventual frees).
-//! Each batch's forward pass runs entirely on the worker's own thread: the
-//! shards are the serving path's only source of parallelism.
+//! Every batch runs on a shard executor (`ShardWorker`, one per shard, owned
+//! by the serving core behind a mutex), entirely on the thread that holds
+//! it: a shard's worker thread on its own shard's executor (also for a
+//! batch it stole from a sibling), or an in-process caller that found its
+//! table's shard idle, on that shard's executor (`CallerBatch`). An
+//! executor runs one batch at a time, so the shards are the serving path's
+//! only source of parallelism and memory is one workspace per shard.
 //!
 //! The scheduling policy is two constants, not settings: a batch holds at
 //! most `MAX_BATCH` (64) requests and forms without waiting for stragglers,
@@ -33,7 +38,7 @@ use crate::metrics::{Counter, ServeMetrics};
 use crate::router::{Popped, ReplyTo, RoutedRequest, ShedReason, TableResources};
 use crate::tier::ModelTier;
 use duet_core::DuetWorkspace;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Largest number of queries fused into one forward pass — the only value
@@ -49,58 +54,72 @@ const STEAL_THRESHOLD: usize = 2;
 /// other shards for stealable work (only when there is more than one shard).
 const IDLE_PARK: Duration = Duration::from_micros(500);
 
-/// Worker-lifetime execution state, reused across every batch: the
-/// workspace and the batch containers. None of these reallocate once they
+/// A shard's executor, reused across every batch the shard runs: the
+/// workspace, the results buffer, the ticket outcome log, the requests a
+/// caller stages, and the fault hook. None of these reallocate once they
 /// have grown to the steady-state shape of every table on the shard.
+///
+/// The serving core holds one per shard behind a mutex; whoever runs a
+/// batch of the shard holds it for the batch.
 pub(crate) struct ShardWorker {
     /// The forward workspace every batch runs through, whatever its table.
     ws: DuetWorkspace,
-    /// The batch currently being formed/executed (all one table).
-    pub(crate) batch: Vec<RoutedRequest>,
-    /// Cardinalities of the live prefix of `batch`, in order.
+    /// Cardinalities of the live prefix of the batch, in order.
     results: Vec<f64>,
+    /// Ticket outcomes of the batches run since the holder last drained
+    /// it, in delivery order.
+    pub(crate) outcomes: Vec<(u64, Result<f64, ShedReason>)>,
+    /// The misses a [`CallerBatch`] stages to run on its own thread.
+    staged: Vec<RoutedRequest>,
     /// Fault-injection hook, fired once per executed batch right before the
     /// forward pass. Production never arms it (the `None` check is free and
-    /// allocation-free); the deterministic harness injects seeded panics
-    /// here to exercise the supervision path.
+    /// allocation-free); the deterministic harness and the tests inject
+    /// panics here to exercise the supervision path.
     pub(crate) fault: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 impl ShardWorker {
     pub(crate) fn new() -> Self {
-        Self { ws: DuetWorkspace::new(), batch: Vec::new(), results: Vec::new(), fault: None }
+        Self {
+            ws: DuetWorkspace::new(),
+            results: Vec::new(),
+            outcomes: Vec::new(),
+            staged: Vec::new(),
+            fault: None,
+        }
     }
 
     /// Reset execution state after a caught panic: the workspace and results
-    /// may have been poisoned mid-forward, so both are rebuilt; the
-    /// batch is kept (its requests were already failed and still need
-    /// recycling) and the fault hook stays armed.
+    /// may have been poisoned mid-forward, so both are rebuilt; the fault
+    /// hook stays armed.
     pub(crate) fn respawn(&mut self) {
         self.ws = DuetWorkspace::new();
         self.results = Vec::new();
     }
 
-    /// Execute the batch currently in `self.batch` (all requests share one
-    /// table): triage expired requests, run the live ones through a single
-    /// batched forward pass on the worker's workspace, store tagged cache
-    /// entries, and deliver every reply.
+    /// Execute `batch` (all requests share one table): triage expired
+    /// requests, run the live ones through a single batched forward pass on
+    /// the shard's workspace, store tagged cache entries, and deliver every
+    /// reply. Returns the number of queries the forward pass ran (0 when
+    /// none ran).
     ///
-    /// `self.batch` is left holding the processed requests (live ones first)
+    /// `batch` is left holding the processed requests (live ones first)
     /// so callers can recycle or drop them; ticket replies are appended to
-    /// `outcomes`.
+    /// `self.outcomes`.
     pub(crate) fn execute(
         &mut self,
+        batch: &mut [RoutedRequest],
         tables: &[TableResources],
         now: Duration,
         metrics: &ServeMetrics,
         tier: &ModelTier,
-        outcomes: &mut Vec<(u64, Result<f64, ShedReason>)>,
-    ) {
-        if self.batch.is_empty() {
-            return;
+    ) -> usize {
+        if batch.is_empty() {
+            return 0;
         }
-        let table_id = self.batch[0].table_id as usize;
+        let table_id = batch[0].table_id as usize;
         let resources = &tables[table_id];
+        let outcomes = &mut self.outcomes;
 
         // Triage at dequeue, compacting live requests to the batch front
         // (stable, in-place, allocation-free). A request whose slot uid no
@@ -112,22 +131,22 @@ impl ShardWorker {
         // while queued.
         let slot_uid = resources.slot.uid();
         let mut live = 0;
-        for i in 0..self.batch.len() {
-            let stale = self.batch[i].slot_uid != slot_uid;
-            let expired = self.batch[i].deadline.is_some_and(|deadline| now > deadline);
+        for i in 0..batch.len() {
+            let stale = batch[i].slot_uid != slot_uid;
+            let expired = batch[i].deadline.is_some_and(|deadline| now > deadline);
             if stale {
                 metrics.incr(Counter::ShedStale);
-                deliver(&mut self.batch[i].reply, Err(ShedReason::StaleRegistration), outcomes);
+                deliver(&mut batch[i].reply, Err(ShedReason::StaleRegistration), outcomes);
             } else if expired {
                 metrics.incr(Counter::ShedDeadline);
-                deliver(&mut self.batch[i].reply, Err(ShedReason::DeadlineExpired), outcomes);
+                deliver(&mut batch[i].reply, Err(ShedReason::DeadlineExpired), outcomes);
             } else {
-                self.batch.swap(live, i);
+                batch.swap(live, i);
                 live += 1;
             }
         }
         if live == 0 {
-            return;
+            return 0;
         }
         tier.observe(table_id, live as u64);
 
@@ -146,24 +165,24 @@ impl ShardWorker {
         // the retryable overload path rather than crashing the worker.
         let epoch = resources.cache.epoch();
         let Ok((generation, estimator)) = resources.slot.resolve(metrics) else {
-            for request in &mut self.batch[..live] {
+            for request in &mut batch[..live] {
                 metrics.incr(Counter::ShedOverload);
                 deliver(&mut request.reply, Err(ShedReason::QueueFull), outcomes);
             }
-            return;
+            return 0;
         };
         if let Some(fault) = &self.fault {
             fault();
         }
         estimator.estimate_encoded_batch_with(
-            &self.batch[..live],
-            &self.batch[..live],
+            &batch[..live],
+            &batch[..live],
             &mut self.ws,
             &mut self.results,
         );
         metrics.record_batch(live);
 
-        for (request, &value) in self.batch[..live].iter_mut().zip(self.results.iter()) {
+        for (request, &value) in batch[..live].iter_mut().zip(self.results.iter()) {
             if let Some(key) = &request.key {
                 resources.cache.insert_tagged(key.with_generation(generation), value, epoch);
             }
@@ -174,6 +193,94 @@ impl ShardWorker {
         // the model-memory budget: evict cold models until it fits again.
         // The table just served is never the victim.
         tier.enforce(tables, table_id, metrics);
+        live
+    }
+}
+
+impl std::fmt::Debug for ShardWorker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardWorker")
+            .field("staged", &self.staged.len())
+            .field("fault", &self.fault.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+/// An in-process caller's hold on its table's shard executor for one run of
+/// misses: empty until a miss finds the shard idle ([`crate::Router::admit`]
+/// decides), then held, with every miss admitted to run now staged on it,
+/// until [`CallerBatch::run`] executes them as one batch on the caller's
+/// thread. Dropping it unrun releases the executor and drops what it
+/// staged.
+pub(crate) struct CallerBatch<'e> {
+    executor: &'e Mutex<ShardWorker>,
+    held: Option<MutexGuard<'e, ShardWorker>>,
+}
+
+impl<'e> CallerBatch<'e> {
+    /// A hold on `executor`, not yet taken.
+    pub(crate) fn new(executor: &'e Mutex<ShardWorker>) -> Self {
+        Self { executor, held: None }
+    }
+
+    /// Requests staged so far.
+    pub(crate) fn staged(&self) -> usize {
+        self.held.as_ref().map_or(0, |executor| executor.staged.len())
+    }
+
+    /// Hold the executor, taking it now if no other thread has it; `false`
+    /// when another thread does (the shard's worker, running its own or a
+    /// stolen batch, or another caller).
+    pub(crate) fn hold(&mut self) -> bool {
+        if self.held.is_none() {
+            self.held = match self.executor.try_lock() {
+                Ok(executor) => Some(executor),
+                Err(std::sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+                Err(std::sync::TryLockError::WouldBlock) => None,
+            };
+        }
+        self.held.is_some()
+    }
+
+    /// Stage `request` (its reply a [`ReplyTo::Ticket`]) into the batch.
+    /// Only a request [`crate::Router::admit`] admitted to run now, which
+    /// holds the executor, comes here.
+    pub(crate) fn stage(&mut self, request: RoutedRequest) {
+        self.held
+            .as_mut()
+            .expect("a request runs now only on a held executor")
+            .staged
+            .push(request);
+    }
+
+    /// Run the staged requests as one supervised batch through
+    /// [`ServeCore::run_batch`] on this thread, hand each ticket outcome to
+    /// `answer`, and release the executor. A batch whose forward pass ran
+    /// counts as a caller batch.
+    pub(crate) fn run(
+        mut self,
+        core: &ServeCore,
+        mut answer: impl FnMut(u64, Result<f64, ShedReason>),
+    ) {
+        let Some(executor) = self.held.as_deref_mut() else { return };
+        let mut batch = std::mem::take(&mut executor.staged);
+        if core.run_batch(executor, &mut batch) > 0 {
+            core.metrics.incr(Counter::CallerBatches);
+        }
+        batch.clear();
+        executor.staged = batch;
+        for (ticket, outcome) in executor.outcomes.drain(..) {
+            answer(ticket, outcome);
+        }
+    }
+}
+
+impl Drop for CallerBatch<'_> {
+    fn drop(&mut self) {
+        if let Some(executor) = &mut self.held {
+            // A door that failed before running its batch drops its misses.
+            executor.staged.clear();
+        }
     }
 }
 
@@ -227,35 +334,38 @@ pub(crate) fn fail_batch(
     }
 }
 
-/// Execute the worker's current batch under supervision: a panic anywhere in
-/// batch execution (a poisoned model forward, a failing cache shard — any
-/// bug or injected fault) is caught here instead of killing the worker
-/// thread.
+/// Execute `batch` on the shard executor `worker` under supervision: a
+/// panic anywhere in batch execution (a poisoned model forward, a failing
+/// cache shard — any bug or injected fault) is caught here instead of
+/// killing the thread that runs it, a shard worker or an in-process caller.
+/// Returns the number of queries the forward pass ran, 0 when none ran or
+/// the batch panicked.
 ///
 /// On a caught panic every unanswered request in the batch is terminated
-/// with a typed internal error ([`fail_batch`]) and the worker is respawned
-/// with a fresh workspace, since a panic mid-forward can leave workspace
-/// buffers in an arbitrary state. The worker *thread* never dies:
+/// with a typed internal error ([`fail_batch`]) and the executor is
+/// respawned with a fresh workspace, since a panic mid-forward can leave
+/// workspace buffers in an arbitrary state. The thread never dies:
 /// supervision is in-thread, so respawn costs one workspace rebuild —
 /// no thread spawn, no queue handoff, and the `catch_unwind` itself is free
 /// on the no-panic path.
 pub(crate) fn execute_supervised(
     worker: &mut ShardWorker,
+    batch: &mut [RoutedRequest],
     tables: &[TableResources],
     now: Duration,
     metrics: &ServeMetrics,
     tier: &ModelTier,
-    outcomes: &mut Vec<(u64, Result<f64, ShedReason>)>,
-) {
+) -> usize {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        worker.execute(tables, now, metrics, tier, outcomes);
+        worker.execute(batch, tables, now, metrics, tier)
     }));
-    if caught.is_err() {
+    caught.unwrap_or_else(|_| {
         metrics.incr(Counter::PanicsCaught);
-        fail_batch(&mut worker.batch, metrics, outcomes);
+        fail_batch(batch, metrics, &mut worker.outcomes);
         worker.respawn();
         metrics.incr(Counter::ShardRestarts);
-    }
+        0
+    })
 }
 
 /// Hand an executed batch's wire requests (their predicate/interval buffers
@@ -287,32 +397,40 @@ pub(crate) fn recycle_batch(batch: &mut Vec<RoutedRequest>, metrics: &ServeMetri
     }
 }
 
+/// Lock a shard's executor for one batch. Nothing poisons it: every batch
+/// runs supervised.
+pub(crate) fn lock(executor: &Mutex<ShardWorker>) -> MutexGuard<'_, ShardWorker> {
+    executor.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Production worker loop: one thread per shard, runs until the router is
 /// closed and its own shard's queue is drained.
 ///
 /// Each batch is whatever the queue holds for the head request's table when
 /// the worker wakes, up to [`MAX_BATCH`] — there is no close-out wait, so
 /// batching emerges from backlog under load and a lone request pays no
-/// artificial delay. With more than one shard, a worker whose own queue
-/// stays empty for a full idle park scans the other shards and **steals
-/// one batch** from the deepest queue at least [`STEAL_THRESHOLD`] deep.
-/// Batch execution is shard-agnostic (the thief uses its own workspace and
-/// answers are bit-identical wherever they run), so stealing
-/// only changes *when* a backlogged request is served — one cold shard can
-/// no longer idle next to a drowning neighbor.
+/// artificial delay. The worker pops into its own batch buffer, then locks
+/// its shard's executor to run the batch (an in-process caller may be
+/// running one of its own on it). With more than one shard, a worker whose
+/// own queue stays empty for a full idle park scans the other shards and
+/// **steals one batch** from the deepest queue at least
+/// [`STEAL_THRESHOLD`] deep. Batch execution is shard-agnostic (the thief
+/// runs it on its own shard's executor and answers are bit-identical
+/// wherever they run), so stealing only changes *when* a backlogged
+/// request is served — one cold shard can no longer idle next to a
+/// drowning neighbor.
 pub(crate) fn run_shard_worker(shard_index: usize, core: Arc<ServeCore>) {
     let shards = core.router.shards();
     let stealing = shards.len() > 1;
-    let mut worker = ShardWorker::new();
-    // Production requests reply over channels or outboxes, so this stays
-    // empty; it only exists so the harness and the worker share one
-    // execution path.
-    let mut outcomes = Vec::new();
+    let executor = core.executor(shard_index);
+    let mut batch = Vec::new();
     loop {
         let idle_park = stealing.then_some(IDLE_PARK);
-        match shards[shard_index].pop_batch_blocking(MAX_BATCH, idle_park, &mut worker.batch) {
+        match shards[shard_index].pop_batch_blocking(MAX_BATCH, idle_park, &mut batch) {
             Popped::Closed => break,
-            Popped::Batch => core.run_batch(&mut worker, &mut outcomes),
+            Popped::Batch => {
+                core.run_batch(&mut lock(executor), &mut batch);
+            }
             Popped::Idle => {
                 // Own queue empty for a whole park: steal one batch from the
                 // deepest sibling at or above the threshold, if any.
@@ -323,11 +441,9 @@ pub(crate) fn run_shard_worker(shard_index: usize, core: Arc<ServeCore>) {
                     .map(|(_, s)| (s.depth(), s))
                     .max_by_key(|(depth, _)| *depth);
                 if let Some((depth, victim)) = victim {
-                    if depth >= STEAL_THRESHOLD
-                        && victim.try_pop_batch(MAX_BATCH, &mut worker.batch)
-                    {
+                    if depth >= STEAL_THRESHOLD && victim.try_pop_batch(MAX_BATCH, &mut batch) {
                         core.metrics.incr(Counter::Steals);
-                        core.run_batch(&mut worker, &mut outcomes);
+                        core.run_batch(&mut lock(executor), &mut batch);
                     }
                 }
             }
@@ -340,11 +456,11 @@ mod tests {
     use super::*;
     use crate::cache::canonical_key;
     use crate::registry::ModelSlot;
-    use crate::router::{RouterConfig, Shard, SystemClock};
+    use crate::router::{Admission, RouterConfig, Shard, SystemClock};
     use crate::ServeConfig;
     use duet_core::{DuetConfig, DuetEstimator};
     use duet_data::datasets::census_like;
-    use duet_query::{Query, WorkloadSpec};
+    use duet_query::{CardinalityEstimator, Query, WorkloadSpec};
     use std::sync::mpsc;
     use std::sync::mpsc::SyncSender;
 
@@ -405,16 +521,16 @@ mod tests {
         let metrics = ServeMetrics::new();
         let tier = ModelTier::new(0);
         let mut worker = ShardWorker::new();
-        let mut outcomes = Vec::new();
-        assert!(shard.try_pop_batch(64, &mut worker.batch));
-        worker.execute(&tables, Duration::ZERO, &metrics, &tier, &mut outcomes);
+        let mut batch = Vec::new();
+        assert!(shard.try_pop_batch(64, &mut batch));
+        worker.execute(&mut batch, &tables, Duration::ZERO, &metrics, &tier);
 
         let got: Vec<f64> = replies.iter().map(|r| r.recv().unwrap().unwrap()).collect();
         assert_eq!(got, expected);
         let snapshot = metrics.snapshot(0, 0, 0);
         assert_eq!(snapshot.batches, 1, "a pre-queued backlog should fuse into one batch");
         assert!((snapshot.mean_batch_size - 16.0).abs() < 1e-9);
-        assert!(outcomes.is_empty(), "channel replies must not leak into the ticket log");
+        assert!(worker.outcomes.is_empty(), "channel replies must not leak into the ticket log");
     }
 
     #[test]
@@ -442,12 +558,12 @@ mod tests {
         let metrics = ServeMetrics::new();
         let tier = ModelTier::new(0);
         let mut worker = ShardWorker::new();
-        let mut outcomes = Vec::new();
+        let mut batch = Vec::new();
         // Two pops: one per table (head-of-queue grouping).
         for _ in 0..2 {
-            assert!(shard.try_pop_batch(64, &mut worker.batch));
-            worker.execute(&tables, Duration::ZERO, &metrics, &tier, &mut outcomes);
-            worker.batch.clear();
+            assert!(shard.try_pop_batch(64, &mut batch));
+            worker.execute(&mut batch, &tables, Duration::ZERO, &metrics, &tier);
+            batch.clear();
         }
         for (table_id, i, rx) in replies {
             let expected = if table_id == 0 { e1[i] } else { e2[i] };
@@ -482,10 +598,10 @@ mod tests {
         let metrics = ServeMetrics::new();
         let tier = ModelTier::new(0);
         let mut worker = ShardWorker::new();
-        let mut outcomes = Vec::new();
-        assert!(shard.try_pop_batch(64, &mut worker.batch));
+        let mut batch = Vec::new();
+        assert!(shard.try_pop_batch(64, &mut batch));
         // Dequeue happens at t = 2ms: the 1ms deadlines have expired.
-        worker.execute(&tables, Duration::from_millis(2), &metrics, &tier, &mut outcomes);
+        worker.execute(&mut batch, &tables, Duration::from_millis(2), &metrics, &tier);
 
         for (i, rx) in replies.iter().enumerate() {
             let got = rx.recv().unwrap();
@@ -521,9 +637,9 @@ mod tests {
         let metrics = ServeMetrics::new();
         let tier = ModelTier::new(0);
         let mut worker = ShardWorker::new();
-        let mut outcomes = Vec::new();
-        assert!(shard.try_pop_batch(8, &mut worker.batch));
-        worker.execute(&tables, Duration::ZERO, &metrics, &tier, &mut outcomes);
+        let mut batch = Vec::new();
+        assert!(shard.try_pop_batch(8, &mut batch));
+        worker.execute(&mut batch, &tables, Duration::ZERO, &metrics, &tier);
 
         assert_eq!(reply_rx.recv().unwrap().unwrap(), expected);
         assert_eq!(cache.get(&key), Some(expected));
@@ -539,6 +655,138 @@ mod tests {
         let core = Arc::new(ServeCore::new(&config, Arc::new(SystemClock::new())));
         core.register("census", est.clone());
         core
+    }
+
+    /// Encode `query` for table 0 of `core` and admit it through the door
+    /// `caller` stands for; a queued request's reply receiver comes back
+    /// beside the admission.
+    fn admit_miss(
+        core: &ServeCore,
+        query: &Query,
+        caller: &mut CallerBatch<'_>,
+    ) -> (Admission, Option<mpsc::Receiver<Result<f64, ShedReason>>>) {
+        let record = core.table(0);
+        let request = core.prepare(0, &record, query);
+        let mut receiver = None;
+        let admission = core.router.admit(&record, request, None, Some(caller), || {
+            let (reply, reply_rx) = mpsc::sync_channel(1);
+            receiver = Some(reply_rx);
+            ReplyTo::Channel(reply)
+        });
+        (admission, receiver)
+    }
+
+    #[test]
+    fn an_idle_shard_runs_the_callers_misses_as_one_batch_on_its_thread() {
+        let table = census_like(250, 38);
+        let cfg = DuetConfig::small().with_epochs(1);
+        let est = DuetEstimator::train_data_only(&table, &cfg, 9);
+        let queries = WorkloadSpec::random(&table, 8, 13).generate(&table);
+        let mut reference = est.clone();
+        let expected: Vec<f64> = queries.iter().map(|q| reference.estimate(q)).collect();
+
+        let core = core_with(&est, 1);
+        let mut caller = CallerBatch::new(core.executor(0));
+        for (i, query) in queries.iter().enumerate() {
+            match admit_miss(&core, query, &mut caller) {
+                (Admission::RunNow(mut request), None) => {
+                    request.reply = ReplyTo::Ticket(i as u64);
+                    caller.stage(request);
+                }
+                (other, _) => panic!("query {i} on an idle shard: {other:?}"),
+            }
+        }
+        assert_eq!(caller.staged(), queries.len());
+        assert!(core.executor(0).try_lock().is_err(), "the caller holds the executor");
+        let mut got = vec![f64::NAN; queries.len()];
+        caller.run(&core, |ticket, outcome| got[ticket as usize] = outcome.unwrap());
+        assert_eq!(got, expected);
+        assert!(core.executor(0).try_lock().is_ok(), "running the batch releases the executor");
+
+        let snapshot = core.metrics();
+        assert_eq!((snapshot.batches, snapshot.caller_batches), (1, 1), "one batch, not eight");
+        assert_eq!(snapshot.batched_queries, queries.len() as u64);
+    }
+
+    #[test]
+    fn a_miss_queues_when_the_executor_is_held_or_the_queue_is_not_empty() {
+        let table = census_like(250, 39);
+        let cfg = DuetConfig::small().with_epochs(1);
+        let est = DuetEstimator::train_data_only(&table, &cfg, 10);
+        let queries = WorkloadSpec::random(&table, 2, 14).generate(&table);
+        let expected = est.estimate_batch(&queries);
+
+        let core = core_with(&est, 1);
+        let mut replies = Vec::new();
+        // Another thread is mid-batch on the shard: the miss queues.
+        let held = lock(core.executor(0));
+        let mut caller = CallerBatch::new(core.executor(0));
+        match admit_miss(&core, &queries[0], &mut caller) {
+            (Admission::Queued { depth: 1 }, Some(reply_rx)) => replies.push(reply_rx),
+            (other, _) => panic!("a held executor must queue the miss: {other:?}"),
+        }
+        drop(caller);
+        drop(held);
+        // The executor is free, but a request is queued ahead: the miss
+        // queues behind it and the caller never takes the executor.
+        let mut caller = CallerBatch::new(core.executor(0));
+        match admit_miss(&core, &queries[1], &mut caller) {
+            (Admission::Queued { depth: 2 }, Some(reply_rx)) => replies.push(reply_rx),
+            (other, _) => panic!("a non-empty queue must queue the miss: {other:?}"),
+        }
+        assert_eq!(caller.staged(), 0);
+        assert!(core.executor(0).try_lock().is_ok(), "the caller took no executor");
+        drop(caller);
+
+        let mut batch = Vec::new();
+        assert!(core.router.shard(0).try_pop_batch(MAX_BATCH, &mut batch));
+        core.run_batch(&mut lock(core.executor(0)), &mut batch);
+        let got: Vec<f64> = replies.iter().map(|r| r.recv().unwrap().unwrap()).collect();
+        assert_eq!(got, expected);
+        let snapshot = core.metrics();
+        assert_eq!((snapshot.batches, snapshot.caller_batches), (1, 0));
+    }
+
+    #[test]
+    fn a_shard_that_admits_nothing_never_runs_a_miss_on_the_caller() {
+        let table = census_like(250, 40);
+        let cfg = DuetConfig::small().with_epochs(1);
+        let est = DuetEstimator::train_data_only(&table, &cfg, 12);
+        let query = WorkloadSpec::random(&table, 1, 15).generate(&table).remove(0);
+
+        // No queue capacity: shed, as the queue would shed it.
+        let config = ServeConfig {
+            router: RouterConfig { num_shards: 1, queue_capacity: 0, default_deadline: None },
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        };
+        let core = ServeCore::new(&config, Arc::new(SystemClock::new()));
+        core.register("census", est.clone());
+        let mut caller = CallerBatch::new(core.executor(0));
+        assert!(matches!(
+            admit_miss(&core, &query, &mut caller).0,
+            Admission::Shed { depth: 0, .. }
+        ));
+
+        // Closed: queued for the draining worker, not run on the caller...
+        let core = core_with(&est, 1);
+        core.router.close();
+        let mut caller = CallerBatch::new(core.executor(0));
+        let (admission, reply_rx) = admit_miss(&core, &query, &mut caller);
+        assert!(matches!(admission, Admission::Queued { depth: 1 }), "{admission:?}");
+        drop(caller);
+        run_shard_worker(0, core.clone());
+        assert_eq!(
+            reply_rx.unwrap().recv().unwrap(),
+            Ok(est.estimate_batch(std::slice::from_ref(&query))[0])
+        );
+        // ...and once the worker has drained and left, shed.
+        let mut caller = CallerBatch::new(core.executor(0));
+        assert!(matches!(
+            admit_miss(&core, &query, &mut caller).0,
+            Admission::Shed { depth: 0, .. }
+        ));
+        assert_eq!(core.metrics().caller_batches, 0);
     }
 
     #[test]
@@ -624,7 +872,7 @@ mod tests {
                 panic!("injected model fault");
             }
         }));
-        let mut outcomes = Vec::new();
+        let mut batch = Vec::new();
 
         // Round 1: the batch poisons the worker; every request must still
         // get a typed terminal reply.
@@ -636,10 +884,10 @@ mod tests {
         }
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
-        assert!(shard.try_pop_batch(64, &mut worker.batch));
-        execute_supervised(&mut worker, &tables, Duration::ZERO, &metrics, &tier, &mut outcomes);
+        assert!(shard.try_pop_batch(64, &mut batch));
+        execute_supervised(&mut worker, &mut batch, &tables, Duration::ZERO, &metrics, &tier);
         std::panic::set_hook(prev);
-        recycle_batch(&mut worker.batch, &metrics);
+        recycle_batch(&mut batch, &metrics);
         for rx in &replies {
             assert_eq!(rx.recv().unwrap(), Err(ShedReason::WorkerPanicked));
         }
@@ -651,9 +899,9 @@ mod tests {
             shard.try_push(request_for(&tables[0], 0, q, None, reply)).unwrap();
             replies.push(reply_rx);
         }
-        assert!(shard.try_pop_batch(64, &mut worker.batch));
-        execute_supervised(&mut worker, &tables, Duration::ZERO, &metrics, &tier, &mut outcomes);
-        recycle_batch(&mut worker.batch, &metrics);
+        assert!(shard.try_pop_batch(64, &mut batch));
+        execute_supervised(&mut worker, &mut batch, &tables, Duration::ZERO, &metrics, &tier);
+        recycle_batch(&mut batch, &metrics);
         let got: Vec<f64> = replies.iter().map(|r| r.recv().unwrap().unwrap()).collect();
         assert_eq!(got, expected, "post-respawn answers must stay bit-identical");
 
@@ -661,7 +909,7 @@ mod tests {
         assert_eq!(snapshot.panics_caught, 1);
         assert_eq!(snapshot.shard_restarts, 1);
         assert_eq!(snapshot.shed_internal, queries.len() as u64);
-        assert!(outcomes.is_empty(), "channel replies must not leak into the ticket log");
+        assert!(worker.outcomes.is_empty(), "channel replies must not leak into the ticket log");
     }
 
     /// Regression test for the in-flight re-register race: requests queued
@@ -705,9 +953,9 @@ mod tests {
         let metrics = ServeMetrics::new();
         let tier = ModelTier::new(0);
         let mut worker = ShardWorker::new();
-        let mut outcomes = Vec::new();
-        assert!(shard.try_pop_batch(64, &mut worker.batch));
-        worker.execute(&tables, Duration::ZERO, &metrics, &tier, &mut outcomes);
+        let mut batch = Vec::new();
+        assert!(shard.try_pop_batch(64, &mut batch));
+        worker.execute(&mut batch, &tables, Duration::ZERO, &metrics, &tier);
 
         for rx in &replies {
             assert_eq!(rx.recv().unwrap(), Err(ShedReason::StaleRegistration));

@@ -3,10 +3,17 @@
 //!
 //! [`crate::DuetServer`] is this core plus worker threads, stop flags and
 //! wire listeners; the deterministic harness ([`crate::sim`]) is this core
-//! plus a [`crate::VirtualClock`], shard workers it steps by hand, and an
-//! outcome log. Both build their parts here, register tables here, encode
-//! requests here and run batches here, so the harness replays the code the
-//! server ships rather than a copy of it.
+//! plus a [`crate::VirtualClock`], a hand-stepped turn over the core's shard
+//! executors, and an outcome log. Both build their parts here, register
+//! tables here, encode requests here and run batches here, so the harness
+//! replays the code the server ships rather than a copy of it.
+//!
+//! The core owns one executor per shard ([`ShardWorker`] behind a mutex),
+//! and every batch runs on one of them: a shard's worker runs on its own
+//! shard's (also a batch it stole from a sibling), an in-process caller
+//! running its own misses while its table's shard is idle on that shard's.
+//! So an executor runs one batch at a time, and memory is one workspace
+//! per shard.
 //!
 //! Ingest, feedback, the trainer tick and the checkpoint hot-swap are
 //! written here once too: every door only decodes, calls them and encodes.
@@ -24,7 +31,7 @@ use crate::online::{
     OnlineTickReport,
 };
 use crate::registry::{Encoded, ModelRegistry, SwapError};
-use crate::router::{Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources};
+use crate::router::{Clock, ReplyTo, RoutedRequest, Router, TableResources};
 use crate::server::{ServeConfig, ServeError};
 use crate::tier::ModelTier;
 use duet_core::DuetEstimator;
@@ -36,8 +43,8 @@ use std::sync::{Arc, Mutex, RwLock};
 /// table that is not online-enabled (the wire answers it `UnknownTable`).
 pub(crate) const NOT_ONLINE: &str = "online learning is not enabled for this table";
 
-/// Router, table directory, metrics, clock, model tier and online directory,
-/// built once from a [`ServeConfig`].
+/// Router, shard executors, table directory, metrics, clock, model tier and
+/// online directory, built once from a [`ServeConfig`].
 #[derive(Debug)]
 pub(crate) struct ServeCore {
     /// Sizes the cache and hot set of every registered table.
@@ -45,6 +52,8 @@ pub(crate) struct ServeCore {
     /// Name → model slot and dense table id.
     pub(crate) registry: ModelRegistry,
     pub(crate) router: Router,
+    /// One executor per router shard, indexed like the shards.
+    executors: Vec<Mutex<ShardWorker>>,
     /// Every table's serving record, indexed by registry id.
     pub(crate) directory: RwLock<Vec<TableResources>>,
     pub(crate) metrics: Arc<ServeMetrics>,
@@ -61,10 +70,12 @@ impl ServeCore {
     /// A core with no tables whose deadlines run on `clock`.
     pub(crate) fn new(config: &ServeConfig, clock: Arc<dyn Clock>) -> Self {
         let metrics = Arc::new(ServeMetrics::new());
+        let router = Router::new(config.router, clock.clone(), metrics.clone());
         Self {
             config: *config,
             registry: ModelRegistry::new(),
-            router: Router::new(config.router, clock.clone(), metrics.clone()),
+            executors: (0..router.num_shards()).map(|_| Mutex::new(ShardWorker::new())).collect(),
+            router,
             directory: RwLock::new(Vec::new()),
             metrics,
             clock,
@@ -115,13 +126,22 @@ impl ServeCore {
         self.directory.read().expect("directory poisoned")[table_id as usize].clone()
     }
 
-    /// Encode `query` against the schema of table `table_id` into a request
-    /// for [`Router::admit`]; the door that admits it supplies the reply.
-    /// The one place an in-process request is built.
-    pub(crate) fn prepare(&self, table_id: u32, query: &Query) -> RoutedRequest {
-        let slot =
-            self.directory.read().expect("directory poisoned")[table_id as usize].slot.clone();
-        let (preds, intervals) = slot.encode(query);
+    /// The executor of shard `shard`.
+    pub(crate) fn executor(&self, shard: usize) -> &Mutex<ShardWorker> {
+        &self.executors[shard]
+    }
+
+    /// Encode `query` against the schema of `record`, the serving record of
+    /// table `table_id`, into a request for [`Router::admit`]; the door that
+    /// admits it supplies the reply. The one place an in-process request is
+    /// built.
+    pub(crate) fn prepare(
+        &self,
+        table_id: u32,
+        record: &TableResources,
+        query: &Query,
+    ) -> RoutedRequest {
+        let (preds, intervals) = record.slot.encode(query);
         RoutedRequest {
             table_id,
             slot_uid: 0,
@@ -251,19 +271,22 @@ impl ServeCore {
         self.metrics.snapshot(hits, misses, self.router.queue_depth())
     }
 
-    /// Execute the batch `worker` holds, supervised, at the clock's current
-    /// reading, then hand its wire requests back to their connections. Ticket
-    /// outcomes are appended to `outcomes`.
+    /// Execute `batch` on the shard executor `executor`, supervised, at the
+    /// clock's current reading, then hand its wire requests back to their
+    /// connections. Ticket outcomes are appended to the executor's log.
+    /// Returns the number of queries the forward pass ran.
     pub(crate) fn run_batch(
         &self,
-        worker: &mut ShardWorker,
-        outcomes: &mut Vec<(u64, Result<f64, ShedReason>)>,
-    ) {
+        executor: &mut ShardWorker,
+        batch: &mut Vec<RoutedRequest>,
+    ) -> usize {
         let now = self.clock.now();
         let tables = self.directory.read().expect("directory poisoned");
-        execute_supervised(worker, &tables, now, &self.metrics, &self.tier, outcomes);
+        let forwarded =
+            execute_supervised(executor, batch, &tables, now, &self.metrics, &self.tier);
         drop(tables);
-        recycle_batch(&mut worker.batch, &self.metrics);
+        recycle_batch(batch, &self.metrics);
+        forwarded
     }
 }
 

@@ -109,6 +109,9 @@ counters! {
     Batches => batches,
     /// Queries executed across all forward batches.
     BatchedQueries => batched_queries,
+    /// Forward batches an in-process caller ran on its own thread because
+    /// its shard was idle; every other batch ran on a shard worker.
+    CallerBatches => caller_batches,
     /// Requests rejected at admission because their shard queue (or their
     /// connection's pipeline window) was full.
     ShedOverload => shed_overload,

@@ -547,7 +547,12 @@ impl OnlineTable {
                 &mut scratch,
             );
         }
-        let retrained = DuetEstimator::from_model(model, &self.table, "online-retrained");
+        // The online table's dictionaries are the serving id space (ingest
+        // is dictionary-closed), so the retrain is published on the slot's
+        // schema, which the serving estimator shares, not on a copy.
+        let schema = serving.shared_schema().clone();
+        let retrained =
+            DuetEstimator::from_shared_schema(model, schema, num_rows, "online-retrained");
         let OnlineHooks { slot, cache, hot, metrics, .. } = &self.hooks;
         publish(slot, cache, hot, metrics, |slot| slot.swap(retrained))
     }
@@ -967,6 +972,36 @@ mod tests {
         assert!(!second.drift && !second.retrained);
         // The published estimator carries the grown row count.
         assert_eq!(slot.resolve(&metrics).unwrap().1.num_rows(), online.num_rows());
+    }
+
+    /// A retrain is published on the slot's own schema, not on a copy of the
+    /// online table's dictionaries, and answers exactly as the same weights
+    /// over a copied schema would.
+    #[test]
+    fn a_retrain_is_published_on_the_slots_schema() {
+        let (table, hooks) = small_setup();
+        let (slot, metrics) = (hooks.slot.clone(), hooks.metrics.clone());
+        let schema = slot.resolve(&metrics).unwrap().1.shared_schema().clone();
+        let queries = duet_query::WorkloadSpec::random(&table, 16, 3).generate(&table);
+        let data = table.clone();
+        let cfg = OnlineConfig {
+            feedback_trigger: 1,
+            retrain_steps: 2,
+            train_batch_size: 8,
+            ..OnlineConfig::default()
+        };
+        let mut online = OnlineTable::new(table, cfg, hooks);
+        let (preds, intervals) = slot.encode(&queries[0]);
+        online.push_feedback(slot.uid(), preds, intervals, 40.0).unwrap();
+        assert!(online.tick().swapped);
+
+        let published = slot.resolve(&metrics).unwrap().1;
+        assert_eq!(slot.generation(), 1);
+        assert!(Arc::ptr_eq(published.shared_schema(), &schema), "published on the slot's schema");
+        // The same weights over a copy of the table's dictionaries.
+        let reference = DuetEstimator::from_model(published.model().clone(), &data, "copied");
+        assert_eq!(published.num_rows(), reference.num_rows());
+        assert_eq!(published.estimate_batch(&queries), reference.estimate_batch(&queries));
     }
 
     #[test]

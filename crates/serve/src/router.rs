@@ -11,8 +11,10 @@
 //!
 //! Every front door — in-process, wire, and the [`crate::sim`] harness —
 //! admits through one function, `Router::admit`: result-cache probe and
-//! hot-set observe, slot-uid stamp, deadline, enqueue. Admission control is
-//! two-sided:
+//! hot-set observe, slot-uid stamp, deadline, then either *run now* (the
+//! in-process door only: the shard is idle and its executor free, so the
+//! caller runs the miss on its own thread, see [`crate::batcher`]) or
+//! enqueue. Admission control is two-sided:
 //!
 //! * **at enqueue** — a shard whose queue is at capacity rejects the request
 //!   immediately (the push fails, the server surfaces a typed `Overloaded`
@@ -34,6 +36,7 @@
 //! a manually-advanced [`VirtualClock`], which is what makes shed/served
 //! counts exactly reproducible under a fixed seed.
 
+use crate::batcher::CallerBatch;
 use crate::cache::{key_from_ids, CacheKey, HotSet, ShardedCache};
 use crate::metrics::{Counter, ServeMetrics};
 use crate::registry::ModelSlot;
@@ -285,6 +288,10 @@ impl TableResources {
 pub(crate) enum Admission {
     /// Answered from the table's result cache; nothing was queued.
     Cached(f64),
+    /// The shard was idle and the caller now holds its executor: the request
+    /// comes back, stamped but without a reply, for the caller to stage and
+    /// run on its own thread.
+    RunNow(RoutedRequest),
     /// Queued on the table's shard, now `depth` deep.
     Queued { depth: usize },
     /// Refused: the shard was full (or drained). The request comes back so
@@ -358,6 +365,19 @@ impl Shard {
         drop(state);
         self.available.notify_one();
         Ok(depth)
+    }
+
+    /// Whether a push would be admitted at depth `depth` of an empty queue:
+    /// the shard is open, its worker has not drained it, nothing is queued,
+    /// and the queue holds more than `depth` requests. A caller that already
+    /// runs `depth` requests of its own on the shard's executor may run one
+    /// more only then.
+    fn idle_below(&self, depth: usize) -> bool {
+        let state = self.state.lock().expect("shard poisoned");
+        !self.closed.load(Ordering::Acquire)
+            && !state.drained
+            && state.queue.is_empty()
+            && depth < self.capacity
     }
 
     /// Current queue depth.
@@ -557,14 +577,24 @@ impl Router {
 
     /// The one admission path of every front door (in-process, wire, sim):
     /// `request` arrives encoded against `table`'s id space and leaves
-    /// answered from the cache, queued, or shed. `budget` overrides the
-    /// router's default deadline budget. `reply` builds the reply sink and
-    /// runs only on a cache miss, so a hit never allocates one.
+    /// answered from the cache, to run now, queued, or shed. `budget`
+    /// overrides the router's default deadline budget.
+    ///
+    /// `caller` is the in-process door's hold on the table's shard executor
+    /// (`None` from the wire and the sim, which always queue). A miss runs
+    /// now — on the caller's thread, without a reply sink — when the shard
+    /// would have admitted it at the depth of the caller's own batch on an
+    /// empty queue ([`Shard`] open, not drained, nothing queued, capacity
+    /// left) and the caller holds, or can take at once, the executor.
+    /// Otherwise `reply` builds the reply sink and the request is queued;
+    /// `reply` runs only then, so a hit or a run-now miss never allocates
+    /// one.
     pub(crate) fn admit(
         &self,
         table: &TableResources,
         mut request: RoutedRequest,
         budget: Option<Duration>,
+        caller: Option<&mut CallerBatch<'_>>,
         reply: impl FnOnce() -> ReplyTo,
     ) -> Admission {
         request.key = if table.cache.capacity() > 0 {
@@ -589,8 +619,13 @@ impl Router {
         request.slot_uid = table.slot.uid();
         request.deadline =
             budget.or(self.config.default_deadline).map(|budget| self.clock.now() + budget);
-        request.reply = reply();
         let shard = &self.shards[table.shard];
+        if let Some(caller) = caller {
+            if shard.idle_below(caller.staged()) && caller.hold() {
+                return Admission::RunNow(request);
+            }
+        }
+        request.reply = reply();
         match shard.try_push(request) {
             Ok(depth) => Admission::Queued { depth },
             Err(request) => {

@@ -10,6 +10,12 @@
 //! of one thread per table, each table gets its own result cache, and
 //! metrics are aggregated server-wide.
 //!
+//! A miss that finds its shard idle — nothing queued, no batch running —
+//! is run by the calling thread itself, on the shard's executor, through
+//! the same supervised batch path a worker runs: a lone request pays no
+//! reply channel and no hand-off to the worker thread. Every other miss
+//! queues on its shard and is answered by the shard's worker.
+//!
 //! Overload semantics: every shard queue is bounded
 //! ([`RouterConfig::queue_capacity`]); a request that would overflow its
 //! shard is rejected immediately with [`ServeError::Overloaded`] — the
@@ -18,14 +24,12 @@
 //! its budget expires is dropped at dequeue and fails with
 //! [`ServeError::DeadlineExceeded`].
 
-use crate::batcher::run_shard_worker;
+use crate::batcher::{run_shard_worker, CallerBatch, MAX_BATCH};
 use crate::core::ServeCore;
 use crate::metrics::MetricsSnapshot;
 use crate::online::{OnlineConfig, OnlineTickReport, OnlineTrainerHandle};
 use crate::registry::SwapError;
-use crate::router::{
-    Admission, ReplyTo, Router, RouterConfig, ShedReason, SystemClock, TableResources,
-};
+use crate::router::{Admission, ReplyTo, Router, RouterConfig, ShedReason, SystemClock};
 use crate::tier::ModelTier;
 use duet_core::DuetEstimator;
 use duet_data::Table;
@@ -153,13 +157,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Outcome of submitting one query: answered from cache, or in a shard's
-/// queue with a receiver for the eventual result.
-enum Submitted {
-    Cached(f64),
-    Pending(mpsc::Receiver<Result<f64, ShedReason>>),
-}
-
 /// A concurrent, batched estimation server over registered Duet models: the
 /// serving core plus the worker threads that run its batches, and the stop
 /// flags of the trainers and listeners opened through it.
@@ -207,36 +204,77 @@ impl DuetServer {
         self.core.register(&table.into(), estimator);
     }
 
-    /// Encode `query` and hand it to [`Router::admit`] — the in-process
-    /// door both `estimate` and `estimate_many` go through. The same
-    /// encoding feeds the cache key and, on a miss, the batched forward
-    /// pass; a full shard queue fails here with [`ServeError::Overloaded`].
-    fn submit(
-        &self,
-        name: &str,
-        table_id: u32,
-        table: &TableResources,
-        query: &Query,
-    ) -> Result<Submitted, ServeError> {
-        let request = self.core.prepare(table_id, query);
-        let mut receiver = None;
-        let admission = self.core.router.admit(table, request, None, || {
-            let (reply, reply_rx) = mpsc::sync_channel(1);
-            receiver = Some(reply_rx);
-            ReplyTo::Channel(reply)
-        });
-        match admission {
-            Admission::Cached(value) => Ok(Submitted::Cached(value)),
-            Admission::Queued { .. } => {
-                Ok(Submitted::Pending(receiver.expect("a queued request carries its reply")))
+    /// The in-process door `estimate` and `estimate_many` go through:
+    /// answer `queries` against `table` into `values`, [`MAX_BATCH`] at a
+    /// time. Each query is encoded and handed to [`Router::admit`]; the
+    /// misses it admits to run now (their shard idle, its executor free)
+    /// run as one batch on this thread, and the rest queue on the shard and
+    /// are waited for. Every answer is recorded as a completed request, its
+    /// latency measured from its own submission. Fails fast on the first
+    /// shed ([`ServeError::Overloaded`]) or failed answer.
+    fn serve(&self, table: &str, queries: &[Query], values: &mut [f64]) -> Result<(), ServeError> {
+        let (id, record) = self.core.record(table)?;
+        let executor = self.core.executor(record.shard);
+        let metrics = &self.core.metrics;
+        for (queries, values) in queries.chunks(MAX_BATCH).zip(values.chunks_mut(MAX_BATCH)) {
+            let mut submitted = [Instant::now(); MAX_BATCH];
+            let mut caller = CallerBatch::new(executor);
+            let mut pending = Vec::new();
+            for (i, query) in queries.iter().enumerate() {
+                submitted[i] = Instant::now();
+                let request = self.core.prepare(id, &record, query);
+                let mut receiver = None;
+                let admission =
+                    self.core.router.admit(&record, request, None, Some(&mut caller), || {
+                        let (reply, reply_rx) = mpsc::sync_channel(1);
+                        receiver = Some(reply_rx);
+                        ReplyTo::Channel(reply)
+                    });
+                match admission {
+                    Admission::Cached(value) => {
+                        values[i] = value;
+                        metrics.record_request(submitted[i].elapsed());
+                    }
+                    Admission::RunNow(mut request) => {
+                        request.reply = ReplyTo::Ticket(i as u64);
+                        caller.stage(request);
+                    }
+                    Admission::Queued { .. } => {
+                        pending.push((i, receiver.expect("a queued request carries its reply")));
+                    }
+                    Admission::Shed { depth, .. } => {
+                        let table = table.to_string();
+                        return Err(ServeError::Overloaded { table, shard: record.shard, depth });
+                    }
+                }
             }
-            Admission::Shed { depth, .. } => {
-                Err(ServeError::Overloaded { table: name.to_string(), shard: table.shard, depth })
+            // Run this thread's batch first: it releases the executor the
+            // queued requests' worker may be waiting for.
+            let mut failed = None;
+            caller.run(&self.core, |ticket, outcome| {
+                let i = ticket as usize;
+                match Self::resolve_reply(table, Ok(outcome)) {
+                    Ok(value) => {
+                        values[i] = value;
+                        metrics.record_request(submitted[i].elapsed());
+                    }
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
+                }
+            });
+            if let Some(e) = failed {
+                return Err(e);
+            }
+            for (i, reply_rx) in pending {
+                values[i] = Self::resolve_reply(table, reply_rx.recv())?;
+                metrics.record_request(submitted[i].elapsed());
             }
         }
+        Ok(())
     }
 
-    /// Map one worker reply for `table` onto the public error surface.
+    /// Map one reply for `table` onto the public error surface.
     fn resolve_reply(
         table: &str,
         received: Result<Result<f64, ShedReason>, mpsc::RecvError>,
@@ -249,9 +287,9 @@ impl DuetServer {
             Ok(Err(ShedReason::StaleRegistration)) => {
                 Err(ServeError::StaleRegistration(table.to_string()))
             }
-            // QueueFull reaches a reply channel only when the batch could
-            // not reload an evicted model (the worker sheds on the retryable
-            // overload path); a full queue is answered at admission.
+            // QueueFull reaches a reply only when the batch could not reload
+            // an evicted model (the batch sheds on the retryable overload
+            // path); a full queue is answered at admission.
             Ok(Err(ShedReason::QueueFull)) => Err(ServeError::ModelUnavailable(table.to_string())),
             Ok(Err(ShedReason::WorkerPanicked)) => Err(ServeError::Internal(table.to_string())),
             Err(_) => Err(ServeError::WorkerUnavailable(table.to_string())),
@@ -260,53 +298,36 @@ impl DuetServer {
 
     /// Estimate `query`'s cardinality against `table`'s current model.
     ///
-    /// Blocks until the result is available: either a cache hit, or the
-    /// micro-batched forward pass containing this request completes. The
+    /// Blocks until the result is available: a cache hit, or the forward
+    /// pass containing this request completes. On a miss, when the table's
+    /// shard is idle (nothing queued, no batch running), that pass runs on
+    /// the calling thread, with no hand-off to the shard's worker; otherwise
+    /// the request queues and micro-batches with the shard's backlog. The
     /// value is always exactly what a serial `DuetEstimator::estimate` call
     /// would return. Under overload the call fails fast with
     /// [`ServeError::Overloaded`] (admission) or
-    /// [`ServeError::DeadlineExceeded`] (expired while queued). A table the
-    /// tier evicted is reloaded by the batch that serves the request; a
-    /// reload that fails answers [`ServeError::ModelUnavailable`], while a
-    /// cached key is still answered from the cache.
+    /// [`ServeError::DeadlineExceeded`] (expired before its batch ran). A
+    /// table the tier evicted is reloaded by the batch that serves the
+    /// request; a reload that fails answers [`ServeError::ModelUnavailable`],
+    /// while a cached key is still answered from the cache.
     pub fn estimate(&self, table: &str, query: &Query) -> Result<f64, ServeError> {
-        let started = Instant::now();
-        let (id, record) = self.core.record(table)?;
-        let value = match self.submit(table, id, &record, query)? {
-            Submitted::Cached(value) => value,
-            Submitted::Pending(reply_rx) => Self::resolve_reply(table, reply_rx.recv())?,
-        };
-        self.core.metrics.record_request(started.elapsed());
-        Ok(value)
+        let mut value = [0.0];
+        self.serve(table, std::slice::from_ref(query), &mut value)?;
+        Ok(value[0])
     }
 
-    /// Estimate a whole workload through the serving path (requests are
-    /// submitted together, so they batch with each other as well as with
-    /// concurrent clients).
+    /// Estimate a whole workload through the serving path. The misses of
+    /// each run of up to 64 queries run as one batch: on the calling thread
+    /// when the table's shard is idle, otherwise queued together, so they
+    /// batch with each other as well as with concurrent clients.
     ///
     /// Fails fast on the first shed or error; with the default configuration
     /// (ample queues, no deadline) this only happens when the server is
     /// shutting down.
     pub fn estimate_many(&self, table: &str, queries: &[Query]) -> Result<Vec<f64>, ServeError> {
-        let (id, record) = self.core.record(table)?;
-        let mut results = vec![0.0f64; queries.len()];
-        let mut pending = Vec::new();
-        for (i, query) in queries.iter().enumerate() {
-            // Latency is per query, from its own submission.
-            let submitted = Instant::now();
-            match self.submit(table, id, &record, query)? {
-                Submitted::Cached(value) => {
-                    results[i] = value;
-                    self.core.metrics.record_request(submitted.elapsed());
-                }
-                Submitted::Pending(reply_rx) => pending.push((i, submitted, reply_rx)),
-            }
-        }
-        for (i, submitted, reply_rx) in pending {
-            results[i] = Self::resolve_reply(table, reply_rx.recv())?;
-            self.core.metrics.record_request(submitted.elapsed());
-        }
-        Ok(results)
+        let mut values = vec![0.0f64; queries.len()];
+        self.serve(table, queries, &mut values)?;
+        Ok(values)
     }
 
     /// Hot-swap `table`'s weights from a [`duet_core::save_weights`]
@@ -547,6 +568,123 @@ mod tests {
         let reply = DuetServer::resolve_reply(&table, Ok(Err(ShedReason::QueueFull)));
         assert_ne!(server.shard_of(&table), 0);
         assert_eq!(reply, Err(ServeError::ModelUnavailable(table)));
+    }
+
+    fn census_server(config: ServeConfig) -> (DuetServer, DuetEstimator, Vec<Query>) {
+        let data = census_like(250, 41);
+        let est = DuetEstimator::train_data_only(&data, &DuetConfig::small().with_epochs(1), 13);
+        let queries = WorkloadSpec::random(&data, 12, 16).generate(&data);
+        let server = DuetServer::new(config);
+        server.register("census", est.clone());
+        (server, est, queries)
+    }
+
+    /// Wait (bounded) until `done` holds.
+    fn wait_until(mut done: impl FnMut() -> bool) {
+        let give_up_at = Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < give_up_at, "timed out");
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+    }
+
+    /// Every way the in-process door answers — a miss run on the caller, a
+    /// cache hit, `estimate_many`'s caller batch, a miss queued behind a
+    /// busy shard — equals a serial `DuetEstimator::estimate` bit for bit,
+    /// and every batch is either a worker's or a caller's.
+    #[test]
+    fn inline_queued_cached_and_many_answers_are_bit_identical() {
+        use duet_query::CardinalityEstimator;
+        let (server, est, queries) = census_server(ServeConfig {
+            router: RouterConfig { num_shards: 1, ..RouterConfig::default() },
+            ..ServeConfig::default()
+        });
+        let mut reference = est.clone();
+        let expected: Vec<f64> = queries.iter().map(|q| reference.estimate(q)).collect();
+        let batches = |server: &DuetServer| {
+            let m = server.metrics();
+            (m.batches, m.caller_batches)
+        };
+
+        // Idle shard: each miss runs on this thread.
+        for i in 0..4 {
+            assert_eq!(server.estimate("census", &queries[i]), Ok(expected[i]));
+        }
+        assert_eq!(batches(&server), (4, 4));
+        // A hit runs no batch.
+        assert_eq!(server.estimate("census", &queries[0]), Ok(expected[0]));
+        assert_eq!(server.metrics().cache_hits, 1);
+        // Four misses, one caller batch.
+        assert_eq!(server.estimate_many("census", &queries[4..8]), Ok(expected[4..8].to_vec()));
+        assert_eq!(batches(&server), (5, 5));
+
+        // Queued: hold the shard's executor, queue a blocker the worker
+        // pops and then waits on, and a client's miss must queue behind it.
+        let (id, record) = server.core.record("census").unwrap();
+        let held = crate::batcher::lock(server.core.executor(0));
+        let (reply, blocker_rx) = mpsc::sync_channel(1);
+        let blocker = server.core.prepare(id, &record, &queries[8]);
+        let admitted =
+            server.core.router.admit(&record, blocker, None, None, || ReplyTo::Channel(reply));
+        assert!(matches!(admitted, Admission::Queued { depth: 1 }));
+        wait_until(|| server.router().queue_depth() == 0);
+        std::thread::scope(|scope| {
+            let client = scope.spawn(|| server.estimate("census", &queries[9]));
+            wait_until(|| server.router().queue_depth() == 1);
+            drop(held);
+            assert_eq!(client.join().unwrap(), Ok(expected[9]));
+        });
+        assert_eq!(blocker_rx.recv().unwrap(), Ok(expected[8]));
+        assert_eq!(batches(&server), (7, 5), "two worker batches beside five caller batches");
+    }
+
+    /// A fault on the shard's executor fails the caller's own batch typed;
+    /// the executor respawns and the next miss is answered on the caller.
+    #[test]
+    fn a_panicking_caller_batch_answers_internal_and_the_next_estimate_succeeds() {
+        let (server, est, queries) =
+            census_server(ServeConfig { cache_capacity: 0, ..ServeConfig::default() });
+        let shard = server.shard_of("census");
+        let fired = std::sync::atomic::AtomicBool::new(false);
+        crate::batcher::lock(server.core.executor(shard)).fault = Some(Arc::new(move || {
+            if !fired.swap(true, std::sync::atomic::Ordering::Relaxed) {
+                panic!("injected model fault");
+            }
+        }));
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
+        let failed = server.estimate("census", &queries[0]);
+        std::panic::set_hook(prev);
+        assert_eq!(failed, Err(ServeError::Internal("census".into())));
+        assert_eq!(
+            server.estimate("census", &queries[0]),
+            Ok(est.estimate_batch(&queries[..1])[0])
+        );
+
+        let m = server.metrics();
+        assert_eq!((m.panics_caught, m.shard_restarts, m.shed_internal), (1, 1, 1));
+        assert_eq!((m.batches, m.caller_batches, m.requests), (1, 1, 1));
+    }
+
+    /// After `shutdown` an idle shard still sheds: its worker has drained
+    /// and left, and nothing runs on the caller past a shard that admits
+    /// nothing.
+    #[test]
+    fn after_shutdown_an_estimate_is_overloaded() {
+        let (server, _, queries) =
+            census_server(ServeConfig { cache_capacity: 0, ..ServeConfig::default() });
+        assert!(server.shutdown(std::time::Duration::from_secs(10)));
+        let shard = server.shard_of("census");
+        assert_eq!(
+            server.estimate("census", &queries[0]),
+            Err(ServeError::Overloaded { table: "census".into(), shard, depth: 0 })
+        );
+        assert_eq!(
+            server.estimate_many("census", &queries).map(drop),
+            Err(ServeError::Overloaded { table: "census".into(), shard, depth: 0 })
+        );
+        let m = server.metrics();
+        assert_eq!((m.shed_overload, m.batches, m.caller_batches), (2, 0, 0));
     }
 
     /// The statuses a fresh wire connection is answered with for one ingest

@@ -10,12 +10,15 @@
 //!   built by the same constructor from the same [`ServeConfig`]: tables are
 //!   registered, requests encoded (`prepare`, reload failures counted as the
 //!   server counts them), admitted (`Router::admit`: cache, hot set, slot
-//!   uid, deadline, shard queue) and batches run (`run_batch`: supervised
-//!   execution, then wire recycling) by the code the server ships, and wire
-//!   bytes go through the same connection state machine — just driven
-//!   single-threaded. The in-process transport differs from the server's
-//!   door only in its reply sink (a ticket instead of a channel), and counts
-//!   what it serves and sheds exactly as that door does;
+//!   uid, deadline, shard queue) and batches run on the core's shard
+//!   executors (`run_batch`: supervised execution, then wire recycling) by
+//!   the code the server ships, and wire bytes go through the same
+//!   connection state machine — just driven single-threaded. The
+//!   in-process transport differs from the server's door in its reply sink
+//!   (a ticket instead of a channel) and in always queueing (the server's
+//!   door runs a miss on its caller when the shard is idle; a
+//!   single-threaded replay has no caller thread for that), and counts what
+//!   it serves and sheds exactly as that door does;
 //! * a [`VirtualClock`] that only moves when the driver says so, making
 //!   deadline expiry a pure function of the script;
 //! * scripts generated from a seeded RNG, so a scenario replays
@@ -33,7 +36,7 @@
 //! [`DriftScenarioConfig::generate`] (train-while-serving),
 //! [`FaultPlan::inject`] (faults merged into either).
 
-use crate::batcher::{ShardWorker, MAX_BATCH};
+use crate::batcher::{lock, MAX_BATCH};
 use crate::core::ServeCore;
 use crate::metrics::{Counter, CounterTable, MetricsSnapshot};
 use crate::online::{OnlineConfig, OnlineTable};
@@ -89,15 +92,16 @@ pub enum SubmitResult {
 /// The harness is the [`crate::DuetServer`]'s core — router, table
 /// directory, metrics, model tier and online directory, built and registered
 /// exactly as the server builds them from the same [`ServeConfig`] — plus a
-/// [`VirtualClock`], one shard worker per shard that it steps by hand, and an
-/// outcome log. [`RouterHarness::submit_query`] admits,
+/// [`VirtualClock`], a hand-stepped turn over the core's shard executors,
+/// and an outcome log. [`RouterHarness::submit_query`] admits,
 /// [`RouterHarness::turn`] runs one batch per shard, the clock moves only via
 /// [`RouterHarness::clock`]. Ticket replies land in the outcome log instead
 /// of channels, so no call ever blocks.
 pub struct RouterHarness {
     core: ServeCore,
     clock: Arc<VirtualClock>,
-    workers: Vec<ShardWorker>,
+    /// The batch a turn pops into, reused across shards and turns.
+    batch: Vec<RoutedRequest>,
     outcomes: Vec<(u64, Result<f64, ShedReason>)>,
 }
 
@@ -113,8 +117,7 @@ impl RouterHarness {
             let id = core.register(&name, estimator);
             assert_eq!(id as usize, index, "table names are distinct");
         }
-        let workers = (0..core.router.num_shards()).map(|_| ShardWorker::new()).collect();
-        Self { core, clock, workers, outcomes: Vec::new() }
+        Self { core, clock, batch: Vec::new(), outcomes: Vec::new() }
     }
 
     /// Enable the online-learning loop for `table`: `data` is the table the
@@ -139,14 +142,14 @@ impl RouterHarness {
         &self.core.tier
     }
 
-    /// Arm an injected fault hook on every shard worker. The hook runs
+    /// Arm an injected fault hook on every shard executor. The hook runs
     /// inside the supervised batch execution (after model resolve, before
     /// the forward pass); a panic it throws is caught by the exact
     /// `catch_unwind` supervision the production shard threads run, failing
-    /// the batch typed and respawning the worker.
+    /// the batch typed and respawning the executor.
     pub fn arm_fault(&mut self, fault: Arc<dyn Fn() + Send + Sync>) {
-        for worker in &mut self.workers {
-            worker.fault = Some(fault.clone());
+        for shard in 0..self.core.router.num_shards() {
+            lock(self.core.executor(shard)).fault = Some(fault.clone());
         }
     }
 
@@ -185,7 +188,8 @@ impl RouterHarness {
     /// `ticket: Some(t)`, the outcome is logged under `t`; with `None` it is
     /// discarded (allocation-probe mode).
     pub fn prepare(&self, table: usize, query: &Query, ticket: Option<u64>) -> PreparedRequest {
-        let mut request = self.core.prepare(table as u32, query);
+        let table_id = table as u32;
+        let mut request = self.core.prepare(table_id, &self.core.table(table_id), query);
         if let Some(ticket) = ticket {
             request.reply = ReplyTo::Ticket(ticket);
         }
@@ -206,11 +210,12 @@ impl RouterHarness {
     ) -> Result<SubmitResult, PreparedRequest> {
         let reply = std::mem::replace(&mut request.0.reply, ReplyTo::Discard);
         let directory = self.core.directory.read().expect("directory poisoned");
-        match self.core.router.admit(&directory[request.table()], request.0, None, || reply) {
+        match self.core.router.admit(&directory[request.table()], request.0, None, None, || reply) {
             Admission::Cached(value) => {
                 self.core.metrics.incr(Counter::Requests);
                 Ok(SubmitResult::Cached(value))
             }
+            Admission::RunNow(_) => unreachable!("the harness holds no executor"),
             Admission::Queued { depth } => Ok(SubmitResult::Queued { depth }),
             Admission::Shed { request, .. } => Err(PreparedRequest(request)),
         }
@@ -241,20 +246,21 @@ impl RouterHarness {
     /// Wire-originated requests always go back to their connection's pool.
     pub fn turn(&mut self, mut recycled: Option<&mut Vec<PreparedRequest>>) -> usize {
         let mut processed = 0;
-        for (shard_index, worker) in self.workers.iter_mut().enumerate() {
-            if !self.core.router.shard(shard_index).try_pop_batch(MAX_BATCH, &mut worker.batch) {
+        for shard_index in 0..self.core.router.num_shards() {
+            if !self.core.router.shard(shard_index).try_pop_batch(MAX_BATCH, &mut self.batch) {
                 continue;
             }
-            processed += worker.batch.len();
-            let logged = self.outcomes.len();
-            self.core.run_batch(worker, &mut self.outcomes);
-            for (_, outcome) in &self.outcomes[logged..] {
+            processed += self.batch.len();
+            let mut executor = lock(self.core.executor(shard_index));
+            self.core.run_batch(&mut executor, &mut self.batch);
+            for (ticket, outcome) in executor.outcomes.drain(..) {
                 if outcome.is_ok() {
                     self.core.metrics.incr(Counter::Requests);
                 }
+                self.outcomes.push((ticket, outcome));
             }
             if let Some(sink) = recycled.as_deref_mut() {
-                sink.extend(worker.batch.drain(..).map(PreparedRequest));
+                sink.extend(self.batch.drain(..).map(PreparedRequest));
             }
         }
         processed
@@ -301,7 +307,7 @@ impl std::fmt::Debug for RouterHarness {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterHarness")
             .field("tables", &self.core.directory.read().expect("directory poisoned").len())
-            .field("shards", &self.workers.len())
+            .field("shards", &self.core.router.num_shards())
             .field("queue_depth", &self.queue_depth())
             .finish()
     }

@@ -465,7 +465,7 @@ fn admit(
         (request.deadline_us > 0).then(|| Duration::from_micros(u64::from(request.deadline_us)));
     let admitted_ns = now_ns(clock);
     let reply = || ReplyTo::Wire { outbox: outbox.clone(), request_id };
-    let (status, value) = match router.admit(table, holder, budget, reply) {
+    let (status, value) = match router.admit(table, holder, budget, None, reply) {
         Admission::Queued { .. } => {
             inflight.push((request_id, admitted_ns));
             metrics.record_pipeline_depth(inflight.len());
@@ -476,6 +476,7 @@ fn admit(
             metrics.record_request(Duration::from_nanos(now_ns(clock).saturating_sub(admitted_ns)));
             (Status::Ok, value)
         }
+        Admission::RunNow(_) => unreachable!("the wire door holds no executor"),
         Admission::Shed { mut request, .. } => {
             // Recycle the holder (reply detached so the pool holds no
             // self-reference) and shed on the wire.

@@ -3,7 +3,7 @@
 //! measured after warm-up — the steady-state serving hot loop must perform
 //! **zero** heap allocations (and zero frees).
 //!
-//! Ten phases: the raw batched estimation path (full batches of 32 and
+//! Eleven phases: the raw batched estimation path (full batches of 32 and
 //! 1 024 rows, and shrinking batches), the **routed multi-table hot loop** —
 //! admission into a bounded shard queue, same-table batch formation at
 //! dequeue, deadline triage, and batch execution through one workspace per
@@ -39,7 +39,10 @@
 //! `train_step` again on models whose columns carry an MPSN (all three
 //! kinds), so the input gradient, the re-staged predicate encodings and the
 //! embedders' own forward/backward pairs (back-propagation through time for
-//! the recurrent and recursive kinds) are inside the window too.
+//! the recurrent and recursive kinds) are inside the window too — and the
+//! **in-process door on an idle shard**: `DuetServer::estimate` runs a miss
+//! on the calling thread and allocates its request's encoding and nothing
+//! else (no reply channel).
 //!
 //! The same allocator also tracks live heap bytes and their peak. A second
 //! test holds a served model's memory to what it is made of: a clone of a
@@ -65,7 +68,7 @@ use duet::nn::{seeded_rng, Adam};
 use duet::query::{exact_cardinality, Query, WorkloadSpec};
 use duet::serve::sim::{PreparedRequest, RouterHarness, WireSim};
 use duet::serve::wire::{frame, ConnConfig};
-use duet::serve::{DriftMonitor, ModelSlot, RouterConfig, ServeConfig};
+use duet::serve::{DriftMonitor, DuetServer, ModelSlot, RouterConfig, ServeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -149,6 +152,7 @@ fn steady_state_batched_inference_is_allocation_free() {
     trainer_tick_phase();
     supervised_fault_phase();
     mpsn_train_step_phase();
+    inline_inprocess_phase();
 }
 
 fn full_batch_phase() {
@@ -766,6 +770,66 @@ fn supervised_fault_phase() {
         snapshot.panics_caught, snapshot.shard_restarts,
         "every caught panic respawns its worker exactly once"
     );
+}
+
+fn inline_inprocess_phase() {
+    // The eleventh phase: the server's in-process door with its shard idle.
+    // A miss runs on the calling thread, on the shard's executor, answered
+    // through a ticket into the executor's outcome log — no reply channel,
+    // no hand-off to the worker thread. In steady state such an `estimate`
+    // allocates (and frees) its request's encoding and nothing else.
+    let cfg = DuetConfig::small().with_epochs(1);
+    let table = census_like(300, 25);
+    let est = DuetEstimator::train_data_only(&table, &cfg, 26);
+    let queries = WorkloadSpec::random(&table, 8, 36).generate(&table);
+    let server = DuetServer::new(ServeConfig {
+        router: RouterConfig { num_shards: 1, queue_capacity: 64, default_deadline: None },
+        cache_capacity: 0,
+        cache_shards: 1,
+        hot_keys: 0,
+        model_budget_bytes: 0,
+    });
+    server.register("inline", est.clone());
+    let counts = || (ALLOCS.load(Ordering::Relaxed), FREES.load(Ordering::Relaxed));
+
+    // What encoding the round's queries costs on its own: the same two
+    // translations the door runs against the table's schema.
+    let (allocs_before, frees_before) = counts();
+    for query in &queries {
+        let schema = est.schema();
+        std::hint::black_box((
+            query_to_id_predicates(schema, query),
+            query.column_intervals(schema),
+        ));
+    }
+    let (allocs, frees) = counts();
+    let (encode_allocs, encode_frees) = (allocs - allocs_before, frees - frees_before);
+    assert!(encode_allocs > 0, "an encoding is heap-allocated");
+
+    let round = || {
+        for query in &queries {
+            server.estimate("inline", query).expect("an idle shard answers");
+        }
+    };
+    // Warm-up: the executor's workspace, results, outcome log and staging
+    // buffer grow to shape.
+    for _ in 0..2 {
+        round();
+    }
+    let (allocs_before, frees_before) = counts();
+    for _ in 0..10 {
+        round();
+    }
+    let (allocs, frees) = counts();
+    assert_eq!(
+        allocs - allocs_before,
+        10 * encode_allocs,
+        "an inline miss allocates its encoding only"
+    );
+    assert_eq!(frees - frees_before, 10 * encode_frees, "an inline miss frees its encoding only");
+    let snapshot = server.metrics();
+    assert_eq!(snapshot.caller_batches, 12 * queries.len() as u64, "every miss ran on the caller");
+    assert_eq!(snapshot.batches, snapshot.caller_batches);
 }
 
 #[test]
