@@ -17,8 +17,9 @@
 //! Every batch runs on a shard executor (`ShardWorker`, one per shard, owned
 //! by the serving core behind a mutex), entirely on the thread that holds
 //! it: a shard's worker thread on its own shard's executor (also for a
-//! batch it stole from a sibling), or an in-process caller that found its
-//! table's shard idle, on that shard's executor (`CallerBatch`). An
+//! batch it stole from a sibling), or a caller that found its table's shard
+//! idle, on that shard's executor (`CallerBatch`): an in-process caller
+//! with its misses, or a wire acceptor with a connection's lone request. An
 //! executor runs one batch at a time, so the shards are the serving path's
 //! only source of parallelism and memory is one workspace per shard.
 //!
@@ -206,8 +207,9 @@ impl std::fmt::Debug for ShardWorker {
     }
 }
 
-/// An in-process caller's hold on its table's shard executor for one run of
-/// misses: empty until a miss finds the shard idle ([`crate::Router::admit`]
+/// A caller's hold on its table's shard executor for one run of misses: an
+/// in-process caller's, or a wire acceptor's for a connection's lone request.
+/// Empty until a miss finds the shard idle ([`crate::Router::admit`]
 /// decides), then held, with every miss admitted to run now staged on it,
 /// until [`CallerBatch::run`] executes them as one batch on the caller's
 /// thread. Dropping it unrun releases the executor and drops what it
@@ -254,20 +256,23 @@ impl<'e> CallerBatch<'e> {
     }
 
     /// Run the staged requests as one supervised batch through
-    /// [`ServeCore::run_batch`] on this thread, hand each ticket outcome to
-    /// `answer`, and release the executor. A batch whose forward pass ran
-    /// counts as a caller batch.
+    /// [`ServeCore::run_batch`] on this thread, against `tables` (the
+    /// directory the caller holds read-locked), hand each ticket outcome to
+    /// `answer` and each executed request to `retire`, and release the
+    /// executor. A batch whose forward pass ran counts as a caller batch.
     pub(crate) fn run(
         mut self,
         core: &ServeCore,
+        tables: &[TableResources],
         mut answer: impl FnMut(u64, Result<f64, ShedReason>),
+        retire: impl FnMut(RoutedRequest),
     ) {
         let Some(executor) = self.held.as_deref_mut() else { return };
         let mut batch = std::mem::take(&mut executor.staged);
-        if core.run_batch(executor, &mut batch) > 0 {
+        if core.run_batch(executor, tables, &mut batch) > 0 {
             core.metrics.incr(Counter::CallerBatches);
         }
-        batch.clear();
+        batch.drain(..).for_each(retire);
         executor.staged = batch;
         for (ticket, outcome) in executor.outcomes.drain(..) {
             answer(ticket, outcome);
@@ -429,7 +434,7 @@ pub(crate) fn run_shard_worker(shard_index: usize, core: Arc<ServeCore>) {
         match shards[shard_index].pop_batch_blocking(MAX_BATCH, idle_park, &mut batch) {
             Popped::Closed => break,
             Popped::Batch => {
-                core.run_batch(&mut lock(executor), &mut batch);
+                core.run_batch(&mut lock(executor), &core.tables(), &mut batch);
             }
             Popped::Idle => {
                 // Own queue empty for a whole park: steal one batch from the
@@ -443,7 +448,7 @@ pub(crate) fn run_shard_worker(shard_index: usize, core: Arc<ServeCore>) {
                 if let Some((depth, victim)) = victim {
                     if depth >= STEAL_THRESHOLD && victim.try_pop_batch(MAX_BATCH, &mut batch) {
                         core.metrics.incr(Counter::Steals);
-                        core.run_batch(&mut lock(executor), &mut batch);
+                        core.run_batch(&mut lock(executor), &core.tables(), &mut batch);
                     }
                 }
             }
@@ -699,7 +704,12 @@ mod tests {
         assert_eq!(caller.staged(), queries.len());
         assert!(core.executor(0).try_lock().is_err(), "the caller holds the executor");
         let mut got = vec![f64::NAN; queries.len()];
-        caller.run(&core, |ticket, outcome| got[ticket as usize] = outcome.unwrap());
+        caller.run(
+            &core,
+            &core.tables(),
+            |ticket, outcome| got[ticket as usize] = outcome.unwrap(),
+            drop,
+        );
         assert_eq!(got, expected);
         assert!(core.executor(0).try_lock().is_ok(), "running the batch releases the executor");
 
@@ -740,7 +750,7 @@ mod tests {
 
         let mut batch = Vec::new();
         assert!(core.router.shard(0).try_pop_batch(MAX_BATCH, &mut batch));
-        core.run_batch(&mut lock(core.executor(0)), &mut batch);
+        core.run_batch(&mut lock(core.executor(0)), &core.tables(), &mut batch);
         let got: Vec<f64> = replies.iter().map(|r| r.recv().unwrap().unwrap()).collect();
         assert_eq!(got, expected);
         let snapshot = core.metrics();

@@ -37,7 +37,7 @@ use crate::tier::ModelTier;
 use duet_core::DuetEstimator;
 use duet_data::Table;
 use duet_query::Query;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 /// The reason [`ServeError::Rejected`] gives for ingest or feedback to a
 /// table that is not online-enabled (the wire answers it `UnknownTable`).
@@ -123,7 +123,7 @@ impl ServeCore {
 
     /// The serving record of the table with dense id `table_id`.
     pub(crate) fn table(&self, table_id: u32) -> TableResources {
-        self.directory.read().expect("directory poisoned")[table_id as usize].clone()
+        self.tables()[table_id as usize].clone()
     }
 
     /// The executor of shard `shard`.
@@ -263,28 +263,36 @@ impl ServeCore {
     /// across tables and the router's current total queue depth.
     pub(crate) fn metrics(&self) -> MetricsSnapshot {
         let (hits, misses) = self
-            .directory
-            .read()
-            .expect("directory poisoned")
+            .tables()
             .iter()
             .fold((0u64, 0u64), |(h, m), r| (h + r.cache.hits(), m + r.cache.misses()));
         self.metrics.snapshot(hits, misses, self.router.queue_depth())
+    }
+
+    /// The table directory, read-locked.
+    pub(crate) fn tables(&self) -> RwLockReadGuard<'_, Vec<TableResources>> {
+        self.directory.read().expect("directory poisoned")
     }
 
     /// Execute `batch` on the shard executor `executor`, supervised, at the
     /// clock's current reading, then hand its wire requests back to their
     /// connections. Ticket outcomes are appended to the executor's log.
     /// Returns the number of queries the forward pass ran.
+    ///
+    /// `tables` is the directory, read-locked by the caller. The worker, the
+    /// sim and the in-process door hold the executor before they read the
+    /// directory; the wire pump already holds the directory, so it only
+    /// `try_lock`s an executor and never waits for one while holding it.
+    /// Nobody reads the directory twice on one thread: the second read can
+    /// queue behind a waiting `register` and deadlock.
     pub(crate) fn run_batch(
         &self,
         executor: &mut ShardWorker,
+        tables: &[TableResources],
         batch: &mut Vec<RoutedRequest>,
     ) -> usize {
         let now = self.clock.now();
-        let tables = self.directory.read().expect("directory poisoned");
-        let forwarded =
-            execute_supervised(executor, batch, &tables, now, &self.metrics, &self.tier);
-        drop(tables);
+        let forwarded = execute_supervised(executor, batch, tables, now, &self.metrics, &self.tier);
         recycle_batch(batch, &self.metrics);
         forwarded
     }

@@ -12,9 +12,10 @@
 //! Every front door — in-process, wire, and the [`crate::sim`] harness —
 //! admits through one function, `Router::admit`: result-cache probe and
 //! hot-set observe, slot-uid stamp, deadline, then either *run now* (the
-//! in-process door only: the shard is idle and its executor free, so the
-//! caller runs the miss on its own thread, see [`crate::batcher`]) or
-//! enqueue. Admission control is two-sided:
+//! shard is idle and its executor free, so the caller runs the miss on its
+//! own thread, see [`crate::batcher`]: an in-process caller, or a wire
+//! acceptor with a connection's lone request) or enqueue. Admission control
+//! is two-sided:
 //!
 //! * **at enqueue** — a shard whose queue is at capacity rejects the request
 //!   immediately (the push fails, the server surfaces a typed `Overloaded`
@@ -580,8 +581,10 @@ impl Router {
     /// answered from the cache, to run now, queued, or shed. `budget`
     /// overrides the router's default deadline budget.
     ///
-    /// `caller` is the in-process door's hold on the table's shard executor
-    /// (`None` from the wire and the sim, which always queue). A miss runs
+    /// `caller` is a door's hold on the table's shard executor: the
+    /// in-process door's, or a wire acceptor's for a connection's lone
+    /// request (see [`crate::wire::WireConn`]). It is `None` for every other
+    /// wire request and from the sim, which queue. A miss runs
     /// now — on the caller's thread, without a reply sink — when the shard
     /// would have admitted it at the depth of the caller's own batch on an
     /// empty queue ([`Shard`] open, not drained, nothing queued, capacity

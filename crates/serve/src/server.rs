@@ -13,8 +13,11 @@
 //! A miss that finds its shard idle — nothing queued, no batch running —
 //! is run by the calling thread itself, on the shard's executor, through
 //! the same supervised batch path a worker runs: a lone request pays no
-//! reply channel and no hand-off to the worker thread. Every other miss
-//! queues on its shard and is answered by the shard's worker.
+//! reply channel and no hand-off to the worker thread. The wire door
+//! ([`DuetServer::serve_wire`]) does the same for a connection's lone
+//! request (one frame read, nothing in flight): its acceptor runs it and
+//! writes the reply, with no wake byte. Every other miss queues on its
+//! shard and is answered by the shard's worker.
 //!
 //! Overload semantics: every shard queue is bounded
 //! ([`RouterConfig::queue_capacity`]); a request that would overflow its
@@ -249,20 +252,25 @@ impl DuetServer {
                 }
             }
             // Run this thread's batch first: it releases the executor the
-            // queued requests' worker may be waiting for.
+            // queued requests' worker may be waiting for. Only a hold with
+            // misses staged runs, and it reads the directory after taking
+            // the executor, as the worker does.
             let mut failed = None;
-            caller.run(&self.core, |ticket, outcome| {
-                let i = ticket as usize;
-                match Self::resolve_reply(table, Ok(outcome)) {
-                    Ok(value) => {
-                        values[i] = value;
-                        metrics.record_request(submitted[i].elapsed());
+            if caller.staged() > 0 {
+                let answer = |ticket: u64, outcome| {
+                    let i = ticket as usize;
+                    match Self::resolve_reply(table, Ok(outcome)) {
+                        Ok(value) => {
+                            values[i] = value;
+                            metrics.record_request(submitted[i].elapsed());
+                        }
+                        Err(e) => {
+                            failed.get_or_insert(e);
+                        }
                     }
-                    Err(e) => {
-                        failed.get_or_insert(e);
-                    }
-                }
-            });
+                };
+                caller.run(&self.core, &self.core.tables(), answer, drop);
+            }
             if let Some(e) = failed {
                 return Err(e);
             }
@@ -697,7 +705,7 @@ mod tests {
         frame::encode_feedback(&mut bytes, 2, 0, 3.0, &vec![Vec::new(); row.len()], &unconstrained);
         let mut conn = WireConn::new(ConnConfig::default());
         conn.feed(&bytes);
-        conn.pump(&server.core).expect("valid bytes");
+        conn.pump(&server.core, false).expect("valid bytes");
         let (mut statuses, mut read) = (Vec::new(), 0);
         while let Some((view, used)) =
             frame::next_frame(&conn.output()[read..], DEFAULT_MAX_FRAME_LEN).unwrap()

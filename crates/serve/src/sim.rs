@@ -13,12 +13,15 @@
 //!   uid, deadline, shard queue) and batches run on the core's shard
 //!   executors (`run_batch`: supervised execution, then wire recycling) by
 //!   the code the server ships, and wire bytes go through the same
-//!   connection state machine — just driven single-threaded. The
-//!   in-process transport differs from the server's door in its reply sink
-//!   (a ticket instead of a channel) and in always queueing (the server's
-//!   door runs a miss on its caller when the shard is idle; a
-//!   single-threaded replay has no caller thread for that), and counts what
-//!   it serves and sheds exactly as that door does;
+//!   connection state machine — just driven single-threaded. Both
+//!   transports always queue, where the server's doors run a miss on the
+//!   calling thread when the shard is idle (the in-process caller, or a
+//!   connection's acceptor for its lone request): a single-threaded replay
+//!   has no caller thread for that, and its virtual-time scenarios count on
+//!   requests waiting for a turn. The in-process transport also differs
+//!   from the server's door in its reply sink (a ticket instead of a
+//!   channel), and counts what it serves and sheds exactly as that door
+//!   does;
 //! * a [`VirtualClock`] that only moves when the driver says so, making
 //!   deadline expiry a pure function of the script;
 //! * scripts generated from a seeded RNG, so a scenario replays
@@ -209,7 +212,7 @@ impl RouterHarness {
         mut request: PreparedRequest,
     ) -> Result<SubmitResult, PreparedRequest> {
         let reply = std::mem::replace(&mut request.0.reply, ReplyTo::Discard);
-        let directory = self.core.directory.read().expect("directory poisoned");
+        let directory = self.core.tables();
         match self.core.router.admit(&directory[request.table()], request.0, None, None, || reply) {
             Admission::Cached(value) => {
                 self.core.metrics.incr(Counter::Requests);
@@ -252,7 +255,7 @@ impl RouterHarness {
             }
             processed += self.batch.len();
             let mut executor = lock(self.core.executor(shard_index));
-            self.core.run_batch(&mut executor, &mut self.batch);
+            self.core.run_batch(&mut executor, &self.core.tables(), &mut self.batch);
             for (ticket, outcome) in executor.outcomes.drain(..) {
                 if outcome.is_ok() {
                     self.core.metrics.incr(Counter::Requests);
@@ -306,7 +309,7 @@ impl RouterHarness {
 impl std::fmt::Debug for RouterHarness {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterHarness")
-            .field("tables", &self.core.directory.read().expect("directory poisoned").len())
+            .field("tables", &self.core.tables().len())
             .field("shards", &self.core.router.num_shards())
             .field("queue_depth", &self.queue_depth())
             .finish()
@@ -513,12 +516,13 @@ impl WireSim {
     }
 
     /// Run connection `conn`'s state machine: decode complete frames, admit
-    /// requests to the real shard queues, and encode any finished responses
+    /// requests to the real shard queues (a lone request too: the sim
+    /// pumps without an acceptor's hold), and encode any finished responses
     /// into the connection's output buffer. Returns whether anything
     /// happened; a [`DecodeError`] means the byte stream was corrupt (a real
     /// listener would close the connection).
     pub fn pump(&mut self, conn: usize) -> Result<bool, DecodeError> {
-        self.conns[conn].pump(&self.harness.core)
+        self.conns[conn].pump(&self.harness.core, false)
     }
 
     /// One worker turn at the current virtual time (see

@@ -19,10 +19,22 @@
 //! ## Admission
 //!
 //! A decoded request is checked against the connection's pipeline window
-//! and its table's id space, then handed to [`Router::admit`] — the same
+//! and its table's id space, then handed to [`crate::Router::admit`] — the same
 //! admission path the in-process door takes, result cache and hot set
-//! included. A cache hit is answered `Ok` within the same pump; everything
-//! else queues on the table's shard or is shed.
+//! included. A cache hit is answered `Ok` within the same pump.
+//!
+//! A **lone request** — the pump finds one complete request frame and
+//! nothing else buffered, and nothing of the connection in flight — is
+//! admitted with a `CallerBatch` hold when the pumping thread is the
+//! connection's acceptor. If its shard is idle and the shard's executor
+//! free, it runs there and then as a one-row batch on that executor, under
+//! the directory read the pump already holds, and its response is encoded
+//! in the same pump: no queue, no worker wake-up, no outbox, no wake byte.
+//! Everything else queues on the table's shard or is shed: pipelined frames
+//! (a forward pass on the I/O thread would delay the replies of the
+//! thread's other connections), a busy shard, a held executor, and every
+//! request of a connection pumped without the hold (the sim, tests driving
+//! a `WireConn` by hand).
 //!
 //! ## Pipelining and flow control
 //!
@@ -40,16 +52,18 @@
 //! ## Zero allocation after warm-up
 //!
 //! Every request decoded on a warm connection reuses a pooled
-//! [`RoutedRequest`] (predicate/interval buffers included) recycled by the
-//! shard worker after execution; inbound/outbound byte queues, the
+//! [`RoutedRequest`] (predicate/interval buffers included) recycled after
+//! execution, by the shard worker or by the pump that ran it inline;
+//! inbound/outbound byte queues, the
 //! in-flight table, and the completion scratch all retain their capacity.
 //! `tests/zero_alloc.rs` drives a warmed connection through decode →
-//! admission → batch execution → response encode and asserts zero heap
-//! traffic.
+//! admission → batch execution → response encode, queued and inline, and
+//! asserts zero heap traffic.
 
+use crate::batcher::CallerBatch;
 use crate::core::ServeCore;
 use crate::metrics::{Counter, ServeMetrics};
-use crate::router::{Admission, Clock, ReplyTo, RoutedRequest, Router, ShedReason, TableResources};
+use crate::router::{Admission, Clock, ReplyTo, RoutedRequest, ShedReason, TableResources};
 use crate::wire::frame::{
     self, DecodeError, FrameView, Status, DEFAULT_MAX_FRAME_LEN, PREAMBLE_LEN,
 };
@@ -291,12 +305,16 @@ impl WireConn {
     /// and admit every complete inbound frame, then drain completed
     /// requests into response frames.
     ///
+    /// `acceptor` says the pumping thread is the connection's acceptor,
+    /// which may run a lone request itself (see the module docs); without
+    /// it every request queues.
+    ///
     /// Returns whether any progress was made (a frame decoded or a response
     /// encoded). A [`DecodeError`] means
     /// the byte stream is unrecoverable and the connection must be closed;
     /// in-flight requests still complete harmlessly into the outbox (their
     /// `Arc` keeps it alive) and are dropped with it.
-    pub(crate) fn pump(&mut self, core: &ServeCore) -> Result<bool, DecodeError> {
+    pub(crate) fn pump(&mut self, core: &ServeCore, acceptor: bool) -> Result<bool, DecodeError> {
         let (clock, metrics) = (core.clock.as_ref(), core.metrics.as_ref());
         let mut progressed = false;
 
@@ -315,26 +333,33 @@ impl WireConn {
         // Decode/admit every complete frame currently buffered. The frame
         // view borrows `self.inbound`, so the handlers are free functions
         // over the *other* fields (disjoint borrows). They are handed the
-        // records read here and never take the directory lock again: a
-        // second read can deadlock behind a queued `register`.
-        let tables = core.directory.read().expect("directory poisoned");
+        // records read here and never take the directory lock again (an
+        // inline batch runs under this read too): a second read can
+        // deadlock behind a queued `register`.
+        let tables = core.tables();
+        let mut first = true;
         loop {
             let consumed = {
                 match frame::next_frame(self.inbound.bytes(), self.config.max_frame_len)? {
                     None => break,
                     Some((view, consumed)) => {
                         metrics.incr(Counter::FramesIn);
+                        // The first frame is all that is buffered.
+                        let lone = acceptor
+                            && std::mem::take(&mut first)
+                            && consumed == self.inbound.len()
+                            && self.inflight.is_empty();
                         match view {
                             FrameView::Request(request) => admit(
                                 request,
+                                lone,
                                 &self.config,
                                 &self.outbox,
                                 &mut self.inflight,
+                                &mut self.completions,
                                 &mut self.outbound,
-                                &core.router,
+                                core,
                                 &tables,
-                                clock,
-                                metrics,
                             ),
                             FrameView::TableQuery(query) => {
                                 resolve_table(query, &mut self.outbound, &tables, metrics)
@@ -418,21 +443,23 @@ impl WireConn {
     }
 }
 
-/// Admit one decoded request to its table's shard, or answer it immediately
-/// with a typed status frame. A free function over [`WireConn`]'s fields so
-/// it can run while the request view still borrows the inbound buffer.
+/// Admit one decoded request to its table's shard, run it now if it is
+/// `lone` and its shard idle, or answer it immediately with a typed status
+/// frame. A free function over [`WireConn`]'s fields so it can run while the
+/// request view still borrows the inbound buffer.
 #[allow(clippy::too_many_arguments)]
 fn admit(
     request: frame::RequestView<'_>,
+    lone: bool,
     config: &ConnConfig,
     outbox: &Arc<Outbox>,
     inflight: &mut Vec<(u64, u64)>,
+    completions: &mut Vec<(u64, Result<f64, ShedReason>)>,
     outbound: &mut ByteQueue,
-    router: &Router,
+    core: &ServeCore,
     tables: &[TableResources],
-    clock: &dyn Clock,
-    metrics: &ServeMetrics,
 ) {
+    let (clock, metrics) = (core.clock.as_ref(), core.metrics.as_ref());
     let request_id = request.request_id;
     let Some(table) = tables.get(request.table_id as usize) else {
         frame::encode_response(outbound.tail_mut(), request_id, Status::UnknownTable, 0.0);
@@ -465,7 +492,8 @@ fn admit(
         (request.deadline_us > 0).then(|| Duration::from_micros(u64::from(request.deadline_us)));
     let admitted_ns = now_ns(clock);
     let reply = || ReplyTo::Wire { outbox: outbox.clone(), request_id };
-    let (status, value) = match router.admit(table, holder, budget, None, reply) {
+    let mut caller = lone.then(|| CallerBatch::new(core.executor(table.shard)));
+    let (status, value) = match core.router.admit(table, holder, budget, caller.as_mut(), reply) {
         Admission::Queued { .. } => {
             inflight.push((request_id, admitted_ns));
             metrics.record_pipeline_depth(inflight.len());
@@ -476,7 +504,19 @@ fn admit(
             metrics.record_request(Duration::from_nanos(now_ns(clock).saturating_sub(admitted_ns)));
             (Status::Ok, value)
         }
-        Admission::RunNow(_) => unreachable!("the wire door holds no executor"),
+        Admission::RunNow(mut request) => {
+            // In flight for the length of its one-row batch, run here: the
+            // outcome goes straight to the completions this pump encodes,
+            // and the carcass back to the pool.
+            inflight.push((request_id, admitted_ns));
+            metrics.record_pipeline_depth(inflight.len());
+            request.reply = ReplyTo::Ticket(request_id);
+            let mut caller = caller.expect("a request runs now only on a held executor");
+            caller.stage(request);
+            let answer = |ticket, outcome| completions.push((ticket, outcome));
+            caller.run(core, tables, answer, |request| outbox.recycle(request));
+            return;
+        }
         Admission::Shed { mut request, .. } => {
             // Recycle the holder (reply detached so the pool holds no
             // self-reference) and shed on the wire.
@@ -534,11 +574,14 @@ fn acknowledge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::{lock, run_shard_worker, MAX_BATCH};
     use crate::online::OnlineConfig;
-    use crate::router::VirtualClock;
+    use crate::router::{RouterConfig, VirtualClock};
+    use crate::wire::readiness::{self, WakeReceiver};
     use crate::ServeConfig;
-    use duet_core::{DuetConfig, DuetEstimator, IdPredicate};
+    use duet_core::{query_to_id_predicates, DuetConfig, DuetEstimator, IdPredicate};
     use duet_data::datasets::census_like;
+    use duet_query::{CardinalityEstimator, Query, WorkloadSpec};
 
     /// A core serving one online-enabled table, `census`, as id 0; the
     /// table's column count.
@@ -566,7 +609,7 @@ mod tests {
         frame::encode_feedback(&mut bytes, 9, 0, 12.0, preds, intervals);
         let mut conn = WireConn::new(ConnConfig::default());
         conn.feed(&bytes);
-        conn.pump(core).expect("valid bytes");
+        conn.pump(core, false).expect("valid bytes");
         let (view, _) = frame::next_frame(conn.output(), DEFAULT_MAX_FRAME_LEN).unwrap().unwrap();
         match view {
             FrameView::Response(response) => {
@@ -599,5 +642,184 @@ mod tests {
         assert_eq!(feedback_status(&core, &preds, &intervals), Status::Rejected);
         assert_eq!(core.online.feedback_len(0), 1, "only the valid report is queued");
         assert_eq!(core.metrics().feedback_rejected, 1);
+    }
+
+    /// A core serving `census` (cache off) on `router`'s shards, the
+    /// estimator it serves, a few queries, and the table's shard.
+    fn census_core(router: RouterConfig) -> (Arc<ServeCore>, DuetEstimator, Vec<Query>, usize) {
+        let table = census_like(250, 23);
+        let estimator =
+            DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 19);
+        let queries = WorkloadSpec::random(&table, 4, 29).generate(&table);
+        let config = ServeConfig { router, cache_capacity: 0, ..ServeConfig::default() };
+        let core = Arc::new(ServeCore::new(&config, Arc::new(VirtualClock::new())));
+        core.register("census", estimator.clone());
+        let shard = core.table(0).shard;
+        (core, estimator, queries, shard)
+    }
+
+    /// A connection as its acceptor owns it, preamble fed: its completions
+    /// wake the returned receiver, which is parked, so a wake byte would be
+    /// counted in `wire_wake_signals`.
+    fn acceptor_conn() -> (WireConn, WakeReceiver) {
+        let wake_rx = readiness::wake_channel().expect("a wake channel");
+        let mut conn = WireConn::with_waker(ConnConfig::default(), Some(wake_rx.waker().clone()));
+        let mut preamble = Vec::new();
+        frame::encode_preamble(&mut preamble);
+        conn.feed(&preamble);
+        wake_rx.park();
+        (conn, wake_rx)
+    }
+
+    /// Feed `conn` one request frame per `(request_id, query)` for table 0,
+    /// all in one chunk.
+    fn feed_requests(conn: &mut WireConn, estimator: &DuetEstimator, requests: &[(u64, &Query)]) {
+        let mut bytes = Vec::new();
+        for &(request_id, query) in requests {
+            let preds = query_to_id_predicates(estimator.schema(), query);
+            let intervals = query.column_intervals(estimator.schema());
+            frame::encode_request(&mut bytes, request_id, 0, 0, &preds, &intervals);
+        }
+        conn.feed(&bytes);
+    }
+
+    /// Consume `conn`'s output: `(request_id, status, value bits)` of every
+    /// response frame, sorted by request id.
+    fn take_responses(conn: &mut WireConn) -> Vec<(u64, Status, u64)> {
+        let (mut responses, mut read) = (Vec::new(), 0);
+        while let Some((view, used)) =
+            frame::next_frame(&conn.output()[read..], DEFAULT_MAX_FRAME_LEN).unwrap()
+        {
+            read += used;
+            if let FrameView::Response(r) = view {
+                responses.push((r.request_id, r.status, r.value.to_bits()));
+            }
+        }
+        conn.consume_output(read);
+        responses.sort_unstable_by_key(|r| r.0);
+        responses
+    }
+
+    /// What a serial `DuetEstimator::estimate` answers, as a response.
+    fn served(estimator: &DuetEstimator, request_id: u64, query: &Query) -> (u64, Status, u64) {
+        (request_id, Status::Ok, estimator.clone().estimate(query).to_bits())
+    }
+
+    /// Run every batch queued on `shard`, as its worker would.
+    fn run_queued(core: &ServeCore, shard: usize) {
+        let mut batch = Vec::new();
+        while core.router.shard(shard).try_pop_batch(MAX_BATCH, &mut batch) {
+            core.run_batch(&mut lock(core.executor(shard)), &core.tables(), &mut batch);
+        }
+    }
+
+    #[test]
+    fn a_lone_request_on_an_idle_shard_is_answered_in_the_same_pump() {
+        let (core, estimator, queries, _) = census_core(RouterConfig::default());
+        let (mut conn, _wake_rx) = acceptor_conn();
+        for (i, query) in queries.iter().enumerate() {
+            let before = core.metrics();
+            feed_requests(&mut conn, &estimator, &[(i as u64, query)]);
+            conn.pump(&core, true).expect("valid bytes");
+            assert_eq!(conn.inflight(), 0, "request {i} was answered within the pump");
+            assert_eq!(take_responses(&mut conn), [served(&estimator, i as u64, query)]);
+            let after = core.metrics();
+            assert_eq!(after.caller_batches, before.caller_batches + 1, "request {i} ran inline");
+            assert_eq!(after.batches, before.batches + 1);
+            assert_eq!(after.requests, before.requests + 1, "an inline answer is a request");
+            assert_eq!(after.wire_wake_signals, 0, "an inline answer needs no wake byte");
+        }
+    }
+
+    #[test]
+    fn two_request_frames_in_one_pump_both_queue() {
+        let (core, estimator, queries, shard) = census_core(RouterConfig::default());
+        let (mut conn, _wake_rx) = acceptor_conn();
+        feed_requests(&mut conn, &estimator, &[(0, &queries[0]), (1, &queries[1])]);
+        conn.pump(&core, true).expect("valid bytes");
+        assert_eq!(conn.inflight(), 2);
+        assert!(take_responses(&mut conn).is_empty());
+        assert_eq!(core.router.shard(shard).depth(), 2);
+
+        run_queued(&core, shard);
+        conn.pump(&core, true).expect("valid bytes");
+        let expected = [served(&estimator, 0, &queries[0]), served(&estimator, 1, &queries[1])];
+        assert_eq!(take_responses(&mut conn), expected);
+        let snapshot = core.metrics();
+        assert_eq!((snapshot.batches, snapshot.caller_batches), (1, 0), "the worker's batch");
+        assert_eq!(snapshot.wire_wake_signals, 1, "a queued batch wakes the parked acceptor");
+    }
+
+    #[test]
+    fn a_lone_request_whose_executor_is_held_queues() {
+        let (core, estimator, queries, shard) = census_core(RouterConfig::default());
+        let (mut conn, _wake_rx) = acceptor_conn();
+        let held = lock(core.executor(shard));
+        feed_requests(&mut conn, &estimator, &[(0, &queries[0])]);
+        conn.pump(&core, true).expect("valid bytes");
+        assert_eq!(conn.inflight(), 1, "a held executor queues the request");
+        assert_eq!(core.router.shard(shard).depth(), 1);
+        drop(held);
+
+        run_queued(&core, shard);
+        conn.pump(&core, true).expect("valid bytes");
+        assert_eq!(take_responses(&mut conn), [served(&estimator, 0, &queries[0])]);
+        assert_eq!(core.metrics().caller_batches, 0);
+    }
+
+    #[test]
+    fn a_lone_request_is_overloaded_at_zero_capacity_and_after_shutdown() {
+        let overloaded = |core: &ServeCore, estimator: &DuetEstimator, query: &Query| {
+            let (mut conn, _wake_rx) = acceptor_conn();
+            feed_requests(&mut conn, estimator, &[(7, query)]);
+            conn.pump(core, true).expect("valid bytes");
+            assert_eq!(conn.inflight(), 0);
+            assert_eq!(take_responses(&mut conn), [(7, Status::Overloaded, 0f64.to_bits())]);
+            let snapshot = core.metrics();
+            assert_eq!((snapshot.batches, snapshot.shed_overload), (0, 1));
+        };
+        let router = RouterConfig { num_shards: 1, queue_capacity: 0, default_deadline: None };
+        let (core, estimator, queries, _) = census_core(router);
+        overloaded(&core, &estimator, &queries[0]);
+
+        // Shut down: the shard is closed and its worker has drained it.
+        let (core, estimator, queries, _) = census_core(RouterConfig::default());
+        core.router.close();
+        for shard in 0..core.router.num_shards() {
+            run_shard_worker(shard, core.clone());
+        }
+        overloaded(&core, &estimator, &queries[0]);
+    }
+
+    #[test]
+    fn a_panicking_lone_batch_answers_internal_and_the_next_lone_request_succeeds() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let (core, estimator, queries, shard) = census_core(RouterConfig::default());
+        let executions = Arc::new(AtomicU64::new(0));
+        let hook_counter = executions.clone();
+        lock(core.executor(shard)).fault = Some(Arc::new(move || {
+            if hook_counter.fetch_add(1, Ordering::Relaxed) == 0 {
+                panic!("injected model fault");
+            }
+        }));
+        let (mut conn, _wake_rx) = acceptor_conn();
+
+        feed_requests(&mut conn, &estimator, &[(0, &queries[0])]);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
+        let pumped = conn.pump(&core, true);
+        std::panic::set_hook(prev);
+        pumped.expect("valid bytes");
+        assert_eq!(conn.inflight(), 0);
+        assert_eq!(take_responses(&mut conn), [(0, Status::Internal, 0f64.to_bits())]);
+
+        feed_requests(&mut conn, &estimator, &[(1, &queries[1])]);
+        conn.pump(&core, true).expect("valid bytes");
+        assert_eq!(take_responses(&mut conn), [served(&estimator, 1, &queries[1])]);
+        let snapshot = core.metrics();
+        assert_eq!((snapshot.panics_caught, snapshot.shed_internal), (1, 1));
+        assert_eq!((snapshot.batches, snapshot.caller_batches), (1, 1));
+        assert_eq!(executions.load(Ordering::Relaxed), 2);
     }
 }

@@ -11,7 +11,14 @@
 //! between threads, so the per-connection state needs no locking; the only
 //! cross-thread traffic is the shard queues (already synchronized), each
 //! connection's outbox (a mutex the shard workers push completions
-//! through), and the thread's [`readiness::Waker`].
+//! through), the thread's [`readiness::Waker`], and the shard executors a
+//! lone request runs on.
+//!
+//! A connection's lone request (one request frame read, nothing of the
+//! connection in flight) whose shard is idle runs on this thread, on the
+//! shard's executor, and its reply is written in the same service call
+//! (see [`WireConn`]): such a request costs the thread one wake-up, for
+//! its bytes, and sends no wake byte.
 //!
 //! Each thread is an event loop around `poll(2)` ([`readiness::wait`]). Its
 //! poll set — rebuilt in place in a reused `Vec` before every wait — is its
@@ -24,9 +31,10 @@
 //!   reach the usual `Ok(0)`/`Err` close path),
 //! * a connection that owed output is writable again,
 //! * the listener has a connection to accept,
-//! * a shard worker retired a batch holding requests of its connections
-//!   (`batcher::recycle_batch` → [`readiness::Waker::wake`], one byte per
-//!   batch at most), or
+//! * a shard worker retired a batch holding queued requests of its
+//!   connections (`batcher::recycle_batch` → [`readiness::Waker::wake`], one
+//!   byte per batch at most; a lone request the thread ran itself needs
+//!   none), or
 //! * [`WireHandle::shutdown`] / [`crate::DuetServer::shutdown`] asked it to
 //!   stop ([`StopSignal::request`], which wakes it the same way),
 //!
@@ -202,8 +210,9 @@ impl Connection {
             }
         }
 
-        // Decode/admit what arrived; encode what completed.
-        if (readable || self.conn.has_completions()) && self.conn.pump(core).is_err() {
+        // Decode/admit what arrived (a lone request runs here, on this
+        // thread); encode what completed.
+        if (readable || self.conn.has_completions()) && self.conn.pump(core, true).is_err() {
             core.metrics.incr(Counter::WireDecodeErrors);
             return Err(());
         }

@@ -2,8 +2,10 @@
 //!
 //! The wire layer puts the serving stack behind a socket without changing
 //! any of its semantics: a frame that decodes to an estimation request goes
-//! through the **same** shard queues, admission control, micro-batchers,
-//! and metrics as an in-process [`crate::DuetServer::estimate`] call, and
+//! through the **same** admission, shard queues and executors,
+//! micro-batchers, and metrics as an in-process
+//! [`crate::DuetServer::estimate`] call (a lone request on an idle shard
+//! runs on its acceptor, as an in-process miss runs on its caller), and
 //! overload outcomes ([`crate::ServeError::Overloaded`],
 //! [`crate::ServeError::DeadlineExceeded`]) come back as wire status codes
 //! rather than dropped connections.

@@ -1,7 +1,8 @@
 //! The wire listener over real loopback sockets: what it serves is
-//! bit-identical to the direct batch path, no wake-up is ever lost, an idle
-//! front door does not run at all, a stalled reader does not make it spin,
-//! and every connection is counted closed exactly once.
+//! bit-identical to the direct batch path and to serial `estimate`, a lone
+//! request runs on its acceptor, no wake-up is ever lost, an idle front
+//! door does not run at all, a stalled reader does not make it spin, and
+//! every connection is counted closed exactly once.
 //!
 //! Waiting is done on the server's own counters ([`wait_for`]), never on a
 //! sleep; the only sleeps are the windows over which "nothing happens" is
@@ -9,7 +10,7 @@
 
 use duet_core::{DuetConfig, DuetEstimator, DuetWorkspace, IdPredicate};
 use duet_data::datasets::census_like;
-use duet_query::WorkloadSpec;
+use duet_query::{CardinalityEstimator, Query, WorkloadSpec};
 use duet_serve::wire::frame::{self, Status};
 use duet_serve::wire::WireClient;
 use duet_serve::{DuetServer, MetricsSnapshot, ServeConfig, WireConfig, WireHandle};
@@ -24,10 +25,12 @@ const TABLE: &str = "census";
 
 type Encoded = (Vec<Vec<IdPredicate>>, Vec<(u32, u32)>);
 
-/// One trained model, a pool of encoded queries, and what the direct batch
-/// path answers for each — built once for the whole test binary.
+/// One trained model, a pool of queries and their encodings, and what the
+/// direct batch path answers for each — built once for the whole test
+/// binary.
 struct Fixture {
     estimator: DuetEstimator,
+    queries: Vec<Query>,
     encoded: Vec<Encoded>,
     expected: Vec<f64>,
 }
@@ -39,8 +42,8 @@ fn fixture() -> &'static Fixture {
         let estimator =
             DuetEstimator::train_data_only(&table, &DuetConfig::small().with_epochs(1), 9);
         let schema = estimator.schema();
-        let encoded: Vec<Encoded> = WorkloadSpec::random(&table, 64, 17)
-            .generate(&table)
+        let queries = WorkloadSpec::random(&table, 64, 17).generate(&table);
+        let encoded: Vec<Encoded> = queries
             .iter()
             .map(|q| (duet_core::query_to_id_predicates(schema, q), q.column_intervals(schema)))
             .collect();
@@ -53,7 +56,7 @@ fn fixture() -> &'static Fixture {
             &mut DuetWorkspace::new(),
             &mut expected,
         );
-        Fixture { estimator, encoded, expected }
+        Fixture { estimator, queries, encoded, expected }
     })
 }
 
@@ -111,15 +114,24 @@ fn wait_for(server: &DuetServer, what: &str, done: impl Fn(&MetricsSnapshot) -> 
 
 #[test]
 fn loopback_replies_are_bit_identical_to_the_direct_batch_path() {
-    let (_server, handle) = serve(WireConfig { acceptors: 2, ..WireConfig::default() });
+    let (server, handle) = serve(WireConfig { acceptors: 2, ..WireConfig::default() });
     let (mut client, table_id) = connect(&handle);
-    for request_id in 0..fixture().encoded.len() as u64 {
+    let mut serial = fixture().estimator.clone();
+    for (request_id, query) in (0..).zip(&fixture().queries) {
         submit(&mut client, table_id, request_id);
         client.flush().expect("flush");
         let response = client.recv().expect("a reply");
         assert_eq!(response.request_id, request_id);
         assert_served(&response);
+        let expected = serial.estimate(query);
+        assert_eq!(response.value.to_bits(), expected.to_bits(), "serial estimate {request_id}");
     }
+    // Depth 1 on an idle shard: the requests ran on their acceptor, and
+    // every one was answered `Ok`.
+    let snapshot = server.metrics();
+    assert!(snapshot.caller_batches > 0, "lone requests run on their acceptor: {snapshot}");
+    assert_eq!(snapshot.requests, fixture().queries.len() as u64);
+    assert_eq!(snapshot.shed_overload + snapshot.shed_internal + snapshot.shed_stale, 0);
 }
 
 #[test]
@@ -231,7 +243,7 @@ fn an_idle_listener_does_not_run_and_stops_because_it_is_woken() {
 }
 
 #[test]
-fn a_request_served_alone_costs_two_wakeups_and_one_signal() {
+fn a_request_served_alone_costs_one_wakeup_and_no_signal() {
     let (server, handle) = serve(WireConfig { acceptors: 1, ..WireConfig::default() });
     let (mut client, table_id) = connect(&handle);
     // Warm the path (pools, workspaces), then count.
@@ -249,17 +261,16 @@ fn a_request_served_alone_costs_two_wakeups_and_one_signal() {
     }
     let after = server.metrics();
 
-    // One wake-up for the request's bytes, one for its finished batch. A
-    // worker that finishes inside the few instructions between the
-    // acceptor's `park` and its `poll` adds a third (the completion is found
-    // by the re-check *and* signalled), so the bound on the total has a
-    // little slack; the bound on signals has none.
+    // One wake-up for the request's bytes. The request runs on the acceptor
+    // (its shard is idle) and is answered in the same pump, so no batch
+    // retires on a worker and nothing signals the acceptor.
     let wakeups = after.wire_acceptor_wakeups - before.wire_acceptor_wakeups;
     let signals = after.wire_wake_signals - before.wire_wake_signals;
     assert!(wakeups >= REQUESTS, "a request cannot arrive unnoticed: {wakeups}");
-    assert!(wakeups <= 2 * REQUESTS + REQUESTS / 10, "{wakeups} wake-ups for {REQUESTS} requests");
-    assert!(signals <= REQUESTS, "{signals} wake signals for {REQUESTS} one-request batches");
+    assert!(wakeups <= REQUESTS + REQUESTS / 10, "{wakeups} wake-ups for {REQUESTS} requests");
+    assert_eq!(signals, 0, "{signals} wake signals for {REQUESTS} inline requests");
     assert_eq!(after.batches - before.batches, REQUESTS, "depth 1: one batch per request");
+    assert_eq!(after.caller_batches - before.caller_batches, REQUESTS, "each ran on the acceptor");
 }
 
 #[test]
@@ -268,10 +279,13 @@ fn no_wakeup_is_lost_under_jittered_closed_loops() {
     const ROUNDS: u64 = 2_000;
     let (server, handle) = serve(WireConfig { acceptors: 2, ..WireConfig::default() });
     // The clients start every round together and the next round starts when
-    // all have their reply. A reply left in its outbox with the acceptor
+    // all have their replies. A reply left in its outbox with the acceptor
     // asleep is rescued by whatever wakes that acceptor next; with the other
     // clients holding still until this one is answered, nothing does, and
-    // the 2 s read timeout turns the lost wake-up into a failure.
+    // the 2 s read timeout turns the lost wake-up into a failure. A lone
+    // request on an idle shard runs on its acceptor and needs no wake-up,
+    // so odd connections pipeline two requests a round: those queue, and
+    // their workers' wake bytes race the acceptors' polls.
     std::thread::scope(|scope| {
         let (done_tx, done_rx) = mpsc::channel();
         let mut starts = Vec::new();
@@ -291,14 +305,17 @@ fn no_wakeup_is_lost_under_jittered_closed_loops() {
                     // can slip in between the acceptor's last look at the
                     // outboxes and its `poll`.
                     std::thread::sleep(Duration::from_micros(rng.gen_range(0..100)));
-                    let request_id = connection * ROUNDS + round;
-                    submit(&mut client, table_id, request_id);
+                    let first = 2 * (connection * ROUNDS + round);
+                    let ids = first..first + 1 + connection % 2;
+                    ids.clone().for_each(|request_id| submit(&mut client, table_id, request_id));
                     client.flush().expect("flush");
-                    let response = client
-                        .recv()
-                        .unwrap_or_else(|e| panic!("request {request_id} got no reply: {e}"));
-                    assert_eq!(response.request_id, request_id);
-                    assert_served(&response);
+                    for _ in ids.clone() {
+                        let response = client
+                            .recv()
+                            .unwrap_or_else(|e| panic!("requests {ids:?} got no reply: {e}"));
+                        assert!(ids.contains(&response.request_id));
+                        assert_served(&response);
+                    }
                     done_tx.send(()).expect("the coordinator is waiting");
                 }
             });
@@ -314,6 +331,7 @@ fn no_wakeup_is_lost_under_jittered_closed_loops() {
     });
     let snapshot = server.metrics();
     assert!(snapshot.requests >= CONNECTIONS * ROUNDS);
+    assert!(snapshot.batches > snapshot.caller_batches, "pipelined pairs queue: {snapshot}");
     assert_eq!(snapshot.wire_decode_errors, 0);
 }
 

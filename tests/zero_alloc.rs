@@ -3,7 +3,7 @@
 //! measured after warm-up — the steady-state serving hot loop must perform
 //! **zero** heap allocations (and zero frees).
 //!
-//! Eleven phases: the raw batched estimation path (full batches of 32 and
+//! Twelve phases: the raw batched estimation path (full batches of 32 and
 //! 1 024 rows, and shrinking batches), the **routed multi-table hot loop** —
 //! admission into a bounded shard queue, same-table batch formation at
 //! dequeue, deadline triage, and batch execution through one workspace per
@@ -42,7 +42,11 @@
 //! the recurrent and recursive kinds) are inside the window too — and the
 //! **in-process door on an idle shard**: `DuetServer::estimate` runs a miss
 //! on the calling thread and allocates its request's encoding and nothing
-//! else (no reply channel).
+//! else (no reply channel) — and the **wire door's inline lone request**:
+//! over a real loopback socket, a warmed connection's depth-1 request runs
+//! on its acceptor and is answered in the same pump, and the round trip
+//! allocates and frees nothing, its request struct recycled into the
+//! connection's pool.
 //!
 //! The same allocator also tracks live heap bytes and their peak. A second
 //! test holds a served model's memory to what it is made of: a clone of a
@@ -67,11 +71,15 @@ use duet::data::Table;
 use duet::nn::{seeded_rng, Adam};
 use duet::query::{exact_cardinality, Query, WorkloadSpec};
 use duet::serve::sim::{PreparedRequest, RouterHarness, WireSim};
-use duet::serve::wire::{frame, ConnConfig};
-use duet::serve::{DriftMonitor, DuetServer, ModelSlot, RouterConfig, ServeConfig};
+use duet::serve::wire::frame::{self, Status};
+use duet::serve::wire::ConnConfig;
+use duet::serve::{
+    DriftMonitor, DuetServer, ModelSlot, RouterConfig, ServeConfig, WireClient, WireConfig,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
@@ -153,6 +161,7 @@ fn steady_state_batched_inference_is_allocation_free() {
     supervised_fault_phase();
     mpsn_train_step_phase();
     inline_inprocess_phase();
+    inline_wire_phase();
 }
 
 fn full_batch_phase() {
@@ -830,6 +839,68 @@ fn inline_inprocess_phase() {
     let snapshot = server.metrics();
     assert_eq!(snapshot.caller_batches, 12 * queries.len() as u64, "every miss ran on the caller");
     assert_eq!(snapshot.batches, snapshot.caller_batches);
+}
+
+fn inline_wire_phase() {
+    // The twelfth phase: the wire door with its shard idle, over a real
+    // loopback socket. A warmed connection with nothing in flight sends one
+    // request frame; its acceptor runs it as a one-row batch on the shard's
+    // executor and writes the reply in the same pump, and the request struct
+    // goes back to the connection's pool. No reply channel, no queue, no
+    // wake byte: a steady-state round trip allocates and frees nothing, on
+    // either end of the socket.
+    let cfg = DuetConfig::small().with_epochs(1);
+    let table = census_like(300, 27);
+    let est = DuetEstimator::train_data_only(&table, &cfg, 28);
+    let schema = est.schema();
+    let encoded: Vec<_> = WorkloadSpec::random(&table, 8, 37)
+        .generate(&table)
+        .iter()
+        .map(|q| (query_to_id_predicates(schema, q), q.column_intervals(schema)))
+        .collect();
+    let server = DuetServer::new(ServeConfig {
+        router: RouterConfig { num_shards: 1, queue_capacity: 64, default_deadline: None },
+        cache_capacity: 0,
+        cache_shards: 1,
+        hot_keys: 0,
+        model_budget_bytes: 0,
+    });
+    server.register("inline", est.clone());
+    let wire = WireConfig { acceptors: 1, ..WireConfig::default() };
+    let handle = server.serve_wire("127.0.0.1:0", wire).expect("bind a loopback port");
+    let mut client = WireClient::connect(handle.addr()).expect("connect over loopback");
+    client.set_read_timeout(Some(Duration::from_secs(10))).expect("set a read timeout");
+    let table_id = client.resolve("inline").expect("resolve").expect("table is registered").id;
+    let counts = || (ALLOCS.load(Ordering::Relaxed), FREES.load(Ordering::Relaxed));
+
+    let mut round = || {
+        for (i, (preds, intervals)) in encoded.iter().enumerate() {
+            client.submit_request(i as u64, table_id, 0, preds, intervals);
+            client.flush().expect("flush");
+            let response = client.recv().expect("a reply");
+            assert_eq!((response.request_id, response.status), (i as u64, Status::Ok));
+        }
+    };
+    // Warm-up: the connection's byte queues, pool and completion scratch,
+    // the executor's workspace and staging buffer, the client's buffers.
+    for _ in 0..2 {
+        round();
+    }
+    let before = server.metrics();
+    let (allocs_before, frees_before) = counts();
+    for _ in 0..10 {
+        round();
+    }
+    let (allocs, frees) = counts();
+    let after = server.metrics();
+    assert_eq!(allocs - allocs_before, 0, "an inline wire request must not allocate");
+    assert_eq!(frees - frees_before, 0, "an inline wire request must not free");
+    let requests = 10 * encoded.len() as u64;
+    assert_eq!(after.caller_batches - before.caller_batches, requests, "each ran on the acceptor");
+    assert_eq!(after.batches - before.batches, requests);
+    assert_eq!(after.wire_wake_signals, before.wire_wake_signals, "no wake byte was needed");
+    drop(client);
+    drop(handle);
 }
 
 #[test]
